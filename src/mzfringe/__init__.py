@@ -17,16 +17,12 @@ from .arms import (
 )
 from .core import (
     CptpCheck,
-    adjoint,
     beamsplitter,
     half_waveplate,
-    kron,
-    mat_mul,
     maximally_mixed,
     partial_trace,
     phase_shifter,
     rotated_basis,
-    trace,
     validate_cptp,
     validate_density_matrix,
 )

@@ -7,21 +7,33 @@ optical elements in traversal order; composing it yields one 2x2 Kraus
 operator per distinct accumulated delay. Delays are stored in micrometers of
 o/e wavepacket separation. Only delay differences are observable, so the
 o-ray carries zero delay by convention.
+
+The dilation oracle does not compose Kraus sets. It applies an arm element by
+element to vectors on polarization (x) time bins, on a grid whose unit is the
+gcd of the crystal delays (``_delay_grid``, ``_evolve_arm``), so it checks
+``compose_arm`` rather than repeating it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from typing import Sequence, Union
 
 import numpy as np
-import scipy.linalg
 
-from .core import UNITARY_ATOL, as_complex_matrix, rotated_basis, validate_density_matrix
+from .core import (
+    UNITARY_ATOL,
+    as_complex_matrix,
+    half_waveplate,
+    rotated_basis,
+    validate_density_matrix,
+)
 
 __all__ = [
     "DELAY_MERGE_TOL",
     "ZERO_OP_TOL",
+    "ORACLE_DIM_LIMIT",
     "Crystal",
     "Waveplate",
     "RawUnitary",
@@ -32,7 +44,6 @@ __all__ = [
     "compose_arm",
     "arm_dilation",
     "arm_channel_apply",
-    "kraus_dilation",
 ]
 
 # Delays in scope are exact sums of configuration constants, so this tolerance
@@ -41,6 +52,9 @@ DELAY_MERGE_TOL = 1e-9
 # Entrywise threshold below which a composed branch operator is dropped as an
 # exact-orthogonality artifact.
 ZERO_OP_TOL = 1e-14
+# Joint path x polarization x time-bin dimension beyond which the oracle
+# refuses to run.
+ORACLE_DIM_LIMIT = 4096
 
 
 @dataclass(frozen=True)
@@ -104,8 +118,6 @@ def crystal_kraus(c: Crystal) -> list[DelayedKraus]:
 
 
 def _element_branches(elem: ArmElement) -> list[tuple[np.ndarray, float]]:
-    from .core import half_waveplate  # local import keeps module init light
-
     if isinstance(elem, Crystal):
         return [(dk.op, dk.delay) for dk in crystal_kraus(elem)]
     if isinstance(elem, Waveplate):
@@ -146,54 +158,69 @@ def compose_arm(arm: ArmSpec) -> list[DelayedKraus]:
     ]
 
 
-def kraus_dilation(kraus_ops: Sequence[DelayedKraus], bins: Sequence[float],
-                   input_bin: int = 0) -> np.ndarray:
-    """Unitary on polarization (x) time bins whose ``input_bin`` column blocks
-    are the given Kraus operators.
+def _gcd(a: float, b: float) -> float:
+    """Euclid's algorithm on delays; a remainder within DELAY_MERGE_TOL ends it."""
+    while b > DELAY_MERGE_TOL:
+        a, b = b, a % b
+    return a
 
-    The joint space is indexed pol-major (row = p * nbins + bin). The two
-    columns at (q, input_bin) carry K at each operator's bin; the remaining
-    columns are an orthonormal completion, so the block at (bin_k, input_bin)
-    reproduces the Kraus operator with delay bins[k].
+
+def _shift(delay: float, unit: float) -> int:
+    return round(delay / unit) if unit else 0
+
+
+def _delay_grid(arms: Sequence[ArmSpec]) -> tuple[float, int]:
+    """Unit and bin count of a time grid that holds every delay of ``arms``.
+
+    The unit is the gcd of the crystal delays (0 when every delay is within
+    DELAY_MERGE_TOL of zero). Bin 0 is the input bin, and the grid reaches the
+    largest total crystal delay of any one arm, so cyclic shifts of a vector
+    that starts in bin 0 never wrap. Raises ValueError, before anything is
+    allocated, when the joint dimension 4 * bins exceeds ORACLE_DIM_LIMIT;
+    incommensurate delays drive the unit towards DELAY_MERGE_TOL and end there.
     """
-    n = len(bins)
-    if n < 1:
-        raise ValueError("need at least one time bin")
-    big = 2 * n
-    v = np.zeros((big, 2), dtype=complex)
-    for dk in kraus_ops:
-        k = _bin_index(bins, dk.delay)
-        for p in range(2):
-            for q in range(2):
-                v[p * n + k, q] += dk.op[p, q]
-    u = np.zeros((big, big), dtype=complex)
-    in_cols = [0 * n + input_bin, 1 * n + input_bin]
-    u[:, in_cols[0]] = v[:, 0]
-    u[:, in_cols[1]] = v[:, 1]
-    if big > 2:
-        comp = scipy.linalg.null_space(v.conj().T)
-        rest = [c for c in range(big) if c not in in_cols]
-        u[:, rest] = comp
-    return u
+    crystals = [[e.delay for e in arm if isinstance(e, Crystal)] for arm in arms]
+    unit = reduce(_gcd, (d for delays in crystals for d in delays), 0.0)
+    n = 1 + max((sum(_shift(d, unit) for d in delays) for delays in crystals), default=0)
+    if 4 * n > ORACLE_DIM_LIMIT:
+        raise ValueError(f"resource limit: joint dimension {4 * n} exceeds "
+                         f"{ORACLE_DIM_LIMIT} (time grid of {n} bins at {unit:.6g} um)")
+    return unit, n
 
 
-def _bin_index(bins: Sequence[float], delay: float) -> int:
-    for i, b in enumerate(bins):
-        if abs(b - delay) <= DELAY_MERGE_TOL:
-            return i
-    raise ValueError(f"delay {delay} not found in bins {list(bins)}")
+def _evolve_arm(arm: ArmSpec, cols: np.ndarray, unit: float) -> np.ndarray:
+    """Apply an arm element by element to columns on polarization (x) time bins.
+
+    ``cols`` has shape (2, bins, k). A crystal acts as P_o (x) I + P_e (x) S_d,
+    with S_d the cyclic shift by its delay in grid units, computed as
+    x + P_e (S_d x - x) because P_o + P_e = I; waveplates and raw unitaries act
+    as U (x) I.
+    """
+    for elem in arm:
+        if isinstance(elem, Crystal):
+            _, ket_e = rotated_basis(elem.axis_angle)
+            delayed = np.roll(cols, _shift(elem.delay, unit), axis=1) - cols
+            cols = cols + np.einsum("pq,q...->p...", np.outer(ket_e, ket_e.conj()), delayed)
+        elif isinstance(elem, Waveplate):
+            cols = np.einsum("pq,q...->p...", half_waveplate(elem.axis_angle), cols)
+        elif isinstance(elem, RawUnitary):
+            cols = np.einsum("pq,q...->p...", elem.matrix, cols)
+        else:
+            raise ValueError(f"unknown arm element {elem!r}")
+    return cols
 
 
 def arm_dilation(arm: ArmSpec) -> tuple[np.ndarray, list[float]]:
-    """Exact unitary dilation of an arm on polarization (x) time bins.
+    """Exact unitary of an arm on polarization (x) time bins.
 
-    Returns (unitary, bins) with bins the sorted distinct total delays of the
-    arm. Extracting the block at (bin_k, bin_0) recovers the composed Kraus
-    operator at bins[k].
+    Returns (unitary, bins) with bins the delays of the arm's time grid (see
+    ``_delay_grid``). Rows and columns are indexed pol-major, p * len(bins) +
+    bin. The block at (bins[k], bin 0) is the arm's Kraus operator at delay
+    bins[k], or zero where no path arrives.
     """
-    kraus = compose_arm(arm)
-    bins = [dk.delay for dk in kraus]
-    return kraus_dilation(kraus, bins, 0), bins
+    unit, n = _delay_grid([arm])
+    u = _evolve_arm(arm, np.eye(2 * n, dtype=complex).reshape(2, n, 2 * n), unit)
+    return u.reshape(2 * n, 2 * n), [k * unit for k in range(n)]
 
 
 def arm_channel_apply(arm: ArmSpec, rho) -> np.ndarray:

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import math
 import sys
 from dataclasses import dataclass
 
@@ -80,12 +81,16 @@ def parse_angle(text: str) -> float:
     t = str(text).strip().lower()
     try:
         if t.endswith("deg"):
-            return float(np.deg2rad(float(t[:-3])))
-        if t.endswith("rad"):
-            return float(t[:-3])
-        return float(t)
+            angle = float(np.deg2rad(float(t[:-3])))
+        elif t.endswith("rad"):
+            angle = float(t[:-3])
+        else:
+            angle = float(t)
     except ValueError:
         raise UsageError(f"cannot parse angle {text!r} (use e.g. 22.5deg or 0.3927rad)")
+    if not math.isfinite(angle):
+        raise UsageError(f"angle {text!r} is not finite")
+    return angle
 
 
 def parse_arm(text: str) -> list[ArmElement]:
@@ -102,10 +107,9 @@ def parse_arm(text: str) -> list[ArmElement]:
             if not delay_text:
                 raise UsageError(f"crystal element needs angle and delay: {token!r}")
             try:
-                delay = float(delay_text)
-            except ValueError:
-                raise UsageError(f"bad crystal delay in {token!r}")
-            elements.append(Crystal(parse_angle(angle_text), delay))
+                elements.append(Crystal(parse_angle(angle_text), float(delay_text)))
+            except ValueError as exc:
+                raise UsageError(f"bad crystal delay in {token!r}: {exc}")
         elif kind in ("hwp", "waveplate"):
             elements.append(Waveplate(parse_angle(rest)))
         elif kind == "unitary":
@@ -240,6 +244,10 @@ def _validate(config: RunConfig) -> None:
         raise UsageError("missing required key 'output'")
     if config.seed is not None and config.seed < 0:
         raise UsageError("key 'seed' must be non-negative")
+    for key in ("beta-points", "phases", "mean-total", "specs"):
+        value = getattr(config, key.replace("-", "_"))
+        if value is not None and value < 1:
+            raise UsageError(f"key {key!r} must be >= 1, got {value}")
     if config.command == "sweep" and config.variant is None:
         raise UsageError("command 'sweep' requires key 'variant'")
     if config.command == "fringe":

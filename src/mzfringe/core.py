@@ -21,10 +21,6 @@ __all__ = [
     "UNITARY_ATOL",
     "CptpCheck",
     "as_complex_matrix",
-    "mat_mul",
-    "adjoint",
-    "trace",
-    "kron",
     "partial_trace",
     "beamsplitter",
     "phase_shifter",
@@ -53,33 +49,6 @@ def as_complex_matrix(a, name: str = "matrix") -> np.ndarray:
     return arr
 
 
-def mat_mul(a, b) -> np.ndarray:
-    """Matrix product a @ b with an explicit inner-dimension check."""
-    am = as_complex_matrix(a, "a")
-    bm = as_complex_matrix(b, "b")
-    if am.shape[1] != bm.shape[0]:
-        raise ValueError(f"dimension mismatch: cannot multiply {am.shape} by {bm.shape}")
-    return am @ bm
-
-
-def adjoint(a) -> np.ndarray:
-    """Conjugate transpose."""
-    return as_complex_matrix(a).conj().T
-
-
-def trace(a) -> complex:
-    """Trace of a square matrix."""
-    m = as_complex_matrix(a)
-    if m.shape[0] != m.shape[1]:
-        raise ValueError(f"trace requires a square matrix, got shape {m.shape}")
-    return complex(np.trace(m))
-
-
-def kron(a, b) -> np.ndarray:
-    """Tensor product with the row-major block convention (left factor varies slowly)."""
-    return np.kron(as_complex_matrix(a, "a"), as_complex_matrix(b, "b"))
-
-
 def partial_trace(state, dims: Sequence[int], keep: Iterable[int]) -> np.ndarray:
     """Reduced matrix of ``state`` over the tensor factors listed in ``keep``.
 
@@ -88,7 +57,7 @@ def partial_trace(state, dims: Sequence[int], keep: Iterable[int]) -> np.ndarray
     state : array_like
         Square matrix on the tensor product of factors with dimensions ``dims``.
     dims : sequence of int
-        Dimension of each factor, in kron order (left factor first).
+        Dimension of each factor, in np.kron order (left factor first).
     keep : iterable of int
         Indices of the factors to keep; the rest are traced out. Kept factors
         stay in their original relative order.

@@ -17,10 +17,10 @@ recovered by a Gauss-Newton least-squares fit of A (1 + v cos(phi + psi)).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from statistics import NormalDist
 from typing import Sequence
 
 import numpy as np
-from scipy.special import ndtri
 
 from .arms import ArmElement, Crystal, RawUnitary, Waveplate
 from .core import maximally_mixed, validate_density_matrix
@@ -165,7 +165,7 @@ def _sample_poisson(lam: float, rng: np.random.Generator) -> int:
             p *= lam / k
             cdf += p
         return k
-    z = float(ndtri(u))
+    z = NormalDist().inv_cdf(u)
     return max(0, int(np.floor(lam + np.sqrt(lam) * z + 0.5)))
 
 

@@ -6,8 +6,10 @@ environment, C sums Tr[u^dag v rho] over pairs of upper-arm and lower-arm
 Kraus operators whose time-bin delays coincide; delays differing by more than
 the coherence criterion contribute nothing (orthogonal bins). The dilation
 oracle reproduces the same fringe by brute force: it evolves the full
-path (x) polarization (x) time-bin state through beamsplitter, phase plate and
-the controlled arm dilations, then projects the path onto the lower port.
+path (x) polarization (x) time-bin state through beamsplitter, each arm element
+by element on its own path, phase plate and closing beamsplitter, then projects
+the path onto the lower port. It never composes a Kraus set, so it is an
+independent check of ``compose_arm``.
 
 Time-bin orthogonality is binary here: delays matching within
 ``DELAY_MERGE_TOL`` interfere fully, all others not at all. Partial wavepacket
@@ -20,8 +22,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arms import ArmSpec, DELAY_MERGE_TOL, compose_arm, kraus_dilation
-from .core import validate_density_matrix
+from .arms import (
+    DELAY_MERGE_TOL,
+    ORACLE_DIM_LIMIT,
+    ArmSpec,
+    _delay_grid,
+    _evolve_arm,
+    compose_arm,
+)
+from .core import beamsplitter, partial_trace, phase_shifter, validate_density_matrix
 
 __all__ = [
     "ORACLE_DIM_LIMIT",
@@ -36,20 +45,14 @@ __all__ = [
     "output_polarization_state",
 ]
 
-# Joint path x polarization x time-bin dimension beyond which the oracle
-# refuses to run.
-ORACLE_DIM_LIMIT = 4096
-
 
 @dataclass
 class InterferometerSpec:
-    """Two arms, an input polarization state, and the (informational)
-    wavepacket coherence length in micrometers."""
+    """Two arms and an input polarization state."""
 
     upper: ArmSpec
     lower: ArmSpec
     input_state: np.ndarray
-    coherence_length: float = 150.0
 
     def __post_init__(self):
         state = validate_density_matrix(self.input_state, "input_state")
@@ -120,66 +123,44 @@ def output_probability(f: FringeResult, phi: float) -> float:
     return float(p)
 
 
-def _union_bins(upper, lower) -> list[float]:
-    """Sorted joint time-bin delays: zero (the input bin) plus every arm
-    delay, clustered within the merge tolerance."""
-    delays = sorted([0.0] + [dk.delay for dk in upper] + [dk.delay for dk in lower])
-    bins: list[float] = []
-    for d in delays:
-        if not bins or d - bins[-1] > DELAY_MERGE_TOL:
-            bins.append(d)
-    return bins
-
-
 class _OraclePieces:
     """Phase-independent part of the dilation-oracle evolution.
 
-    The joint state starts as |0>_path (x) rho (x) |bin_0><bin_0| with rho
-    factored into scaled eigenvector columns. The first beamsplitter sends
-    |0> to (|0> - |1>)/sqrt2, the phase plate multiplies the lower-arm path
-    component by e^{i phi}, the controlled-arm step applies each arm's
-    dilation unitary on its own path, and the closing beamsplitter is the
-    inverse of the first. Worked through the 2x2 path algebra, the port
-    columns become
-
-        out_lower(phi) = (D_up + e^{i phi} D_low) A / 2
-        out_upper(phi) = (D_up - e^{i phi} D_low) A / 2
-
-    where A holds the input columns on polarization (x) bins. Only the path
-    factor is treated analytically; the dilations act as explicit matrices.
+    The joint state starts as |0>_path (x) rho (x) |bin_0> with rho factored
+    into scaled eigenvector columns, held as an array (path, polarization,
+    time bin, column). The first beamsplitter acts on the path, and each arm
+    then acts element by element on its own path component: the upper arm on
+    path 0, the lower arm on path 1. ``ports`` applies the phase plate to
+    path 1 and the closing beamsplitter, the inverse of the first. The phase
+    plate is applied after the arms, which is the same because both act
+    diagonally on the path.
     """
 
     def __init__(self, spec: InterferometerSpec):
-        upper = compose_arm(spec.upper)
-        lower = compose_arm(spec.lower)
-        bins = _union_bins(upper, lower)
-        n = len(bins)
-        if 4 * n > ORACLE_DIM_LIMIT:
-            raise ValueError(f"resource limit: joint dimension {4 * n} exceeds "
-                             f"{ORACLE_DIM_LIMIT}")
-        d_up = kraus_dilation(upper, bins, 0)
-        d_low = kraus_dilation(lower, bins, 0)
-
+        unit, n = _delay_grid([spec.upper, spec.lower])
         evals, evecs = np.linalg.eigh(spec.input_state)
-        cols = evecs * np.sqrt(np.clip(evals, 0.0, None))
-        a = np.zeros((2 * n, 2), dtype=complex)
-        a[[0, n], :] = cols  # rows (p, bin_0) in pol-major indexing
+        state = np.zeros((2, 2, n, 2), dtype=complex)
+        state[0, :, 0, :] = evecs * np.sqrt(np.clip(evals, 0.0, None))
+        state = np.einsum("ab,b...->a...", beamsplitter(), state)
         self.n = n
-        self.bins = bins
-        self.upper_cols = d_up @ a
-        self.lower_cols = d_low @ a
+        self.paths = np.stack([_evolve_arm(spec.upper, state[0], unit),
+                               _evolve_arm(spec.lower, state[1], unit)])
 
-    def port_columns(self, phi: float) -> tuple[np.ndarray, np.ndarray]:
-        w = np.exp(1j * phi)
-        out0 = 0.5 * (self.upper_cols + w * self.lower_cols)
-        out1 = 0.5 * (self.upper_cols - w * self.lower_cols)
-        return out0, out1
+    def ports(self, phis) -> np.ndarray:
+        """Output columns at each phase, shape (phase, port, polarization, bin,
+        column); port 0 is the lower port."""
+        closing = beamsplitter().conj().T @ np.array([phase_shifter(phi) for phi in phis])
+        return np.einsum("kab,b...->ka...", closing, self.paths)
+
+
+def _port_probabilities(out: np.ndarray) -> np.ndarray:
+    return np.sum(np.abs(out) ** 2, axis=(-3, -2, -1))
 
 
 def oracle_probabilities(spec: InterferometerSpec, phi: float) -> tuple[float, float]:
     """Both port probabilities (lower, upper) from the dilation oracle."""
-    out0, out1 = _OraclePieces(spec).port_columns(phi)
-    return float(np.sum(np.abs(out0) ** 2)), float(np.sum(np.abs(out1) ** 2))
+    p0, p1 = _port_probabilities(_OraclePieces(spec).ports([phi])[0])
+    return float(p0), float(p1)
 
 
 def oracle_probability(spec: InterferometerSpec, phi: float) -> float:
@@ -196,24 +177,18 @@ def oracle_contrast(spec: InterferometerSpec, n_phases: int = 16) -> complex:
     """
     if n_phases < 3:
         raise ValueError("need at least 3 phases to extract the contrast")
-    pieces = _OraclePieces(spec)
     phis = 2.0 * np.pi * np.arange(n_phases) / n_phases
-    acc = 0.0 + 0.0j
-    for phi in phis:
-        out0, _ = pieces.port_columns(phi)
-        acc += np.sum(np.abs(out0) ** 2) * np.exp(-1j * phi)
-    return complex(4.0 * acc / n_phases)
+    p0 = _port_probabilities(_OraclePieces(spec).ports(phis)[:, 0])
+    return complex(4.0 * np.mean(p0 * np.exp(-1j * phis)))
 
 
 def output_polarization_state(spec: InterferometerSpec, phi: float) -> np.ndarray:
     """Conditional polarization state in the lower port, post-selected on
     detection at phase ``phi``."""
     pieces = _OraclePieces(spec)
-    out0, _ = pieces.port_columns(phi)
-    p = float(np.sum(np.abs(out0) ** 2))
+    out0 = pieces.ports([phi])[0, 0]
+    p = float(_port_probabilities(out0))
     if p < 1e-12:
         raise RuntimeError(f"degenerate post-selection: detection probability {p:.3e}")
-    n = pieces.n
-    block = out0 @ out0.conj().T  # on polarization (x) bins
-    rho_pol = block.reshape(2, n, 2, n).trace(axis1=1, axis2=3)
-    return rho_pol / p
+    cols = out0.reshape(2 * pieces.n, 2)
+    return partial_trace(cols @ cols.conj().T, [2, pieces.n], [0]) / p

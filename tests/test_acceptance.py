@@ -5,7 +5,10 @@ here, not configurable."""
 import time
 
 import numpy as np
+import pytest
 
+import mzfringe.arms
+import mzfringe.interferometer
 from mzfringe import (
     Crystal,
     QkdSpec,
@@ -62,18 +65,40 @@ def test_criterion_2_waveplate_variant_convention():
             f"v(pi/8)={v_center:.12f}, max_err={worst:.2e}")
 
 
-def test_criterion_3_oracle_equivalence():
+def _criterion_3_max_delta() -> float:
     rng = np.random.default_rng(20260810)
-    start = time.perf_counter()
     worst = 0.0
     for _ in range(200):
         spec = random_interferometer_spec(rng, max_elements=3)
         delta = abs(contrast_shared_env(spec).contrast - oracle_contrast(spec))
         worst = max(worst, delta)
+    return worst
+
+
+def test_criterion_3_oracle_equivalence():
+    start = time.perf_counter()
+    worst = _criterion_3_max_delta()
     elapsed = time.perf_counter() - start
     _report(3, "dilation oracle equivalence on 200 random specs",
             worst < 1e-9 and elapsed < 10.0,
             f"max_delta={worst:.2e}, {elapsed:.2f}s")
+
+
+def test_oracle_catches_reversed_composition(monkeypatch):
+    monkeypatch.setattr(mzfringe.interferometer, "compose_arm",
+                        lambda arm: compose_arm(list(arm)[::-1]))
+    assert _criterion_3_max_delta() > 1e-3
+
+
+def test_oracle_catches_widened_delay_merging(monkeypatch):
+    # merge delays within 100 um, but only inside compose_arm, as a merge bug would
+    def compose_widened(arm):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(mzfringe.arms, "DELAY_MERGE_TOL", 100.0)
+            return compose_arm(arm)
+
+    monkeypatch.setattr(mzfringe.interferometer, "compose_arm", compose_widened)
+    assert _criterion_3_max_delta() > 1e-3
 
 
 def test_criterion_4_tomography_blindness():

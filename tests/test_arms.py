@@ -177,14 +177,17 @@ def test_dilation_single_crystal_blocks():
 
 
 def test_dilation_reproduces_composed_kraus():
+    # the grid can hold bins the arm cannot reach; their blocks are zero
     rng = np.random.default_rng(53)
     for _ in range(30):
         arm = random_arm(rng, max_elements=3)
-        kraus = compose_arm(arm)
+        kraus = {dk.delay: dk.op for dk in compose_arm(arm)}
         u, bins = arm_dilation(arm)
         n = len(bins)
         np.testing.assert_allclose(u.conj().T @ u, np.eye(2 * n), atol=1e-12)
-        for k, dk in enumerate(kraus):
+        for k, delay in enumerate(bins):
             block = np.array([[u[p * n + k, q * n + 0] for q in range(2)]
                               for p in range(2)])
-            np.testing.assert_allclose(block, dk.op, atol=1e-12)
+            np.testing.assert_allclose(block, kraus.pop(delay, np.zeros((2, 2))),
+                                       atol=1e-12)
+        assert not kraus, f"composed delays {list(kraus)} missing from the grid"

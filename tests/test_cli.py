@@ -1,4 +1,8 @@
 import csv
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -182,3 +186,40 @@ def test_bad_angle_is_usage_error(tmp_path, capsys):
     assert main(["fringe", "--variant", "a", "--beta", "oops",
                  "--output", str(tmp_path / "x.csv")]) == 2
     assert "angle" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--specs", "-3"), ("--specs", "0"), ("--phases", "0"), ("--beta-points", "0"),
+    ("--mean-total", "0"),
+])
+def test_count_below_one_is_usage_error(tmp_path, capsys, flag, value):
+    args = ["oracle-check"] if flag == "--specs" else [
+        "fringe", "--variant", "a", "--beta", "0.3"]
+    assert main(args + [flag, value, "--output", str(tmp_path / "x.csv")]) == 2
+    assert f"'{flag[2:]}' must be >= 1" in capsys.readouterr().err
+    assert not (tmp_path / "x.csv").exists()
+
+
+@pytest.mark.parametrize("delay", ["-5", "nan", "inf"])
+def test_bad_crystal_delay_is_usage_error(tmp_path, capsys, delay):
+    assert main(["fringe", "--arms", f"crystal:0:{delay}|", "--phases", "8",
+                 "--output", str(tmp_path / "x.csv")]) == 2
+    assert "crystal delay" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("beta", ["nandeg", "nan", "infrad"])
+def test_non_finite_angle_is_usage_error(tmp_path, capsys, beta):
+    assert main(["fringe", "--variant", "a", "--beta", beta,
+                 "--output", str(tmp_path / "x.csv")]) == 2
+    assert "not finite" in capsys.readouterr().err
+
+
+def test_cli_import_loads_no_scipy():
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(src)] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    code = ("import sys, mzfringe.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=60).stdout
+    assert out.strip() == "[]"

@@ -1,7 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from conftest import random_density, random_unitary
+from mzfringe.arms import _delay_grid
+from mzfringe.interferometer import ORACLE_DIM_LIMIT
 from mzfringe import (
     Crystal,
     FringeResult,
@@ -211,6 +215,34 @@ def test_oracle_resource_limit():
     arm = [Crystal(0.3 + 0.25 * i, float(2 ** i)) for i in range(11)]
     with pytest.raises(ValueError, match="resource"):
         oracle_probability(mixed_spec(arm, []), 0.0)
+
+
+def test_oracle_incommensurate_delays_hit_resource_limit():
+    # Euclid stops at a unit of 2.45e-9 um: a grid of 577,222,393 bins
+    spec = mixed_spec([Crystal(0.3, 1.0)], [Crystal(0.7, np.sqrt(2.0))])
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="resource limit"):
+            oracle_contrast(spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def test_oracle_at_dimension_limit():
+    # ten crystals at 150 * 2^k um per arm fill exactly 1024 bins of 150 um
+    rng = np.random.default_rng(103)
+    delays = rng.permutation([150.0 * 2 ** k for k in range(10)])
+    angles = rng.uniform(0, np.pi, 10)
+    upper = [Crystal(a, d) for a, d in zip(angles, delays)]
+    lower = [Crystal(a + 0.8, d) for a, d in zip(angles, delays)]
+    unit, n = _delay_grid([upper, lower])
+    assert (unit, 4 * n) == (150.0, ORACLE_DIM_LIMIT)
+    spec = mixed_spec(upper, lower)
+    c = contrast_shared_env(spec).contrast
+    assert abs(c) > 0.1
+    assert abs(c - oracle_contrast(spec)) < 1e-9
 
 
 def test_spec_validates_input_state():
