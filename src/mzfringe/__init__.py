@@ -7,20 +7,17 @@ from .arms import (
     ArmElement,
     ArmSpec,
     Crystal,
-    DelayedKraus,
     RawUnitary,
     Waveplate,
     arm_channel_apply,
     arm_dilation,
     compose_arm,
-    crystal_kraus,
 )
 from .core import (
     CptpCheck,
     beamsplitter,
     half_waveplate,
     maximally_mixed,
-    partial_trace,
     phase_shifter,
     rotated_basis,
     validate_cptp,

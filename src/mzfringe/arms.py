@@ -3,10 +3,10 @@
 A birefringent crystal splits polarization into its ordinary and
 extraordinary components and retards the extraordinary one, entangling the
 polarization qubit with photon arrival time. An arm is an ordered list of
-optical elements in traversal order; composing it yields one 2x2 Kraus
-operator per distinct accumulated delay. Delays are stored in micrometers of
-o/e wavepacket separation. Only delay differences are observable, so the
-o-ray carries zero delay by convention.
+optical elements in traversal order; composing it yields (delay, op) pairs,
+one 2x2 Kraus operator per distinct accumulated delay. Delays are stored in
+micrometers of o/e wavepacket separation. Only delay differences are
+observable, so the o-ray carries zero delay by convention.
 
 The dilation oracle does not compose Kraus sets. It applies an arm element by
 element to vectors on polarization (x) time bins, on a grid whose unit is the
@@ -39,8 +39,6 @@ __all__ = [
     "RawUnitary",
     "ArmElement",
     "ArmSpec",
-    "DelayedKraus",
-    "crystal_kraus",
     "compose_arm",
     "arm_dilation",
     "arm_channel_apply",
@@ -99,63 +97,42 @@ ArmElement = Union[Crystal, Waveplate, RawUnitary]
 ArmSpec = Sequence[ArmElement]
 
 
-@dataclass(frozen=True)
-class DelayedKraus:
-    """A 2x2 polarization operator tagged with its time-bin delay (micrometers)."""
-
-    op: np.ndarray
-    delay: float
-
-
-def crystal_kraus(c: Crystal) -> list[DelayedKraus]:
-    """Kraus pair of a single crystal: the o-ray projector at delay 0 and the
-    e-ray projector at the crystal's delay."""
-    ket_o, ket_e = rotated_basis(c.axis_angle)
-    return [
-        DelayedKraus(np.outer(ket_o, ket_o.conj()), 0.0),
-        DelayedKraus(np.outer(ket_e, ket_e.conj()), float(c.delay)),
-    ]
-
-
-def _element_branches(elem: ArmElement) -> list[tuple[np.ndarray, float]]:
+def _element_kraus(elem: ArmElement) -> list[tuple[float, np.ndarray]]:
+    """(delay, op) pairs of one element: a crystal's o-ray projector at delay 0
+    and e-ray projector at its delay, or a single unitary at delay 0."""
     if isinstance(elem, Crystal):
-        return [(dk.op, dk.delay) for dk in crystal_kraus(elem)]
+        ket_o, ket_e = rotated_basis(elem.axis_angle)
+        return [(0.0, np.outer(ket_o, ket_o.conj())),
+                (float(elem.delay), np.outer(ket_e, ket_e.conj()))]
     if isinstance(elem, Waveplate):
-        return [(half_waveplate(elem.axis_angle), 0.0)]
+        return [(0.0, half_waveplate(elem.axis_angle))]
     if isinstance(elem, RawUnitary):
-        return [(np.array(elem.matrix), 0.0)]
+        return [(0.0, elem.matrix)]
     raise ValueError(f"unknown arm element {elem!r}")
 
 
-def compose_arm(arm: ArmSpec) -> list[DelayedKraus]:
-    """Delay-tagged Kraus operators of a whole arm.
+def compose_arm(arm: ArmSpec) -> list[tuple[float, np.ndarray]]:
+    """Delay-tagged Kraus operators of a whole arm as (delay, op) pairs.
 
-    Expands all per-element branches in traversal order (later elements
-    left-multiplied), sums the branch delays, coherently merges branches whose
-    total delays coincide within ``DELAY_MERGE_TOL``, and drops operators that
-    vanish entrywise below ``ZERO_OP_TOL``. The result is sorted by delay.
+    Applies the elements in traversal order (later elements left-multiplied).
+    After each element, branches whose total delays coincide within
+    ``DELAY_MERGE_TOL`` of the smallest delay of their group are merged
+    coherently, so the set never holds more operators than distinct delays.
+    Operators that vanish entrywise below ``ZERO_OP_TOL`` are dropped at the
+    end. The result is sorted by delay.
     """
-    branches: list[tuple[np.ndarray, float]] = [(np.eye(2, dtype=complex), 0.0)]
+    kraus: list[tuple[float, np.ndarray]] = [(0.0, np.eye(2, dtype=complex))]
     for elem in arm:
-        branches = [
-            (op_e @ op_b, d_b + d_e)
-            for (op_e, d_e) in _element_branches(elem)
-            for (op_b, d_b) in branches
-        ]
-    branches.sort(key=lambda t: t[1])
-
-    merged: list[tuple[np.ndarray, float]] = []
-    for op, d in branches:
-        if merged and d - merged[-1][1] <= DELAY_MERGE_TOL:
-            merged[-1] = (merged[-1][0] + op, merged[-1][1])
-        else:
-            merged.append((op.copy(), d))
-
-    return [
-        DelayedKraus(op, d)
-        for op, d in merged
-        if float(np.max(np.abs(op))) >= ZERO_OP_TOL
-    ]
+        branches = sorted(((d_k + d_e, op_e @ op_k)
+                           for d_e, op_e in _element_kraus(elem)
+                           for d_k, op_k in kraus), key=lambda t: t[0])
+        kraus = []
+        for d, op in branches:
+            if kraus and d - kraus[-1][0] <= DELAY_MERGE_TOL:
+                kraus[-1] = (kraus[-1][0], kraus[-1][1] + op)
+            else:
+                kraus.append((d, op))
+    return [(d, op) for d, op in kraus if float(np.max(np.abs(op))) >= ZERO_OP_TOL]
 
 
 def _gcd(a: float, b: float) -> float:
@@ -230,6 +207,6 @@ def arm_channel_apply(arm: ArmSpec, rho) -> np.ndarray:
     if rho.shape != (2, 2):
         raise ValueError(f"arm channels act on 2x2 states, got shape {rho.shape}")
     out = np.zeros((2, 2), dtype=complex)
-    for dk in compose_arm(arm):
-        out += dk.op @ rho @ dk.op.conj().T
+    for _, op in compose_arm(arm):
+        out += op @ rho @ op.conj().T
     return out

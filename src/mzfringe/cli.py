@@ -262,6 +262,8 @@ def _validate(config: RunConfig) -> None:
         if config.counts_path is None and not (has_spec and config.mean_total is not None):
             raise UsageError("command 'fit' requires key 'counts' or inline sampling "
                              "keys ('variant' and 'beta', or 'arms') plus 'mean-total'")
+        if config.counts_path is None and config.phases is not None and config.phases < 4:
+            raise UsageError(f"key 'phases' must be >= 4 for command 'fit', got {config.phases}")
 
 
 def _format_value(value) -> str:
@@ -397,12 +399,14 @@ def _run_qkd(config: RunConfig) -> int:
 
 def _run_fit(config: RunConfig) -> int:
     if config.counts_path is not None:
-        records = _read_counts(config.counts_path)
+        try:
+            result = fit_fringe(_read_counts(config.counts_path))
+        except ValueError as exc:  # too few records, or phases spanning at most pi
+            raise UsageError(f"counts file {config.counts_path!r}: {exc}")
     else:
         spec = _fringe_spec(config)
         phis = _phase_grid(config.phases or 64)
-        records = poisson_fringe(spec, phis, config.mean_total, config.seed or 0)
-    result = fit_fringe(records)
+        result = fit_fringe(poisson_fringe(spec, phis, config.mean_total, config.seed or 0))
     _write_csv(config.output_path,
                ["amplitude", "visibility_hat", "phase_hat", "stderr_visibility",
                 "iterations", "converged"],

@@ -9,7 +9,7 @@ entries of magnitude <= 1.
 
 from __future__ import annotations
 
-from typing import Iterable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -21,7 +21,6 @@ __all__ = [
     "UNITARY_ATOL",
     "CptpCheck",
     "as_complex_matrix",
-    "partial_trace",
     "beamsplitter",
     "phase_shifter",
     "rotated_basis",
@@ -47,50 +46,6 @@ def as_complex_matrix(a, name: str = "matrix") -> np.ndarray:
     if not np.all(np.isfinite(arr)):
         raise ValueError(f"{name} contains NaN or Inf entries")
     return arr
-
-
-def partial_trace(state, dims: Sequence[int], keep: Iterable[int]) -> np.ndarray:
-    """Reduced matrix of ``state`` over the tensor factors listed in ``keep``.
-
-    Parameters
-    ----------
-    state : array_like
-        Square matrix on the tensor product of factors with dimensions ``dims``.
-    dims : sequence of int
-        Dimension of each factor, in np.kron order (left factor first).
-    keep : iterable of int
-        Indices of the factors to keep; the rest are traced out. Kept factors
-        stay in their original relative order.
-    """
-    rho = as_complex_matrix(state, "state")
-    dims = [int(d) for d in dims]
-    if any(d < 1 for d in dims):
-        raise ValueError("all factor dimensions must be >= 1")
-    total = int(np.prod(dims))
-    if rho.shape != (total, total):
-        raise ValueError(f"state shape {rho.shape} does not match factor dimensions {dims}")
-    n = len(dims)
-    keep = sorted({int(k) for k in keep})
-    if any(k < 0 or k >= n for k in keep):
-        raise ValueError(f"keep indices {keep} out of range for {n} factors")
-
-    letters = "abcdefghijklmnopqrstuvwxyz"
-    if 2 * n > len(letters):
-        raise ValueError("too many tensor factors")
-    row = list(letters[:n])
-    col = []
-    j = n
-    for i in range(n):
-        if i in keep:
-            col.append(letters[j])
-            j += 1
-        else:
-            col.append(row[i])  # repeated index: traced out
-    subscript = "".join(row) + "".join(col) + "->" + \
-        "".join(row[i] for i in keep) + "".join(col[i] for i in keep)
-    reduced = np.einsum(subscript, rho.reshape(dims + dims))
-    d_keep = int(np.prod([dims[i] for i in keep])) if keep else 1
-    return reduced.reshape(d_keep, d_keep)
 
 
 def beamsplitter() -> np.ndarray:

@@ -18,6 +18,7 @@ overlap is out of scope.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,7 +31,7 @@ from .arms import (
     _evolve_arm,
     compose_arm,
 )
-from .core import beamsplitter, partial_trace, phase_shifter, validate_density_matrix
+from .core import beamsplitter, phase_shifter, validate_density_matrix
 
 __all__ = [
     "ORACLE_DIM_LIMIT",
@@ -77,16 +78,19 @@ def contrast_shared_env(spec: InterferometerSpec) -> FringeResult:
     """Interference contrast when both arms disturb the same environment.
 
     C = sum of Tr[u^dag v rho] over delay-matched Kraus pairs (u from the
-    upper arm, v from the lower).
+    upper arm, v from the lower): each upper operator is joined by bisection
+    with every lower operator whose delay lies within ``DELAY_MERGE_TOL``.
     """
     upper = compose_arm(spec.upper)
     lower = compose_arm(spec.lower)
+    lower_delays = [d for d, _ in lower]
     rho = spec.input_state
     c = 0.0 + 0.0j
-    for u in upper:
-        for v in lower:
-            if abs(u.delay - v.delay) <= DELAY_MERGE_TOL:
-                c += np.trace(u.op.conj().T @ v.op @ rho)
+    for d, u in upper:
+        lo = bisect_left(lower_delays, d - DELAY_MERGE_TOL)
+        hi = bisect_right(lower_delays, d + DELAY_MERGE_TOL)
+        for _, v in lower[lo:hi]:
+            c += np.trace(u.conj().T @ v @ rho)
     return _fringe(c)
 
 
@@ -104,9 +108,9 @@ def contrast_independent_env(upper: ArmSpec, lower: ArmSpec, rho) -> FringeResul
 
 
 def _zero_delay_op(kraus) -> np.ndarray:
-    for dk in kraus:
-        if abs(dk.delay) <= DELAY_MERGE_TOL:
-            return dk.op
+    for delay, op in kraus:
+        if abs(delay) <= DELAY_MERGE_TOL:
+            return op
     return np.zeros((2, 2), dtype=complex)
 
 
@@ -185,10 +189,8 @@ def oracle_contrast(spec: InterferometerSpec, n_phases: int = 16) -> complex:
 def output_polarization_state(spec: InterferometerSpec, phi: float) -> np.ndarray:
     """Conditional polarization state in the lower port, post-selected on
     detection at phase ``phi``."""
-    pieces = _OraclePieces(spec)
-    out0 = pieces.ports([phi])[0, 0]
+    out0 = _OraclePieces(spec).ports([phi])[0, 0]
     p = float(_port_probabilities(out0))
     if p < 1e-12:
         raise RuntimeError(f"degenerate post-selection: detection probability {p:.3e}")
-    cols = out0.reshape(2 * pieces.n, 2)
-    return partial_trace(cols @ cols.conj().T, [2, pieces.n], [0]) / p
+    return np.einsum("pbk,qbk->pq", out0, out0.conj()) / p

@@ -123,7 +123,7 @@ def test_criterion_5_cptp_and_unitality():
     worst_unital = 0.0
     for _ in range(200):
         arm = random_arm(rng, max_elements=4)
-        check = validate_cptp([dk.op for dk in compose_arm(arm)])
+        check = validate_cptp([op for _, op in compose_arm(arm)])
         worst_residual = max(worst_residual, check.residual)
         out = arm_channel_apply(arm, maximally_mixed(2))
         worst_unital = max(worst_unital, float(np.max(np.abs(out - np.eye(2) / 2))))

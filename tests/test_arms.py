@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -9,7 +11,6 @@ from mzfringe import (
     arm_channel_apply,
     arm_dilation,
     compose_arm,
-    crystal_kraus,
     half_waveplate,
     maximally_mixed,
     rotated_basis,
@@ -25,23 +26,23 @@ def projector(ket):
 
 
 def test_crystal_kraus_axis_aligned():
-    ops = crystal_kraus(Crystal(0.0, 310.0))
-    assert [dk.delay for dk in ops] == [0.0, 310.0]
-    np.testing.assert_allclose(ops[0].op, np.diag([1.0, 0.0]))
-    np.testing.assert_allclose(ops[1].op, np.diag([0.0, 1.0]))
+    ops = compose_arm([Crystal(0.0, 310.0)])
+    assert [d for d, _ in ops] == [0.0, 310.0]
+    np.testing.assert_allclose(ops[0][1], np.diag([1.0, 0.0]))
+    np.testing.assert_allclose(ops[1][1], np.diag([0.0, 1.0]))
 
 
 def test_crystal_kraus_diagonal_basis():
-    ops = crystal_kraus(Crystal(np.pi / 4, 12.0))
+    ops = compose_arm([Crystal(np.pi / 4, 12.0)])
     d = np.array([1.0, 1.0]) / np.sqrt(2)
     a = np.array([-1.0, 1.0]) / np.sqrt(2)
-    np.testing.assert_allclose(ops[0].op, projector(d), atol=1e-15)
-    np.testing.assert_allclose(ops[1].op, projector(a), atol=1e-15)
+    np.testing.assert_allclose(ops[0][1], projector(d), atol=1e-15)
+    np.testing.assert_allclose(ops[1][1], projector(a), atol=1e-15)
 
 
 def test_crystal_kraus_complete():
-    ops = crystal_kraus(Crystal(0.83, 75.0))
-    assert validate_cptp([dk.op for dk in ops]).passed
+    ops = compose_arm([Crystal(0.83, 75.0)])
+    assert validate_cptp([op for _, op in ops]).passed
 
 
 def test_crystal_rejects_negative_delay():
@@ -56,38 +57,38 @@ def test_raw_unitary_rejects_nonunitary():
 
 def test_compose_empty_arm():
     ops = compose_arm([])
-    assert len(ops) == 1 and ops[0].delay == 0.0
-    np.testing.assert_allclose(ops[0].op, I2)
+    assert len(ops) == 1 and ops[0][0] == 0.0
+    np.testing.assert_allclose(ops[0][1], I2)
 
 
 def test_compose_two_crystal_arm():
     """Two crystals produce the four overlap-weighted transition operators."""
     beta = 0.7
     ops = compose_arm([Crystal(0.0, 310.0), Crystal(beta, 150.0)])
-    assert sorted(dk.delay for dk in ops) == [0.0, 150.0, 310.0, 460.0]
+    assert [d for d, _ in ops] == [0.0, 150.0, 310.0, 460.0]
     a = rotated_basis(beta)
     b = rotated_basis(0.0)
     # delay = 150 * (a branch is e) + 310 * (b branch is e)
     expected = {
         0.0: (0, 0), 150.0: (1, 0), 310.0: (0, 1), 460.0: (1, 1),
     }
-    for dk in ops:
-        i, j = expected[dk.delay]
-        op = np.vdot(a[i], b[j]) * np.outer(a[i], b[j].conj())
-        np.testing.assert_allclose(dk.op, op, atol=1e-14)
+    for delay, op in ops:
+        i, j = expected[delay]
+        np.testing.assert_allclose(op, np.vdot(a[i], b[j]) * np.outer(a[i], b[j].conj()),
+                                   atol=1e-14)
 
 
 def test_compose_aligned_crystals_drop_cross_terms():
     ops = compose_arm([Crystal(0.0, 150.0), Crystal(0.0, 310.0)])
-    assert [dk.delay for dk in ops] == [0.0, 460.0]
-    np.testing.assert_allclose(ops[0].op, np.diag([1.0, 0.0]))
-    np.testing.assert_allclose(ops[1].op, np.diag([0.0, 1.0]))
+    assert [d for d, _ in ops] == [0.0, 460.0]
+    np.testing.assert_allclose(ops[0][1], np.diag([1.0, 0.0]))
+    np.testing.assert_allclose(ops[1][1], np.diag([0.0, 1.0]))
 
 
 def test_compose_zero_delay_crystal_merges_to_identity():
     ops = compose_arm([Crystal(0.37, 0.0)])
     assert len(ops) == 1
-    np.testing.assert_allclose(ops[0].op, I2, atol=1e-14)
+    np.testing.assert_allclose(ops[0][1], I2, atol=1e-14)
 
 
 def test_compose_all_zero_delays_is_jones_product():
@@ -95,28 +96,43 @@ def test_compose_all_zero_delays_is_jones_product():
     u = random_unitary(rng)
     ops = compose_arm([Crystal(0.4, 0.0), Waveplate(0.9), RawUnitary(u)])
     assert len(ops) == 1
-    np.testing.assert_allclose(ops[0].op, u @ half_waveplate(0.9), atol=1e-14)
+    np.testing.assert_allclose(ops[0][1], u @ half_waveplate(0.9), atol=1e-14)
 
 
 def test_compose_equal_delay_crystals_merge_coherently():
     # both e-branches land in the same bin; o/e cross products survive as a sum
     theta = 0.6
     ops = compose_arm([Crystal(0.0, 75.0), Crystal(theta, 75.0)])
-    assert sorted(dk.delay for dk in ops) == [0.0, 75.0, 150.0]
+    assert [d for d, _ in ops] == [0.0, 75.0, 150.0]
     a = rotated_basis(theta)
     ket_h, ket_v = np.array([1.0, 0.0]), np.array([0.0, 1.0])
     merged = (np.vdot(a[0], ket_v) * np.outer(a[0], ket_v.conj())
               + np.vdot(a[1], ket_h) * np.outer(a[1], ket_h.conj()))
-    match = [dk for dk in ops if dk.delay == 75.0][0]
-    np.testing.assert_allclose(match.op, merged, atol=1e-14)
+    match = [op for d, op in ops if d == 75.0][0]
+    np.testing.assert_allclose(match, merged, atol=1e-14)
 
 
 def test_compose_random_arms_trace_preserving():
     rng = np.random.default_rng(37)
     for _ in range(200):
         arm = random_arm(rng, max_elements=4)
-        check = validate_cptp([dk.op for dk in compose_arm(arm)])
+        check = validate_cptp([op for _, op in compose_arm(arm)])
         assert check.passed, check
+
+
+def test_compose_merges_equal_delays_after_each_element():
+    # 2^16 branches land in 17 bins; merging per element never holds them all
+    angles = np.random.default_rng(59).uniform(0, np.pi, 16)
+    arm = [Crystal(a, 150.0) for a in angles]
+    tracemalloc.start()
+    try:
+        ops = compose_arm(arm)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert [d for d, _ in ops] == [150.0 * k for k in range(17)]
+    assert validate_cptp([op for _, op in ops]).passed
+    assert peak < 1 << 20
 
 
 def test_kraus_count_bounded_by_crystal_count():
@@ -181,7 +197,7 @@ def test_dilation_reproduces_composed_kraus():
     rng = np.random.default_rng(53)
     for _ in range(30):
         arm = random_arm(rng, max_elements=3)
-        kraus = {dk.delay: dk.op for dk in compose_arm(arm)}
+        kraus = dict(compose_arm(arm))
         u, bins = arm_dilation(arm)
         n = len(bins)
         np.testing.assert_allclose(u.conj().T @ u, np.eye(2 * n), atol=1e-12)

@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import mzfringe.cli
 from mzfringe.cli import main, parse_angle, parse_arm
 from mzfringe.arms import Crystal, RawUnitary, Waveplate
 
@@ -165,12 +166,27 @@ def test_fit_requires_counts_or_inline(tmp_path, capsys):
     assert "counts" in capsys.readouterr().err
 
 
-def test_fit_runtime_error_maps_to_exit_1(tmp_path, capsys):
-    counts = tmp_path / "short.csv"
-    counts.write_text("phi,counts\n0,10\n3.2,12\n")
-    assert main(["fit", "--counts", str(counts),
+def test_fit_runtime_error_maps_to_exit_1(tmp_path, capsys, monkeypatch):
+    def fail(records):
+        raise RuntimeError("fit diverged")
+
+    monkeypatch.setattr(mzfringe.cli, "fit_fringe", fail)
+    assert main(["fit", "--variant", "a", "--beta", "0.3", "--mean-total", "100",
                  "--output", str(tmp_path / "f.csv")]) == 1
-    assert "error" in capsys.readouterr().err
+    assert "error (RuntimeError): fit diverged" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("rows, reason", [
+    ("0,10\n3.2,12\n", "at least 4 records"),
+    ("0,10\n1,12\n2,11\n3,9\n", "more than half a fringe period"),
+])
+def test_unfittable_counts_file_is_usage_error(tmp_path, capsys, rows, reason):
+    counts = tmp_path / "short.csv"
+    counts.write_text("phi,counts\n" + rows)
+    assert main(["fit", "--counts", str(counts),
+                 "--output", str(tmp_path / "f.csv")]) == 2
+    assert reason in capsys.readouterr().err
+    assert not (tmp_path / "f.csv").exists()
 
 
 def test_seeded_commands_are_byte_identical(tmp_path):
@@ -188,15 +204,21 @@ def test_bad_angle_is_usage_error(tmp_path, capsys):
     assert "angle" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("flag, value", [
-    ("--specs", "-3"), ("--specs", "0"), ("--phases", "0"), ("--beta-points", "0"),
-    ("--mean-total", "0"),
+FRINGE = ["fringe", "--variant", "a", "--beta", "0.3"]
+
+
+@pytest.mark.parametrize("args, flag, value, minimum", [
+    pytest.param(["oracle-check"], "--specs", "-3", 1, id="--specs--3"),
+    pytest.param(["oracle-check"], "--specs", "0", 1, id="--specs-0"),
+    pytest.param(FRINGE, "--phases", "0", 1, id="--phases-0"),
+    pytest.param(FRINGE, "--beta-points", "0", 1, id="--beta-points-0"),
+    pytest.param(FRINGE, "--mean-total", "0", 1, id="--mean-total-0"),
+    pytest.param(["fit", "--variant", "a", "--beta", "0.3", "--mean-total", "100"],
+                 "--phases", "3", 4, id="fit--phases-3"),
 ])
-def test_count_below_one_is_usage_error(tmp_path, capsys, flag, value):
-    args = ["oracle-check"] if flag == "--specs" else [
-        "fringe", "--variant", "a", "--beta", "0.3"]
+def test_count_below_one_is_usage_error(tmp_path, capsys, args, flag, value, minimum):
     assert main(args + [flag, value, "--output", str(tmp_path / "x.csv")]) == 2
-    assert f"'{flag[2:]}' must be >= 1" in capsys.readouterr().err
+    assert f"'{flag[2:]}' must be >= {minimum}" in capsys.readouterr().err
     assert not (tmp_path / "x.csv").exists()
 
 

@@ -6,7 +6,6 @@ from mzfringe import (
     beamsplitter,
     half_waveplate,
     maximally_mixed,
-    partial_trace,
     phase_shifter,
     rotated_basis,
     validate_cptp,
@@ -28,46 +27,6 @@ def test_beamsplitter_squared():
 def test_adjoint_of_phase_shifter():
     np.testing.assert_allclose(phase_shifter(0.7).conj().T, phase_shifter(-0.7),
                                atol=1e-15)
-
-
-def test_partial_trace_product_state():
-    rng = np.random.default_rng(3)
-    rho, sigma = random_density(rng), random_density(rng)
-    np.testing.assert_allclose(partial_trace(np.kron(rho, sigma), [2, 2], [0]), rho,
-                               atol=1e-12)
-    np.testing.assert_allclose(partial_trace(np.kron(rho, sigma), [2, 2], [1]), sigma,
-                               atol=1e-12)
-
-
-def test_partial_trace_bell_state():
-    psi = np.array([1.0, 0.0, 0.0, 1.0], dtype=complex) / np.sqrt(2)
-    bell = np.outer(psi, psi.conj())
-    for keep in ([0], [1]):
-        np.testing.assert_allclose(partial_trace(bell, [2, 2], keep), I2 / 2,
-                                   atol=1e-12)
-
-
-def test_partial_trace_three_factor_middle():
-    # independent oracle: build the product directly, keep the middle factor
-    rng = np.random.default_rng(5)
-    r1, r2, r3 = (random_density(rng) for _ in range(3))
-    joint = np.kron(np.kron(r1, r2), r3)
-    np.testing.assert_allclose(partial_trace(joint, [2, 2, 2], [1]), r2, atol=1e-12)
-
-
-def test_partial_trace_preserves_trace_and_hermiticity():
-    rng = np.random.default_rng(7)
-    for _ in range(20):
-        rho = random_density(rng, 4)
-        for keep in ([0], [1]):
-            red = partial_trace(rho, [2, 2], keep)
-            assert abs(np.trace(red) - 1.0) <= 1e-12
-            assert np.max(np.abs(red - red.conj().T)) <= 1e-12
-
-
-def test_partial_trace_dims_mismatch():
-    with pytest.raises(ValueError):
-        partial_trace(np.eye(4), [2, 3], [0])
 
 
 def test_beamsplitter_entries():

@@ -21,6 +21,7 @@ from mzfringe import (
     oracle_probability,
     output_polarization_state,
     output_probability,
+    rotated_basis,
     standard_config,
 )
 from mzfringe.experiments import random_arm, random_interferometer_spec
@@ -47,6 +48,22 @@ def test_single_matched_bin():
     # only the undelayed branch of the lower crystal can interfere
     f = contrast_shared_env(mixed_spec([], [Crystal(0.0, 310.0)]))
     assert f.contrast == pytest.approx(0.5 + 0.0j)
+
+
+def test_upper_bin_joins_every_lower_bin_within_tolerance():
+    # the upper e-ray bin at 2.75e-9 um lies within 1e-9 um of the lower bins at
+    # 2e-9 and 3.5e-9 um, which lie 1.5e-9 um apart and stay separate
+    upper = [Crystal(0.3, 2.75e-9)]
+    lower = [Crystal(0.7, 2e-9), Crystal(1.1, 3.5e-9)]
+    u_o, u_e = (np.outer(k, k.conj()) for k in rotated_basis(0.3))
+    a_o, a_e = (np.outer(k, k.conj()) for k in rotated_basis(0.7))
+    b_o, b_e = (np.outer(k, k.conj()) for k in rotated_basis(1.1))
+    rho = maximally_mixed(2)
+    pairs = [(u_o, b_o @ a_o), (u_e, b_o @ a_e), (u_e, b_e @ a_o)]
+    brute = sum(np.trace(u.conj().T @ v @ rho) for u, v in pairs)
+    c = contrast_shared_env(mixed_spec(upper, lower)).contrast
+    assert c == pytest.approx(brute, abs=1e-15)
+    assert c == pytest.approx(0.371350059712339, abs=1e-14)
 
 
 def test_independent_env_empty_arms():
@@ -209,6 +226,22 @@ def test_output_state_first_config_stays_mixed():
 def test_output_state_degenerate_postselection():
     with pytest.raises(RuntimeError, match="degenerate"):
         output_polarization_state(mixed_spec([], []), np.pi)
+
+
+def test_output_state_of_deep_arms_stays_small():
+    # ten crystals at 150 * 2^k um per arm: 1024 bins, traced out column-wise
+    delays = [150.0 * 2 ** k for k in range(10)]
+    spec = mixed_spec([Crystal(0.1 * k, d) for k, d in enumerate(delays)],
+                      [Crystal(0.1 * k + 0.8, d) for k, d in enumerate(delays)])
+    tracemalloc.start()
+    try:
+        out = output_polarization_state(spec, 0.3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 << 20
+    np.testing.assert_allclose(out, out.conj().T, atol=1e-12)
+    assert abs(np.trace(out) - 1.0) < 1e-12
 
 
 def test_oracle_resource_limit():
