@@ -3,8 +3,9 @@
 Commands: fringe, sweep, oracle-check, tomography, qkd, fit. Each writes one
 CSV table (12 significant digits, header row, newline-terminated) and prints a
 one-line summary to stdout. Options may come from flags or from a flat
-``key = value`` config file (``--config``); flags override file values, and
-unknown file keys are rejected.
+``key = value`` config file (``--config``) whose keys are the flag names without
+``--``. File values are parsed by the same parser as flags, with the same types
+and checks; flags override file values, and unknown file keys are rejected.
 
 Angles accept an explicit unit suffix, e.g. ``22.5deg`` or ``0.3927rad``;
 bare numbers are radians. Arms are serialized as semicolon-separated elements
@@ -21,7 +22,6 @@ import argparse
 import csv
 import math
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -47,33 +47,13 @@ from .interferometer import (
 )
 from .tomography import blindness_demo
 
-__all__ = ["RunConfig", "UsageError", "parse_config", "run", "main", "main_entry"]
+__all__ = ["UsageError", "parse_config", "main", "main_entry"]
 
 COMMANDS = ("fringe", "sweep", "oracle-check", "tomography", "qkd", "fit")
-
-_CONFIG_KEYS = ("command", "variant", "beta", "beta-points", "phases",
-                "mean-total", "seed", "arms", "segments", "counts", "specs",
-                "output")
 
 
 class UsageError(Exception):
     """Bad flags or config; mapped to exit code 2."""
-
-
-@dataclass
-class RunConfig:
-    command: str
-    variant: str | None = None
-    beta: float | None = None
-    beta_points: int | None = None
-    phases: int | None = None
-    mean_total: int | None = None
-    seed: int | None = None
-    arms: str | None = None
-    segments: str | None = None
-    counts_path: str | None = None
-    specs: int | None = None
-    output_path: str = ""
 
 
 def parse_angle(text: str) -> float:
@@ -139,7 +119,10 @@ def _parse_arm_groups(text: str, n: int, what: str) -> list[list[ArmElement]]:
     return [parse_arm(g) for g in groups]
 
 
-def _parse_config_text(text: str) -> dict[str, str]:
+def _parse_config_text(text: str, dests) -> dict[str, str]:
+    """Values by parser dest from a flat 'key = value' document; a key is the
+    flag name without '--' and must name one of ``dests``."""
+    keys = {dest.replace("_", "-") for dest in dests}
     values: dict[str, str] = {}
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
@@ -149,22 +132,18 @@ def _parse_config_text(text: str) -> dict[str, str]:
             raise UsageError(f"config line {lineno}: expected 'key = value'")
         key, _, value = line.partition("=")
         key = key.strip()
-        if key not in _CONFIG_KEYS:
+        if key not in keys:
             raise UsageError(f"unknown config key {key!r}")
-        values[key] = value.strip()
+        values[key.replace("-", "_")] = value.strip()
     return values
 
 
-def _to_int(value, key: str) -> int:
-    try:
-        return int(value)
-    except (TypeError, ValueError):
-        raise UsageError(f"key {key!r} must be an integer, got {value!r}")
+def parse_config(argv) -> argparse.Namespace:
+    """Validated options from command-line flags plus an optional config file.
 
-
-def parse_config(argv) -> RunConfig:
-    """Build a validated RunConfig from command-line flags plus an optional
-    config file (flags win)."""
+    File values become parser defaults and argv is parsed again, so argparse
+    converts and checks them as it does flags, and flags win.
+    """
     parser = argparse.ArgumentParser(
         prog="mzfringe",
         description="Mach-Zehnder interference of polarization channels with a "
@@ -174,75 +153,44 @@ def parse_config(argv) -> RunConfig:
     parser.add_argument("--config", help="flat 'key = value' config file")
     parser.add_argument("--variant", choices=VARIANTS,
                         help="built-in configuration tag")
-    parser.add_argument("--beta", help="crystal angle, e.g. 22.5deg or 0.3927rad")
-    parser.add_argument("--beta-points", type=int, dest="beta_points",
-                        help="number of beta grid points (default 25)")
-    parser.add_argument("--phases", type=int, help="number of phase samples (default 64)")
-    parser.add_argument("--mean-total", type=int, dest="mean_total",
+    parser.add_argument("--beta", type=parse_angle,
+                        help="crystal angle, e.g. 22.5deg or 0.3927rad")
+    parser.add_argument("--beta-points", type=int, default=25,
+                        help="number of beta grid points (default %(default)s)")
+    parser.add_argument("--phases", type=int, default=64,
+                        help="number of phase samples (default %(default)s)")
+    parser.add_argument("--mean-total", type=int,
                         help="mean counts per phase point at unit probability")
-    parser.add_argument("--seed", type=int, help="non-negative RNG seed (default 0)")
+    parser.add_argument("--seed", type=int, default=0,
+                        help="non-negative RNG seed (default %(default)s)")
     parser.add_argument("--arms", help="serialized 'upper|lower' arm pair")
     parser.add_argument("--segments", help="serialized 'u1|u2|u3|u4' qkd segments")
-    parser.add_argument("--counts", dest="counts_path",
-                        help="input counts CSV (phi,counts) for fit")
-    parser.add_argument("--specs", type=int,
-                        help="number of random specs for oracle-check (default 200)")
-    parser.add_argument("--output", dest="output_path", help="output CSV path")
-    ns = parser.parse_args(argv)
-
-    file_values: dict[str, str] = {}
-    if ns.config:
+    parser.add_argument("--counts", help="input counts CSV (phi,counts) for fit")
+    parser.add_argument("--specs", type=int, default=200,
+                        help="number of random specs for oracle-check (default %(default)s)")
+    parser.add_argument("--output", help="output CSV path")
+    config = parser.parse_args(argv)
+    if config.config:
         try:
-            with open(ns.config, "r", encoding="utf-8") as fh:
-                file_values = _parse_config_text(fh.read())
+            with open(config.config, "r", encoding="utf-8") as fh:
+                text = fh.read()
         except OSError as exc:
             raise UsageError(f"cannot read config file: {exc}")
-
-    def pick(flag_value, key):
-        if flag_value is not None:
-            return flag_value
-        return file_values.get(key)
-
-    command = pick(ns.command, "command")
-    if command is None:
-        raise UsageError(f"missing command; choose one of {', '.join(COMMANDS)}")
-    if command not in COMMANDS:
-        raise UsageError(f"unknown command {command!r}; choose one of {', '.join(COMMANDS)}")
-
-    variant = pick(ns.variant, "variant")
-    if variant is not None and variant not in VARIANTS:
-        raise UsageError(f"key 'variant' must be one of {VARIANTS}, got {variant!r}")
-
-    beta_text = pick(ns.beta, "beta")
-    beta = parse_angle(beta_text) if beta_text is not None else None
-
-    beta_points = pick(ns.beta_points, "beta-points")
-    phases = pick(ns.phases, "phases")
-    mean_total = pick(ns.mean_total, "mean-total")
-    seed = pick(ns.seed, "seed")
-    specs = pick(ns.specs, "specs")
-    config = RunConfig(
-        command=command,
-        variant=variant,
-        beta=beta,
-        beta_points=None if beta_points is None else _to_int(beta_points, "beta-points"),
-        phases=None if phases is None else _to_int(phases, "phases"),
-        mean_total=None if mean_total is None else _to_int(mean_total, "mean-total"),
-        seed=None if seed is None else _to_int(seed, "seed"),
-        arms=pick(ns.arms, "arms"),
-        segments=pick(ns.segments, "segments"),
-        counts_path=pick(ns.counts_path, "counts"),
-        specs=None if specs is None else _to_int(specs, "specs"),
-        output_path=pick(ns.output_path, "output") or "",
-    )
+        parser.set_defaults(**_parse_config_text(text, set(vars(config)) - {"config"}))
+        config = parser.parse_args(argv)
     _validate(config)
     return config
 
 
-def _validate(config: RunConfig) -> None:
-    if not config.output_path:
+def _validate(config: argparse.Namespace) -> None:
+    if config.command is None:
+        raise UsageError(f"missing command; choose one of {', '.join(COMMANDS)}")
+    # argparse checks choices on flags only, not on defaults from a config file
+    if config.variant not in (None, *VARIANTS):
+        raise UsageError(f"key 'variant' must be one of {VARIANTS}, got {config.variant!r}")
+    if not config.output:
         raise UsageError("missing required key 'output'")
-    if config.seed is not None and config.seed < 0:
+    if config.seed < 0:
         raise UsageError("key 'seed' must be non-negative")
     for key in ("beta-points", "phases", "mean-total", "specs"):
         value = getattr(config, key.replace("-", "_"))
@@ -259,10 +207,10 @@ def _validate(config: RunConfig) -> None:
     if config.command == "fit":
         has_spec = config.arms is not None or (config.variant is not None
                                                and config.beta is not None)
-        if config.counts_path is None and not (has_spec and config.mean_total is not None):
+        if config.counts is None and not (has_spec and config.mean_total is not None):
             raise UsageError("command 'fit' requires key 'counts' or inline sampling "
                              "keys ('variant' and 'beta', or 'arms') plus 'mean-total'")
-        if config.counts_path is None and config.phases is not None and config.phases < 4:
+        if config.counts is None and config.phases < 4:
             raise UsageError(f"key 'phases' must be >= 4 for command 'fit', got {config.phases}")
 
 
@@ -296,6 +244,12 @@ def _read_counts(path: str) -> list[CountRecord]:
             phi, counts = float(row[0]), float(row[1])
         except (IndexError, ValueError):
             raise UsageError(f"counts file {path!r} line {lineno}: expected 'phi,counts'")
+        if not math.isfinite(phi):
+            raise UsageError(f"counts file {path!r} line {lineno}: phi {row[0].strip()!r} "
+                             "must be finite")
+        if not (math.isfinite(counts) and counts >= 0):
+            raise UsageError(f"counts file {path!r} line {lineno}: count {row[1].strip()!r} "
+                             "must be finite and >= 0")
         records.append(CountRecord(phi, counts, counts))
     return records
 
@@ -304,32 +258,32 @@ def _phase_grid(n: int) -> np.ndarray:
     return 2.0 * np.pi * np.arange(n) / n
 
 
-def _fringe_spec(config: RunConfig) -> InterferometerSpec:
+def _fringe_spec(config: argparse.Namespace) -> InterferometerSpec:
     if config.arms is not None:
         upper, lower = _parse_arm_groups(config.arms, 2, "key 'arms'")
         return InterferometerSpec(upper, lower, maximally_mixed(2))
     return standard_config(config.variant, config.beta)
 
 
-def _run_fringe(config: RunConfig) -> int:
+def _run_fringe(config: argparse.Namespace) -> int:
     spec = _fringe_spec(config)
     fringe = contrast_shared_env(spec)
-    phis = _phase_grid(config.phases or 64)
+    phis = _phase_grid(config.phases)
     if config.mean_total is not None:
-        records = poisson_fringe(spec, phis, config.mean_total, config.seed or 0)
-        _write_csv(config.output_path, ["phi", "counts"],
+        records = poisson_fringe(spec, phis, config.mean_total, config.seed)
+        _write_csv(config.output, ["phi", "counts"],
                    [(r.phi, r.counts) for r in records])
     else:
-        _write_csv(config.output_path, ["phi", "p0"],
+        _write_csv(config.output, ["phi", "p0"],
                    [(phi, output_probability(fringe, phi)) for phi in phis])
     print(f"visibility={fringe.visibility:.6f} phase={fringe.fringe_phase:.6f}")
     return 0
 
 
-def _run_sweep(config: RunConfig) -> int:
-    betas = default_beta_grid(config.beta_points or 25)
+def _run_sweep(config: argparse.Namespace) -> int:
+    betas = default_beta_grid(config.beta_points)
     rows = sweep(config.variant, betas)
-    _write_csv(config.output_path,
+    _write_csv(config.output,
                ["beta", "v_closed_form", "v_simulated", "v_oracle"],
                [(r.beta, r.v_closed_form, r.v_simulated, r.v_oracle) for r in rows])
     dev = max(abs(abs(r.v_closed_form) - r.v_simulated) for r in rows)
@@ -337,9 +291,9 @@ def _run_sweep(config: RunConfig) -> int:
     return 0
 
 
-def _run_oracle_check(config: RunConfig) -> int:
-    n = config.specs or 200
-    rng = np.random.default_rng(config.seed or 0)
+def _run_oracle_check(config: argparse.Namespace) -> int:
+    n = config.specs
+    rng = np.random.default_rng(config.seed)
     rows = []
     worst = 0.0
     for i in range(n):
@@ -349,7 +303,7 @@ def _run_oracle_check(config: RunConfig) -> int:
         delta = abs(c - c_oracle)
         worst = max(worst, delta)
         rows.append((i, c.real, c.imag, c_oracle.real, c_oracle.imag, delta))
-    _write_csv(config.output_path,
+    _write_csv(config.output,
                ["index", "contrast_re", "contrast_im", "oracle_re", "oracle_im", "delta"],
                rows)
     print(f"specs={n} max_delta={worst:.3e}")
@@ -360,17 +314,17 @@ def _run_oracle_check(config: RunConfig) -> int:
     return 0
 
 
-def _run_tomography(config: RunConfig) -> int:
+def _run_tomography(config: argparse.Namespace) -> int:
     if config.beta is not None:
         betas = [config.beta]
     else:
-        betas = list(default_beta_grid(config.beta_points or 25))
+        betas = list(default_beta_grid(config.beta_points))
     rows = []
     for beta in betas:
         rep = blindness_demo(beta)
         rows.append((beta, rep.chi_distance_upper, rep.chi_distance_lower,
                      rep.visibility_a, rep.visibility_b, rep.visibility_gap))
-    _write_csv(config.output_path,
+    _write_csv(config.output,
                ["beta", "chi_distance_upper", "chi_distance_lower",
                 "visibility_a", "visibility_b", "visibility_gap"],
                rows)
@@ -385,29 +339,29 @@ def _run_tomography(config: RunConfig) -> int:
     return 0
 
 
-def _run_qkd(config: RunConfig) -> int:
+def _run_qkd(config: argparse.Namespace) -> int:
     if config.segments is not None:
         segments = _parse_arm_groups(config.segments, 4, "key 'segments'")
     else:
         segments = [[], [], [], []]
     spec = QkdSpec(*segments, input_state=maximally_mixed(2))
     vis, qber = qkd_visibility(spec)
-    _write_csv(config.output_path, ["visibility", "qber"], [(vis, qber)])
+    _write_csv(config.output, ["visibility", "qber"], [(vis, qber)])
     print(f"visibility={vis:.6f} qber={qber:.6f}")
     return 0
 
 
-def _run_fit(config: RunConfig) -> int:
-    if config.counts_path is not None:
+def _run_fit(config: argparse.Namespace) -> int:
+    if config.counts is not None:
         try:
-            result = fit_fringe(_read_counts(config.counts_path))
+            result = fit_fringe(_read_counts(config.counts))
         except ValueError as exc:  # too few records, or phases spanning at most pi
-            raise UsageError(f"counts file {config.counts_path!r}: {exc}")
+            raise UsageError(f"counts file {config.counts!r}: {exc}")
     else:
         spec = _fringe_spec(config)
-        phis = _phase_grid(config.phases or 64)
-        result = fit_fringe(poisson_fringe(spec, phis, config.mean_total, config.seed or 0))
-    _write_csv(config.output_path,
+        phis = _phase_grid(config.phases)
+        result = fit_fringe(poisson_fringe(spec, phis, config.mean_total, config.seed))
+    _write_csv(config.output,
                ["amplitude", "visibility_hat", "phase_hat", "stderr_visibility",
                 "iterations", "converged"],
                [(result.amplitude, result.visibility_hat, result.phase_hat,
@@ -427,11 +381,6 @@ _RUNNERS = {
 }
 
 
-def run(config: RunConfig) -> int:
-    """Execute a validated RunConfig; returns the process exit code."""
-    return _RUNNERS[config.command](config)
-
-
 def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
@@ -443,7 +392,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:  # argparse handles --help and bad flags itself
         return int(exc.code or 0)
     try:
-        return run(config)
+        return _RUNNERS[config.command](config)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

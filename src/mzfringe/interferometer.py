@@ -146,7 +146,6 @@ class _OraclePieces:
         state = np.zeros((2, 2, n, 2), dtype=complex)
         state[0, :, 0, :] = evecs * np.sqrt(np.clip(evals, 0.0, None))
         state = np.einsum("ab,b...->a...", beamsplitter(), state)
-        self.n = n
         self.paths = np.stack([_evolve_arm(spec.upper, state[0], unit),
                                _evolve_arm(spec.lower, state[1], unit)])
 

@@ -78,6 +78,31 @@ output = {out}
     assert "variant=b" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("line, message", [
+    pytest.param("phases = abc", "argument --phases: invalid int value: 'abc'",
+                 id="phases-abc"),
+    pytest.param("phases = 0", "'phases' must be >= 1", id="phases-0"),
+    pytest.param("beta = nandeg", "not finite", id="beta-nandeg"),
+    pytest.param("command = bogus", "argument command: invalid choice: 'bogus'",
+                 id="command-bogus"),
+    pytest.param("variant = z", "'variant' must be one of", id="variant-z"),
+    pytest.param("config = other.cfg", "unknown config key 'config'", id="config-key"),
+])
+def test_config_file_values_are_parsed_like_flags(tmp_path, capsys, line, message):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"command = tomography\n{line}\n")
+    assert main(["--config", str(cfg), "--output", str(tmp_path / "x.csv")]) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "x.csv").exists()
+
+
+def test_fringe_defaults_to_64_phases(tmp_path):
+    out = tmp_path / "fr.csv"
+    assert main(["fringe", "--variant", "d", "--beta", "0", "--output", str(out)]) == 0
+    _, rows = read_csv(out)
+    assert len(rows) == 64
+
+
 def test_fringe_accepts_degree_angles(tmp_path, capsys):
     out = tmp_path / "fr.csv"
     code = main(["fringe", "--variant", "d", "--beta", "22.5deg",
@@ -186,6 +211,23 @@ def test_unfittable_counts_file_is_usage_error(tmp_path, capsys, rows, reason):
     assert main(["fit", "--counts", str(counts),
                  "--output", str(tmp_path / "f.csv")]) == 2
     assert reason in capsys.readouterr().err
+    assert not (tmp_path / "f.csv").exists()
+
+
+@pytest.mark.parametrize("row, message", [
+    pytest.param("0,-5", "count '-5' must be finite and >= 0", id="count--5"),
+    pytest.param("0,nan", "count 'nan' must be finite and >= 0", id="count-nan"),
+    pytest.param("0,inf", "count 'inf' must be finite and >= 0", id="count-inf"),
+    pytest.param("nan,5", "phi 'nan' must be finite", id="phi-nan"),
+])
+def test_bad_counts_file_row_is_usage_error(tmp_path, capfd, row, message):
+    counts = tmp_path / "bad.csv"
+    counts.write_text(f"phi,counts\n{row}\n1,3\n2,4\n3,5\n4,6\n")
+    assert main(["fit", "--counts", str(counts),
+                 "--output", str(tmp_path / "f.csv")]) == 2
+    err = capfd.readouterr().err
+    assert f"counts file {str(counts)!r} line 2: {message}" in err
+    assert "DLASCL" not in err
     assert not (tmp_path / "f.csv").exists()
 
 
