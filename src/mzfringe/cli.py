@@ -274,8 +274,7 @@ def _run_fringe(config: argparse.Namespace) -> int:
         _write_csv(config.output, ["phi", "counts"],
                    [(r.phi, r.counts) for r in records])
     else:
-        _write_csv(config.output, ["phi", "p0"],
-                   [(phi, output_probability(fringe, phi)) for phi in phis])
+        _write_csv(config.output, ["phi", "p0"], zip(phis, output_probability(fringe, phis)))
     print(f"visibility={fringe.visibility:.6f} phase={fringe.fringe_phase:.6f}")
     return 0
 
@@ -355,7 +354,7 @@ def _run_fit(config: argparse.Namespace) -> int:
     if config.counts is not None:
         try:
             result = fit_fringe(_read_counts(config.counts))
-        except ValueError as exc:  # too few records, or phases spanning at most pi
+        except ValueError as exc:  # too few records, phases spanning at most pi, all zero
             raise UsageError(f"counts file {config.counts!r}: {exc}")
     else:
         spec = _fringe_spec(config)

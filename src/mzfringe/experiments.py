@@ -10,7 +10,9 @@ table puts the closed form, the shared-environment simulation, and the
 dilation oracle side by side.
 
 Photon counting is modeled as independent Poisson draws per phase point from a
-deterministic, documented sampler (see ``poisson_fringe``), and fringes are
+deterministic, documented sampler (see ``poisson_fringe``). The uniform draws
+for all points of a fringe are computed in one array pass; point i's draw
+equals ``np.random.default_rng([seed, i]).random()`` bit for bit. Fringes are
 recovered by a Gauss-Newton least-squares fit of A (1 + v cos(phi + psi)).
 """
 
@@ -143,53 +145,140 @@ class CountRecord:
     expected: float
 
 
-def _sample_poisson(lam: float, rng: np.random.Generator) -> int:
-    """Deterministic Poisson draw from a single uniform variate.
+# numpy.random.SeedSequence: hash and mix constants of its four-word pool.
+_MASK32 = 0xFFFFFFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_POOL_SIZE = 4
+# PCG64's 128-bit LCG multiplier as (high, low) 64-bit halves.
+_PCG_MULT = (2549297995355413924, 4865540595714422341)
 
-    CDF inversion below mean 30; above that, a normal approximation with
-    continuity correction, k = max(0, floor(lam + sqrt(lam) z + 1/2)). Both
-    branches consume exactly one uniform, keeping streams aligned and
-    platform-independent.
+
+def _hasher(const: int, mult: int):
+    """SeedSequence's running hash over uint32 arrays: xor in the constant,
+    step the constant, multiply by it, fold the high half into the low."""
+    def hashmix(value: np.ndarray) -> np.ndarray:
+        nonlocal const
+        value = value ^ const
+        const = const * mult & _MASK32
+        value = value * const
+        return value ^ (value >> 16)
+    return hashmix
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """SeedSequence's mixing of hashed word y into pool word x."""
+    result = x * _MIX_MULT_L - y * _MIX_MULT_R
+    return result ^ (result >> 16)
+
+
+def _mulhi64(a: np.ndarray, b: int) -> np.ndarray:
+    """High 64 bits of the 128-bit products a * b, from 32-bit halves."""
+    a_lo, a_hi = a & _MASK32, a >> 32
+    b_lo, b_hi = b & _MASK32, b >> 32
+    lo_lo, lo_hi, hi_lo = a_lo * b_lo, a_lo * b_hi, a_hi * b_lo
+    mid = (lo_lo >> 32) + (lo_hi & _MASK32) + (hi_lo & _MASK32)
+    return a_hi * b_hi + (lo_hi >> 32) + (hi_lo >> 32) + (mid >> 32)
+
+
+def _add128(hi, lo, b_hi, b_lo):
+    """(hi, lo) + (b_hi, b_lo) modulo 2^128."""
+    total = lo + b_lo
+    return hi + b_hi + (total < lo).astype(np.uint64), total
+
+
+def _pcg_step(hi, lo, inc_hi, inc_lo):
+    """One PCG64 LCG step, state * multiplier + increment modulo 2^128."""
+    m_hi, m_lo = _PCG_MULT
+    return _add128(_mulhi64(lo, m_lo) + hi * m_lo + lo * m_hi, lo * m_lo, inc_hi, inc_lo)
+
+
+def _point_uniforms(seed: int, n: int) -> np.ndarray:
+    """``np.random.default_rng([seed, i]).random()`` for every i < n, at once.
+
+    Replays numpy's algorithms on uint32 and uint64 arrays, one element per i:
+    SeedSequence pool mixing of the entropy words (the little-endian 32-bit
+    words of ``seed``, a single 0 for seed 0, then i) and ``generate_state(4,
+    uint64)``; PCG64 seeding with that state; one more LCG step, the XSL-RR
+    output and (x >> 11) * 2^-53. NEP 19 keeps both streams stable.
     """
-    if lam <= 0.0:
-        return 0
-    u = float(rng.random())
-    u = min(max(u, 1e-300), 1.0 - 1e-16)
-    if lam < 30.0:
-        p = np.exp(-lam)
-        cdf = p
-        k = 0
-        limit = int(lam + 20.0 * np.sqrt(lam) + 20.0)
-        while u > cdf and k < limit:
-            k += 1
-            p *= lam / k
-            cdf += p
-        return k
-    z = NormalDist().inv_cdf(u)
-    return max(0, int(np.floor(lam + np.sqrt(lam) * z + 0.5)))
+    words = [np.full(n, (seed >> shift) & _MASK32, dtype=np.uint32)
+             for shift in range(0, max(seed.bit_length(), 1), 32)]
+    words.append(np.arange(n, dtype=np.uint32))
+
+    hashmix = _hasher(_INIT_A, _MULT_A)
+    zero = np.zeros(n, dtype=np.uint32)
+    pool = [hashmix(words[k] if k < len(words) else zero) for k in range(_POOL_SIZE)]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], hashmix(pool[src]))
+    for word in words[_POOL_SIZE:]:
+        for dst in range(_POOL_SIZE):
+            pool[dst] = _mix(pool[dst], hashmix(word))
+
+    hashmix = _hasher(_INIT_B, _MULT_B)
+    state = [hashmix(pool[k % _POOL_SIZE]).astype(np.uint64) for k in range(8)]
+    s_hi, s_lo, q_hi, q_lo = (state[2 * j] | (state[2 * j + 1] << 32) for j in range(4))
+
+    inc_hi, inc_lo = (q_hi << 1) | (q_lo >> 63), (q_lo << 1) | 1
+    hi, lo = _add128(inc_hi, inc_lo, s_hi, s_lo)  # the step from state 0 gives inc
+    hi, lo = _pcg_step(hi, lo, inc_hi, inc_lo)
+    hi, lo = _pcg_step(hi, lo, inc_hi, inc_lo)  # the draw
+    x, rot = hi ^ lo, hi >> 58
+    x = (x >> rot) | (x << ((64 - rot) & 63))
+    return (x >> 11).astype(np.float64) * 2.0**-53
 
 
 def poisson_fringe(spec: InterferometerSpec, phis: Sequence[float],
                    mean_total: int, seed: int) -> list[CountRecord]:
     """Simulated coincidence counts along a fringe.
 
-    Per phase point, the expectation is mean_total * P(phi) and the count is
-    one Poisson draw. Each point draws from its own PCG64 generator seeded
-    with (seed, point index), so results do not depend on evaluation order,
-    and identical (spec, phis, mean_total, seed) reproduce identical counts.
+    Per phase point, the expectation is lam = mean_total * P(phi) and the count
+    is one Poisson draw from one uniform u. Point i's u is
+    ``np.random.default_rng([seed, i]).random()`` bit for bit, but the draws
+    for all points are computed in one array pass (``_point_uniforms``), so
+    results do not depend on evaluation order, and identical (spec, phis,
+    mean_total, seed) reproduce identical counts. With u clamped to
+    [1e-300, 1 - 1e-16]: below mean 30 the count is the CDF inversion
+    min{k : u <= F(k)}, stopped at k = int(lam + 20 sqrt(lam) + 20); from
+    mean 30 on, a normal approximation with continuity correction,
+    max(0, floor(lam + sqrt(lam) z + 1/2)) with z the standard normal
+    quantile of u. lam <= 0 gives 0.
     """
     if mean_total < 1:
         raise ValueError("mean_total must be >= 1")
     if seed < 0:
         raise ValueError("seed must be a non-negative integer")
-    fringe = contrast_shared_env(spec)
-    records = []
-    for i, phi in enumerate(phis):
-        expected = mean_total * output_probability(fringe, phi)
-        rng = np.random.default_rng([int(seed), i])
-        records.append(CountRecord(float(phi), _sample_poisson(expected, rng),
-                                   float(expected)))
-    return records
+    phis = np.asarray(phis, dtype=float)
+    expected = mean_total * output_probability(contrast_shared_env(spec), phis)
+    u = np.clip(_point_uniforms(int(seed), len(phis)), 1e-300, 1.0 - 1e-16)
+    counts = np.zeros(len(phis))
+
+    small = (expected > 0.0) & (expected < 30.0)
+    lam, v = expected[small], u[small]
+    p = np.exp(-lam)
+    cdf = p.copy()
+    limit = (lam + 20.0 * np.sqrt(lam) + 20.0).astype(np.int64)
+    k = np.zeros(len(lam))
+    active = v > cdf
+    step = 0
+    while active.any():
+        step += 1
+        k[active] = step
+        p *= lam / step
+        cdf += p
+        active &= (v > cdf) & (step < limit)
+    counts[small] = k
+
+    large = expected >= 30.0
+    lam = expected[large]
+    inv_cdf = NormalDist().inv_cdf
+    z = np.array([inv_cdf(x) for x in u[large].tolist()])
+    counts[large] = np.maximum(0.0, np.floor(lam + np.sqrt(lam) * z + 0.5))
+    return [CountRecord(phi, int(c), mean) for phi, c, mean
+            in zip(phis.tolist(), counts.tolist(), expected.tolist())]
 
 
 @dataclass(frozen=True)
@@ -215,7 +304,9 @@ def fit_fringe(records: Sequence[CountRecord]) -> FitResult:
     step norm drops below 1e-10. The visibility standard error comes from the
     weighted Jacobian at the optimum. Counts are treated as real-valued
     measurements, so exactly noiseless synthetic fringes are recovered to
-    numerical precision.
+    numerical precision. Counts that sum to 0 (every count 0) hold no fringe
+    and raise ``ValueError``, as do fewer than 4 records or phases spanning at
+    most pi.
     """
     if len(records) < 4:
         raise ValueError("need at least 4 records to fit a fringe")
@@ -226,7 +317,7 @@ def fit_fringe(records: Sequence[CountRecord]) -> FitResult:
 
     amp = float(counts.mean())
     if amp <= 0.0:
-        return FitResult(0.0, 0.0, 0.0, 0.0, 0, False)
+        raise ValueError("counts must sum to more than 0 to fit a fringe")
     z = np.mean(counts * np.exp(-1j * phis))
     psi = float(np.angle(z))
     vis = float(min(2.0 * abs(z) / amp, 1.0))

@@ -114,17 +114,25 @@ def _zero_delay_op(kraus) -> np.ndarray:
     return np.zeros((2, 2), dtype=complex)
 
 
-def output_probability(f: FringeResult, phi: float) -> float:
-    """Lower-port detection probability P(phi) = (1 + Re[e^{i phi} C]) / 2."""
-    p = 0.5 * (1.0 + (np.exp(1j * phi) * f.contrast).real)
-    if abs(p - 0.5) > 0.5 + 1e-9:
-        raise RuntimeError(f"probability {p} outside [0, 1]: contrast {f.contrast} "
-                           "exceeds unit magnitude")
-    if -1e-12 <= p < 0.0:
-        p = 0.0
-    elif 1.0 < p <= 1.0 + 1e-12:
-        p = 1.0
-    return float(p)
+def output_probability(f: FringeResult, phi):
+    """Lower-port detection probability P(phi) = (1 + Re[e^{i phi} C]) / 2.
+
+    ``phi`` may be an array of phases, giving an array; a scalar phase gives a
+    float. Re[e^{i phi} C] is written out as two products and a difference, the
+    rounding of a scalar complex product (numpy's array complex multiply may
+    fuse them). Values within 1e-12 outside [0, 1] are clamped; any further
+    than 1e-9 raise.
+    """
+    e = np.exp(1j * np.asarray(phi, dtype=float))
+    c = f.contrast
+    p = 0.5 * (1.0 + (e.real * c.real - e.imag * c.imag))
+    outside = np.abs(p - 0.5) > 0.5 + 1e-9
+    if outside.any():
+        raise RuntimeError(f"probability {p[outside].flat[0]} outside [0, 1]: contrast "
+                           f"{f.contrast} exceeds unit magnitude")
+    p = np.where((-1e-12 <= p) & (p < 0.0), 0.0, p)
+    p = np.where((1.0 < p) & (p <= 1.0 + 1e-12), 1.0, p)
+    return float(p) if p.ndim == 0 else p
 
 
 class _OraclePieces:

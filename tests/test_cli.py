@@ -287,3 +287,35 @@ def test_cli_import_loads_no_scipy():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True, timeout=60).stdout
     assert out.strip() == "[]"
+
+
+def test_all_zero_counts_file_is_usage_error(tmp_path, capsys):
+    counts = tmp_path / "z.csv"
+    counts.write_text("phi,counts\n" + "".join(f"{i},0\n" for i in range(5)))
+    out = tmp_path / "f.csv"
+    assert main(["fit", "--counts", str(counts), "--output", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert str(counts) in err and "sum to more than 0" in err
+    assert not out.exists()
+
+
+def test_inline_fit_of_all_zero_sample_fails(tmp_path, capsys):
+    # mean 1 at visibility 1 over 4 phases: this seed samples no photon at all
+    out = tmp_path / "f.csv"
+    assert main(["fit", "--variant", "d", "--beta", "0.3927rad", "--mean-total", "1",
+                 "--phases", "4", "--seed", "3", "--output", str(out)]) != 0
+    assert "sum to more than 0" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_sampled_fringe_loads_no_numpy_random(tmp_path):
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(src)] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    code = ("import sys, mzfringe.cli; "
+            "assert mzfringe.cli.main(['fringe', '--variant', 'a', '--beta', '0.3', "
+            "'--mean-total', '20', '--seed', '5', '--output', sys.argv[1]]) == 0; "
+            "print('numpy.random' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code, str(tmp_path / "c.csv")], env=env,
+                         capture_output=True, text=True, check=True, timeout=60).stdout
+    assert out.strip().splitlines()[-1] == "False"

@@ -1,3 +1,6 @@
+import hashlib
+from statistics import NormalDist
+
 import numpy as np
 import pytest
 
@@ -11,12 +14,14 @@ from mzfringe import (
     default_beta_grid,
     fit_fringe,
     maximally_mixed,
+    output_probability,
     poisson_fringe,
     predicted_visibility,
     qkd_visibility,
     standard_config,
     sweep,
 )
+from mzfringe.experiments import _point_uniforms
 
 
 def test_standard_config_crystal_layout():
@@ -112,6 +117,62 @@ def test_poisson_rejects_bad_arguments():
         poisson_fringe(spec, [0.0], 10, -1)
 
 
+@pytest.mark.parametrize("seed", [0, 1, 2**31 - 1, 2**32, 2**64 + 3])
+def test_point_uniforms_equal_numpy_generators(seed):
+    # 2**32 and 2**64 + 3 have two and three 32-bit entropy words
+    expected = [np.random.default_rng([seed, i]).random() for i in range(1024)]
+    assert _point_uniforms(seed, 1024).tolist() == expected
+
+
+@pytest.mark.parametrize("mean_total, total, digest", [
+    (2, 50, "f0c81455698aa411a478a5a0fa70dc93424bc56fafc9e25c04c78877597ed956"),
+    (29, 873, "585458eec56ace2eca4c440e67bae6dc9854eefb83644f6260eafeb9d963284d"),
+    (31, 937, "aa39d52aeeb80bfb5f4863bcf2e669ba873307bbc83b64f04b2263a18a0598ca"),
+    (10_000, 319046, "93bfe60e41e73e42e60daa0e739fa67c591e2ef83fa5ae2687cba1d3ef131b2e"),
+])
+def test_poisson_golden_counts(mean_total, total, digest):
+    # Pinned from the per-point generator loop; any change to the sampled
+    # bytes must update these on purpose.
+    records = poisson_fringe(standard_config("a", np.pi / 8), uniform_phases(64),
+                             mean_total, 42)
+    counts = [r.counts for r in records]
+    assert all(type(c) is int for c in counts)
+    assert sum(counts) == total
+    assert hashlib.sha256(",".join(map(str, counts)).encode()).hexdigest() == digest
+
+
+def reference_count(lam, seed, i):
+    """The per-point sampler, one generator per (seed, i), kept as the reference."""
+    if lam <= 0.0:
+        return 0
+    u = float(np.random.default_rng([seed, i]).random())
+    u = min(max(u, 1e-300), 1.0 - 1e-16)
+    if lam < 30.0:
+        p = np.exp(-lam)
+        cdf = p
+        k = 0
+        limit = int(lam + 20.0 * np.sqrt(lam) + 20.0)
+        while u > cdf and k < limit:
+            k += 1
+            p *= lam / k
+            cdf += p
+        return k
+    z = NormalDist().inv_cdf(u)
+    return max(0, int(np.floor(lam + np.sqrt(lam) * z + 0.5)))
+
+
+@pytest.mark.parametrize("seed", [0, 5, 2**33 + 1])
+@pytest.mark.parametrize("mean_total", [1, 7, 29, 30, 31, 59, 61, 1000, 10**6])
+def test_poisson_fringe_equals_per_point_reference(mean_total, seed):
+    spec = standard_config("b", 0.7)
+    phis = np.random.default_rng(mean_total).uniform(-7.0, 7.0, 129)
+    records = poisson_fringe(spec, phis, mean_total, seed)
+    f = contrast_shared_env(spec)
+    for i, (r, phi) in enumerate(zip(records, phis)):
+        lam = mean_total * output_probability(f, phi)
+        assert (r.phi, r.expected, r.counts) == (phi, lam, reference_count(lam, seed, i))
+
+
 def noiseless_records(amp, vis, psi, n=64):
     phis = uniform_phases(n)
     values = amp * (1 + vis * np.cos(phis + psi))
@@ -139,6 +200,12 @@ def test_fit_requires_enough_points():
 def test_fit_requires_span():
     records = [CountRecord(phi, 100.0, 100.0) for phi in np.linspace(0, 1.0, 10)]
     with pytest.raises(ValueError, match="span"):
+        fit_fringe(records)
+
+
+def test_fit_rejects_all_zero_counts():
+    records = [CountRecord(phi, 0, 0.0) for phi in uniform_phases(8)]
+    with pytest.raises(ValueError, match="sum to more than 0"):
         fit_fringe(records)
 
 

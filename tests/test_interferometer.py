@@ -120,6 +120,29 @@ def test_output_probability_clamps_roundoff():
     assert output_probability(FringeResult(c, c, 0.0), 0.0) == 1.0
 
 
+def test_output_probability_array_equals_scalar_calls():
+    f = contrast_shared_env(standard_config("a", 0.37))
+    phis = np.random.default_rng(107).uniform(-10.0, 10.0, 1024)
+    p = output_probability(f, phis)
+    assert isinstance(p, np.ndarray) and p.shape == (1024,)
+    assert p.tolist() == [output_probability(f, phi) for phi in phis]
+    assert isinstance(output_probability(f, phis[0]), float)
+
+
+def test_output_probability_array_rejects_one_bad_point():
+    f = FringeResult(1.5 + 0j, 1.5, 0.0)
+    assert output_probability(f, [np.pi / 2, -np.pi / 2]).tolist() == \
+        pytest.approx([0.5, 0.5])
+    with pytest.raises(RuntimeError, match="outside"):
+        output_probability(f, [np.pi / 2, 0.0, -np.pi / 2])
+
+
+def test_output_probability_clamps_roundoff_in_arrays():
+    c = 1.0 + 4e-13
+    p = output_probability(FringeResult(c, c, 0.0), [0.0, np.pi, np.pi / 2])
+    assert p[0] == 1.0 and p[1] == 0.0 and p[2] == pytest.approx(0.5)
+
+
 def test_oracle_empty_arms():
     assert oracle_probability(mixed_spec([], []), 0.0) == pytest.approx(1.0)
 
