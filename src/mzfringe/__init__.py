@@ -10,7 +10,6 @@ from .arms import (
     RawUnitary,
     Waveplate,
     arm_channel_apply,
-    arm_dilation,
     compose_arm,
 )
 from .core import (
@@ -43,9 +42,6 @@ from .interferometer import (
     contrast_independent_env,
     contrast_shared_env,
     oracle_contrast,
-    oracle_probabilities,
-    oracle_probability,
-    output_polarization_state,
     output_probability,
 )
 from .tomography import (

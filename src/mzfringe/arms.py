@@ -8,14 +8,23 @@ one 2x2 Kraus operator per distinct accumulated delay. Delays are stored in
 micrometers of o/e wavepacket separation. Only delay differences are
 observable, so the o-ray carries zero delay by convention.
 
-The dilation oracle does not compose Kraus sets. It applies an arm element by
+``compose_arm`` refuses, before building any operator, an arm whose crystal
+delays reach more than ``COMPOSE_BIN_LIMIT`` distinct sums
+(``check_compose_bins``). ``arm_channel_apply`` maps a whole stack of states
+through one composed Kraus set.
+
+The dilation oracle does not compose Kraus sets. It applies arms element by
 element to vectors on polarization (x) time bins, on a grid whose unit is the
 gcd of the crystal delays (``_delay_grid``, ``_evolve_arm``), so it checks
-``compose_arm`` rather than repeating it.
+``compose_arm`` rather than repeating it. One evolution serves a stack of arms
+that share element kinds and crystal delays and differ in angles or
+unitaries.
 """
 
 from __future__ import annotations
 
+import math
+from collections import Counter
 from dataclasses import dataclass
 from functools import reduce
 from typing import Sequence, Union
@@ -39,8 +48,9 @@ __all__ = [
     "RawUnitary",
     "ArmElement",
     "ArmSpec",
+    "COMPOSE_BIN_LIMIT",
+    "check_compose_bins",
     "compose_arm",
-    "arm_dilation",
     "arm_channel_apply",
 ]
 
@@ -53,6 +63,9 @@ ZERO_OP_TOL = 1e-14
 # Joint path x polarization x time-bin dimension beyond which the oracle
 # refuses to run.
 ORACLE_DIM_LIMIT = 4096
+# Distinct delays beyond which compose_arm refuses to run: 16x the 1,024 bins
+# of ten crystals at 150 * 2^k um. A 2^14-bin arm composes in about a second.
+COMPOSE_BIN_LIMIT = 2**14
 
 
 @dataclass(frozen=True)
@@ -111,6 +124,33 @@ def _element_kraus(elem: ArmElement) -> list[tuple[float, np.ndarray]]:
     raise ValueError(f"unknown arm element {elem!r}")
 
 
+def check_compose_bins(arm: ArmSpec) -> None:
+    """Raise ValueError when composing ``arm`` would exceed COMPOSE_BIN_LIMIT.
+
+    Counts the distinct delays of the composed Kraus set from the crystal
+    delays alone: subset sums merged within ``DELAY_MERGE_TOL`` of the
+    smallest delay of their group, as ``compose_arm`` merges them. Builds no
+    operators and stops at the first crystal that takes the count past the
+    limit, so an arm of many distinct delays is refused at once. Arms whose
+    crystal delays form at most COMPOSE_BIN_LIMIT sub-multisets pass without
+    counting: they cannot reach more sums than that.
+    """
+    delays = [elem.delay for elem in arm if isinstance(elem, Crystal)]
+    if math.prod(m + 1 for m in Counter(delays).values()) <= COMPOSE_BIN_LIMIT:
+        return
+    sums = [0.0]
+    for delay in delays:
+        merged, leader = [], -math.inf
+        for d in sorted(sums + [s + delay for s in sums]):
+            if d - leader > DELAY_MERGE_TOL:
+                merged.append(d)
+                leader = d
+        sums = merged
+        if len(sums) > COMPOSE_BIN_LIMIT:
+            raise ValueError(f"resource limit: arm reaches more than {COMPOSE_BIN_LIMIT} "
+                             "distinct delays (COMPOSE_BIN_LIMIT)")
+
+
 def compose_arm(arm: ArmSpec) -> list[tuple[float, np.ndarray]]:
     """Delay-tagged Kraus operators of a whole arm as (delay, op) pairs.
 
@@ -119,8 +159,11 @@ def compose_arm(arm: ArmSpec) -> list[tuple[float, np.ndarray]]:
     ``DELAY_MERGE_TOL`` of the smallest delay of their group are merged
     coherently, so the set never holds more operators than distinct delays.
     Operators that vanish entrywise below ``ZERO_OP_TOL`` are dropped at the
-    end. The result is sorted by delay.
+    end. The result is sorted by delay. Raises ValueError before composing
+    anything when the arm reaches more than ``COMPOSE_BIN_LIMIT`` delays
+    (``check_compose_bins``).
     """
+    check_compose_bins(arm)
     kraus: list[tuple[float, np.ndarray]] = [(0.0, np.eye(2, dtype=complex))]
     for elem in arm:
         branches = sorted(((d_k + d_e, op_e @ op_k)
@@ -165,48 +208,60 @@ def _delay_grid(arms: Sequence[ArmSpec]) -> tuple[float, int]:
     return unit, n
 
 
-def _evolve_arm(arm: ArmSpec, cols: np.ndarray, unit: float) -> np.ndarray:
-    """Apply an arm element by element to columns on polarization (x) time bins.
+def _stacked_ops(elems: Sequence[ArmElement]) -> np.ndarray:
+    """Operators (arms, 2, 2) of elements of one kind across an arm stack: a
+    crystal's e-ray projector, a waveplate's Jones matrix or a raw unitary,
+    built from one array of angles rather than per element."""
+    kind = type(elems[0])
+    if kind is RawUnitary:
+        return np.array([e.matrix for e in elems])
+    angles = np.array([e.axis_angle for e in elems])
+    if kind is Crystal:
+        ket_e = rotated_basis(angles)[1]
+        return np.einsum("pa,qa->apq", ket_e, ket_e.conj())
+    if kind is Waveplate:
+        return half_waveplate(angles).transpose(2, 0, 1)
+    raise ValueError(f"unknown arm element {elems[0]!r}")
 
-    ``cols`` has shape (2, bins, k). A crystal acts as P_o (x) I + P_e (x) S_d,
-    with S_d the cyclic shift by its delay in grid units, computed as
-    x + P_e (S_d x - x) because P_o + P_e = I; waveplates and raw unitaries act
-    as U (x) I.
+
+def _evolve_arm(arms: Sequence[ArmSpec], cols: np.ndarray, unit: float) -> np.ndarray:
+    """Apply a stack of arms element by element to columns on polarization (x)
+    time bins.
+
+    ``cols`` has shape (arms, 2, bins, k), one slice per arm. The arms must
+    share their element count, the kind of each element and each crystal's
+    delay; angles and unitaries may differ. Any other stack raises ValueError.
+    A crystal acts as P_o (x) I + P_e (x) S_d, with S_d the cyclic shift by its
+    delay in grid units, computed as x + P_e (S_d x - x) because P_o + P_e = I;
+    waveplates and raw unitaries act as U (x) I.
     """
-    for elem in arm:
-        if isinstance(elem, Crystal):
-            _, ket_e = rotated_basis(elem.axis_angle)
-            delayed = np.roll(cols, _shift(elem.delay, unit), axis=1) - cols
-            cols = cols + np.einsum("pq,q...->p...", np.outer(ket_e, ket_e.conj()), delayed)
-        elif isinstance(elem, Waveplate):
-            cols = np.einsum("pq,q...->p...", half_waveplate(elem.axis_angle), cols)
-        elif isinstance(elem, RawUnitary):
-            cols = np.einsum("pq,q...->p...", elem.matrix, cols)
+    if len({len(arm) for arm in arms}) > 1:
+        raise ValueError("stacked arms differ in element count")
+    for position, elems in enumerate(zip(*arms)):
+        kind = type(elems[0])
+        if any(type(e) is not kind for e in elems):
+            raise ValueError(f"stacked arms differ in element kind at position {position}")
+        if kind is Crystal and any(e.delay != elems[0].delay for e in elems):
+            raise ValueError(f"stacked arms differ in crystal delay at position {position}")
+        ops = _stacked_ops(elems)
+        if kind is Crystal:
+            k, n = _shift(elems[0].delay, unit), cols.shape[2]
+            # S_d x - x, with S_d the cyclic shift by k bins (np.roll, less overhead)
+            delayed = np.concatenate((cols[:, :, n - k:], cols[:, :, :n - k]), axis=2) - cols
+            cols = cols + np.einsum("apq,aq...->ap...", ops, delayed)
         else:
-            raise ValueError(f"unknown arm element {elem!r}")
+            cols = np.einsum("apq,aq...->ap...", ops, cols)
     return cols
-
-
-def arm_dilation(arm: ArmSpec) -> tuple[np.ndarray, list[float]]:
-    """Exact unitary of an arm on polarization (x) time bins.
-
-    Returns (unitary, bins) with bins the delays of the arm's time grid (see
-    ``_delay_grid``). Rows and columns are indexed pol-major, p * len(bins) +
-    bin. The block at (bins[k], bin 0) is the arm's Kraus operator at delay
-    bins[k], or zero where no path arrives.
-    """
-    unit, n = _delay_grid([arm])
-    u = _evolve_arm(arm, np.eye(2 * n, dtype=complex).reshape(2, n, 2 * n), unit)
-    return u.reshape(2 * n, 2 * n), [k * unit for k in range(n)]
 
 
 def arm_channel_apply(arm: ArmSpec, rho) -> np.ndarray:
     """Polarization channel of an arm with the time bins traced out:
-    sum_k K rho K^dag over the composed Kraus set."""
+    sum_k K rho K^dag over the composed Kraus set. ``rho`` may be a stack of
+    states (..., 2, 2); the arm is composed once for the whole stack."""
     rho = validate_density_matrix(rho)
-    if rho.shape != (2, 2):
+    if rho.shape[-2:] != (2, 2):
         raise ValueError(f"arm channels act on 2x2 states, got shape {rho.shape}")
-    out = np.zeros((2, 2), dtype=complex)
+    out = np.zeros(rho.shape, dtype=complex)
     for _, op in compose_arm(arm):
         out += op @ rho @ op.conj().T
     return out

@@ -25,7 +25,7 @@ import sys
 
 import numpy as np
 
-from .arms import ArmElement, Crystal, RawUnitary, Waveplate
+from .arms import ArmElement, Crystal, RawUnitary, Waveplate, check_compose_bins
 from .core import maximally_mixed
 from .experiments import (
     VARIANTS,
@@ -117,6 +117,15 @@ def _parse_arm_groups(text: str, n: int, what: str) -> list[list[ArmElement]]:
         raise UsageError(f"{what} must contain {n} '|'-separated arm strings, "
                          f"got {len(groups)}")
     return [parse_arm(g) for g in groups]
+
+
+def _check_bins(*arms: list[ArmElement]) -> None:
+    """Refuse arms that compose_arm would refuse for their size, as bad input."""
+    for arm in arms:
+        try:
+            check_compose_bins(arm)
+        except ValueError as exc:
+            raise UsageError(str(exc))
 
 
 def _parse_config_text(text: str, dests) -> dict[str, str]:
@@ -261,16 +270,16 @@ def _phase_grid(n: int) -> np.ndarray:
 def _fringe_spec(config: argparse.Namespace) -> InterferometerSpec:
     if config.arms is not None:
         upper, lower = _parse_arm_groups(config.arms, 2, "key 'arms'")
+        _check_bins(upper, lower)
         return InterferometerSpec(upper, lower, maximally_mixed(2))
     return standard_config(config.variant, config.beta)
 
 
 def _run_fringe(config: argparse.Namespace) -> int:
-    spec = _fringe_spec(config)
-    fringe = contrast_shared_env(spec)
+    fringe = contrast_shared_env(_fringe_spec(config))
     phis = _phase_grid(config.phases)
     if config.mean_total is not None:
-        records = poisson_fringe(spec, phis, config.mean_total, config.seed)
+        records = poisson_fringe(fringe, phis, config.mean_total, config.seed)
         _write_csv(config.output, ["phi", "counts"],
                    [(r.phi, r.counts) for r in records])
     else:
@@ -341,6 +350,8 @@ def _run_tomography(config: argparse.Namespace) -> int:
 def _run_qkd(config: argparse.Namespace) -> int:
     if config.segments is not None:
         segments = _parse_arm_groups(config.segments, 4, "key 'segments'")
+        # the link reduces to the arms u1+u2 and u3+u4 (see QkdSpec)
+        _check_bins(segments[0] + segments[1], segments[2] + segments[3])
     else:
         segments = [[], [], [], []]
     spec = QkdSpec(*segments, input_state=maximally_mixed(2))
@@ -359,7 +370,8 @@ def _run_fit(config: argparse.Namespace) -> int:
     else:
         spec = _fringe_spec(config)
         phis = _phase_grid(config.phases)
-        result = fit_fringe(poisson_fringe(spec, phis, config.mean_total, config.seed))
+        result = fit_fringe(poisson_fringe(contrast_shared_env(spec), phis,
+                                           config.mean_total, config.seed))
     _write_csv(config.output,
                ["amplitude", "visibility_hat", "phase_hat", "stderr_visibility",
                 "iterations", "converged"],

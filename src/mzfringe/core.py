@@ -62,7 +62,7 @@ def rotated_basis(theta: float) -> tuple[np.ndarray, np.ndarray]:
     """Orthonormal polarization pair at angle theta from horizontal.
 
     Returns (ket_o, ket_e) with ket_o = (cos t, sin t) and ket_e = (-sin t, cos t)
-    in the (H, V) basis.
+    in the (H, V) basis. An array of angles gives kets of shape (2, angles).
     """
     c, s = np.cos(theta), np.sin(theta)
     ket_o = np.array([c, s], dtype=complex)
@@ -74,7 +74,8 @@ def half_waveplate(theta: float) -> np.ndarray:
     """Jones matrix of a half-wave plate with fast axis at ``theta``.
 
     Reflection about the axis, [[cos 2t, sin 2t], [sin 2t, -cos 2t]]; the
-    conventional -i global phase is dropped.
+    conventional -i global phase is dropped. An array of angles gives
+    matrices of shape (2, 2, angles).
     """
     c, s = np.cos(2.0 * theta), np.sin(2.0 * theta)
     return np.array([[c, s], [s, -c]], dtype=complex)
@@ -114,21 +115,42 @@ def validate_cptp(operators: Sequence[np.ndarray], atol: float = CPTP_ATOL) -> C
 
 
 def validate_density_matrix(rho, name: str = "rho") -> np.ndarray:
-    """Validate a density matrix: Hermitian, unit trace, positive semidefinite.
+    """Validate a density matrix, or a stack of them (..., d, d): Hermitian,
+    unit trace, positive semidefinite.
 
-    Raises ValueError naming the violated property; returns the validated
+    The properties are checked in that order over the whole stack. Raises
+    ValueError naming the first violated property and, for a stack, the index
+    of the first matrix that violates it (``rho[2]``); returns the validated
     complex array on success.
     """
-    arr = as_complex_matrix(rho, name)
-    if arr.shape[0] != arr.shape[1]:
+    arr = np.array(rho, dtype=complex)
+    if arr.ndim < 2 or arr.shape[-2] < 1 or arr.shape[-1] < 1:
+        raise ValueError(f"{name} must be a 2-d matrix with at least one row and column, "
+                         f"got shape {arr.shape}")
+
+    def fail(bad: np.ndarray, message) -> None:
+        """Raise message(label, index) for the first matrix where ``bad`` holds."""
+        index = np.unravel_index(int(np.argmax(bad)), np.shape(bad))
+        label = f"{name}[{', '.join(map(str, index))}]" if index else name
+        raise ValueError(message(label, index))
+
+    finite = np.isfinite(arr)
+    if not finite.all():
+        fail(~finite.all(axis=(-2, -1)), lambda at, i: f"{at} contains NaN or Inf entries")
+    if arr.shape[-2] != arr.shape[-1]:
         raise ValueError(f"{name} must be square, got shape {arr.shape}")
-    herm_resid = float(np.max(np.abs(arr - arr.conj().T)))
-    if herm_resid > HERMITIAN_ATOL:
-        raise ValueError(f"{name} is not Hermitian (residual {herm_resid:.3e})")
-    tr = complex(np.trace(arr))
-    if abs(tr - 1.0) > TRACE_ATOL:
-        raise ValueError(f"{name} trace is {tr}, expected 1")
-    eigs = np.linalg.eigvalsh(0.5 * (arr + arr.conj().T))
-    if float(eigs.min()) < EIGENVALUE_FLOOR:
-        raise ValueError(f"{name} has a negative eigenvalue ({eigs.min():.3e})")
+    adjoint = arr.swapaxes(-2, -1).conj()
+    herm = np.abs(arr - adjoint)
+    if herm.max() > HERMITIAN_ATOL:
+        herm = herm.max(axis=(-2, -1))
+        fail(herm > HERMITIAN_ATOL,
+             lambda at, i: f"{at} is not Hermitian (residual {herm[i]:.3e})")
+    tr = np.trace(arr, axis1=-2, axis2=-1)
+    if np.max(np.abs(tr - 1.0)) > TRACE_ATOL:
+        fail(np.abs(tr - 1.0) > TRACE_ATOL,
+             lambda at, i: f"{at} trace is {complex(tr[i])}, expected 1")
+    eig_min = np.linalg.eigvalsh(0.5 * (arr + adjoint)).min(axis=-1)
+    if np.min(eig_min) < EIGENVALUE_FLOOR:
+        fail(eig_min < EIGENVALUE_FLOOR,
+             lambda at, i: f"{at} has a negative eigenvalue ({eig_min[i]:.3e})")
     return arr

@@ -27,9 +27,10 @@ import numpy as np
 from .arms import ArmElement, Crystal, RawUnitary, Waveplate
 from .core import maximally_mixed, validate_density_matrix
 from .interferometer import (
+    FringeResult,
     InterferometerSpec,
+    _oracle_contrasts,
     contrast_shared_env,
-    oracle_contrast,
     output_probability,
 )
 
@@ -124,18 +125,17 @@ def sweep(variant: str, betas: Sequence[float]) -> list[SweepRow]:
     """Closed-form, simulated, and oracle visibilities over a beta grid.
 
     The closed-form column keeps its sign; the simulated and oracle columns
-    are contrast magnitudes.
+    are contrast magnitudes. The configurations of one variant share their
+    arm structure, so the oracle evolves all betas as one stack, in
+    memory-bounded blocks.
     """
-    rows = []
-    for beta in betas:
-        spec = standard_config(variant, beta)
-        rows.append(SweepRow(
-            beta=float(beta),
-            v_closed_form=float(closed_form_contrast(variant, beta)),
-            v_simulated=contrast_shared_env(spec).visibility,
-            v_oracle=abs(oracle_contrast(spec)),
-        ))
-    return rows
+    specs = [standard_config(variant, beta) for beta in betas]
+    v_oracle = np.abs(_oracle_contrasts(specs)) if specs else []
+    return [SweepRow(beta=float(beta),
+                     v_closed_form=float(closed_form_contrast(variant, beta)),
+                     v_simulated=contrast_shared_env(spec).visibility,
+                     v_oracle=float(v))
+            for beta, spec, v in zip(betas, specs, v_oracle)]
 
 
 @dataclass(frozen=True)
@@ -231,15 +231,16 @@ def _point_uniforms(seed: int, n: int) -> np.ndarray:
     return (x >> 11).astype(np.float64) * 2.0**-53
 
 
-def poisson_fringe(spec: InterferometerSpec, phis: Sequence[float],
+def poisson_fringe(fringe: FringeResult, phis: Sequence[float],
                    mean_total: int, seed: int) -> list[CountRecord]:
-    """Simulated coincidence counts along a fringe.
+    """Simulated coincidence counts along the fringe of a computed contrast.
 
-    Per phase point, the expectation is lam = mean_total * P(phi) and the count
+    Per phase point, the expectation is lam = mean_total * P(phi), with P from
+    ``output_probability(fringe, phi)``, and the count
     is one Poisson draw from one uniform u. Point i's u is
     ``np.random.default_rng([seed, i]).random()`` bit for bit, but the draws
     for all points are computed in one array pass (``_point_uniforms``), so
-    results do not depend on evaluation order, and identical (spec, phis,
+    results do not depend on evaluation order, and identical (fringe, phis,
     mean_total, seed) reproduce identical counts. With u clamped to
     [1e-300, 1 - 1e-16]: below mean 30 the count is the CDF inversion
     min{k : u <= F(k)}, stopped at k = int(lam + 20 sqrt(lam) + 20); from
@@ -252,7 +253,7 @@ def poisson_fringe(spec: InterferometerSpec, phis: Sequence[float],
     if seed < 0:
         raise ValueError("seed must be a non-negative integer")
     phis = np.asarray(phis, dtype=float)
-    expected = mean_total * output_probability(contrast_shared_env(spec), phis)
+    expected = mean_total * output_probability(fringe, phis)
     u = np.clip(_point_uniforms(int(seed), len(phis)), 1e-300, 1.0 - 1e-16)
     counts = np.zeros(len(phis))
 

@@ -137,7 +137,7 @@ def test_criterion_6_statistical_fit_recovery():
     start = time.perf_counter()
     spec = standard_config("a", np.pi / 8)  # true visibility 0.75
     phis = 2 * np.pi * np.arange(64) / 64
-    records = poisson_fringe(spec, phis, 10_000, 42)
+    records = poisson_fringe(contrast_shared_env(spec), phis, 10_000, 42)
     fit = fit_fringe(records)
     elapsed = time.perf_counter() - start
     err = abs(fit.visibility_hat - 0.75)

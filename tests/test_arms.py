@@ -1,3 +1,4 @@
+import time
 import tracemalloc
 
 import numpy as np
@@ -9,16 +10,25 @@ from mzfringe import (
     RawUnitary,
     Waveplate,
     arm_channel_apply,
-    arm_dilation,
     compose_arm,
     half_waveplate,
     maximally_mixed,
     rotated_basis,
     validate_cptp,
 )
+from mzfringe.arms import COMPOSE_BIN_LIMIT, _delay_grid, _evolve_arm, check_compose_bins
 from mzfringe.experiments import random_arm
 
 I2 = np.eye(2, dtype=complex)
+
+
+def arm_dilation(arm):
+    """Exact unitary of an arm on polarization (x) time bins, from identity
+    columns evolved through the oracle's stacked evolution. Rows and columns
+    are indexed pol-major, p * len(bins) + bin."""
+    unit, n = _delay_grid([arm])
+    cols = np.eye(2 * n, dtype=complex).reshape(1, 2, n, 2 * n)
+    return _evolve_arm([arm], cols, unit)[0].reshape(2 * n, 2 * n), [k * unit for k in range(n)]
 
 
 def projector(ket):
@@ -207,3 +217,60 @@ def test_dilation_reproduces_composed_kraus():
             np.testing.assert_allclose(block, kraus.pop(delay, np.zeros((2, 2))),
                                        atol=1e-12)
         assert not kraus, f"composed delays {list(kraus)} missing from the grid"
+
+
+def test_compose_refuses_arms_past_the_bin_limit_at_once():
+    # 40 crystals at 150 * 2^k um reach 2^40 distinct delays; the check stops
+    # at the first crystal past 2^14 and builds no operators
+    arm = [Crystal(0.1 * k, 150.0 * 2 ** k) for k in range(40)]
+    tracemalloc.start()
+    start = time.perf_counter()
+    try:
+        with pytest.raises(ValueError, match="resource limit"):
+            compose_arm(arm)
+        elapsed = time.perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert elapsed < 0.5
+    assert peak < 4 << 20
+    assert COMPOSE_BIN_LIMIT == 2 ** 14
+
+
+def test_bin_limit_counts_merged_delays():
+    # 2^14 distinct delays compose; one more doubling does not
+    check_compose_bins([Crystal(0.0, 150.0 * 2 ** k) for k in range(14)])
+    with pytest.raises(ValueError, match="resource limit"):
+        check_compose_bins([Crystal(0.0, 150.0 * 2 ** k) for k in range(15)])
+    # sums within DELAY_MERGE_TOL merge as in compose_arm: 40 near-equal
+    # delays reach 41 bins, not 2^40
+    arm = [Crystal(0.1 * k, 150.0 + 1e-12 * k) for k in range(40)]
+    check_compose_bins(arm)
+    assert len(compose_arm(arm)) == 41
+
+
+@pytest.mark.parametrize("lower, message", [
+    ([Crystal(0.2, 150.0)], "element count"),
+    ([Waveplate(0.2), Crystal(0.3, 310.0)], "element kind at position 0"),
+    ([Crystal(0.2, 150.0), Crystal(0.3, 150.0)], "crystal delay at position 1"),
+])
+def test_stacked_evolution_rejects_mixed_structures(lower, message):
+    arm = [Crystal(0.1, 150.0), Crystal(0.4, 310.0)]
+    unit, n = _delay_grid([arm, lower])
+    cols = np.zeros((2, 2, n, 1), dtype=complex)
+    with pytest.raises(ValueError, match=message):
+        _evolve_arm([arm, lower], cols, unit)
+
+
+def test_stacked_evolution_equals_single_arm_evolutions():
+    # angles and unitaries differ across the stack; kinds and delays are shared
+    rng = np.random.default_rng(113)
+    arms = [[Crystal(rng.uniform(0, np.pi), 150.0), Waveplate(rng.uniform(0, np.pi)),
+             RawUnitary(random_unitary(rng)), Crystal(rng.uniform(0, np.pi), 310.0)]
+            for _ in range(5)]
+    unit, n = _delay_grid(arms[:1])
+    cols = rng.normal(size=(5, 2, n, 3)) + 1j * rng.normal(size=(5, 2, n, 3))
+    stacked = _evolve_arm(arms, cols, unit)
+    for i, arm in enumerate(arms):
+        np.testing.assert_allclose(stacked[i], _evolve_arm([arm], cols[i:i + 1], unit)[0],
+                                   atol=1e-15)

@@ -8,7 +8,9 @@ import numpy as np
 import pytest
 
 import mzfringe.cli
+import mzfringe.experiments
 from mzfringe.cli import main, parse_angle, parse_arm
+from mzfringe.interferometer import contrast_shared_env
 from mzfringe.arms import Crystal, RawUnitary, Waveplate
 
 
@@ -319,3 +321,28 @@ def test_sampled_fringe_loads_no_numpy_random(tmp_path):
     out = subprocess.run([sys.executable, "-c", code, str(tmp_path / "c.csv")], env=env,
                          capture_output=True, text=True, check=True, timeout=60).stdout
     assert out.strip().splitlines()[-1] == "False"
+
+
+def test_sampled_fringe_computes_one_contrast(tmp_path, monkeypatch):
+    calls = []
+
+    def counted(spec):
+        calls.append(spec)
+        return contrast_shared_env(spec)
+
+    monkeypatch.setattr(mzfringe.cli, "contrast_shared_env", counted)
+    monkeypatch.setattr(mzfringe.experiments, "contrast_shared_env", counted)
+    assert main(["fringe", "--variant", "b", "--beta", "0.4", "--mean-total", "20",
+                 "--seed", "5", "--output", str(tmp_path / "c.csv")]) == 0
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("key, groups", [("--arms", 2), ("--segments", 4)])
+def test_arms_past_the_bin_limit_are_usage_errors(tmp_path, capsys, key, groups):
+    # 15 crystals at 150 * 2^k um reach 2^15 distinct delays, past COMPOSE_BIN_LIMIT
+    deep = ";".join(f"crystal:0.1:{150 * 2 ** k}" for k in range(15))
+    command = "fringe" if key == "--arms" else "qkd"
+    text = "|".join([deep] + [""] * (groups - 1))
+    assert main([command, key, text, "--output", str(tmp_path / "x.csv")]) == 2
+    assert "resource limit" in capsys.readouterr().err
+    assert not (tmp_path / "x.csv").exists()

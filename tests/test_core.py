@@ -135,3 +135,17 @@ def test_validate_density_matrix_rejections():
         validate_density_matrix(np.diag([1.5, -0.5]))
     with pytest.raises(ValueError, match="NaN|Inf"):
         validate_density_matrix(np.array([[np.nan, 0.0], [0.0, 1.0]]))
+
+
+@pytest.mark.parametrize("bad, message", [
+    (np.array([[0.5, 0.5], [0.0, 0.5]]), "Hermitian"),
+    (np.diag([0.7, 0.7]), "trace"),
+    (np.diag([1.5, -0.5]), "eigenvalue"),
+    (np.array([[np.nan, 0.0], [0.0, 1.0]]), "NaN|Inf"),
+])
+def test_validate_density_matrix_stack_names_the_failing_index(bad, message):
+    stack = np.array([I2 / 2, I2 / 2, bad, I2 / 2])
+    with pytest.raises(ValueError, match=rf"^rho\[2\] .*({message})"):
+        validate_density_matrix(stack)
+    np.testing.assert_allclose(validate_density_matrix(np.array([I2 / 2] * 4)),
+                               np.array([I2 / 2] * 4))

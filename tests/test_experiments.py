@@ -1,4 +1,5 @@
 import hashlib
+import tracemalloc
 from statistics import NormalDist
 
 import numpy as np
@@ -14,6 +15,7 @@ from mzfringe import (
     default_beta_grid,
     fit_fringe,
     maximally_mixed,
+    oracle_contrast,
     output_probability,
     poisson_fringe,
     predicted_visibility,
@@ -67,6 +69,28 @@ def test_sweep_matches_closed_forms(variant):
         assert abs(row.v_simulated - row.v_oracle) < 1e-9
 
 
+@pytest.mark.parametrize("variant", ["a", "b", "c", "d"])
+def test_sweep_oracle_equals_per_spec_oracle(variant):
+    # the sweep evolves its betas as stacks in blocks; each spec alone must agree
+    betas = default_beta_grid(200)
+    rows = sweep(variant, betas)
+    for row, beta in zip(rows, betas):
+        expected = abs(oracle_contrast(standard_config(variant, beta)))
+        assert abs(row.v_oracle - expected) <= 1e-15
+
+
+def test_sweep_oracle_memory_is_bounded():
+    # one stack of all 200 betas peaks near 3.1 MiB; blocks stay far below
+    sweep("a", default_beta_grid(8))
+    tracemalloc.start()
+    try:
+        sweep("a", default_beta_grid(200))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * (1 << 20)
+
+
 def test_sweep_even_in_beta_for_second_config():
     for beta in np.linspace(0, np.pi / 2, 7):
         assert predicted_visibility("b", beta) == pytest.approx(
@@ -86,35 +110,35 @@ def uniform_phases(n):
 
 
 def test_poisson_zero_expectation_gives_zero_counts():
-    spec = standard_config("b", 0.0)  # unit visibility
-    records = poisson_fringe(spec, [np.pi], 10_000, 7)
+    f = contrast_shared_env(standard_config("b", 0.0))  # unit visibility
+    records = poisson_fringe(f, [np.pi], 10_000, 7)
     assert records[0].expected == pytest.approx(0.0, abs=1e-9)
     assert records[0].counts == 0
 
 
 def test_poisson_flat_fringe_statistics():
-    spec = standard_config("c", np.pi / 4)  # zero contrast
-    records = poisson_fringe(spec, uniform_phases(64), 10_000, 42)
+    f = contrast_shared_env(standard_config("c", np.pi / 4))  # zero contrast
+    records = poisson_fringe(f, uniform_phases(64), 10_000, 42)
     counts = np.array([r.counts for r in records])
     assert np.all(np.array([r.expected for r in records]) == pytest.approx(5000.0))
     assert abs(counts.mean() - 5000.0) < 5 * np.sqrt(5000.0 / 64)
 
 
 def test_poisson_determinism_and_seed_sensitivity():
-    spec = standard_config("a", np.pi / 8)
-    a = poisson_fringe(spec, uniform_phases(32), 1000, 42)
-    b = poisson_fringe(spec, uniform_phases(32), 1000, 42)
-    c = poisson_fringe(spec, uniform_phases(32), 1000, 43)
+    f = contrast_shared_env(standard_config("a", np.pi / 8))
+    a = poisson_fringe(f, uniform_phases(32), 1000, 42)
+    b = poisson_fringe(f, uniform_phases(32), 1000, 42)
+    c = poisson_fringe(f, uniform_phases(32), 1000, 43)
     assert [r.counts for r in a] == [r.counts for r in b]
     assert [r.counts for r in a] != [r.counts for r in c]
 
 
 def test_poisson_rejects_bad_arguments():
-    spec = standard_config("a", 0.1)
+    f = contrast_shared_env(standard_config("a", 0.1))
     with pytest.raises(ValueError):
-        poisson_fringe(spec, [0.0], 0, 1)
+        poisson_fringe(f, [0.0], 0, 1)
     with pytest.raises(ValueError):
-        poisson_fringe(spec, [0.0], 10, -1)
+        poisson_fringe(f, [0.0], 10, -1)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2**31 - 1, 2**32, 2**64 + 3])
@@ -133,8 +157,8 @@ def test_point_uniforms_equal_numpy_generators(seed):
 def test_poisson_golden_counts(mean_total, total, digest):
     # Pinned from the per-point generator loop; any change to the sampled
     # bytes must update these on purpose.
-    records = poisson_fringe(standard_config("a", np.pi / 8), uniform_phases(64),
-                             mean_total, 42)
+    records = poisson_fringe(contrast_shared_env(standard_config("a", np.pi / 8)),
+                             uniform_phases(64), mean_total, 42)
     counts = [r.counts for r in records]
     assert all(type(c) is int for c in counts)
     assert sum(counts) == total
@@ -164,10 +188,9 @@ def reference_count(lam, seed, i):
 @pytest.mark.parametrize("seed", [0, 5, 2**33 + 1])
 @pytest.mark.parametrize("mean_total", [1, 7, 29, 30, 31, 59, 61, 1000, 10**6])
 def test_poisson_fringe_equals_per_point_reference(mean_total, seed):
-    spec = standard_config("b", 0.7)
+    f = contrast_shared_env(standard_config("b", 0.7))
     phis = np.random.default_rng(mean_total).uniform(-7.0, 7.0, 129)
-    records = poisson_fringe(spec, phis, mean_total, seed)
-    f = contrast_shared_env(spec)
+    records = poisson_fringe(f, phis, mean_total, seed)
     for i, (r, phi) in enumerate(zip(records, phis)):
         lam = mean_total * output_probability(f, phi)
         assert (r.phi, r.expected, r.counts) == (phi, lam, reference_count(lam, seed, i))
@@ -210,8 +233,8 @@ def test_fit_rejects_all_zero_counts():
 
 
 def test_fit_statistical_recovery():
-    spec = standard_config("a", np.pi / 8)  # true visibility 0.75
-    records = poisson_fringe(spec, uniform_phases(64), 10_000, 42)
+    f = contrast_shared_env(standard_config("a", np.pi / 8))  # true visibility 0.75
+    records = poisson_fringe(f, uniform_phases(64), 10_000, 42)
     fit = fit_fringe(records)
     assert fit.converged
     assert abs(fit.visibility_hat - 0.75) < 3 * fit.stderr_visibility

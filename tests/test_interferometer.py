@@ -5,7 +5,7 @@ import pytest
 
 from conftest import random_density, random_unitary
 from mzfringe.arms import _delay_grid
-from mzfringe.interferometer import ORACLE_DIM_LIMIT
+from mzfringe.interferometer import ORACLE_DIM_LIMIT, _path_gram, _port_probabilities
 from mzfringe import (
     Crystal,
     FringeResult,
@@ -14,12 +14,8 @@ from mzfringe import (
     Waveplate,
     contrast_independent_env,
     contrast_shared_env,
-    half_waveplate,
     maximally_mixed,
     oracle_contrast,
-    oracle_probabilities,
-    oracle_probability,
-    output_polarization_state,
     output_probability,
     rotated_basis,
     standard_config,
@@ -31,6 +27,12 @@ I2 = np.eye(2, dtype=complex)
 
 def mixed_spec(upper, lower):
     return InterferometerSpec(upper, lower, maximally_mixed(2))
+
+
+def oracle_ports(spec, phis):
+    """Oracle port probabilities (port, phase) from the path Gram matrix;
+    port 0 is the lower port."""
+    return _port_probabilities(_path_gram([spec]), np.asarray(phis, dtype=float))[0]
 
 
 def test_empty_arms_full_contrast():
@@ -144,13 +146,12 @@ def test_output_probability_clamps_roundoff_in_arrays():
 
 
 def test_oracle_empty_arms():
-    assert oracle_probability(mixed_spec([], []), 0.0) == pytest.approx(1.0)
+    assert oracle_ports(mixed_spec([], []), [0.0])[0, 0] == pytest.approx(1.0)
 
 
 def test_oracle_first_config_extrema():
     spec = standard_config("a", np.pi / 4)
-    probs = [oracle_probability(spec, phi)
-             for phi in np.linspace(0, 2 * np.pi, 64, endpoint=False)]
+    probs = oracle_ports(spec, np.linspace(0, 2 * np.pi, 64, endpoint=False))[0]
     assert max(probs) - min(probs) == pytest.approx(0.5, abs=1e-9)
 
 
@@ -158,7 +159,7 @@ def test_oracle_ports_sum_to_one():
     rng = np.random.default_rng(67)
     for _ in range(20):
         spec = random_interferometer_spec(rng)
-        p0, p1 = oracle_probabilities(spec, rng.uniform(0, 2 * np.pi))
+        p0, p1 = oracle_ports(spec, [rng.uniform(0, 2 * np.pi)])[:, 0]
         assert p0 + p1 == pytest.approx(1.0, abs=1e-12)
 
 
@@ -175,9 +176,9 @@ def test_oracle_fringe_matches_closed_probability():
     for _ in range(10):
         spec = random_interferometer_spec(rng)
         f = contrast_shared_env(spec)
-        for phi in np.linspace(0, 2 * np.pi, 16, endpoint=False):
-            assert oracle_probability(spec, phi) == pytest.approx(
-                output_probability(f, phi), abs=1e-9)
+        phis = np.linspace(0, 2 * np.pi, 16, endpoint=False)
+        np.testing.assert_allclose(oracle_ports(spec, phis)[0], output_probability(f, phis),
+                                   rtol=0, atol=1e-9)
 
 
 def test_fringe_extrema_at_contrast_phase():
@@ -226,51 +227,26 @@ def test_identical_arms_full_visibility():
         assert f.contrast == pytest.approx(1.0, abs=1e-12)
 
 
-def test_output_state_empty_arms_passes_input():
-    rng = np.random.default_rng(101)
-    rho = random_density(rng)
-    out = output_polarization_state(InterferometerSpec([], [], rho), 0.3)
-    np.testing.assert_allclose(out, rho, atol=1e-12)
-
-
-def test_output_state_identical_unitary_arms():
-    w = half_waveplate(np.pi / 8)
-    rho = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
-    spec = InterferometerSpec([RawUnitary(w)], [RawUnitary(w)], rho)
-    out = output_polarization_state(spec, 0.7)
-    np.testing.assert_allclose(out, w @ rho @ w.conj().T, atol=1e-12)
-
-
-def test_output_state_first_config_stays_mixed():
-    out = output_polarization_state(standard_config("a", np.pi / 4), 0.4)
-    np.testing.assert_allclose(out, I2 / 2, atol=1e-12)
-
-
-def test_output_state_degenerate_postselection():
-    with pytest.raises(RuntimeError, match="degenerate"):
-        output_polarization_state(mixed_spec([], []), np.pi)
-
-
-def test_output_state_of_deep_arms_stays_small():
-    # ten crystals at 150 * 2^k um per arm: 1024 bins, traced out column-wise
+def test_oracle_of_deep_arms_stays_small():
+    # ten crystals at 150 * 2^k um per arm: 1024 bins, read out through the
+    # 2x2 path Gram matrix without a per-phase port array
     delays = [150.0 * 2 ** k for k in range(10)]
     spec = mixed_spec([Crystal(0.1 * k, d) for k, d in enumerate(delays)],
                       [Crystal(0.1 * k + 0.8, d) for k, d in enumerate(delays)])
     tracemalloc.start()
     try:
-        out = output_polarization_state(spec, 0.3)
+        c = oracle_contrast(spec)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 4 << 20
-    np.testing.assert_allclose(out, out.conj().T, atol=1e-12)
-    assert abs(np.trace(out) - 1.0) < 1e-12
+    assert peak < 1 << 20
+    assert abs(c - contrast_shared_env(spec).contrast) < 1e-9
 
 
 def test_oracle_resource_limit():
     arm = [Crystal(0.3 + 0.25 * i, float(2 ** i)) for i in range(11)]
     with pytest.raises(ValueError, match="resource"):
-        oracle_probability(mixed_spec(arm, []), 0.0)
+        oracle_contrast(mixed_spec(arm, []))
 
 
 def test_oracle_incommensurate_delays_hit_resource_limit():

@@ -13,6 +13,7 @@ from mzfringe import (
     qpt,
 )
 from mzfringe.experiments import random_arm
+from mzfringe.tomography import PAULIS, PROBE_STATES
 
 
 def unitary_channel(u):
@@ -25,6 +26,60 @@ def random_kraus_channel(rng, n_ops=2):
     q, _ = np.linalg.qr(stack)
     ops = [q[2 * i:2 * i + 2, :] for i in range(n_ops)]
     return lambda rho: sum(k @ rho @ k.conj().T for k in ops)
+
+
+def reference_qpt(channel):
+    """The matrix-unit and 16-kron formula, one probe per channel call, kept as
+    the reference for the single linear map."""
+    o_h, o_v, o_d, o_r = (channel(probe) for probe in PROBE_STATES)
+    action = {
+        (0, 0): o_h,
+        (1, 1): o_v,
+        (0, 1): o_d + 1j * o_r - 0.5 * (1 + 1j) * (o_h + o_v),
+        (1, 0): o_d - 1j * o_r - 0.5 * (1 - 1j) * (o_h + o_v),
+    }
+    transfer = np.zeros((4, 4), dtype=complex)
+    for (j, k), out in action.items():
+        transfer[:, 2 * j + k] = out.reshape(4)
+    chi = np.empty((4, 4), dtype=complex)
+    for m in range(4):
+        for n in range(4):
+            basis = np.kron(PAULIS[m], PAULIS[n].T)
+            chi[m, n] = np.trace(basis.conj().T @ transfer) / 4.0
+    return chi
+
+
+def test_qpt_equals_matrix_unit_reference():
+    rng = np.random.default_rng(103)
+    channels = [random_kraus_channel(rng, n) for n in (1, 2, 3, 2)]
+    channels.append(unitary_channel(random_unitary(rng)))
+    rng = np.random.default_rng(107)
+    for _ in range(20):
+        arm = random_arm(rng, max_elements=3)
+        channels.append(lambda rho, arm=arm: arm_channel_apply(arm, rho))
+    for channel in channels:
+        np.testing.assert_allclose(qpt(channel), reference_qpt(channel), rtol=0, atol=1e-15)
+
+
+def test_qpt_calls_its_channel_once_on_the_probe_stack():
+    calls = []
+
+    def channel(rho):
+        calls.append(np.shape(rho))
+        return arm_channel_apply([Crystal(0.3, 150.0)], rho)
+
+    qpt(channel)
+    assert calls == [(4, 2, 2)]
+
+
+def test_qpt_names_the_failing_probe_output():
+    def channel(rho):
+        out = np.array(rho, dtype=complex)
+        out[2] *= 0.5
+        return out
+
+    with pytest.raises(ValueError, match=r"invalid channel: channel output\[2\] trace"):
+        qpt(channel)
 
 
 def test_qpt_identity_channel():
