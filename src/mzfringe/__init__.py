@@ -17,7 +17,6 @@ from .core import (
     beamsplitter,
     half_waveplate,
     maximally_mixed,
-    phase_shifter,
     rotated_basis,
     validate_cptp,
     validate_density_matrix,
@@ -32,21 +31,18 @@ from .experiments import (
     default_beta_grid,
     fit_fringe,
     poisson_fringe,
-    predicted_visibility,
     qkd_visibility,
     sweep,
 )
 from .interferometer import (
     FringeResult,
     InterferometerSpec,
-    contrast_independent_env,
     contrast_shared_env,
     oracle_contrast,
     output_probability,
 )
 from .tomography import (
     BlindnessReport,
-    apply_chi,
     blindness_demo,
     chi_distance,
     qpt,

@@ -9,9 +9,10 @@ micrometers of o/e wavepacket separation. Only delay differences are
 observable, so the o-ray carries zero delay by convention.
 
 ``compose_arm`` refuses, before building any operator, an arm whose crystal
-delays reach more than ``COMPOSE_BIN_LIMIT`` distinct sums
-(``check_compose_bins``). ``arm_channel_apply`` maps a whole stack of states
-through one composed Kraus set.
+delays reach more than ``COMPOSE_BIN_LIMIT`` distinct sums, and the oracle's
+time grid stops at ``ORACLE_DIM_LIMIT``; both raise ``ResourceLimitError``.
+``arm_channel_apply`` maps a whole stack of states through one composed Kraus
+set.
 
 The dilation oracle does not compose Kraus sets. It applies arms element by
 element to vectors on polarization (x) time bins, on a grid whose unit is the
@@ -49,7 +50,7 @@ __all__ = [
     "ArmElement",
     "ArmSpec",
     "COMPOSE_BIN_LIMIT",
-    "check_compose_bins",
+    "ResourceLimitError",
     "compose_arm",
     "arm_channel_apply",
 ]
@@ -66,6 +67,10 @@ ORACLE_DIM_LIMIT = 4096
 # Distinct delays beyond which compose_arm refuses to run: 16x the 1,024 bins
 # of ten crystals at 150 * 2^k um. A 2^14-bin arm composes in about a second.
 COMPOSE_BIN_LIMIT = 2**14
+
+
+class ResourceLimitError(ValueError):
+    """Input past a stated resource limit (COMPOSE_BIN_LIMIT, ORACLE_DIM_LIMIT)."""
 
 
 @dataclass(frozen=True)
@@ -124,8 +129,8 @@ def _element_kraus(elem: ArmElement) -> list[tuple[float, np.ndarray]]:
     raise ValueError(f"unknown arm element {elem!r}")
 
 
-def check_compose_bins(arm: ArmSpec) -> None:
-    """Raise ValueError when composing ``arm`` would exceed COMPOSE_BIN_LIMIT.
+def _check_compose_bins(arm: ArmSpec) -> None:
+    """Raise ResourceLimitError when composing ``arm`` would pass COMPOSE_BIN_LIMIT.
 
     Counts the distinct delays of the composed Kraus set from the crystal
     delays alone: subset sums merged within ``DELAY_MERGE_TOL`` of the
@@ -147,8 +152,9 @@ def check_compose_bins(arm: ArmSpec) -> None:
                 leader = d
         sums = merged
         if len(sums) > COMPOSE_BIN_LIMIT:
-            raise ValueError(f"resource limit: arm reaches more than {COMPOSE_BIN_LIMIT} "
-                             "distinct delays (COMPOSE_BIN_LIMIT)")
+            raise ResourceLimitError(
+                f"resource limit: arm reaches more than {COMPOSE_BIN_LIMIT} "
+                "distinct delays (COMPOSE_BIN_LIMIT)")
 
 
 def compose_arm(arm: ArmSpec) -> list[tuple[float, np.ndarray]]:
@@ -159,11 +165,11 @@ def compose_arm(arm: ArmSpec) -> list[tuple[float, np.ndarray]]:
     ``DELAY_MERGE_TOL`` of the smallest delay of their group are merged
     coherently, so the set never holds more operators than distinct delays.
     Operators that vanish entrywise below ``ZERO_OP_TOL`` are dropped at the
-    end. The result is sorted by delay. Raises ValueError before composing
-    anything when the arm reaches more than ``COMPOSE_BIN_LIMIT`` delays
-    (``check_compose_bins``).
+    end. The result is sorted by delay. Raises ResourceLimitError before
+    composing anything when the arm reaches more than ``COMPOSE_BIN_LIMIT``
+    delays (``_check_compose_bins``).
     """
-    check_compose_bins(arm)
+    _check_compose_bins(arm)
     kraus: list[tuple[float, np.ndarray]] = [(0.0, np.eye(2, dtype=complex))]
     for elem in arm:
         branches = sorted(((d_k + d_e, op_e @ op_k)
@@ -195,16 +201,18 @@ def _delay_grid(arms: Sequence[ArmSpec]) -> tuple[float, int]:
     The unit is the gcd of the crystal delays (0 when every delay is within
     DELAY_MERGE_TOL of zero). Bin 0 is the input bin, and the grid reaches the
     largest total crystal delay of any one arm, so cyclic shifts of a vector
-    that starts in bin 0 never wrap. Raises ValueError, before anything is
-    allocated, when the joint dimension 4 * bins exceeds ORACLE_DIM_LIMIT;
-    incommensurate delays drive the unit towards DELAY_MERGE_TOL and end there.
+    that starts in bin 0 never wrap. Raises ResourceLimitError, before
+    anything is allocated, when the joint dimension 4 * bins exceeds
+    ORACLE_DIM_LIMIT; incommensurate delays drive the unit towards
+    DELAY_MERGE_TOL and end there.
     """
     crystals = [[e.delay for e in arm if isinstance(e, Crystal)] for arm in arms]
     unit = reduce(_gcd, (d for delays in crystals for d in delays), 0.0)
     n = 1 + max((sum(_shift(d, unit) for d in delays) for delays in crystals), default=0)
     if 4 * n > ORACLE_DIM_LIMIT:
-        raise ValueError(f"resource limit: joint dimension {4 * n} exceeds "
-                         f"{ORACLE_DIM_LIMIT} (time grid of {n} bins at {unit:.6g} um)")
+        raise ResourceLimitError(
+            f"resource limit: joint dimension {4 * n} exceeds "
+            f"{ORACLE_DIM_LIMIT} (time grid of {n} bins at {unit:.6g} um)")
     return unit, n
 
 

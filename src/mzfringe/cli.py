@@ -13,7 +13,8 @@ bare numbers are radians. Arms are serialized as semicolon-separated elements
 entries, comma-separated>``, or ``identity``; an arm pair joins two arm strings
 with ``|`` (upper first), and the qkd segments join four.
 
-Exit codes: 0 success, 1 runtime or numerical error, 2 usage or config error.
+Exit codes: 0 success, 1 runtime or numerical error, 2 usage or config error
+or input past a stated resource limit (``ResourceLimitError``).
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ import sys
 
 import numpy as np
 
-from .arms import ArmElement, Crystal, RawUnitary, Waveplate, check_compose_bins
+from .arms import ArmElement, Crystal, RawUnitary, ResourceLimitError, Waveplate
 from .core import maximally_mixed
 from .experiments import (
     VARIANTS,
@@ -117,15 +118,6 @@ def _parse_arm_groups(text: str, n: int, what: str) -> list[list[ArmElement]]:
         raise UsageError(f"{what} must contain {n} '|'-separated arm strings, "
                          f"got {len(groups)}")
     return [parse_arm(g) for g in groups]
-
-
-def _check_bins(*arms: list[ArmElement]) -> None:
-    """Refuse arms that compose_arm would refuse for their size, as bad input."""
-    for arm in arms:
-        try:
-            check_compose_bins(arm)
-        except ValueError as exc:
-            raise UsageError(str(exc))
 
 
 def _parse_config_text(text: str, dests) -> dict[str, str]:
@@ -259,7 +251,7 @@ def _read_counts(path: str) -> list[CountRecord]:
         if not (math.isfinite(counts) and counts >= 0):
             raise UsageError(f"counts file {path!r} line {lineno}: count {row[1].strip()!r} "
                              "must be finite and >= 0")
-        records.append(CountRecord(phi, counts, counts))
+        records.append(CountRecord(phi, counts))
     return records
 
 
@@ -270,7 +262,6 @@ def _phase_grid(n: int) -> np.ndarray:
 def _fringe_spec(config: argparse.Namespace) -> InterferometerSpec:
     if config.arms is not None:
         upper, lower = _parse_arm_groups(config.arms, 2, "key 'arms'")
-        _check_bins(upper, lower)
         return InterferometerSpec(upper, lower, maximally_mixed(2))
     return standard_config(config.variant, config.beta)
 
@@ -350,8 +341,6 @@ def _run_tomography(config: argparse.Namespace) -> int:
 def _run_qkd(config: argparse.Namespace) -> int:
     if config.segments is not None:
         segments = _parse_arm_groups(config.segments, 4, "key 'segments'")
-        # the link reduces to the arms u1+u2 and u3+u4 (see QkdSpec)
-        _check_bins(segments[0] + segments[1], segments[2] + segments[3])
     else:
         segments = [[], [], [], []]
     spec = QkdSpec(*segments, input_state=maximally_mixed(2))
@@ -404,7 +393,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return _RUNNERS[config.command](config)
-    except UsageError as exc:
+    except (UsageError, ResourceLimitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:

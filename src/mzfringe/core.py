@@ -22,7 +22,6 @@ __all__ = [
     "CptpCheck",
     "as_complex_matrix",
     "beamsplitter",
-    "phase_shifter",
     "rotated_basis",
     "half_waveplate",
     "maximally_mixed",
@@ -51,11 +50,6 @@ def as_complex_matrix(a, name: str = "matrix") -> np.ndarray:
 def beamsplitter() -> np.ndarray:
     """50/50 beamsplitter unitary on the path qubit, (1/sqrt2) [[1, 1], [-1, 1]]."""
     return np.array([[1.0, 1.0], [-1.0, 1.0]], dtype=complex) / np.sqrt(2.0)
-
-
-def phase_shifter(phi: float) -> np.ndarray:
-    """Phase plate diag(1, e^{i phi}) on the path qubit."""
-    return np.array([[1.0, 0.0], [0.0, np.exp(1j * phi)]], dtype=complex)
 
 
 def rotated_basis(theta: float) -> tuple[np.ndarray, np.ndarray]:
@@ -94,11 +88,11 @@ class CptpCheck(NamedTuple):
     residual: float
 
 
-def validate_cptp(operators: Sequence[np.ndarray], atol: float = CPTP_ATOL) -> CptpCheck:
+def validate_cptp(operators: Sequence[np.ndarray]) -> CptpCheck:
     """Check trace preservation of a Kraus set: sum K^dag K == identity.
 
     Returns the max-entry residual of |sum K^dag K - I|; passes iff it is
-    within ``atol``.
+    within ``CPTP_ATOL``.
     """
     ops = [as_complex_matrix(k, f"operators[{i}]") for i, k in enumerate(operators)]
     if not ops:
@@ -111,7 +105,7 @@ def validate_cptp(operators: Sequence[np.ndarray], atol: float = CPTP_ATOL) -> C
     for k in ops:
         acc += k.conj().T @ k
     residual = float(np.max(np.abs(acc - np.eye(d))))
-    return CptpCheck(residual <= atol, residual)
+    return CptpCheck(residual <= CPTP_ATOL, residual)
 
 
 def validate_density_matrix(rho, name: str = "rho") -> np.ndarray:

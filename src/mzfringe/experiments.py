@@ -40,7 +40,6 @@ __all__ = [
     "VARIANTS",
     "standard_config",
     "closed_form_contrast",
-    "predicted_visibility",
     "SweepRow",
     "sweep",
     "default_beta_grid",
@@ -103,11 +102,6 @@ def closed_form_contrast(variant: str, beta: float) -> float:
     raise ValueError(f"unknown variant {variant!r}, expected one of {VARIANTS}")
 
 
-def predicted_visibility(variant: str, beta: float) -> float:
-    """Closed-form fringe visibility |C| of a configuration."""
-    return abs(closed_form_contrast(variant, beta))
-
-
 @dataclass(frozen=True)
 class SweepRow:
     beta: float
@@ -142,7 +136,6 @@ def sweep(variant: str, betas: Sequence[float]) -> list[SweepRow]:
 class CountRecord:
     phi: float
     counts: int
-    expected: float
 
 
 # numpy.random.SeedSequence: hash and mix constants of its four-word pool.
@@ -278,8 +271,7 @@ def poisson_fringe(fringe: FringeResult, phis: Sequence[float],
     inv_cdf = NormalDist().inv_cdf
     z = np.array([inv_cdf(x) for x in u[large].tolist()])
     counts[large] = np.maximum(0.0, np.floor(lam + np.sqrt(lam) * z + 0.5))
-    return [CountRecord(phi, int(c), mean) for phi, c, mean
-            in zip(phis.tolist(), counts.tolist(), expected.tolist())]
+    return [CountRecord(phi, int(c)) for phi, c in zip(phis.tolist(), counts.tolist())]
 
 
 @dataclass(frozen=True)
@@ -383,20 +375,19 @@ class QkdSpec:
         self.input_state = validate_density_matrix(self.input_state, "input_state")
 
 
-def random_arm(rng: np.random.Generator, max_elements: int = 3,
-               delays: Sequence[float] = (0.0, 75.0, 150.0, 310.0)) -> list[ArmElement]:
+def random_arm(rng: np.random.Generator, max_elements: int = 3) -> list[ArmElement]:
     """A random arm for cross-checking the simulator against the oracle.
 
     Draws up to ``max_elements`` elements: crystals with angles uniform in
-    [0, pi) and delays from the given set, half-wave plates, and Haar-ish
-    random unitaries.
+    [0, pi) and delays from 0, 75, 150 and 310 um, half-wave plates, and
+    Haar-ish random unitaries.
     """
     elements: list[ArmElement] = []
     for _ in range(int(rng.integers(0, max_elements + 1))):
         kind = rng.random()
         if kind < 0.5:
             elements.append(Crystal(float(rng.uniform(0.0, np.pi)),
-                                    float(rng.choice(delays))))
+                                    float(rng.choice((0.0, 75.0, 150.0, 310.0)))))
         elif kind < 0.75:
             elements.append(Waveplate(float(rng.uniform(0.0, np.pi))))
         else:

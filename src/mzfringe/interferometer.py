@@ -28,22 +28,13 @@ from typing import Sequence
 
 import numpy as np
 
-from .arms import (
-    DELAY_MERGE_TOL,
-    ORACLE_DIM_LIMIT,
-    ArmSpec,
-    _delay_grid,
-    _evolve_arm,
-    compose_arm,
-)
+from .arms import DELAY_MERGE_TOL, ArmSpec, _delay_grid, _evolve_arm, compose_arm
 from .core import beamsplitter, validate_density_matrix
 
 __all__ = [
-    "ORACLE_DIM_LIMIT",
     "InterferometerSpec",
     "FringeResult",
     "contrast_shared_env",
-    "contrast_independent_env",
     "output_probability",
     "oracle_contrast",
 ]
@@ -55,6 +46,9 @@ __all__ = [
 # set of a paper-tables pass by 0.3 MiB against evolving one spec at a time;
 # blocks of 64 KiB did not, at the same speed.
 _ORACLE_BLOCK_BYTES = 64 * 1024
+# Phases of the oracle fringe. Any 3 or more alias the conjugate Fourier
+# component of P(phi) to zero, leaving C alone at unit frequency.
+_ORACLE_PHASES = 16
 
 
 @dataclass
@@ -102,26 +96,6 @@ def contrast_shared_env(spec: InterferometerSpec) -> FringeResult:
         for _, v in lower[lo:hi]:
             c += np.trace(u.conj().T @ v @ rho)
     return _fringe(c)
-
-
-def contrast_independent_env(upper: ArmSpec, lower: ArmSpec, rho) -> FringeResult:
-    """Interference contrast when each arm carries its own environment.
-
-    Only the undisturbed components interfere: C = Tr[u0^dag v0 rho] with u0,
-    v0 the zero-delay Kraus operator of each arm (the zero matrix if an arm
-    has none).
-    """
-    rho = validate_density_matrix(rho)
-    u0 = _zero_delay_op(compose_arm(upper))
-    v0 = _zero_delay_op(compose_arm(lower))
-    return _fringe(np.trace(u0.conj().T @ v0 @ rho))
-
-
-def _zero_delay_op(kraus) -> np.ndarray:
-    for delay, op in kraus:
-        if abs(delay) <= DELAY_MERGE_TOL:
-            return op
-    return np.zeros((2, 2), dtype=complex)
 
 
 def output_probability(f: FringeResult, phi):
@@ -188,22 +162,19 @@ def _port_probabilities(gram: np.ndarray, phis: np.ndarray) -> np.ndarray:
     return np.einsum("kip,...pq,kiq->...ki", rows.conj(), gram, rows).real
 
 
-def _oracle_contrasts(specs: Sequence[InterferometerSpec], n_phases: int = 16) -> np.ndarray:
+def _oracle_contrasts(specs: Sequence[InterferometerSpec]) -> np.ndarray:
     """Complex contrasts of a stack of specs from the oracle fringe.
 
-    Samples the lower-port probability P(phi) on a uniform phase grid and
-    returns its unit-frequency Fourier component, C = 4 <P(phi_k) e^{-i phi_k}>,
-    per spec. Requires n_phases >= 3 so the conjugate component aliases to
-    zero.
+    Samples the lower-port probability P(phi) on a uniform grid of
+    ``_ORACLE_PHASES`` phases and returns its unit-frequency Fourier
+    component, C = 4 <P(phi_k) e^{-i phi_k}>, per spec.
     """
-    if n_phases < 3:
-        raise ValueError("need at least 3 phases to extract the contrast")
-    phis = 2.0 * np.pi * np.arange(n_phases) / n_phases
+    phis = 2.0 * np.pi * np.arange(_ORACLE_PHASES) / _ORACLE_PHASES
     p0 = _port_probabilities(_path_gram(specs), phis)[:, 0]
     return 4.0 * np.mean(p0 * np.exp(-1j * phis), axis=-1)
 
 
-def oracle_contrast(spec: InterferometerSpec, n_phases: int = 16) -> complex:
+def oracle_contrast(spec: InterferometerSpec) -> complex:
     """Complex contrast of one spec from the dilation-oracle fringe (see
     ``_oracle_contrasts``, here on a one-spec stack)."""
-    return complex(_oracle_contrasts([spec], n_phases)[0])
+    return complex(_oracle_contrasts([spec])[0])

@@ -28,7 +28,6 @@ __all__ = [
     "PAULIS",
     "PROBE_STATES",
     "qpt",
-    "apply_chi",
     "chi_distance",
     "BlindnessReport",
     "blindness_demo",
@@ -96,15 +95,6 @@ def qpt(channel: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
         raise ValueError(f"invalid channel: outputs have shape {outs.shape}, "
                          f"expected {PROBE_STATES.shape}")
     return (_CHI_MAP @ outs.reshape(16)).reshape(4, 4)
-
-
-def apply_chi(chi: np.ndarray, rho: np.ndarray) -> np.ndarray:
-    """Apply a Pauli-basis process matrix to a state."""
-    out = np.zeros((2, 2), dtype=complex)
-    for m in range(4):
-        for n in range(4):
-            out += chi[m, n] * (PAULIS[m] @ rho @ PAULIS[n])
-    return out
 
 
 def chi_distance(a: np.ndarray, b: np.ndarray) -> float:

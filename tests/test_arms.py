@@ -16,7 +16,13 @@ from mzfringe import (
     rotated_basis,
     validate_cptp,
 )
-from mzfringe.arms import COMPOSE_BIN_LIMIT, _delay_grid, _evolve_arm, check_compose_bins
+from mzfringe.arms import (
+    COMPOSE_BIN_LIMIT,
+    ResourceLimitError,
+    _check_compose_bins,
+    _delay_grid,
+    _evolve_arm,
+)
 from mzfringe.experiments import random_arm
 
 I2 = np.eye(2, dtype=complex)
@@ -226,7 +232,7 @@ def test_compose_refuses_arms_past_the_bin_limit_at_once():
     tracemalloc.start()
     start = time.perf_counter()
     try:
-        with pytest.raises(ValueError, match="resource limit"):
+        with pytest.raises(ResourceLimitError, match="resource limit"):
             compose_arm(arm)
         elapsed = time.perf_counter() - start
         peak = tracemalloc.get_traced_memory()[1]
@@ -239,13 +245,13 @@ def test_compose_refuses_arms_past_the_bin_limit_at_once():
 
 def test_bin_limit_counts_merged_delays():
     # 2^14 distinct delays compose; one more doubling does not
-    check_compose_bins([Crystal(0.0, 150.0 * 2 ** k) for k in range(14)])
-    with pytest.raises(ValueError, match="resource limit"):
-        check_compose_bins([Crystal(0.0, 150.0 * 2 ** k) for k in range(15)])
+    _check_compose_bins([Crystal(0.0, 150.0 * 2 ** k) for k in range(14)])
+    with pytest.raises(ResourceLimitError, match="resource limit"):
+        _check_compose_bins([Crystal(0.0, 150.0 * 2 ** k) for k in range(15)])
     # sums within DELAY_MERGE_TOL merge as in compose_arm: 40 near-equal
     # delays reach 41 bins, not 2^40
     arm = [Crystal(0.1 * k, 150.0 + 1e-12 * k) for k in range(40)]
-    check_compose_bins(arm)
+    _check_compose_bins(arm)
     assert len(compose_arm(arm)) == 41
 
 

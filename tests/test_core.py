@@ -6,7 +6,6 @@ from mzfringe import (
     beamsplitter,
     half_waveplate,
     maximally_mixed,
-    phase_shifter,
     rotated_basis,
     validate_cptp,
     validate_density_matrix,
@@ -24,29 +23,11 @@ def test_beamsplitter_squared():
     np.testing.assert_allclose(beamsplitter() @ beamsplitter(), expected, atol=1e-15)
 
 
-def test_adjoint_of_phase_shifter():
-    np.testing.assert_allclose(phase_shifter(0.7).conj().T, phase_shifter(-0.7),
-                               atol=1e-15)
-
-
 def test_beamsplitter_entries():
     u = beamsplitter()
     assert u[0, 0] == pytest.approx(1 / np.sqrt(2))
     assert u[1, 0] == pytest.approx(-1 / np.sqrt(2))
     np.testing.assert_allclose(u.conj().T @ u, I2, atol=1e-15)
-
-
-def test_phase_shifter_values():
-    np.testing.assert_allclose(phase_shifter(0.0), I2)
-    np.testing.assert_allclose(phase_shifter(np.pi), np.diag([1.0, -1.0]), atol=1e-12)
-
-
-def test_phase_shifter_group_property():
-    rng = np.random.default_rng(13)
-    for _ in range(10):
-        a, b = rng.uniform(-5, 5, size=2)
-        np.testing.assert_allclose(phase_shifter(a) @ phase_shifter(b),
-                                   phase_shifter(a + b), atol=1e-12)
 
 
 def test_rotated_basis_axis_cases():
@@ -84,7 +65,7 @@ def test_half_waveplate_involution():
 
 def test_optical_elements_unitary():
     for theta in ANGLES:
-        for m in (beamsplitter(), phase_shifter(theta), half_waveplate(theta)):
+        for m in (beamsplitter(), half_waveplate(theta)):
             np.testing.assert_allclose(m.conj().T @ m, I2, atol=1e-12)
 
 

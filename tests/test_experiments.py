@@ -18,7 +18,6 @@ from mzfringe import (
     oracle_contrast,
     output_probability,
     poisson_fringe,
-    predicted_visibility,
     qkd_visibility,
     standard_config,
     sweep,
@@ -46,16 +45,16 @@ def test_standard_config_rejects_unknown_variant():
 
 
 def test_closed_forms_at_named_points():
-    assert predicted_visibility("a", np.pi / 4) == pytest.approx(0.5)
-    assert predicted_visibility("b", np.pi / 3) == pytest.approx(0.25)
-    assert predicted_visibility("c", np.pi / 4) == pytest.approx(0.0, abs=1e-15)
-    assert predicted_visibility("b", 0.0) == pytest.approx(1.0)
+    assert abs(closed_form_contrast("a", np.pi / 4)) == pytest.approx(0.5)
+    assert abs(closed_form_contrast("b", np.pi / 3)) == pytest.approx(0.25)
+    assert abs(closed_form_contrast("c", np.pi / 4)) == pytest.approx(0.0, abs=1e-15)
+    assert abs(closed_form_contrast("b", 0.0)) == pytest.approx(1.0)
 
 
 def test_closed_form_sign_flips_for_third_config():
     c = closed_form_contrast("c", np.pi / 3)
     assert c == pytest.approx(-0.125)
-    assert predicted_visibility("c", np.pi / 3) == pytest.approx(0.125)
+    assert abs(closed_form_contrast("c", np.pi / 3)) == pytest.approx(0.125)
     f = contrast_shared_env(standard_config("c", np.pi / 3))
     assert f.visibility == pytest.approx(0.125, abs=1e-12)
     assert abs(f.fringe_phase) == pytest.approx(np.pi, abs=1e-9)
@@ -93,8 +92,8 @@ def test_sweep_oracle_memory_is_bounded():
 
 def test_sweep_even_in_beta_for_second_config():
     for beta in np.linspace(0, np.pi / 2, 7):
-        assert predicted_visibility("b", beta) == pytest.approx(
-            predicted_visibility("b", -beta))
+        assert abs(closed_form_contrast("b", beta)) == pytest.approx(
+            abs(closed_form_contrast("b", -beta)))
 
 
 def test_waveplate_variant_curve():
@@ -112,7 +111,7 @@ def uniform_phases(n):
 def test_poisson_zero_expectation_gives_zero_counts():
     f = contrast_shared_env(standard_config("b", 0.0))  # unit visibility
     records = poisson_fringe(f, [np.pi], 10_000, 7)
-    assert records[0].expected == pytest.approx(0.0, abs=1e-9)
+    assert 10_000 * output_probability(f, np.pi) == pytest.approx(0.0, abs=1e-9)
     assert records[0].counts == 0
 
 
@@ -120,7 +119,7 @@ def test_poisson_flat_fringe_statistics():
     f = contrast_shared_env(standard_config("c", np.pi / 4))  # zero contrast
     records = poisson_fringe(f, uniform_phases(64), 10_000, 42)
     counts = np.array([r.counts for r in records])
-    assert np.all(np.array([r.expected for r in records]) == pytest.approx(5000.0))
+    assert np.all(10_000 * output_probability(f, uniform_phases(64)) == pytest.approx(5000.0))
     assert abs(counts.mean() - 5000.0) < 5 * np.sqrt(5000.0 / 64)
 
 
@@ -193,13 +192,13 @@ def test_poisson_fringe_equals_per_point_reference(mean_total, seed):
     records = poisson_fringe(f, phis, mean_total, seed)
     for i, (r, phi) in enumerate(zip(records, phis)):
         lam = mean_total * output_probability(f, phi)
-        assert (r.phi, r.expected, r.counts) == (phi, lam, reference_count(lam, seed, i))
+        assert (r.phi, r.counts) == (phi, reference_count(lam, seed, i))
 
 
 def noiseless_records(amp, vis, psi, n=64):
     phis = uniform_phases(n)
     values = amp * (1 + vis * np.cos(phis + psi))
-    return [CountRecord(float(p), v, v) for p, v in zip(phis, values)]
+    return [CountRecord(float(p), v) for p, v in zip(phis, values)]
 
 
 @pytest.mark.parametrize("vis", [0.0, 0.25, 0.5, 0.75, 1.0])
@@ -221,13 +220,13 @@ def test_fit_requires_enough_points():
 
 
 def test_fit_requires_span():
-    records = [CountRecord(phi, 100.0, 100.0) for phi in np.linspace(0, 1.0, 10)]
+    records = [CountRecord(phi, 100.0) for phi in np.linspace(0, 1.0, 10)]
     with pytest.raises(ValueError, match="span"):
         fit_fringe(records)
 
 
 def test_fit_rejects_all_zero_counts():
-    records = [CountRecord(phi, 0, 0.0) for phi in uniform_phases(8)]
+    records = [CountRecord(phi, 0) for phi in uniform_phases(8)]
     with pytest.raises(ValueError, match="sum to more than 0"):
         fit_fringe(records)
 

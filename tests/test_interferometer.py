@@ -4,16 +4,17 @@ import numpy as np
 import pytest
 
 from conftest import random_density, random_unitary
-from mzfringe.arms import _delay_grid
-from mzfringe.interferometer import ORACLE_DIM_LIMIT, _path_gram, _port_probabilities
+from mzfringe.arms import ORACLE_DIM_LIMIT, ResourceLimitError, _delay_grid
+from mzfringe.interferometer import _path_gram, _port_probabilities
 from mzfringe import (
     Crystal,
     FringeResult,
     InterferometerSpec,
     RawUnitary,
     Waveplate,
-    contrast_independent_env,
+    compose_arm,
     contrast_shared_env,
+    half_waveplate,
     maximally_mixed,
     oracle_contrast,
     output_probability,
@@ -68,42 +69,26 @@ def test_upper_bin_joins_every_lower_bin_within_tolerance():
     assert c == pytest.approx(0.371350059712339, abs=1e-14)
 
 
-def test_independent_env_empty_arms():
-    f = contrast_independent_env([], [], maximally_mixed(2))
-    assert f.contrast == pytest.approx(1.0)
-
-
-def test_independent_env_counts_zero_delay_pair_only():
-    spec = standard_config("b", 0.0)
-    f = contrast_independent_env(spec.upper, spec.lower, spec.input_state)
-    assert f.contrast == pytest.approx(0.5 + 0.0j)
-
-
-def test_independent_env_halves_generic_angle():
-    beta = 0.9
-    spec = standard_config("b", beta)
-    f = contrast_independent_env(spec.upper, spec.lower, spec.input_state)
-    assert f.contrast == pytest.approx(0.5 * np.cos(beta) ** 2, abs=1e-12)
-
-
 def test_independent_env_zero_when_no_undelayed_branch():
-    # equal-delay crystal sandwich leaves a single Kraus operator at delay d
+    # equal-delay crystal sandwich leaves a single Kraus operator at delay d,
+    # with no undelayed branch; the shared environment sees matching bins and
+    # full interference
     arm = [Crystal(0.0, 75.0), Crystal(np.pi / 2, 75.0)]
-    f = contrast_independent_env(arm, arm, maximally_mixed(2))
-    assert f.visibility == pytest.approx(0.0, abs=1e-14)
-    # the shared environment sees matching bins and full interference
+    assert [d for d, _ in compose_arm(arm)] == [75.0]
     assert contrast_shared_env(mixed_spec(arm, arm)).visibility == pytest.approx(1.0)
 
 
 def test_independent_matches_shared_for_unitary_arms():
+    # unitary arms have one Kraus operator each, U and V: C = Tr[U^dag V rho]
     rng = np.random.default_rng(61)
     for _ in range(20):
-        upper = [Waveplate(rng.uniform(0, np.pi)), RawUnitary(random_unitary(rng))]
-        lower = [RawUnitary(random_unitary(rng))]
+        angle, u, v = rng.uniform(0, np.pi), random_unitary(rng), random_unitary(rng)
+        upper = [Waveplate(angle), RawUnitary(u)]
+        lower = [RawUnitary(v)]
         rho = random_density(rng)
         f_shared = contrast_shared_env(InterferometerSpec(upper, lower, rho))
-        f_indep = contrast_independent_env(upper, lower, rho)
-        assert f_shared.contrast == pytest.approx(f_indep.contrast, abs=1e-12)
+        written_out = np.trace((u @ half_waveplate(angle)).conj().T @ v @ rho)
+        assert f_shared.contrast == pytest.approx(written_out, abs=1e-12)
 
 
 def test_output_probability_values():
@@ -245,7 +230,7 @@ def test_oracle_of_deep_arms_stays_small():
 
 def test_oracle_resource_limit():
     arm = [Crystal(0.3 + 0.25 * i, float(2 ** i)) for i in range(11)]
-    with pytest.raises(ValueError, match="resource"):
+    with pytest.raises(ResourceLimitError, match="resource"):
         oracle_contrast(mixed_spec(arm, []))
 
 
@@ -254,7 +239,7 @@ def test_oracle_incommensurate_delays_hit_resource_limit():
     spec = mixed_spec([Crystal(0.3, 1.0)], [Crystal(0.7, np.sqrt(2.0))])
     tracemalloc.start()
     try:
-        with pytest.raises(ValueError, match="resource limit"):
+        with pytest.raises(ResourceLimitError, match="resource limit"):
             oracle_contrast(spec)
         peak = tracemalloc.get_traced_memory()[1]
     finally:

@@ -5,7 +5,6 @@ from conftest import random_density, random_unitary
 from mzfringe import (
     Crystal,
     Waveplate,
-    apply_chi,
     arm_channel_apply,
     blindness_demo,
     chi_distance,
@@ -14,6 +13,11 @@ from mzfringe import (
 )
 from mzfringe.experiments import random_arm
 from mzfringe.tomography import PAULIS, PROBE_STATES
+
+
+def apply_chi(chi, rho):
+    """A Pauli-basis process matrix applied to a state: sum chi[m, n] s_m rho s_n."""
+    return sum(chi[m, n] * (PAULIS[m] @ rho @ PAULIS[n]) for m in range(4) for n in range(4))
 
 
 def unitary_channel(u):
