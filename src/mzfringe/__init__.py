@@ -22,7 +22,6 @@ from .core import (
     validate_density_matrix,
 )
 from .experiments import (
-    CountRecord,
     FitResult,
     QkdSpec,
     SweepRow,

@@ -70,7 +70,7 @@ COMPOSE_BIN_LIMIT = 2**14
 
 
 class ResourceLimitError(ValueError):
-    """Input past a stated resource limit (COMPOSE_BIN_LIMIT, ORACLE_DIM_LIMIT)."""
+    """Input past a stated resource limit (COMPOSE_BIN_LIMIT, ORACLE_DIM_LIMIT, a 2**53 mean)."""
 
 
 @dataclass(frozen=True)

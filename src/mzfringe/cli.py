@@ -20,7 +20,6 @@ or input past a stated resource limit (``ResourceLimitError``).
 from __future__ import annotations
 
 import argparse
-import csv
 import math
 import sys
 
@@ -30,7 +29,6 @@ from .arms import ArmElement, Crystal, RawUnitary, ResourceLimitError, Waveplate
 from .core import maximally_mixed
 from .experiments import (
     VARIANTS,
-    CountRecord,
     QkdSpec,
     standard_config,
     default_beta_grid,
@@ -215,44 +213,50 @@ def _validate(config: argparse.Namespace) -> None:
             raise UsageError(f"key 'phases' must be >= 4 for command 'fit', got {config.phases}")
 
 
-def _format_value(value) -> str:
-    if isinstance(value, (bool, np.bool_)):
-        return "1" if value else "0"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return f"{float(value):.12g}"
-
-
-def _write_csv(path: str, header, rows) -> None:
-    lines = [",".join(header)]
-    lines.extend(",".join(_format_value(v) for v in row) for row in rows)
+def _write_csv(path: str, header, columns) -> None:
+    """One format per column: ``{:d}`` for bool and integer columns, else ``{:.12g}``."""
+    columns = [np.asarray(c) for c in columns]
+    row = ",".join("{:d}" if c.dtype.kind in "biu" else "{:.12g}" for c in columns).format
+    lines = [",".join(header), *(row(*values) for values in zip(*(c.tolist() for c in columns)))]
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write("\n".join(lines) + "\n")
 
 
-def _read_counts(path: str) -> list[CountRecord]:
+def _read_counts(path: str) -> tuple[np.ndarray, np.ndarray]:
+    """(phis, counts) of a 'phi,counts' file; one that fails is scanned for its bad line."""
+    layout = {"delimiter": ",", "usecols": (0, 1), "ndmin": 2, "comments": None}
     try:
-        with open(path, "r", encoding="utf-8", newline="") as fh:
-            reader = csv.reader(fh)
-            rows = [row for row in reader if row]
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = fh.readlines()
     except OSError as exc:
         raise UsageError(f"cannot read counts file: {exc}")
-    if not rows or [c.strip() for c in rows[0][:2]] != ["phi", "counts"]:
+    start, header = next(((n, line) for n, line in enumerate(lines, 1) if line != "\n"), (0, ""))
+    if [c.strip() for c in header.split(",")[:2]] != ["phi", "counts"]:
         raise UsageError(f"counts file {path!r} must start with a 'phi,counts' header")
-    records = []
-    for lineno, row in enumerate(rows[1:], 2):
+    if all(line == "\n" for line in lines[start:]):  # no rows, which the fit refuses
+        return np.zeros(0), np.zeros(0)
+    try:
+        phis, counts = np.loadtxt(lines[start:], **layout).T
+        if np.isfinite([phis, counts]).all() and (counts >= 0).all() and (counts % 1 == 0).all():
+            return phis, counts
+    except ValueError:
+        pass
+    for lineno, line in enumerate(lines[start:], start + 1):
+        if line == "\n":
+            continue
+        where = f"counts file {path!r} line {lineno}"
         try:
-            phi, counts = float(row[0]), float(row[1])
-        except (IndexError, ValueError):
-            raise UsageError(f"counts file {path!r} line {lineno}: expected 'phi,counts'")
+            [(phi, count)] = np.loadtxt([line], **layout)
+        except ValueError:
+            raise UsageError(f"{where}: expected 'phi,counts'")
+        phi_text, count_text = (text.strip() for text in line.split(",")[:2])
         if not math.isfinite(phi):
-            raise UsageError(f"counts file {path!r} line {lineno}: phi {row[0].strip()!r} "
-                             "must be finite")
-        if not (math.isfinite(counts) and counts >= 0):
-            raise UsageError(f"counts file {path!r} line {lineno}: count {row[1].strip()!r} "
-                             "must be finite and >= 0")
-        records.append(CountRecord(phi, counts))
-    return records
+            raise UsageError(f"{where}: phi {phi_text!r} must be finite")
+        if not (math.isfinite(count) and count >= 0):
+            raise UsageError(f"{where}: count {count_text!r} must be finite and >= 0")
+        if count % 1:
+            raise UsageError(f"{where}: count {count_text!r} must be a whole number")
+    raise AssertionError(f"counts file {path!r} failed a check that no row fails")
 
 
 def _phase_grid(n: int) -> np.ndarray:
@@ -270,11 +274,10 @@ def _run_fringe(config: argparse.Namespace) -> int:
     fringe = contrast_shared_env(_fringe_spec(config))
     phis = _phase_grid(config.phases)
     if config.mean_total is not None:
-        records = poisson_fringe(fringe, phis, config.mean_total, config.seed)
-        _write_csv(config.output, ["phi", "counts"],
-                   [(r.phi, r.counts) for r in records])
+        counts = poisson_fringe(fringe, phis, config.mean_total, config.seed)
+        _write_csv(config.output, ["phi", "counts"], [phis, counts])
     else:
-        _write_csv(config.output, ["phi", "p0"], zip(phis, output_probability(fringe, phis)))
+        _write_csv(config.output, ["phi", "p0"], [phis, output_probability(fringe, phis)])
     print(f"visibility={fringe.visibility:.6f} phase={fringe.fringe_phase:.6f}")
     return 0
 
@@ -284,7 +287,7 @@ def _run_sweep(config: argparse.Namespace) -> int:
     rows = sweep(config.variant, betas)
     _write_csv(config.output,
                ["beta", "v_closed_form", "v_simulated", "v_oracle"],
-               [(r.beta, r.v_closed_form, r.v_simulated, r.v_oracle) for r in rows])
+               zip(*[(r.beta, r.v_closed_form, r.v_simulated, r.v_oracle) for r in rows]))
     dev = max(abs(abs(r.v_closed_form) - r.v_simulated) for r in rows)
     print(f"variant={config.variant} points={len(rows)} max|closed-simulated|={dev:.3e}")
     return 0
@@ -304,7 +307,7 @@ def _run_oracle_check(config: argparse.Namespace) -> int:
         rows.append((i, c.real, c.imag, c_oracle.real, c_oracle.imag, delta))
     _write_csv(config.output,
                ["index", "contrast_re", "contrast_im", "oracle_re", "oracle_im", "delta"],
-               rows)
+               zip(*rows))
     print(f"specs={n} max_delta={worst:.3e}")
     if worst > 1e-9:
         print(f"error (OracleMismatch): max_delta {worst:.3e} exceeds 1e-9",
@@ -326,7 +329,7 @@ def _run_tomography(config: argparse.Namespace) -> int:
     _write_csv(config.output,
                ["beta", "chi_distance_upper", "chi_distance_lower",
                 "visibility_a", "visibility_b", "visibility_gap"],
-               rows)
+               zip(*rows))
     if len(rows) == 1:
         _, du, dl, va, vb, gap = rows[0]
         print(f"chi_upper={du:.3e} chi_lower={dl:.3e} visibility_a={va:.6f} "
@@ -345,7 +348,7 @@ def _run_qkd(config: argparse.Namespace) -> int:
         segments = [[], [], [], []]
     spec = QkdSpec(*segments, input_state=maximally_mixed(2))
     vis, qber = qkd_visibility(spec)
-    _write_csv(config.output, ["visibility", "qber"], [(vis, qber)])
+    _write_csv(config.output, ["visibility", "qber"], [[vis], [qber]])
     print(f"visibility={vis:.6f} qber={qber:.6f}")
     return 0
 
@@ -353,19 +356,19 @@ def _run_qkd(config: argparse.Namespace) -> int:
 def _run_fit(config: argparse.Namespace) -> int:
     if config.counts is not None:
         try:
-            result = fit_fringe(_read_counts(config.counts))
+            result = fit_fringe(*_read_counts(config.counts))
         except ValueError as exc:  # too few records, phases spanning at most pi, all zero
             raise UsageError(f"counts file {config.counts!r}: {exc}")
     else:
         spec = _fringe_spec(config)
         phis = _phase_grid(config.phases)
-        result = fit_fringe(poisson_fringe(contrast_shared_env(spec), phis,
-                                           config.mean_total, config.seed))
+        result = fit_fringe(phis, poisson_fringe(contrast_shared_env(spec), phis,
+                                                 config.mean_total, config.seed))
     _write_csv(config.output,
                ["amplitude", "visibility_hat", "phase_hat", "stderr_visibility",
                 "iterations", "converged"],
-               [(result.amplitude, result.visibility_hat, result.phase_hat,
-                 result.stderr_visibility, result.iterations, result.converged)])
+               [[result.amplitude], [result.visibility_hat], [result.phase_hat],
+                [result.stderr_visibility], [result.iterations], [result.converged]])
     print(f"visibility_hat={result.visibility_hat:.6f} "
           f"stderr={result.stderr_visibility:.6f} converged={int(result.converged)}")
     return 0

@@ -24,7 +24,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .arms import ArmElement, Crystal, RawUnitary, Waveplate
+from .arms import ArmElement, Crystal, RawUnitary, ResourceLimitError, Waveplate
 from .core import maximally_mixed, validate_density_matrix
 from .interferometer import (
     FringeResult,
@@ -43,7 +43,6 @@ __all__ = [
     "SweepRow",
     "sweep",
     "default_beta_grid",
-    "CountRecord",
     "poisson_fringe",
     "FitResult",
     "fit_fringe",
@@ -130,12 +129,6 @@ def sweep(variant: str, betas: Sequence[float]) -> list[SweepRow]:
                      v_simulated=contrast_shared_env(spec).visibility,
                      v_oracle=float(v))
             for beta, spec, v in zip(betas, specs, v_oracle)]
-
-
-@dataclass(frozen=True)
-class CountRecord:
-    phi: float
-    counts: int
 
 
 # numpy.random.SeedSequence: hash and mix constants of its four-word pool.
@@ -225,12 +218,13 @@ def _point_uniforms(seed: int, n: int) -> np.ndarray:
 
 
 def poisson_fringe(fringe: FringeResult, phis: Sequence[float],
-                   mean_total: int, seed: int) -> list[CountRecord]:
+                   mean_total: int, seed: int) -> np.ndarray:
     """Simulated coincidence counts along the fringe of a computed contrast.
 
-    Per phase point, the expectation is lam = mean_total * P(phi), with P from
-    ``output_probability(fringe, phi)``, and the count
-    is one Poisson draw from one uniform u. Point i's u is
+    Returns one int64 count per phase in ``phis``. Per phase point, the
+    expectation is lam = mean_total * P(phi), with P from
+    ``output_probability(fringe, phi)``, and the count is one Poisson draw from
+    one uniform u. Point i's u is
     ``np.random.default_rng([seed, i]).random()`` bit for bit, but the draws
     for all points are computed in one array pass (``_point_uniforms``), so
     results do not depend on evaluation order, and identical (fringe, phis,
@@ -239,16 +233,19 @@ def poisson_fringe(fringe: FringeResult, phis: Sequence[float],
     min{k : u <= F(k)}, stopped at k = int(lam + 20 sqrt(lam) + 20); from
     mean 30 on, a normal approximation with continuity correction,
     max(0, floor(lam + sqrt(lam) z + 1/2)) with z the standard normal
-    quantile of u. lam <= 0 gives 0.
+    quantile of u. lam <= 0 gives 0. A mean_total past 2**53, where float64
+    starts to skip whole counts, raises ResourceLimitError.
     """
     if mean_total < 1:
         raise ValueError("mean_total must be >= 1")
+    if mean_total > 2**53:
+        raise ResourceLimitError(f"resource limit: mean_total {mean_total} is past 2**53")
     if seed < 0:
         raise ValueError("seed must be a non-negative integer")
     phis = np.asarray(phis, dtype=float)
     expected = mean_total * output_probability(fringe, phis)
     u = np.clip(_point_uniforms(int(seed), len(phis)), 1e-300, 1.0 - 1e-16)
-    counts = np.zeros(len(phis))
+    counts = np.zeros(len(phis), dtype=np.int64)
 
     small = (expected > 0.0) & (expected < 30.0)
     lam, v = expected[small], u[small]
@@ -271,7 +268,7 @@ def poisson_fringe(fringe: FringeResult, phis: Sequence[float],
     inv_cdf = NormalDist().inv_cdf
     z = np.array([inv_cdf(x) for x in u[large].tolist()])
     counts[large] = np.maximum(0.0, np.floor(lam + np.sqrt(lam) * z + 0.5))
-    return [CountRecord(phi, int(c)) for phi, c in zip(phis.tolist(), counts.tolist())]
+    return counts
 
 
 @dataclass(frozen=True)
@@ -288,8 +285,8 @@ def _fringe_model(phis, amp, vis, psi):
     return amp * (1.0 + vis * np.cos(phis + psi))
 
 
-def fit_fringe(records: Sequence[CountRecord]) -> FitResult:
-    """Least-squares fringe fit of A (1 + v cos(phi + psi)) to count records.
+def fit_fringe(phis: Sequence[float], counts: Sequence[float]) -> FitResult:
+    """Least-squares fringe fit of A (1 + v cos(phi + psi)) to ``counts`` at ``phis``.
 
     Initializes from the unit-frequency discrete Fourier component, then
     refines with Gauss-Newton under Poisson weights (variance taken as the
@@ -301,10 +298,10 @@ def fit_fringe(records: Sequence[CountRecord]) -> FitResult:
     and raise ``ValueError``, as do fewer than 4 records or phases spanning at
     most pi.
     """
-    if len(records) < 4:
+    phis = np.asarray(phis, dtype=float)
+    counts = np.asarray(counts, dtype=float)
+    if len(phis) < 4:
         raise ValueError("need at least 4 records to fit a fringe")
-    phis = np.array([r.phi for r in records], dtype=float)
-    counts = np.array([r.counts for r in records], dtype=float)
     if phis.max() - phis.min() <= np.pi:
         raise ValueError("records must span more than half a fringe period")
 

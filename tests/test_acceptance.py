@@ -137,8 +137,8 @@ def test_criterion_6_statistical_fit_recovery():
     start = time.perf_counter()
     spec = standard_config("a", np.pi / 8)  # true visibility 0.75
     phis = 2 * np.pi * np.arange(64) / 64
-    records = poisson_fringe(contrast_shared_env(spec), phis, 10_000, 42)
-    fit = fit_fringe(records)
+    counts = poisson_fringe(contrast_shared_env(spec), phis, 10_000, 42)
+    fit = fit_fringe(phis, counts)
     elapsed = time.perf_counter() - start
     err = abs(fit.visibility_hat - 0.75)
     _report(6, "seeded Poisson fringe recovery",

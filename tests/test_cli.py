@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import os
 import subprocess
 import sys
@@ -194,7 +195,7 @@ def test_fit_requires_counts_or_inline(tmp_path, capsys):
 
 
 def test_fit_runtime_error_maps_to_exit_1(tmp_path, capsys, monkeypatch):
-    def fail(records):
+    def fail(phis, counts):
         raise RuntimeError("fit diverged")
 
     monkeypatch.setattr(mzfringe.cli, "fit_fringe", fail)
@@ -206,6 +207,8 @@ def test_fit_runtime_error_maps_to_exit_1(tmp_path, capsys, monkeypatch):
 @pytest.mark.parametrize("rows, reason", [
     ("0,10\n3.2,12\n", "at least 4 records"),
     ("0,10\n1,12\n2,11\n3,9\n", "more than half a fringe period"),
+    pytest.param("", "at least 4 records", id="header-only"),
+    pytest.param("\n\n", "at least 4 records", id="header-and-blank-lines"),
 ])
 def test_unfittable_counts_file_is_usage_error(tmp_path, capsys, rows, reason):
     counts = tmp_path / "short.csv"
@@ -221,6 +224,7 @@ def test_unfittable_counts_file_is_usage_error(tmp_path, capsys, rows, reason):
     pytest.param("0,nan", "count 'nan' must be finite and >= 0", id="count-nan"),
     pytest.param("0,inf", "count 'inf' must be finite and >= 0", id="count-inf"),
     pytest.param("nan,5", "phi 'nan' must be finite", id="phi-nan"),
+    pytest.param("0,10.5", "count '10.5' must be a whole number", id="count-10.5"),
 ])
 def test_bad_counts_file_row_is_usage_error(tmp_path, capfd, row, message):
     counts = tmp_path / "bad.csv"
@@ -231,6 +235,81 @@ def test_bad_counts_file_row_is_usage_error(tmp_path, capfd, row, message):
     assert f"counts file {str(counts)!r} line 2: {message}" in err
     assert "DLASCL" not in err
     assert not (tmp_path / "f.csv").exists()
+
+
+@pytest.mark.parametrize("text, line, message", [
+    pytest.param("phi,counts\n0,10\n\n1,abc\n2,4\n3,5\n4,6\n", 4, "expected 'phi,counts'",
+                 id="blank-before-bad-row"),
+    pytest.param("\n\nphi,counts\n0,10\n1,-3\n2,4\n3,5\n", 5,
+                 "count '-3' must be finite and >= 0", id="blanks-before-header"),
+    pytest.param("phi,counts\r\n0,10\r\n\r\n1,2.5\r\n2,4\r\n3,5\r\n", 4,
+                 "count '2.5' must be a whole number", id="crlf"),
+    pytest.param("phi,counts\n0,10\n   \n1,2\n2,4\n3,5\n", 3, "expected 'phi,counts'",
+                 id="whitespace-line"),
+    pytest.param('phi,counts\n0,10\n"1","2"\n2,4\n3,5\n', 3, "expected 'phi,counts'",
+                 id="quoted-fields"),
+])
+def test_counts_file_messages_name_the_file_line(tmp_path, capsys, text, line, message):
+    counts = tmp_path / "bad.csv"
+    counts.write_bytes(text.encode())
+    assert main(["fit", "--counts", str(counts),
+                 "--output", str(tmp_path / "f.csv")]) == 2
+    assert f"counts file {str(counts)!r} line {line}: {message}" in capsys.readouterr().err
+    assert not (tmp_path / "f.csv").exists()
+
+
+def test_whole_number_counts_written_as_floats_are_accepted(tmp_path):
+    rows = [(0, 10), (1.5, 3), (3, 0), (4.5, 7)]
+    outputs = []
+    for name, fmt in (("int", "{},{}\n"), ("float", "{},{}.0\n")):
+        counts = tmp_path / f"{name}.csv"
+        counts.write_text("phi,counts\n" + "".join(fmt.format(*row) for row in rows))
+        out = tmp_path / f"fit-{name}.csv"
+        assert main(["fit", "--counts", str(counts), "--output", str(out)]) == 0
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1]
+
+
+def _format_value(value) -> str:
+    """The per-value rule the CSV writer used before it formatted by column."""
+    if isinstance(value, (bool, np.bool_)):
+        return "1" if value else "0"
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    return f"{float(value):.12g}"
+
+
+WRITER_FLOATS = [0.0, -0.0, 1e-300, -2.5e-310, 1 / 3, -123456789012.5, 1e16, 2.0**53 + 2,
+                 float("nan"), float("inf"), -float("inf"), 0.1, 1.0]
+WRITER_INTS = [0, -1, 7, 2**53 + 1, -(2**63), 2**63 - 1, 12, 3, -5, 8, 9, 10, 11]
+WRITER_BOOLS = [True, False] * 6 + [True]
+
+
+def test_write_csv_matches_the_per_value_rule(tmp_path):
+    columns = [WRITER_BOOLS, np.array(WRITER_BOOLS), WRITER_INTS,
+               np.array(WRITER_INTS, dtype=np.int64),
+               np.array([2**64 - 1 - i for i in range(13)], dtype=np.uint64),
+               WRITER_FLOATS, np.array(WRITER_FLOATS), np.array(WRITER_FLOATS, dtype=np.float32)]
+    header = [f"c{i}" for i in range(len(columns))]
+    out = tmp_path / "t.csv"
+    mzfringe.cli._write_csv(str(out), header, columns)
+    expected = [",".join(header)]
+    expected += [",".join(_format_value(v) for v in row) for row in zip(*columns)]
+    assert out.read_bytes() == ("\n".join(expected) + "\n").encode()
+    assert "9007199254740993" in out.read_text() and "-0" in out.read_text()
+
+
+def test_counts_and_fit_csv_golden(tmp_path):
+    # Pinned from the per-value writer and the per-row reader: the column
+    # writer and the one-pass reader must give the same bytes.
+    counts, fit = tmp_path / "c.csv", tmp_path / "f.csv"
+    assert main(["fringe", "--variant", "a", "--beta", "22.5deg", "--phases", "1024",
+                 "--mean-total", "10000", "--seed", "42", "--output", str(counts)]) == 0
+    assert main(["fit", "--counts", str(counts), "--output", str(fit)]) == 0
+    assert hashlib.sha256(counts.read_bytes()).hexdigest() == \
+        "fa6506a619d934055507ef87d6c91a944e1e493a004e6a48e8dbba8895bd298b"
+    assert hashlib.sha256(fit.read_bytes()).hexdigest() == \
+        "a411242632a8b064e145cb3d4cf28223a639d11769967951f60b0d9c34b55bc9"
 
 
 def test_seeded_commands_are_byte_identical(tmp_path):
@@ -335,6 +414,17 @@ def test_sampled_fringe_computes_one_contrast(tmp_path, monkeypatch):
     assert main(["fringe", "--variant", "b", "--beta", "0.4", "--mean-total", "20",
                  "--seed", "5", "--output", str(tmp_path / "c.csv")]) == 0
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("command", [["fringe"], ["fit", "--phases", "8"]])
+def test_mean_total_past_2_53_is_usage_error(tmp_path, capsys, command):
+    # without the limit, int64 counts wrap: a mean of 10**20 at unit visibility gives -2**63
+    out = tmp_path / "x.csv"
+    assert main(command + ["--variant", "d", "--beta", "22.5deg", "--mean-total",
+                           str(10**20), "--output", str(out)]) == 2
+    assert "resource limit: mean_total 100000000000000000000 is past 2**53" \
+        in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("key, groups", [("--arms", 2), ("--segments", 4)])

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from mzfringe import (
-    CountRecord,
     Crystal,
     QkdSpec,
     Waveplate,
@@ -22,6 +21,7 @@ from mzfringe import (
     standard_config,
     sweep,
 )
+from mzfringe.arms import ResourceLimitError
 from mzfringe.experiments import _point_uniforms
 
 
@@ -110,15 +110,14 @@ def uniform_phases(n):
 
 def test_poisson_zero_expectation_gives_zero_counts():
     f = contrast_shared_env(standard_config("b", 0.0))  # unit visibility
-    records = poisson_fringe(f, [np.pi], 10_000, 7)
+    counts = poisson_fringe(f, [np.pi], 10_000, 7)
     assert 10_000 * output_probability(f, np.pi) == pytest.approx(0.0, abs=1e-9)
-    assert records[0].counts == 0
+    assert counts[0] == 0
 
 
 def test_poisson_flat_fringe_statistics():
     f = contrast_shared_env(standard_config("c", np.pi / 4))  # zero contrast
-    records = poisson_fringe(f, uniform_phases(64), 10_000, 42)
-    counts = np.array([r.counts for r in records])
+    counts = poisson_fringe(f, uniform_phases(64), 10_000, 42)
     assert np.all(10_000 * output_probability(f, uniform_phases(64)) == pytest.approx(5000.0))
     assert abs(counts.mean() - 5000.0) < 5 * np.sqrt(5000.0 / 64)
 
@@ -128,8 +127,8 @@ def test_poisson_determinism_and_seed_sensitivity():
     a = poisson_fringe(f, uniform_phases(32), 1000, 42)
     b = poisson_fringe(f, uniform_phases(32), 1000, 42)
     c = poisson_fringe(f, uniform_phases(32), 1000, 43)
-    assert [r.counts for r in a] == [r.counts for r in b]
-    assert [r.counts for r in a] != [r.counts for r in c]
+    assert a.tolist() == b.tolist()
+    assert a.tolist() != c.tolist()
 
 
 def test_poisson_rejects_bad_arguments():
@@ -138,6 +137,9 @@ def test_poisson_rejects_bad_arguments():
         poisson_fringe(f, [0.0], 0, 1)
     with pytest.raises(ValueError):
         poisson_fringe(f, [0.0], 10, -1)
+    with pytest.raises(ResourceLimitError):
+        poisson_fringe(f, [0.0], 2**53 + 1, 1)
+    assert 0 < poisson_fringe(f, [0.0], 2**53, 1)[0] < 2**54
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2**31 - 1, 2**32, 2**64 + 3])
@@ -156,9 +158,10 @@ def test_point_uniforms_equal_numpy_generators(seed):
 def test_poisson_golden_counts(mean_total, total, digest):
     # Pinned from the per-point generator loop; any change to the sampled
     # bytes must update these on purpose.
-    records = poisson_fringe(contrast_shared_env(standard_config("a", np.pi / 8)),
-                             uniform_phases(64), mean_total, 42)
-    counts = [r.counts for r in records]
+    counts = poisson_fringe(contrast_shared_env(standard_config("a", np.pi / 8)),
+                            uniform_phases(64), mean_total, 42)
+    assert counts.dtype == np.int64
+    counts = counts.tolist()
     assert all(type(c) is int for c in counts)
     assert sum(counts) == total
     assert hashlib.sha256(",".join(map(str, counts)).encode()).hexdigest() == digest
@@ -189,52 +192,50 @@ def reference_count(lam, seed, i):
 def test_poisson_fringe_equals_per_point_reference(mean_total, seed):
     f = contrast_shared_env(standard_config("b", 0.7))
     phis = np.random.default_rng(mean_total).uniform(-7.0, 7.0, 129)
-    records = poisson_fringe(f, phis, mean_total, seed)
-    for i, (r, phi) in enumerate(zip(records, phis)):
+    counts = poisson_fringe(f, phis, mean_total, seed)
+    assert counts.shape == phis.shape
+    for i, (count, phi) in enumerate(zip(counts, phis)):
         lam = mean_total * output_probability(f, phi)
-        assert (r.phi, r.counts) == (phi, reference_count(lam, seed, i))
+        assert count == reference_count(lam, seed, i)
 
 
 def noiseless_records(amp, vis, psi, n=64):
     phis = uniform_phases(n)
-    values = amp * (1 + vis * np.cos(phis + psi))
-    return [CountRecord(float(p), v) for p, v in zip(phis, values)]
+    return phis, amp * (1 + vis * np.cos(phis + psi))
 
 
 @pytest.mark.parametrize("vis", [0.0, 0.25, 0.5, 0.75, 1.0])
 def test_fit_recovers_noiseless_fringe(vis):
-    fit = fit_fringe(noiseless_records(5000.0, vis, 0.8))
+    fit = fit_fringe(*noiseless_records(5000.0, vis, 0.8))
     assert fit.converged
     assert abs(fit.visibility_hat - vis) < 1e-9
     assert fit.amplitude == pytest.approx(5000.0, abs=1e-6)
 
 
 def test_fit_recovers_phase():
-    fit = fit_fringe(noiseless_records(200.0, 0.6, -1.1))
+    fit = fit_fringe(*noiseless_records(200.0, 0.6, -1.1))
     assert fit.phase_hat == pytest.approx(-1.1, abs=1e-9)
 
 
 def test_fit_requires_enough_points():
     with pytest.raises(ValueError):
-        fit_fringe(noiseless_records(100.0, 0.5, 0.0, n=3))
+        fit_fringe(*noiseless_records(100.0, 0.5, 0.0, n=3))
 
 
 def test_fit_requires_span():
-    records = [CountRecord(phi, 100.0) for phi in np.linspace(0, 1.0, 10)]
     with pytest.raises(ValueError, match="span"):
-        fit_fringe(records)
+        fit_fringe(np.linspace(0, 1.0, 10), np.full(10, 100.0))
 
 
 def test_fit_rejects_all_zero_counts():
-    records = [CountRecord(phi, 0) for phi in uniform_phases(8)]
     with pytest.raises(ValueError, match="sum to more than 0"):
-        fit_fringe(records)
+        fit_fringe(uniform_phases(8), np.zeros(8, dtype=np.int64))
 
 
 def test_fit_statistical_recovery():
     f = contrast_shared_env(standard_config("a", np.pi / 8))  # true visibility 0.75
-    records = poisson_fringe(f, uniform_phases(64), 10_000, 42)
-    fit = fit_fringe(records)
+    phis = uniform_phases(64)
+    fit = fit_fringe(phis, poisson_fringe(f, phis, 10_000, 42))
     assert fit.converged
     assert abs(fit.visibility_hat - 0.75) < 3 * fit.stderr_visibility
     assert abs(fit.visibility_hat - 0.75) < 0.02
