@@ -1,7 +1,8 @@
 """Single-photon Mach-Zehnder interference of polarization channels that share
-a time-bin environment: delay-tagged Kraus composition, fringe contrast and
-visibility, a brute-force dilation oracle, process-tomography blindness, and
-count-level fringe statistics."""
+a time-bin environment: delay-tagged Kraus composition, the complex fringe
+contrast (its modulus is the visibility, its argument the fringe phase), a
+brute-force dilation oracle, process-tomography blindness, and count-level
+fringe statistics. Tables are returned as columns."""
 
 from .arms import (
     ArmElement,
@@ -23,8 +24,6 @@ from .core import (
 )
 from .experiments import (
     FitResult,
-    QkdSpec,
-    SweepRow,
     closed_form_contrast,
     standard_config,
     default_beta_grid,
@@ -34,14 +33,12 @@ from .experiments import (
     sweep,
 )
 from .interferometer import (
-    FringeResult,
     InterferometerSpec,
     contrast_shared_env,
     oracle_contrast,
     output_probability,
 )
 from .tomography import (
-    BlindnessReport,
     blindness_demo,
     chi_distance,
     qpt,

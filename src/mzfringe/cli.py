@@ -29,7 +29,6 @@ from .arms import ArmElement, Crystal, RawUnitary, ResourceLimitError, Waveplate
 from .core import maximally_mixed
 from .experiments import (
     VARIANTS,
-    QkdSpec,
     standard_config,
     default_beta_grid,
     fit_fringe,
@@ -173,7 +172,7 @@ def parse_config(argv) -> argparse.Namespace:
         try:
             with open(config.config, "r", encoding="utf-8") as fh:
                 text = fh.read()
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise UsageError(f"cannot read config file: {exc}")
         parser.set_defaults(**_parse_config_text(text, set(vars(config)) - {"config"}))
         config = parser.parse_args(argv)
@@ -271,44 +270,37 @@ def _fringe_spec(config: argparse.Namespace) -> InterferometerSpec:
 
 
 def _run_fringe(config: argparse.Namespace) -> int:
-    fringe = contrast_shared_env(_fringe_spec(config))
+    c = contrast_shared_env(_fringe_spec(config))
     phis = _phase_grid(config.phases)
     if config.mean_total is not None:
-        counts = poisson_fringe(fringe, phis, config.mean_total, config.seed)
+        counts = poisson_fringe(c, phis, config.mean_total, config.seed)
         _write_csv(config.output, ["phi", "counts"], [phis, counts])
     else:
-        _write_csv(config.output, ["phi", "p0"], [phis, output_probability(fringe, phis)])
-    print(f"visibility={fringe.visibility:.6f} phase={fringe.fringe_phase:.6f}")
+        _write_csv(config.output, ["phi", "p0"], [phis, output_probability(c, phis)])
+    print(f"visibility={abs(c):.6f} phase={np.angle(c):.6f}")
     return 0
 
 
 def _run_sweep(config: argparse.Namespace) -> int:
-    betas = default_beta_grid(config.beta_points)
-    rows = sweep(config.variant, betas)
-    _write_csv(config.output,
-               ["beta", "v_closed_form", "v_simulated", "v_oracle"],
-               zip(*[(r.beta, r.v_closed_form, r.v_simulated, r.v_oracle) for r in rows]))
-    dev = max(abs(abs(r.v_closed_form) - r.v_simulated) for r in rows)
-    print(f"variant={config.variant} points={len(rows)} max|closed-simulated|={dev:.3e}")
+    columns = sweep(config.variant, default_beta_grid(config.beta_points))
+    _write_csv(config.output, ["beta", "v_closed_form", "v_simulated", "v_oracle"], columns)
+    _, v_closed_form, v_simulated, _ = columns
+    dev = np.max(np.abs(np.abs(v_closed_form) - v_simulated))
+    print(f"variant={config.variant} points={len(v_simulated)} max|closed-simulated|={dev:.3e}")
     return 0
 
 
 def _run_oracle_check(config: argparse.Namespace) -> int:
-    n = config.specs
     rng = np.random.default_rng(config.seed)
-    rows = []
-    worst = 0.0
-    for i in range(n):
-        spec = random_interferometer_spec(rng)
-        c = contrast_shared_env(spec).contrast
-        c_oracle = oracle_contrast(spec)
-        delta = abs(c - c_oracle)
-        worst = max(worst, delta)
-        rows.append((i, c.real, c.imag, c_oracle.real, c_oracle.imag, delta))
+    specs = (random_interferometer_spec(rng) for _ in range(config.specs))
+    pairs = [(contrast_shared_env(spec), oracle_contrast(spec)) for spec in specs]
+    delta = [abs(c - o) for c, o in pairs]
+    c, o = np.array(pairs).T
     _write_csv(config.output,
                ["index", "contrast_re", "contrast_im", "oracle_re", "oracle_im", "delta"],
-               zip(*rows))
-    print(f"specs={n} max_delta={worst:.3e}")
+               [np.arange(len(pairs)), c.real, c.imag, o.real, o.imag, delta])
+    worst = max(delta)
+    print(f"specs={len(pairs)} max_delta={worst:.3e}")
     if worst > 1e-9:
         print(f"error (OracleMismatch): max_delta {worst:.3e} exceeds 1e-9",
               file=sys.stderr)
@@ -320,24 +312,19 @@ def _run_tomography(config: argparse.Namespace) -> int:
     if config.beta is not None:
         betas = [config.beta]
     else:
-        betas = list(default_beta_grid(config.beta_points))
-    rows = []
-    for beta in betas:
-        rep = blindness_demo(beta)
-        rows.append((beta, rep.chi_distance_upper, rep.chi_distance_lower,
-                     rep.visibility_a, rep.visibility_b, rep.visibility_gap))
+        betas = default_beta_grid(config.beta_points)
+    columns = blindness_demo(betas)
     _write_csv(config.output,
                ["beta", "chi_distance_upper", "chi_distance_lower",
                 "visibility_a", "visibility_b", "visibility_gap"],
-               zip(*rows))
-    if len(rows) == 1:
-        _, du, dl, va, vb, gap = rows[0]
-        print(f"chi_upper={du:.3e} chi_lower={dl:.3e} visibility_a={va:.6f} "
-              f"visibility_b={vb:.6f} gap={gap:.6f}")
+               columns)
+    _, du, dl, va, vb, gap = columns
+    if len(betas) == 1:
+        print(f"chi_upper={du[0]:.3e} chi_lower={dl[0]:.3e} visibility_a={va[0]:.6f} "
+              f"visibility_b={vb[0]:.6f} gap={gap[0]:.6f}")
     else:
-        max_chi = max(max(r[1], r[2]) for r in rows)
-        max_gap = max(r[5] for r in rows)
-        print(f"points={len(rows)} max_chi_distance={max_chi:.3e} max_gap={max_gap:.6f}")
+        print(f"points={len(betas)} max_chi_distance={max(du.max(), dl.max()):.3e} "
+              f"max_gap={gap.max():.6f}")
     return 0
 
 
@@ -346,8 +333,7 @@ def _run_qkd(config: argparse.Namespace) -> int:
         segments = _parse_arm_groups(config.segments, 4, "key 'segments'")
     else:
         segments = [[], [], [], []]
-    spec = QkdSpec(*segments, input_state=maximally_mixed(2))
-    vis, qber = qkd_visibility(spec)
+    vis, qber = qkd_visibility(*segments)
     _write_csv(config.output, ["visibility", "qber"], [[vis], [qber]])
     print(f"visibility={vis:.6f} qber={qber:.6f}")
     return 0

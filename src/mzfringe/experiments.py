@@ -7,7 +7,7 @@ half-wave-plate arms for "d", against each other with the maximally mixed
 input. The crystal o/e separations are 150 um (short) and 310 um (long). Each
 configuration has a closed-form contrast in the crystal angle beta; the sweep
 table puts the closed form, the shared-environment simulation, and the
-dilation oracle side by side.
+dilation oracle side by side, as columns over a beta grid.
 
 Photon counting is modeled as independent Poisson draws per phase point from a
 deterministic, documented sampler (see ``poisson_fringe``). The uniform draws
@@ -24,10 +24,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .arms import ArmElement, Crystal, RawUnitary, ResourceLimitError, Waveplate
-from .core import maximally_mixed, validate_density_matrix
+from .arms import ArmElement, ArmSpec, Crystal, RawUnitary, ResourceLimitError, Waveplate
+from .core import maximally_mixed
 from .interferometer import (
-    FringeResult,
     InterferometerSpec,
     _oracle_contrasts,
     contrast_shared_env,
@@ -40,13 +39,11 @@ __all__ = [
     "VARIANTS",
     "standard_config",
     "closed_form_contrast",
-    "SweepRow",
     "sweep",
     "default_beta_grid",
     "poisson_fringe",
     "FitResult",
     "fit_fringe",
-    "QkdSpec",
     "qkd_visibility",
     "random_arm",
     "random_interferometer_spec",
@@ -101,21 +98,13 @@ def closed_form_contrast(variant: str, beta: float) -> float:
     raise ValueError(f"unknown variant {variant!r}, expected one of {VARIANTS}")
 
 
-@dataclass(frozen=True)
-class SweepRow:
-    beta: float
-    v_closed_form: float  # signed
-    v_simulated: float
-    v_oracle: float
-
-
 def default_beta_grid(points: int = 25) -> np.ndarray:
     """Evenly spaced crystal angles over [0, pi/2]."""
     return np.linspace(0.0, np.pi / 2.0, points)
 
 
-def sweep(variant: str, betas: Sequence[float]) -> list[SweepRow]:
-    """Closed-form, simulated, and oracle visibilities over a beta grid.
+def sweep(variant: str, betas: Sequence[float]) -> tuple[np.ndarray, ...]:
+    """The columns beta, v_closed_form, v_simulated and v_oracle over a beta grid.
 
     The closed-form column keeps its sign; the simulated and oracle columns
     are contrast magnitudes. The configurations of one variant share their
@@ -123,12 +112,11 @@ def sweep(variant: str, betas: Sequence[float]) -> list[SweepRow]:
     memory-bounded blocks.
     """
     specs = [standard_config(variant, beta) for beta in betas]
-    v_oracle = np.abs(_oracle_contrasts(specs)) if specs else []
-    return [SweepRow(beta=float(beta),
-                     v_closed_form=float(closed_form_contrast(variant, beta)),
-                     v_simulated=contrast_shared_env(spec).visibility,
-                     v_oracle=float(v))
-            for beta, spec, v in zip(betas, specs, v_oracle)]
+    v_oracle = np.abs(_oracle_contrasts(specs)) if specs else np.zeros(0)
+    return (np.asarray(betas, dtype=float),
+            np.array([closed_form_contrast(variant, beta) for beta in betas], dtype=float),
+            np.array([abs(contrast_shared_env(spec)) for spec in specs], dtype=float),
+            v_oracle)
 
 
 # numpy.random.SeedSequence: hash and mix constants of its four-word pool.
@@ -217,17 +205,17 @@ def _point_uniforms(seed: int, n: int) -> np.ndarray:
     return (x >> 11).astype(np.float64) * 2.0**-53
 
 
-def poisson_fringe(fringe: FringeResult, phis: Sequence[float],
+def poisson_fringe(contrast: complex, phis: Sequence[float],
                    mean_total: int, seed: int) -> np.ndarray:
-    """Simulated coincidence counts along the fringe of a computed contrast.
+    """Simulated coincidence counts along the fringe of a complex contrast.
 
     Returns one int64 count per phase in ``phis``. Per phase point, the
     expectation is lam = mean_total * P(phi), with P from
-    ``output_probability(fringe, phi)``, and the count is one Poisson draw from
+    ``output_probability(contrast, phi)``, and the count is one Poisson draw from
     one uniform u. Point i's u is
     ``np.random.default_rng([seed, i]).random()`` bit for bit, but the draws
     for all points are computed in one array pass (``_point_uniforms``), so
-    results do not depend on evaluation order, and identical (fringe, phis,
+    results do not depend on evaluation order, and identical (contrast, phis,
     mean_total, seed) reproduce identical counts. With u clamped to
     [1e-300, 1 - 1e-16]: below mean 30 the count is the CDF inversion
     min{k : u <= F(k)}, stopped at k = int(lam + 20 sqrt(lam) + 20); from
@@ -243,7 +231,7 @@ def poisson_fringe(fringe: FringeResult, phis: Sequence[float],
     if seed < 0:
         raise ValueError("seed must be a non-negative integer")
     phis = np.asarray(phis, dtype=float)
-    expected = mean_total * output_probability(fringe, phis)
+    expected = mean_total * output_probability(contrast, phis)
     u = np.clip(_point_uniforms(int(seed), len(phis)), 1e-300, 1.0 - 1e-16)
     counts = np.zeros(len(phis), dtype=np.int64)
 
@@ -351,27 +339,6 @@ def fit_fringe(phis: Sequence[float], counts: Sequence[float]) -> FitResult:
     return FitResult(amp, vis, psi, stderr, iterations, converged)
 
 
-@dataclass
-class QkdSpec:
-    """Four channel segments of an unbalanced-interferometer key link.
-
-    Segments u1, u2 lie on one of the two interfering path combinations
-    through the linked interferometers, u3, u4 on the other. With an identity
-    channel between the two unbalanced interferometers, the link reduces to a
-    single balanced interferometer with u1+u2 as the upper arm and u3+u4 as
-    the lower.
-    """
-
-    u1: Sequence[ArmElement]
-    u2: Sequence[ArmElement]
-    u3: Sequence[ArmElement]
-    u4: Sequence[ArmElement]
-    input_state: np.ndarray
-
-    def __post_init__(self):
-        self.input_state = validate_density_matrix(self.input_state, "input_state")
-
-
 def random_arm(rng: np.random.Generator, max_elements: int = 3) -> list[ArmElement]:
     """A random arm for cross-checking the simulator against the oracle.
 
@@ -408,16 +375,18 @@ def random_interferometer_spec(rng: np.random.Generator,
     )
 
 
-def qkd_visibility(spec: QkdSpec) -> tuple[float, float]:
-    """Fringe visibility and qubit error rate of the reduced key link.
+def qkd_visibility(u1: ArmSpec, u2: ArmSpec, u3: ArmSpec,
+                   u4: ArmSpec) -> tuple[float, float]:
+    """Fringe visibility and qubit error rate of an unbalanced-interferometer
+    key link with the maximally mixed input.
 
-    QBER is modeled as (1 - visibility) / 2: at unit visibility the wrong
-    port never fires, at zero visibility it fires half the time.
+    Segments u1, u2 lie on one of the two interfering path combinations
+    through the linked interferometers, u3, u4 on the other. With an identity
+    channel between the two unbalanced interferometers, the link reduces to a
+    single balanced interferometer with u1+u2 as the upper arm and u3+u4 as
+    the lower. QBER is modeled as (1 - visibility) / 2: at unit visibility the
+    wrong port never fires, at zero visibility it fires half the time.
     """
-    mzi = InterferometerSpec(
-        upper=list(spec.u1) + list(spec.u2),
-        lower=list(spec.u3) + list(spec.u4),
-        input_state=spec.input_state,
-    )
-    vis = contrast_shared_env(mzi).visibility
+    mzi = InterferometerSpec([*u1, *u2], [*u3, *u4], maximally_mixed(2))
+    vis = abs(contrast_shared_env(mzi))
     return vis, (1.0 - vis) / 2.0

@@ -1,19 +1,20 @@
 """Mach-Zehnder fringes for two arm channels sharing one time-bin environment.
 
 The interference contrast is the complex number C whose magnitude is the
-fringe visibility and whose argument sets the fringe phase. With a shared
-environment, C sums Tr[u^dag v rho] over pairs of upper-arm and lower-arm
-Kraus operators whose time-bin delays coincide; delays differing by more than
-the coherence criterion contribute nothing (orthogonal bins). The dilation
-oracle reproduces the same fringe by brute force: it evolves the full
-path (x) polarization (x) time-bin state through the first beamsplitter and
-each arm element by element on its own path. The phase plate and the closing
-beamsplitter act on the path alone, so the lower-port probability at each
-phase is c^dag G c, with G the 2x2 Gram matrix of the two evolved path states
-and c the closing row at that phase. Specs that share one arm structure, such
-as the betas of a sweep, are evolved as one stack in memory-bounded blocks.
-The oracle never composes a Kraus set, so it is an independent check of
-``compose_arm``.
+fringe visibility and whose argument sets the fringe phase; both
+``contrast_shared_env`` and ``oracle_contrast`` return it as a plain
+``complex``. With a shared environment, C sums Tr[u^dag v rho] over pairs of
+upper-arm and lower-arm Kraus operators whose time-bin delays coincide;
+delays differing by more than the coherence criterion contribute nothing
+(orthogonal bins). The dilation oracle reproduces the same fringe by brute
+force: it evolves the full path (x) polarization (x) time-bin state through
+the first beamsplitter and each arm element by element on its own path. The
+phase plate and the closing beamsplitter act on the path alone, so the
+lower-port probability at each phase is c^dag G c, with G the 2x2 Gram matrix
+of the two evolved path states and c the closing row at that phase. Specs
+that share one arm structure, such as the betas of a sweep, are evolved as
+one stack in memory-bounded blocks. The oracle never composes a Kraus set, so
+it is an independent check of ``compose_arm``.
 
 Time-bin orthogonality is binary here: delays matching within
 ``DELAY_MERGE_TOL`` interfere fully, all others not at all. Partial wavepacket
@@ -33,7 +34,6 @@ from .core import beamsplitter, validate_density_matrix
 
 __all__ = [
     "InterferometerSpec",
-    "FringeResult",
     "contrast_shared_env",
     "output_probability",
     "oracle_contrast",
@@ -66,20 +66,8 @@ class InterferometerSpec:
         self.input_state = state
 
 
-@dataclass(frozen=True)
-class FringeResult:
-    contrast: complex
-    visibility: float
-    fringe_phase: float
-
-
-def _fringe(c: complex) -> FringeResult:
-    c = complex(c)
-    return FringeResult(c, abs(c), float(np.angle(c)))
-
-
-def contrast_shared_env(spec: InterferometerSpec) -> FringeResult:
-    """Interference contrast when both arms disturb the same environment.
+def contrast_shared_env(spec: InterferometerSpec) -> complex:
+    """Complex interference contrast when both arms disturb the same environment.
 
     C = sum of Tr[u^dag v rho] over delay-matched Kraus pairs (u from the
     upper arm, v from the lower): each upper operator is joined by bisection
@@ -95,27 +83,26 @@ def contrast_shared_env(spec: InterferometerSpec) -> FringeResult:
         hi = bisect_right(lower_delays, d + DELAY_MERGE_TOL)
         for _, v in lower[lo:hi]:
             c += np.trace(u.conj().T @ v @ rho)
-    return _fringe(c)
+    return complex(c)
 
 
-def output_probability(f: FringeResult, phi):
-    """Lower-port detection probability P(phi) = (1 + Re[e^{i phi} C]) / 2.
+def output_probability(c: complex, phi):
+    """Lower-port detection probability P(phi) = (1 + Re[e^{i phi} C]) / 2 of
+    the complex contrast ``c``.
 
     ``phi`` may be an array of phases, giving an array; a scalar phase gives a
     float. Re[e^{i phi} C] is written out as two products and a difference, the
     rounding of a scalar complex product (numpy's array complex multiply may
-    fuse them). Values within 1e-12 outside [0, 1] are clamped; any further
-    than 1e-9 raise.
+    fuse them). Values within 1e-9 outside [0, 1] are clipped into it; any
+    further out raise.
     """
     e = np.exp(1j * np.asarray(phi, dtype=float))
-    c = f.contrast
     p = 0.5 * (1.0 + (e.real * c.real - e.imag * c.imag))
     outside = np.abs(p - 0.5) > 0.5 + 1e-9
     if outside.any():
         raise RuntimeError(f"probability {p[outside].flat[0]} outside [0, 1]: contrast "
-                           f"{f.contrast} exceeds unit magnitude")
-    p = np.where((-1e-12 <= p) & (p < 0.0), 0.0, p)
-    p = np.where((1.0 < p) & (p <= 1.0 + 1e-12), 1.0, p)
+                           f"{c} exceeds unit magnitude")
+    p = np.clip(p, 0.0, 1.0)
     return float(p) if p.ndim == 0 else p
 
 

@@ -10,15 +10,14 @@ outputs to chi.
 
 The blindness demonstration builds two interferometer configurations whose
 arms have identical per-arm process matrices for every crystal angle beta, yet
-whose shared-environment fringe visibilities differ. The per-arm channel
-traces out arrival time, so it cannot see which crystal length sits where;
-the interferometer can.
+whose shared-environment fringe visibilities differ, and tabulates both over a
+grid of betas. The per-arm channel traces out arrival time, so it cannot see
+which crystal length sits where; the interferometer can.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -29,7 +28,6 @@ __all__ = [
     "PROBE_STATES",
     "qpt",
     "chi_distance",
-    "BlindnessReport",
     "blindness_demo",
 ]
 
@@ -102,36 +100,31 @@ def chi_distance(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.linalg.norm(np.asarray(a) - np.asarray(b)))
 
 
-@dataclass(frozen=True)
-class BlindnessReport:
-    chi_distance_upper: float
-    chi_distance_lower: float
-    visibility_a: float
-    visibility_b: float
-    visibility_gap: float
+def blindness_demo(betas: Sequence[float]) -> tuple[np.ndarray, ...]:
+    """Identical per-arm tomography, different fringes, over a beta grid.
 
-
-def blindness_demo(beta: float) -> BlindnessReport:
-    """Identical per-arm tomography, different fringes, at one crystal angle.
-
-    Builds the first and third standard configurations at the same beta (they
+    Builds the first and third standard configurations at each beta (they
     share per-arm angle sequences and differ only in which crystal length sits
-    in which position), runs process tomography on all four arm channels, and
-    reports the chi distances between corresponding arms next to the two
-    shared-environment visibilities.
+    in which position), runs process tomography once per distinct arm (the
+    two always share their lower arm, and at beta = 0 the upper arm of the
+    third as well), and returns the columns beta,
+    chi_distance_upper, chi_distance_lower, visibility_a, visibility_b and
+    visibility_gap: the chi distances between corresponding arms next to the
+    two shared-environment visibilities.
     """
     from .arms import arm_channel_apply
     from .experiments import standard_config
     from .interferometer import contrast_shared_env
 
-    spec_a = standard_config("a", beta)
-    spec_b = standard_config("c", beta)
-
-    def chi_of(arm):
-        return qpt(lambda rho: arm_channel_apply(arm, rho))
-
-    d_upper = chi_distance(chi_of(spec_a.upper), chi_of(spec_b.upper))
-    d_lower = chi_distance(chi_of(spec_a.lower), chi_of(spec_b.lower))
-    vis_a = contrast_shared_env(spec_a).visibility
-    vis_b = contrast_shared_env(spec_b).visibility
-    return BlindnessReport(d_upper, d_lower, vis_a, vis_b, abs(vis_a - vis_b))
+    d_upper, d_lower, vis_a, vis_b = [], [], [], []
+    for beta in betas:
+        spec_a, spec_b = standard_config("a", beta), standard_config("c", beta)
+        arms = [tuple(arm) for arm in (spec_a.upper, spec_b.upper, spec_a.lower, spec_b.lower)]
+        chi = {arm: qpt(lambda rho: arm_channel_apply(arm, rho)) for arm in dict.fromkeys(arms)}
+        d_upper.append(chi_distance(chi[arms[0]], chi[arms[1]]))
+        d_lower.append(chi_distance(chi[arms[2]], chi[arms[3]]))
+        vis_a.append(abs(contrast_shared_env(spec_a)))
+        vis_b.append(abs(contrast_shared_env(spec_b)))
+    gap = [abs(a - b) for a, b in zip(vis_a, vis_b)]
+    return tuple(np.array(column, dtype=float)
+                 for column in (betas, d_upper, d_lower, vis_a, vis_b, gap))

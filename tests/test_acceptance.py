@@ -11,7 +11,6 @@ import mzfringe.arms
 import mzfringe.interferometer
 from mzfringe import (
     Crystal,
-    QkdSpec,
     arm_channel_apply,
     blindness_demo,
     compose_arm,
@@ -46,7 +45,7 @@ def test_criterion_1_closed_form_visibilities():
     worst = 0.0
     for variant, formula in closed.items():
         for beta in np.linspace(0.0, np.pi / 2, 25):
-            v = contrast_shared_env(standard_config(variant, beta)).visibility
+            v = abs(contrast_shared_env(standard_config(variant, beta)))
             worst = max(worst, abs(v - abs(formula(beta))))
     elapsed = time.perf_counter() - start
     _report(1, "closed-form visibility curves",
@@ -55,10 +54,10 @@ def test_criterion_1_closed_form_visibilities():
 
 
 def test_criterion_2_waveplate_variant_convention():
-    v_center = contrast_shared_env(standard_config("d", np.pi / 8)).visibility
+    v_center = abs(contrast_shared_env(standard_config("d", np.pi / 8)))
     worst = 0.0
     for beta in np.linspace(0.0, np.pi / 2, 25):
-        v = contrast_shared_env(standard_config("d", beta)).visibility
+        v = abs(contrast_shared_env(standard_config("d", beta)))
         worst = max(worst, abs(v - abs(np.cos(2 * (beta - np.pi / 8)))))
     _report(2, "waveplate variant curve",
             abs(v_center - 1.0) < 1e-9 and worst < 1e-9,
@@ -70,7 +69,7 @@ def _criterion_3_max_delta() -> float:
     worst = 0.0
     for _ in range(200):
         spec = random_interferometer_spec(rng, max_elements=3)
-        delta = abs(contrast_shared_env(spec).contrast - oracle_contrast(spec))
+        delta = abs(contrast_shared_env(spec) - oracle_contrast(spec))
         worst = max(worst, delta)
     return worst
 
@@ -102,19 +101,16 @@ def test_oracle_catches_widened_delay_merging(monkeypatch):
 
 
 def test_criterion_4_tomography_blindness():
-    rep = blindness_demo(np.pi / 4)
-    point_ok = (rep.chi_distance_upper < 1e-9 and rep.chi_distance_lower < 1e-9
-                and abs(rep.visibility_a - 0.5) < 1e-9
-                and abs(rep.visibility_b) < 1e-9
-                and abs(rep.visibility_gap - 0.5) < 1e-9)
-    worst_chi = 0.0
-    for beta in np.linspace(0.0, np.pi / 2, 25):
-        grid_rep = blindness_demo(beta)
-        worst_chi = max(worst_chi, grid_rep.chi_distance_upper,
-                        grid_rep.chi_distance_lower)
+    [(_, d_upper, d_lower, vis_a, vis_b, gap)] = zip(*blindness_demo([np.pi / 4]))
+    point_ok = (d_upper < 1e-9 and d_lower < 1e-9
+                and abs(vis_a - 0.5) < 1e-9
+                and abs(vis_b) < 1e-9
+                and abs(gap - 0.5) < 1e-9)
+    _, grid_upper, grid_lower, *_ = blindness_demo(np.linspace(0.0, np.pi / 2, 25))
+    worst_chi = max(grid_upper.max(), grid_lower.max())
     _report(4, "tomography blindness",
             point_ok and worst_chi < 1e-9,
-            f"gap(pi/4)={rep.visibility_gap:.9f}, max_chi_distance={worst_chi:.2e}")
+            f"gap(pi/4)={gap:.9f}, max_chi_distance={worst_chi:.2e}")
 
 
 def test_criterion_5_cptp_and_unitality():
@@ -149,14 +145,12 @@ def test_criterion_6_statistical_fit_recovery():
 
 
 def test_criterion_7_qkd_reduction():
-    vis_id, qber_id = qkd_visibility(QkdSpec([], [], [], [], maximally_mixed(2)))
+    vis_id, qber_id = qkd_visibility([], [], [], [])
     beta = np.pi / 3
-    spec = QkdSpec(
+    vis, qber = qkd_visibility(
         u1=[Crystal(beta, 310.0)], u2=[Crystal(0.0, 150.0)],
         u3=[Crystal(beta, 150.0)], u4=[Crystal(0.0, 310.0)],
-        input_state=maximally_mixed(2),
     )
-    vis, qber = qkd_visibility(spec)
     _report(7, "unbalanced-interferometer key-link reduction",
             vis_id == 1.0 and qber_id == 0.0
             and abs(vis - 0.25) < 1e-9 and abs(qber - 0.375) < 1e-9,

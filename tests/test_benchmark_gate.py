@@ -1,0 +1,35 @@
+"""The benchmark's own correctness gate, run on one pass of each workload.
+
+The command lists and the gate come from ``benchmarks/``, loaded by file path
+so that the benchmark stays a directory of scripts rather than a package.
+"""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+from mzfringe.cli import main
+
+BENCHMARKS = Path(__file__).resolve().parent.parent / "benchmarks"
+
+
+def _load(name):
+    spec = importlib.util.spec_from_file_location(f"benchmark_{name}", BENCHMARKS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+workloads = _load("workloads")
+gate = _load("gate")
+
+
+@pytest.mark.parametrize("workload", sorted(workloads.WORKLOADS))
+def test_seed_1_pass_clears_the_benchmark_gate(tmp_path, monkeypatch, capsys, workload):
+    commands = workloads.generate(workload, 1)
+    monkeypatch.chdir(tmp_path)
+    codes = [main(command["argv"]) for command in commands]
+    capsys.readouterr()
+    assert [i for i, code in enumerate(codes) if code != 0] == []
+    assert gate.gate(commands, [str(tmp_path)]) == []

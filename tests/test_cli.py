@@ -90,10 +90,12 @@ output = {out}
                  id="command-bogus"),
     pytest.param("variant = z", "'variant' must be one of", id="variant-z"),
     pytest.param("config = other.cfg", "unknown config key 'config'", id="config-key"),
+    pytest.param("variant = \xff", "error: cannot read config file: 'utf-8' codec",
+                 id="not-utf-8"),
 ])
 def test_config_file_values_are_parsed_like_flags(tmp_path, capsys, line, message):
     cfg = tmp_path / "run.cfg"
-    cfg.write_text(f"command = tomography\n{line}\n")
+    cfg.write_bytes(f"command = tomography\n{line}\n".encode("latin-1"))
     assert main(["--config", str(cfg), "--output", str(tmp_path / "x.csv")]) == 2
     assert message in capsys.readouterr().err
     assert not (tmp_path / "x.csv").exists()
@@ -124,6 +126,18 @@ def test_fringe_with_custom_arms(tmp_path, capsys):
     assert main(["fringe", "--arms", arms, "--phases", "8",
                  "--output", str(out)]) == 0
     assert "visibility=1.000000" in capsys.readouterr().out
+
+
+def test_fringe_probabilities_stay_in_unit_interval(tmp_path):
+    # a unitary within UNITARY_ATOL of the identity gives |C| = 1 + 4e-11,
+    # past roundoff but within the 1e-9 clipping tolerance
+    out = tmp_path / "p.csv"
+    assert main(["fringe", "--arms", "unitary:1.00000000004,0,0,1.00000000004|",
+                 "--phases", "4", "--output", str(out)]) == 0
+    _, rows = read_csv(out)
+    p0 = [float(p) for _, p in rows]
+    assert len(p0) == 4 and all(0.0 <= p <= 1.0 for p in p0)
+    assert p0[0] == 1.0 and p0[2] == 0.0
 
 
 def test_tomography_single_angle(tmp_path, capsys):
@@ -310,6 +324,26 @@ def test_counts_and_fit_csv_golden(tmp_path):
         "fa6506a619d934055507ef87d6c91a944e1e493a004e6a48e8dbba8895bd298b"
     assert hashlib.sha256(fit.read_bytes()).hexdigest() == \
         "a411242632a8b064e145cb3d4cf28223a639d11769967951f60b0d9c34b55bc9"
+
+
+@pytest.mark.parametrize("args, digest", [
+    (["sweep", "--variant", "c", "--beta-points", "25"],
+     "ee8e8014689af826e6751d38c4bee7fc01b1fe99227c9b749825345901a25b66"),
+    (["tomography", "--beta-points", "25"],
+     "d4dae4e9ae722124227698a4e7be32e3b0c4373ddd3763bb1c74db58b24c90a1"),
+    (["oracle-check", "--specs", "20", "--seed", "5"],
+     "d06d1b94083aeb69f3ea1aae5e4a34b9b438a8185d4ed12c4cb65d42ae6b3532"),
+    (["qkd", "--segments", "crystal:60deg:310|crystal:0:150|crystal:60deg:150|crystal:0:310"],
+     "f1dae9ceff9785945b1df77fb16b79ef567cf3f1b81a052a573aa3587f2f570e"),
+    (["fringe", "--variant", "d", "--beta", "22.5deg", "--phases", "64"],
+     "32d94b91c6baccaa515d107ecc7d4a01c3c199d19aaa9424b0c1ed702c24df6d"),
+], ids=["sweep", "tomography", "oracle-check", "qkd", "fringe"])
+def test_paper_table_csv_golden(tmp_path, args, digest):
+    # Pinned from the record types (FringeResult, SweepRow, BlindnessReport,
+    # QkdSpec) and per-row tuples: the column-built tables give the same bytes.
+    out = tmp_path / "t.csv"
+    assert main(args + ["--output", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
 def test_seeded_commands_are_byte_identical(tmp_path):

@@ -8,7 +8,6 @@ from mzfringe.arms import ORACLE_DIM_LIMIT, ResourceLimitError, _delay_grid
 from mzfringe.interferometer import _path_gram, _port_probabilities
 from mzfringe import (
     Crystal,
-    FringeResult,
     InterferometerSpec,
     RawUnitary,
     Waveplate,
@@ -37,20 +36,20 @@ def oracle_ports(spec, phis):
 
 
 def test_empty_arms_full_contrast():
-    f = contrast_shared_env(mixed_spec([], []))
-    assert f.contrast == pytest.approx(1.0)
-    assert f.visibility == pytest.approx(1.0)
+    c = contrast_shared_env(mixed_spec([], []))
+    assert c == pytest.approx(1.0)
+    assert abs(c) == pytest.approx(1.0)
 
 
 def test_first_config_at_quarter_pi():
-    f = contrast_shared_env(standard_config("a", np.pi / 4))
-    assert f.visibility == pytest.approx(0.5, abs=1e-12)
+    c = contrast_shared_env(standard_config("a", np.pi / 4))
+    assert abs(c) == pytest.approx(0.5, abs=1e-12)
 
 
 def test_single_matched_bin():
     # only the undelayed branch of the lower crystal can interfere
-    f = contrast_shared_env(mixed_spec([], [Crystal(0.0, 310.0)]))
-    assert f.contrast == pytest.approx(0.5 + 0.0j)
+    c = contrast_shared_env(mixed_spec([], [Crystal(0.0, 310.0)]))
+    assert c == pytest.approx(0.5 + 0.0j)
 
 
 def test_upper_bin_joins_every_lower_bin_within_tolerance():
@@ -64,7 +63,7 @@ def test_upper_bin_joins_every_lower_bin_within_tolerance():
     rho = maximally_mixed(2)
     pairs = [(u_o, b_o @ a_o), (u_e, b_o @ a_e), (u_e, b_e @ a_o)]
     brute = sum(np.trace(u.conj().T @ v @ rho) for u, v in pairs)
-    c = contrast_shared_env(mixed_spec(upper, lower)).contrast
+    c = contrast_shared_env(mixed_spec(upper, lower))
     assert c == pytest.approx(brute, abs=1e-15)
     assert c == pytest.approx(0.371350059712339, abs=1e-14)
 
@@ -75,7 +74,7 @@ def test_independent_env_zero_when_no_undelayed_branch():
     # full interference
     arm = [Crystal(0.0, 75.0), Crystal(np.pi / 2, 75.0)]
     assert [d for d, _ in compose_arm(arm)] == [75.0]
-    assert contrast_shared_env(mixed_spec(arm, arm)).visibility == pytest.approx(1.0)
+    assert abs(contrast_shared_env(mixed_spec(arm, arm))) == pytest.approx(1.0)
 
 
 def test_independent_matches_shared_for_unitary_arms():
@@ -86,47 +85,47 @@ def test_independent_matches_shared_for_unitary_arms():
         upper = [Waveplate(angle), RawUnitary(u)]
         lower = [RawUnitary(v)]
         rho = random_density(rng)
-        f_shared = contrast_shared_env(InterferometerSpec(upper, lower, rho))
+        c_shared = contrast_shared_env(InterferometerSpec(upper, lower, rho))
         written_out = np.trace((u @ half_waveplate(angle)).conj().T @ v @ rho)
-        assert f_shared.contrast == pytest.approx(written_out, abs=1e-12)
+        assert c_shared == pytest.approx(written_out, abs=1e-12)
 
 
 def test_output_probability_values():
-    assert output_probability(FringeResult(1.0 + 0j, 1.0, 0.0), 0.0) == pytest.approx(1.0)
-    assert output_probability(FringeResult(1.0 + 0j, 1.0, 0.0), np.pi) == pytest.approx(0.0)
-    assert output_probability(FringeResult(0.5 + 0j, 0.5, 0.0), 0.0) == pytest.approx(0.75)
+    assert output_probability(1.0 + 0j, 0.0) == pytest.approx(1.0)
+    assert output_probability(1.0 + 0j, np.pi) == pytest.approx(0.0)
+    assert output_probability(0.5 + 0j, 0.0) == pytest.approx(0.75)
 
 
 def test_output_probability_rejects_unphysical_contrast():
     with pytest.raises(RuntimeError):
-        output_probability(FringeResult(2.0 + 0j, 2.0, 0.0), 0.0)
+        output_probability(2.0 + 0j, 0.0)
 
 
 def test_output_probability_clamps_roundoff():
     c = 1.0 + 4e-13  # just over unit magnitude, within clamp range
-    assert output_probability(FringeResult(c, c, 0.0), 0.0) == 1.0
+    assert output_probability(c + 0j, 0.0) == 1.0
 
 
 def test_output_probability_array_equals_scalar_calls():
-    f = contrast_shared_env(standard_config("a", 0.37))
+    c = contrast_shared_env(standard_config("a", 0.37))
     phis = np.random.default_rng(107).uniform(-10.0, 10.0, 1024)
-    p = output_probability(f, phis)
+    p = output_probability(c, phis)
     assert isinstance(p, np.ndarray) and p.shape == (1024,)
-    assert p.tolist() == [output_probability(f, phi) for phi in phis]
-    assert isinstance(output_probability(f, phis[0]), float)
+    assert p.tolist() == [output_probability(c, phi) for phi in phis]
+    assert isinstance(output_probability(c, phis[0]), float)
 
 
 def test_output_probability_array_rejects_one_bad_point():
-    f = FringeResult(1.5 + 0j, 1.5, 0.0)
-    assert output_probability(f, [np.pi / 2, -np.pi / 2]).tolist() == \
+    c = 1.5 + 0j
+    assert output_probability(c, [np.pi / 2, -np.pi / 2]).tolist() == \
         pytest.approx([0.5, 0.5])
     with pytest.raises(RuntimeError, match="outside"):
-        output_probability(f, [np.pi / 2, 0.0, -np.pi / 2])
+        output_probability(c, [np.pi / 2, 0.0, -np.pi / 2])
 
 
 def test_output_probability_clamps_roundoff_in_arrays():
     c = 1.0 + 4e-13
-    p = output_probability(FringeResult(c, c, 0.0), [0.0, np.pi, np.pi / 2])
+    p = output_probability(c + 0j, [0.0, np.pi, np.pi / 2])
     assert p[0] == 1.0 and p[1] == 0.0 and p[2] == pytest.approx(0.5)
 
 
@@ -152,7 +151,7 @@ def test_oracle_matches_kraus_pair_contrast():
     rng = np.random.default_rng(71)
     for _ in range(40):
         spec = random_interferometer_spec(rng)
-        c = contrast_shared_env(spec).contrast
+        c = contrast_shared_env(spec)
         assert abs(c - oracle_contrast(spec)) < 1e-9
 
 
@@ -160,9 +159,9 @@ def test_oracle_fringe_matches_closed_probability():
     rng = np.random.default_rng(73)
     for _ in range(10):
         spec = random_interferometer_spec(rng)
-        f = contrast_shared_env(spec)
+        c = contrast_shared_env(spec)
         phis = np.linspace(0, 2 * np.pi, 16, endpoint=False)
-        np.testing.assert_allclose(oracle_ports(spec, phis)[0], output_probability(f, phis),
+        np.testing.assert_allclose(oracle_ports(spec, phis)[0], output_probability(c, phis),
                                    rtol=0, atol=1e-9)
 
 
@@ -170,11 +169,11 @@ def test_fringe_extrema_at_contrast_phase():
     rng = np.random.default_rng(79)
     for _ in range(10):
         spec = random_interferometer_spec(rng)
-        f = contrast_shared_env(spec)
-        p_max = output_probability(f, -f.fringe_phase)
-        p_min = output_probability(f, -f.fringe_phase + np.pi)
-        assert p_max - p_min == pytest.approx(f.visibility, abs=1e-9)
-        grid = max(output_probability(f, phi)
+        c = contrast_shared_env(spec)
+        p_max = output_probability(c, -np.angle(c))
+        p_min = output_probability(c, -np.angle(c) + np.pi)
+        assert p_max - p_min == pytest.approx(abs(c), abs=1e-9)
+        grid = max(output_probability(c, phi)
                    for phi in np.linspace(0, 2 * np.pi, 101))
         assert p_max >= grid - 1e-12
 
@@ -187,29 +186,28 @@ def test_phase_covariance_of_lower_arm():
     base = contrast_shared_env(InterferometerSpec(upper, lower, rho))
     for theta in np.linspace(0, 2 * np.pi, 10, endpoint=False):
         shifted = list(lower) + [RawUnitary(np.exp(1j * theta) * I2)]
-        f = contrast_shared_env(InterferometerSpec(upper, shifted, rho))
-        assert f.contrast == pytest.approx(np.exp(1j * theta) * base.contrast,
-                                           abs=1e-12)
-        assert f.visibility == pytest.approx(base.visibility, abs=1e-12)
+        c = contrast_shared_env(InterferometerSpec(upper, shifted, rho))
+        assert c == pytest.approx(np.exp(1j * theta) * base, abs=1e-12)
+        assert abs(c) == pytest.approx(abs(base), abs=1e-12)
 
 
 def test_arm_swap_conjugates_contrast():
     rng = np.random.default_rng(89)
     for _ in range(10):
         spec = random_interferometer_spec(rng)
-        f = contrast_shared_env(spec)
+        c = contrast_shared_env(spec)
         swapped = InterferometerSpec(spec.lower, spec.upper, spec.input_state)
         g = contrast_shared_env(swapped)
-        assert g.contrast == pytest.approx(np.conj(f.contrast), abs=1e-12)
-        assert g.visibility == pytest.approx(f.visibility, abs=1e-12)
+        assert g == pytest.approx(np.conj(c), abs=1e-12)
+        assert abs(g) == pytest.approx(abs(c), abs=1e-12)
 
 
 def test_identical_arms_full_visibility():
     rng = np.random.default_rng(97)
     for _ in range(10):
         arm = random_arm(rng)
-        f = contrast_shared_env(InterferometerSpec(arm, arm, random_density(rng)))
-        assert f.contrast == pytest.approx(1.0, abs=1e-12)
+        c = contrast_shared_env(InterferometerSpec(arm, arm, random_density(rng)))
+        assert c == pytest.approx(1.0, abs=1e-12)
 
 
 def test_oracle_of_deep_arms_stays_small():
@@ -225,7 +223,7 @@ def test_oracle_of_deep_arms_stays_small():
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
-    assert abs(c - contrast_shared_env(spec).contrast) < 1e-9
+    assert abs(c - contrast_shared_env(spec)) < 1e-9
 
 
 def test_oracle_resource_limit():
@@ -257,7 +255,7 @@ def test_oracle_at_dimension_limit():
     unit, n = _delay_grid([upper, lower])
     assert (unit, 4 * n) == (150.0, ORACLE_DIM_LIMIT)
     spec = mixed_spec(upper, lower)
-    c = contrast_shared_env(spec).contrast
+    c = contrast_shared_env(spec)
     assert abs(c) > 0.1
     assert abs(c - oracle_contrast(spec)) < 1e-9
 

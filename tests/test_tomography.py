@@ -145,35 +145,35 @@ def test_chi_distance_basics():
 
 
 def test_blindness_at_quarter_pi():
-    rep = blindness_demo(np.pi / 4)
-    assert rep.chi_distance_upper < 1e-9
-    assert rep.chi_distance_lower < 1e-9
-    assert rep.visibility_a == pytest.approx(0.5, abs=1e-9)
-    assert rep.visibility_b == pytest.approx(0.0, abs=1e-9)
-    assert rep.visibility_gap == pytest.approx(0.5, abs=1e-9)
+    [(_, d_upper, d_lower, vis_a, vis_b, gap)] = zip(*blindness_demo([np.pi / 4]))
+    assert d_upper < 1e-9
+    assert d_lower < 1e-9
+    assert vis_a == pytest.approx(0.5, abs=1e-9)
+    assert vis_b == pytest.approx(0.0, abs=1e-9)
+    assert gap == pytest.approx(0.5, abs=1e-9)
 
 
 def test_blindness_at_zero_angle():
-    rep = blindness_demo(0.0)
-    assert rep.chi_distance_upper < 1e-9 and rep.chi_distance_lower < 1e-9
-    assert rep.visibility_a == pytest.approx(1.0, abs=1e-12)
-    assert rep.visibility_b == pytest.approx(1.0, abs=1e-12)
-    assert rep.visibility_gap == pytest.approx(0.0, abs=1e-12)
+    [(_, d_upper, d_lower, vis_a, vis_b, gap)] = zip(*blindness_demo([0.0]))
+    assert d_upper < 1e-9 and d_lower < 1e-9
+    assert vis_a == pytest.approx(1.0, abs=1e-12)
+    assert vis_b == pytest.approx(1.0, abs=1e-12)
+    assert gap == pytest.approx(0.0, abs=1e-12)
 
 
 def test_blindness_at_eighth_pi():
-    rep = blindness_demo(np.pi / 8)
-    assert rep.visibility_a == pytest.approx(0.75, abs=1e-12)
-    assert rep.visibility_b == pytest.approx(np.cos(np.pi / 8) ** 2 * np.cos(np.pi / 4),
-                                             abs=1e-12)
-    assert rep.visibility_gap == pytest.approx(0.1464466094067263, abs=1e-12)
+    [(_, _, _, vis_a, vis_b, gap)] = zip(*blindness_demo([np.pi / 8]))
+    assert vis_a == pytest.approx(0.75, abs=1e-12)
+    assert vis_b == pytest.approx(np.cos(np.pi / 8) ** 2 * np.cos(np.pi / 4), abs=1e-12)
+    assert gap == pytest.approx(0.1464466094067263, abs=1e-12)
 
 
 def test_blindness_over_grid():
-    for beta in np.linspace(0.0, np.pi / 2, 25):
-        rep = blindness_demo(beta)
-        assert rep.chi_distance_upper < 1e-9
-        assert rep.chi_distance_lower < 1e-9
+    columns = blindness_demo(np.linspace(0.0, np.pi / 2, 25))
+    assert all(len(column) == 25 for column in columns)
+    for beta, d_upper, d_lower, _, _, gap in zip(*columns):
+        assert d_upper < 1e-9
+        assert d_lower < 1e-9
         expected_gap = abs((1 - np.sin(2 * beta) ** 2 / 2)
                            - abs(np.cos(beta) ** 2 * np.cos(2 * beta)))
-        assert rep.visibility_gap == pytest.approx(expected_gap, abs=1e-9)
+        assert gap == pytest.approx(expected_gap, abs=1e-9)
