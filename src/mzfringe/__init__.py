@@ -40,7 +40,6 @@ from .interferometer import (
 )
 from .tomography import (
     blindness_demo,
-    chi_distance,
     qpt,
 )
 

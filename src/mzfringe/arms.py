@@ -8,9 +8,11 @@ one 2x2 Kraus operator per distinct accumulated delay. Delays are stored in
 micrometers of o/e wavepacket separation. Only delay differences are
 observable, so the o-ray carries zero delay by convention.
 
-``compose_arm`` refuses, before building any operator, an arm whose crystal
-delays reach more than ``COMPOSE_BIN_LIMIT`` distinct sums, and the oracle's
-time grid stops at ``ORACLE_DIM_LIMIT``; both raise ``ResourceLimitError``.
+``compose_arm`` makes one pass over the crystal delays, which decides the
+merge groups and refuses an arm that reaches more than ``COMPOSE_BIN_LIMIT``
+distinct sums, and then one pass that carries the Kraus set as a (k, 2, 2)
+stack through the elements. The oracle's time grid stops at
+``ORACLE_DIM_LIMIT``; both limits raise ``ResourceLimitError``.
 ``arm_channel_apply`` maps a whole stack of states through one composed Kraus
 set.
 
@@ -24,8 +26,6 @@ unitaries.
 
 from __future__ import annotations
 
-import math
-from collections import Counter
 from dataclasses import dataclass
 from functools import reduce
 from typing import Sequence, Union
@@ -115,73 +115,66 @@ ArmElement = Union[Crystal, Waveplate, RawUnitary]
 ArmSpec = Sequence[ArmElement]
 
 
-def _element_kraus(elem: ArmElement) -> list[tuple[float, np.ndarray]]:
-    """(delay, op) pairs of one element: a crystal's o-ray projector at delay 0
-    and e-ray projector at its delay, or a single unitary at delay 0."""
+def _element_kraus(elem: ArmElement) -> np.ndarray:
+    """Operators (m, 2, 2) of one element: a crystal's o-ray and e-ray
+    projectors, in that order, or a single unitary."""
     if isinstance(elem, Crystal):
-        ket_o, ket_e = rotated_basis(elem.axis_angle)
-        return [(0.0, np.outer(ket_o, ket_o.conj())),
-                (float(elem.delay), np.outer(ket_e, ket_e.conj()))]
+        kets = np.array(rotated_basis(elem.axis_angle))
+        return kets[:, :, None] * kets[:, None].conj()
     if isinstance(elem, Waveplate):
-        return [(0.0, half_waveplate(elem.axis_angle))]
+        return half_waveplate(elem.axis_angle)[None]
     if isinstance(elem, RawUnitary):
-        return [(0.0, elem.matrix)]
+        return elem.matrix[None]
     raise ValueError(f"unknown arm element {elem!r}")
-
-
-def _check_compose_bins(arm: ArmSpec) -> None:
-    """Raise ResourceLimitError when composing ``arm`` would pass COMPOSE_BIN_LIMIT.
-
-    Counts the distinct delays of the composed Kraus set from the crystal
-    delays alone: subset sums merged within ``DELAY_MERGE_TOL`` of the
-    smallest delay of their group, as ``compose_arm`` merges them. Builds no
-    operators and stops at the first crystal that takes the count past the
-    limit, so an arm of many distinct delays is refused at once. Arms whose
-    crystal delays form at most COMPOSE_BIN_LIMIT sub-multisets pass without
-    counting: they cannot reach more sums than that.
-    """
-    delays = [elem.delay for elem in arm if isinstance(elem, Crystal)]
-    if math.prod(m + 1 for m in Counter(delays).values()) <= COMPOSE_BIN_LIMIT:
-        return
-    sums = [0.0]
-    for delay in delays:
-        merged, leader = [], -math.inf
-        for d in sorted(sums + [s + delay for s in sums]):
-            if d - leader > DELAY_MERGE_TOL:
-                merged.append(d)
-                leader = d
-        sums = merged
-        if len(sums) > COMPOSE_BIN_LIMIT:
-            raise ResourceLimitError(
-                f"resource limit: arm reaches more than {COMPOSE_BIN_LIMIT} "
-                "distinct delays (COMPOSE_BIN_LIMIT)")
 
 
 def compose_arm(arm: ArmSpec) -> list[tuple[float, np.ndarray]]:
     """Delay-tagged Kraus operators of a whole arm as (delay, op) pairs.
 
     Applies the elements in traversal order (later elements left-multiplied).
-    After each element, branches whose total delays coincide within
-    ``DELAY_MERGE_TOL`` of the smallest delay of their group are merged
-    coherently, so the set never holds more operators than distinct delays.
-    Operators that vanish entrywise below ``ZERO_OP_TOL`` are dropped at the
-    end. The result is sorted by delay. Raises ResourceLimitError before
-    composing anything when the arm reaches more than ``COMPOSE_BIN_LIMIT``
-    delays (``_check_compose_bins``).
+    After each crystal, the o- and e-branches are sorted stably by total delay
+    and a branch joins the group whose first delay lies within
+    ``DELAY_MERGE_TOL``; a group's operators are summed coherently, so the set
+    never holds more operators than distinct delays. The delays are composed
+    first, and an arm that reaches more than ``COMPOSE_BIN_LIMIT`` of them
+    raises ResourceLimitError before any operator is built. Operators that
+    vanish entrywise below ``ZERO_OP_TOL`` are dropped at the end. The result
+    is sorted by delay.
     """
-    _check_compose_bins(arm)
-    kraus: list[tuple[float, np.ndarray]] = [(0.0, np.eye(2, dtype=complex))]
+    delays, merges = np.zeros(1), []
     for elem in arm:
-        branches = sorted(((d_k + d_e, op_e @ op_k)
-                           for d_e, op_e in _element_kraus(elem)
-                           for d_k, op_k in kraus), key=lambda t: t[0])
-        kraus = []
-        for d, op in branches:
-            if kraus and d - kraus[-1][0] <= DELAY_MERGE_TOL:
-                kraus[-1] = (kraus[-1][0], kraus[-1][1] + op)
-            else:
-                kraus.append((d, op))
-    return [(d, op) for d, op in kraus if float(np.max(np.abs(op))) >= ZERO_OP_TOL]
+        if not isinstance(elem, Crystal):
+            continue
+        branches = np.concatenate((delays, delays + float(elem.delay)))
+        order = branches.argsort(kind="stable")
+        branches = branches[order]
+        start = np.ones(len(branches), dtype=bool)
+        start[1:] = branches[1:] - branches[:-1] > DELAY_MERGE_TOL
+        # A branch within the tolerance of its predecessor joins the group
+        # only if it also lies within the tolerance of the group's first delay.
+        for i in (~start).nonzero()[0].tolist():
+            if start[i - 1]:
+                leader = branches[i - 1]
+            start[i] = branches[i] - leader > DELAY_MERGE_TOL
+        starts = start.nonzero()[0]
+        delays = branches[starts]
+        if len(delays) > COMPOSE_BIN_LIMIT:
+            raise ResourceLimitError(
+                f"resource limit: arm reaches more than {COMPOSE_BIN_LIMIT} "
+                "distinct delays (COMPOSE_BIN_LIMIT)")
+        merges.append((order, starts))
+    merges = iter(merges)
+    kraus = np.eye(2, dtype=complex)[None]
+    for elem in arm:
+        kraus = (_element_kraus(elem)[:, None] @ kraus).reshape(-1, 2, 2)
+        if isinstance(elem, Crystal):
+            order, starts = next(merges)
+            # Each half of a crystal's branches is spaced by more than the
+            # tolerance (up to rounding), so a group holds at most an o- and
+            # an e-branch, which reduceat adds in sorted order.
+            kraus = np.add.reduceat(kraus[order], starts)
+    keep = np.abs(kraus).max(axis=(1, 2)) >= ZERO_OP_TOL
+    return list(zip(delays[keep].tolist(), kraus[keep]))
 
 
 def _gcd(a: float, b: float) -> float:

@@ -98,7 +98,7 @@ def closed_form_contrast(variant: str, beta: float) -> float:
     raise ValueError(f"unknown variant {variant!r}, expected one of {VARIANTS}")
 
 
-def default_beta_grid(points: int = 25) -> np.ndarray:
+def default_beta_grid(points: int) -> np.ndarray:
     """Evenly spaced crystal angles over [0, pi/2]."""
     return np.linspace(0.0, np.pi / 2.0, points)
 
@@ -269,8 +269,11 @@ class FitResult:
     converged: bool
 
 
-def _fringe_model(phis, amp, vis, psi):
-    return amp * (1.0 + vis * np.cos(phis + psi))
+def _fringe_model_and_jacobian(phis, amp, vis, psi):
+    """Model A (1 + v cos(phi + psi)) at ``phis`` and its Jacobian in (A, v, psi)."""
+    cos, sin = np.cos(phis + psi), np.sin(phis + psi)
+    jac = np.column_stack([1.0 + vis * cos, amp * cos, -amp * vis * sin])
+    return amp * jac[:, 0], jac
 
 
 def fit_fringe(phis: Sequence[float], counts: Sequence[float]) -> FitResult:
@@ -305,15 +308,10 @@ def fit_fringe(phis: Sequence[float], counts: Sequence[float]) -> FitResult:
     converged = False
     for _ in range(100):
         iterations += 1
-        model = _fringe_model(phis, *theta)
+        model, jac = _fringe_model_and_jacobian(phis, *theta)
         w = 1.0 / np.maximum(model, 1.0)
         sw = np.sqrt(w)
         resid = counts - model
-        jac = np.column_stack([
-            1.0 + theta[1] * np.cos(phis + theta[2]),
-            theta[0] * np.cos(phis + theta[2]),
-            -theta[0] * theta[1] * np.sin(phis + theta[2]),
-        ])
         step, *_ = np.linalg.lstsq(sw[:, None] * jac, sw * resid, rcond=None)
         theta = theta + step
         if float(np.linalg.norm(step)) < 1e-10:
@@ -326,13 +324,8 @@ def fit_fringe(phis: Sequence[float], counts: Sequence[float]) -> FitResult:
     psi = float(np.arctan2(np.sin(psi), np.cos(psi)))
     vis = min(vis, 1.0)
 
-    model = _fringe_model(phis, amp, vis, psi)
+    model, jac = _fringe_model_and_jacobian(phis, amp, vis, psi)
     w = 1.0 / np.maximum(model, 1.0)
-    jac = np.column_stack([
-        1.0 + vis * np.cos(phis + psi),
-        amp * np.cos(phis + psi),
-        -amp * vis * np.sin(phis + psi),
-    ])
     normal = jac.T @ (w[:, None] * jac)
     cov = np.linalg.pinv(normal)
     stderr = float(np.sqrt(max(cov[1, 1].real, 0.0)))

@@ -27,7 +27,6 @@ __all__ = [
     "PAULIS",
     "PROBE_STATES",
     "qpt",
-    "chi_distance",
     "blindness_demo",
 ]
 
@@ -95,11 +94,6 @@ def qpt(channel: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
     return (_CHI_MAP @ outs.reshape(16)).reshape(4, 4)
 
 
-def chi_distance(a: np.ndarray, b: np.ndarray) -> float:
-    """Frobenius norm of the difference of two process matrices."""
-    return float(np.linalg.norm(np.asarray(a) - np.asarray(b)))
-
-
 def blindness_demo(betas: Sequence[float]) -> tuple[np.ndarray, ...]:
     """Identical per-arm tomography, different fringes, over a beta grid.
 
@@ -109,8 +103,9 @@ def blindness_demo(betas: Sequence[float]) -> tuple[np.ndarray, ...]:
     two always share their lower arm, and at beta = 0 the upper arm of the
     third as well), and returns the columns beta,
     chi_distance_upper, chi_distance_lower, visibility_a, visibility_b and
-    visibility_gap: the chi distances between corresponding arms next to the
-    two shared-environment visibilities.
+    visibility_gap: the chi distances (Frobenius norms of the differences)
+    between corresponding arms next to the two shared-environment
+    visibilities.
     """
     from .arms import arm_channel_apply
     from .experiments import standard_config
@@ -121,8 +116,8 @@ def blindness_demo(betas: Sequence[float]) -> tuple[np.ndarray, ...]:
         spec_a, spec_b = standard_config("a", beta), standard_config("c", beta)
         arms = [tuple(arm) for arm in (spec_a.upper, spec_b.upper, spec_a.lower, spec_b.lower)]
         chi = {arm: qpt(lambda rho: arm_channel_apply(arm, rho)) for arm in dict.fromkeys(arms)}
-        d_upper.append(chi_distance(chi[arms[0]], chi[arms[1]]))
-        d_lower.append(chi_distance(chi[arms[2]], chi[arms[3]]))
+        d_upper.append(np.linalg.norm(chi[arms[0]] - chi[arms[1]]))
+        d_lower.append(np.linalg.norm(chi[arms[2]] - chi[arms[3]]))
         vis_a.append(abs(contrast_shared_env(spec_a)))
         vis_b.append(abs(contrast_shared_env(spec_b)))
     gap = [abs(a - b) for a, b in zip(vis_a, vis_b)]

@@ -18,8 +18,9 @@ from mzfringe import (
 )
 from mzfringe.arms import (
     COMPOSE_BIN_LIMIT,
+    DELAY_MERGE_TOL,
+    ZERO_OP_TOL,
     ResourceLimitError,
-    _check_compose_bins,
     _delay_grid,
     _evolve_arm,
 )
@@ -244,15 +245,61 @@ def test_compose_refuses_arms_past_the_bin_limit_at_once():
 
 
 def test_bin_limit_counts_merged_delays():
-    # 2^14 distinct delays compose; one more doubling does not
-    _check_compose_bins([Crystal(0.0, 150.0 * 2 ** k) for k in range(14)])
+    # 2^14 distinct delays compose; one more doubling does not. Nonzero angles
+    # keep every branch: aligned crystals leave only 2 nonzero operators.
+    assert len(compose_arm([Crystal(0.1 * k, 150.0 * 2 ** k) for k in range(14)])) == 2 ** 14
+    assert len(compose_arm([Crystal(0.0, 150.0 * 2 ** k) for k in range(14)])) == 2
     with pytest.raises(ResourceLimitError, match="resource limit"):
-        _check_compose_bins([Crystal(0.0, 150.0 * 2 ** k) for k in range(15)])
-    # sums within DELAY_MERGE_TOL merge as in compose_arm: 40 near-equal
-    # delays reach 41 bins, not 2^40
+        compose_arm([Crystal(0.1 * k, 150.0 * 2 ** k) for k in range(15)])
+    # sums within DELAY_MERGE_TOL merge: 40 near-equal delays reach 41 bins,
+    # not 2^40
     arm = [Crystal(0.1 * k, 150.0 + 1e-12 * k) for k in range(40)]
-    _check_compose_bins(arm)
     assert len(compose_arm(arm)) == 41
+
+
+def reference_compose(arm):
+    """Per-branch composition: one (delay, op) tuple per branch, merged after
+    each element into the group whose first delay lies within
+    DELAY_MERGE_TOL, summed in sorted order, zero operators dropped last."""
+    kraus = [(0.0, np.eye(2, dtype=complex))]
+    for elem in arm:
+        if isinstance(elem, Crystal):
+            ket_o, ket_e = rotated_basis(elem.axis_angle)
+            elem_ops = [(0.0, np.outer(ket_o, ket_o.conj())),
+                        (float(elem.delay), np.outer(ket_e, ket_e.conj()))]
+        elif isinstance(elem, Waveplate):
+            elem_ops = [(0.0, half_waveplate(elem.axis_angle))]
+        else:
+            elem_ops = [(0.0, elem.matrix)]
+        branches = sorted(((d_k + d_e, op_e @ op_k)
+                           for d_e, op_e in elem_ops
+                           for d_k, op_k in kraus), key=lambda t: t[0])
+        kraus = []
+        for d, op in branches:
+            if kraus and d - kraus[-1][0] <= DELAY_MERGE_TOL:
+                kraus[-1] = (kraus[-1][0], kraus[-1][1] + op)
+            else:
+                kraus.append((d, op))
+    return [(d, op) for d, op in kraus if float(np.max(np.abs(op))) >= ZERO_OP_TOL]
+
+
+def test_compose_matches_the_per_branch_rule_bit_for_bit():
+    rng = np.random.default_rng(61)
+    arms = [random_arm(rng, max_elements=4) for _ in range(1000)]
+    arms.append([Crystal(a, 310.0) for a in rng.uniform(0, np.pi, 15)])
+    arms.append([Crystal(a, 150.0 * 2 ** k)
+                 for a, k in zip(rng.uniform(0, np.pi, 10), rng.permutation(10))])
+    arms += [[], [Waveplate(0.4)], [Crystal(0.0, 150.0), Crystal(0.0, 310.0)]]
+    # 150.0000000015 lies within the tolerance of 150.0000000008 but not of
+    # its group's first delay 150, so it starts a group of its own
+    chain = [Crystal(0.3, 150.0), Crystal(0.7, 150.0 + 1.5e-9), Crystal(1.1, 150.0 + 0.8e-9)]
+    assert [d for d, _ in compose_arm(chain)] == [
+        0.0, 150.0, 150.0000000015, 300.0000000008, 300.0000000023, 450.0000000023]
+    arms.append(chain)
+    for arm in arms:
+        got, want = compose_arm(arm), reference_compose(arm)
+        assert [d for d, _ in got] == [d for d, _ in want], arm
+        assert [op.tobytes() for _, op in got] == [op.tobytes() for _, op in want], arm
 
 
 @pytest.mark.parametrize("lower, message", [

@@ -7,7 +7,6 @@ from mzfringe import (
     Waveplate,
     arm_channel_apply,
     blindness_demo,
-    chi_distance,
     maximally_mixed,
     qpt,
 )
@@ -134,14 +133,6 @@ def test_qpt_crystal_arms_keep_unitality():
         chi = qpt(lambda rho: arm_channel_apply(arm, rho))
         np.testing.assert_allclose(apply_chi(chi, maximally_mixed(2)),
                                    maximally_mixed(2), atol=1e-10)
-
-
-def test_chi_distance_basics():
-    chi_id = np.diag([1.0, 0.0, 0.0, 0.0])
-    chi_deph = np.diag([0.5, 0.0, 0.0, 0.5])
-    assert chi_distance(chi_id, chi_id) == 0.0
-    assert chi_distance(chi_id, chi_deph) == pytest.approx(1 / np.sqrt(2), abs=1e-12)
-    assert chi_distance(chi_id, chi_deph) == chi_distance(chi_deph, chi_id)
 
 
 def test_blindness_at_quarter_pi():
