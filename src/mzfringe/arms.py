@@ -3,8 +3,8 @@
 A birefringent crystal splits polarization into its ordinary and
 extraordinary components and retards the extraordinary one, entangling the
 polarization qubit with photon arrival time. An arm is an ordered list of
-optical elements in traversal order; composing it yields (delay, op) pairs,
-one 2x2 Kraus operator per distinct accumulated delay. Delays are stored in
+optical elements in traversal order; composing it yields delays (k,) and 2x2
+Kraus operators (k, 2, 2), one per distinct accumulated delay. Delays are
 micrometers of o/e wavepacket separation. Only delay differences are
 observable, so the o-ray carries zero delay by convention.
 
@@ -128,8 +128,8 @@ def _element_kraus(elem: ArmElement) -> np.ndarray:
     raise ValueError(f"unknown arm element {elem!r}")
 
 
-def compose_arm(arm: ArmSpec) -> list[tuple[float, np.ndarray]]:
-    """Delay-tagged Kraus operators of a whole arm as (delay, op) pairs.
+def compose_arm(arm: ArmSpec) -> tuple[np.ndarray, np.ndarray]:
+    """Delay-tagged Kraus set of a whole arm: delays (k,) and operators (k, 2, 2).
 
     Applies the elements in traversal order (later elements left-multiplied).
     After each crystal, the o- and e-branches are sorted stably by total delay
@@ -138,8 +138,8 @@ def compose_arm(arm: ArmSpec) -> list[tuple[float, np.ndarray]]:
     never holds more operators than distinct delays. The delays are composed
     first, and an arm that reaches more than ``COMPOSE_BIN_LIMIT`` of them
     raises ResourceLimitError before any operator is built. Operators that
-    vanish entrywise below ``ZERO_OP_TOL`` are dropped at the end. The result
-    is sorted by delay.
+    vanish entrywise below ``ZERO_OP_TOL`` are dropped at the end. Both
+    arrays are sorted by delay.
     """
     delays, merges = np.zeros(1), []
     for elem in arm:
@@ -174,7 +174,7 @@ def compose_arm(arm: ArmSpec) -> list[tuple[float, np.ndarray]]:
             # an e-branch, which reduceat adds in sorted order.
             kraus = np.add.reduceat(kraus[order], starts)
     keep = np.abs(kraus).max(axis=(1, 2)) >= ZERO_OP_TOL
-    return list(zip(delays[keep].tolist(), kraus[keep]))
+    return delays[keep], kraus[keep]
 
 
 def _gcd(a: float, b: float) -> float:
@@ -257,12 +257,12 @@ def _evolve_arm(arms: Sequence[ArmSpec], cols: np.ndarray, unit: float) -> np.nd
 
 def arm_channel_apply(arm: ArmSpec, rho) -> np.ndarray:
     """Polarization channel of an arm with the time bins traced out:
-    sum_k K rho K^dag over the composed Kraus set. ``rho`` may be a stack of
+    sum_k K rho K^dag over the composed operators. ``rho`` may be a stack of
     states (..., 2, 2); the arm is composed once for the whole stack."""
     rho = validate_density_matrix(rho)
     if rho.shape[-2:] != (2, 2):
         raise ValueError(f"arm channels act on 2x2 states, got shape {rho.shape}")
     out = np.zeros(rho.shape, dtype=complex)
-    for _, op in compose_arm(arm):
+    for op in compose_arm(arm)[1]:
         out += op @ rho @ op.conj().T
     return out

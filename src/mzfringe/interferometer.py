@@ -23,7 +23,6 @@ overlap is out of scope.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -70,20 +69,20 @@ def contrast_shared_env(spec: InterferometerSpec) -> complex:
     """Complex interference contrast when both arms disturb the same environment.
 
     C = sum of Tr[u^dag v rho] over delay-matched Kraus pairs (u from the
-    upper arm, v from the lower): each upper operator is joined by bisection
-    with every lower operator whose delay lies within ``DELAY_MERGE_TOL``.
+    upper arm, v from the lower): each upper delay d is joined with every
+    lower delay in [d - DELAY_MERGE_TOL, d + DELAY_MERGE_TOL]. The terms are
+    added in pair order starting from 0, which fixes their rounding (np.sum
+    would add them pairwise).
     """
-    upper = compose_arm(spec.upper)
-    lower = compose_arm(spec.lower)
-    lower_delays = [d for d, _ in lower]
-    rho = spec.input_state
-    c = 0.0 + 0.0j
-    for d, u in upper:
-        lo = bisect_left(lower_delays, d - DELAY_MERGE_TOL)
-        hi = bisect_right(lower_delays, d + DELAY_MERGE_TOL)
-        for _, v in lower[lo:hi]:
-            c += np.trace(u.conj().T @ v @ rho)
-    return complex(c)
+    upper_delays, upper_ops = compose_arm(spec.upper)
+    lower_delays, lower_ops = compose_arm(spec.lower)
+    lo = lower_delays.searchsorted(upper_delays - DELAY_MERGE_TOL)
+    counts = lower_delays.searchsorted(upper_delays + DELAY_MERGE_TOL, "right") - lo
+    ends = counts.cumsum()
+    # lower index of every pair: lo[i], ..., lo[i] + counts[i] - 1 per upper i
+    v = lower_ops.take((lo - ends + counts).repeat(counts) + np.arange(ends[-1]), axis=0)
+    m = upper_ops.repeat(counts, axis=0).conj().transpose(0, 2, 1) @ v @ spec.input_state
+    return sum((m[:, 0, 0] + m[:, 1, 1]).tolist(), 0j)  # traces, summed from 0
 
 
 def output_probability(c: complex, phi):

@@ -100,6 +100,12 @@ def test_oracle_catches_widened_delay_merging(monkeypatch):
     assert _criterion_3_max_delta() > 1e-3
 
 
+def test_oracle_catches_widened_delay_join(monkeypatch):
+    # join delays within 100 um while composition keeps arms.DELAY_MERGE_TOL
+    monkeypatch.setattr(mzfringe.interferometer, "DELAY_MERGE_TOL", 100.0)
+    assert _criterion_3_max_delta() > 1e-3
+
+
 def test_criterion_4_tomography_blindness():
     [(_, d_upper, d_lower, vis_a, vis_b, gap)] = zip(*blindness_demo([np.pi / 4]))
     point_ok = (d_upper < 1e-9 and d_lower < 1e-9
@@ -119,7 +125,7 @@ def test_criterion_5_cptp_and_unitality():
     worst_unital = 0.0
     for _ in range(200):
         arm = random_arm(rng, max_elements=4)
-        check = validate_cptp([op for _, op in compose_arm(arm)])
+        check = validate_cptp(compose_arm(arm)[1])
         worst_residual = max(worst_residual, check.residual)
         out = arm_channel_apply(arm, maximally_mixed(2))
         worst_unital = max(worst_unital, float(np.max(np.abs(out - np.eye(2) / 2))))

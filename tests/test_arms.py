@@ -43,23 +43,23 @@ def projector(ket):
 
 
 def test_crystal_kraus_axis_aligned():
-    ops = compose_arm([Crystal(0.0, 310.0)])
-    assert [d for d, _ in ops] == [0.0, 310.0]
-    np.testing.assert_allclose(ops[0][1], np.diag([1.0, 0.0]))
-    np.testing.assert_allclose(ops[1][1], np.diag([0.0, 1.0]))
+    delays, ops = compose_arm([Crystal(0.0, 310.0)])
+    assert delays.tolist() == [0.0, 310.0]
+    np.testing.assert_allclose(ops[0], np.diag([1.0, 0.0]))
+    np.testing.assert_allclose(ops[1], np.diag([0.0, 1.0]))
 
 
 def test_crystal_kraus_diagonal_basis():
-    ops = compose_arm([Crystal(np.pi / 4, 12.0)])
+    _, ops = compose_arm([Crystal(np.pi / 4, 12.0)])
     d = np.array([1.0, 1.0]) / np.sqrt(2)
     a = np.array([-1.0, 1.0]) / np.sqrt(2)
-    np.testing.assert_allclose(ops[0][1], projector(d), atol=1e-15)
-    np.testing.assert_allclose(ops[1][1], projector(a), atol=1e-15)
+    np.testing.assert_allclose(ops[0], projector(d), atol=1e-15)
+    np.testing.assert_allclose(ops[1], projector(a), atol=1e-15)
 
 
 def test_crystal_kraus_complete():
-    ops = compose_arm([Crystal(0.83, 75.0)])
-    assert validate_cptp([op for _, op in ops]).passed
+    _, ops = compose_arm([Crystal(0.83, 75.0)])
+    assert validate_cptp(ops).passed
 
 
 def test_crystal_rejects_negative_delay():
@@ -73,59 +73,59 @@ def test_raw_unitary_rejects_nonunitary():
 
 
 def test_compose_empty_arm():
-    ops = compose_arm([])
-    assert len(ops) == 1 and ops[0][0] == 0.0
-    np.testing.assert_allclose(ops[0][1], I2)
+    delays, ops = compose_arm([])
+    assert len(ops) == 1 and delays[0] == 0.0
+    np.testing.assert_allclose(ops[0], I2)
 
 
 def test_compose_two_crystal_arm():
     """Two crystals produce the four overlap-weighted transition operators."""
     beta = 0.7
-    ops = compose_arm([Crystal(0.0, 310.0), Crystal(beta, 150.0)])
-    assert [d for d, _ in ops] == [0.0, 150.0, 310.0, 460.0]
+    delays, ops = compose_arm([Crystal(0.0, 310.0), Crystal(beta, 150.0)])
+    assert delays.tolist() == [0.0, 150.0, 310.0, 460.0]
     a = rotated_basis(beta)
     b = rotated_basis(0.0)
     # delay = 150 * (a branch is e) + 310 * (b branch is e)
     expected = {
         0.0: (0, 0), 150.0: (1, 0), 310.0: (0, 1), 460.0: (1, 1),
     }
-    for delay, op in ops:
+    for delay, op in zip(delays.tolist(), ops):
         i, j = expected[delay]
         np.testing.assert_allclose(op, np.vdot(a[i], b[j]) * np.outer(a[i], b[j].conj()),
                                    atol=1e-14)
 
 
 def test_compose_aligned_crystals_drop_cross_terms():
-    ops = compose_arm([Crystal(0.0, 150.0), Crystal(0.0, 310.0)])
-    assert [d for d, _ in ops] == [0.0, 460.0]
-    np.testing.assert_allclose(ops[0][1], np.diag([1.0, 0.0]))
-    np.testing.assert_allclose(ops[1][1], np.diag([0.0, 1.0]))
+    delays, ops = compose_arm([Crystal(0.0, 150.0), Crystal(0.0, 310.0)])
+    assert delays.tolist() == [0.0, 460.0]
+    np.testing.assert_allclose(ops[0], np.diag([1.0, 0.0]))
+    np.testing.assert_allclose(ops[1], np.diag([0.0, 1.0]))
 
 
 def test_compose_zero_delay_crystal_merges_to_identity():
-    ops = compose_arm([Crystal(0.37, 0.0)])
+    _, ops = compose_arm([Crystal(0.37, 0.0)])
     assert len(ops) == 1
-    np.testing.assert_allclose(ops[0][1], I2, atol=1e-14)
+    np.testing.assert_allclose(ops[0], I2, atol=1e-14)
 
 
 def test_compose_all_zero_delays_is_jones_product():
     rng = np.random.default_rng(31)
     u = random_unitary(rng)
-    ops = compose_arm([Crystal(0.4, 0.0), Waveplate(0.9), RawUnitary(u)])
+    _, ops = compose_arm([Crystal(0.4, 0.0), Waveplate(0.9), RawUnitary(u)])
     assert len(ops) == 1
-    np.testing.assert_allclose(ops[0][1], u @ half_waveplate(0.9), atol=1e-14)
+    np.testing.assert_allclose(ops[0], u @ half_waveplate(0.9), atol=1e-14)
 
 
 def test_compose_equal_delay_crystals_merge_coherently():
     # both e-branches land in the same bin; o/e cross products survive as a sum
     theta = 0.6
-    ops = compose_arm([Crystal(0.0, 75.0), Crystal(theta, 75.0)])
-    assert [d for d, _ in ops] == [0.0, 75.0, 150.0]
+    delays, ops = compose_arm([Crystal(0.0, 75.0), Crystal(theta, 75.0)])
+    assert delays.tolist() == [0.0, 75.0, 150.0]
     a = rotated_basis(theta)
     ket_h, ket_v = np.array([1.0, 0.0]), np.array([0.0, 1.0])
     merged = (np.vdot(a[0], ket_v) * np.outer(a[0], ket_v.conj())
               + np.vdot(a[1], ket_h) * np.outer(a[1], ket_h.conj()))
-    match = [op for d, op in ops if d == 75.0][0]
+    match = ops[delays == 75.0][0]
     np.testing.assert_allclose(match, merged, atol=1e-14)
 
 
@@ -133,7 +133,7 @@ def test_compose_random_arms_trace_preserving():
     rng = np.random.default_rng(37)
     for _ in range(200):
         arm = random_arm(rng, max_elements=4)
-        check = validate_cptp([op for _, op in compose_arm(arm)])
+        check = validate_cptp(compose_arm(arm)[1])
         assert check.passed, check
 
 
@@ -143,12 +143,12 @@ def test_compose_merges_equal_delays_after_each_element():
     arm = [Crystal(a, 150.0) for a in angles]
     tracemalloc.start()
     try:
-        ops = compose_arm(arm)
+        delays, ops = compose_arm(arm)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert [d for d, _ in ops] == [150.0 * k for k in range(17)]
-    assert validate_cptp([op for _, op in ops]).passed
+    assert delays.tolist() == [150.0 * k for k in range(17)]
+    assert validate_cptp(ops).passed
     assert peak < 1 << 20
 
 
@@ -157,7 +157,7 @@ def test_kraus_count_bounded_by_crystal_count():
     for _ in range(50):
         arm = random_arm(rng, max_elements=4)
         n_crystals = sum(isinstance(e, Crystal) for e in arm)
-        assert len(compose_arm(arm)) <= 2 ** n_crystals
+        assert len(compose_arm(arm)[1]) <= 2 ** n_crystals
 
 
 def test_channel_preserves_maximally_mixed():
@@ -214,7 +214,8 @@ def test_dilation_reproduces_composed_kraus():
     rng = np.random.default_rng(53)
     for _ in range(30):
         arm = random_arm(rng, max_elements=3)
-        kraus = dict(compose_arm(arm))
+        delays, ops = compose_arm(arm)
+        kraus = dict(zip(delays.tolist(), ops))
         u, bins = arm_dilation(arm)
         n = len(bins)
         np.testing.assert_allclose(u.conj().T @ u, np.eye(2 * n), atol=1e-12)
@@ -247,14 +248,14 @@ def test_compose_refuses_arms_past_the_bin_limit_at_once():
 def test_bin_limit_counts_merged_delays():
     # 2^14 distinct delays compose; one more doubling does not. Nonzero angles
     # keep every branch: aligned crystals leave only 2 nonzero operators.
-    assert len(compose_arm([Crystal(0.1 * k, 150.0 * 2 ** k) for k in range(14)])) == 2 ** 14
-    assert len(compose_arm([Crystal(0.0, 150.0 * 2 ** k) for k in range(14)])) == 2
+    assert len(compose_arm([Crystal(0.1 * k, 150.0 * 2 ** k) for k in range(14)])[1]) == 2 ** 14
+    assert len(compose_arm([Crystal(0.0, 150.0 * 2 ** k) for k in range(14)])[1]) == 2
     with pytest.raises(ResourceLimitError, match="resource limit"):
         compose_arm([Crystal(0.1 * k, 150.0 * 2 ** k) for k in range(15)])
     # sums within DELAY_MERGE_TOL merge: 40 near-equal delays reach 41 bins,
     # not 2^40
     arm = [Crystal(0.1 * k, 150.0 + 1e-12 * k) for k in range(40)]
-    assert len(compose_arm(arm)) == 41
+    assert len(compose_arm(arm)[1]) == 41
 
 
 def reference_compose(arm):
@@ -293,13 +294,13 @@ def test_compose_matches_the_per_branch_rule_bit_for_bit():
     # 150.0000000015 lies within the tolerance of 150.0000000008 but not of
     # its group's first delay 150, so it starts a group of its own
     chain = [Crystal(0.3, 150.0), Crystal(0.7, 150.0 + 1.5e-9), Crystal(1.1, 150.0 + 0.8e-9)]
-    assert [d for d, _ in compose_arm(chain)] == [
+    assert compose_arm(chain)[0].tolist() == [
         0.0, 150.0, 150.0000000015, 300.0000000008, 300.0000000023, 450.0000000023]
     arms.append(chain)
     for arm in arms:
-        got, want = compose_arm(arm), reference_compose(arm)
-        assert [d for d, _ in got] == [d for d, _ in want], arm
-        assert [op.tobytes() for _, op in got] == [op.tobytes() for _, op in want], arm
+        (delays, ops), want = compose_arm(arm), reference_compose(arm)
+        assert delays.tolist() == [d for d, _ in want], arm
+        assert [op.tobytes() for op in ops] == [op.tobytes() for _, op in want], arm
 
 
 @pytest.mark.parametrize("lower, message", [

@@ -2,9 +2,14 @@
 
 The command lists and the gate come from ``benchmarks/``, loaded by file path
 so that the benchmark stays a directory of scripts rather than a package.
+The pass's CSVs must also match, byte for byte, the sha256 digests recorded
+in ``seed_1_csv_sha256.json``; a change that alters output bytes on purpose
+regenerates that file.
 """
 
+import hashlib
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -12,6 +17,7 @@ import pytest
 from mzfringe.cli import main
 
 BENCHMARKS = Path(__file__).resolve().parent.parent / "benchmarks"
+DIGESTS = json.loads((Path(__file__).resolve().parent / "seed_1_csv_sha256.json").read_text())
 
 
 def _load(name):
@@ -33,3 +39,9 @@ def test_seed_1_pass_clears_the_benchmark_gate(tmp_path, monkeypatch, capsys, wo
     capsys.readouterr()
     assert [i for i, code in enumerate(codes) if code != 0] == []
     assert gate.gate(commands, [str(tmp_path)]) == []
+    want = DIGESTS[workload]
+    assert len(commands) == len(want)
+    changed = [" ".join(command["argv"]) for command in commands
+               if hashlib.sha256((tmp_path / command["output"]).read_bytes()).hexdigest()
+               != want.get(command["output"])]
+    assert changed == []

@@ -1,10 +1,11 @@
 import tracemalloc
+from bisect import bisect_left, bisect_right
 
 import numpy as np
 import pytest
 
 from conftest import random_density, random_unitary
-from mzfringe.arms import ORACLE_DIM_LIMIT, ResourceLimitError, _delay_grid
+from mzfringe.arms import DELAY_MERGE_TOL, ORACLE_DIM_LIMIT, ResourceLimitError, _delay_grid
 from mzfringe.interferometer import _path_gram, _port_probabilities
 from mzfringe import (
     Crystal,
@@ -68,12 +69,53 @@ def test_upper_bin_joins_every_lower_bin_within_tolerance():
     assert c == pytest.approx(0.371350059712339, abs=1e-14)
 
 
+def reference_contrast(spec):
+    """Per-pair join: each upper operator is joined by bisection with every
+    lower operator whose delay lies within DELAY_MERGE_TOL, and each trace is
+    added to a running sum that starts from 0."""
+    upper_delays, upper_ops = compose_arm(spec.upper)
+    lower_delays, lower_ops = compose_arm(spec.lower)
+    lower_delays = lower_delays.tolist()
+    c = 0.0 + 0.0j
+    for d, u in zip(upper_delays.tolist(), upper_ops):
+        lo = bisect_left(lower_delays, d - DELAY_MERGE_TOL)
+        hi = bisect_right(lower_delays, d + DELAY_MERGE_TOL)
+        for v in lower_ops[lo:hi]:
+            c += np.trace(u.conj().T @ v @ spec.input_state)
+    return complex(c)
+
+
+def test_contrast_matches_the_per_pair_join_bit_for_bit():
+    rng = np.random.default_rng(127)
+    specs = [random_interferometer_spec(rng, 4) for _ in range(1000)]
+    # ten crystals at 150 * 2^k um per arm in two orders: 1,024 matched pairs
+    delays = [150.0 * 2 ** k for k in range(10)]
+    spreading = mixed_spec([Crystal(a, d) for a, d in zip(rng.uniform(0, np.pi, 10), delays)],
+                           [Crystal(a, d) for a, d in zip(rng.uniform(0, np.pi, 10),
+                                                          rng.permutation(delays))])
+    assert len(compose_arm(spreading.upper)[1]) == len(compose_arm(spreading.lower)[1]) == 1024
+    specs.append(spreading)
+    # fifteen equal-delay crystals per arm: 16 bins, each matched once
+    specs.append(mixed_spec([Crystal(a, 310.0) for a in rng.uniform(0, np.pi, 15)],
+                            [Crystal(a, 310.0) for a in rng.uniform(0, np.pi, 15)]))
+    specs.append(mixed_spec([], []))
+    # one operator at delay 75 against one at delay 0: no matched pair
+    specs.append(mixed_spec([Crystal(0.0, 75.0), Crystal(np.pi / 2, 75.0)], []))
+    # aligned crystals on a horizontal input: the delay-460 pair adds an exact zero
+    aligned = [Crystal(0.0, 150.0), Crystal(0.0, 310.0)]
+    specs.append(InterferometerSpec(aligned, aligned, np.diag([1.0, 0.0])))
+    # one upper delay with two lower delays inside its window
+    specs.append(mixed_spec([Crystal(0.3, 2.75e-9)], [Crystal(0.7, 2e-9), Crystal(1.1, 3.5e-9)]))
+    for spec in specs:
+        assert repr(contrast_shared_env(spec)) == repr(reference_contrast(spec)), spec
+
+
 def test_independent_env_zero_when_no_undelayed_branch():
     # equal-delay crystal sandwich leaves a single Kraus operator at delay d,
     # with no undelayed branch; the shared environment sees matching bins and
     # full interference
     arm = [Crystal(0.0, 75.0), Crystal(np.pi / 2, 75.0)]
-    assert [d for d, _ in compose_arm(arm)] == [75.0]
+    assert compose_arm(arm)[0].tolist() == [75.0]
     assert abs(contrast_shared_env(mixed_spec(arm, arm))) == pytest.approx(1.0)
 
 
