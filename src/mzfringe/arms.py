@@ -8,13 +8,14 @@ Kraus operators (k, 2, 2), one per distinct accumulated delay. Delays are
 micrometers of o/e wavepacket separation. Only delay differences are
 observable, so the o-ray carries zero delay by convention.
 
-``compose_arm`` makes one pass over the crystal delays, which decides the
-merge groups and refuses an arm that reaches more than ``COMPOSE_BIN_LIMIT``
-distinct sums, and then one pass that carries the Kraus set as a (k, 2, 2)
+``_compose_arms`` composes a stack of arms that share element kinds and
+crystal delays (``compose_arm`` is the one-arm stack): one pass over the
+delays decides the merge groups and refuses more than ``COMPOSE_BIN_LIMIT``
+distinct sums, and one pass carries the Kraus sets as an (arms, k, 2, 2)
 stack through the elements. The oracle's time grid stops at
 ``ORACLE_DIM_LIMIT``; both limits raise ``ResourceLimitError``.
-``arm_channel_apply`` maps a whole stack of states through one composed Kraus
-set.
+``arm_channel_apply`` maps a stack of states through one Kraus set or each
+set of a composed stack.
 
 The dilation oracle does not compose Kraus sets. It applies arms element by
 element to vectors on polarization (x) time bins, on a grid whose unit is the
@@ -67,6 +68,8 @@ ORACLE_DIM_LIMIT = 4096
 # Distinct delays beyond which compose_arm refuses to run: 16x the 1,024 bins
 # of ten crystals at 150 * 2^k um. A 2^14-bin arm composes in about a second.
 COMPOSE_BIN_LIMIT = 2**14
+# The Kraus set (arms, k, 2, 2) of one empty arm.
+_IDENTITY = np.eye(2, dtype=complex)[None, None]
 
 
 class ResourceLimitError(ValueError):
@@ -115,40 +118,62 @@ ArmElement = Union[Crystal, Waveplate, RawUnitary]
 ArmSpec = Sequence[ArmElement]
 
 
-def _element_kraus(elem: ArmElement) -> np.ndarray:
-    """Operators (m, 2, 2) of one element: a crystal's o-ray and e-ray
-    projectors, in that order, or a single unitary."""
-    if isinstance(elem, Crystal):
-        kets = np.array(rotated_basis(elem.axis_angle))
-        return kets[:, :, None] * kets[:, None].conj()
-    if isinstance(elem, Waveplate):
-        return half_waveplate(elem.axis_angle)[None]
-    if isinstance(elem, RawUnitary):
-        return elem.matrix[None]
-    raise ValueError(f"unknown arm element {elem!r}")
+def _check_stack(arms: Sequence[ArmSpec]) -> None:
+    """ValueError unless the arms share element count, kinds and crystal delays."""
+    for arm in arms[1:]:
+        if len(arm) != len(arms[0]):
+            raise ValueError("stacked arms differ in element count")
+        for position, (elem, first) in enumerate(zip(arm, arms[0])):
+            if type(elem) is not type(first):
+                raise ValueError(f"stacked arms differ in element kind at position {position}")
+            if type(elem) is Crystal and elem.delay != first.delay:
+                raise ValueError(f"stacked arms differ in crystal delay at position {position}")
 
 
-def compose_arm(arm: ArmSpec) -> tuple[np.ndarray, np.ndarray]:
-    """Delay-tagged Kraus set of a whole arm: delays (k,) and operators (k, 2, 2).
+def _element_kraus(elems: Sequence[ArmElement]) -> np.ndarray:
+    """Operators (arms, m, 2, 2) of the elements at one position of an arm
+    stack, from one angle array: a crystal's o-ray and e-ray projectors, in
+    that order, or a single unitary. C order keeps each operator contiguous,
+    so matmul rounds its products as for a single arm."""
+    kind = type(elems[0])
+    if kind is RawUnitary:
+        return np.array([[e.matrix] for e in elems])
+    angles = np.array([e.axis_angle for e in elems])
+    if kind is Crystal:
+        kets = rotated_basis(angles)
+        ops = kets[:, :, None] * kets[:, None].conj()
+    elif kind is Waveplate:
+        ops = half_waveplate(angles)[None]
+    else:
+        raise ValueError(f"unknown arm element {elems[0]!r}")
+    return np.ascontiguousarray(ops.transpose(3, 0, 1, 2))
+
+
+def _compose_arms(arms: Sequence[ArmSpec]) -> tuple[np.ndarray, np.ndarray]:
+    """Kraus sets of a stack of arms (``_check_stack``): delays (k,), shared
+    by the stack, and operators (arms, k, 2, 2), both sorted by delay.
 
     Applies the elements in traversal order (later elements left-multiplied).
     After each crystal, the o- and e-branches are sorted stably by total delay
     and a branch joins the group whose first delay lies within
-    ``DELAY_MERGE_TOL``; a group's operators are summed coherently, so the set
-    never holds more operators than distinct delays. The delays are composed
-    first, and an arm that reaches more than ``COMPOSE_BIN_LIMIT`` of them
-    raises ResourceLimitError before any operator is built. Operators that
-    vanish entrywise below ``ZERO_OP_TOL`` are dropped at the end. Both
-    arrays are sorted by delay.
+    ``DELAY_MERGE_TOL``; a group's operators are summed coherently. The delays
+    are composed first, and more than ``COMPOSE_BIN_LIMIT`` of them raise
+    ResourceLimitError before any operator is built. Zero rule: an operator
+    below ``ZERO_OP_TOL`` entrywise is exact zero in its arm, and its delay is
+    dropped when it vanishes in every arm (README, "Conventions and numerics").
     """
+    _check_stack(arms)
+    positions = list(zip(*arms))
     delays, merges = np.zeros(1), []
-    for elem in arm:
-        if not isinstance(elem, Crystal):
+    for elems in positions:
+        if type(elems[0]) is not Crystal:
+            merges.append(None)
             continue
-        branches = np.concatenate((delays, delays + float(elem.delay)))
+        branches = np.concatenate((delays, delays + float(elems[0].delay)))
         order = branches.argsort(kind="stable")
         branches = branches[order]
-        start = np.ones(len(branches), dtype=bool)
+        start = np.empty(len(branches), dtype=bool)
+        start[0] = True
         start[1:] = branches[1:] - branches[:-1] > DELAY_MERGE_TOL
         # A branch within the tolerance of its predecessor joins the group
         # only if it also lies within the tolerance of the group's first delay.
@@ -163,18 +188,28 @@ def compose_arm(arm: ArmSpec) -> tuple[np.ndarray, np.ndarray]:
                 f"resource limit: arm reaches more than {COMPOSE_BIN_LIMIT} "
                 "distinct delays (COMPOSE_BIN_LIMIT)")
         merges.append((order, starts))
-    merges = iter(merges)
-    kraus = np.eye(2, dtype=complex)[None]
-    for elem in arm:
-        kraus = (_element_kraus(elem)[:, None] @ kraus).reshape(-1, 2, 2)
-        if isinstance(elem, Crystal):
-            order, starts = next(merges)
-            # Each half of a crystal's branches is spaced by more than the
-            # tolerance (up to rounding), so a group holds at most an o- and
-            # an e-branch, which reduceat adds in sorted order.
-            kraus = np.add.reduceat(kraus[order], starts)
-    keep = np.abs(kraus).max(axis=(1, 2)) >= ZERO_OP_TOL
-    return delays[keep], kraus[keep]
+    kraus = _IDENTITY.repeat(len(arms), axis=0)
+    for elems, merge in zip(positions, merges):
+        ops = _element_kraus(elems)
+        if merge is None:
+            kraus = ops @ kraus
+            continue
+        # Each half of a crystal's branches is spaced by more than the
+        # tolerance (up to rounding), so a group holds at most an o- and an
+        # e-branch, which reduceat adds in sorted order.
+        kraus = (ops[:, :, None] @ kraus[:, None]).reshape(len(arms), -1, 2, 2)
+        kraus = np.add.reduceat(kraus.take(merge[0], axis=1), merge[1], axis=1)
+    vanish = np.maximum.reduce(np.abs(kraus), axis=(2, 3)) < ZERO_OP_TOL
+    kraus[vanish] = 0.0
+    keep = ~np.logical_and.reduce(vanish)
+    return delays.compress(keep), kraus.compress(keep, axis=1)
+
+
+def compose_arm(arm: ArmSpec) -> tuple[np.ndarray, np.ndarray]:
+    """Delay-tagged Kraus set of one arm, delays (k,) and operators (k, 2, 2)
+    sorted by delay: ``_compose_arms`` of a one-arm stack."""
+    delays, kraus = _compose_arms([arm])
+    return delays, kraus[0]
 
 
 def _gcd(a: float, b: float) -> float:
@@ -230,22 +265,15 @@ def _evolve_arm(arms: Sequence[ArmSpec], cols: np.ndarray, unit: float) -> np.nd
     time bins.
 
     ``cols`` has shape (arms, 2, bins, k), one slice per arm. The arms must
-    share their element count, the kind of each element and each crystal's
-    delay; angles and unitaries may differ. Any other stack raises ValueError.
-    A crystal acts as P_o (x) I + P_e (x) S_d, with S_d the cyclic shift by its
-    delay in grid units, computed as x + P_e (S_d x - x) because P_o + P_e = I;
-    waveplates and raw unitaries act as U (x) I.
+    share their structure (see ``_check_stack``). A crystal acts as
+    P_o (x) I + P_e (x) S_d, with S_d the cyclic shift by its delay in grid
+    units, computed as x + P_e (S_d x - x) because P_o + P_e = I; waveplates
+    and raw unitaries act as U (x) I.
     """
-    if len({len(arm) for arm in arms}) > 1:
-        raise ValueError("stacked arms differ in element count")
-    for position, elems in enumerate(zip(*arms)):
-        kind = type(elems[0])
-        if any(type(e) is not kind for e in elems):
-            raise ValueError(f"stacked arms differ in element kind at position {position}")
-        if kind is Crystal and any(e.delay != elems[0].delay for e in elems):
-            raise ValueError(f"stacked arms differ in crystal delay at position {position}")
+    _check_stack(arms)
+    for elems in zip(*arms):
         ops = _stacked_ops(elems)
-        if kind is Crystal:
+        if type(elems[0]) is Crystal:
             k, n = _shift(elems[0].delay, unit), cols.shape[2]
             # S_d x - x, with S_d the cyclic shift by k bins (np.roll, less overhead)
             delayed = np.concatenate((cols[:, :, n - k:], cols[:, :, :n - k]), axis=2) - cols
@@ -255,14 +283,16 @@ def _evolve_arm(arms: Sequence[ArmSpec], cols: np.ndarray, unit: float) -> np.nd
     return cols
 
 
-def arm_channel_apply(arm: ArmSpec, rho) -> np.ndarray:
+def arm_channel_apply(arm: ArmSpec | np.ndarray, rho) -> np.ndarray:
     """Polarization channel of an arm with the time bins traced out:
-    sum_k K rho K^dag over the composed operators. ``rho`` may be a stack of
-    states (..., 2, 2); the arm is composed once for the whole stack."""
+    sum_k K rho K^dag over the composed operators, added in delay order from 0.
+    ``rho`` may be a stack of states (..., 2, 2); the arm is composed once for
+    the whole stack. ``arm`` may also be the operators (arms, k, 2, 2) of an
+    arm stack from ``_compose_arms``, which give outputs (arms, ..., 2, 2)."""
     rho = validate_density_matrix(rho)
     if rho.shape[-2:] != (2, 2):
         raise ValueError(f"arm channels act on 2x2 states, got shape {rho.shape}")
-    out = np.zeros(rho.shape, dtype=complex)
-    for op in compose_arm(arm)[1]:
-        out += op @ rho @ op.conj().T
-    return out
+    ops = np.moveaxis(arm if isinstance(arm, np.ndarray) else compose_arm(arm)[1], -3, 0)
+    # the k-th operator of every arm, broadcast over the stack of states
+    ops = ops.reshape(ops.shape[:-2] + (1,) * (rho.ndim - 2) + (2, 2))
+    return sum((op @ rho @ op.conj().swapaxes(-1, -2) for op in ops), 0j)

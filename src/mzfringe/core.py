@@ -52,16 +52,14 @@ def beamsplitter() -> np.ndarray:
     return np.array([[1.0, 1.0], [-1.0, 1.0]], dtype=complex) / np.sqrt(2.0)
 
 
-def rotated_basis(theta: float) -> tuple[np.ndarray, np.ndarray]:
+def rotated_basis(theta: float) -> np.ndarray:
     """Orthonormal polarization pair at angle theta from horizontal.
 
-    Returns (ket_o, ket_e) with ket_o = (cos t, sin t) and ket_e = (-sin t, cos t)
-    in the (H, V) basis. An array of angles gives kets of shape (2, angles).
+    Returns the rows (ket_o, ket_e), ket_o = (cos t, sin t) and ket_e =
+    (-sin t, cos t) in the (H, V) basis. Angles (n,) give shape (2, 2, n).
     """
     c, s = np.cos(theta), np.sin(theta)
-    ket_o = np.array([c, s], dtype=complex)
-    ket_e = np.array([-s, c], dtype=complex)
-    return ket_o, ket_e
+    return np.array([[c, s], [-s, c]], dtype=complex)
 
 
 def half_waveplate(theta: float) -> np.ndarray:

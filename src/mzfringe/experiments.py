@@ -24,10 +24,12 @@ from typing import Sequence
 
 import numpy as np
 
-from .arms import ArmElement, ArmSpec, Crystal, RawUnitary, ResourceLimitError, Waveplate
-from .core import maximally_mixed
+from .arms import (ArmElement, ArmSpec, Crystal, RawUnitary, ResourceLimitError, Waveplate,
+                   _compose_arms)
+from .core import maximally_mixed, validate_density_matrix
 from .interferometer import (
     InterferometerSpec,
+    _kraus_contrasts,
     _oracle_contrasts,
     contrast_shared_env,
     output_probability,
@@ -55,28 +57,31 @@ LONG_CRYSTAL_UM = 310.0
 VARIANTS = ("a", "b", "c", "d")
 
 
-def standard_config(variant: str, beta: float) -> InterferometerSpec:
-    """One of the four standard configurations at crystal angle ``beta``.
+def _standard_arms(variant: str, betas: Sequence[float]) -> tuple[list, list]:
+    """Upper and lower arm stacks of a standard configuration over a beta grid.
 
-    Arms list crystals in traversal order, second-position crystal first. The
-    "d" variant replaces the crystals with one half-wave plate per arm, fixed
-    at pi/8 in the upper arm and at beta in the lower.
+    Arms list crystals in traversal order, second-position crystal first.
+    Variants "a" to "c" share their lower arm. The "d" variant replaces the
+    crystals with one half-wave plate per arm, fixed at pi/8 in the upper arm
+    and at beta in the lower.
     """
     l1, l2 = SHORT_CRYSTAL_UM, LONG_CRYSTAL_UM
     if variant == "a":
-        upper = [Crystal(0.0, l2), Crystal(beta, l1)]
-        lower = [Crystal(beta, l1), Crystal(0.0, l2)]
+        uppers = [[Crystal(0.0, l2), Crystal(beta, l1)] for beta in betas]
     elif variant == "b":
-        upper = [Crystal(beta, l2), Crystal(0.0, l1)]
-        lower = [Crystal(beta, l1), Crystal(0.0, l2)]
+        uppers = [[Crystal(beta, l2), Crystal(0.0, l1)] for beta in betas]
     elif variant == "c":
-        upper = [Crystal(0.0, l1), Crystal(beta, l2)]
-        lower = [Crystal(beta, l1), Crystal(0.0, l2)]
+        uppers = [[Crystal(0.0, l1), Crystal(beta, l2)] for beta in betas]
     elif variant == "d":
-        upper = [Waveplate(np.pi / 8.0)]
-        lower = [Waveplate(beta)]
+        return [[Waveplate(np.pi / 8.0)] for _ in betas], [[Waveplate(beta)] for beta in betas]
     else:
         raise ValueError(f"unknown variant {variant!r}, expected one of {VARIANTS}")
+    return uppers, [[Crystal(beta, l1), Crystal(0.0, l2)] for beta in betas]
+
+
+def standard_config(variant: str, beta: float) -> InterferometerSpec:
+    """A standard configuration at crystal angle ``beta`` (``_standard_arms``)."""
+    (upper,), (lower,) = _standard_arms(variant, [beta])
     return InterferometerSpec(upper=upper, lower=lower, input_state=maximally_mixed(2))
 
 
@@ -108,14 +113,16 @@ def sweep(variant: str, betas: Sequence[float]) -> tuple[np.ndarray, ...]:
 
     The closed-form column keeps its sign; the simulated and oracle columns
     are contrast magnitudes. The configurations of one variant share their
-    arm structure, so the oracle evolves all betas as one stack, in
-    memory-bounded blocks.
+    arm structure, so each arm is composed and joined as one stack over all
+    betas, and the oracle evolves the same stacks in memory-bounded blocks.
     """
-    specs = [standard_config(variant, beta) for beta in betas]
-    v_oracle = np.abs(_oracle_contrasts(specs)) if specs else np.zeros(0)
+    uppers, lowers = _standard_arms(variant, betas)
+    rho = validate_density_matrix(maximally_mixed(2))
+    contrasts = _kraus_contrasts(_compose_arms(uppers), _compose_arms(lowers), rho)
+    v_oracle = np.abs(_oracle_contrasts(uppers, lowers, rho)) if uppers else np.zeros(0)
     return (np.asarray(betas, dtype=float),
             np.array([closed_form_contrast(variant, beta) for beta in betas], dtype=float),
-            np.array([abs(contrast_shared_env(spec)) for spec in specs], dtype=float),
+            np.array([abs(c) for c in contrasts], dtype=float),
             v_oracle)
 
 

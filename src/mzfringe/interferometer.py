@@ -48,6 +48,7 @@ _ORACLE_BLOCK_BYTES = 64 * 1024
 # Phases of the oracle fringe. Any 3 or more alias the conjugate Fourier
 # component of P(phi) to zero, leaving C alone at unit frequency.
 _ORACLE_PHASES = 16
+_ORACLE_PHIS = 2.0 * np.pi * np.arange(_ORACLE_PHASES) / _ORACLE_PHASES
 
 
 @dataclass
@@ -65,24 +66,31 @@ class InterferometerSpec:
         self.input_state = state
 
 
-def contrast_shared_env(spec: InterferometerSpec) -> complex:
-    """Complex interference contrast when both arms disturb the same environment.
+def _kraus_contrasts(upper: tuple, lower: tuple, rho: np.ndarray) -> list[complex]:
+    """Complex contrasts of a stack of arm pairs from their stacked Kraus sets
+    (``_compose_arms``).
 
     C = sum of Tr[u^dag v rho] over delay-matched Kraus pairs (u from the
     upper arm, v from the lower): each upper delay d is joined with every
-    lower delay in [d - DELAY_MERGE_TOL, d + DELAY_MERGE_TOL]. The terms are
-    added in pair order starting from 0, which fixes their rounding (np.sum
-    would add them pairwise).
+    lower delay in [d - DELAY_MERGE_TOL, d + DELAY_MERGE_TOL]. Each arm's
+    terms are added in pair order starting from 0, which fixes their rounding
+    (np.sum would add them pairwise).
     """
-    upper_delays, upper_ops = compose_arm(spec.upper)
-    lower_delays, lower_ops = compose_arm(spec.lower)
+    (upper_delays, upper_ops), (lower_delays, lower_ops) = upper, lower
     lo = lower_delays.searchsorted(upper_delays - DELAY_MERGE_TOL)
     counts = lower_delays.searchsorted(upper_delays + DELAY_MERGE_TOL, "right") - lo
-    ends = counts.cumsum()
     # lower index of every pair: lo[i], ..., lo[i] + counts[i] - 1 per upper i
-    v = lower_ops.take((lo - ends + counts).repeat(counts) + np.arange(ends[-1]), axis=0)
-    m = upper_ops.repeat(counts, axis=0).conj().transpose(0, 2, 1) @ v @ spec.input_state
-    return sum((m[:, 0, 0] + m[:, 1, 1]).tolist(), 0j)  # traces, summed from 0
+    first = (lo - counts.cumsum() + counts).repeat(counts)
+    v = lower_ops.take(first + np.arange(len(first)), axis=1)
+    m = upper_ops.repeat(counts, axis=1).conj().swapaxes(2, 3) @ v @ rho
+    return [sum(terms, 0j) for terms in (m[:, :, 0, 0] + m[:, :, 1, 1]).tolist()]
+
+
+def contrast_shared_env(spec: InterferometerSpec) -> complex:
+    """Complex interference contrast when both arms disturb the same
+    environment: ``_kraus_contrasts`` of the arms as one-arm stacks."""
+    upper, lower = ((d, ops[None]) for d, ops in map(compose_arm, (spec.upper, spec.lower)))
+    return _kraus_contrasts(upper, lower, spec.input_state)[0]
 
 
 def output_probability(c: complex, phi):
@@ -105,30 +113,31 @@ def output_probability(c: complex, phi):
     return float(p) if p.ndim == 0 else p
 
 
-def _path_gram(specs: Sequence[InterferometerSpec]) -> np.ndarray:
-    """Gram matrices (spec, path, path) of the oracle's arm-evolved path states.
+def _path_gram(uppers: Sequence[ArmSpec], lowers: Sequence[ArmSpec], rho) -> np.ndarray:
+    """Gram matrices (pair, path, path) of the oracle's arm-evolved path
+    states, one per arm pair (``uppers[i]``, ``lowers[i]``) with input ``rho``.
 
     The joint state starts as |0>_path (x) rho (x) |bin_0> with rho factored
     into scaled eigenvector columns. The first beamsplitter splits it onto the
     two paths, and each arm then acts element by element on its own path: the
     upper arm on path 0, the lower arm on path 1. With x_p the evolved state
-    of path p, G[p, q] = <x_p, x_q>. The specs must share one arm structure
-    (see ``_evolve_arm``); they are evolved as a stack, in blocks whose state
-    fits ``_ORACLE_BLOCK_BYTES``.
+    of path p, G[p, q] = <x_p, x_q>. The uppers and the lowers must each share
+    one arm structure (see ``_evolve_arm``); they are evolved as stacks, in
+    blocks whose state fits ``_ORACLE_BLOCK_BYTES``.
     """
-    unit, n = _delay_grid([specs[0].upper, specs[0].lower])
+    unit, n = _delay_grid([uppers[0], lowers[0]])
     split = beamsplitter()[:, 0]
+    evals, evecs = np.linalg.eigh(rho)
     block = max(1, _ORACLE_BLOCK_BYTES // (2 * 2 * n * 2 * 16))
     grams = []
-    for start in range(0, len(specs), block):
-        chunk = specs[start:start + block]
-        evals, evecs = np.linalg.eigh(np.array([spec.input_state for spec in chunk]))
-        cols = np.zeros((len(chunk), 2, n, 2), dtype=complex)
-        cols[:, :, 0, :] = evecs * np.sqrt(np.maximum(evals, 0.0))[:, None, :]
+    for start in range(0, len(uppers), block):
+        ups, lows = uppers[start:start + block], lowers[start:start + block]
+        cols = np.zeros((len(ups), 2, n, 2), dtype=complex)
+        cols[:, :, 0, :] = evecs * np.sqrt(np.maximum(evals, 0.0))
         paths = np.concatenate((
-            _evolve_arm([spec.upper for spec in chunk], split[0] * cols, unit),
-            _evolve_arm([spec.lower for spec in chunk], split[1] * cols, unit),
-        ), axis=1).reshape(len(chunk), 2, -1)
+            _evolve_arm(ups, split[0] * cols, unit),
+            _evolve_arm(lows, split[1] * cols, unit),
+        ), axis=1).reshape(len(ups), 2, -1)
         grams.append(paths.conj() @ paths.transpose(0, 2, 1))
     return np.concatenate(grams)
 
@@ -148,19 +157,19 @@ def _port_probabilities(gram: np.ndarray, phis: np.ndarray) -> np.ndarray:
     return np.einsum("kip,...pq,kiq->...ki", rows.conj(), gram, rows).real
 
 
-def _oracle_contrasts(specs: Sequence[InterferometerSpec]) -> np.ndarray:
-    """Complex contrasts of a stack of specs from the oracle fringe.
+def _oracle_contrasts(uppers: Sequence[ArmSpec], lowers: Sequence[ArmSpec], rho) -> np.ndarray:
+    """Complex contrasts of a stack of arm pairs with input ``rho`` from the
+    oracle fringe.
 
     Samples the lower-port probability P(phi) on a uniform grid of
     ``_ORACLE_PHASES`` phases and returns its unit-frequency Fourier
-    component, C = 4 <P(phi_k) e^{-i phi_k}>, per spec.
+    component, C = 4 <P(phi_k) e^{-i phi_k}>, per arm pair.
     """
-    phis = 2.0 * np.pi * np.arange(_ORACLE_PHASES) / _ORACLE_PHASES
-    p0 = _port_probabilities(_path_gram(specs), phis)[:, 0]
-    return 4.0 * np.mean(p0 * np.exp(-1j * phis), axis=-1)
+    p0 = _port_probabilities(_path_gram(uppers, lowers, rho), _ORACLE_PHIS)[:, 0]
+    return 4.0 * ((p0 * np.exp(-1j * _ORACLE_PHIS)).sum(axis=-1) / _ORACLE_PHASES)
 
 
 def oracle_contrast(spec: InterferometerSpec) -> complex:
     """Complex contrast of one spec from the dilation-oracle fringe (see
     ``_oracle_contrasts``, here on a one-spec stack)."""
-    return complex(_oracle_contrasts([spec])[0])
+    return complex(_oracle_contrasts([spec.upper], [spec.lower], spec.input_state)[0])

@@ -21,7 +21,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .core import validate_density_matrix
+from .core import maximally_mixed, validate_density_matrix
 
 __all__ = [
     "PAULIS",
@@ -76,50 +76,53 @@ _CHI_MAP = _chi_map()
 
 
 def qpt(channel: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
-    """Process matrix of a linear trace-preserving qubit channel.
+    """Process matrix of a linear trace-preserving qubit channel, or matrices
+    (..., 4, 4) of a stack of channels with outputs (..., 4, 2, 2).
 
     Calls the channel once, on the (4, 2, 2) stack of the probes {H, V, D, R},
-    validates the four outputs as density matrices in one check, and maps
-    them to chi with one constant linear map (the linear inversion of Chuang
-    and Nielsen, J. Mod. Opt. 44 (1997) 2455). Returns the 4x4 chi.
+    validates all outputs in one check, and maps each probe set to chi with
+    one constant linear map (the linear inversion of Chuang and Nielsen,
+    J. Mod. Opt. 44 (1997) 2455) in a batched matrix-vector product.
     """
     outs = channel(PROBE_STATES)
     try:
         outs = validate_density_matrix(outs, "channel output")
     except ValueError as exc:
         raise ValueError(f"invalid channel: {exc}") from exc
-    if outs.shape != PROBE_STATES.shape:
+    if outs.shape[-3:] != PROBE_STATES.shape:
         raise ValueError(f"invalid channel: outputs have shape {outs.shape}, "
-                         f"expected {PROBE_STATES.shape}")
-    return (_CHI_MAP @ outs.reshape(16)).reshape(4, 4)
+                         "expected (..., 4, 2, 2)")
+    lead = outs.shape[:-3]
+    return (_CHI_MAP @ outs.reshape(lead + (16, 1))).reshape(lead + (4, 4))
 
 
 def blindness_demo(betas: Sequence[float]) -> tuple[np.ndarray, ...]:
     """Identical per-arm tomography, different fringes, over a beta grid.
 
-    Builds the first and third standard configurations at each beta (they
+    Builds the first and third standard configurations over the grid (they
     share per-arm angle sequences and differ only in which crystal length sits
-    in which position), runs process tomography once per distinct arm (the
-    two always share their lower arm, and at beta = 0 the upper arm of the
-    third as well), and returns the columns beta,
-    chi_distance_upper, chi_distance_lower, visibility_a, visibility_b and
-    visibility_gap: the chi distances (Frobenius norms of the differences)
-    between corresponding arms next to the two shared-environment
-    visibilities.
+    in which position), composes their three arm stacks (upper a, upper c and
+    the shared lower arm) once each, runs process tomography once per stack,
+    and returns the columns beta, chi_distance_upper, chi_distance_lower,
+    visibility_a, visibility_b and visibility_gap: the chi distances
+    (Frobenius norms of the differences) between corresponding arms next to
+    the two shared-environment visibilities.
     """
-    from .arms import arm_channel_apply
-    from .experiments import standard_config
-    from .interferometer import contrast_shared_env
+    from .arms import _compose_arms, arm_channel_apply
+    from .experiments import _standard_arms
+    from .interferometer import _kraus_contrasts
 
-    d_upper, d_lower, vis_a, vis_b = [], [], [], []
-    for beta in betas:
-        spec_a, spec_b = standard_config("a", beta), standard_config("c", beta)
-        arms = [tuple(arm) for arm in (spec_a.upper, spec_b.upper, spec_a.lower, spec_b.lower)]
-        chi = {arm: qpt(lambda rho: arm_channel_apply(arm, rho)) for arm in dict.fromkeys(arms)}
-        d_upper.append(np.linalg.norm(chi[arms[0]] - chi[arms[1]]))
-        d_lower.append(np.linalg.norm(chi[arms[2]] - chi[arms[3]]))
-        vis_a.append(abs(contrast_shared_env(spec_a)))
-        vis_b.append(abs(contrast_shared_env(spec_b)))
-    gap = [abs(a - b) for a, b in zip(vis_a, vis_b)]
-    return tuple(np.array(column, dtype=float)
-                 for column in (betas, d_upper, d_lower, vis_a, vis_b, gap))
+    if len(betas) == 0:  # qpt cannot validate an empty stack of outputs
+        return tuple(np.zeros(0) for _ in range(6))
+    uppers_a, lowers = _standard_arms("a", betas)
+    upper_a, upper_c, lower = (_compose_arms(arms) for arms in
+                               (uppers_a, _standard_arms("c", betas)[0], lowers))
+    chi_a, chi_c, chi_lower = (qpt(lambda rho: arm_channel_apply(ops, rho))
+                               for _, ops in (upper_a, upper_c, lower))
+    rho = validate_density_matrix(maximally_mixed(2))
+    vis_a, vis_b = ([abs(c) for c in _kraus_contrasts(upper, lower, rho)]
+                    for upper in (upper_a, upper_c))
+    columns = (betas, [np.linalg.norm(d) for d in chi_a - chi_c],
+               [np.linalg.norm(d) for d in chi_lower - chi_lower],
+               vis_a, vis_b, [abs(a - b) for a, b in zip(vis_a, vis_b)])
+    return tuple(np.array(column, dtype=float) for column in columns)

@@ -21,10 +21,11 @@ from mzfringe.arms import (
     DELAY_MERGE_TOL,
     ZERO_OP_TOL,
     ResourceLimitError,
+    _compose_arms,
     _delay_grid,
     _evolve_arm,
 )
-from mzfringe.experiments import random_arm
+from mzfringe.experiments import _standard_arms, default_beta_grid, random_arm
 
 I2 = np.eye(2, dtype=complex)
 
@@ -314,6 +315,9 @@ def test_stacked_evolution_rejects_mixed_structures(lower, message):
     cols = np.zeros((2, 2, n, 1), dtype=complex)
     with pytest.raises(ValueError, match=message):
         _evolve_arm([arm, lower], cols, unit)
+    # composition holds the same contract rather than using the first arm's delays
+    with pytest.raises(ValueError, match=message):
+        _compose_arms([arm, lower])
 
 
 def test_stacked_evolution_equals_single_arm_evolutions():
@@ -328,3 +332,30 @@ def test_stacked_evolution_equals_single_arm_evolutions():
     for i, arm in enumerate(arms):
         np.testing.assert_allclose(stacked[i], _evolve_arm([arm], cols[i:i + 1], unit)[0],
                                    atol=1e-15)
+
+
+def stacks_under_test():
+    """The arm stacks that sweep and blindness_demo compose: both arms of the
+    four variants over 200 betas and upper a, upper c and the shared lower arm
+    over 100 betas. Both grids start at beta = 0, where aligned crystals make
+    some operators vanish in one arm of a stack and not in the others."""
+    for variant in "abcd":
+        yield from _standard_arms(variant, default_beta_grid(200))
+    uppers_a, lowers = _standard_arms("a", default_beta_grid(100))
+    yield from (uppers_a, _standard_arms("c", default_beta_grid(100))[0], lowers)
+
+
+def test_stacked_composition_equals_per_arm_composition_bit_for_bit():
+    zeroed = 0
+    for arms in stacks_under_test():
+        delays, ops = _compose_arms(arms)
+        assert ops.shape == (len(arms), len(delays), 2, 2)
+        for arm, arm_ops in zip(arms, ops):
+            want_delays, want_ops = compose_arm(arm)
+            kept = np.abs(arm_ops).max(axis=(1, 2)) >= ZERO_OP_TOL
+            assert (delays[kept] == want_delays).all(), arm
+            assert arm_ops[kept].tobytes() == want_ops.tobytes(), arm
+            # an operator that vanishes in this arm alone is exactly zero
+            assert (arm_ops[~kept] == 0).all(), arm
+            zeroed += int((~kept).sum())
+    assert zeroed > 0

@@ -8,11 +8,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import mzfringe.arms
 import mzfringe.cli
 import mzfringe.experiments
 from mzfringe.cli import main, parse_angle, parse_arm
 from mzfringe.interferometer import contrast_shared_env
-from mzfringe.arms import Crystal, RawUnitary, Waveplate
+from mzfringe.arms import Crystal, RawUnitary, Waveplate, _compose_arms
 
 
 def read_csv(path):
@@ -448,6 +449,26 @@ def test_sampled_fringe_computes_one_contrast(tmp_path, monkeypatch):
     assert main(["fringe", "--variant", "b", "--beta", "0.4", "--mean-total", "20",
                  "--seed", "5", "--output", str(tmp_path / "c.csv")]) == 0
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("args, stacks", [
+    (["tomography", "--beta-points", "100"], 3),
+    (["sweep", "--variant", "a", "--beta-points", "200"], 2),
+])
+def test_paper_tables_compose_each_arm_stack_once(tmp_path, monkeypatch, args, stacks):
+    # tomography composes upper a, upper c and the shared lower arm; a sweep
+    # its upper and lower arms, each over the whole beta grid
+    calls = []
+
+    def counted(arms):
+        calls.append(len(arms))
+        return _compose_arms(arms)
+
+    monkeypatch.setattr(mzfringe.arms, "_compose_arms", counted)
+    monkeypatch.setattr(mzfringe.experiments, "_compose_arms", counted)
+    assert main(args + ["--output", str(tmp_path / "t.csv")]) == 0
+    assert len(calls) == stacks
+    assert set(calls) == {int(args[-1])}
 
 
 @pytest.mark.parametrize("command", [["fringe"], ["fit", "--phases", "8"]])

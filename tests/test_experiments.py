@@ -79,6 +79,24 @@ def test_sweep_oracle_equals_per_spec_oracle(variant):
         assert abs(v - expected) <= 1e-15
 
 
+@pytest.mark.parametrize("variant", ["a", "b", "c", "d"])
+def test_sweep_simulation_equals_per_spec_contrast(variant):
+    # the sweep composes and joins its betas as stacks; each spec alone must
+    # give the same bits, also where an operator vanishes in some arms only
+    betas = default_beta_grid(200)
+    v_simulated = sweep(variant, betas)[2].tolist()
+    assert len(v_simulated) == len(betas)
+    for v, beta in zip(v_simulated, betas):
+        assert repr(v) == repr(abs(contrast_shared_env(standard_config(variant, beta))))
+
+
+@pytest.mark.parametrize("variant", ["a", "b", "c", "d"])
+def test_sweep_of_an_empty_grid_is_four_empty_columns(variant):
+    columns = sweep(variant, [])
+    assert len(columns) == 4
+    assert all(column.shape == (0,) for column in columns)
+
+
 def test_sweep_oracle_memory_is_bounded():
     # one stack of all 200 betas peaks near 3.1 MiB; blocks stay far below
     sweep("a", default_beta_grid(8))

@@ -33,7 +33,8 @@ def mixed_spec(upper, lower):
 def oracle_ports(spec, phis):
     """Oracle port probabilities (port, phase) from the path Gram matrix;
     port 0 is the lower port."""
-    return _port_probabilities(_path_gram([spec]), np.asarray(phis, dtype=float))[0]
+    return _port_probabilities(_path_gram([spec.upper], [spec.lower], spec.input_state),
+                               np.asarray(phis, dtype=float))[0]
 
 
 def test_empty_arms_full_contrast():

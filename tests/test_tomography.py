@@ -10,7 +10,8 @@ from mzfringe import (
     maximally_mixed,
     qpt,
 )
-from mzfringe.experiments import random_arm
+from mzfringe.arms import _compose_arms
+from mzfringe.experiments import _standard_arms, default_beta_grid, random_arm
 from mzfringe.tomography import PAULIS, PROBE_STATES
 
 
@@ -62,6 +63,24 @@ def test_qpt_equals_matrix_unit_reference():
         channels.append(lambda rho, arm=arm: arm_channel_apply(arm, rho))
     for channel in channels:
         np.testing.assert_allclose(qpt(channel), reference_qpt(channel), rtol=0, atol=1e-15)
+
+
+def test_qpt_of_a_channel_stack_equals_per_channel_qpt_bit_for_bit():
+    # a flattened (n, 16) @ (16, 16) product or an einsum would change most
+    # entries of 300 random output sets; the batched matrix-vector product
+    # makes the same products as one channel at a time
+    rng = np.random.default_rng(127)
+    channels = [random_kraus_channel(rng, n) for n in rng.integers(1, 4, 300)]
+    chi = qpt(lambda rho: np.array([channel(rho) for channel in channels]))
+    assert chi.shape == (300, 4, 4)
+    for stacked, channel in zip(chi, channels):
+        assert stacked.tobytes() == qpt(channel).tobytes()
+    # an arm stack's channel, as blindness_demo applies it, against each arm alone
+    arms = _standard_arms("a", default_beta_grid(100))[0]
+    ops = _compose_arms(arms)[1]
+    chi = qpt(lambda rho: arm_channel_apply(ops, rho))
+    for stacked, arm in zip(chi, arms):
+        assert stacked.tobytes() == qpt(lambda rho: arm_channel_apply(arm, rho)).tobytes()
 
 
 def test_qpt_calls_its_channel_once_on_the_probe_stack():
@@ -168,3 +187,9 @@ def test_blindness_over_grid():
         expected_gap = abs((1 - np.sin(2 * beta) ** 2 / 2)
                            - abs(np.cos(beta) ** 2 * np.cos(2 * beta)))
         assert gap == pytest.approx(expected_gap, abs=1e-9)
+
+
+def test_blindness_of_an_empty_grid_is_six_empty_columns():
+    columns = blindness_demo([])
+    assert len(columns) == 6
+    assert all(column.shape == (0,) for column in columns)
