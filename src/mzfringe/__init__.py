@@ -24,6 +24,7 @@ from .core import (
 )
 from .experiments import (
     FitResult,
+    blindness_demo,
     closed_form_contrast,
     standard_config,
     default_beta_grid,
@@ -38,9 +39,6 @@ from .interferometer import (
     oracle_contrast,
     output_probability,
 )
-from .tomography import (
-    blindness_demo,
-    qpt,
-)
+from .tomography import qpt
 
 __version__ = "0.1.0"

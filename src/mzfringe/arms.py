@@ -109,7 +109,6 @@ class RawUnitary:
         resid = float(np.max(np.abs(m.conj().T @ m - np.eye(2))))
         if resid > UNITARY_ATOL:
             raise ValueError(f"RawUnitary is not unitary (residual {resid:.3e})")
-        m = m.copy()
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
 
@@ -293,6 +292,7 @@ def arm_channel_apply(arm: ArmSpec | np.ndarray, rho) -> np.ndarray:
     if rho.shape[-2:] != (2, 2):
         raise ValueError(f"arm channels act on 2x2 states, got shape {rho.shape}")
     ops = np.moveaxis(arm if isinstance(arm, np.ndarray) else compose_arm(arm)[1], -3, 0)
+    out = np.zeros(ops.shape[1:-2] + rho.shape, dtype=complex)
     # the k-th operator of every arm, broadcast over the stack of states
     ops = ops.reshape(ops.shape[:-2] + (1,) * (rho.ndim - 2) + (2, 2))
-    return sum((op @ rho @ op.conj().swapaxes(-1, -2) for op in ops), 0j)
+    return sum((op @ rho @ op.conj().swapaxes(-1, -2) for op in ops), out)

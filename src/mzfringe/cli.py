@@ -29,6 +29,7 @@ from .arms import ArmElement, Crystal, RawUnitary, ResourceLimitError, Waveplate
 from .core import maximally_mixed
 from .experiments import (
     VARIANTS,
+    blindness_demo,
     standard_config,
     default_beta_grid,
     fit_fringe,
@@ -43,7 +44,6 @@ from .interferometer import (
     oracle_contrast,
     output_probability,
 )
-from .tomography import blindness_demo
 
 __all__ = ["UsageError", "parse_config", "main", "main_entry"]
 

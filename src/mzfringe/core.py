@@ -107,13 +107,13 @@ def validate_cptp(operators: Sequence[np.ndarray]) -> CptpCheck:
 
 
 def validate_density_matrix(rho, name: str = "rho") -> np.ndarray:
-    """Validate a density matrix, or a stack of them (..., d, d): Hermitian,
-    unit trace, positive semidefinite.
+    """Validate a density matrix, or a stack of them (..., d, d): finite,
+    Hermitian, unit trace, positive semidefinite.
 
     The properties are checked in that order over the whole stack. Raises
     ValueError naming the first violated property and, for a stack, the index
     of the first matrix that violates it (``rho[2]``); returns the validated
-    complex array on success.
+    complex array on success; an empty stack (0, d, d) passes vacuously.
     """
     arr = np.array(rho, dtype=complex)
     if arr.ndim < 2 or arr.shape[-2] < 1 or arr.shape[-1] < 1:
@@ -133,16 +133,16 @@ def validate_density_matrix(rho, name: str = "rho") -> np.ndarray:
         raise ValueError(f"{name} must be square, got shape {arr.shape}")
     adjoint = arr.swapaxes(-2, -1).conj()
     herm = np.abs(arr - adjoint)
-    if herm.max() > HERMITIAN_ATOL:
+    if herm.max(initial=0.0) > HERMITIAN_ATOL:
         herm = herm.max(axis=(-2, -1))
         fail(herm > HERMITIAN_ATOL,
              lambda at, i: f"{at} is not Hermitian (residual {herm[i]:.3e})")
     tr = np.trace(arr, axis1=-2, axis2=-1)
-    if np.max(np.abs(tr - 1.0)) > TRACE_ATOL:
+    if np.max(np.abs(tr - 1.0), initial=0.0) > TRACE_ATOL:
         fail(np.abs(tr - 1.0) > TRACE_ATOL,
              lambda at, i: f"{at} trace is {complex(tr[i])}, expected 1")
     eig_min = np.linalg.eigvalsh(0.5 * (arr + adjoint)).min(axis=-1)
-    if np.min(eig_min) < EIGENVALUE_FLOOR:
+    if np.min(eig_min, initial=0.0) < EIGENVALUE_FLOOR:
         fail(eig_min < EIGENVALUE_FLOOR,
              lambda at, i: f"{at} has a negative eigenvalue ({eig_min[i]:.3e})")
     return arr

@@ -1,13 +1,15 @@
-"""Standard interferometer configurations, visibility sweeps, photon-count
-simulation, fringe fitting, and the unbalanced-interferometer key-distribution
-reduction.
+"""Standard interferometer configurations, the paper's tables (visibility
+sweeps and tomography blindness), photon-count simulation, fringe fitting, and
+the unbalanced-interferometer key-distribution reduction.
 
 Four built-in configurations (tags "a" through "d") pair two-crystal arms, or
 half-wave-plate arms for "d", against each other with the maximally mixed
 input. The crystal o/e separations are 150 um (short) and 310 um (long). Each
 configuration has a closed-form contrast in the crystal angle beta; the sweep
 table puts the closed form, the shared-environment simulation, and the
-dilation oracle side by side, as columns over a beta grid.
+dilation oracle side by side, as columns over a beta grid. The blindness table
+puts the chi distances between the arms of "a" and "c" next to their fringe
+visibilities: tomography cannot see which crystal length sits where.
 
 Photon counting is modeled as independent Poisson draws per phase point from a
 deterministic, documented sampler (see ``poisson_fringe``). The uniform draws
@@ -25,7 +27,7 @@ from typing import Sequence
 import numpy as np
 
 from .arms import (ArmElement, ArmSpec, Crystal, RawUnitary, ResourceLimitError, Waveplate,
-                   _compose_arms)
+                   _compose_arms, arm_channel_apply)
 from .core import maximally_mixed, validate_density_matrix
 from .interferometer import (
     InterferometerSpec,
@@ -34,6 +36,7 @@ from .interferometer import (
     contrast_shared_env,
     output_probability,
 )
+from .tomography import qpt
 
 __all__ = [
     "SHORT_CRYSTAL_UM",
@@ -42,6 +45,7 @@ __all__ = [
     "standard_config",
     "closed_form_contrast",
     "sweep",
+    "blindness_demo",
     "default_beta_grid",
     "poisson_fringe",
     "FitResult",
@@ -119,11 +123,33 @@ def sweep(variant: str, betas: Sequence[float]) -> tuple[np.ndarray, ...]:
     uppers, lowers = _standard_arms(variant, betas)
     rho = validate_density_matrix(maximally_mixed(2))
     contrasts = _kraus_contrasts(_compose_arms(uppers), _compose_arms(lowers), rho)
-    v_oracle = np.abs(_oracle_contrasts(uppers, lowers, rho)) if uppers else np.zeros(0)
     return (np.asarray(betas, dtype=float),
             np.array([closed_form_contrast(variant, beta) for beta in betas], dtype=float),
             np.array([abs(c) for c in contrasts], dtype=float),
-            v_oracle)
+            np.abs(_oracle_contrasts(uppers, lowers, rho)))
+
+
+def blindness_demo(betas: Sequence[float]) -> tuple[np.ndarray, ...]:
+    """Identical per-arm tomography, different fringes, over a beta grid.
+
+    Builds the first and third standard configurations over the grid (they
+    share per-arm angle sequences and differ only in which crystal length sits
+    in which position), composes their three arm stacks (upper a, upper c and
+    the shared lower arm) once each, runs process tomography once per upper
+    stack, and returns the columns beta, chi_distance_upper (the Frobenius
+    norm of the chi difference), chi_distance_lower (0 by construction: the
+    arm is shared), visibility_a, visibility_b and visibility_gap.
+    """
+    uppers_a, lowers = _standard_arms("a", betas)
+    upper_a, upper_c, lower = (_compose_arms(arms) for arms in
+                               (uppers_a, _standard_arms("c", betas)[0], lowers))
+    chi_a, chi_c = (qpt(lambda rho: arm_channel_apply(ops, rho)) for _, ops in (upper_a, upper_c))
+    rho = validate_density_matrix(maximally_mixed(2))
+    vis_a, vis_b = ([abs(c) for c in _kraus_contrasts(upper, lower, rho)]
+                    for upper in (upper_a, upper_c))
+    columns = (betas, [np.linalg.norm(d) for d in chi_a - chi_c], np.zeros(len(betas)),
+               vis_a, vis_b, [abs(a - b) for a, b in zip(vis_a, vis_b)])
+    return tuple(np.array(column, dtype=float) for column in columns)
 
 
 # numpy.random.SeedSequence: hash and mix constants of its four-word pool.

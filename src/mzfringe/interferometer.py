@@ -101,14 +101,17 @@ def output_probability(c: complex, phi):
     float. Re[e^{i phi} C] is written out as two products and a difference, the
     rounding of a scalar complex product (numpy's array complex multiply may
     fuse them). Values within 1e-9 outside [0, 1] are clipped into it; any
-    further out raise.
+    further out, and the NaN of a non-finite contrast or phase, raise
+    RuntimeError.
     """
-    e = np.exp(1j * np.asarray(phi, dtype=float))
+    phi = np.asarray(phi, dtype=float)
+    e = np.exp(1j * phi)
     p = 0.5 * (1.0 + (e.real * c.real - e.imag * c.imag))
-    outside = np.abs(p - 0.5) > 0.5 + 1e-9
+    outside = ~(np.abs(p - 0.5) <= 0.5 + 1e-9)  # NaN fails the test
     if outside.any():
-        raise RuntimeError(f"probability {p[outside].flat[0]} outside [0, 1]: contrast "
-                           f"{c} exceeds unit magnitude")
+        cause = "exceeds unit magnitude" if abs(c) > 1.0 else "or the phase is not finite"
+        raise RuntimeError(f"probability {p[outside].flat[0]} at phase {phi[outside].flat[0]} "
+                           f"outside [0, 1]: contrast {c} {cause}")
     p = np.clip(p, 0.0, 1.0)
     return float(p) if p.ndim == 0 else p
 
@@ -125,11 +128,11 @@ def _path_gram(uppers: Sequence[ArmSpec], lowers: Sequence[ArmSpec], rho) -> np.
     one arm structure (see ``_evolve_arm``); they are evolved as stacks, in
     blocks whose state fits ``_ORACLE_BLOCK_BYTES``.
     """
-    unit, n = _delay_grid([uppers[0], lowers[0]])
+    unit, n = _delay_grid([*uppers[:1], *lowers[:1]])
     split = beamsplitter()[:, 0]
     evals, evecs = np.linalg.eigh(rho)
     block = max(1, _ORACLE_BLOCK_BYTES // (2 * 2 * n * 2 * 16))
-    grams = []
+    grams = np.empty((len(uppers), 2, 2), dtype=complex)
     for start in range(0, len(uppers), block):
         ups, lows = uppers[start:start + block], lowers[start:start + block]
         cols = np.zeros((len(ups), 2, n, 2), dtype=complex)
@@ -138,8 +141,8 @@ def _path_gram(uppers: Sequence[ArmSpec], lowers: Sequence[ArmSpec], rho) -> np.
             _evolve_arm(ups, split[0] * cols, unit),
             _evolve_arm(lows, split[1] * cols, unit),
         ), axis=1).reshape(len(ups), 2, -1)
-        grams.append(paths.conj() @ paths.transpose(0, 2, 1))
-    return np.concatenate(grams)
+        grams[start:start + block] = paths.conj() @ paths.transpose(0, 2, 1)
+    return grams
 
 
 def _port_probabilities(gram: np.ndarray, phis: np.ndarray) -> np.ndarray:

@@ -1,4 +1,4 @@
-"""Single-qubit process tomography and the tomography-blindness demonstration.
+"""Single-qubit process tomography: the process matrix chi of a qubit channel.
 
 Linear-inversion tomography in the Pauli basis {I, X, Y, Z}: probing a channel
 with the four states {H, V, D, R} determines it completely, and the process
@@ -6,28 +6,22 @@ matrix chi satisfies channel(rho) = sum_mn chi[m, n] sigma_m rho sigma_n. A
 trace-preserving channel has Tr chi = 1, so the identity channel reads
 diag(1, 0, 0, 0). The channel receives the four probes as one (4, 2, 2) stack,
 and one constant 16x16 matrix, built at import, maps the 16 entries of its
-outputs to chi.
-
-The blindness demonstration builds two interferometer configurations whose
-arms have identical per-arm process matrices for every crystal angle beta, yet
-whose shared-environment fringe visibilities differ, and tabulates both over a
-grid of betas. The per-arm channel traces out arrival time, so it cannot see
-which crystal length sits where; the interferometer can.
+outputs to chi. The blindness table that compares chi with the fringes is
+``experiments.blindness_demo``.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
-from .core import maximally_mixed, validate_density_matrix
+from .core import validate_density_matrix
 
 __all__ = [
     "PAULIS",
     "PROBE_STATES",
     "qpt",
-    "blindness_demo",
 ]
 
 PAULIS = (
@@ -94,35 +88,3 @@ def qpt(channel: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
                          "expected (..., 4, 2, 2)")
     lead = outs.shape[:-3]
     return (_CHI_MAP @ outs.reshape(lead + (16, 1))).reshape(lead + (4, 4))
-
-
-def blindness_demo(betas: Sequence[float]) -> tuple[np.ndarray, ...]:
-    """Identical per-arm tomography, different fringes, over a beta grid.
-
-    Builds the first and third standard configurations over the grid (they
-    share per-arm angle sequences and differ only in which crystal length sits
-    in which position), composes their three arm stacks (upper a, upper c and
-    the shared lower arm) once each, runs process tomography once per stack,
-    and returns the columns beta, chi_distance_upper, chi_distance_lower,
-    visibility_a, visibility_b and visibility_gap: the chi distances
-    (Frobenius norms of the differences) between corresponding arms next to
-    the two shared-environment visibilities.
-    """
-    from .arms import _compose_arms, arm_channel_apply
-    from .experiments import _standard_arms
-    from .interferometer import _kraus_contrasts
-
-    if len(betas) == 0:  # qpt cannot validate an empty stack of outputs
-        return tuple(np.zeros(0) for _ in range(6))
-    uppers_a, lowers = _standard_arms("a", betas)
-    upper_a, upper_c, lower = (_compose_arms(arms) for arms in
-                               (uppers_a, _standard_arms("c", betas)[0], lowers))
-    chi_a, chi_c, chi_lower = (qpt(lambda rho: arm_channel_apply(ops, rho))
-                               for _, ops in (upper_a, upper_c, lower))
-    rho = validate_density_matrix(maximally_mixed(2))
-    vis_a, vis_b = ([abs(c) for c in _kraus_contrasts(upper, lower, rho)]
-                    for upper in (upper_a, upper_c))
-    columns = (betas, [np.linalg.norm(d) for d in chi_a - chi_c],
-               [np.linalg.norm(d) for d in chi_lower - chi_lower],
-               vis_a, vis_b, [abs(a - b) for a, b in zip(vis_a, vis_b)])
-    return tuple(np.array(column, dtype=float) for column in columns)

@@ -26,6 +26,7 @@ from mzfringe.arms import (
     _evolve_arm,
 )
 from mzfringe.experiments import _standard_arms, default_beta_grid, random_arm
+from mzfringe.tomography import PROBE_STATES
 
 I2 = np.eye(2, dtype=complex)
 
@@ -71,6 +72,15 @@ def test_crystal_rejects_negative_delay():
 def test_raw_unitary_rejects_nonunitary():
     with pytest.raises(ValueError):
         RawUnitary(np.array([[1.0, 0.0], [0.0, 0.5]]))
+
+
+def test_raw_unitary_holds_a_read_only_copy():
+    m = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+    u = RawUnitary(m)
+    m[0, 0] = 5.0
+    np.testing.assert_array_equal(u.matrix, [[0.0, 1.0], [1.0, 0.0]])
+    with pytest.raises(ValueError, match="read-only"):
+        u.matrix[0, 0] = 5.0
 
 
 def test_compose_empty_arm():
@@ -189,6 +199,10 @@ def test_channel_identity_on_empty_arm():
     rho = a @ a.conj().T
     rho /= np.trace(rho)
     np.testing.assert_allclose(arm_channel_apply([], rho), rho)
+
+
+def test_channel_of_an_empty_arm_stack_is_an_empty_stack():
+    assert arm_channel_apply(_compose_arms([])[1], PROBE_STATES).shape == (0, 4, 2, 2)
 
 
 def test_dilation_empty_arm():

@@ -118,6 +118,12 @@ def test_validate_density_matrix_rejections():
         validate_density_matrix(np.array([[np.nan, 0.0], [0.0, 1.0]]))
 
 
+def test_validate_density_matrix_takes_an_empty_stack():
+    assert validate_density_matrix(np.zeros((0, 2, 2))).shape == (0, 2, 2)
+    with pytest.raises(ValueError, match="at least one row"):
+        validate_density_matrix(np.zeros((0, 2)))
+
+
 @pytest.mark.parametrize("bad, message", [
     (np.array([[0.5, 0.5], [0.0, 0.5]]), "Hermitian"),
     (np.diag([0.7, 0.7]), "trace"),

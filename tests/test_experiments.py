@@ -161,6 +161,12 @@ def test_poisson_rejects_bad_arguments():
     assert 0 < poisson_fringe(f, [0.0], 2**53, 1)[0] < 2**54
 
 
+def test_poisson_rejects_a_nan_phase():
+    f = contrast_shared_env(standard_config("a", 0.1))
+    with pytest.raises(RuntimeError, match="phase nan"):
+        poisson_fringe(f, [0.0, float("nan"), 1.0], 100, 1)
+
+
 @pytest.mark.parametrize("seed", [0, 1, 2**31 - 1, 2**32, 2**64 + 3])
 def test_point_uniforms_equal_numpy_generators(seed):
     # 2**32 and 2**64 + 3 have two and three 32-bit entropy words

@@ -6,7 +6,7 @@ import pytest
 
 from conftest import random_density, random_unitary
 from mzfringe.arms import DELAY_MERGE_TOL, ORACLE_DIM_LIMIT, ResourceLimitError, _delay_grid
-from mzfringe.interferometer import _path_gram, _port_probabilities
+from mzfringe.interferometer import _oracle_contrasts, _path_gram, _port_probabilities
 from mzfringe import (
     Crystal,
     InterferometerSpec,
@@ -170,6 +170,22 @@ def test_output_probability_clamps_roundoff_in_arrays():
     c = 1.0 + 4e-13
     p = output_probability(c + 0j, [0.0, np.pi, np.pi / 2])
     assert p[0] == 1.0 and p[1] == 0.0 and p[2] == pytest.approx(0.5)
+
+
+@pytest.mark.parametrize("c, phi, cause", [
+    (complex("nan"), 0.0, "or the phase is not finite"),
+    (0.5, float("nan"), "or the phase is not finite"),
+    (complex("nan"), [0.0, 1.0], "or the phase is not finite"),
+    (0.5, [0.0, float("nan"), 1.0], "or the phase is not finite"),
+    (2.0 + 0j, 0.0, "exceeds unit magnitude"),
+])
+def test_output_probability_rejects_nan_and_names_the_cause(c, phi, cause):
+    with pytest.raises(RuntimeError, match=f"outside \\[0, 1\\]: contrast .* {cause}$"):
+        output_probability(c, phi)
+
+
+def test_oracle_of_an_empty_stack_is_empty():
+    assert _oracle_contrasts([], [], maximally_mixed(2)).shape == (0,)
 
 
 def test_oracle_empty_arms():

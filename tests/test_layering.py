@@ -1,0 +1,41 @@
+import ast
+import pathlib
+import sys
+
+import mzfringe
+
+MODULES = sorted(pathlib.Path(mzfringe.__file__).parent.glob("*.py"))
+
+
+def imported_modules(nodes):
+    """Module names of the imports among ``nodes``; a relative import reads '.name'."""
+    names = []
+    for node in nodes:
+        if isinstance(node, ast.Import):
+            names += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names.append("." * node.level + (node.module or ""))
+    return names
+
+
+def test_modules_import_only_numpy_the_standard_library_and_the_package():
+    for path in MODULES:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for name in imported_modules(tree.body):
+            top = name.split(".")[0]
+            assert name.startswith(".") or top == "numpy" or top in sys.stdlib_module_names, \
+                f"{path.name} imports {name}"
+
+
+def test_no_function_imports_at_call_time():
+    for path in MODULES:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for func in ast.walk(tree):
+            if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                assert imported_modules(ast.walk(func)) == [], f"{path.name} {func.name}"
+
+
+def test_tomography_imports_only_core():
+    path = pathlib.Path(mzfringe.__file__).parent / "tomography.py"
+    names = imported_modules(ast.walk(ast.parse(path.read_text(encoding="utf-8"))))
+    assert [n for n in names if n.startswith(".")] == [".core"]

@@ -94,6 +94,10 @@ def test_qpt_calls_its_channel_once_on_the_probe_stack():
     assert calls == [(4, 2, 2)]
 
 
+def test_qpt_of_an_empty_channel_stack_is_empty():
+    assert qpt(lambda rho: np.zeros((0,) + rho.shape, dtype=complex)).shape == (0, 4, 4)
+
+
 def test_qpt_names_the_failing_probe_output():
     def channel(rho):
         out = np.array(rho, dtype=complex)
