@@ -14,8 +14,8 @@ delays decides the merge groups and refuses more than ``COMPOSE_BIN_LIMIT``
 distinct sums, and one pass carries the Kraus sets as an (arms, k, 2, 2)
 stack through the elements. The oracle's time grid stops at
 ``ORACLE_DIM_LIMIT``; both limits raise ``ResourceLimitError``.
-``arm_channel_apply`` maps a stack of states through one Kraus set or each
-set of a composed stack.
+``arm_channel_apply`` maps a stack of states through the operators of one
+composed arm or of each arm in a composed stack.
 
 The dilation oracle does not compose Kraus sets. It applies arms element by
 element to vectors on polarization (x) time bins, on a grid whose unit is the
@@ -27,19 +27,14 @@ unitaries.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import reduce
 from typing import Sequence, Union
 
 import numpy as np
 
-from .core import (
-    UNITARY_ATOL,
-    as_complex_matrix,
-    half_waveplate,
-    rotated_basis,
-    validate_density_matrix,
-)
+from .core import UNITARY_ATOL, half_waveplate, rotated_basis, validate_density_matrix
 
 __all__ = [
     "DELAY_MERGE_TOL",
@@ -78,34 +73,43 @@ class ResourceLimitError(ValueError):
 
 @dataclass(frozen=True)
 class Crystal:
-    """Birefringent crystal: fast axis at ``axis_angle`` (radians from
-    horizontal), o/e separation ``delay`` in micrometers."""
+    """Birefringent crystal: fast axis at ``axis_angle`` (finite radians from
+    horizontal), o/e separation ``delay`` (finite micrometers, >= 0)."""
 
     axis_angle: float
     delay: float
 
     def __post_init__(self):
-        if not np.isfinite(self.delay) or self.delay < 0:
+        if not math.isfinite(self.axis_angle):
+            raise ValueError(f"crystal axis_angle must be finite, got {self.axis_angle}")
+        if not math.isfinite(self.delay) or self.delay < 0:
             raise ValueError(f"crystal delay must be finite and >= 0, got {self.delay}")
 
 
 @dataclass(frozen=True)
 class Waveplate:
-    """Half-wave plate with fast axis at ``axis_angle`` (radians)."""
+    """Half-wave plate with fast axis at ``axis_angle`` (finite radians)."""
 
     axis_angle: float
+
+    def __post_init__(self):
+        if not math.isfinite(self.axis_angle):
+            raise ValueError(f"waveplate axis_angle must be finite, got {self.axis_angle}")
 
 
 @dataclass(frozen=True)
 class RawUnitary:
-    """An arbitrary 2x2 unitary element acting on polarization alone."""
+    """An arbitrary 2x2 unitary element acting on polarization alone, held as a
+    read-only complex copy: 2x2, finite, and unitary within ``UNITARY_ATOL``."""
 
     matrix: np.ndarray
 
     def __post_init__(self):
-        m = as_complex_matrix(self.matrix, "matrix")
+        m = np.array(self.matrix, dtype=complex)
         if m.shape != (2, 2):
             raise ValueError(f"RawUnitary must be 2x2, got shape {m.shape}")
+        if not np.isfinite(m).all():
+            raise ValueError("RawUnitary contains NaN or Inf entries")
         resid = float(np.max(np.abs(m.conj().T @ m - np.eye(2))))
         if resid > UNITARY_ATOL:
             raise ValueError(f"RawUnitary is not unitary (residual {resid:.3e})")
@@ -282,16 +286,16 @@ def _evolve_arm(arms: Sequence[ArmSpec], cols: np.ndarray, unit: float) -> np.nd
     return cols
 
 
-def arm_channel_apply(arm: ArmSpec | np.ndarray, rho) -> np.ndarray:
-    """Polarization channel of an arm with the time bins traced out:
-    sum_k K rho K^dag over the composed operators, added in delay order from 0.
-    ``rho`` may be a stack of states (..., 2, 2); the arm is composed once for
-    the whole stack. ``arm`` may also be the operators (arms, k, 2, 2) of an
-    arm stack from ``_compose_arms``, which give outputs (arms, ..., 2, 2)."""
+def arm_channel_apply(kraus: np.ndarray, rho) -> np.ndarray:
+    """Polarization channel of a composed arm with the time bins traced out:
+    sum_k K rho K^dag over the operators ``kraus`` (k, 2, 2) of ``compose_arm``,
+    added in delay order from 0. An arm stack's operators (arms, k, 2, 2) from
+    ``_compose_arms`` give outputs (arms, ..., 2, 2); ``rho`` may be a stack of
+    states (..., 2, 2)."""
     rho = validate_density_matrix(rho)
     if rho.shape[-2:] != (2, 2):
         raise ValueError(f"arm channels act on 2x2 states, got shape {rho.shape}")
-    ops = np.moveaxis(arm if isinstance(arm, np.ndarray) else compose_arm(arm)[1], -3, 0)
+    ops = np.moveaxis(kraus, -3, 0)
     out = np.zeros(ops.shape[1:-2] + rho.shape, dtype=complex)
     # the k-th operator of every arm, broadcast over the stack of states
     ops = ops.reshape(ops.shape[:-2] + (1,) * (rho.ndim - 2) + (2, 2))

@@ -9,7 +9,7 @@ entries of magnitude <= 1.
 
 from __future__ import annotations
 
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 import numpy as np
 
@@ -20,7 +20,6 @@ __all__ = [
     "CPTP_ATOL",
     "UNITARY_ATOL",
     "CptpCheck",
-    "as_complex_matrix",
     "beamsplitter",
     "rotated_basis",
     "half_waveplate",
@@ -34,17 +33,6 @@ TRACE_ATOL = 1e-10
 EIGENVALUE_FLOOR = -1e-10
 CPTP_ATOL = 1e-10
 UNITARY_ATOL = 1e-10
-
-
-def as_complex_matrix(a, name: str = "matrix") -> np.ndarray:
-    """Coerce input to a 2-d complex128 array, rejecting empty or non-finite data."""
-    arr = np.array(a, dtype=complex)
-    if arr.ndim != 2 or arr.shape[0] < 1 or arr.shape[1] < 1:
-        raise ValueError(f"{name} must be a 2-d matrix with at least one row and column, "
-                         f"got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError(f"{name} contains NaN or Inf entries")
-    return arr
 
 
 def beamsplitter() -> np.ndarray:
@@ -86,23 +74,17 @@ class CptpCheck(NamedTuple):
     residual: float
 
 
-def validate_cptp(operators: Sequence[np.ndarray]) -> CptpCheck:
-    """Check trace preservation of a Kraus set: sum K^dag K == identity.
-
-    Returns the max-entry residual of |sum K^dag K - I|; passes iff it is
-    within ``CPTP_ATOL``.
-    """
-    ops = [as_complex_matrix(k, f"operators[{i}]") for i, k in enumerate(operators)]
-    if not ops:
-        raise ValueError("Kraus set must contain at least one operator")
-    d = ops[0].shape[0]
-    for i, k in enumerate(ops):
-        if k.shape != (d, d):
-            raise ValueError(f"operators[{i}] has shape {k.shape}, expected ({d}, {d})")
-    acc = np.zeros((d, d), dtype=complex)
-    for k in ops:
-        acc += k.conj().T @ k
-    residual = float(np.max(np.abs(acc - np.eye(d))))
+def validate_cptp(operators) -> CptpCheck:
+    """Check trace preservation of a Kraus set (k, d, d), such as ``compose_arm``
+    returns: sum K^dag K == identity within ``CPTP_ATOL``. Returns the max-entry
+    residual of |sum K^dag K - I|; an empty, ragged, non-square or non-finite set
+    raises ValueError."""
+    ops = np.array(operators, dtype=complex)
+    if ops.ndim != 3 or not ops.size or ops.shape[1] != ops.shape[2] or not np.isfinite(ops).all():
+        raise ValueError("Kraus set must be a finite stack (k, d, d) with k, d >= 1, "
+                         f"got shape {ops.shape}")
+    acc = (ops.conj().swapaxes(1, 2) @ ops).sum(axis=0)
+    residual = float(np.max(np.abs(acc - np.eye(ops.shape[1]))))
     return CptpCheck(residual <= CPTP_ATOL, residual)
 
 

@@ -28,7 +28,7 @@ import numpy as np
 
 from .arms import (ArmElement, ArmSpec, Crystal, RawUnitary, ResourceLimitError, Waveplate,
                    _compose_arms, arm_channel_apply)
-from .core import maximally_mixed, validate_density_matrix
+from .core import maximally_mixed
 from .interferometer import (
     InterferometerSpec,
     _kraus_contrasts,
@@ -121,7 +121,7 @@ def sweep(variant: str, betas: Sequence[float]) -> tuple[np.ndarray, ...]:
     betas, and the oracle evolves the same stacks in memory-bounded blocks.
     """
     uppers, lowers = _standard_arms(variant, betas)
-    rho = validate_density_matrix(maximally_mixed(2))
+    rho = maximally_mixed(2)
     contrasts = _kraus_contrasts(_compose_arms(uppers), _compose_arms(lowers), rho)
     return (np.asarray(betas, dtype=float),
             np.array([closed_form_contrast(variant, beta) for beta in betas], dtype=float),
@@ -144,7 +144,7 @@ def blindness_demo(betas: Sequence[float]) -> tuple[np.ndarray, ...]:
     upper_a, upper_c, lower = (_compose_arms(arms) for arms in
                                (uppers_a, _standard_arms("c", betas)[0], lowers))
     chi_a, chi_c = (qpt(lambda rho: arm_channel_apply(ops, rho)) for _, ops in (upper_a, upper_c))
-    rho = validate_density_matrix(maximally_mixed(2))
+    rho = maximally_mixed(2)
     vis_a, vis_b = ([abs(c) for c in _kraus_contrasts(upper, lower, rho)]
                     for upper in (upper_a, upper_c))
     columns = (betas, [np.linalg.norm(d) for d in chi_a - chi_c], np.zeros(len(betas)),

@@ -69,6 +69,26 @@ def test_crystal_rejects_negative_delay():
         Crystal(0.1, -5.0)
 
 
+@pytest.mark.parametrize("angle", [np.nan, np.inf, -np.inf])
+def test_arm_elements_refuse_a_non_finite_angle(angle):
+    with pytest.raises(ValueError, match="crystal axis_angle must be finite"):
+        Crystal(angle, 150.0)
+    with pytest.raises(ValueError, match="waveplate axis_angle must be finite"):
+        Waveplate(angle)
+
+
+@pytest.mark.parametrize("matrix, message", [
+    (np.array([[np.nan, 0.0], [0.0, 1.0]]), "NaN or Inf"),
+    (np.array([[1.0, 0.0], [0.0, np.inf]]), "NaN or Inf"),
+    (np.array([[1.0, 0.0], [0.0, -np.inf]]), "NaN or Inf"),
+    (np.eye(3), r"must be 2x2, got shape \(3, 3\)"),
+    (np.array([1.0, 0.0, 0.0, 1.0]), r"got shape \(4,\)"),
+])
+def test_raw_unitary_names_a_bad_shape_or_a_non_finite_entry(matrix, message):
+    with pytest.raises(ValueError, match=message):
+        RawUnitary(matrix)
+
+
 def test_raw_unitary_rejects_nonunitary():
     with pytest.raises(ValueError):
         RawUnitary(np.array([[1.0, 0.0], [0.0, 0.5]]))
@@ -111,6 +131,13 @@ def test_compose_aligned_crystals_drop_cross_terms():
     assert delays.tolist() == [0.0, 460.0]
     np.testing.assert_allclose(ops[0], np.diag([1.0, 0.0]))
     np.testing.assert_allclose(ops[1], np.diag([0.0, 1.0]))
+
+
+def test_validate_cptp_takes_the_stack_compose_arm_returns():
+    _, ops = compose_arm([Crystal(0.0, 150.0), Crystal(0.0, 310.0)])
+    assert ops.shape == (2, 2, 2)
+    check = validate_cptp(ops)
+    assert check.passed and check.residual == 0.0
 
 
 def test_compose_zero_delay_crystal_merges_to_identity():
@@ -175,7 +202,7 @@ def test_channel_preserves_maximally_mixed():
     rng = np.random.default_rng(43)
     for _ in range(50):
         arm = random_arm(rng, max_elements=4)
-        out = arm_channel_apply(arm, maximally_mixed(2))
+        out = arm_channel_apply(compose_arm(arm)[1], maximally_mixed(2))
         np.testing.assert_allclose(out, I2 / 2, atol=1e-12)
 
 
@@ -183,13 +210,13 @@ def test_channel_unital_with_compensating_delays():
     # two equal-delay crystals after a third: merged bins mix branches from
     # different elements, and the aggregate still maps I/2 to I/2
     arm = [Crystal(0.0, 150.0), Crystal(0.7, 75.0), Crystal(1.1, 75.0)]
-    out = arm_channel_apply(arm, maximally_mixed(2))
+    out = arm_channel_apply(compose_arm(arm)[1], maximally_mixed(2))
     np.testing.assert_allclose(out, I2 / 2, atol=1e-12)
 
 
 def test_channel_dephases_diagonal_input():
     d = np.array([1.0, 1.0]) / np.sqrt(2)
-    out = arm_channel_apply([Crystal(0.0, 310.0)], projector(d))
+    out = arm_channel_apply(compose_arm([Crystal(0.0, 310.0)])[1], projector(d))
     np.testing.assert_allclose(out, I2 / 2, atol=1e-14)
 
 
@@ -198,7 +225,7 @@ def test_channel_identity_on_empty_arm():
     a = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
     rho = a @ a.conj().T
     rho /= np.trace(rho)
-    np.testing.assert_allclose(arm_channel_apply([], rho), rho)
+    np.testing.assert_allclose(arm_channel_apply(compose_arm([])[1], rho), rho)
 
 
 def test_channel_of_an_empty_arm_stack_is_an_empty_stack():

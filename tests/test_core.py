@@ -101,6 +101,19 @@ def test_validate_cptp_mixed_dimensions():
         validate_cptp([I2, np.eye(3)])
 
 
+@pytest.mark.parametrize("operators", [
+    [],                                                   # empty set
+    np.zeros((0, 2, 2)),                                  # empty stack
+    [np.array([[np.nan, 0.0], [0.0, 1.0]])],              # NaN entry
+    [np.array([[1.0, 0.0], [0.0, np.inf]])],              # inf entry
+    [np.ones((2, 3))],                                    # non-square operator
+    I2,                                                   # a single 2-D matrix
+])
+def test_validate_cptp_refuses_what_is_not_a_finite_square_stack(operators):
+    with pytest.raises(ValueError):
+        validate_cptp(operators)
+
+
 def test_validate_density_matrix_accepts_valid():
     rng = np.random.default_rng(23)
     rho = random_density(rng)

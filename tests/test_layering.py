@@ -39,3 +39,22 @@ def test_tomography_imports_only_core():
     path = pathlib.Path(mzfringe.__file__).parent / "tomography.py"
     names = imported_modules(ast.walk(ast.parse(path.read_text(encoding="utf-8"))))
     assert [n for n in names if n.startswith(".")] == [".core"]
+
+
+# The package's layers: each module's relative imports, from the bottom up.
+LAYERS = {
+    "core": set(),
+    "arms": {"core"},
+    "tomography": {"core"},
+    "interferometer": {"arms", "core"},
+    "experiments": {"arms", "core", "interferometer", "tomography"},
+    "cli": {"arms", "core", "experiments", "interferometer"},
+    "__init__": {"arms", "core", "experiments", "interferometer", "tomography"},
+}
+
+
+def test_modules_import_along_the_layers():
+    assert {path.stem for path in MODULES} == set(LAYERS)
+    for path in MODULES:
+        names = imported_modules(ast.walk(ast.parse(path.read_text(encoding="utf-8"))))
+        assert {n[1:] for n in names if n.startswith(".")} == LAYERS[path.stem], path.name
