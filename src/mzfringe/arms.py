@@ -54,6 +54,10 @@ __all__ = [
 # Delays in scope are exact sums of configuration constants, so this tolerance
 # only merges genuinely equal sums.
 DELAY_MERGE_TOL = 1e-9
+# Remainder at which the oracle's Euclid ends the gcd of its time grid. It has
+# DELAY_MERGE_TOL's value but is its own constant, so that a change to the
+# merge rule leaves the oracle that checks it unchanged.
+ORACLE_GRID_TOL = 1e-9
 # Entrywise threshold below which a composed branch operator is dropped as an
 # exact-orthogonality artifact.
 ZERO_OP_TOL = 1e-14
@@ -119,6 +123,12 @@ class RawUnitary:
 
 ArmElement = Union[Crystal, Waveplate, RawUnitary]
 ArmSpec = Sequence[ArmElement]
+
+
+def _structure(arm: ArmSpec) -> tuple:
+    """What arms of one stack share (``_check_stack``): per element, a crystal's
+    delay or another element's kind."""
+    return tuple([e.delay if type(e) is Crystal else type(e) for e in arm])
 
 
 def _check_stack(arms: Sequence[ArmSpec]) -> None:
@@ -216,8 +226,8 @@ def compose_arm(arm: ArmSpec) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _gcd(a: float, b: float) -> float:
-    """Euclid's algorithm on delays; a remainder within DELAY_MERGE_TOL ends it."""
-    while b > DELAY_MERGE_TOL:
+    """Euclid's algorithm on delays; a remainder within ORACLE_GRID_TOL ends it."""
+    while b > ORACLE_GRID_TOL:
         a, b = b, a % b
     return a
 
@@ -230,12 +240,12 @@ def _delay_grid(arms: Sequence[ArmSpec]) -> tuple[float, int]:
     """Unit and bin count of a time grid that holds every delay of ``arms``.
 
     The unit is the gcd of the crystal delays (0 when every delay is within
-    DELAY_MERGE_TOL of zero). Bin 0 is the input bin, and the grid reaches the
+    ORACLE_GRID_TOL of zero). Bin 0 is the input bin, and the grid reaches the
     largest total crystal delay of any one arm, so cyclic shifts of a vector
     that starts in bin 0 never wrap. Raises ResourceLimitError, before
     anything is allocated, when the joint dimension 4 * bins exceeds
     ORACLE_DIM_LIMIT; incommensurate delays drive the unit towards
-    DELAY_MERGE_TOL and end there.
+    ORACLE_GRID_TOL and end there.
     """
     crystals = [[e.delay for e in arm if isinstance(e, Crystal)] for arm in arms]
     unit = reduce(_gcd, (d for delays in crystals for d in delays), 0.0)
@@ -291,7 +301,12 @@ def arm_channel_apply(kraus: np.ndarray, rho) -> np.ndarray:
     sum_k K rho K^dag over the operators ``kraus`` (k, 2, 2) of ``compose_arm``,
     added in delay order from 0. An arm stack's operators (arms, k, 2, 2) from
     ``_compose_arms`` give outputs (arms, ..., 2, 2); ``rho`` may be a stack of
-    states (..., 2, 2)."""
+    states (..., 2, 2). Any other shape, such as an element list's, raises
+    ValueError."""
+    shape = np.shape(kraus)
+    if len(shape) not in (3, 4) or shape[-2:] != (2, 2):
+        raise ValueError("arm_channel_apply takes a composed operator stack, (k, 2, 2) from "
+                         f"compose_arm or (arms, k, 2, 2) from an arm stack, got shape {shape}")
     rho = validate_density_matrix(rho)
     if rho.shape[-2:] != (2, 2):
         raise ValueError(f"arm channels act on 2x2 states, got shape {rho.shape}")

@@ -79,10 +79,13 @@ def validate_cptp(operators) -> CptpCheck:
     returns: sum K^dag K == identity within ``CPTP_ATOL``. Returns the max-entry
     residual of |sum K^dag K - I|; an empty, ragged, non-square or non-finite set
     raises ValueError."""
-    ops = np.array(operators, dtype=complex)
+    try:
+        ops = np.array(operators, dtype=complex)
+        got = f"shape {ops.shape}"
+    except ValueError:  # numpy cannot stack a ragged set
+        ops, got = np.empty(0), "a ragged sequence"
     if ops.ndim != 3 or not ops.size or ops.shape[1] != ops.shape[2] or not np.isfinite(ops).all():
-        raise ValueError("Kraus set must be a finite stack (k, d, d) with k, d >= 1, "
-                         f"got shape {ops.shape}")
+        raise ValueError(f"Kraus set must be a finite stack (k, d, d) with k, d >= 1, got {got}")
     acc = (ops.conj().swapaxes(1, 2) @ ops).sum(axis=0)
     residual = float(np.max(np.abs(acc - np.eye(ops.shape[1]))))
     return CptpCheck(residual <= CPTP_ATOL, residual)

@@ -11,10 +11,15 @@ force: it evolves the full path (x) polarization (x) time-bin state through
 the first beamsplitter and each arm element by element on its own path. The
 phase plate and the closing beamsplitter act on the path alone, so the
 lower-port probability at each phase is c^dag G c, with G the 2x2 Gram matrix
-of the two evolved path states and c the closing row at that phase. Specs
-that share one arm structure, such as the betas of a sweep, are evolved as
-one stack in memory-bounded blocks. The oracle never composes a Kraus set, so
-it is an independent check of ``compose_arm``.
+of the two evolved path states and c the closing row at that phase. Both
+routines take many arm pairs at once: the contrast composes each distinct arm
+structure (element kinds and crystal delays) once and joins the pairs of each
+(upper, lower) structure once, and the oracle evolves the pairs of each
+(upper, lower) structure as one stack in memory-bounded blocks. A pair's
+result has the same bits in any group, so ``contrast_shared_env`` and
+``oracle_contrast`` are the one-spec case. The oracle groups by structure
+alone and never composes a Kraus set, so it is an independent check of
+``_compose_arms``.
 
 Time-bin orthogonality is binary here: delays matching within
 ``DELAY_MERGE_TOL`` interfere fully, all others not at all. Partial wavepacket
@@ -28,7 +33,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .arms import DELAY_MERGE_TOL, ArmSpec, _delay_grid, _evolve_arm, compose_arm
+from .arms import (DELAY_MERGE_TOL, ArmSpec, _compose_arms, _delay_grid, _evolve_arm,
+                   _structure)
 from .core import beamsplitter, validate_density_matrix
 
 __all__ = [
@@ -66,9 +72,9 @@ class InterferometerSpec:
         self.input_state = state
 
 
-def _kraus_contrasts(upper: tuple, lower: tuple, rho: np.ndarray) -> list[complex]:
+def _kraus_contrasts(upper: tuple, lower: tuple, rho) -> list[complex]:
     """Complex contrasts of a stack of arm pairs from their stacked Kraus sets
-    (``_compose_arms``).
+    (``_compose_arms``) and input ``rho``, one state (2, 2) or one per pair.
 
     C = sum of Tr[u^dag v rho] over delay-matched Kraus pairs (u from the
     upper arm, v from the lower): each upper delay d is joined with every
@@ -82,15 +88,52 @@ def _kraus_contrasts(upper: tuple, lower: tuple, rho: np.ndarray) -> list[comple
     # lower index of every pair: lo[i], ..., lo[i] + counts[i] - 1 per upper i
     first = (lo - counts.cumsum() + counts).repeat(counts)
     v = lower_ops.take(first + np.arange(len(first)), axis=1)
-    m = upper_ops.repeat(counts, axis=1).conj().swapaxes(2, 3) @ v @ rho
+    m = upper_ops.repeat(counts, axis=1).conj().swapaxes(2, 3) @ v @ rho[..., None, :, :]
     return [sum(terms, 0j) for terms in (m[:, :, 0, 0] + m[:, :, 1, 1]).tolist()]
+
+
+def _groups(keys) -> dict:
+    """Indices of ``keys`` by key, in order of first appearance."""
+    groups: dict = {}
+    for i, key in enumerate(keys):
+        groups.setdefault(key, []).append(i)
+    return groups
+
+
+def _shared_env_contrasts(uppers: Sequence[ArmSpec], lowers: Sequence[ArmSpec],
+                          rho) -> list[complex]:
+    """Complex contrasts of the arm pairs (``uppers[i]``, ``lowers[i]``) with
+    input ``rho``, one state (2, 2) or one per pair, when both arms disturb the
+    same environment.
+
+    The arms, upper and lower alike, are composed as one ``_compose_arms``
+    stack per distinct structure (``_structure``), and the pairs that share an
+    (upper, lower) structure are joined by one ``_kraus_contrasts`` call. A
+    pair's contrast has the bits it has alone.
+    """
+    arms = [*uppers, *lowers]
+    keys = [_structure(arm) for arm in arms]
+    stacks, rows = {}, [0] * len(arms)
+    for key, members in _groups(keys).items():
+        stacks[key] = _compose_arms([arms[i] for i in members])
+        for row, i in enumerate(members):
+            rows[i] = row
+    rho = np.broadcast_to(rho, (len(uppers), 2, 2))
+    n, out = len(uppers), [0j] * len(uppers)
+    for (upper, lower), pairs in _groups(zip(keys[:n], keys[n:])).items():
+        (upper_delays, upper_ops), (lower_delays, lower_ops) = stacks[upper], stacks[lower]
+        contrasts = _kraus_contrasts(
+            (upper_delays, upper_ops[[rows[i] for i in pairs]]),
+            (lower_delays, lower_ops[[rows[n + i] for i in pairs]]), rho[pairs])
+        for i, c in zip(pairs, contrasts):
+            out[i] = c
+    return out
 
 
 def contrast_shared_env(spec: InterferometerSpec) -> complex:
     """Complex interference contrast when both arms disturb the same
-    environment: ``_kraus_contrasts`` of the arms as one-arm stacks."""
-    upper, lower = ((d, ops[None]) for d, ops in map(compose_arm, (spec.upper, spec.lower)))
-    return _kraus_contrasts(upper, lower, spec.input_state)[0]
+    environment: ``_shared_env_contrasts`` of the one spec."""
+    return _shared_env_contrasts([spec.upper], [spec.lower], spec.input_state)[0]
 
 
 def output_probability(c: complex, phi):
@@ -118,30 +161,36 @@ def output_probability(c: complex, phi):
 
 def _path_gram(uppers: Sequence[ArmSpec], lowers: Sequence[ArmSpec], rho) -> np.ndarray:
     """Gram matrices (pair, path, path) of the oracle's arm-evolved path
-    states, one per arm pair (``uppers[i]``, ``lowers[i]``) with input ``rho``.
+    states, one per arm pair (``uppers[i]``, ``lowers[i]``) with input
+    ``rho``, one state (2, 2) or one per pair.
 
     The joint state starts as |0>_path (x) rho (x) |bin_0> with rho factored
     into scaled eigenvector columns. The first beamsplitter splits it onto the
     two paths, and each arm then acts element by element on its own path: the
     upper arm on path 0, the lower arm on path 1. With x_p the evolved state
-    of path p, G[p, q] = <x_p, x_q>. The uppers and the lowers must each share
-    one arm structure (see ``_evolve_arm``); they are evolved as stacks, in
-    blocks whose state fits ``_ORACLE_BLOCK_BYTES``.
+    of path p, G[p, q] = <x_p, x_q>. The pairs that share an (upper, lower)
+    arm structure (``_structure``) share a time grid and are evolved as
+    stacks (``_evolve_arm``), in blocks whose state fits
+    ``_ORACLE_BLOCK_BYTES``.
     """
-    unit, n = _delay_grid([*uppers[:1], *lowers[:1]])
     split = beamsplitter()[:, 0]
     evals, evecs = np.linalg.eigh(rho)
-    block = max(1, _ORACLE_BLOCK_BYTES // (2 * 2 * n * 2 * 16))
+    states = np.broadcast_to(evecs * np.sqrt(np.maximum(evals, 0.0))[..., None, :],
+                             (len(uppers), 2, 2))
     grams = np.empty((len(uppers), 2, 2), dtype=complex)
-    for start in range(0, len(uppers), block):
-        ups, lows = uppers[start:start + block], lowers[start:start + block]
-        cols = np.zeros((len(ups), 2, n, 2), dtype=complex)
-        cols[:, :, 0, :] = evecs * np.sqrt(np.maximum(evals, 0.0))
-        paths = np.concatenate((
-            _evolve_arm(ups, split[0] * cols, unit),
-            _evolve_arm(lows, split[1] * cols, unit),
-        ), axis=1).reshape(len(ups), 2, -1)
-        grams[start:start + block] = paths.conj() @ paths.transpose(0, 2, 1)
+    keys = zip(map(_structure, uppers), map(_structure, lowers))
+    for pairs in _groups(keys).values():
+        unit, n = _delay_grid([uppers[pairs[0]], lowers[pairs[0]]])
+        block = max(1, _ORACLE_BLOCK_BYTES // (2 * 2 * n * 2 * 16))
+        for start in range(0, len(pairs), block):
+            at = pairs[start:start + block]
+            cols = np.zeros((len(at), 2, n, 2), dtype=complex)
+            cols[:, :, 0, :] = states[at]
+            paths = np.concatenate((
+                _evolve_arm([uppers[i] for i in at], split[0] * cols, unit),
+                _evolve_arm([lowers[i] for i in at], split[1] * cols, unit),
+            ), axis=1).reshape(len(at), 2, -1)
+            grams[at] = paths.conj() @ paths.transpose(0, 2, 1)
     return grams
 
 
@@ -161,8 +210,8 @@ def _port_probabilities(gram: np.ndarray, phis: np.ndarray) -> np.ndarray:
 
 
 def _oracle_contrasts(uppers: Sequence[ArmSpec], lowers: Sequence[ArmSpec], rho) -> np.ndarray:
-    """Complex contrasts of a stack of arm pairs with input ``rho`` from the
-    oracle fringe.
+    """Complex contrasts of arm pairs with input ``rho``, one state or one per
+    pair, from the oracle fringe (``_path_gram``).
 
     Samples the lower-port probability P(phi) on a uniform grid of
     ``_ORACLE_PHASES`` phases and returns its unit-frequency Fourier

@@ -23,6 +23,7 @@ from mzfringe import (
     standard_config,
     validate_cptp,
 )
+from mzfringe.arms import _compose_arms
 from mzfringe.cli import main
 from mzfringe.experiments import random_arm, random_interferometer_spec
 
@@ -83,20 +84,22 @@ def test_criterion_3_oracle_equivalence():
             f"max_delta={worst:.2e}, {elapsed:.2f}s")
 
 
+# The contrast composes through the stacked composition that interferometer
+# binds; the mutations below replace that binding, so they reach every contrast.
 def test_oracle_catches_reversed_composition(monkeypatch):
-    monkeypatch.setattr(mzfringe.interferometer, "compose_arm",
-                        lambda arm: compose_arm(list(arm)[::-1]))
+    monkeypatch.setattr(mzfringe.interferometer, "_compose_arms",
+                        lambda arms: _compose_arms([list(arm)[::-1] for arm in arms]))
     assert _criterion_3_max_delta() > 1e-3
 
 
 def test_oracle_catches_widened_delay_merging(monkeypatch):
-    # merge delays within 100 um, but only inside compose_arm, as a merge bug would
-    def compose_widened(arm):
+    # merge delays within 100 um, but only inside composition, as a merge bug would
+    def compose_widened(arms):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(mzfringe.arms, "DELAY_MERGE_TOL", 100.0)
-            return compose_arm(arm)
+            return _compose_arms(arms)
 
-    monkeypatch.setattr(mzfringe.interferometer, "compose_arm", compose_widened)
+    monkeypatch.setattr(mzfringe.interferometer, "_compose_arms", compose_widened)
     assert _criterion_3_max_delta() > 1e-3
 
 

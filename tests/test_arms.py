@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import mzfringe.arms
 from conftest import random_unitary
 from mzfringe import (
     Crystal,
@@ -228,8 +229,28 @@ def test_channel_identity_on_empty_arm():
     np.testing.assert_allclose(arm_channel_apply(compose_arm([])[1], rho), rho)
 
 
+@pytest.mark.parametrize("kraus, got", [
+    ([Crystal(0.3, 150.0)], r"shape \(1,\)"),    # the element list it once took
+    ([], r"shape \(0,\)"),                       # an empty element list
+    (I2, r"shape \(2, 2\)"),                     # a bare 2x2 matrix
+])
+def test_channel_names_the_operator_stack_it_takes(kraus, got):
+    with pytest.raises(ValueError, match=r"\(k, 2, 2\) from compose_arm or "
+                                         r"\(arms, k, 2, 2\) from an arm stack, got " + got):
+        arm_channel_apply(kraus, maximally_mixed(2))
+
+
 def test_channel_of_an_empty_arm_stack_is_an_empty_stack():
     assert arm_channel_apply(_compose_arms([])[1], PROBE_STATES).shape == (0, 4, 2, 2)
+
+
+def test_oracle_grid_does_not_read_the_merge_tolerance(monkeypatch):
+    # a merge tolerance of 100 um would end Euclid on 150 and 75 at 150
+    arms = [[Crystal(0.3, 150.0)], [Crystal(0.1, 75.0), Crystal(0.2, 310.0)]]
+    grid = _delay_grid(arms)
+    assert grid == (5.0, 78)
+    monkeypatch.setattr(mzfringe.arms, "DELAY_MERGE_TOL", 100.0)
+    assert _delay_grid(arms) == grid
 
 
 def test_dilation_empty_arm():

@@ -11,9 +11,11 @@ import pytest
 import mzfringe.arms
 import mzfringe.cli
 import mzfringe.experiments
+import mzfringe.interferometer
 from mzfringe.cli import main, parse_angle, parse_arm
-from mzfringe.interferometer import contrast_shared_env
-from mzfringe.arms import Crystal, RawUnitary, Waveplate, _compose_arms
+from mzfringe.interferometer import contrast_shared_env, oracle_contrast
+from mzfringe.arms import Crystal, RawUnitary, Waveplate, _compose_arms, _structure
+from mzfringe.experiments import random_interferometer_spec
 
 
 def read_csv(path):
@@ -464,11 +466,80 @@ def test_paper_tables_compose_each_arm_stack_once(tmp_path, monkeypatch, args, s
         calls.append(len(arms))
         return _compose_arms(arms)
 
-    monkeypatch.setattr(mzfringe.arms, "_compose_arms", counted)
-    monkeypatch.setattr(mzfringe.experiments, "_compose_arms", counted)
+    for module in (mzfringe.arms, mzfringe.interferometer, mzfringe.experiments):
+        monkeypatch.setattr(module, "_compose_arms", counted)
     assert main(args + ["--output", str(tmp_path / "t.csv")]) == 0
     assert len(calls) == stacks
     assert set(calls) == {int(args[-1])}
+
+
+def oracle_check_specs(count, seed):
+    """The specs of ``oracle-check --specs count --seed seed``, in its chunks."""
+    rng = np.random.default_rng(seed)
+    specs = [random_interferometer_spec(rng) for _ in range(count)]
+    chunk = mzfringe.cli._ORACLE_CHECK_CHUNK
+    return [specs[start:start + chunk] for start in range(0, count, chunk)]
+
+
+def test_oracle_check_in_chunks_equals_the_per_spec_routines(tmp_path, monkeypatch):
+    # 300 specs: one full chunk and one partial
+    got = {"contrast": [], "oracle": []}
+
+    def kept(name, routine):
+        def run(*args):
+            values = routine(*args)
+            got[name] += list(values)
+            return values
+        return run
+
+    monkeypatch.setattr(mzfringe.cli, "_shared_env_contrasts",
+                        kept("contrast", mzfringe.cli._shared_env_contrasts))
+    monkeypatch.setattr(mzfringe.cli, "_oracle_contrasts",
+                        kept("oracle", mzfringe.cli._oracle_contrasts))
+    assert main(["oracle-check", "--specs", "300", "--seed", "17",
+                 "--output", str(tmp_path / "o.csv")]) == 0
+    chunks = oracle_check_specs(300, 17)
+    assert [len(chunk) for chunk in chunks] == [256, 44]
+    specs = [spec for chunk in chunks for spec in chunk]
+    assert [repr(c) for c in got["contrast"]] == [repr(contrast_shared_env(s)) for s in specs]
+    assert [repr(complex(o)) for o in got["oracle"]] == [repr(oracle_contrast(s)) for s in specs]
+
+
+def test_oracle_check_composes_each_arm_structure_once_per_chunk(tmp_path, monkeypatch):
+    stacks = []
+
+    def counted(arms):
+        stacks.append(len(arms))
+        return _compose_arms(arms)
+
+    monkeypatch.setattr(mzfringe.interferometer, "_compose_arms", counted)
+    assert main(["oracle-check", "--specs", "1000", "--seed", "5",
+                 "--output", str(tmp_path / "o.csv")]) == 0
+    structures = [len({_structure(arm) for spec in chunk for arm in (spec.upper, spec.lower)})
+                  for chunk in oracle_check_specs(1000, 5)]
+    assert len(stacks) == sum(structures) < 1000
+    assert sum(stacks) == 2000
+
+
+def test_a_config_run_leaves_no_defaults_behind(tmp_path, capsys):
+    # the parser is built once per process; a config file's values are
+    # defaults only for the parse that read it, even when that parse fails
+    good, bad = tmp_path / "good.cfg", tmp_path / "bad.cfg"
+    good.write_text("command = oracle-check\nspecs = 3\nseed = 9\n")
+    bad.write_text("command = oracle-check\nspecs = 4\nseed = abc\n")
+    assert main(["--config", str(good), "--output", str(tmp_path / "good.csv")]) == 0
+    assert main(["--config", str(bad), "--output", str(tmp_path / "bad.csv")]) == 2
+    assert main(["oracle-check", "--output", str(tmp_path / "here.csv")]) == 0
+    here = capsys.readouterr().out.splitlines()[-1]
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(src)] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    code = "import sys, mzfringe.cli; sys.exit(mzfringe.cli.main(sys.argv[1:]))"
+    fresh = subprocess.run([sys.executable, "-c", code, "oracle-check",
+                            "--output", str(tmp_path / "fresh.csv")],
+                           env=env, capture_output=True, text=True, check=True, timeout=60)
+    assert here.startswith("specs=200 ") and here == fresh.stdout.strip()
+    assert (tmp_path / "here.csv").read_bytes() == (tmp_path / "fresh.csv").read_bytes()
 
 
 @pytest.mark.parametrize("command", [["fringe"], ["fit", "--phases", "8"]])

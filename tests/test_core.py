@@ -97,7 +97,7 @@ def test_validate_cptp_subnormalized_fails():
 
 
 def test_validate_cptp_mixed_dimensions():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^Kraus set must be .* got a ragged sequence$"):
         validate_cptp([I2, np.eye(3)])
 
 

@@ -5,8 +5,10 @@ import numpy as np
 import pytest
 
 from conftest import random_density, random_unitary
-from mzfringe.arms import DELAY_MERGE_TOL, ORACLE_DIM_LIMIT, ResourceLimitError, _delay_grid
-from mzfringe.interferometer import _oracle_contrasts, _path_gram, _port_probabilities
+from mzfringe.arms import (DELAY_MERGE_TOL, ORACLE_DIM_LIMIT, ResourceLimitError, _delay_grid,
+                           _structure)
+from mzfringe.interferometer import (_oracle_contrasts, _path_gram, _port_probabilities,
+                                     _shared_env_contrasts)
 from mzfringe import (
     Crystal,
     InterferometerSpec,
@@ -109,6 +111,23 @@ def test_contrast_matches_the_per_pair_join_bit_for_bit():
     specs.append(mixed_spec([Crystal(0.3, 2.75e-9)], [Crystal(0.7, 2e-9), Crystal(1.1, 3.5e-9)]))
     for spec in specs:
         assert repr(contrast_shared_env(spec)) == repr(reference_contrast(spec)), spec
+
+
+def test_grouped_routines_equal_the_per_spec_routines_bit_for_bit():
+    # a random mixed input per spec, plus pure and maximally mixed inputs
+    rng = np.random.default_rng(131)
+    specs = [random_interferometer_spec(rng) for _ in range(1000)]
+    specs += [InterferometerSpec(s.upper, s.lower, rho) for s, rho in
+              zip(specs[:20], [np.diag([1.0, 0.0]), np.diag([0.0, 1.0]), maximally_mixed(2)] * 7)]
+    uppers, lowers = [s.upper for s in specs], [s.lower for s in specs]
+    # 659 distinct (upper, lower) structures over the 1,020 pairs
+    assert len({(_structure(u), _structure(l)) for u, l in zip(uppers, lowers)}) == 659
+    rho = np.array([s.input_state for s in specs])
+    contrasts = _shared_env_contrasts(uppers, lowers, rho)
+    oracles = _oracle_contrasts(uppers, lowers, rho).tolist()
+    for spec, c, o in zip(specs, contrasts, oracles, strict=True):
+        assert repr(c) == repr(contrast_shared_env(spec)), spec
+        assert repr(o) == repr(oracle_contrast(spec)), spec
 
 
 def test_independent_env_zero_when_no_undelayed_branch():
