@@ -11,7 +11,7 @@ from .arms import (
     RawUnitary,
     Waveplate,
     arm_channel_apply,
-    compose_arm,
+    compose_arms,
 )
 from .core import (
     CptpCheck,
@@ -26,19 +26,14 @@ from .experiments import (
     FitResult,
     blindness_demo,
     closed_form_contrast,
-    standard_config,
     default_beta_grid,
     fit_fringe,
     poisson_fringe,
     qkd_visibility,
+    standard_arms,
     sweep,
 )
-from .interferometer import (
-    InterferometerSpec,
-    contrast_shared_env,
-    oracle_contrast,
-    output_probability,
-)
+from .interferometer import oracle_contrasts, output_probability, shared_env_contrasts
 from .tomography import qpt
 
 __version__ = "0.1.0"

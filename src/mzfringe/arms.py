@@ -8,11 +8,11 @@ Kraus operators (k, 2, 2), one per distinct accumulated delay. Delays are
 micrometers of o/e wavepacket separation. Only delay differences are
 observable, so the o-ray carries zero delay by convention.
 
-``_compose_arms`` composes a stack of arms that share element kinds and
-crystal delays (``compose_arm`` is the one-arm stack): one pass over the
-delays decides the merge groups and refuses more than ``COMPOSE_BIN_LIMIT``
-distinct sums, and one pass carries the Kraus sets as an (arms, k, 2, 2)
-stack through the elements. The oracle's time grid stops at
+``compose_arms`` composes a stack of arms that share element kinds and
+crystal delays (``arm_structure``); one arm is a one-arm stack. One pass over
+the delays decides the merge groups and refuses more than
+``COMPOSE_BIN_LIMIT`` distinct sums, and one pass carries the Kraus sets as an
+(arms, k, 2, 2) stack through the elements. The oracle's time grid stops at
 ``ORACLE_DIM_LIMIT``; both limits raise ``ResourceLimitError``.
 ``arm_channel_apply`` maps a stack of states through the operators of one
 composed arm or of each arm in a composed stack.
@@ -20,7 +20,7 @@ composed arm or of each arm in a composed stack.
 The dilation oracle does not compose Kraus sets. It applies arms element by
 element to vectors on polarization (x) time bins, on a grid whose unit is the
 gcd of the crystal delays (``_delay_grid``, ``_evolve_arm``), so it checks
-``compose_arm`` rather than repeating it. One evolution serves a stack of arms
+``compose_arms`` rather than repeating it. One evolution serves a stack of arms
 that share element kinds and crystal delays and differ in angles or
 unitaries.
 """
@@ -47,7 +47,8 @@ __all__ = [
     "ArmSpec",
     "COMPOSE_BIN_LIMIT",
     "ResourceLimitError",
-    "compose_arm",
+    "arm_structure",
+    "compose_arms",
     "arm_channel_apply",
 ]
 
@@ -64,7 +65,7 @@ ZERO_OP_TOL = 1e-14
 # Joint path x polarization x time-bin dimension beyond which the oracle
 # refuses to run.
 ORACLE_DIM_LIMIT = 4096
-# Distinct delays beyond which compose_arm refuses to run: 16x the 1,024 bins
+# Distinct delays beyond which compose_arms refuses to run: 16x the 1,024 bins
 # of ten crystals at 150 * 2^k um. A 2^14-bin arm composes in about a second.
 COMPOSE_BIN_LIMIT = 2**14
 # The Kraus set (arms, k, 2, 2) of one empty arm.
@@ -125,7 +126,7 @@ ArmElement = Union[Crystal, Waveplate, RawUnitary]
 ArmSpec = Sequence[ArmElement]
 
 
-def _structure(arm: ArmSpec) -> tuple:
+def arm_structure(arm: ArmSpec) -> tuple:
     """What arms of one stack share (``_check_stack``): per element, a crystal's
     delay or another element's kind."""
     return tuple([e.delay if type(e) is Crystal else type(e) for e in arm])
@@ -162,9 +163,10 @@ def _element_kraus(elems: Sequence[ArmElement]) -> np.ndarray:
     return np.ascontiguousarray(ops.transpose(3, 0, 1, 2))
 
 
-def _compose_arms(arms: Sequence[ArmSpec]) -> tuple[np.ndarray, np.ndarray]:
+def compose_arms(arms: Sequence[ArmSpec]) -> tuple[np.ndarray, np.ndarray]:
     """Kraus sets of a stack of arms (``_check_stack``): delays (k,), shared
-    by the stack, and operators (arms, k, 2, 2), both sorted by delay.
+    by the stack, and operators (arms, k, 2, 2), both sorted by delay. One
+    arm's Kraus set is ``delays, ops[0]`` of the one-arm stack ``[arm]``.
 
     Applies the elements in traversal order (later elements left-multiplied).
     After each crystal, the o- and e-branches are sorted stably by total delay
@@ -216,13 +218,6 @@ def _compose_arms(arms: Sequence[ArmSpec]) -> tuple[np.ndarray, np.ndarray]:
     kraus[vanish] = 0.0
     keep = ~np.logical_and.reduce(vanish)
     return delays.compress(keep), kraus.compress(keep, axis=1)
-
-
-def compose_arm(arm: ArmSpec) -> tuple[np.ndarray, np.ndarray]:
-    """Delay-tagged Kraus set of one arm, delays (k,) and operators (k, 2, 2)
-    sorted by delay: ``_compose_arms`` of a one-arm stack."""
-    delays, kraus = _compose_arms([arm])
-    return delays, kraus[0]
 
 
 def _gcd(a: float, b: float) -> float:
@@ -298,15 +293,15 @@ def _evolve_arm(arms: Sequence[ArmSpec], cols: np.ndarray, unit: float) -> np.nd
 
 def arm_channel_apply(kraus: np.ndarray, rho) -> np.ndarray:
     """Polarization channel of a composed arm with the time bins traced out:
-    sum_k K rho K^dag over the operators ``kraus`` (k, 2, 2) of ``compose_arm``,
-    added in delay order from 0. An arm stack's operators (arms, k, 2, 2) from
-    ``_compose_arms`` give outputs (arms, ..., 2, 2); ``rho`` may be a stack of
-    states (..., 2, 2). Any other shape, such as an element list's, raises
-    ValueError."""
+    sum_k K rho K^dag over the operators ``kraus`` (k, 2, 2) of one composed
+    arm, added in delay order from 0. An arm stack's operators (arms, k, 2, 2)
+    from ``compose_arms`` give outputs (arms, ..., 2, 2); ``rho`` may be a
+    stack of states (..., 2, 2). Any other shape, such as an element list's,
+    raises ValueError."""
     shape = np.shape(kraus)
     if len(shape) not in (3, 4) or shape[-2:] != (2, 2):
-        raise ValueError("arm_channel_apply takes a composed operator stack, (k, 2, 2) from "
-                         f"compose_arm or (arms, k, 2, 2) from an arm stack, got shape {shape}")
+        raise ValueError("arm_channel_apply takes a composed operator stack, (k, 2, 2) of one "
+                         f"arm or (arms, k, 2, 2) from compose_arms, got shape {shape}")
     rho = validate_density_matrix(rho)
     if rho.shape[-2:] != (2, 2):
         raise ValueError(f"arm channels act on 2x2 states, got shape {rho.shape}")

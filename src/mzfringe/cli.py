@@ -31,21 +31,15 @@ from .core import maximally_mixed
 from .experiments import (
     VARIANTS,
     blindness_demo,
-    standard_config,
     default_beta_grid,
     fit_fringe,
     poisson_fringe,
     qkd_visibility,
-    random_interferometer_spec,
+    random_specs,
+    standard_arms,
     sweep,
 )
-from .interferometer import (
-    InterferometerSpec,
-    _oracle_contrasts,
-    _shared_env_contrasts,
-    contrast_shared_env,
-    output_probability,
-)
+from .interferometer import oracle_contrasts, output_probability, shared_env_contrasts
 
 __all__ = ["UsageError", "parse_config", "main", "main_entry"]
 
@@ -284,15 +278,19 @@ def _phase_grid(n: int) -> np.ndarray:
     return 2.0 * np.pi * np.arange(n) / n
 
 
-def _fringe_spec(config: argparse.Namespace) -> InterferometerSpec:
+def _fringe_contrast(config: argparse.Namespace) -> complex:
+    """Contrast of the 'arms' pair, or of 'variant' at 'beta', with the
+    maximally mixed input."""
     if config.arms is not None:
         upper, lower = _parse_arm_groups(config.arms, 2, "key 'arms'")
-        return InterferometerSpec(upper, lower, maximally_mixed(2))
-    return standard_config(config.variant, config.beta)
+        uppers, lowers = [upper], [lower]
+    else:
+        uppers, lowers = standard_arms(config.variant, [config.beta])
+    return shared_env_contrasts(uppers, lowers, maximally_mixed(2))[0]
 
 
 def _run_fringe(config: argparse.Namespace) -> int:
-    c = contrast_shared_env(_fringe_spec(config))
+    c = _fringe_contrast(config)
     phis = _phase_grid(config.phases)
     if config.mean_total is not None:
         counts = poisson_fringe(c, phis, config.mean_total, config.seed)
@@ -316,12 +314,9 @@ def _run_oracle_check(config: argparse.Namespace) -> int:
     rng = np.random.default_rng(config.seed)
     contrasts, oracles = [], []
     for start in range(0, config.specs, _ORACLE_CHECK_CHUNK):
-        specs = [random_interferometer_spec(rng)
-                 for _ in range(min(_ORACLE_CHECK_CHUNK, config.specs - start))]
-        uppers, lowers = [s.upper for s in specs], [s.lower for s in specs]
-        rho = np.array([s.input_state for s in specs])
-        contrasts += _shared_env_contrasts(uppers, lowers, rho)
-        oracles += _oracle_contrasts(uppers, lowers, rho).tolist()
+        uppers, lowers, rho = random_specs(rng, min(_ORACLE_CHECK_CHUNK, config.specs - start))
+        contrasts += shared_env_contrasts(uppers, lowers, rho)
+        oracles += oracle_contrasts(uppers, lowers, rho).tolist()
     delta = [abs(c - o) for c, o in zip(contrasts, oracles)]
     c, o = np.array(contrasts), np.array(oracles)
     _write_csv(config.output,
@@ -374,9 +369,8 @@ def _run_fit(config: argparse.Namespace) -> int:
         except ValueError as exc:  # too few records, phases spanning at most pi, all zero
             raise UsageError(f"counts file {config.counts!r}: {exc}")
     else:
-        spec = _fringe_spec(config)
         phis = _phase_grid(config.phases)
-        result = fit_fringe(phis, poisson_fringe(contrast_shared_env(spec), phis,
+        result = fit_fringe(phis, poisson_fringe(_fringe_contrast(config), phis,
                                                  config.mean_total, config.seed))
     _write_csv(config.output,
                ["amplitude", "visibility_hat", "phase_hat", "stderr_visibility",

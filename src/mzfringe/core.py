@@ -75,10 +75,10 @@ class CptpCheck(NamedTuple):
 
 
 def validate_cptp(operators) -> CptpCheck:
-    """Check trace preservation of a Kraus set (k, d, d), such as ``compose_arm``
-    returns: sum K^dag K == identity within ``CPTP_ATOL``. Returns the max-entry
-    residual of |sum K^dag K - I|; an empty, ragged, non-square or non-finite set
-    raises ValueError."""
+    """Check trace preservation of a Kraus set (k, d, d), such as one arm's
+    operators from ``compose_arms``: sum K^dag K == identity within
+    ``CPTP_ATOL``. Returns the max-entry residual of |sum K^dag K - I|; an
+    empty, ragged, non-square or non-finite set raises ValueError."""
     try:
         ops = np.array(operators, dtype=complex)
         got = f"shape {ops.shape}"

@@ -27,23 +27,16 @@ from typing import Sequence
 import numpy as np
 
 from .arms import (ArmElement, ArmSpec, Crystal, RawUnitary, ResourceLimitError, Waveplate,
-                   _compose_arms, arm_channel_apply)
+                   arm_channel_apply, compose_arms)
 from .core import maximally_mixed
-from .interferometer import (
-    InterferometerSpec,
-    _kraus_contrasts,
-    _oracle_contrasts,
-    _shared_env_contrasts,
-    contrast_shared_env,
-    output_probability,
-)
+from .interferometer import oracle_contrasts, output_probability, shared_env_contrasts
 from .tomography import qpt
 
 __all__ = [
     "SHORT_CRYSTAL_UM",
     "LONG_CRYSTAL_UM",
     "VARIANTS",
-    "standard_config",
+    "standard_arms",
     "closed_form_contrast",
     "sweep",
     "blindness_demo",
@@ -53,7 +46,7 @@ __all__ = [
     "fit_fringe",
     "qkd_visibility",
     "random_arm",
-    "random_interferometer_spec",
+    "random_specs",
 ]
 
 SHORT_CRYSTAL_UM = 150.0
@@ -62,8 +55,9 @@ LONG_CRYSTAL_UM = 310.0
 VARIANTS = ("a", "b", "c", "d")
 
 
-def _standard_arms(variant: str, betas: Sequence[float]) -> tuple[list, list]:
-    """Upper and lower arm stacks of a standard configuration over a beta grid.
+def standard_arms(variant: str, betas: Sequence[float]) -> tuple[list, list]:
+    """Upper and lower arm stacks of a standard configuration over a beta grid;
+    its input state is the maximally mixed one.
 
     Arms list crystals in traversal order, second-position crystal first.
     Variants "a" to "c" share their lower arm. The "d" variant replaces the
@@ -82,12 +76,6 @@ def _standard_arms(variant: str, betas: Sequence[float]) -> tuple[list, list]:
     else:
         raise ValueError(f"unknown variant {variant!r}, expected one of {VARIANTS}")
     return uppers, [[Crystal(beta, l1), Crystal(0.0, l2)] for beta in betas]
-
-
-def standard_config(variant: str, beta: float) -> InterferometerSpec:
-    """A standard configuration at crystal angle ``beta`` (``_standard_arms``)."""
-    (upper,), (lower,) = _standard_arms(variant, [beta])
-    return InterferometerSpec(upper=upper, lower=lower, input_state=maximally_mixed(2))
 
 
 def closed_form_contrast(variant: str, beta: float) -> float:
@@ -122,12 +110,12 @@ def sweep(variant: str, betas: Sequence[float]) -> tuple[np.ndarray, ...]:
     all betas at once, and the oracle evolves them as one stack in
     memory-bounded blocks.
     """
-    uppers, lowers = _standard_arms(variant, betas)
+    uppers, lowers = standard_arms(variant, betas)
     rho = maximally_mixed(2)
     return (np.asarray(betas, dtype=float),
             np.array([closed_form_contrast(variant, beta) for beta in betas], dtype=float),
-            np.array([abs(c) for c in _shared_env_contrasts(uppers, lowers, rho)], dtype=float),
-            np.abs(_oracle_contrasts(uppers, lowers, rho)))
+            np.array([abs(c) for c in shared_env_contrasts(uppers, lowers, rho)], dtype=float),
+            np.abs(oracle_contrasts(uppers, lowers, rho)))
 
 
 def blindness_demo(betas: Sequence[float]) -> tuple[np.ndarray, ...]:
@@ -135,19 +123,19 @@ def blindness_demo(betas: Sequence[float]) -> tuple[np.ndarray, ...]:
 
     Builds the first and third standard configurations over the grid (they
     share per-arm angle sequences and differ only in which crystal length sits
-    in which position), composes their three arm stacks (upper a, upper c and
-    the shared lower arm) once each, runs process tomography once per upper
-    stack, and returns the columns beta, chi_distance_upper (the Frobenius
-    norm of the chi difference), chi_distance_lower (0 by construction: the
-    arm is shared), visibility_a, visibility_b and visibility_gap.
+    in which position), runs process tomography once per composed upper-arm
+    stack, takes the visibilities of both configurations from one
+    ``shared_env_contrasts`` call, and returns the columns beta,
+    chi_distance_upper (the Frobenius norm of the chi difference),
+    chi_distance_lower (0 by construction: the arm is shared), visibility_a,
+    visibility_b and visibility_gap.
     """
-    uppers_a, lowers = _standard_arms("a", betas)
-    upper_a, upper_c, lower = (_compose_arms(arms) for arms in
-                               (uppers_a, _standard_arms("c", betas)[0], lowers))
-    chi_a, chi_c = (qpt(lambda rho: arm_channel_apply(ops, rho)) for _, ops in (upper_a, upper_c))
-    rho = maximally_mixed(2)
-    vis_a, vis_b = ([abs(c) for c in _kraus_contrasts(upper, lower, rho)]
-                    for upper in (upper_a, upper_c))
+    (uppers_a, lowers), uppers_c = standard_arms("a", betas), standard_arms("c", betas)[0]
+    chi_a, chi_c = (qpt(lambda rho: arm_channel_apply(compose_arms(arms)[1], rho))
+                    for arms in (uppers_a, uppers_c))
+    vis = [abs(c) for c in shared_env_contrasts([*uppers_a, *uppers_c], [*lowers, *lowers],
+                                                maximally_mixed(2))]
+    vis_a, vis_b = vis[:len(lowers)], vis[len(lowers):]
     columns = (betas, [np.linalg.norm(d) for d in chi_a - chi_c], np.zeros(len(betas)),
                vis_a, vis_b, [abs(a - b) for a, b in zip(vis_a, vis_b)])
     return tuple(np.array(column, dtype=float) for column in columns)
@@ -394,17 +382,19 @@ def random_arm(rng: np.random.Generator, max_elements: int = 3) -> list[ArmEleme
     return elements
 
 
-def random_interferometer_spec(rng: np.random.Generator,
-                               max_elements: int = 3) -> InterferometerSpec:
-    """A random two-arm spec with a random mixed input state."""
-    gauss = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-    rho = gauss @ gauss.conj().T
-    rho = rho / np.trace(rho)
-    return InterferometerSpec(
-        upper=random_arm(rng, max_elements),
-        lower=random_arm(rng, max_elements),
-        input_state=rho,
-    )
+def random_specs(rng: np.random.Generator, n: int) -> tuple[list, list, np.ndarray]:
+    """``n`` random arm pairs with random mixed input states, for
+    cross-checking the simulator against the oracle: upper arms, lower arms
+    (``random_arm``) and states (n, 2, 2). Per pair it draws the state, then
+    the upper arm, then the lower arm."""
+    uppers, lowers, states = [], [], np.empty((n, 2, 2), dtype=complex)
+    for i in range(n):
+        gauss = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+        rho = gauss @ gauss.conj().T
+        states[i] = rho / np.trace(rho)
+        uppers.append(random_arm(rng))
+        lowers.append(random_arm(rng))
+    return uppers, lowers, states
 
 
 def qkd_visibility(u1: ArmSpec, u2: ArmSpec, u3: ArmSpec,
@@ -419,6 +409,5 @@ def qkd_visibility(u1: ArmSpec, u2: ArmSpec, u3: ArmSpec,
     the lower. QBER is modeled as (1 - visibility) / 2: at unit visibility the
     wrong port never fires, at zero visibility it fires half the time.
     """
-    mzi = InterferometerSpec([*u1, *u2], [*u3, *u4], maximally_mixed(2))
-    vis = abs(contrast_shared_env(mzi))
+    vis = abs(shared_env_contrasts([[*u1, *u2]], [[*u3, *u4]], maximally_mixed(2))[0])
     return vis, (1.0 - vis) / 2.0

@@ -1,25 +1,29 @@
 """Mach-Zehnder fringes for two arm channels sharing one time-bin environment.
 
 The interference contrast is the complex number C whose magnitude is the
-fringe visibility and whose argument sets the fringe phase; both
-``contrast_shared_env`` and ``oracle_contrast`` return it as a plain
-``complex``. With a shared environment, C sums Tr[u^dag v rho] over pairs of
-upper-arm and lower-arm Kraus operators whose time-bin delays coincide;
-delays differing by more than the coherence criterion contribute nothing
-(orthogonal bins). The dilation oracle reproduces the same fringe by brute
-force: it evolves the full path (x) polarization (x) time-bin state through
-the first beamsplitter and each arm element by element on its own path. The
-phase plate and the closing beamsplitter act on the path alone, so the
-lower-port probability at each phase is c^dag G c, with G the 2x2 Gram matrix
-of the two evolved path states and c the closing row at that phase. Both
-routines take many arm pairs at once: the contrast composes each distinct arm
-structure (element kinds and crystal delays) once and joins the pairs of each
-(upper, lower) structure once, and the oracle evolves the pairs of each
-(upper, lower) structure as one stack in memory-bounded blocks. A pair's
-result has the same bits in any group, so ``contrast_shared_env`` and
-``oracle_contrast`` are the one-spec case. The oracle groups by structure
-alone and never composes a Kraus set, so it is an independent check of
-``_compose_arms``.
+fringe visibility and whose argument sets the fringe phase;
+``shared_env_contrasts`` returns it as a plain ``complex`` per arm pair, and
+``oracle_contrasts`` as a complex array. With a shared environment, C sums
+Tr[u^dag v rho] over pairs of upper-arm and lower-arm Kraus operators whose
+time-bin delays coincide; delays differing by more than the coherence
+criterion contribute nothing (orthogonal bins). The dilation oracle
+reproduces the same fringe by brute force: it evolves the full path (x)
+polarization (x) time-bin state through the first beamsplitter and each arm
+element by element on its own path. The phase plate and the closing
+beamsplitter act on the path alone, so the lower-port probability at each
+phase is c^dag G c, with G the 2x2 Gram matrix of the two evolved path states
+and c the closing row at that phase.
+
+Both routines take a stack of arm pairs, ``uppers[i]`` against ``lowers[i]``,
+and one input state or one per pair; one pair is a stack of one. The contrast
+composes each distinct arm structure (``arm_structure``: element kinds and
+crystal delays) once and joins the pairs of each (upper, lower) structure
+once, and the oracle evolves the pairs of each (upper, lower) structure as one
+stack in memory-bounded blocks. A pair's result has the same bits in any
+group and in any stack. The oracle groups by structure alone and never
+composes a Kraus set, so it is an independent check of ``compose_arms``.
+``InterferometerSpec`` and ``oracle_contrast`` are the one-spec interface of
+the benchmark's correctness gate; no command uses them.
 
 Time-bin orthogonality is binary here: delays matching within
 ``DELAY_MERGE_TOL`` interfere fully, all others not at all. Partial wavepacket
@@ -33,15 +37,14 @@ from typing import Sequence
 
 import numpy as np
 
-from .arms import (DELAY_MERGE_TOL, ArmSpec, _compose_arms, _delay_grid, _evolve_arm,
-                   _structure)
+from .arms import (DELAY_MERGE_TOL, ArmSpec, _delay_grid, _evolve_arm, arm_structure,
+                   compose_arms)
 from .core import beamsplitter, validate_density_matrix
 
 __all__ = [
-    "InterferometerSpec",
-    "contrast_shared_env",
+    "shared_env_contrasts",
     "output_probability",
-    "oracle_contrast",
+    "oracle_contrasts",
 ]
 
 # Bytes of evolved oracle state (2 paths x 2 polarizations x bins x 2 columns,
@@ -59,7 +62,8 @@ _ORACLE_PHIS = 2.0 * np.pi * np.arange(_ORACLE_PHASES) / _ORACLE_PHASES
 
 @dataclass
 class InterferometerSpec:
-    """Two arms and an input polarization state."""
+    """Two arms and an input polarization state, checked on construction: the
+    input of ``oracle_contrast``, kept for the benchmark's correctness gate."""
 
     upper: ArmSpec
     lower: ArmSpec
@@ -72,9 +76,19 @@ class InterferometerSpec:
         self.input_state = state
 
 
+def _input_states(rho) -> np.ndarray:
+    """``rho``, one input state (2, 2) or a stack of them, as a validated
+    complex array; a matrix that is not a 2x2 density matrix raises
+    ValueError."""
+    states = validate_density_matrix(rho)
+    if states.shape[-2:] != (2, 2):
+        raise ValueError(f"input states must be 2x2, got shape {states.shape}")
+    return states
+
+
 def _kraus_contrasts(upper: tuple, lower: tuple, rho) -> list[complex]:
     """Complex contrasts of a stack of arm pairs from their stacked Kraus sets
-    (``_compose_arms``) and input ``rho``, one state (2, 2) or one per pair.
+    (``compose_arms``) and input ``rho``, one state (2, 2) or one per pair.
 
     C = sum of Tr[u^dag v rho] over delay-matched Kraus pairs (u from the
     upper arm, v from the lower): each upper delay d is joined with every
@@ -100,22 +114,26 @@ def _groups(keys) -> dict:
     return groups
 
 
-def _shared_env_contrasts(uppers: Sequence[ArmSpec], lowers: Sequence[ArmSpec],
-                          rho) -> list[complex]:
+def shared_env_contrasts(uppers: Sequence[ArmSpec], lowers: Sequence[ArmSpec],
+                         rho) -> list[complex]:
     """Complex contrasts of the arm pairs (``uppers[i]``, ``lowers[i]``) with
     input ``rho``, one state (2, 2) or one per pair, when both arms disturb the
-    same environment.
+    same environment. One pair's contrast is
+    ``shared_env_contrasts([upper], [lower], rho)[0]``.
 
-    The arms, upper and lower alike, are composed as one ``_compose_arms``
-    stack per distinct structure (``_structure``), and the pairs that share an
-    (upper, lower) structure are joined by one ``_kraus_contrasts`` call. A
-    pair's contrast has the bits it has alone.
+    ``rho`` is validated once, as one stack; a matrix that is not a 2x2
+    density matrix raises ValueError. The arms, upper and lower alike, are
+    composed as one ``compose_arms`` stack per distinct structure
+    (``arm_structure``), and the pairs that share an (upper, lower) structure
+    are joined by one ``_kraus_contrasts`` call. A pair's contrast has the bits
+    it has alone.
     """
+    rho = _input_states(rho)
     arms = [*uppers, *lowers]
-    keys = [_structure(arm) for arm in arms]
+    keys = [arm_structure(arm) for arm in arms]
     stacks, rows = {}, [0] * len(arms)
     for key, members in _groups(keys).items():
-        stacks[key] = _compose_arms([arms[i] for i in members])
+        stacks[key] = compose_arms([arms[i] for i in members])
         for row, i in enumerate(members):
             rows[i] = row
     rho = np.broadcast_to(rho, (len(uppers), 2, 2))
@@ -128,12 +146,6 @@ def _shared_env_contrasts(uppers: Sequence[ArmSpec], lowers: Sequence[ArmSpec],
         for i, c in zip(pairs, contrasts):
             out[i] = c
     return out
-
-
-def contrast_shared_env(spec: InterferometerSpec) -> complex:
-    """Complex interference contrast when both arms disturb the same
-    environment: ``_shared_env_contrasts`` of the one spec."""
-    return _shared_env_contrasts([spec.upper], [spec.lower], spec.input_state)[0]
 
 
 def output_probability(c: complex, phi):
@@ -169,7 +181,7 @@ def _path_gram(uppers: Sequence[ArmSpec], lowers: Sequence[ArmSpec], rho) -> np.
     two paths, and each arm then acts element by element on its own path: the
     upper arm on path 0, the lower arm on path 1. With x_p the evolved state
     of path p, G[p, q] = <x_p, x_q>. The pairs that share an (upper, lower)
-    arm structure (``_structure``) share a time grid and are evolved as
+    arm structure (``arm_structure``) share a time grid and are evolved as
     stacks (``_evolve_arm``), in blocks whose state fits
     ``_ORACLE_BLOCK_BYTES``.
     """
@@ -178,7 +190,7 @@ def _path_gram(uppers: Sequence[ArmSpec], lowers: Sequence[ArmSpec], rho) -> np.
     states = np.broadcast_to(evecs * np.sqrt(np.maximum(evals, 0.0))[..., None, :],
                              (len(uppers), 2, 2))
     grams = np.empty((len(uppers), 2, 2), dtype=complex)
-    keys = zip(map(_structure, uppers), map(_structure, lowers))
+    keys = zip(map(arm_structure, uppers), map(arm_structure, lowers))
     for pairs in _groups(keys).values():
         unit, n = _delay_grid([uppers[pairs[0]], lowers[pairs[0]]])
         block = max(1, _ORACLE_BLOCK_BYTES // (2 * 2 * n * 2 * 16))
@@ -209,19 +221,23 @@ def _port_probabilities(gram: np.ndarray, phis: np.ndarray) -> np.ndarray:
     return np.einsum("kip,...pq,kiq->...ki", rows.conj(), gram, rows).real
 
 
-def _oracle_contrasts(uppers: Sequence[ArmSpec], lowers: Sequence[ArmSpec], rho) -> np.ndarray:
-    """Complex contrasts of arm pairs with input ``rho``, one state or one per
-    pair, from the oracle fringe (``_path_gram``).
+def oracle_contrasts(uppers: Sequence[ArmSpec], lowers: Sequence[ArmSpec], rho) -> np.ndarray:
+    """Complex contrasts (pairs,) of the arm pairs (``uppers[i]``,
+    ``lowers[i]``) with input ``rho``, one state (2, 2) or one per pair, from
+    the oracle fringe (``_path_gram``). ``rho`` is validated as in
+    ``shared_env_contrasts``.
 
     Samples the lower-port probability P(phi) on a uniform grid of
     ``_ORACLE_PHASES`` phases and returns its unit-frequency Fourier
     component, C = 4 <P(phi_k) e^{-i phi_k}>, per arm pair.
     """
-    p0 = _port_probabilities(_path_gram(uppers, lowers, rho), _ORACLE_PHIS)[:, 0]
+    gram = _path_gram(uppers, lowers, _input_states(rho))
+    p0 = _port_probabilities(gram, _ORACLE_PHIS)[:, 0]
     return 4.0 * ((p0 * np.exp(-1j * _ORACLE_PHIS)).sum(axis=-1) / _ORACLE_PHASES)
 
 
 def oracle_contrast(spec: InterferometerSpec) -> complex:
-    """Complex contrast of one spec from the dilation-oracle fringe (see
-    ``_oracle_contrasts``, here on a one-spec stack)."""
-    return complex(_oracle_contrasts([spec.upper], [spec.lower], spec.input_state)[0])
+    """Complex contrast of one spec from the dilation-oracle fringe
+    (``oracle_contrasts`` of a one-pair stack), for the benchmark's
+    correctness gate."""
+    return complex(oracle_contrasts([spec.upper], [spec.lower], spec.input_state)[0])

@@ -9,23 +9,20 @@ import pytest
 
 import mzfringe.arms
 import mzfringe.interferometer
+from conftest import compose_one, contrast, oracle, random_pair, standard_pair
 from mzfringe import (
     Crystal,
     arm_channel_apply,
     blindness_demo,
-    compose_arm,
-    contrast_shared_env,
+    compose_arms,
     fit_fringe,
     maximally_mixed,
-    oracle_contrast,
     poisson_fringe,
     qkd_visibility,
-    standard_config,
     validate_cptp,
 )
-from mzfringe.arms import _compose_arms
 from mzfringe.cli import main
-from mzfringe.experiments import random_arm, random_interferometer_spec
+from mzfringe.experiments import random_arm
 
 
 def _report(num: int, name: str, ok: bool, detail: str = ""):
@@ -46,7 +43,7 @@ def test_criterion_1_closed_form_visibilities():
     worst = 0.0
     for variant, formula in closed.items():
         for beta in np.linspace(0.0, np.pi / 2, 25):
-            v = abs(contrast_shared_env(standard_config(variant, beta)))
+            v = abs(contrast(*standard_pair(variant, beta)))
             worst = max(worst, abs(v - abs(formula(beta))))
     elapsed = time.perf_counter() - start
     _report(1, "closed-form visibility curves",
@@ -55,10 +52,10 @@ def test_criterion_1_closed_form_visibilities():
 
 
 def test_criterion_2_waveplate_variant_convention():
-    v_center = abs(contrast_shared_env(standard_config("d", np.pi / 8)))
+    v_center = abs(contrast(*standard_pair("d", np.pi / 8)))
     worst = 0.0
     for beta in np.linspace(0.0, np.pi / 2, 25):
-        v = abs(contrast_shared_env(standard_config("d", beta)))
+        v = abs(contrast(*standard_pair("d", beta)))
         worst = max(worst, abs(v - abs(np.cos(2 * (beta - np.pi / 8)))))
     _report(2, "waveplate variant curve",
             abs(v_center - 1.0) < 1e-9 and worst < 1e-9,
@@ -69,8 +66,8 @@ def _criterion_3_max_delta() -> float:
     rng = np.random.default_rng(20260810)
     worst = 0.0
     for _ in range(200):
-        spec = random_interferometer_spec(rng, max_elements=3)
-        delta = abs(contrast_shared_env(spec) - oracle_contrast(spec))
+        spec = random_pair(rng, max_elements=3)
+        delta = abs(contrast(*spec) - oracle(*spec))
         worst = max(worst, delta)
     return worst
 
@@ -87,8 +84,8 @@ def test_criterion_3_oracle_equivalence():
 # The contrast composes through the stacked composition that interferometer
 # binds; the mutations below replace that binding, so they reach every contrast.
 def test_oracle_catches_reversed_composition(monkeypatch):
-    monkeypatch.setattr(mzfringe.interferometer, "_compose_arms",
-                        lambda arms: _compose_arms([list(arm)[::-1] for arm in arms]))
+    monkeypatch.setattr(mzfringe.interferometer, "compose_arms",
+                        lambda arms: compose_arms([list(arm)[::-1] for arm in arms]))
     assert _criterion_3_max_delta() > 1e-3
 
 
@@ -97,9 +94,9 @@ def test_oracle_catches_widened_delay_merging(monkeypatch):
     def compose_widened(arms):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(mzfringe.arms, "DELAY_MERGE_TOL", 100.0)
-            return _compose_arms(arms)
+            return compose_arms(arms)
 
-    monkeypatch.setattr(mzfringe.interferometer, "_compose_arms", compose_widened)
+    monkeypatch.setattr(mzfringe.interferometer, "compose_arms", compose_widened)
     assert _criterion_3_max_delta() > 1e-3
 
 
@@ -128,9 +125,9 @@ def test_criterion_5_cptp_and_unitality():
     worst_unital = 0.0
     for _ in range(200):
         arm = random_arm(rng, max_elements=4)
-        check = validate_cptp(compose_arm(arm)[1])
+        check = validate_cptp(compose_one(arm)[1])
         worst_residual = max(worst_residual, check.residual)
-        out = arm_channel_apply(compose_arm(arm)[1], maximally_mixed(2))
+        out = arm_channel_apply(compose_one(arm)[1], maximally_mixed(2))
         worst_unital = max(worst_unital, float(np.max(np.abs(out - np.eye(2) / 2))))
     _report(5, "CPTP and unitality on 200 random arms",
             worst_residual <= 1e-10 and worst_unital <= 1e-12,
@@ -140,9 +137,9 @@ def test_criterion_5_cptp_and_unitality():
 
 def test_criterion_6_statistical_fit_recovery():
     start = time.perf_counter()
-    spec = standard_config("a", np.pi / 8)  # true visibility 0.75
+    pair = standard_pair("a", np.pi / 8)  # true visibility 0.75
     phis = 2 * np.pi * np.arange(64) / 64
-    counts = poisson_fringe(contrast_shared_env(spec), phis, 10_000, 42)
+    counts = poisson_fringe(contrast(*pair), phis, 10_000, 42)
     fit = fit_fringe(phis, counts)
     elapsed = time.perf_counter() - start
     err = abs(fit.visibility_hat - 0.75)

@@ -5,13 +5,13 @@ import numpy as np
 import pytest
 
 import mzfringe.arms
-from conftest import random_unitary
+from conftest import compose_one, random_unitary
 from mzfringe import (
     Crystal,
     RawUnitary,
     Waveplate,
     arm_channel_apply,
-    compose_arm,
+    compose_arms,
     half_waveplate,
     maximally_mixed,
     rotated_basis,
@@ -22,11 +22,10 @@ from mzfringe.arms import (
     DELAY_MERGE_TOL,
     ZERO_OP_TOL,
     ResourceLimitError,
-    _compose_arms,
     _delay_grid,
     _evolve_arm,
 )
-from mzfringe.experiments import _standard_arms, default_beta_grid, random_arm
+from mzfringe.experiments import default_beta_grid, random_arm, standard_arms
 from mzfringe.tomography import PROBE_STATES
 
 I2 = np.eye(2, dtype=complex)
@@ -46,14 +45,14 @@ def projector(ket):
 
 
 def test_crystal_kraus_axis_aligned():
-    delays, ops = compose_arm([Crystal(0.0, 310.0)])
+    delays, ops = compose_one([Crystal(0.0, 310.0)])
     assert delays.tolist() == [0.0, 310.0]
     np.testing.assert_allclose(ops[0], np.diag([1.0, 0.0]))
     np.testing.assert_allclose(ops[1], np.diag([0.0, 1.0]))
 
 
 def test_crystal_kraus_diagonal_basis():
-    _, ops = compose_arm([Crystal(np.pi / 4, 12.0)])
+    _, ops = compose_one([Crystal(np.pi / 4, 12.0)])
     d = np.array([1.0, 1.0]) / np.sqrt(2)
     a = np.array([-1.0, 1.0]) / np.sqrt(2)
     np.testing.assert_allclose(ops[0], projector(d), atol=1e-15)
@@ -61,7 +60,7 @@ def test_crystal_kraus_diagonal_basis():
 
 
 def test_crystal_kraus_complete():
-    _, ops = compose_arm([Crystal(0.83, 75.0)])
+    _, ops = compose_one([Crystal(0.83, 75.0)])
     assert validate_cptp(ops).passed
 
 
@@ -105,7 +104,7 @@ def test_raw_unitary_holds_a_read_only_copy():
 
 
 def test_compose_empty_arm():
-    delays, ops = compose_arm([])
+    delays, ops = compose_one([])
     assert len(ops) == 1 and delays[0] == 0.0
     np.testing.assert_allclose(ops[0], I2)
 
@@ -113,7 +112,7 @@ def test_compose_empty_arm():
 def test_compose_two_crystal_arm():
     """Two crystals produce the four overlap-weighted transition operators."""
     beta = 0.7
-    delays, ops = compose_arm([Crystal(0.0, 310.0), Crystal(beta, 150.0)])
+    delays, ops = compose_one([Crystal(0.0, 310.0), Crystal(beta, 150.0)])
     assert delays.tolist() == [0.0, 150.0, 310.0, 460.0]
     a = rotated_basis(beta)
     b = rotated_basis(0.0)
@@ -128,21 +127,21 @@ def test_compose_two_crystal_arm():
 
 
 def test_compose_aligned_crystals_drop_cross_terms():
-    delays, ops = compose_arm([Crystal(0.0, 150.0), Crystal(0.0, 310.0)])
+    delays, ops = compose_one([Crystal(0.0, 150.0), Crystal(0.0, 310.0)])
     assert delays.tolist() == [0.0, 460.0]
     np.testing.assert_allclose(ops[0], np.diag([1.0, 0.0]))
     np.testing.assert_allclose(ops[1], np.diag([0.0, 1.0]))
 
 
 def test_validate_cptp_takes_the_stack_compose_arm_returns():
-    _, ops = compose_arm([Crystal(0.0, 150.0), Crystal(0.0, 310.0)])
+    _, ops = compose_one([Crystal(0.0, 150.0), Crystal(0.0, 310.0)])
     assert ops.shape == (2, 2, 2)
     check = validate_cptp(ops)
     assert check.passed and check.residual == 0.0
 
 
 def test_compose_zero_delay_crystal_merges_to_identity():
-    _, ops = compose_arm([Crystal(0.37, 0.0)])
+    _, ops = compose_one([Crystal(0.37, 0.0)])
     assert len(ops) == 1
     np.testing.assert_allclose(ops[0], I2, atol=1e-14)
 
@@ -150,7 +149,7 @@ def test_compose_zero_delay_crystal_merges_to_identity():
 def test_compose_all_zero_delays_is_jones_product():
     rng = np.random.default_rng(31)
     u = random_unitary(rng)
-    _, ops = compose_arm([Crystal(0.4, 0.0), Waveplate(0.9), RawUnitary(u)])
+    _, ops = compose_one([Crystal(0.4, 0.0), Waveplate(0.9), RawUnitary(u)])
     assert len(ops) == 1
     np.testing.assert_allclose(ops[0], u @ half_waveplate(0.9), atol=1e-14)
 
@@ -158,7 +157,7 @@ def test_compose_all_zero_delays_is_jones_product():
 def test_compose_equal_delay_crystals_merge_coherently():
     # both e-branches land in the same bin; o/e cross products survive as a sum
     theta = 0.6
-    delays, ops = compose_arm([Crystal(0.0, 75.0), Crystal(theta, 75.0)])
+    delays, ops = compose_one([Crystal(0.0, 75.0), Crystal(theta, 75.0)])
     assert delays.tolist() == [0.0, 75.0, 150.0]
     a = rotated_basis(theta)
     ket_h, ket_v = np.array([1.0, 0.0]), np.array([0.0, 1.0])
@@ -172,7 +171,7 @@ def test_compose_random_arms_trace_preserving():
     rng = np.random.default_rng(37)
     for _ in range(200):
         arm = random_arm(rng, max_elements=4)
-        check = validate_cptp(compose_arm(arm)[1])
+        check = validate_cptp(compose_one(arm)[1])
         assert check.passed, check
 
 
@@ -182,7 +181,7 @@ def test_compose_merges_equal_delays_after_each_element():
     arm = [Crystal(a, 150.0) for a in angles]
     tracemalloc.start()
     try:
-        delays, ops = compose_arm(arm)
+        delays, ops = compose_one(arm)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -196,14 +195,14 @@ def test_kraus_count_bounded_by_crystal_count():
     for _ in range(50):
         arm = random_arm(rng, max_elements=4)
         n_crystals = sum(isinstance(e, Crystal) for e in arm)
-        assert len(compose_arm(arm)[1]) <= 2 ** n_crystals
+        assert len(compose_one(arm)[1]) <= 2 ** n_crystals
 
 
 def test_channel_preserves_maximally_mixed():
     rng = np.random.default_rng(43)
     for _ in range(50):
         arm = random_arm(rng, max_elements=4)
-        out = arm_channel_apply(compose_arm(arm)[1], maximally_mixed(2))
+        out = arm_channel_apply(compose_one(arm)[1], maximally_mixed(2))
         np.testing.assert_allclose(out, I2 / 2, atol=1e-12)
 
 
@@ -211,13 +210,13 @@ def test_channel_unital_with_compensating_delays():
     # two equal-delay crystals after a third: merged bins mix branches from
     # different elements, and the aggregate still maps I/2 to I/2
     arm = [Crystal(0.0, 150.0), Crystal(0.7, 75.0), Crystal(1.1, 75.0)]
-    out = arm_channel_apply(compose_arm(arm)[1], maximally_mixed(2))
+    out = arm_channel_apply(compose_one(arm)[1], maximally_mixed(2))
     np.testing.assert_allclose(out, I2 / 2, atol=1e-12)
 
 
 def test_channel_dephases_diagonal_input():
     d = np.array([1.0, 1.0]) / np.sqrt(2)
-    out = arm_channel_apply(compose_arm([Crystal(0.0, 310.0)])[1], projector(d))
+    out = arm_channel_apply(compose_one([Crystal(0.0, 310.0)])[1], projector(d))
     np.testing.assert_allclose(out, I2 / 2, atol=1e-14)
 
 
@@ -226,7 +225,7 @@ def test_channel_identity_on_empty_arm():
     a = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
     rho = a @ a.conj().T
     rho /= np.trace(rho)
-    np.testing.assert_allclose(arm_channel_apply(compose_arm([])[1], rho), rho)
+    np.testing.assert_allclose(arm_channel_apply(compose_one([])[1], rho), rho)
 
 
 @pytest.mark.parametrize("kraus, got", [
@@ -235,13 +234,13 @@ def test_channel_identity_on_empty_arm():
     (I2, r"shape \(2, 2\)"),                     # a bare 2x2 matrix
 ])
 def test_channel_names_the_operator_stack_it_takes(kraus, got):
-    with pytest.raises(ValueError, match=r"\(k, 2, 2\) from compose_arm or "
-                                         r"\(arms, k, 2, 2\) from an arm stack, got " + got):
+    with pytest.raises(ValueError, match=r"\(k, 2, 2\) of one arm or "
+                                         r"\(arms, k, 2, 2\) from compose_arms, got " + got):
         arm_channel_apply(kraus, maximally_mixed(2))
 
 
 def test_channel_of_an_empty_arm_stack_is_an_empty_stack():
-    assert arm_channel_apply(_compose_arms([])[1], PROBE_STATES).shape == (0, 4, 2, 2)
+    assert arm_channel_apply(compose_arms([])[1], PROBE_STATES).shape == (0, 4, 2, 2)
 
 
 def test_oracle_grid_does_not_read_the_merge_tolerance(monkeypatch):
@@ -277,7 +276,7 @@ def test_dilation_reproduces_composed_kraus():
     rng = np.random.default_rng(53)
     for _ in range(30):
         arm = random_arm(rng, max_elements=3)
-        delays, ops = compose_arm(arm)
+        delays, ops = compose_one(arm)
         kraus = dict(zip(delays.tolist(), ops))
         u, bins = arm_dilation(arm)
         n = len(bins)
@@ -298,7 +297,7 @@ def test_compose_refuses_arms_past_the_bin_limit_at_once():
     start = time.perf_counter()
     try:
         with pytest.raises(ResourceLimitError, match="resource limit"):
-            compose_arm(arm)
+            compose_one(arm)
         elapsed = time.perf_counter() - start
         peak = tracemalloc.get_traced_memory()[1]
     finally:
@@ -311,14 +310,14 @@ def test_compose_refuses_arms_past_the_bin_limit_at_once():
 def test_bin_limit_counts_merged_delays():
     # 2^14 distinct delays compose; one more doubling does not. Nonzero angles
     # keep every branch: aligned crystals leave only 2 nonzero operators.
-    assert len(compose_arm([Crystal(0.1 * k, 150.0 * 2 ** k) for k in range(14)])[1]) == 2 ** 14
-    assert len(compose_arm([Crystal(0.0, 150.0 * 2 ** k) for k in range(14)])[1]) == 2
+    assert len(compose_one([Crystal(0.1 * k, 150.0 * 2 ** k) for k in range(14)])[1]) == 2 ** 14
+    assert len(compose_one([Crystal(0.0, 150.0 * 2 ** k) for k in range(14)])[1]) == 2
     with pytest.raises(ResourceLimitError, match="resource limit"):
-        compose_arm([Crystal(0.1 * k, 150.0 * 2 ** k) for k in range(15)])
+        compose_one([Crystal(0.1 * k, 150.0 * 2 ** k) for k in range(15)])
     # sums within DELAY_MERGE_TOL merge: 40 near-equal delays reach 41 bins,
     # not 2^40
     arm = [Crystal(0.1 * k, 150.0 + 1e-12 * k) for k in range(40)]
-    assert len(compose_arm(arm)[1]) == 41
+    assert len(compose_one(arm)[1]) == 41
 
 
 def reference_compose(arm):
@@ -357,11 +356,11 @@ def test_compose_matches_the_per_branch_rule_bit_for_bit():
     # 150.0000000015 lies within the tolerance of 150.0000000008 but not of
     # its group's first delay 150, so it starts a group of its own
     chain = [Crystal(0.3, 150.0), Crystal(0.7, 150.0 + 1.5e-9), Crystal(1.1, 150.0 + 0.8e-9)]
-    assert compose_arm(chain)[0].tolist() == [
+    assert compose_one(chain)[0].tolist() == [
         0.0, 150.0, 150.0000000015, 300.0000000008, 300.0000000023, 450.0000000023]
     arms.append(chain)
     for arm in arms:
-        (delays, ops), want = compose_arm(arm), reference_compose(arm)
+        (delays, ops), want = compose_one(arm), reference_compose(arm)
         assert delays.tolist() == [d for d, _ in want], arm
         assert [op.tobytes() for op in ops] == [op.tobytes() for _, op in want], arm
 
@@ -379,7 +378,7 @@ def test_stacked_evolution_rejects_mixed_structures(lower, message):
         _evolve_arm([arm, lower], cols, unit)
     # composition holds the same contract rather than using the first arm's delays
     with pytest.raises(ValueError, match=message):
-        _compose_arms([arm, lower])
+        compose_arms([arm, lower])
 
 
 def test_stacked_evolution_equals_single_arm_evolutions():
@@ -398,22 +397,24 @@ def test_stacked_evolution_equals_single_arm_evolutions():
 
 def stacks_under_test():
     """The arm stacks that sweep and blindness_demo compose: both arms of the
-    four variants over 200 betas and upper a, upper c and the shared lower arm
-    over 100 betas. Both grids start at beta = 0, where aligned crystals make
-    some operators vanish in one arm of a stack and not in the others."""
+    four variants over 200 betas; upper a, upper c and the shared lower arm
+    over 100 betas, and the contrast's stack of upper c with the lower arm
+    twice. Both grids start at beta = 0, where aligned crystals make some
+    operators vanish in one arm of a stack and not in the others."""
     for variant in "abcd":
-        yield from _standard_arms(variant, default_beta_grid(200))
-    uppers_a, lowers = _standard_arms("a", default_beta_grid(100))
-    yield from (uppers_a, _standard_arms("c", default_beta_grid(100))[0], lowers)
+        yield from standard_arms(variant, default_beta_grid(200))
+    uppers_a, lowers = standard_arms("a", default_beta_grid(100))
+    uppers_c = standard_arms("c", default_beta_grid(100))[0]
+    yield from (uppers_a, uppers_c, lowers, [*uppers_c, *lowers, *lowers])
 
 
 def test_stacked_composition_equals_per_arm_composition_bit_for_bit():
     zeroed = 0
     for arms in stacks_under_test():
-        delays, ops = _compose_arms(arms)
+        delays, ops = compose_arms(arms)
         assert ops.shape == (len(arms), len(delays), 2, 2)
         for arm, arm_ops in zip(arms, ops):
-            want_delays, want_ops = compose_arm(arm)
+            want_delays, want_ops = compose_one(arm)
             kept = np.abs(arm_ops).max(axis=(1, 2)) >= ZERO_OP_TOL
             assert (delays[kept] == want_delays).all(), arm
             assert arm_ops[kept].tobytes() == want_ops.tobytes(), arm

@@ -4,10 +4,12 @@ The command lists and the gate come from ``benchmarks/``, loaded by file path
 so that the benchmark stays a directory of scripts rather than a package.
 The pass's CSVs must also match, byte for byte, the sha256 digests recorded
 in ``seed_1_csv_sha256.json``; a change that alters output bytes on purpose
-regenerates that file.
+regenerates that file. The tracer's function list is checked against the
+package without installing the tracer.
 """
 
 import hashlib
+import importlib
 import importlib.util
 import json
 from pathlib import Path
@@ -29,6 +31,7 @@ def _load(name):
 
 workloads = _load("workloads")
 gate = _load("gate")
+tracing = _load("tracing")
 
 
 @pytest.mark.parametrize("workload", sorted(workloads.WORKLOADS))
@@ -45,3 +48,14 @@ def test_seed_1_pass_clears_the_benchmark_gate(tmp_path, monkeypatch, capsys, wo
                if hashlib.sha256((tmp_path / command["output"]).read_bytes()).hexdigest()
                != want.get(command["output"])]
     assert changed == []
+
+
+def test_traced_names_that_no_longer_resolve():
+    # the one-spec wrappers are gone and their per-layer metrics read 0; this
+    # set only shrinks, when the tracer follows the batch routines
+    missing = set()
+    for qualname in tracing.TRACED:
+        module_name, fn_name = qualname.split(".")
+        if not hasattr(importlib.import_module(f"mzfringe.{module_name}"), fn_name):
+            missing.add(qualname)
+    assert missing == {"arms.compose_arm", "interferometer.contrast_shared_env"}

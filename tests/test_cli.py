@@ -12,10 +12,11 @@ import mzfringe.arms
 import mzfringe.cli
 import mzfringe.experiments
 import mzfringe.interferometer
+from conftest import contrast, oracle, random_pair
 from mzfringe.cli import main, parse_angle, parse_arm
-from mzfringe.interferometer import contrast_shared_env, oracle_contrast
-from mzfringe.arms import Crystal, RawUnitary, Waveplate, _compose_arms, _structure
-from mzfringe.experiments import random_interferometer_spec
+from mzfringe.interferometer import shared_env_contrasts
+from mzfringe.arms import Crystal, RawUnitary, Waveplate, arm_structure, compose_arms
+from mzfringe.core import validate_density_matrix
 
 
 def read_csv(path):
@@ -442,41 +443,43 @@ def test_sampled_fringe_loads_no_numpy_random(tmp_path):
 def test_sampled_fringe_computes_one_contrast(tmp_path, monkeypatch):
     calls = []
 
-    def counted(spec):
-        calls.append(spec)
-        return contrast_shared_env(spec)
+    def counted(*args):
+        calls.append(args)
+        return shared_env_contrasts(*args)
 
-    monkeypatch.setattr(mzfringe.cli, "contrast_shared_env", counted)
-    monkeypatch.setattr(mzfringe.experiments, "contrast_shared_env", counted)
+    monkeypatch.setattr(mzfringe.cli, "shared_env_contrasts", counted)
+    monkeypatch.setattr(mzfringe.experiments, "shared_env_contrasts", counted)
     assert main(["fringe", "--variant", "b", "--beta", "0.4", "--mean-total", "20",
                  "--seed", "5", "--output", str(tmp_path / "c.csv")]) == 0
     assert len(calls) == 1
 
 
-@pytest.mark.parametrize("args, stacks", [
-    (["tomography", "--beta-points", "100"], 3),
-    (["sweep", "--variant", "a", "--beta-points", "200"], 2),
+@pytest.mark.parametrize("args, sizes", [
+    (["tomography", "--beta-points", "100"], [100, 100, 100, 300]),
+    (["sweep", "--variant", "a", "--beta-points", "200"], [200, 200]),
 ])
-def test_paper_tables_compose_each_arm_stack_once(tmp_path, monkeypatch, args, stacks):
-    # tomography composes upper a, upper c and the shared lower arm; a sweep
-    # its upper and lower arms, each over the whole beta grid
+def test_paper_tables_compose_each_arm_stack_once(tmp_path, monkeypatch, args, sizes):
+    # tomography composes upper a and upper c for process tomography, and its
+    # contrast composes upper a and one stack of upper c with the shared lower
+    # arm twice (a and c pairs); a sweep its upper and lower arms. Each stack
+    # spans the whole beta grid.
     calls = []
 
     def counted(arms):
         calls.append(len(arms))
-        return _compose_arms(arms)
+        return compose_arms(arms)
 
     for module in (mzfringe.arms, mzfringe.interferometer, mzfringe.experiments):
-        monkeypatch.setattr(module, "_compose_arms", counted)
+        monkeypatch.setattr(module, "compose_arms", counted)
     assert main(args + ["--output", str(tmp_path / "t.csv")]) == 0
-    assert len(calls) == stacks
-    assert set(calls) == {int(args[-1])}
+    assert calls == sizes
 
 
 def oracle_check_specs(count, seed):
-    """The specs of ``oracle-check --specs count --seed seed``, in its chunks."""
+    """The (upper, lower, rho) specs of ``oracle-check --specs count --seed
+    seed``, in its chunks."""
     rng = np.random.default_rng(seed)
-    specs = [random_interferometer_spec(rng) for _ in range(count)]
+    specs = [random_pair(rng) for _ in range(count)]
     chunk = mzfringe.cli._ORACLE_CHECK_CHUNK
     return [specs[start:start + chunk] for start in range(0, count, chunk)]
 
@@ -492,17 +495,31 @@ def test_oracle_check_in_chunks_equals_the_per_spec_routines(tmp_path, monkeypat
             return values
         return run
 
-    monkeypatch.setattr(mzfringe.cli, "_shared_env_contrasts",
-                        kept("contrast", mzfringe.cli._shared_env_contrasts))
-    monkeypatch.setattr(mzfringe.cli, "_oracle_contrasts",
-                        kept("oracle", mzfringe.cli._oracle_contrasts))
+    monkeypatch.setattr(mzfringe.cli, "shared_env_contrasts",
+                        kept("contrast", mzfringe.cli.shared_env_contrasts))
+    monkeypatch.setattr(mzfringe.cli, "oracle_contrasts",
+                        kept("oracle", mzfringe.cli.oracle_contrasts))
     assert main(["oracle-check", "--specs", "300", "--seed", "17",
                  "--output", str(tmp_path / "o.csv")]) == 0
     chunks = oracle_check_specs(300, 17)
     assert [len(chunk) for chunk in chunks] == [256, 44]
     specs = [spec for chunk in chunks for spec in chunk]
-    assert [repr(c) for c in got["contrast"]] == [repr(contrast_shared_env(s)) for s in specs]
-    assert [repr(complex(o)) for o in got["oracle"]] == [repr(oracle_contrast(s)) for s in specs]
+    assert [repr(c) for c in got["contrast"]] == [repr(contrast(*s)) for s in specs]
+    assert [repr(complex(o)) for o in got["oracle"]] == [repr(oracle(*s)) for s in specs]
+
+
+def test_oracle_check_validates_each_chunk_of_states_as_one_stack(tmp_path, monkeypatch):
+    # 300 specs: each routine checks the 256 and the 44 states of its chunk at once
+    shapes = []
+
+    def counted(rho, *args):
+        shapes.append(np.shape(rho))
+        return validate_density_matrix(rho, *args)
+
+    monkeypatch.setattr(mzfringe.interferometer, "validate_density_matrix", counted)
+    assert main(["oracle-check", "--specs", "300", "--seed", "17",
+                 "--output", str(tmp_path / "o.csv")]) == 0
+    assert shapes == [(256, 2, 2)] * 2 + [(44, 2, 2)] * 2
 
 
 def test_oracle_check_composes_each_arm_structure_once_per_chunk(tmp_path, monkeypatch):
@@ -510,12 +527,12 @@ def test_oracle_check_composes_each_arm_structure_once_per_chunk(tmp_path, monke
 
     def counted(arms):
         stacks.append(len(arms))
-        return _compose_arms(arms)
+        return compose_arms(arms)
 
-    monkeypatch.setattr(mzfringe.interferometer, "_compose_arms", counted)
+    monkeypatch.setattr(mzfringe.interferometer, "compose_arms", counted)
     assert main(["oracle-check", "--specs", "1000", "--seed", "5",
                  "--output", str(tmp_path / "o.csv")]) == 0
-    structures = [len({_structure(arm) for spec in chunk for arm in (spec.upper, spec.lower)})
+    structures = [len({arm_structure(arm) for upper, lower, _ in chunk for arm in (upper, lower)})
                   for chunk in oracle_check_specs(1000, 5)]
     assert len(stacks) == sum(structures) < 1000
     assert sum(stacks) == 2000

@@ -5,42 +5,35 @@ from statistics import NormalDist
 import numpy as np
 import pytest
 
+from conftest import contrast, oracle, random_pair, standard_pair
 from mzfringe import (
-    Crystal,
     Waveplate,
     closed_form_contrast,
-    contrast_shared_env,
     default_beta_grid,
     fit_fringe,
-    maximally_mixed,
-    oracle_contrast,
     output_probability,
     poisson_fringe,
     qkd_visibility,
-    standard_config,
+    standard_arms,
     sweep,
 )
-from mzfringe.arms import ResourceLimitError
-from mzfringe.experiments import _point_uniforms
+from mzfringe.arms import Crystal, RawUnitary, ResourceLimitError
+from mzfringe.experiments import _point_uniforms, random_specs
 
 
 def test_standard_config_crystal_layout():
-    beta = 0.31
-    spec = standard_config("a", beta)
-    assert spec.upper == [Crystal(0.0, 310.0), Crystal(beta, 150.0)]
-    assert spec.lower == [Crystal(beta, 150.0), Crystal(0.0, 310.0)]
-    np.testing.assert_allclose(spec.input_state, maximally_mixed(2))
+    uppers, lowers = standard_arms("a", [0.31, 0.7])
+    assert uppers == [[Crystal(0.0, 310.0), Crystal(beta, 150.0)] for beta in (0.31, 0.7)]
+    assert lowers == [[Crystal(beta, 150.0), Crystal(0.0, 310.0)] for beta in (0.31, 0.7)]
 
 
 def test_standard_config_waveplate_variant():
-    spec = standard_config("d", 0.9)
-    assert spec.upper == [Waveplate(np.pi / 8)]
-    assert spec.lower == [Waveplate(0.9)]
+    assert standard_arms("d", [0.9]) == ([[Waveplate(np.pi / 8)]], [[Waveplate(0.9)]])
 
 
 def test_standard_config_rejects_unknown_variant():
     with pytest.raises(ValueError):
-        standard_config("e", 0.1)
+        standard_arms("e", [0.1])
 
 
 def test_closed_forms_at_named_points():
@@ -54,9 +47,9 @@ def test_closed_form_sign_flips_for_third_config():
     c = closed_form_contrast("c", np.pi / 3)
     assert c == pytest.approx(-0.125)
     assert abs(closed_form_contrast("c", np.pi / 3)) == pytest.approx(0.125)
-    contrast = contrast_shared_env(standard_config("c", np.pi / 3))
-    assert abs(contrast) == pytest.approx(0.125, abs=1e-12)
-    assert abs(np.angle(contrast)) == pytest.approx(np.pi, abs=1e-9)
+    c = contrast(*standard_pair("c", np.pi / 3))
+    assert abs(c) == pytest.approx(0.125, abs=1e-12)
+    assert abs(np.angle(c)) == pytest.approx(np.pi, abs=1e-9)
 
 
 @pytest.mark.parametrize("variant", ["a", "b", "c"])
@@ -75,7 +68,7 @@ def test_sweep_oracle_equals_per_spec_oracle(variant):
     v_oracle = sweep(variant, betas)[3]
     assert len(v_oracle) == len(betas)
     for v, beta in zip(v_oracle, betas):
-        expected = abs(oracle_contrast(standard_config(variant, beta)))
+        expected = abs(oracle(*standard_pair(variant, beta)))
         assert abs(v - expected) <= 1e-15
 
 
@@ -87,7 +80,7 @@ def test_sweep_simulation_equals_per_spec_contrast(variant):
     v_simulated = sweep(variant, betas)[2].tolist()
     assert len(v_simulated) == len(betas)
     for v, beta in zip(v_simulated, betas):
-        assert repr(v) == repr(abs(contrast_shared_env(standard_config(variant, beta))))
+        assert repr(v) == repr(abs(contrast(*standard_pair(variant, beta))))
 
 
 @pytest.mark.parametrize("variant", ["a", "b", "c", "d"])
@@ -117,9 +110,9 @@ def test_sweep_even_in_beta_for_second_config():
 
 def test_waveplate_variant_curve():
     for beta in default_beta_grid(25):
-        v = abs(contrast_shared_env(standard_config("d", beta)))
+        v = abs(contrast(*standard_pair("d", beta)))
         assert abs(v - abs(np.cos(2 * (beta - np.pi / 8)))) < 1e-9
-    assert abs(contrast_shared_env(standard_config("d", np.pi / 8))) \
+    assert abs(contrast(*standard_pair("d", np.pi / 8))) \
         == pytest.approx(1.0, abs=1e-12)
 
 
@@ -128,21 +121,21 @@ def uniform_phases(n):
 
 
 def test_poisson_zero_expectation_gives_zero_counts():
-    f = contrast_shared_env(standard_config("b", 0.0))  # unit visibility
+    f = contrast(*standard_pair("b", 0.0))  # unit visibility
     counts = poisson_fringe(f, [np.pi], 10_000, 7)
     assert 10_000 * output_probability(f, np.pi) == pytest.approx(0.0, abs=1e-9)
     assert counts[0] == 0
 
 
 def test_poisson_flat_fringe_statistics():
-    f = contrast_shared_env(standard_config("c", np.pi / 4))  # zero contrast
+    f = contrast(*standard_pair("c", np.pi / 4))  # zero contrast
     counts = poisson_fringe(f, uniform_phases(64), 10_000, 42)
     assert np.all(10_000 * output_probability(f, uniform_phases(64)) == pytest.approx(5000.0))
     assert abs(counts.mean() - 5000.0) < 5 * np.sqrt(5000.0 / 64)
 
 
 def test_poisson_determinism_and_seed_sensitivity():
-    f = contrast_shared_env(standard_config("a", np.pi / 8))
+    f = contrast(*standard_pair("a", np.pi / 8))
     a = poisson_fringe(f, uniform_phases(32), 1000, 42)
     b = poisson_fringe(f, uniform_phases(32), 1000, 42)
     c = poisson_fringe(f, uniform_phases(32), 1000, 43)
@@ -151,7 +144,7 @@ def test_poisson_determinism_and_seed_sensitivity():
 
 
 def test_poisson_rejects_bad_arguments():
-    f = contrast_shared_env(standard_config("a", 0.1))
+    f = contrast(*standard_pair("a", 0.1))
     with pytest.raises(ValueError):
         poisson_fringe(f, [0.0], 0, 1)
     with pytest.raises(ValueError):
@@ -162,7 +155,7 @@ def test_poisson_rejects_bad_arguments():
 
 
 def test_poisson_rejects_a_nan_phase():
-    f = contrast_shared_env(standard_config("a", 0.1))
+    f = contrast(*standard_pair("a", 0.1))
     with pytest.raises(RuntimeError, match="phase nan"):
         poisson_fringe(f, [0.0, float("nan"), 1.0], 100, 1)
 
@@ -183,7 +176,7 @@ def test_point_uniforms_equal_numpy_generators(seed):
 def test_poisson_golden_counts(mean_total, total, digest):
     # Pinned from the per-point generator loop; any change to the sampled
     # bytes must update these on purpose.
-    counts = poisson_fringe(contrast_shared_env(standard_config("a", np.pi / 8)),
+    counts = poisson_fringe(contrast(*standard_pair("a", np.pi / 8)),
                             uniform_phases(64), mean_total, 42)
     assert counts.dtype == np.int64
     counts = counts.tolist()
@@ -215,7 +208,7 @@ def reference_count(lam, seed, i):
 @pytest.mark.parametrize("seed", [0, 5, 2**33 + 1])
 @pytest.mark.parametrize("mean_total", [1, 7, 29, 30, 31, 59, 61, 1000, 10**6])
 def test_poisson_fringe_equals_per_point_reference(mean_total, seed):
-    f = contrast_shared_env(standard_config("b", 0.7))
+    f = contrast(*standard_pair("b", 0.7))
     phis = np.random.default_rng(mean_total).uniform(-7.0, 7.0, 129)
     counts = poisson_fringe(f, phis, mean_total, seed)
     assert counts.shape == phis.shape
@@ -258,7 +251,7 @@ def test_fit_rejects_all_zero_counts():
 
 
 def test_fit_statistical_recovery():
-    f = contrast_shared_env(standard_config("a", np.pi / 8))  # true visibility 0.75
+    f = contrast(*standard_pair("a", np.pi / 8))  # true visibility 0.75
     phis = uniform_phases(64)
     fit = fit_fringe(phis, poisson_fringe(f, phis, 10_000, 42))
     assert fit.converged
@@ -289,3 +282,27 @@ def test_qber_monotone_in_visibility():
     for (v1, q1), (v2, q2) in zip(results, results[1:]):
         assert (q2 - q1) == pytest.approx((v1 - v2) / 2, abs=1e-12)
         assert 0.0 <= q1 <= 0.5 and 0.0 <= q2 <= 0.5
+
+
+def arm_bytes(arm):
+    """An arm's element kinds, angles, delays and unitary bytes."""
+    return [(type(e), getattr(e, "axis_angle", None), getattr(e, "delay", None),
+             e.matrix.tobytes() if type(e) is RawUnitary else None) for e in arm]
+
+
+@pytest.mark.parametrize("chunks", [[1001], [256, 256, 256, 232]])
+def test_random_specs_equal_the_per_spec_loop_bit_for_bit(chunks):
+    # 1,001 specs in one call, and 1,000 in chunks of 256 as oracle-check draws them
+    rng, want_rng = np.random.default_rng(19), np.random.default_rng(19)
+    kinds = set()
+    for n in chunks:
+        uppers, lowers, states = random_specs(rng, n)
+        assert len(uppers) == len(lowers) == n and states.shape == (n, 2, 2)
+        for upper, lower, state in zip(uppers, lowers, states):
+            want_upper, want_lower, want_state = random_pair(want_rng)
+            assert arm_bytes(upper) == arm_bytes(want_upper)
+            assert arm_bytes(lower) == arm_bytes(want_lower)
+            assert state.tobytes() == want_state.tobytes()
+            kinds |= {type(e) for e in upper + lower}
+    assert kinds == {Crystal, Waveplate, RawUnitary}
+    assert rng.random() == want_rng.random()

@@ -4,55 +4,47 @@ from bisect import bisect_left, bisect_right
 import numpy as np
 import pytest
 
-from conftest import random_density, random_unitary
+from conftest import (MIXED, compose_one, contrast, oracle, random_density, random_pair,
+                      random_unitary, standard_pair)
 from mzfringe.arms import (DELAY_MERGE_TOL, ORACLE_DIM_LIMIT, ResourceLimitError, _delay_grid,
-                           _structure)
-from mzfringe.interferometer import (_oracle_contrasts, _path_gram, _port_probabilities,
-                                     _shared_env_contrasts)
+                           arm_structure)
+from mzfringe.interferometer import (InterferometerSpec, _path_gram, _port_probabilities,
+                                     oracle_contrast, oracle_contrasts, shared_env_contrasts)
 from mzfringe import (
     Crystal,
-    InterferometerSpec,
     RawUnitary,
     Waveplate,
-    compose_arm,
-    contrast_shared_env,
     half_waveplate,
     maximally_mixed,
-    oracle_contrast,
     output_probability,
     rotated_basis,
-    standard_config,
 )
-from mzfringe.experiments import random_arm, random_interferometer_spec
+from mzfringe.experiments import random_arm
 
 I2 = np.eye(2, dtype=complex)
 
 
-def mixed_spec(upper, lower):
-    return InterferometerSpec(upper, lower, maximally_mixed(2))
-
-
-def oracle_ports(spec, phis):
-    """Oracle port probabilities (port, phase) from the path Gram matrix;
-    port 0 is the lower port."""
-    return _port_probabilities(_path_gram([spec.upper], [spec.lower], spec.input_state),
+def oracle_ports(upper, lower, rho, phis):
+    """Oracle port probabilities (port, phase) of one arm pair from the path
+    Gram matrix; port 0 is the lower port."""
+    return _port_probabilities(_path_gram([upper], [lower], rho),
                                np.asarray(phis, dtype=float))[0]
 
 
 def test_empty_arms_full_contrast():
-    c = contrast_shared_env(mixed_spec([], []))
+    c = contrast([], [])
     assert c == pytest.approx(1.0)
     assert abs(c) == pytest.approx(1.0)
 
 
 def test_first_config_at_quarter_pi():
-    c = contrast_shared_env(standard_config("a", np.pi / 4))
+    c = contrast(*standard_pair("a", np.pi / 4))
     assert abs(c) == pytest.approx(0.5, abs=1e-12)
 
 
 def test_single_matched_bin():
     # only the undelayed branch of the lower crystal can interfere
-    c = contrast_shared_env(mixed_spec([], [Crystal(0.0, 310.0)]))
+    c = contrast([], [Crystal(0.0, 310.0)])
     assert c == pytest.approx(0.5 + 0.0j)
 
 
@@ -67,67 +59,68 @@ def test_upper_bin_joins_every_lower_bin_within_tolerance():
     rho = maximally_mixed(2)
     pairs = [(u_o, b_o @ a_o), (u_e, b_o @ a_e), (u_e, b_e @ a_o)]
     brute = sum(np.trace(u.conj().T @ v @ rho) for u, v in pairs)
-    c = contrast_shared_env(mixed_spec(upper, lower))
+    c = contrast(upper, lower)
     assert c == pytest.approx(brute, abs=1e-15)
     assert c == pytest.approx(0.371350059712339, abs=1e-14)
 
 
-def reference_contrast(spec):
+def reference_contrast(upper, lower, rho):
     """Per-pair join: each upper operator is joined by bisection with every
     lower operator whose delay lies within DELAY_MERGE_TOL, and each trace is
     added to a running sum that starts from 0."""
-    upper_delays, upper_ops = compose_arm(spec.upper)
-    lower_delays, lower_ops = compose_arm(spec.lower)
+    upper_delays, upper_ops = compose_one(upper)
+    lower_delays, lower_ops = compose_one(lower)
     lower_delays = lower_delays.tolist()
     c = 0.0 + 0.0j
     for d, u in zip(upper_delays.tolist(), upper_ops):
         lo = bisect_left(lower_delays, d - DELAY_MERGE_TOL)
         hi = bisect_right(lower_delays, d + DELAY_MERGE_TOL)
         for v in lower_ops[lo:hi]:
-            c += np.trace(u.conj().T @ v @ spec.input_state)
+            c += np.trace(u.conj().T @ v @ rho)
     return complex(c)
 
 
 def test_contrast_matches_the_per_pair_join_bit_for_bit():
     rng = np.random.default_rng(127)
-    specs = [random_interferometer_spec(rng, 4) for _ in range(1000)]
+    specs = [random_pair(rng, 4) for _ in range(1000)]
     # ten crystals at 150 * 2^k um per arm in two orders: 1,024 matched pairs
     delays = [150.0 * 2 ** k for k in range(10)]
-    spreading = mixed_spec([Crystal(a, d) for a, d in zip(rng.uniform(0, np.pi, 10), delays)],
-                           [Crystal(a, d) for a, d in zip(rng.uniform(0, np.pi, 10),
-                                                          rng.permutation(delays))])
-    assert len(compose_arm(spreading.upper)[1]) == len(compose_arm(spreading.lower)[1]) == 1024
+    spreading = ([Crystal(a, d) for a, d in zip(rng.uniform(0, np.pi, 10), delays)],
+                 [Crystal(a, d) for a, d in zip(rng.uniform(0, np.pi, 10),
+                                                rng.permutation(delays))], MIXED)
+    assert len(compose_one(spreading[0])[1]) == len(compose_one(spreading[1])[1]) == 1024
     specs.append(spreading)
     # fifteen equal-delay crystals per arm: 16 bins, each matched once
-    specs.append(mixed_spec([Crystal(a, 310.0) for a in rng.uniform(0, np.pi, 15)],
-                            [Crystal(a, 310.0) for a in rng.uniform(0, np.pi, 15)]))
-    specs.append(mixed_spec([], []))
+    specs.append(([Crystal(a, 310.0) for a in rng.uniform(0, np.pi, 15)],
+                  [Crystal(a, 310.0) for a in rng.uniform(0, np.pi, 15)], MIXED))
+    specs.append(([], [], MIXED))
     # one operator at delay 75 against one at delay 0: no matched pair
-    specs.append(mixed_spec([Crystal(0.0, 75.0), Crystal(np.pi / 2, 75.0)], []))
+    specs.append(([Crystal(0.0, 75.0), Crystal(np.pi / 2, 75.0)], [], MIXED))
     # aligned crystals on a horizontal input: the delay-460 pair adds an exact zero
     aligned = [Crystal(0.0, 150.0), Crystal(0.0, 310.0)]
-    specs.append(InterferometerSpec(aligned, aligned, np.diag([1.0, 0.0])))
+    specs.append((aligned, aligned, np.diag([1.0, 0.0]).astype(complex)))
     # one upper delay with two lower delays inside its window
-    specs.append(mixed_spec([Crystal(0.3, 2.75e-9)], [Crystal(0.7, 2e-9), Crystal(1.1, 3.5e-9)]))
+    specs.append(([Crystal(0.3, 2.75e-9)], [Crystal(0.7, 2e-9), Crystal(1.1, 3.5e-9)], MIXED))
     for spec in specs:
-        assert repr(contrast_shared_env(spec)) == repr(reference_contrast(spec)), spec
+        assert repr(contrast(*spec)) == repr(reference_contrast(*spec)), spec
 
 
 def test_grouped_routines_equal_the_per_spec_routines_bit_for_bit():
     # a random mixed input per spec, plus pure and maximally mixed inputs
     rng = np.random.default_rng(131)
-    specs = [random_interferometer_spec(rng) for _ in range(1000)]
-    specs += [InterferometerSpec(s.upper, s.lower, rho) for s, rho in
+    specs = [random_pair(rng) for _ in range(1000)]
+    specs += [(upper, lower, rho) for (upper, lower, _), rho in
               zip(specs[:20], [np.diag([1.0, 0.0]), np.diag([0.0, 1.0]), maximally_mixed(2)] * 7)]
-    uppers, lowers = [s.upper for s in specs], [s.lower for s in specs]
+    uppers, lowers, states = zip(*specs)
     # 659 distinct (upper, lower) structures over the 1,020 pairs
-    assert len({(_structure(u), _structure(l)) for u, l in zip(uppers, lowers)}) == 659
-    rho = np.array([s.input_state for s in specs])
-    contrasts = _shared_env_contrasts(uppers, lowers, rho)
-    oracles = _oracle_contrasts(uppers, lowers, rho).tolist()
+    assert len({(arm_structure(u), arm_structure(l)) for u, l in zip(uppers, lowers)}) == 659
+    rho = np.array(states)
+    contrasts = shared_env_contrasts(uppers, lowers, rho)
+    oracles = oracle_contrasts(uppers, lowers, rho).tolist()
     for spec, c, o in zip(specs, contrasts, oracles, strict=True):
-        assert repr(c) == repr(contrast_shared_env(spec)), spec
-        assert repr(o) == repr(oracle_contrast(spec)), spec
+        assert repr(c) == repr(contrast(*spec)), spec
+        assert repr(o) == repr(oracle(*spec)), spec
+        assert repr(o) == repr(oracle_contrast(InterferometerSpec(*spec))), spec
 
 
 def test_independent_env_zero_when_no_undelayed_branch():
@@ -135,8 +128,8 @@ def test_independent_env_zero_when_no_undelayed_branch():
     # with no undelayed branch; the shared environment sees matching bins and
     # full interference
     arm = [Crystal(0.0, 75.0), Crystal(np.pi / 2, 75.0)]
-    assert compose_arm(arm)[0].tolist() == [75.0]
-    assert abs(contrast_shared_env(mixed_spec(arm, arm))) == pytest.approx(1.0)
+    assert compose_one(arm)[0].tolist() == [75.0]
+    assert abs(contrast(arm, arm)) == pytest.approx(1.0)
 
 
 def test_independent_matches_shared_for_unitary_arms():
@@ -147,7 +140,7 @@ def test_independent_matches_shared_for_unitary_arms():
         upper = [Waveplate(angle), RawUnitary(u)]
         lower = [RawUnitary(v)]
         rho = random_density(rng)
-        c_shared = contrast_shared_env(InterferometerSpec(upper, lower, rho))
+        c_shared = contrast(upper, lower, rho)
         written_out = np.trace((u @ half_waveplate(angle)).conj().T @ v @ rho)
         assert c_shared == pytest.approx(written_out, abs=1e-12)
 
@@ -169,7 +162,7 @@ def test_output_probability_clamps_roundoff():
 
 
 def test_output_probability_array_equals_scalar_calls():
-    c = contrast_shared_env(standard_config("a", 0.37))
+    c = contrast(*standard_pair("a", 0.37))
     phis = np.random.default_rng(107).uniform(-10.0, 10.0, 1024)
     p = output_probability(c, phis)
     assert isinstance(p, np.ndarray) and p.shape == (1024,)
@@ -204,50 +197,49 @@ def test_output_probability_rejects_nan_and_names_the_cause(c, phi, cause):
 
 
 def test_oracle_of_an_empty_stack_is_empty():
-    assert _oracle_contrasts([], [], maximally_mixed(2)).shape == (0,)
+    assert oracle_contrasts([], [], maximally_mixed(2)).shape == (0,)
 
 
 def test_oracle_empty_arms():
-    assert oracle_ports(mixed_spec([], []), [0.0])[0, 0] == pytest.approx(1.0)
+    assert oracle_ports([], [], MIXED, [0.0])[0, 0] == pytest.approx(1.0)
 
 
 def test_oracle_first_config_extrema():
-    spec = standard_config("a", np.pi / 4)
-    probs = oracle_ports(spec, np.linspace(0, 2 * np.pi, 64, endpoint=False))[0]
+    upper, lower = standard_pair("a", np.pi / 4)
+    probs = oracle_ports(upper, lower, MIXED, np.linspace(0, 2 * np.pi, 64, endpoint=False))[0]
     assert max(probs) - min(probs) == pytest.approx(0.5, abs=1e-9)
 
 
 def test_oracle_ports_sum_to_one():
     rng = np.random.default_rng(67)
     for _ in range(20):
-        spec = random_interferometer_spec(rng)
-        p0, p1 = oracle_ports(spec, [rng.uniform(0, 2 * np.pi)])[:, 0]
+        spec = random_pair(rng)
+        p0, p1 = oracle_ports(*spec, [rng.uniform(0, 2 * np.pi)])[:, 0]
         assert p0 + p1 == pytest.approx(1.0, abs=1e-12)
 
 
 def test_oracle_matches_kraus_pair_contrast():
     rng = np.random.default_rng(71)
     for _ in range(40):
-        spec = random_interferometer_spec(rng)
-        c = contrast_shared_env(spec)
-        assert abs(c - oracle_contrast(spec)) < 1e-9
+        spec = random_pair(rng)
+        c = contrast(*spec)
+        assert abs(c - oracle(*spec)) < 1e-9
 
 
 def test_oracle_fringe_matches_closed_probability():
     rng = np.random.default_rng(73)
     for _ in range(10):
-        spec = random_interferometer_spec(rng)
-        c = contrast_shared_env(spec)
+        spec = random_pair(rng)
+        c = contrast(*spec)
         phis = np.linspace(0, 2 * np.pi, 16, endpoint=False)
-        np.testing.assert_allclose(oracle_ports(spec, phis)[0], output_probability(c, phis),
+        np.testing.assert_allclose(oracle_ports(*spec, phis)[0], output_probability(c, phis),
                                    rtol=0, atol=1e-9)
 
 
 def test_fringe_extrema_at_contrast_phase():
     rng = np.random.default_rng(79)
     for _ in range(10):
-        spec = random_interferometer_spec(rng)
-        c = contrast_shared_env(spec)
+        c = contrast(*random_pair(rng))
         p_max = output_probability(c, -np.angle(c))
         p_min = output_probability(c, -np.angle(c) + np.pi)
         assert p_max - p_min == pytest.approx(abs(c), abs=1e-9)
@@ -261,10 +253,10 @@ def test_phase_covariance_of_lower_arm():
     upper = random_arm(rng)
     lower = random_arm(rng)
     rho = random_density(rng)
-    base = contrast_shared_env(InterferometerSpec(upper, lower, rho))
+    base = contrast(upper, lower, rho)
     for theta in np.linspace(0, 2 * np.pi, 10, endpoint=False):
         shifted = list(lower) + [RawUnitary(np.exp(1j * theta) * I2)]
-        c = contrast_shared_env(InterferometerSpec(upper, shifted, rho))
+        c = contrast(upper, shifted, rho)
         assert c == pytest.approx(np.exp(1j * theta) * base, abs=1e-12)
         assert abs(c) == pytest.approx(abs(base), abs=1e-12)
 
@@ -272,10 +264,9 @@ def test_phase_covariance_of_lower_arm():
 def test_arm_swap_conjugates_contrast():
     rng = np.random.default_rng(89)
     for _ in range(10):
-        spec = random_interferometer_spec(rng)
-        c = contrast_shared_env(spec)
-        swapped = InterferometerSpec(spec.lower, spec.upper, spec.input_state)
-        g = contrast_shared_env(swapped)
+        upper, lower, rho = random_pair(rng)
+        c = contrast(upper, lower, rho)
+        g = contrast(lower, upper, rho)
         assert g == pytest.approx(np.conj(c), abs=1e-12)
         assert abs(g) == pytest.approx(abs(c), abs=1e-12)
 
@@ -284,7 +275,7 @@ def test_identical_arms_full_visibility():
     rng = np.random.default_rng(97)
     for _ in range(10):
         arm = random_arm(rng)
-        c = contrast_shared_env(InterferometerSpec(arm, arm, random_density(rng)))
+        c = contrast(arm, arm, random_density(rng))
         assert c == pytest.approx(1.0, abs=1e-12)
 
 
@@ -292,31 +283,30 @@ def test_oracle_of_deep_arms_stays_small():
     # ten crystals at 150 * 2^k um per arm: 1024 bins, read out through the
     # 2x2 path Gram matrix without a per-phase port array
     delays = [150.0 * 2 ** k for k in range(10)]
-    spec = mixed_spec([Crystal(0.1 * k, d) for k, d in enumerate(delays)],
-                      [Crystal(0.1 * k + 0.8, d) for k, d in enumerate(delays)])
+    upper = [Crystal(0.1 * k, d) for k, d in enumerate(delays)]
+    lower = [Crystal(0.1 * k + 0.8, d) for k, d in enumerate(delays)]
     tracemalloc.start()
     try:
-        c = oracle_contrast(spec)
+        c = oracle(upper, lower)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
-    assert abs(c - contrast_shared_env(spec)) < 1e-9
+    assert abs(c - contrast(upper, lower)) < 1e-9
 
 
 def test_oracle_resource_limit():
     arm = [Crystal(0.3 + 0.25 * i, float(2 ** i)) for i in range(11)]
     with pytest.raises(ResourceLimitError, match="resource"):
-        oracle_contrast(mixed_spec(arm, []))
+        oracle(arm, [])
 
 
 def test_oracle_incommensurate_delays_hit_resource_limit():
     # Euclid stops at a unit of 2.45e-9 um: a grid of 577,222,393 bins
-    spec = mixed_spec([Crystal(0.3, 1.0)], [Crystal(0.7, np.sqrt(2.0))])
     tracemalloc.start()
     try:
         with pytest.raises(ResourceLimitError, match="resource limit"):
-            oracle_contrast(spec)
+            oracle([Crystal(0.3, 1.0)], [Crystal(0.7, np.sqrt(2.0))])
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -332,12 +322,26 @@ def test_oracle_at_dimension_limit():
     lower = [Crystal(a + 0.8, d) for a, d in zip(angles, delays)]
     unit, n = _delay_grid([upper, lower])
     assert (unit, 4 * n) == (150.0, ORACLE_DIM_LIMIT)
-    spec = mixed_spec(upper, lower)
-    c = contrast_shared_env(spec)
+    c = contrast(upper, lower)
     assert abs(c) > 0.1
-    assert abs(c - oracle_contrast(spec)) < 1e-9
+    assert abs(c - oracle(upper, lower)) < 1e-9
 
 
 def test_spec_validates_input_state():
     with pytest.raises(ValueError):
         InterferometerSpec([], [], np.diag([0.7, 0.7]))
+
+
+BAD_STATES = [
+    (np.diag([0.7, 0.7]), r"rho trace is \(1\.4"),
+    (np.array([np.eye(2) / 2, [[0.5, 0.1], [0.0, 0.5]]]), r"rho\[1\] is not Hermitian"),
+    (np.eye(3) / 3, r"input states must be 2x2, got shape \(3, 3\)"),
+]
+
+
+@pytest.mark.parametrize("routine", [shared_env_contrasts, oracle_contrasts])
+@pytest.mark.parametrize("rho, message", BAD_STATES, ids=["trace", "hermitian", "3x3"])
+def test_batch_routines_validate_the_input_states(routine, rho, message):
+    pairs = len(rho) if rho.ndim == 3 else 1
+    with pytest.raises(ValueError, match=message):
+        routine([[Crystal(0.3, 150.0)]] * pairs, [[]] * pairs, rho)
