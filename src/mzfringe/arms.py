@@ -21,8 +21,7 @@ The dilation oracle does not compose Kraus sets. It applies arms element by
 element to vectors on polarization (x) time bins, on a grid whose unit is the
 gcd of the crystal delays (``_delay_grid``, ``_evolve_arm``), so it checks
 ``compose_arms`` rather than repeating it. One evolution serves a stack of arms
-that share element kinds and crystal delays and differ in angles or
-unitaries.
+grouped by ``arm_structure``, the one name it shares with composition.
 """
 
 from __future__ import annotations
@@ -127,21 +126,23 @@ ArmSpec = Sequence[ArmElement]
 
 
 def arm_structure(arm: ArmSpec) -> tuple:
-    """What arms of one stack share (``_check_stack``): per element, a crystal's
-    delay or another element's kind."""
+    """What arms of one stack share: per element, a crystal's delay or
+    another element's kind."""
     return tuple([e.delay if type(e) is Crystal else type(e) for e in arm])
 
 
 def _check_stack(arms: Sequence[ArmSpec]) -> None:
-    """ValueError unless the arms share element count, kinds and crystal delays."""
-    for arm in arms[1:]:
-        if len(arm) != len(arms[0]):
+    """ValueError unless the arms share one ``arm_structure``, naming the
+    count or the first position whose kind or crystal delay differs."""
+    keys = [arm_structure(arm) for arm in arms]
+    for key in keys[1:]:
+        if key == keys[0]:
+            continue
+        if len(key) != len(keys[0]):
             raise ValueError("stacked arms differ in element count")
-        for position, (elem, first) in enumerate(zip(arm, arms[0])):
-            if type(elem) is not type(first):
-                raise ValueError(f"stacked arms differ in element kind at position {position}")
-            if type(elem) is Crystal and elem.delay != first.delay:
-                raise ValueError(f"stacked arms differ in crystal delay at position {position}")
+        position, a, b = next((i, a, b) for i, (a, b) in enumerate(zip(key, keys[0])) if a != b)
+        what = "element kind" if isinstance(a, type) or isinstance(b, type) else "crystal delay"
+        raise ValueError(f"stacked arms differ in {what} at position {position}")
 
 
 def _element_kraus(elems: Sequence[ArmElement]) -> np.ndarray:
@@ -164,9 +165,9 @@ def _element_kraus(elems: Sequence[ArmElement]) -> np.ndarray:
 
 
 def compose_arms(arms: Sequence[ArmSpec]) -> tuple[np.ndarray, np.ndarray]:
-    """Kraus sets of a stack of arms (``_check_stack``): delays (k,), shared
-    by the stack, and operators (arms, k, 2, 2), both sorted by delay. One
-    arm's Kraus set is ``delays, ops[0]`` of the one-arm stack ``[arm]``.
+    """Kraus sets of a stack of arms of one ``arm_structure`` (else ValueError):
+    delays (k,), shared by the stack, and operators (arms, k, 2, 2), both
+    sorted by delay. One arm's Kraus set is ``delays, ops[0]`` of ``[arm]``.
 
     Applies the elements in traversal order (later elements left-multiplied).
     After each crystal, the o- and e-branches are sorted stably by total delay
@@ -273,12 +274,12 @@ def _evolve_arm(arms: Sequence[ArmSpec], cols: np.ndarray, unit: float) -> np.nd
     time bins.
 
     ``cols`` has shape (arms, 2, bins, k), one slice per arm. The arms must
-    share their structure (see ``_check_stack``). A crystal acts as
+    share one ``arm_structure``, which is not checked here: the one caller,
+    ``_path_gram``, stacks only arms grouped by that key. A crystal acts as
     P_o (x) I + P_e (x) S_d, with S_d the cyclic shift by its delay in grid
     units, computed as x + P_e (S_d x - x) because P_o + P_e = I; waveplates
     and raw unitaries act as U (x) I.
     """
-    _check_stack(arms)
     for elems in zip(*arms):
         ops = _stacked_ops(elems)
         if type(elems[0]) is Crystal:

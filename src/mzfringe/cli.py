@@ -4,8 +4,9 @@ Commands: fringe, sweep, oracle-check, tomography, qkd, fit. Each writes one
 CSV table (12 significant digits, header row, newline-terminated) and prints a
 one-line summary to stdout. Options may come from flags or from a flat
 ``key = value`` config file (``--config``) whose keys are the flag names without
-``--``. File values are parsed by the same parser as flags, with the same types
-and checks; flags override file values, and unknown file keys are rejected.
+``--``. File values become ``--key=value`` flags placed before the command
+line's, so they get the flags' types, checks and messages; flags override file
+values, and unknown file keys are rejected.
 
 Angles accept an explicit unit suffix, e.g. ``22.5deg`` or ``0.3927rad``;
 bare numbers are radians. Arms are serialized as semicolon-separated elements
@@ -120,8 +121,8 @@ def _parse_arm_groups(text: str, n: int, what: str) -> list[list[ArmElement]]:
 
 
 def _parse_config_text(text: str, dests) -> dict[str, str]:
-    """Values by parser dest from a flat 'key = value' document; a key is the
-    flag name without '--' and must name one of ``dests``."""
+    """Values by key from a flat 'key = value' document; a key is the flag
+    name without '--' and must name one of ``dests``."""
     keys = {dest.replace("_", "-") for dest in dests}
     values: dict[str, str] = {}
     for lineno, raw in enumerate(text.splitlines(), 1):
@@ -134,7 +135,7 @@ def _parse_config_text(text: str, dests) -> dict[str, str]:
         key = key.strip()
         if key not in keys:
             raise UsageError(f"unknown config key {key!r}")
-        values[key.replace("-", "_")] = value.strip()
+        values[key] = value.strip()
     return values
 
 
@@ -172,10 +173,10 @@ def _parser() -> argparse.ArgumentParser:
 def parse_config(argv) -> argparse.Namespace:
     """Validated options from command-line flags plus an optional config file.
 
-    File values become parser defaults and argv is parsed again, so argparse
-    converts and checks them as it does flags, and flags win. The parser is
-    shared by every call, so the defaults a file overrides are restored after
-    the second parse.
+    File values become ``--key=value`` tokens placed before argv, and the
+    whole is parsed again, so argparse converts and checks them as flags, and
+    argv's flags, parsed later, win. The file's command goes first, and only
+    when argv names none.
     """
     parser = _parser()
     config = parser.parse_args(argv)
@@ -186,12 +187,10 @@ def parse_config(argv) -> argparse.Namespace:
         except (OSError, UnicodeDecodeError) as exc:
             raise UsageError(f"cannot read config file: {exc}")
         values = _parse_config_text(text, set(vars(config)) - {"config"})
-        saved = {dest: parser.get_default(dest) for dest in values}
-        parser.set_defaults(**values)
-        try:
-            config = parser.parse_args(argv)
-        finally:
-            parser.set_defaults(**saved)
+        command = values.pop("command", None)
+        head = [command] if command is not None and config.command is None else []
+        config = parser.parse_args(
+            [*head, *(f"--{key}={value}" for key, value in values.items()), *argv])
     _validate(config)
     return config
 
@@ -199,9 +198,6 @@ def parse_config(argv) -> argparse.Namespace:
 def _validate(config: argparse.Namespace) -> None:
     if config.command is None:
         raise UsageError(f"missing command; choose one of {', '.join(COMMANDS)}")
-    # argparse checks choices on flags only, not on defaults from a config file
-    if config.variant not in (None, *VARIANTS):
-        raise UsageError(f"key 'variant' must be one of {VARIANTS}, got {config.variant!r}")
     if not config.output:
         raise UsageError("missing required key 'output'")
     if config.seed < 0:

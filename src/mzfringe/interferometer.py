@@ -22,8 +22,9 @@ once, and the oracle evolves the pairs of each (upper, lower) structure as one
 stack in memory-bounded blocks. A pair's result has the same bits in any
 group and in any stack. The oracle groups by structure alone and never
 composes a Kraus set, so it is an independent check of ``compose_arms``.
-``InterferometerSpec`` and ``oracle_contrast`` are the one-spec interface of
-the benchmark's correctness gate; no command uses them.
+``InterferometerSpec``, a plain record of two arms and a state, and
+``oracle_contrast`` are the one-spec interface of the benchmark's correctness
+gate; no command uses them.
 
 Time-bin orthogonality is binary here: delays matching within
 ``DELAY_MERGE_TOL`` interfere fully, all others not at all. Partial wavepacket
@@ -32,8 +33,7 @@ overlap is out of scope.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -60,20 +60,14 @@ _ORACLE_PHASES = 16
 _ORACLE_PHIS = 2.0 * np.pi * np.arange(_ORACLE_PHASES) / _ORACLE_PHASES
 
 
-@dataclass
-class InterferometerSpec:
-    """Two arms and an input polarization state, checked on construction: the
-    input of ``oracle_contrast``, kept for the benchmark's correctness gate."""
+class InterferometerSpec(NamedTuple):
+    """Two arms and an input polarization state: the input of
+    ``oracle_contrast``, kept for the benchmark's correctness gate. It checks
+    nothing itself; ``oracle_contrast`` validates the state."""
 
     upper: ArmSpec
     lower: ArmSpec
     input_state: np.ndarray
-
-    def __post_init__(self):
-        state = validate_density_matrix(self.input_state, "input_state")
-        if state.shape != (2, 2):
-            raise ValueError(f"input_state must be 2x2, got shape {state.shape}")
-        self.input_state = state
 
 
 def _input_states(rho) -> np.ndarray:
@@ -238,6 +232,6 @@ def oracle_contrasts(uppers: Sequence[ArmSpec], lowers: Sequence[ArmSpec], rho) 
 
 def oracle_contrast(spec: InterferometerSpec) -> complex:
     """Complex contrast of one spec from the dilation-oracle fringe
-    (``oracle_contrasts`` of a one-pair stack), for the benchmark's
-    correctness gate."""
+    (``oracle_contrasts`` of a one-pair stack, which validates the state), for
+    the benchmark's correctness gate."""
     return complex(oracle_contrasts([spec.upper], [spec.lower], spec.input_state)[0])

@@ -3,8 +3,9 @@
 The command lists and the gate come from ``benchmarks/``, loaded by file path
 so that the benchmark stays a directory of scripts rather than a package.
 The pass's CSVs must also match, byte for byte, the sha256 digests recorded
-in ``seed_1_csv_sha256.json``; a change that alters output bytes on purpose
-regenerates that file. The tracer's function list is checked against the
+in ``seed_1_csv_sha256.json``, and each command's exit code and one-line
+stdout summary those in ``seed_1_stdout.json``; a change that alters them on
+purpose regenerates the file. The tracer's function list is checked against the
 package without installing the tracer.
 """
 
@@ -20,6 +21,7 @@ from mzfringe.cli import main
 
 BENCHMARKS = Path(__file__).resolve().parent.parent / "benchmarks"
 DIGESTS = json.loads((Path(__file__).resolve().parent / "seed_1_csv_sha256.json").read_text())
+STDOUT = json.loads((Path(__file__).resolve().parent / "seed_1_stdout.json").read_text())
 
 
 def _load(name):
@@ -38,9 +40,13 @@ tracing = _load("tracing")
 def test_seed_1_pass_clears_the_benchmark_gate(tmp_path, monkeypatch, capsys, workload):
     commands = workloads.generate(workload, 1)
     monkeypatch.chdir(tmp_path)
-    codes = [main(command["argv"]) for command in commands]
-    capsys.readouterr()
-    assert [i for i, code in enumerate(codes) if code != 0] == []
+    runs = {}
+    for command in commands:
+        code = main(command["argv"])
+        runs[command["output"]] = [code, capsys.readouterr().out]
+    assert [output for output, (code, _) in runs.items() if code != 0] == []
+    assert runs == {output: [code, line + "\n"]
+                    for output, (code, line) in STDOUT[workload].items()}
     assert gate.gate(commands, [str(tmp_path)]) == []
     want = DIGESTS[workload]
     assert len(commands) == len(want)

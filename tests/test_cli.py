@@ -92,8 +92,10 @@ output = {out}
     pytest.param("beta = nandeg", "not finite", id="beta-nandeg"),
     pytest.param("command = bogus", "argument command: invalid choice: 'bogus'",
                  id="command-bogus"),
-    pytest.param("variant = z", "'variant' must be one of", id="variant-z"),
+    pytest.param("variant = z", "argument --variant: invalid choice: 'z'", id="variant-z"),
     pytest.param("config = other.cfg", "unknown config key 'config'", id="config-key"),
+    # argparse would take '--var' for '--variant'; a file's keys must be whole
+    pytest.param("var = a", "unknown config key 'var'", id="key-prefix"),
     pytest.param("variant = \xff", "error: cannot read config file: 'utf-8' codec",
                  id="not-utf-8"),
 ])
@@ -103,6 +105,19 @@ def test_config_file_values_are_parsed_like_flags(tmp_path, capsys, line, messag
     assert main(["--config", str(cfg), "--output", str(tmp_path / "x.csv")]) == 2
     assert message in capsys.readouterr().err
     assert not (tmp_path / "x.csv").exists()
+
+
+def test_argv_command_beats_the_file_command_and_dashed_values_stay_values(
+        tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "run.cfg").write_text("command = sweep\nbeta = -0.3\noutput = -x.csv\n")
+    assert main(["tomography", "--config", "run.cfg"]) == 0
+    from_file = capsys.readouterr().out
+    assert from_file.startswith("chi_upper=")
+    assert main(["tomography", "--beta", "-0.3", "--output", "flags.csv"]) == 0
+    assert capsys.readouterr().out == from_file
+    assert (tmp_path / "-x.csv").read_bytes() == (tmp_path / "flags.csv").read_bytes()
+    assert read_csv(tmp_path / "-x.csv")[1][0][0] == "-0.3"
 
 
 def test_fringe_defaults_to_64_phases(tmp_path):
@@ -539,8 +554,8 @@ def test_oracle_check_composes_each_arm_structure_once_per_chunk(tmp_path, monke
 
 
 def test_a_config_run_leaves_no_defaults_behind(tmp_path, capsys):
-    # the parser is built once per process; a config file's values are
-    # defaults only for the parse that read it, even when that parse fails
+    # the parser is built once per process; a config file's values hold only
+    # for the parse that read it, even when that parse fails
     good, bad = tmp_path / "good.cfg", tmp_path / "bad.cfg"
     good.write_text("command = oracle-check\nspecs = 3\nseed = 9\n")
     bad.write_text("command = oracle-check\nspecs = 4\nseed = abc\n")

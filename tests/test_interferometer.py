@@ -329,7 +329,7 @@ def test_oracle_at_dimension_limit():
 
 def test_spec_validates_input_state():
     with pytest.raises(ValueError):
-        InterferometerSpec([], [], np.diag([0.7, 0.7]))
+        oracle_contrast(InterferometerSpec([], [], np.diag([0.7, 0.7])))
 
 
 BAD_STATES = [

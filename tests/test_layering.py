@@ -75,3 +75,31 @@ def test_modules_import_no_private_names_from_each_other():
                 if private:
                     found.setdefault((path.stem, node.module), set()).update(private)
     assert found == PRIVATE_IMPORTS
+
+
+# The dilation oracle, by module, and the names of the code it checks. The
+# oracle shares only the structure key, arm_structure, with composition and
+# the contrast, so none of its functions may name any of these.
+ORACLE = {
+    "arms": {"_gcd", "_shift", "_delay_grid", "_stacked_ops", "_evolve_arm"},
+    "interferometer": {"_path_gram", "_port_probabilities", "oracle_contrasts",
+                       "oracle_contrast"},
+}
+CHECKED = {"compose_arms", "_check_stack", "_element_kraus", "_kraus_contrasts",
+           "shared_env_contrasts", "DELAY_MERGE_TOL", "ZERO_OP_TOL"}
+
+
+def test_the_oracle_names_none_of_the_code_it_checks():
+    found = {}
+    for module, functions in ORACLE.items():
+        path = pathlib.Path(mzfringe.__file__).parent / f"{module}.py"
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        defs = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+        assert functions <= set(defs), module
+        for name in functions:
+            nodes = list(ast.walk(defs[name]))
+            named = {node.id for node in nodes if isinstance(node, ast.Name)}
+            named |= {node.attr for node in nodes if isinstance(node, ast.Attribute)}
+            if named & CHECKED:
+                found[name] = named & CHECKED
+    assert found == {}
