@@ -15,7 +15,6 @@ from .arms import (
 )
 from .core import (
     CptpCheck,
-    beamsplitter,
     half_waveplate,
     maximally_mixed,
     rotated_basis,

@@ -11,24 +11,16 @@ observable, so the o-ray carries zero delay by convention.
 ``compose_arms`` composes a stack of arms that share element kinds and
 crystal delays (``arm_structure``); one arm is a one-arm stack. One pass over
 the delays decides the merge groups and refuses more than
-``COMPOSE_BIN_LIMIT`` distinct sums, and one pass carries the Kraus sets as an
-(arms, k, 2, 2) stack through the elements. The oracle's time grid stops at
-``ORACLE_DIM_LIMIT``; both limits raise ``ResourceLimitError``.
+``COMPOSE_BIN_LIMIT`` distinct sums with ``ResourceLimitError``, and one
+pass carries the Kraus sets as an (arms, k, 2, 2) stack through the elements.
 ``arm_channel_apply`` maps a stack of states through the operators of one
 composed arm or of each arm in a composed stack.
-
-The dilation oracle does not compose Kraus sets. It applies arms element by
-element to vectors on polarization (x) time bins, on a grid whose unit is the
-gcd of the crystal delays (``_delay_grid``, ``_evolve_arm``), so it checks
-``compose_arms`` rather than repeating it. One evolution serves a stack of arms
-grouped by ``arm_structure``, the one name it shares with composition.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import reduce
 from typing import Sequence, Union
 
 import numpy as np
@@ -38,7 +30,6 @@ from .core import UNITARY_ATOL, half_waveplate, rotated_basis, validate_density_
 __all__ = [
     "DELAY_MERGE_TOL",
     "ZERO_OP_TOL",
-    "ORACLE_DIM_LIMIT",
     "Crystal",
     "Waveplate",
     "RawUnitary",
@@ -54,16 +45,9 @@ __all__ = [
 # Delays in scope are exact sums of configuration constants, so this tolerance
 # only merges genuinely equal sums.
 DELAY_MERGE_TOL = 1e-9
-# Remainder at which the oracle's Euclid ends the gcd of its time grid. It has
-# DELAY_MERGE_TOL's value but is its own constant, so that a change to the
-# merge rule leaves the oracle that checks it unchanged.
-ORACLE_GRID_TOL = 1e-9
 # Entrywise threshold below which a composed branch operator is dropped as an
 # exact-orthogonality artifact.
 ZERO_OP_TOL = 1e-14
-# Joint path x polarization x time-bin dimension beyond which the oracle
-# refuses to run.
-ORACLE_DIM_LIMIT = 4096
 # Distinct delays beyond which compose_arms refuses to run: 16x the 1,024 bins
 # of ten crystals at 150 * 2^k um. A 2^14-bin arm composes in about a second.
 COMPOSE_BIN_LIMIT = 2**14
@@ -219,77 +203,6 @@ def compose_arms(arms: Sequence[ArmSpec]) -> tuple[np.ndarray, np.ndarray]:
     kraus[vanish] = 0.0
     keep = ~np.logical_and.reduce(vanish)
     return delays.compress(keep), kraus.compress(keep, axis=1)
-
-
-def _gcd(a: float, b: float) -> float:
-    """Euclid's algorithm on delays; a remainder within ORACLE_GRID_TOL ends it."""
-    while b > ORACLE_GRID_TOL:
-        a, b = b, a % b
-    return a
-
-
-def _shift(delay: float, unit: float) -> int:
-    return round(delay / unit) if unit else 0
-
-
-def _delay_grid(arms: Sequence[ArmSpec]) -> tuple[float, int]:
-    """Unit and bin count of a time grid that holds every delay of ``arms``.
-
-    The unit is the gcd of the crystal delays (0 when every delay is within
-    ORACLE_GRID_TOL of zero). Bin 0 is the input bin, and the grid reaches the
-    largest total crystal delay of any one arm, so cyclic shifts of a vector
-    that starts in bin 0 never wrap. Raises ResourceLimitError, before
-    anything is allocated, when the joint dimension 4 * bins exceeds
-    ORACLE_DIM_LIMIT; incommensurate delays drive the unit towards
-    ORACLE_GRID_TOL and end there.
-    """
-    crystals = [[e.delay for e in arm if isinstance(e, Crystal)] for arm in arms]
-    unit = reduce(_gcd, (d for delays in crystals for d in delays), 0.0)
-    n = 1 + max((sum(_shift(d, unit) for d in delays) for delays in crystals), default=0)
-    if 4 * n > ORACLE_DIM_LIMIT:
-        raise ResourceLimitError(
-            f"resource limit: joint dimension {4 * n} exceeds "
-            f"{ORACLE_DIM_LIMIT} (time grid of {n} bins at {unit:.6g} um)")
-    return unit, n
-
-
-def _stacked_ops(elems: Sequence[ArmElement]) -> np.ndarray:
-    """Operators (arms, 2, 2) of elements of one kind across an arm stack: a
-    crystal's e-ray projector, a waveplate's Jones matrix or a raw unitary,
-    built from one array of angles rather than per element."""
-    kind = type(elems[0])
-    if kind is RawUnitary:
-        return np.array([e.matrix for e in elems])
-    angles = np.array([e.axis_angle for e in elems])
-    if kind is Crystal:
-        ket_e = rotated_basis(angles)[1]
-        return np.einsum("pa,qa->apq", ket_e, ket_e.conj())
-    if kind is Waveplate:
-        return half_waveplate(angles).transpose(2, 0, 1)
-    raise ValueError(f"unknown arm element {elems[0]!r}")
-
-
-def _evolve_arm(arms: Sequence[ArmSpec], cols: np.ndarray, unit: float) -> np.ndarray:
-    """Apply a stack of arms element by element to columns on polarization (x)
-    time bins.
-
-    ``cols`` has shape (arms, 2, bins, k), one slice per arm. The arms must
-    share one ``arm_structure``, which is not checked here: the one caller,
-    ``_path_gram``, stacks only arms grouped by that key. A crystal acts as
-    P_o (x) I + P_e (x) S_d, with S_d the cyclic shift by its delay in grid
-    units, computed as x + P_e (S_d x - x) because P_o + P_e = I; waveplates
-    and raw unitaries act as U (x) I.
-    """
-    for elems in zip(*arms):
-        ops = _stacked_ops(elems)
-        if type(elems[0]) is Crystal:
-            k, n = _shift(elems[0].delay, unit), cols.shape[2]
-            # S_d x - x, with S_d the cyclic shift by k bins (np.roll, less overhead)
-            delayed = np.concatenate((cols[:, :, n - k:], cols[:, :, :n - k]), axis=2) - cols
-            cols = cols + np.einsum("apq,aq...->ap...", ops, delayed)
-        else:
-            cols = np.einsum("apq,aq...->ap...", ops, cols)
-    return cols
 
 
 def arm_channel_apply(kraus: np.ndarray, rho) -> np.ndarray:

@@ -20,7 +20,6 @@ __all__ = [
     "CPTP_ATOL",
     "UNITARY_ATOL",
     "CptpCheck",
-    "beamsplitter",
     "rotated_basis",
     "half_waveplate",
     "maximally_mixed",
@@ -33,11 +32,6 @@ TRACE_ATOL = 1e-10
 EIGENVALUE_FLOOR = -1e-10
 CPTP_ATOL = 1e-10
 UNITARY_ATOL = 1e-10
-
-
-def beamsplitter() -> np.ndarray:
-    """50/50 beamsplitter unitary on the path qubit, (1/sqrt2) [[1, 1], [-1, 1]]."""
-    return np.array([[1.0, 1.0], [-1.0, 1.0]], dtype=complex) / np.sqrt(2.0)
 
 
 def rotated_basis(theta: float) -> np.ndarray:

@@ -20,11 +20,16 @@ composes each distinct arm structure (``arm_structure``: element kinds and
 crystal delays) once and joins the pairs of each (upper, lower) structure
 once, and the oracle evolves the pairs of each (upper, lower) structure as one
 stack in memory-bounded blocks. A pair's result has the same bits in any
-group and in any stack. The oracle groups by structure alone and never
-composes a Kraus set, so it is an independent check of ``compose_arms``.
-``InterferometerSpec``, a plain record of two arms and a state, and
-``oracle_contrast`` are the one-spec interface of the benchmark's correctness
-gate; no command uses them.
+group and in any stack.
+
+The whole oracle lives here: its time grid at the gcd of the crystal delays
+(``_delay_grid``, up to ``ORACLE_DIM_LIMIT``), its arm evolution
+(``_evolve_arm``) through element matrices and a beamsplitter of its own, and
+the path Gram. Composing no Kraus set and calling no element constructor, it
+checks ``compose_arms`` rather than repeating it; with the contrast it shares
+``arm_structure``, ``_groups`` and ``_input_states``. ``InterferometerSpec``,
+a plain record of two arms and a state, and ``oracle_contrast`` are the
+one-spec interface of the benchmark's correctness gate; no command uses them.
 
 Time-bin orthogonality is binary here: delays matching within
 ``DELAY_MERGE_TOL`` interfere fully, all others not at all. Partial wavepacket
@@ -33,19 +38,32 @@ overlap is out of scope.
 
 from __future__ import annotations
 
+from functools import reduce
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .arms import (DELAY_MERGE_TOL, ArmSpec, _delay_grid, _evolve_arm, arm_structure,
-                   compose_arms)
-from .core import beamsplitter, validate_density_matrix
+from .arms import (DELAY_MERGE_TOL, ArmElement, ArmSpec, Crystal, RawUnitary,
+                   ResourceLimitError, Waveplate, arm_structure, compose_arms)
+from .core import validate_density_matrix
 
 __all__ = [
+    "ORACLE_DIM_LIMIT",
     "shared_env_contrasts",
     "output_probability",
     "oracle_contrasts",
 ]
+
+# Remainder at which the oracle's Euclid ends the gcd of its time grid. It has
+# DELAY_MERGE_TOL's value but is its own constant, so that a change to the
+# merge rule leaves the oracle that checks it unchanged.
+ORACLE_GRID_TOL = 1e-9
+# Joint path x polarization x time-bin dimension beyond which the oracle
+# refuses to run.
+ORACLE_DIM_LIMIT = 4096
+# The oracle's 50/50 beamsplitter on the path qubit; the closing one is its inverse.
+_BEAMSPLITTER = np.array([[1.0, 1.0], [-1.0, 1.0]], dtype=complex) / np.sqrt(2.0)
+_BEAMSPLITTER.setflags(write=False)
 
 # Bytes of evolved oracle state (2 paths x 2 polarizations x bins x 2 columns,
 # complex) per block of stacked specs: 10 specs on the 47-bin grid of the
@@ -165,6 +183,81 @@ def output_probability(c: complex, phi):
     return float(p) if p.ndim == 0 else p
 
 
+def _gcd(a: float, b: float) -> float:
+    """Euclid's algorithm on delays; a remainder within ORACLE_GRID_TOL ends it."""
+    while b > ORACLE_GRID_TOL:
+        a, b = b, a % b
+    return a
+
+
+def _shift(delay: float, unit: float) -> int:
+    return round(delay / unit) if unit else 0
+
+
+def _delay_grid(arms: Sequence[ArmSpec]) -> tuple[float, int]:
+    """Unit and bin count of a time grid that holds every delay of ``arms``.
+
+    The unit is the gcd of the crystal delays (0 when every delay is within
+    ORACLE_GRID_TOL of zero). Bin 0 is the input bin, and the grid reaches the
+    largest total crystal delay of any one arm, so cyclic shifts of a vector
+    that starts in bin 0 never wrap. Raises ResourceLimitError, before
+    anything is allocated, when the joint dimension 4 * bins exceeds
+    ORACLE_DIM_LIMIT; incommensurate delays drive the unit towards
+    ORACLE_GRID_TOL and end there.
+    """
+    crystals = [[e.delay for e in arm if isinstance(e, Crystal)] for arm in arms]
+    unit = reduce(_gcd, (d for delays in crystals for d in delays), 0.0)
+    n = 1 + max((sum(_shift(d, unit) for d in delays) for delays in crystals), default=0)
+    if 4 * n > ORACLE_DIM_LIMIT:
+        raise ResourceLimitError(
+            f"resource limit: joint dimension {4 * n} exceeds "
+            f"{ORACLE_DIM_LIMIT} (time grid of {n} bins at {unit:.6g} um)")
+    return unit, n
+
+
+def _stacked_ops(elems: Sequence[ArmElement]) -> np.ndarray:
+    """Operators (arms, 2, 2) of elements of one kind across an arm stack, from
+    angles t with c, s = cos t, sin t, written out rather than built by the
+    constructors composition uses: a crystal's e-ray projector ket_e ket_e^T
+    with ket_e = (-s, c), a waveplate's reflection R(t) diag(1, -1) R(t)^T, or
+    a raw unitary as given."""
+    kind = type(elems[0])
+    if kind is RawUnitary:
+        return np.array([e.matrix for e in elems])
+    angles = np.array([e.axis_angle for e in elems])
+    c, s = np.cos(angles), np.sin(angles)
+    if kind is Crystal:
+        ops = [[s * s, -s * c], [-c * s, c * c]]
+    elif kind is Waveplate:
+        ops = [[c * c - s * s, c * s + s * c], [s * c + c * s, s * s - c * c]]
+    else:
+        raise ValueError(f"unknown arm element {elems[0]!r}")
+    return np.array(ops, dtype=complex).transpose(2, 0, 1)
+
+
+def _evolve_arm(arms: Sequence[ArmSpec], cols: np.ndarray, unit: float) -> np.ndarray:
+    """Apply a stack of arms element by element to columns on polarization (x)
+    time bins.
+
+    ``cols`` has shape (arms, 2, bins, k), one slice per arm. The arms must
+    share one ``arm_structure``, which is not checked here: the one caller,
+    ``_path_gram``, stacks only arms grouped by that key. A crystal acts as
+    P_o (x) I + P_e (x) S_d, with S_d the cyclic shift by its delay in grid
+    units, computed as x + P_e (S_d x - x) because P_o + P_e = I; waveplates
+    and raw unitaries act as U (x) I.
+    """
+    for elems in zip(*arms):
+        ops = _stacked_ops(elems)
+        if type(elems[0]) is Crystal:
+            k, n = _shift(elems[0].delay, unit), cols.shape[2]
+            # S_d x - x, with S_d the cyclic shift by k bins (np.roll, less overhead)
+            delayed = np.concatenate((cols[:, :, n - k:], cols[:, :, :n - k]), axis=2) - cols
+            cols = cols + np.einsum("apq,aq...->ap...", ops, delayed)
+        else:
+            cols = np.einsum("apq,aq...->ap...", ops, cols)
+    return cols
+
+
 def _path_gram(uppers: Sequence[ArmSpec], lowers: Sequence[ArmSpec], rho) -> np.ndarray:
     """Gram matrices (pair, path, path) of the oracle's arm-evolved path
     states, one per arm pair (``uppers[i]``, ``lowers[i]``) with input
@@ -179,7 +272,7 @@ def _path_gram(uppers: Sequence[ArmSpec], lowers: Sequence[ArmSpec], rho) -> np.
     stacks (``_evolve_arm``), in blocks whose state fits
     ``_ORACLE_BLOCK_BYTES``.
     """
-    split = beamsplitter()[:, 0]
+    split = _BEAMSPLITTER[:, 0]
     evals, evecs = np.linalg.eigh(rho)
     states = np.broadcast_to(evecs * np.sqrt(np.maximum(evals, 0.0))[..., None, :],
                              (len(uppers), 2, 2))
@@ -211,7 +304,7 @@ def _port_probabilities(gram: np.ndarray, phis: np.ndarray) -> np.ndarray:
     diagonally on the path.
     """
     plate = np.exp(1j * np.multiply.outer(phis, (0.0, 1.0)))  # diag(1, e^{i phi})
-    rows = beamsplitter().conj().T[:, None, :] * plate
+    rows = _BEAMSPLITTER.conj().T[:, None, :] * plate
     return np.einsum("kip,...pq,kiq->...ki", rows.conj(), gram, rows).real
 
 

@@ -20,6 +20,8 @@ def random_unitary(rng: np.random.Generator, d: int = 2) -> np.ndarray:
 
 
 MIXED = maximally_mixed(2)
+# angles in radians over [-10, 10], endpoints and zero included
+ANGLES = np.linspace(-10.0, 10.0, 401)
 
 
 def compose_one(arm) -> tuple[np.ndarray, np.ndarray]:

@@ -16,9 +16,11 @@ from mzfringe import (
     blindness_demo,
     compose_arms,
     fit_fringe,
+    half_waveplate,
     maximally_mixed,
     poisson_fringe,
     qkd_visibility,
+    rotated_basis,
     validate_cptp,
 )
 from mzfringe.cli import main
@@ -103,6 +105,20 @@ def test_oracle_catches_widened_delay_merging(monkeypatch):
 def test_oracle_catches_widened_delay_join(monkeypatch):
     # join delays within 100 um while composition keeps arms.DELAY_MERGE_TOL
     monkeypatch.setattr(mzfringe.interferometer, "DELAY_MERGE_TOL", 100.0)
+    assert _criterion_3_max_delta() > 1e-3
+
+
+# Composition builds its elements through these arms bindings and the oracle
+# writes its matrices out, so a fault in either constructor reaches the
+# contrast alone.
+def test_oracle_catches_a_shifted_crystal_basis(monkeypatch):
+    monkeypatch.setattr(mzfringe.arms, "rotated_basis", lambda theta: rotated_basis(theta + 0.05))
+    assert _criterion_3_max_delta() > 1e-3
+
+
+def test_oracle_catches_a_shifted_waveplate(monkeypatch):
+    monkeypatch.setattr(mzfringe.arms, "half_waveplate",
+                        lambda theta: half_waveplate(theta + 0.05))
     assert _criterion_3_max_delta() > 1e-3
 
 

@@ -4,7 +4,6 @@ import tracemalloc
 import numpy as np
 import pytest
 
-import mzfringe.arms
 from conftest import compose_one, random_unitary
 from mzfringe import (
     Crystal,
@@ -22,22 +21,11 @@ from mzfringe.arms import (
     DELAY_MERGE_TOL,
     ZERO_OP_TOL,
     ResourceLimitError,
-    _delay_grid,
-    _evolve_arm,
 )
 from mzfringe.experiments import default_beta_grid, random_arm, standard_arms
 from mzfringe.tomography import PROBE_STATES
 
 I2 = np.eye(2, dtype=complex)
-
-
-def arm_dilation(arm):
-    """Exact unitary of an arm on polarization (x) time bins, from identity
-    columns evolved through the oracle's stacked evolution. Rows and columns
-    are indexed pol-major, p * len(bins) + bin."""
-    unit, n = _delay_grid([arm])
-    cols = np.eye(2 * n, dtype=complex).reshape(1, 2, n, 2 * n)
-    return _evolve_arm([arm], cols, unit)[0].reshape(2 * n, 2 * n), [k * unit for k in range(n)]
 
 
 def projector(ket):
@@ -243,52 +231,6 @@ def test_channel_of_an_empty_arm_stack_is_an_empty_stack():
     assert arm_channel_apply(compose_arms([])[1], PROBE_STATES).shape == (0, 4, 2, 2)
 
 
-def test_oracle_grid_does_not_read_the_merge_tolerance(monkeypatch):
-    # a merge tolerance of 100 um would end Euclid on 150 and 75 at 150
-    arms = [[Crystal(0.3, 150.0)], [Crystal(0.1, 75.0), Crystal(0.2, 310.0)]]
-    grid = _delay_grid(arms)
-    assert grid == (5.0, 78)
-    monkeypatch.setattr(mzfringe.arms, "DELAY_MERGE_TOL", 100.0)
-    assert _delay_grid(arms) == grid
-
-
-def test_dilation_empty_arm():
-    u, bins = arm_dilation([])
-    assert bins == [0.0]
-    np.testing.assert_allclose(u, I2)
-
-
-def test_dilation_single_crystal_blocks():
-    u, bins = arm_dilation([Crystal(0.0, 310.0)])
-    assert bins == [0.0, 310.0]
-    n = len(bins)
-
-    def extract(k):
-        return np.array([[u[p * n + k, q * n + 0] for q in range(2)]
-                         for p in range(2)])
-
-    np.testing.assert_allclose(extract(0), np.diag([1.0, 0.0]), atol=1e-14)
-    np.testing.assert_allclose(extract(1), np.diag([0.0, 1.0]), atol=1e-14)
-
-
-def test_dilation_reproduces_composed_kraus():
-    # the grid can hold bins the arm cannot reach; their blocks are zero
-    rng = np.random.default_rng(53)
-    for _ in range(30):
-        arm = random_arm(rng, max_elements=3)
-        delays, ops = compose_one(arm)
-        kraus = dict(zip(delays.tolist(), ops))
-        u, bins = arm_dilation(arm)
-        n = len(bins)
-        np.testing.assert_allclose(u.conj().T @ u, np.eye(2 * n), atol=1e-12)
-        for k, delay in enumerate(bins):
-            block = np.array([[u[p * n + k, q * n + 0] for q in range(2)]
-                              for p in range(2)])
-            np.testing.assert_allclose(block, kraus.pop(delay, np.zeros((2, 2))),
-                                       atol=1e-12)
-        assert not kraus, f"composed delays {list(kraus)} missing from the grid"
-
-
 def test_compose_refuses_arms_past_the_bin_limit_at_once():
     # 40 crystals at 150 * 2^k um reach 2^40 distinct delays; the check stops
     # at the first crystal past 2^14 and builds no operators
@@ -375,20 +317,6 @@ def test_stacked_evolution_rejects_mixed_structures(lower, message):
     # composition checks the stack rather than using the first arm's delays
     with pytest.raises(ValueError, match=message):
         compose_arms([arm, lower])
-
-
-def test_stacked_evolution_equals_single_arm_evolutions():
-    # angles and unitaries differ across the stack; kinds and delays are shared
-    rng = np.random.default_rng(113)
-    arms = [[Crystal(rng.uniform(0, np.pi), 150.0), Waveplate(rng.uniform(0, np.pi)),
-             RawUnitary(random_unitary(rng)), Crystal(rng.uniform(0, np.pi), 310.0)]
-            for _ in range(5)]
-    unit, n = _delay_grid(arms[:1])
-    cols = rng.normal(size=(5, 2, n, 3)) + 1j * rng.normal(size=(5, 2, n, 3))
-    stacked = _evolve_arm(arms, cols, unit)
-    for i, arm in enumerate(arms):
-        np.testing.assert_allclose(stacked[i], _evolve_arm([arm], cols[i:i + 1], unit)[0],
-                                   atol=1e-15)
 
 
 def stacks_under_test():

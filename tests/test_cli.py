@@ -351,7 +351,7 @@ def test_counts_and_fit_csv_golden(tmp_path):
     (["tomography", "--beta-points", "25"],
      "d4dae4e9ae722124227698a4e7be32e3b0c4373ddd3763bb1c74db58b24c90a1"),
     (["oracle-check", "--specs", "20", "--seed", "5"],
-     "d06d1b94083aeb69f3ea1aae5e4a34b9b438a8185d4ed12c4cb65d42ae6b3532"),
+     "2db2347f566fc58ee7b3bd1ad7a445db2fc58b161008e6f4a5d0badf78931161"),
     (["qkd", "--segments", "crystal:60deg:310|crystal:0:150|crystal:60deg:150|crystal:0:310"],
      "f1dae9ceff9785945b1df77fb16b79ef567cf3f1b81a052a573aa3587f2f570e"),
     (["fringe", "--variant", "d", "--beta", "22.5deg", "--phases", "64"],

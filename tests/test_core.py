@@ -1,30 +1,27 @@
 import numpy as np
 import pytest
 
-from conftest import random_density
+from conftest import ANGLES, random_density
 from mzfringe import (
-    beamsplitter,
     half_waveplate,
     maximally_mixed,
     rotated_basis,
     validate_cptp,
     validate_density_matrix,
 )
+from mzfringe.interferometer import _BEAMSPLITTER
 
 I2 = np.eye(2, dtype=complex)
-
-# angles in radians over [-10, 10], endpoints and zero included
-ANGLES = np.linspace(-10.0, 10.0, 401)
 
 
 def test_beamsplitter_squared():
     # hand multiplication of the 50/50 splitter with itself
     expected = np.array([[0.0, 1.0], [-1.0, 0.0]])
-    np.testing.assert_allclose(beamsplitter() @ beamsplitter(), expected, atol=1e-15)
+    np.testing.assert_allclose(_BEAMSPLITTER @ _BEAMSPLITTER, expected, atol=1e-15)
 
 
 def test_beamsplitter_entries():
-    u = beamsplitter()
+    u = _BEAMSPLITTER
     assert u[0, 0] == pytest.approx(1 / np.sqrt(2))
     assert u[1, 0] == pytest.approx(-1 / np.sqrt(2))
     np.testing.assert_allclose(u.conj().T @ u, I2, atol=1e-15)
@@ -65,7 +62,7 @@ def test_half_waveplate_involution():
 
 def test_optical_elements_unitary():
     for theta in ANGLES:
-        for m in (beamsplitter(), half_waveplate(theta)):
+        for m in (_BEAMSPLITTER, half_waveplate(theta)):
             np.testing.assert_allclose(m.conj().T @ m, I2, atol=1e-12)
 
 

@@ -4,11 +4,12 @@ from bisect import bisect_left, bisect_right
 import numpy as np
 import pytest
 
-from conftest import (MIXED, compose_one, contrast, oracle, random_density, random_pair,
+import mzfringe.interferometer
+from conftest import (ANGLES, MIXED, compose_one, contrast, oracle, random_density, random_pair,
                       random_unitary, standard_pair)
-from mzfringe.arms import (DELAY_MERGE_TOL, ORACLE_DIM_LIMIT, ResourceLimitError, _delay_grid,
-                           arm_structure)
-from mzfringe.interferometer import (InterferometerSpec, _path_gram, _port_probabilities,
+from mzfringe.arms import DELAY_MERGE_TOL, ResourceLimitError, arm_structure
+from mzfringe.interferometer import (ORACLE_DIM_LIMIT, InterferometerSpec, _delay_grid,
+                                     _evolve_arm, _path_gram, _port_probabilities, _stacked_ops,
                                      oracle_contrast, oracle_contrasts, shared_env_contrasts)
 from mzfringe import (
     Crystal,
@@ -29,6 +30,15 @@ def oracle_ports(upper, lower, rho, phis):
     Gram matrix; port 0 is the lower port."""
     return _port_probabilities(_path_gram([upper], [lower], rho),
                                np.asarray(phis, dtype=float))[0]
+
+
+def arm_dilation(arm):
+    """Exact unitary of an arm on polarization (x) time bins, from identity
+    columns evolved through the oracle's stacked evolution. Rows and columns
+    are indexed pol-major, p * len(bins) + bin."""
+    unit, n = _delay_grid([arm])
+    cols = np.eye(2 * n, dtype=complex).reshape(1, 2, n, 2 * n)
+    return _evolve_arm([arm], cols, unit)[0].reshape(2 * n, 2 * n), [k * unit for k in range(n)]
 
 
 def test_empty_arms_full_contrast():
@@ -325,6 +335,76 @@ def test_oracle_at_dimension_limit():
     c = contrast(upper, lower)
     assert abs(c) > 0.1
     assert abs(c - oracle(upper, lower)) < 1e-9
+
+
+def test_oracle_grid_does_not_read_the_merge_tolerance(monkeypatch):
+    # a merge tolerance of 100 um would end Euclid on 150 and 75 at 150
+    arms = [[Crystal(0.3, 150.0)], [Crystal(0.1, 75.0), Crystal(0.2, 310.0)]]
+    grid = _delay_grid(arms)
+    assert grid == (5.0, 78)
+    monkeypatch.setattr(mzfringe.interferometer, "DELAY_MERGE_TOL", 100.0)
+    assert _delay_grid(arms) == grid
+
+
+def test_dilation_empty_arm():
+    u, bins = arm_dilation([])
+    assert bins == [0.0]
+    np.testing.assert_allclose(u, I2)
+
+
+def test_dilation_single_crystal_blocks():
+    u, bins = arm_dilation([Crystal(0.0, 310.0)])
+    assert bins == [0.0, 310.0]
+    n = len(bins)
+
+    def extract(k):
+        return np.array([[u[p * n + k, q * n + 0] for q in range(2)]
+                         for p in range(2)])
+
+    np.testing.assert_allclose(extract(0), np.diag([1.0, 0.0]), atol=1e-14)
+    np.testing.assert_allclose(extract(1), np.diag([0.0, 1.0]), atol=1e-14)
+
+
+def test_dilation_reproduces_composed_kraus():
+    # the grid can hold bins the arm cannot reach; their blocks are zero
+    rng = np.random.default_rng(53)
+    for _ in range(30):
+        arm = random_arm(rng, max_elements=3)
+        delays, ops = compose_one(arm)
+        kraus = dict(zip(delays.tolist(), ops))
+        u, bins = arm_dilation(arm)
+        n = len(bins)
+        np.testing.assert_allclose(u.conj().T @ u, np.eye(2 * n), atol=1e-12)
+        for k, delay in enumerate(bins):
+            block = np.array([[u[p * n + k, q * n + 0] for q in range(2)]
+                              for p in range(2)])
+            np.testing.assert_allclose(block, kraus.pop(delay, np.zeros((2, 2))),
+                                       atol=1e-12)
+        assert not kraus, f"composed delays {list(kraus)} missing from the grid"
+
+
+def test_stacked_evolution_equals_single_arm_evolutions():
+    # angles and unitaries differ across the stack; kinds and delays are shared
+    rng = np.random.default_rng(113)
+    arms = [[Crystal(rng.uniform(0, np.pi), 150.0), Waveplate(rng.uniform(0, np.pi)),
+             RawUnitary(random_unitary(rng)), Crystal(rng.uniform(0, np.pi), 310.0)]
+            for _ in range(5)]
+    unit, n = _delay_grid(arms[:1])
+    cols = rng.normal(size=(5, 2, n, 3)) + 1j * rng.normal(size=(5, 2, n, 3))
+    stacked = _evolve_arm(arms, cols, unit)
+    for i, arm in enumerate(arms):
+        np.testing.assert_allclose(stacked[i], _evolve_arm([arm], cols[i:i + 1], unit)[0],
+                                   atol=1e-15)
+
+
+def test_oracle_element_matrices_equal_the_constructors():
+    # the oracle writes its matrices out; composition calls the constructors
+    crystals = _stacked_ops([Crystal(t, 150.0) for t in ANGLES])
+    plates = _stacked_ops([Waveplate(t) for t in ANGLES])
+    projectors = [np.outer(ket, ket.conj()) for ket in rotated_basis(ANGLES)[1].T]
+    np.testing.assert_allclose(crystals, projectors, rtol=0, atol=1e-15)
+    np.testing.assert_allclose(plates, half_waveplate(ANGLES).transpose(2, 0, 1),
+                               rtol=0, atol=1e-15)
 
 
 def test_spec_validates_input_state():

@@ -60,10 +60,9 @@ def test_modules_import_along_the_layers():
         assert {n[1:] for n in names if n.startswith(".")} == LAYERS[path.stem], path.name
 
 
-# Private names a module may still import from another, by (importer, source).
-# The one pair left is the oracle's time grid, due to move from arms into a
-# module of its own.
-PRIVATE_IMPORTS = {("interferometer", "arms"): {"_delay_grid", "_evolve_arm"}}
+# Private names a module may still import from another, by (importer, source):
+# none.
+PRIVATE_IMPORTS = {}
 
 
 def test_modules_import_no_private_names_from_each_other():
@@ -79,14 +78,16 @@ def test_modules_import_no_private_names_from_each_other():
 
 # The dilation oracle, by module, and the names of the code it checks. The
 # oracle shares only the structure key, arm_structure, with composition and
-# the contrast, so none of its functions may name any of these.
+# the contrast, and builds its element matrices itself, so none of its
+# functions may name any of these.
 ORACLE = {
-    "arms": {"_gcd", "_shift", "_delay_grid", "_stacked_ops", "_evolve_arm"},
-    "interferometer": {"_path_gram", "_port_probabilities", "oracle_contrasts",
+    "interferometer": {"_gcd", "_shift", "_delay_grid", "_stacked_ops", "_evolve_arm",
+                       "_path_gram", "_port_probabilities", "oracle_contrasts",
                        "oracle_contrast"},
 }
 CHECKED = {"compose_arms", "_check_stack", "_element_kraus", "_kraus_contrasts",
-           "shared_env_contrasts", "DELAY_MERGE_TOL", "ZERO_OP_TOL"}
+           "shared_env_contrasts", "DELAY_MERGE_TOL", "ZERO_OP_TOL", "rotated_basis",
+           "half_waveplate"}
 
 
 def test_the_oracle_names_none_of_the_code_it_checks():
