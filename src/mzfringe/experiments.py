@@ -15,7 +15,7 @@ Photon counting is modeled as independent Poisson draws per phase point from a
 deterministic, documented sampler (see ``poisson_fringe``). The uniform draws
 for all points of a fringe are computed in one array pass; point i's draw
 equals ``np.random.default_rng([seed, i]).random()`` bit for bit. Fringes are
-recovered by a Gauss-Newton least-squares fit of A (1 + v cos(phi + psi)).
+fitted as A + a cos(phi) + b sin(phi), linear in (A, a, b), by reweighted least squares.
 """
 
 from __future__ import annotations
@@ -291,25 +291,19 @@ class FitResult:
     converged: bool
 
 
-def _fringe_model_and_jacobian(phis, amp, vis, psi):
-    """Model A (1 + v cos(phi + psi)) at ``phis`` and its Jacobian in (A, v, psi)."""
-    cos, sin = np.cos(phis + psi), np.sin(phis + psi)
-    jac = np.column_stack([1.0 + vis * cos, amp * cos, -amp * vis * sin])
-    return amp * jac[:, 0], jac
-
-
 def fit_fringe(phis: Sequence[float], counts: Sequence[float]) -> FitResult:
-    """Least-squares fringe fit of A (1 + v cos(phi + psi)) to ``counts`` at ``phis``.
+    """Poisson-weighted least-squares fit of A (1 + v cos(phi + psi)) to ``counts`` at ``phis``.
 
-    Initializes from the unit-frequency discrete Fourier component, then
-    refines with Gauss-Newton under Poisson weights (variance taken as the
-    model value, floored at one count) for at most 100 iterations or until the
-    step norm drops below 1e-10. The visibility standard error comes from the
-    weighted Jacobian at the optimum. Counts are treated as real-valued
-    measurements, so exactly noiseless synthetic fringes are recovered to
-    numerical precision. Counts that sum to 0 (every count 0) hold no fringe
-    and raise ``ValueError``, as do fewer than 4 records or phases spanning at
-    most pi.
+    Fits A + a cos(phi) + b sin(phi), linear in (A, a, b) with a = A v cos(psi)
+    and b = -A v sin(psi), by iteratively reweighted least squares: from
+    (mean count, 0, 0), whose first step is the unweighted fit, each step solves
+    the 3x3 normal equations under the weights 1 / max(model, 1), for at most
+    100 steps or until the step norm drops below 1e-10. Then v = hypot(a, b) / A,
+    clipped to 1, psi = atan2(-b, a), and the visibility standard error is
+    sqrt(g^T (X^T W X)^-1 g) with g = (-v, cos psi, -sin psi) / A, both at the
+    clipped point. Counts may be real-valued, so noiseless fringes are recovered
+    to numerical precision. Fewer than 4 records, phases spanning at most pi,
+    fewer than 3 distinct phases, or counts that sum to 0 raise ``ValueError``.
     """
     phis = np.asarray(phis, dtype=float)
     counts = np.asarray(counts, dtype=float)
@@ -317,41 +311,31 @@ def fit_fringe(phis: Sequence[float], counts: Sequence[float]) -> FitResult:
         raise ValueError("need at least 4 records to fit a fringe")
     if phis.max() - phis.min() <= np.pi:
         raise ValueError("records must span more than half a fringe period")
+    design = np.column_stack([np.ones_like(phis), np.cos(phis), np.sin(phis)])
+    if np.linalg.matrix_rank(design.T @ design) < 3:  # the rank the normal equations see
+        raise ValueError("need at least 3 distinct phases to fit a fringe")
 
-    amp = float(counts.mean())
-    if amp <= 0.0:
+    coef = np.array([counts.mean(), 0.0, 0.0])
+    if coef[0] <= 0.0:
         raise ValueError("counts must sum to more than 0 to fit a fringe")
-    z = np.mean(counts * np.exp(-1j * phis))
-    psi = float(np.angle(z))
-    vis = float(min(2.0 * abs(z) / amp, 1.0))
-
-    theta = np.array([amp, vis, psi], dtype=float)
-    iterations = 0
     converged = False
-    for _ in range(100):
-        iterations += 1
-        model, jac = _fringe_model_and_jacobian(phis, *theta)
-        w = 1.0 / np.maximum(model, 1.0)
-        sw = np.sqrt(w)
-        resid = counts - model
-        step, *_ = np.linalg.lstsq(sw[:, None] * jac, sw * resid, rcond=None)
-        theta = theta + step
-        if float(np.linalg.norm(step)) < 1e-10:
+    for iterations in range(1, 101):
+        model = design @ coef
+        weighted = design.T / np.maximum(model, 1.0)
+        step = np.linalg.solve(weighted @ design, weighted @ (counts - model))
+        coef += step
+        if np.linalg.norm(step) < 1e-10:
             converged = True
             break
 
-    amp, vis, psi = (float(t) for t in theta)
-    if vis < 0.0:  # fold the (v, psi) -> (-v, psi + pi) symmetry
-        vis, psi = -vis, psi + np.pi
-    psi = float(np.arctan2(np.sin(psi), np.cos(psi)))
-    vis = min(vis, 1.0)
-
-    model, jac = _fringe_model_and_jacobian(phis, amp, vis, psi)
-    w = 1.0 / np.maximum(model, 1.0)
-    normal = jac.T @ (w[:, None] * jac)
-    cov = np.linalg.pinv(normal)
-    stderr = float(np.sqrt(max(cov[1, 1].real, 0.0)))
-    return FitResult(amp, vis, psi, stderr, iterations, converged)
+    amp, a, b = coef
+    vis = min(np.hypot(a, b) / amp, 1.0)
+    psi = np.arctan2(0.0 - b, a + 0.0)  # no -0.0: a flat fringe gets psi 0, not -0
+    cos, sin = np.cos(psi), np.sin(psi)
+    weighted = design.T / np.maximum(design @ (amp * np.array([1.0, vis * cos, -vis * sin])), 1.0)
+    grad = np.array([-vis, cos, -sin]) / amp
+    stderr = np.sqrt(grad @ np.linalg.solve(weighted @ design, grad))
+    return FitResult(float(amp), float(vis), float(psi), float(stderr), iterations, converged)
 
 
 # Crystal delays of random arms. Indexing them by rng.integers(4) draws what

@@ -240,6 +240,8 @@ def test_fit_runtime_error_maps_to_exit_1(tmp_path, capsys, monkeypatch):
 @pytest.mark.parametrize("rows, reason", [
     ("0,10\n3.2,12\n", "at least 4 records"),
     ("0,10\n1,12\n2,11\n3,9\n", "more than half a fringe period"),
+    pytest.param("0,10\n0,12\n4,30\n4,28\n", "at least 3 distinct phases",
+                 id="two-distinct-phases"),
     pytest.param("", "at least 4 records", id="header-only"),
     pytest.param("\n\n", "at least 4 records", id="header-and-blank-lines"),
 ])
@@ -342,7 +344,7 @@ def test_counts_and_fit_csv_golden(tmp_path):
     assert hashlib.sha256(counts.read_bytes()).hexdigest() == \
         "fa6506a619d934055507ef87d6c91a944e1e493a004e6a48e8dbba8895bd298b"
     assert hashlib.sha256(fit.read_bytes()).hexdigest() == \
-        "a411242632a8b064e145cb3d4cf28223a639d11769967951f60b0d9c34b55bc9"
+        "53fa8af08ff54bb810a02705bc3b25d08c67f3347746f23341642c7a4cc99216"
 
 
 @pytest.mark.parametrize("args, digest", [

@@ -259,6 +259,71 @@ def test_fit_statistical_recovery():
     assert abs(fit.visibility_hat - 0.75) < 0.02
 
 
+@pytest.mark.parametrize("phis", [[0.0, 0.0, 4.0, 4.0], [0.0, 2 * np.pi, 4.0, 4.0],
+                                  [0.0, 1e-9, 4.0, 4.0]])
+def test_fit_requires_3_distinct_phases(phis):
+    # two points of the fringe 4 rad apart span more than pi but cannot fix
+    # three parameters; phases 1e-9 apart leave the normal equations singular
+    with pytest.raises(ValueError, match="at least 3 distinct phases"):
+        fit_fringe(phis, [10, 12, 30, 28])
+
+
+def test_fit_of_a_flat_fringe_is_exactly_zero_visibility():
+    fit = fit_fringe(uniform_phases(64), np.full(64, 100))
+    assert fit.converged
+    assert fit.visibility_hat == 0.0
+    assert fit.stderr_visibility == pytest.approx(np.sqrt(2 / (64 * 100)), rel=1e-12)
+    assert fit.phase_hat == 0.0 and not np.signbit(fit.phase_hat)  # the CSV prints 0, not -0
+
+
+def gauss_newton_fit(phis, counts):
+    """Gauss-Newton on (A, v, psi), the fit that the linear one replaced: the
+    reference its estimates must reproduce."""
+    def model_and_jacobian(amp, vis, psi):
+        cos, sin = np.cos(phis + psi), np.sin(phis + psi)
+        jac = np.column_stack([1.0 + vis * cos, amp * cos, -amp * vis * sin])
+        return amp * jac[:, 0], jac
+
+    phis = np.asarray(phis, dtype=float)
+    counts = np.asarray(counts, dtype=float)
+    amp = float(counts.mean())
+    z = np.mean(counts * np.exp(-1j * phis))
+    theta = np.array([amp, min(2.0 * abs(z) / amp, 1.0), np.angle(z)])
+    converged = False
+    for _ in range(100):
+        model, jac = model_and_jacobian(*theta)
+        sw = np.sqrt(1.0 / np.maximum(model, 1.0))
+        step, *_ = np.linalg.lstsq(sw[:, None] * jac, sw * (counts - model), rcond=None)
+        theta = theta + step
+        if float(np.linalg.norm(step)) < 1e-10:
+            converged = True
+            break
+    amp, vis, psi = theta
+    if vis < 0.0:
+        vis, psi = -vis, psi + np.pi
+    psi = float(np.arctan2(np.sin(psi), np.cos(psi)))
+    vis = min(vis, 1.0)
+    model, jac = model_and_jacobian(amp, vis, psi)
+    cov = np.linalg.pinv(jac.T @ (jac / np.maximum(model, 1.0)[:, None]))
+    return amp, vis, psi, float(np.sqrt(max(cov[1, 1], 0.0))), converged
+
+
+@pytest.mark.parametrize("seed", [3, 11])
+@pytest.mark.parametrize("phases", [64, 256, 1024])
+@pytest.mark.parametrize("mean_total", [2, 20, 10_000])
+@pytest.mark.parametrize("variant, beta", [("c", np.pi / 4), ("b", 0.9), ("d", np.pi / 8)])
+def test_linear_fit_reproduces_gauss_newton(variant, beta, mean_total, phases, seed):
+    phis = uniform_phases(phases)
+    counts = poisson_fringe(contrast(*standard_pair(variant, beta)), phis, mean_total, seed)
+    amp, vis, psi, stderr, converged = gauss_newton_fit(phis, counts)
+    fit = fit_fringe(phis, counts)
+    assert converged and fit.converged
+    assert fit.amplitude == pytest.approx(amp, rel=1e-9)
+    assert fit.visibility_hat == pytest.approx(vis, rel=1e-9, abs=1e-12)
+    assert abs(np.remainder(fit.phase_hat - psi + np.pi, 2 * np.pi) - np.pi) < 1e-9
+    assert fit.stderr_visibility == pytest.approx(stderr, rel=1e-8)
+
+
 def test_qkd_identity_segments():
     vis, qber = qkd_visibility([], [], [], [])
     assert vis == 1.0 and qber == 0.0
