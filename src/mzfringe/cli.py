@@ -364,6 +364,9 @@ def _run_fit(config: argparse.Namespace) -> int:
             result = fit_fringe(*_read_counts(config.counts))
         except ValueError as exc:  # too few records, phases spanning at most pi, all zero
             raise UsageError(f"counts file {config.counts!r}: {exc}")
+        if not result.converged:
+            raise UsageError(f"counts file {config.counts!r}: the fit did not converge "
+                             f"in {result.iterations} steps")
     else:
         phis = _phase_grid(config.phases)
         result = fit_fringe(phis, poisson_fringe(_fringe_contrast(config), phis,

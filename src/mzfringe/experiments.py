@@ -45,7 +45,6 @@ __all__ = [
     "FitResult",
     "fit_fringe",
     "qkd_visibility",
-    "random_arm",
     "random_specs",
 ]
 
@@ -343,42 +342,43 @@ def fit_fringe(phis: Sequence[float], counts: Sequence[float]) -> FitResult:
 _RANDOM_DELAYS_UM = (0.0, 75.0, 150.0, 310.0)
 
 
-def random_arm(rng: np.random.Generator, max_elements: int = 3) -> list[ArmElement]:
-    """A random arm for cross-checking the simulator against the oracle.
-
-    Draws up to ``max_elements`` elements: crystals with angles uniform in
-    [0, pi) and delays from 0, 75, 150 and 310 um, half-wave plates, and
-    Haar-ish random unitaries.
-    """
-    elements: list[ArmElement] = []
-    for _ in range(int(rng.integers(0, max_elements + 1))):
-        kind = rng.random()
-        if kind < 0.5:
-            elements.append(Crystal(float(rng.uniform(0.0, np.pi)),
-                                    _RANDOM_DELAYS_UM[int(rng.integers(4))]))
-        elif kind < 0.75:
-            elements.append(Waveplate(float(rng.uniform(0.0, np.pi))))
-        else:
-            gauss = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-            q, r = np.linalg.qr(gauss)
-            q = q * (np.diag(r) / np.abs(np.diag(r)))
-            elements.append(RawUnitary(q))
-    return elements
-
-
 def random_specs(rng: np.random.Generator, n: int) -> tuple[list, list, np.ndarray]:
     """``n`` random arm pairs with random mixed input states, for
     cross-checking the simulator against the oracle: upper arms, lower arms
-    (``random_arm``) and states (n, 2, 2). Per pair it draws the state, then
-    the upper arm, then the lower arm."""
-    uppers, lowers, states = [], [], np.empty((n, 2, 2), dtype=complex)
+    and states (n, 2, 2).
+
+    Per pair it draws the state's Gaussian, then the upper arm, then the lower
+    arm. An arm has 0 to 3 elements: crystals with angles uniform in [0, pi)
+    and delays from 0, 75, 150 and 310 um, half-wave plates, and Haar random
+    unitaries (QR of a complex Gaussian with the phases of R's diagonal moved
+    into Q). The rng calls are those of drawing one element at a time; the
+    states are normalised Gram matrices G G^dag / tr and the unitaries one QR,
+    each formed once for all ``n`` pairs as a stack.
+    """
+    state_gauss, arms, unitary_gauss, slots = np.empty((n, 2, 2), dtype=complex), [], [], []
     for i in range(n):
-        gauss = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-        rho = gauss @ gauss.conj().T
-        states[i] = rho / np.trace(rho)
-        uppers.append(random_arm(rng))
-        lowers.append(random_arm(rng))
-    return uppers, lowers, states
+        state_gauss[i] = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+        for _ in range(2):
+            arm: list[ArmElement] = []
+            for _ in range(int(rng.integers(0, 4))):
+                kind = rng.random()
+                if kind < 0.5:
+                    arm.append(Crystal(float(rng.uniform(0.0, np.pi)),
+                                       _RANDOM_DELAYS_UM[int(rng.integers(4))]))
+                elif kind < 0.75:
+                    arm.append(Waveplate(float(rng.uniform(0.0, np.pi))))
+                else:
+                    unitary_gauss.append(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
+                    slots.append((arm, len(arm)))
+                    arm.append(None)
+            arms.append(arm)
+    if unitary_gauss:
+        q, r = np.linalg.qr(np.array(unitary_gauss))
+        d = np.diagonal(r, axis1=1, axis2=2)
+        for (arm, pos), u in zip(slots, q * (d / np.abs(d))[:, None, :]):
+            arm[pos] = RawUnitary(u)
+    rho = state_gauss @ state_gauss.conj().transpose(0, 2, 1)
+    return arms[0::2], arms[1::2], rho / np.trace(rho, axis1=1, axis2=2)[:, None, None]
 
 
 def qkd_visibility(u1: ArmSpec, u2: ArmSpec, u3: ArmSpec,

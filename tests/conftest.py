@@ -1,8 +1,7 @@
 import numpy as np
 
-from mzfringe import (compose_arms, maximally_mixed, oracle_contrasts, shared_env_contrasts,
-                     standard_arms)
-from mzfringe.experiments import random_arm
+from mzfringe import (Crystal, RawUnitary, Waveplate, compose_arms, maximally_mixed,
+                      oracle_contrasts, shared_env_contrasts, standard_arms)
 
 
 def random_density(rng: np.random.Generator, d: int = 2) -> np.ndarray:
@@ -46,9 +45,37 @@ def standard_pair(variant: str, beta: float) -> tuple[list, list]:
     return upper, lower
 
 
+RANDOM_DELAYS_UM = (0.0, 75.0, 150.0, 310.0)
+
+
+def random_arm(rng: np.random.Generator, max_elements: int = 3) -> list:
+    """A random arm drawn one element at a time, each unitary by its own QR:
+    the reference that ``random_specs`` must reproduce bit for bit.
+
+    Draws up to ``max_elements`` elements: crystals with angles uniform in
+    [0, pi) and delays from 0, 75, 150 and 310 um, half-wave plates, and
+    Haar-ish random unitaries.
+    """
+    elements = []
+    for _ in range(int(rng.integers(0, max_elements + 1))):
+        kind = rng.random()
+        if kind < 0.5:
+            elements.append(Crystal(float(rng.uniform(0.0, np.pi)),
+                                    RANDOM_DELAYS_UM[int(rng.integers(4))]))
+        elif kind < 0.75:
+            elements.append(Waveplate(float(rng.uniform(0.0, np.pi))))
+        else:
+            gauss = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+            q, r = np.linalg.qr(gauss)
+            q = q * (np.diag(r) / np.abs(np.diag(r)))
+            elements.append(RawUnitary(q))
+    return elements
+
+
 def random_pair(rng: np.random.Generator, max_elements: int = 3) -> tuple[list, list, np.ndarray]:
-    """A random (upper, lower, rho) by the per-pair loop that ``random_specs``
-    keeps: the state first, then the upper arm, then the lower arm."""
+    """A random (upper, lower, rho) by the per-pair loop whose rng calls
+    ``random_specs`` keeps: the state first, then the upper arm, then the
+    lower arm."""
     gauss = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
     rho = gauss @ gauss.conj().T
     rho = rho / np.trace(rho)

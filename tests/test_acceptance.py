@@ -9,7 +9,7 @@ import pytest
 
 import mzfringe.arms
 import mzfringe.interferometer
-from conftest import compose_one, contrast, oracle, random_pair, standard_pair
+from conftest import compose_one, contrast, oracle, random_arm, random_pair, standard_pair
 from mzfringe import (
     Crystal,
     arm_channel_apply,
@@ -24,7 +24,6 @@ from mzfringe import (
     validate_cptp,
 )
 from mzfringe.cli import main
-from mzfringe.experiments import random_arm
 
 
 def _report(num: int, name: str, ok: bool, detail: str = ""):

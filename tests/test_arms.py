@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import compose_one, random_unitary
+from conftest import compose_one, random_arm, random_unitary
 from mzfringe import (
     Crystal,
     RawUnitary,
@@ -22,7 +22,7 @@ from mzfringe.arms import (
     ZERO_OP_TOL,
     ResourceLimitError,
 )
-from mzfringe.experiments import default_beta_grid, random_arm, standard_arms
+from mzfringe.experiments import default_beta_grid, standard_arms
 from mzfringe.tomography import PROBE_STATES
 
 I2 = np.eye(2, dtype=complex)

@@ -244,6 +244,8 @@ def test_fit_runtime_error_maps_to_exit_1(tmp_path, capsys, monkeypatch):
                  id="two-distinct-phases"),
     pytest.param("", "at least 4 records", id="header-only"),
     pytest.param("\n\n", "at least 4 records", id="header-and-blank-lines"),
+    pytest.param("0,10\n1e-7,12\n4,30\n4,28\n", "the fit did not converge in 100 steps",
+                 id="not-converged"),
 ])
 def test_unfittable_counts_file_is_usage_error(tmp_path, capsys, rows, reason):
     counts = tmp_path / "short.csv"

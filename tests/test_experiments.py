@@ -355,14 +355,22 @@ def arm_bytes(arm):
              e.matrix.tobytes() if type(e) is RawUnitary else None) for e in arm]
 
 
-@pytest.mark.parametrize("chunks", [[1001], [256, 256, 256, 232]])
+# Specs 1-4 of seed 19 draw no unitary, so the second chunk skips the QR.
+NO_UNITARY_CHUNKS = [1, 4, 995]
+
+
+@pytest.mark.parametrize("chunks", [
+    [1001], [256, 256, 256, 232],
+    pytest.param(NO_UNITARY_CHUNKS, id="chunk-without-unitaries"),
+])
 def test_random_specs_equal_the_per_spec_loop_bit_for_bit(chunks):
     # 1,001 specs in one call, and 1,000 in chunks of 256 as oracle-check draws them
     rng, want_rng = np.random.default_rng(19), np.random.default_rng(19)
-    kinds = set()
+    kinds, chunk_kinds = set(), []
     for n in chunks:
         uppers, lowers, states = random_specs(rng, n)
         assert len(uppers) == len(lowers) == n and states.shape == (n, 2, 2)
+        chunk_kinds.append({type(e) for arm in uppers + lowers for e in arm})
         for upper, lower, state in zip(uppers, lowers, states):
             want_upper, want_lower, want_state = random_pair(want_rng)
             assert arm_bytes(upper) == arm_bytes(want_upper)
@@ -370,4 +378,6 @@ def test_random_specs_equal_the_per_spec_loop_bit_for_bit(chunks):
             assert state.tobytes() == want_state.tobytes()
             kinds |= {type(e) for e in upper + lower}
     assert kinds == {Crystal, Waveplate, RawUnitary}
+    if chunks == NO_UNITARY_CHUNKS:
+        assert RawUnitary not in chunk_kinds[1]
     assert rng.random() == want_rng.random()

@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 import mzfringe.interferometer
-from conftest import (ANGLES, MIXED, compose_one, contrast, oracle, random_density, random_pair,
-                      random_unitary, standard_pair)
+from conftest import (ANGLES, MIXED, compose_one, contrast, oracle, random_arm, random_density,
+                      random_pair, random_unitary, standard_pair)
 from mzfringe.arms import DELAY_MERGE_TOL, ResourceLimitError, arm_structure
 from mzfringe.interferometer import (ORACLE_DIM_LIMIT, InterferometerSpec, _delay_grid,
                                      _evolve_arm, _path_gram, _port_probabilities, _stacked_ops,
@@ -20,7 +20,6 @@ from mzfringe import (
     output_probability,
     rotated_basis,
 )
-from mzfringe.experiments import random_arm
 
 I2 = np.eye(2, dtype=complex)
 

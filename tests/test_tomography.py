@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import compose_one, random_density, random_unitary
+from conftest import compose_one, random_arm, random_density, random_unitary
 from mzfringe import (
     Crystal,
     Waveplate,
@@ -11,7 +11,7 @@ from mzfringe import (
     maximally_mixed,
     qpt,
 )
-from mzfringe.experiments import default_beta_grid, random_arm, standard_arms
+from mzfringe.experiments import default_beta_grid, standard_arms
 from mzfringe.tomography import PAULIS, PROBE_STATES
 
 
