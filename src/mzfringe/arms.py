@@ -8,11 +8,13 @@ Kraus operators (k, 2, 2), one per distinct accumulated delay. Delays are
 micrometers of o/e wavepacket separation. Only delay differences are
 observable, so the o-ray carries zero delay by convention.
 
-``compose_arms`` composes a stack of arms that share element kinds and
-crystal delays (``arm_structure``); one arm is a one-arm stack. One pass over
-the delays decides the merge groups and refuses more than
-``COMPOSE_BIN_LIMIT`` distinct sums with ``ResourceLimitError``, and one
-pass carries the Kraus sets as an (arms, k, 2, 2) stack through the elements.
+``compose_arms`` composes a stack of arms that share their crystal delays
+(``arm_structure``); one arm is a one-arm stack. One pass over the delays
+decides the merge groups and refuses more than ``COMPOSE_BIN_LIMIT`` distinct
+sums with ``ResourceLimitError``, and one pass carries the Kraus sets as an
+(arms, k, 2, 2) stack through the elements: each crystal across the stack,
+the waveplates and raw unitaries between crystals in subsets of one rank and
+kind.
 ``arm_channel_apply`` maps a stack of states through the operators of one
 composed arm or of each arm in a composed stack.
 """
@@ -110,30 +112,16 @@ ArmSpec = Sequence[ArmElement]
 
 
 def arm_structure(arm: ArmSpec) -> tuple:
-    """What arms of one stack share: per element, a crystal's delay or
-    another element's kind."""
-    return tuple([e.delay if type(e) is Crystal else type(e) for e in arm])
-
-
-def _check_stack(arms: Sequence[ArmSpec]) -> None:
-    """ValueError unless the arms share one ``arm_structure``, naming the
-    count or the first position whose kind or crystal delay differs."""
-    keys = [arm_structure(arm) for arm in arms]
-    for key in keys[1:]:
-        if key == keys[0]:
-            continue
-        if len(key) != len(keys[0]):
-            raise ValueError("stacked arms differ in element count")
-        position, a, b = next((i, a, b) for i, (a, b) in enumerate(zip(key, keys[0])) if a != b)
-        what = "element kind" if isinstance(a, type) or isinstance(b, type) else "crystal delay"
-        raise ValueError(f"stacked arms differ in {what} at position {position}")
+    """What arms of one stack share: the delays of the arm's crystals, in
+    traversal order."""
+    return tuple([e.delay for e in arm if type(e) is Crystal])
 
 
 def _element_kraus(elems: Sequence[ArmElement]) -> np.ndarray:
-    """Operators (arms, m, 2, 2) of the elements at one position of an arm
-    stack, from one angle array: a crystal's o-ray and e-ray projectors, in
-    that order, or a single unitary. C order keeps each operator contiguous,
-    so matmul rounds its products as for a single arm."""
+    """Operators (arms, m, 2, 2) of elements of one kind across an arm stack,
+    from one angle array: a crystal's o-ray and e-ray projectors, in that
+    order, or a single unitary. C order keeps each operator contiguous, so
+    matmul rounds its products as for a single arm."""
     kind = type(elems[0])
     if kind is RawUnitary:
         return np.array([[e.matrix] for e in elems])
@@ -148,6 +136,40 @@ def _element_kraus(elems: Sequence[ArmElement]) -> np.ndarray:
     return np.ascontiguousarray(ops.transpose(3, 0, 1, 2))
 
 
+def _stack_steps(arms: Sequence[ArmSpec]) -> tuple[list, list]:
+    """The elements of an arm stack in kind subsets: the crystals by index,
+    one per arm, and the other elements by segment, those before crystal 0
+    and after each crystal, as (rows, elements) of one rank and kind in rank
+    order. ValueError unless the arms share one ``arm_structure``, naming the
+    crystal count or the first crystal whose delay differs."""
+    crystals, others = [], {}
+    for row, arm in enumerate(arms):
+        passed = rank = 0
+        for e in arm:
+            if type(e) is Crystal:
+                if passed == len(crystals):
+                    crystals.append([])
+                crystals[passed].append(e)
+                passed, rank = passed + 1, 0
+            else:
+                key = (passed, rank, type(e))
+                if key not in others:
+                    others[key] = [], []
+                others[key][0].append(row)
+                others[key][1].append(e)
+                rank += 1
+    # crystals[-1] holds one crystal of each arm that has the most of them
+    if crystals and len(crystals[-1]) != len(arms):
+        raise ValueError("stacked arms differ in crystal count")
+    for index, elems in enumerate(crystals if len(arms) > 1 else ()):
+        if any(e.delay != elems[0].delay for e in elems):
+            raise ValueError(f"stacked arms differ in the delay of crystal {index}")
+    segments = [[] for _ in range(len(crystals) + 1)]
+    for key in sorted(others, key=lambda key: key[:2]):
+        segments[key[0]].append(others[key])
+    return crystals, segments
+
+
 def compose_arms(arms: Sequence[ArmSpec]) -> tuple[np.ndarray, np.ndarray]:
     """Kraus sets of a stack of arms of one ``arm_structure`` (else ValueError):
     delays (k,), shared by the stack, and operators (arms, k, 2, 2), both
@@ -158,17 +180,15 @@ def compose_arms(arms: Sequence[ArmSpec]) -> tuple[np.ndarray, np.ndarray]:
     and a branch joins the group whose first delay lies within
     ``DELAY_MERGE_TOL``; a group's operators are summed coherently. The delays
     are composed first, and more than ``COMPOSE_BIN_LIMIT`` of them raise
-    ResourceLimitError before any operator is built. Zero rule: an operator
-    below ``ZERO_OP_TOL`` entrywise is exact zero in its arm, and its delay is
+    ResourceLimitError before any operator is built. Waveplates and raw
+    unitaries between two crystals may differ across the stack; each rank of
+    them is applied to the arms that have it. Zero rule: an operator below
+    ``ZERO_OP_TOL`` entrywise is exact zero in its arm, and its delay is
     dropped when it vanishes in every arm (README, "Conventions and numerics").
     """
-    _check_stack(arms)
-    positions = list(zip(*arms))
+    crystals, segments = _stack_steps(arms)
     delays, merges = np.zeros(1), []
-    for elems in positions:
-        if type(elems[0]) is not Crystal:
-            merges.append(None)
-            continue
+    for elems in crystals:
         branches = np.concatenate((delays, delays + float(elems[0].delay)))
         order = branches.argsort(kind="stable")
         branches = branches[order]
@@ -188,18 +208,26 @@ def compose_arms(arms: Sequence[ArmSpec]) -> tuple[np.ndarray, np.ndarray]:
                 f"resource limit: arm reaches more than {COMPOSE_BIN_LIMIT} "
                 "distinct delays (COMPOSE_BIN_LIMIT)")
         merges.append((order, starts))
+    # the projectors of every crystal from one angle array, crystal by crystal
+    projectors = _element_kraus([e for elems in crystals for e in elems]) if crystals else None
     kraus = _IDENTITY.repeat(len(arms), axis=0)
-    for elems, merge in zip(positions, merges):
-        ops = _element_kraus(elems)
-        if merge is None:
-            kraus = ops @ kraus
-            continue
-        # Each half of a crystal's branches is spaced by more than the
-        # tolerance (up to rounding), so a group holds at most an o- and an
-        # e-branch, which reduceat adds in sorted order.
-        kraus = (ops[:, :, None] @ kraus[:, None]).reshape(len(arms), -1, 2, 2)
-        kraus = np.add.reduceat(kraus.take(merge[0], axis=1), merge[1], axis=1)
+    for index, segment in enumerate(segments):
+        if index:
+            # Each half of a crystal's branches is spaced by more than the
+            # tolerance (up to rounding), so a group holds at most an o- and
+            # an e-branch, which reduceat adds in sorted order.
+            ops = projectors[(index - 1) * len(arms):index * len(arms)]
+            order, starts = merges[index - 1]
+            kraus = (ops[:, :, None] @ kraus[:, None]).reshape(len(arms), -1, 2, 2)
+            kraus = np.add.reduceat(kraus.take(order, axis=1), starts, axis=1)
+        for rows, elems in segment:
+            if len(rows) == len(arms):
+                kraus = _element_kraus(elems) @ kraus
+            else:
+                kraus[rows] = _element_kraus(elems) @ kraus[rows]
     vanish = np.maximum.reduce(np.abs(kraus), axis=(2, 3)) < ZERO_OP_TOL
+    if len(arms) == 1:  # its vanished operators are dropped without zeroing
+        return delays.compress(~vanish[0]), kraus.compress(~vanish[0], axis=1)
     kraus[vanish] = 0.0
     keep = ~np.logical_and.reduce(vanish)
     return delays.compress(keep), kraus.compress(keep, axis=1)

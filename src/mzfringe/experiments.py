@@ -29,7 +29,8 @@ import numpy as np
 from .arms import (ArmElement, ArmSpec, Crystal, RawUnitary, ResourceLimitError, Waveplate,
                    arm_channel_apply, compose_arms)
 from .core import maximally_mixed
-from .interferometer import oracle_contrasts, output_probability, shared_env_contrasts
+from .interferometer import (kraus_contrasts, oracle_contrasts, output_probability,
+                             shared_env_contrasts)
 from .tomography import qpt
 
 __all__ = [
@@ -122,19 +123,20 @@ def blindness_demo(betas: Sequence[float]) -> tuple[np.ndarray, ...]:
 
     Builds the first and third standard configurations over the grid (they
     share per-arm angle sequences and differ only in which crystal length sits
-    in which position), runs process tomography once per composed upper-arm
-    stack, takes the visibilities of both configurations from one
-    ``shared_env_contrasts`` call, and returns the columns beta,
-    chi_distance_upper (the Frobenius norm of the chi difference),
-    chi_distance_lower (0 by construction: the arm is shared), visibility_a,
-    visibility_b and visibility_gap.
+    in which position) and composes two arm stacks: upper a, and upper c with
+    the shared lower arm, whose crystal delays upper c shares. Each composed
+    upper-arm stack feeds one process tomography and, joined with the lower
+    arm by ``kraus_contrasts``, the visibilities of its configuration. Returns
+    the columns beta, chi_distance_upper (the Frobenius norm of the chi
+    difference), chi_distance_lower (0 by construction: the arm is shared),
+    visibility_a, visibility_b and visibility_gap.
     """
     (uppers_a, lowers), uppers_c = standard_arms("a", betas), standard_arms("c", betas)[0]
-    chi_a, chi_c = (qpt(lambda rho: arm_channel_apply(compose_arms(arms)[1], rho))
-                    for arms in (uppers_a, uppers_c))
-    vis = [abs(c) for c in shared_env_contrasts([*uppers_a, *uppers_c], [*lowers, *lowers],
-                                                maximally_mixed(2))]
-    vis_a, vis_b = vis[:len(lowers)], vis[len(lowers):]
+    upper_a, (delays, ops) = compose_arms(uppers_a), compose_arms([*uppers_c, *lowers])
+    upper_c, lower = (delays, ops[:len(lowers)]), (delays, ops[len(lowers):])
+    chi_a, chi_c = (qpt(lambda rho: arm_channel_apply(arm[1], rho)) for arm in (upper_a, upper_c))
+    vis_a, vis_b = ([abs(c) for c in kraus_contrasts(upper, lower, maximally_mixed(2))]
+                    for upper in (upper_a, upper_c))
     columns = (betas, [np.linalg.norm(d) for d in chi_a - chi_c], np.zeros(len(betas)),
                vis_a, vis_b, [abs(a - b) for a, b in zip(vis_a, vis_b)])
     return tuple(np.array(column, dtype=float) for column in columns)

@@ -16,20 +16,22 @@ and c the closing row at that phase.
 
 Both routines take a stack of arm pairs, ``uppers[i]`` against ``lowers[i]``,
 and one input state or one per pair; one pair is a stack of one. The contrast
-composes each distinct arm structure (``arm_structure``: element kinds and
-crystal delays) once and joins the pairs of each (upper, lower) structure
-once, and the oracle evolves the pairs of each (upper, lower) structure as one
-stack in memory-bounded blocks. A pair's result has the same bits in any
+composes the arms of each distinct crystal-delay sequence (``arm_structure``)
+as one stack and joins the pairs of each (upper, lower) sequence once
+(``kraus_contrasts``), and the oracle evolves the pairs of each time grid as
+one stack in memory-bounded blocks. A pair's result has the same bits in any
 group and in any stack.
 
 The whole oracle lives here: its time grid at the gcd of the crystal delays
-(``_delay_grid``, up to ``ORACLE_DIM_LIMIT``), its arm evolution
-(``_evolve_arm``) through element matrices and a beamsplitter of its own, and
-the path Gram. Composing no Kraus set and calling no element constructor, it
-checks ``compose_arms`` rather than repeating it; with the contrast it shares
-``arm_structure``, ``_groups`` and ``_input_states``. ``InterferometerSpec``,
-a plain record of two arms and a state, and ``oracle_contrast`` are the
-one-spec interface of the benchmark's correctness gate; no command uses them.
+(``_delay_grid``, up to ``ORACLE_DIM_LIMIT``), which also groups its pairs,
+its arm evolution in kind subsets (``_evolution_steps``, ``_evolve_arm``)
+through element matrices and a beamsplitter of its own, and the path Gram.
+Composing no Kraus set, calling no element constructor and naming no stack
+key of the contrast, it checks ``compose_arms`` rather than repeating it;
+with the contrast it shares ``_groups`` and ``_input_states``.
+``InterferometerSpec``, a plain record of two arms and a state, and
+``oracle_contrast`` are the one-spec interface of the benchmark's correctness
+gate; no command uses them.
 
 Time-bin orthogonality is binary here: delays matching within
 ``DELAY_MERGE_TOL`` interfere fully, all others not at all. Partial wavepacket
@@ -38,7 +40,9 @@ overlap is out of scope.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from functools import reduce
+from itertools import zip_longest
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -49,6 +53,7 @@ from .core import validate_density_matrix
 
 __all__ = [
     "ORACLE_DIM_LIMIT",
+    "kraus_contrasts",
     "shared_env_contrasts",
     "output_probability",
     "oracle_contrasts",
@@ -98,9 +103,11 @@ def _input_states(rho) -> np.ndarray:
     return states
 
 
-def _kraus_contrasts(upper: tuple, lower: tuple, rho) -> list[complex]:
-    """Complex contrasts of a stack of arm pairs from their stacked Kraus sets
-    (``compose_arms``) and input ``rho``, one state (2, 2) or one per pair.
+def kraus_contrasts(upper: tuple, lower: tuple, rho) -> list[complex]:
+    """Complex contrasts of a stack of arm pairs from their stacked Kraus sets,
+    ``(delays, ops)`` of ``compose_arms`` (or rows of its ops) for the upper
+    and the lower arms, and input ``rho``, one state (2, 2) or one per pair,
+    as a complex array that is not validated here.
 
     C = sum of Tr[u^dag v rho] over delay-matched Kraus pairs (u from the
     upper arm, v from the lower): each upper delay d is joined with every
@@ -135,9 +142,9 @@ def shared_env_contrasts(uppers: Sequence[ArmSpec], lowers: Sequence[ArmSpec],
 
     ``rho`` is validated once, as one stack; a matrix that is not a 2x2
     density matrix raises ValueError. The arms, upper and lower alike, are
-    composed as one ``compose_arms`` stack per distinct structure
-    (``arm_structure``), and the pairs that share an (upper, lower) structure
-    are joined by one ``_kraus_contrasts`` call. A pair's contrast has the bits
+    composed as one ``compose_arms`` stack per distinct crystal-delay sequence
+    (``arm_structure``), and the pairs that share an (upper, lower) sequence
+    are joined by one ``kraus_contrasts`` call. A pair's contrast has the bits
     it has alone.
     """
     rho = _input_states(rho)
@@ -152,7 +159,7 @@ def shared_env_contrasts(uppers: Sequence[ArmSpec], lowers: Sequence[ArmSpec],
     n, out = len(uppers), [0j] * len(uppers)
     for (upper, lower), pairs in _groups(zip(keys[:n], keys[n:])).items():
         (upper_delays, upper_ops), (lower_delays, lower_ops) = stacks[upper], stacks[lower]
-        contrasts = _kraus_contrasts(
+        contrasts = kraus_contrasts(
             (upper_delays, upper_ops[[rows[i] for i in pairs]]),
             (lower_delays, lower_ops[[rows[n + i] for i in pairs]]), rho[pairs])
         for i, c in zip(pairs, contrasts):
@@ -235,26 +242,58 @@ def _stacked_ops(elems: Sequence[ArmElement]) -> np.ndarray:
     return np.array(ops, dtype=complex).transpose(2, 0, 1)
 
 
-def _evolve_arm(arms: Sequence[ArmSpec], cols: np.ndarray, unit: float) -> np.ndarray:
-    """Apply a stack of arms element by element to columns on polarization (x)
-    time bins.
-
-    ``cols`` has shape (arms, 2, bins, k), one slice per arm. The arms must
-    share one ``arm_structure``, which is not checked here: the one caller,
-    ``_path_gram``, stacks only arms grouped by that key. A crystal acts as
-    P_o (x) I + P_e (x) S_d, with S_d the cyclic shift by its delay in grid
-    units, computed as x + P_e (S_d x - x) because P_o + P_e = I; waveplates
-    and raw unitaries act as U (x) I.
-    """
-    for elems in zip(*arms):
-        ops = _stacked_ops(elems)
-        if type(elems[0]) is Crystal:
-            k, n = _shift(elems[0].delay, unit), cols.shape[2]
-            # S_d x - x, with S_d the cyclic shift by k bins (np.roll, less overhead)
-            delayed = np.concatenate((cols[:, :, n - k:], cols[:, :, :n - k]), axis=2) - cols
-            cols = cols + np.einsum("apq,aq...->ap...", ops, delayed)
+def _evolution_steps(arms: Sequence[ArmSpec], unit: float) -> list:
+    """A stack of arms on the time grid of ``unit`` as kind subsets, per
+    position a list of (rows, ops, shift): the ascending stack indices of the
+    arms whose element there is of one kind, crystals of one delay apart,
+    their matrices (``_stacked_ops``) and the crystals' shift in bins, or
+    None for waveplates and raw unitaries. Arms shorter than a position are
+    in none of its subsets."""
+    steps = []
+    for column in zip_longest(*arms):  # None past the end of a shorter arm
+        keys = [e.delay if type(e) is Crystal else type(e) for e in column]
+        if keys.count(keys[0]) == len(keys):
+            subsets = [(range(len(keys)), column)]
         else:
-            cols = np.einsum("apq,aq...->ap...", ops, cols)
+            subsets = [(rows, [column[row] for row in rows])
+                       for key, rows in _groups(keys).items() if key is not type(None)]
+        steps.append([(rows, _stacked_ops(elems),
+                       _shift(elems[0].delay, unit) if type(elems[0]) is Crystal else None)
+                      for rows, elems in subsets])
+    return steps
+
+
+def _evolve_arm(steps: list, cols: np.ndarray, start: int = 0) -> np.ndarray:
+    """Apply a stack of arms, as ``_evolution_steps``, position by position
+    to columns on polarization (x) time bins.
+
+    ``cols`` has shape (block, 2, bins, k), one slice per arm of the stack
+    from arm ``start`` on, and is overwritten where a kind subset holds part
+    of the block. Each subset acts on its arms in the block, gathered unless
+    they are the whole block. A crystal acts as P_o (x) I + P_e (x)
+    S_d, with S_d the cyclic shift by its delay in grid units, computed as
+    x + P_e (S_d x - x) because P_o + P_e = I; waveplates and raw unitaries
+    act as U (x) I.
+    """
+    stop = start + len(cols)
+    for subsets in steps:
+        for rows, ops, shift in subsets:
+            lo, hi = bisect_left(rows, start), bisect_left(rows, stop)
+            if lo == hi:
+                continue
+            at = None if hi - lo == len(cols) else [row - start for row in rows[lo:hi]]
+            x, ops = cols if at is None else cols[at], ops[lo:hi]
+            if shift is None:
+                x = np.einsum("apq,aq...->ap...", ops, x)
+            else:
+                n = x.shape[2]
+                # S_d x - x, with S_d the cyclic shift by k bins (np.roll, less overhead)
+                delayed = np.concatenate((x[:, :, n - shift:], x[:, :, :n - shift]), axis=2) - x
+                x = x + np.einsum("apq,aq...->ap...", ops, delayed)
+            if at is None:
+                cols = x
+            else:
+                cols[at] = x
     return cols
 
 
@@ -267,27 +306,34 @@ def _path_gram(uppers: Sequence[ArmSpec], lowers: Sequence[ArmSpec], rho) -> np.
     into scaled eigenvector columns. The first beamsplitter splits it onto the
     two paths, and each arm then acts element by element on its own path: the
     upper arm on path 0, the lower arm on path 1. With x_p the evolved state
-    of path p, G[p, q] = <x_p, x_q>. The pairs that share an (upper, lower)
-    arm structure (``arm_structure``) share a time grid and are evolved as
-    stacks (``_evolve_arm``), in blocks whose state fits
-    ``_ORACLE_BLOCK_BYTES``.
+    of path p, G[p, q] = <x_p, x_q>. Each pair's time grid (``_delay_grid``)
+    is found once per distinct pair of crystal-delay sequences; the pairs of
+    one grid are evolved as stacks (``_evolve_arm``), in blocks whose state
+    fits ``_ORACLE_BLOCK_BYTES``.
     """
     split = _BEAMSPLITTER[:, 0]
     evals, evecs = np.linalg.eigh(rho)
     states = np.broadcast_to(evecs * np.sqrt(np.maximum(evals, 0.0))[..., None, :],
                              (len(uppers), 2, 2))
     grams = np.empty((len(uppers), 2, 2), dtype=complex)
-    keys = zip(map(arm_structure, uppers), map(arm_structure, lowers))
-    for pairs in _groups(keys).values():
-        unit, n = _delay_grid([uppers[pairs[0]], lowers[pairs[0]]])
+    # each arm's crystal delays, read here rather than by the contrast's stack key
+    delays = [tuple([e.delay for e in arm if type(e) is Crystal]) for arm in (*uppers, *lowers)]
+    grids, groups = {}, {}
+    for i, key in enumerate(zip(delays[:len(uppers)], delays[len(uppers):])):
+        if key not in grids:
+            grids[key] = _delay_grid([uppers[i], lowers[i]])
+        groups.setdefault(grids[key], []).append(i)
+    for (unit, n), pairs in groups.items():
         block = max(1, _ORACLE_BLOCK_BYTES // (2 * 2 * n * 2 * 16))
+        upper_steps = _evolution_steps([uppers[i] for i in pairs], unit)
+        lower_steps = _evolution_steps([lowers[i] for i in pairs], unit)
         for start in range(0, len(pairs), block):
             at = pairs[start:start + block]
             cols = np.zeros((len(at), 2, n, 2), dtype=complex)
             cols[:, :, 0, :] = states[at]
             paths = np.concatenate((
-                _evolve_arm([uppers[i] for i in at], split[0] * cols, unit),
-                _evolve_arm([lowers[i] for i in at], split[1] * cols, unit),
+                _evolve_arm(upper_steps, split[0] * cols, start),
+                _evolve_arm(lower_steps, split[1] * cols, start),
             ), axis=1).reshape(len(at), 2, -1)
             grams[at] = paths.conj() @ paths.transpose(0, 2, 1)
     return grams

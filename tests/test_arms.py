@@ -308,9 +308,9 @@ def test_compose_matches_the_per_branch_rule_bit_for_bit():
 
 
 @pytest.mark.parametrize("lower, message", [
-    ([Crystal(0.2, 150.0)], "element count"),
-    ([Waveplate(0.2), Crystal(0.3, 310.0)], "element kind at position 0"),
-    ([Crystal(0.2, 150.0), Crystal(0.3, 150.0)], "crystal delay at position 1"),
+    ([Crystal(0.2, 150.0)], "crystal count"),
+    ([Waveplate(0.2), Crystal(0.3, 310.0)], "crystal count"),
+    ([Crystal(0.2, 150.0), Crystal(0.3, 150.0)], "the delay of crystal 1"),
 ])
 def test_stacked_evolution_rejects_mixed_structures(lower, message):
     arm = [Crystal(0.1, 150.0), Crystal(0.4, 310.0)]
@@ -319,17 +319,38 @@ def test_stacked_evolution_rejects_mixed_structures(lower, message):
         compose_arms([arm, lower])
 
 
+def test_stacked_arms_may_differ_in_their_other_elements():
+    # one crystal-delay sequence (150, 310); waveplates and raw unitaries
+    # differ in number, kind and place, before, between and after the crystals
+    rng = np.random.default_rng(71)
+    u = RawUnitary(random_unitary(rng))
+    arms = [
+        [Crystal(0.1, 150.0), Crystal(0.4, 310.0)],
+        [Waveplate(0.3), Crystal(0.2, 150.0), u, Waveplate(0.9), Crystal(0.5, 310.0)],
+        [u, Crystal(0.0, 150.0), Crystal(0.0, 310.0), Waveplate(1.2)],
+        [Crystal(0.7, 150.0), Waveplate(0.6), Crystal(1.1, 310.0), u, u],
+        [Waveplate(0.3), Waveplate(0.8), u, Crystal(0.2, 150.0), Crystal(np.pi / 2, 310.0)],
+    ]
+    delays, ops = compose_arms(arms)
+    for arm, arm_ops in zip(arms, ops):
+        want_delays, want_ops = compose_one(arm)
+        kept = np.abs(arm_ops).max(axis=(1, 2)) >= ZERO_OP_TOL
+        assert (delays[kept] == want_delays).all(), arm
+        assert arm_ops[kept].tobytes() == want_ops.tobytes(), arm
+        assert (arm_ops[~kept] == 0).all(), arm
+
+
 def stacks_under_test():
     """The arm stacks that sweep and blindness_demo compose: both arms of the
-    four variants over 200 betas; upper a, upper c and the shared lower arm
-    over 100 betas, and the contrast's stack of upper c with the lower arm
-    twice. Both grids start at beta = 0, where aligned crystals make some
-    operators vanish in one arm of a stack and not in the others."""
+    four variants over 200 betas; upper a, and upper c with the shared lower
+    arm, over 100 betas, and each of those arms alone. Both grids start at
+    beta = 0, where aligned crystals make some operators vanish in one arm of
+    a stack and not in the others."""
     for variant in "abcd":
         yield from standard_arms(variant, default_beta_grid(200))
     uppers_a, lowers = standard_arms("a", default_beta_grid(100))
     uppers_c = standard_arms("c", default_beta_grid(100))[0]
-    yield from (uppers_a, uppers_c, lowers, [*uppers_c, *lowers, *lowers])
+    yield from (uppers_a, uppers_c, lowers, [*uppers_c, *lowers])
 
 
 def test_stacked_composition_equals_per_arm_composition_bit_for_bit():

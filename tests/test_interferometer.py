@@ -9,8 +9,9 @@ from conftest import (ANGLES, MIXED, compose_one, contrast, oracle, random_arm, 
                       random_pair, random_unitary, standard_pair)
 from mzfringe.arms import DELAY_MERGE_TOL, ResourceLimitError, arm_structure
 from mzfringe.interferometer import (ORACLE_DIM_LIMIT, InterferometerSpec, _delay_grid,
-                                     _evolve_arm, _path_gram, _port_probabilities, _stacked_ops,
-                                     oracle_contrast, oracle_contrasts, shared_env_contrasts)
+                                     _evolution_steps, _evolve_arm, _path_gram,
+                                     _port_probabilities, _stacked_ops, oracle_contrast,
+                                     oracle_contrasts, shared_env_contrasts)
 from mzfringe import (
     Crystal,
     RawUnitary,
@@ -37,7 +38,8 @@ def arm_dilation(arm):
     are indexed pol-major, p * len(bins) + bin."""
     unit, n = _delay_grid([arm])
     cols = np.eye(2 * n, dtype=complex).reshape(1, 2, n, 2 * n)
-    return _evolve_arm([arm], cols, unit)[0].reshape(2 * n, 2 * n), [k * unit for k in range(n)]
+    steps = _evolution_steps([arm], unit)
+    return _evolve_arm(steps, cols)[0].reshape(2 * n, 2 * n), [k * unit for k in range(n)]
 
 
 def test_empty_arms_full_contrast():
@@ -121,8 +123,10 @@ def test_grouped_routines_equal_the_per_spec_routines_bit_for_bit():
     specs += [(upper, lower, rho) for (upper, lower, _), rho in
               zip(specs[:20], [np.diag([1.0, 0.0]), np.diag([0.0, 1.0]), maximally_mixed(2)] * 7)]
     uppers, lowers, states = zip(*specs)
-    # 659 distinct (upper, lower) structures over the 1,020 pairs
-    assert len({(arm_structure(u), arm_structure(l)) for u, l in zip(uppers, lowers)}) == 659
+    # 211 distinct (upper, lower) crystal-delay sequences and 20 oracle time
+    # grids over the 1,020 pairs
+    assert len({(arm_structure(u), arm_structure(l)) for u, l in zip(uppers, lowers)}) == 211
+    assert len({_delay_grid([u, l]) for u, l in zip(uppers, lowers)}) == 20
     rho = np.array(states)
     contrasts = shared_env_contrasts(uppers, lowers, rho)
     oracles = oracle_contrasts(uppers, lowers, rho).tolist()
@@ -383,17 +387,27 @@ def test_dilation_reproduces_composed_kraus():
 
 
 def test_stacked_evolution_equals_single_arm_evolutions():
-    # angles and unitaries differ across the stack; kinds and delays are shared
+    # angles and unitaries differ across the stack; the first five arms share
+    # kinds and delays, the last five differ in kinds, delays and length
     rng = np.random.default_rng(113)
     arms = [[Crystal(rng.uniform(0, np.pi), 150.0), Waveplate(rng.uniform(0, np.pi)),
              RawUnitary(random_unitary(rng)), Crystal(rng.uniform(0, np.pi), 310.0)]
             for _ in range(5)]
-    unit, n = _delay_grid(arms[:1])
-    cols = rng.normal(size=(5, 2, n, 3)) + 1j * rng.normal(size=(5, 2, n, 3))
-    stacked = _evolve_arm(arms, cols, unit)
+    arms += [[], [Waveplate(0.3)], [Crystal(0.2, 310.0), Crystal(0.9, 150.0)],
+             [RawUnitary(random_unitary(rng)), Crystal(0.4, 310.0), Waveplate(1.1)],
+             [Crystal(1.3, 150.0), Crystal(0.1, 150.0), Crystal(0.6, 150.0), Waveplate(0.5)]]
+    unit, n = _delay_grid(arms)
+    cols = rng.normal(size=(10, 2, n, 3)) + 1j * rng.normal(size=(10, 2, n, 3))
+    stacked = _evolve_arm(_evolution_steps(arms, unit), cols.copy())
+    # in blocks of three from arm 2 on, as the oracle evolves large groups
+    steps = _evolution_steps(arms[2:], unit)
+    blocks = np.concatenate([_evolve_arm(steps, cols[2 + start:5 + start].copy(), start)
+                             for start in range(0, 8, 3)])
     for i, arm in enumerate(arms):
-        np.testing.assert_allclose(stacked[i], _evolve_arm([arm], cols[i:i + 1], unit)[0],
-                                   atol=1e-15)
+        single = _evolve_arm(_evolution_steps([arm], unit), cols[i:i + 1].copy())[0]
+        assert stacked[i].tobytes() == single.tobytes(), arm
+        if i >= 2:
+            assert blocks[i - 2].tobytes() == single.tobytes(), arm
 
 
 def test_oracle_element_matrices_equal_the_constructors():

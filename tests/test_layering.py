@@ -77,17 +77,17 @@ def test_modules_import_no_private_names_from_each_other():
 
 
 # The dilation oracle, by module, and the names of the code it checks. The
-# oracle shares only the structure key, arm_structure, with composition and
-# the contrast, and builds its element matrices itself, so none of its
-# functions may name any of these.
+# oracle groups arm pairs by its own time grid, not by the stack key
+# arm_structure of composition and the contrast, and builds its element
+# matrices itself, so none of its functions may name any of these.
 ORACLE = {
-    "interferometer": {"_gcd", "_shift", "_delay_grid", "_stacked_ops", "_evolve_arm",
-                       "_path_gram", "_port_probabilities", "oracle_contrasts",
+    "interferometer": {"_gcd", "_shift", "_delay_grid", "_stacked_ops", "_evolution_steps",
+                       "_evolve_arm", "_path_gram", "_port_probabilities", "oracle_contrasts",
                        "oracle_contrast"},
 }
-CHECKED = {"compose_arms", "_check_stack", "_element_kraus", "_kraus_contrasts",
-           "shared_env_contrasts", "DELAY_MERGE_TOL", "ZERO_OP_TOL", "rotated_basis",
-           "half_waveplate"}
+CHECKED = {"compose_arms", "arm_structure", "_stack_steps", "_element_kraus",
+           "kraus_contrasts", "shared_env_contrasts", "DELAY_MERGE_TOL", "ZERO_OP_TOL",
+           "rotated_basis", "half_waveplate"}
 
 
 def test_the_oracle_names_none_of_the_code_it_checks():
