@@ -8,15 +8,10 @@ Kraus operators (k, 2, 2), one per distinct accumulated delay. Delays are
 micrometers of o/e wavepacket separation. Only delay differences are
 observable, so the o-ray carries zero delay by convention.
 
-``compose_arms`` composes a stack of arms that share their crystal delays
-(``arm_structure``); one arm is a one-arm stack. One pass over the delays
-decides the merge groups and refuses more than ``COMPOSE_BIN_LIMIT`` distinct
-sums with ``ResourceLimitError``, and one pass carries the Kraus sets as an
-(arms, k, 2, 2) stack through the elements: each crystal across the stack,
-the waveplates and raw unitaries between crystals in subsets of one rank and
-kind.
-``arm_channel_apply`` maps a stack of states through the operators of one
-composed arm or of each arm in a composed stack.
+``compose_arms`` composes any list of arms into one Kraus table, each arm's
+rows in delay order, arm after arm, composing the arms of one crystal-delay
+sequence as one stack (``_compose_stack``). ``arm_channel_apply`` maps a stack
+of states through the operators of each arm of a table.
 """
 
 from __future__ import annotations
@@ -39,7 +34,6 @@ __all__ = [
     "ArmSpec",
     "COMPOSE_BIN_LIMIT",
     "ResourceLimitError",
-    "arm_structure",
     "compose_arms",
     "arm_channel_apply",
 ]
@@ -111,12 +105,6 @@ ArmElement = Union[Crystal, Waveplate, RawUnitary]
 ArmSpec = Sequence[ArmElement]
 
 
-def arm_structure(arm: ArmSpec) -> tuple:
-    """What arms of one stack share: the delays of the arm's crystals, in
-    traversal order."""
-    return tuple([e.delay for e in arm if type(e) is Crystal])
-
-
 def _element_kraus(elems: Sequence[ArmElement]) -> np.ndarray:
     """Operators (arms, m, 2, 2) of elements of one kind across an arm stack,
     from one angle array: a crystal's o-ray and e-ray projectors, in that
@@ -140,8 +128,7 @@ def _stack_steps(arms: Sequence[ArmSpec]) -> tuple[list, list]:
     """The elements of an arm stack in kind subsets: the crystals by index,
     one per arm, and the other elements by segment, those before crystal 0
     and after each crystal, as (rows, elements) of one rank and kind in rank
-    order. ValueError unless the arms share one ``arm_structure``, naming the
-    crystal count or the first crystal whose delay differs."""
+    order; the arms share their crystal delays."""
     crystals, others = [], {}
     for row, arm in enumerate(arms):
         passed = rank = 0
@@ -158,22 +145,15 @@ def _stack_steps(arms: Sequence[ArmSpec]) -> tuple[list, list]:
                 others[key][0].append(row)
                 others[key][1].append(e)
                 rank += 1
-    # crystals[-1] holds one crystal of each arm that has the most of them
-    if crystals and len(crystals[-1]) != len(arms):
-        raise ValueError("stacked arms differ in crystal count")
-    for index, elems in enumerate(crystals if len(arms) > 1 else ()):
-        if any(e.delay != elems[0].delay for e in elems):
-            raise ValueError(f"stacked arms differ in the delay of crystal {index}")
     segments = [[] for _ in range(len(crystals) + 1)]
     for key in sorted(others, key=lambda key: key[:2]):
         segments[key[0]].append(others[key])
     return crystals, segments
 
 
-def compose_arms(arms: Sequence[ArmSpec]) -> tuple[np.ndarray, np.ndarray]:
-    """Kraus sets of a stack of arms of one ``arm_structure`` (else ValueError):
-    delays (k,), shared by the stack, and operators (arms, k, 2, 2), both
-    sorted by delay. One arm's Kraus set is ``delays, ops[0]`` of ``[arm]``.
+def _compose_stack(arms: Sequence[ArmSpec]) -> tuple[np.ndarray, np.ndarray]:
+    """Kraus sets of a stack of arms that share their crystal delays: delays
+    (k,) of the stack and operators (arms, k, 2, 2), sorted by delay.
 
     Applies the elements in traversal order (later elements left-multiplied).
     After each crystal, the o- and e-branches are sorted stably by total delay
@@ -182,9 +162,7 @@ def compose_arms(arms: Sequence[ArmSpec]) -> tuple[np.ndarray, np.ndarray]:
     are composed first, and more than ``COMPOSE_BIN_LIMIT`` of them raise
     ResourceLimitError before any operator is built. Waveplates and raw
     unitaries between two crystals may differ across the stack; each rank of
-    them is applied to the arms that have it. Zero rule: an operator below
-    ``ZERO_OP_TOL`` entrywise is exact zero in its arm, and its delay is
-    dropped when it vanishes in every arm (README, "Conventions and numerics").
+    them is applied to the arms that have it.
     """
     crystals, segments = _stack_steps(arms)
     delays, merges = np.zeros(1), []
@@ -225,30 +203,52 @@ def compose_arms(arms: Sequence[ArmSpec]) -> tuple[np.ndarray, np.ndarray]:
                 kraus = _element_kraus(elems) @ kraus
             else:
                 kraus[rows] = _element_kraus(elems) @ kraus[rows]
-    vanish = np.maximum.reduce(np.abs(kraus), axis=(2, 3)) < ZERO_OP_TOL
-    if len(arms) == 1:  # its vanished operators are dropped without zeroing
-        return delays.compress(~vanish[0]), kraus.compress(~vanish[0], axis=1)
-    kraus[vanish] = 0.0
-    keep = ~np.logical_and.reduce(vanish)
-    return delays.compress(keep), kraus.compress(keep, axis=1)
+    return delays, kraus
 
 
-def arm_channel_apply(kraus: np.ndarray, rho) -> np.ndarray:
-    """Polarization channel of a composed arm with the time bins traced out:
-    sum_k K rho K^dag over the operators ``kraus`` (k, 2, 2) of one composed
-    arm, added in delay order from 0. An arm stack's operators (arms, k, 2, 2)
-    from ``compose_arms`` give outputs (arms, ..., 2, 2); ``rho`` may be a
-    stack of states (..., 2, 2). Any other shape, such as an element list's,
-    raises ValueError."""
-    shape = np.shape(kraus)
-    if len(shape) not in (3, 4) or shape[-2:] != (2, 2):
-        raise ValueError("arm_channel_apply takes a composed operator stack, (k, 2, 2) of one "
-                         f"arm or (arms, k, 2, 2) from compose_arms, got shape {shape}")
+def compose_arms(arms: Sequence[ArmSpec]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Kraus table of any list of arms: owner (K,), the index of each row's
+    arm, delays (K,) and operators (K, 2, 2), arm after arm, each arm's rows in
+    delay order; one arm's Kraus set is ``compose_arms([arm])[1:]``. The arms
+    of one crystal-delay sequence are composed as one stack
+    (``_compose_stack``). Zero rule: each arm drops its operators below
+    ``ZERO_OP_TOL`` entrywise (README, "Conventions and numerics").
+    """
+    groups: dict = {}
+    for i, arm in enumerate(arms):
+        groups.setdefault(tuple([e.delay for e in arm if type(e) is Crystal]), []).append(i)
+    columns = [(np.zeros(0, dtype=np.intp), np.zeros(0), np.zeros((0, 2, 2), dtype=complex))]
+    for members in groups.values():
+        delays, kraus = _compose_stack([arms[i] for i in members])
+        keep = ~(np.maximum.reduce(np.abs(kraus), axis=(2, 3)) < ZERO_OP_TOL)
+        columns.append((np.repeat(members, keep.sum(axis=1)),
+                        np.broadcast_to(delays, keep.shape)[keep],
+                        kraus.reshape(-1, 2, 2).compress(keep.ravel(), axis=0)))
+    owner, delays, ops = (np.concatenate(column) for column in zip(*columns))
+    order = owner.argsort(kind="stable")
+    return owner[order], delays[order], ops[order]
+
+
+def arm_channel_apply(table: tuple, rho) -> np.ndarray:
+    """Polarization channels, time traced out, of the arms of a Kraus table
+    from ``compose_arms``: sum_k K rho K^dag over each arm's operators, added
+    in delay order from 0, as outputs (arms, ..., 2, 2) for ``rho``, one state
+    or a stack (..., 2, 2). Anything but a table whose operators are
+    (k, 2, 2), such as an element list, raises ValueError."""
+    owner, _, ops = table if type(table) is tuple and len(table) == 3 else (None, None, table)
+    shape = (len(ops),) if type(ops) is tuple else np.shape(ops)  # a tuple may be ragged
+    if owner is None or len(shape) != 3 or shape[1:] != (2, 2):
+        raise ValueError("arm_channel_apply takes the Kraus table (owner, delays, ops) of "
+                         f"compose_arms, ops of shape (k, 2, 2), got shape {shape}")
     rho = validate_density_matrix(rho)
     if rho.shape[-2:] != (2, 2):
         raise ValueError(f"arm channels act on 2x2 states, got shape {rho.shape}")
-    ops = np.moveaxis(kraus, -3, 0)
-    out = np.zeros(ops.shape[1:-2] + rho.shape, dtype=complex)
-    # the k-th operator of every arm, broadcast over the stack of states
-    ops = ops.reshape(ops.shape[:-2] + (1,) * (rho.ndim - 2) + (2, 2))
-    return sum((op @ rho @ op.conj().swapaxes(-1, -2) for op in ops), out)
+    counts = np.bincount(owner)
+    starts = counts.cumsum() - counts
+    # each operator broadcast over the stack of states
+    ops = ops.reshape((len(ops),) + (1,) * (rho.ndim - 2) + (2, 2))
+    out = np.zeros((len(counts),) + rho.shape, dtype=complex)
+    for j in range(counts.max(initial=0)):  # the j-th operator of every arm that has one
+        op = ops[starts[counts > j] + j]
+        out[counts > j] += op @ rho @ op.conj().swapaxes(-1, -2)
+    return out

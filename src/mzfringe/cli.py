@@ -14,6 +14,10 @@ bare numbers are radians. Arms are serialized as semicolon-separated elements
 entries, comma-separated>``, or ``identity``; an arm pair joins two arm strings
 with ``|`` (upper first), and the qkd segments join four.
 
+Counts are bounded: ``phases`` at most 2**20, ``beta-points`` and ``specs`` at
+most 2**16 each, every count at least 1. A count past its bound raises
+``ResourceLimitError`` before anything is computed.
+
 Exit codes: 0 success, 1 runtime or numerical error, 2 usage or config error
 or input past a stated resource limit (``ResourceLimitError``).
 """
@@ -52,6 +56,11 @@ COMMANDS = ("fringe", "sweep", "oracle-check", "tomography", "qkd", "fit")
 # resident set by 1.7 MiB, and chunks of 256 by 0.1-0.4 MiB at 11% more CPU
 # time than one chunk (measured when both grouped by element kinds too).
 _ORACLE_CHECK_CHUNK = 256
+# Upper bounds of the counts, far above the benchmark workloads' 1,024 phases,
+# 200 beta points and 1,000 specs. At the bounds, on a 2-vCPU VM, fringe took
+# 1.8 s and a peak resident set of 217 MiB, sweep 3.7 s and 239 MiB,
+# tomography 4.9 s and 337 MiB, and oracle-check 9.8 s and 73 MiB.
+_COUNT_LIMITS = {"phases": 2**20, "beta-points": 2**16, "specs": 2**16}
 
 
 class UsageError(Exception):
@@ -207,6 +216,9 @@ def _validate(config: argparse.Namespace) -> None:
         value = getattr(config, key.replace("-", "_"))
         if value is not None and value < 1:
             raise UsageError(f"key {key!r} must be >= 1, got {value}")
+        if key in _COUNT_LIMITS and value > _COUNT_LIMITS[key]:
+            raise ResourceLimitError(f"resource limit: key {key!r} is {value}, past its "
+                                     f"limit of {_COUNT_LIMITS[key]}")
     if config.command == "sweep" and config.variant is None:
         raise UsageError("command 'sweep' requires key 'variant'")
     if config.command == "fringe":
@@ -397,7 +409,7 @@ def main(argv=None) -> int:
         argv = sys.argv[1:]
     try:
         config = parse_config(argv)
-    except UsageError as exc:
+    except (UsageError, ResourceLimitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except SystemExit as exc:  # argparse handles --help and bad flags itself

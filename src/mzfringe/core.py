@@ -70,7 +70,7 @@ class CptpCheck(NamedTuple):
 
 def validate_cptp(operators) -> CptpCheck:
     """Check trace preservation of a Kraus set (k, d, d), such as one arm's
-    operators from ``compose_arms``: sum K^dag K == identity within
+    operators ``compose_arms([arm])[2]``: sum K^dag K == identity within
     ``CPTP_ATOL``. Returns the max-entry residual of |sum K^dag K - I|; an
     empty, ragged, non-square or non-finite set raises ValueError."""
     try:

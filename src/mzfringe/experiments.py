@@ -105,9 +105,8 @@ def sweep(variant: str, betas: Sequence[float]) -> tuple[np.ndarray, ...]:
     """The columns beta, v_closed_form, v_simulated and v_oracle over a beta grid.
 
     The closed-form column keeps its sign; the simulated and oracle columns
-    are contrast magnitudes. The configurations of one variant share their
-    arm structure, so the contrast composes each arm structure once and joins
-    all betas at once, and the oracle evolves them as one stack in
+    are contrast magnitudes. The contrast composes all arms in one Kraus table
+    and joins all betas at once, and the oracle evolves them as one stack in
     memory-bounded blocks.
     """
     uppers, lowers = standard_arms(variant, betas)
@@ -123,21 +122,23 @@ def blindness_demo(betas: Sequence[float]) -> tuple[np.ndarray, ...]:
 
     Builds the first and third standard configurations over the grid (they
     share per-arm angle sequences and differ only in which crystal length sits
-    in which position) and composes two arm stacks: upper a, and upper c with
-    the shared lower arm, whose crystal delays upper c shares. Each composed
-    upper-arm stack feeds one process tomography and, joined with the lower
-    arm by ``kraus_contrasts``, the visibilities of its configuration. Returns
-    the columns beta, chi_distance_upper (the Frobenius norm of the chi
-    difference), chi_distance_lower (0 by construction: the arm is shared),
-    visibility_a, visibility_b and visibility_gap.
+    in which position) and composes upper a, upper c and the shared lower arm
+    in one Kraus table. Its upper arms feed one process tomography and,
+    joined with the lower arm by one ``kraus_contrasts`` call, give the
+    visibilities of both configurations. Returns the columns beta,
+    chi_distance_upper (the Frobenius norm of the chi difference),
+    chi_distance_lower (0 by construction: the arm is shared), visibility_a,
+    visibility_b and visibility_gap.
     """
     (uppers_a, lowers), uppers_c = standard_arms("a", betas), standard_arms("c", betas)[0]
-    upper_a, (delays, ops) = compose_arms(uppers_a), compose_arms([*uppers_c, *lowers])
-    upper_c, lower = (delays, ops[:len(lowers)]), (delays, ops[len(lowers):])
-    chi_a, chi_c = (qpt(lambda rho: arm_channel_apply(arm[1], rho)) for arm in (upper_a, upper_c))
-    vis_a, vis_b = ([abs(c) for c in kraus_contrasts(upper, lower, maximally_mixed(2))]
-                    for upper in (upper_a, upper_c))
-    columns = (betas, [np.linalg.norm(d) for d in chi_a - chi_c], np.zeros(len(betas)),
+    n = len(lowers)
+    table = compose_arms([*uppers_a, *uppers_c, *lowers])
+    uppers = tuple(column[:table[0].searchsorted(2 * n)] for column in table)
+    chi = qpt(lambda rho: arm_channel_apply(uppers, rho))
+    vis = [abs(c) for c in kraus_contrasts(table, range(2 * n), [*range(2 * n, 3 * n)] * 2,
+                                           maximally_mixed(2))]
+    vis_a, vis_b = vis[:n], vis[n:]
+    columns = (betas, [np.linalg.norm(d) for d in chi[:n] - chi[n:]], np.zeros(n),
                vis_a, vis_b, [abs(a - b) for a, b in zip(vis_a, vis_b)])
     return tuple(np.array(column, dtype=float) for column in columns)
 

@@ -16,22 +16,20 @@ and c the closing row at that phase.
 
 Both routines take a stack of arm pairs, ``uppers[i]`` against ``lowers[i]``,
 and one input state or one per pair; one pair is a stack of one. The contrast
-composes the arms of each distinct crystal-delay sequence (``arm_structure``)
-as one stack and joins the pairs of each (upper, lower) sequence once
-(``kraus_contrasts``), and the oracle evolves the pairs of each time grid as
-one stack in memory-bounded blocks. A pair's result has the same bits in any
-group and in any stack.
+composes all arms in one Kraus table (``compose_arms``) and joins every pair
+at once on exact (arm, delay) keys (``kraus_contrasts``), and the oracle
+evolves the pairs of each time grid as one stack in memory-bounded blocks. A
+pair's result has the same bits in any stack.
 
 The whole oracle lives here: its time grid at the gcd of the crystal delays
 (``_delay_grid``, up to ``ORACLE_DIM_LIMIT``), which also groups its pairs,
 its arm evolution in kind subsets (``_evolution_steps``, ``_evolve_arm``)
 through element matrices and a beamsplitter of its own, and the path Gram.
-Composing no Kraus set, calling no element constructor and naming no stack
-key of the contrast, it checks ``compose_arms`` rather than repeating it;
-with the contrast it shares ``_groups`` and ``_input_states``.
-``InterferometerSpec``, a plain record of two arms and a state, and
-``oracle_contrast`` are the one-spec interface of the benchmark's correctness
-gate; no command uses them.
+Composing no Kraus set and calling no element constructor, it checks
+``compose_arms`` rather than repeating it; with the contrast it shares
+``_input_states``. ``InterferometerSpec``, a plain record of two arms and a
+state, and ``oracle_contrast`` are the one-spec interface of the benchmark's
+correctness gate; no command uses them.
 
 Time-bin orthogonality is binary here: delays matching within
 ``DELAY_MERGE_TOL`` interfere fully, all others not at all. Partial wavepacket
@@ -48,7 +46,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .arms import (DELAY_MERGE_TOL, ArmElement, ArmSpec, Crystal, RawUnitary,
-                   ResourceLimitError, Waveplate, arm_structure, compose_arms)
+                   ResourceLimitError, Waveplate, compose_arms)
 from .core import validate_density_matrix
 
 __all__ = [
@@ -103,34 +101,40 @@ def _input_states(rho) -> np.ndarray:
     return states
 
 
-def kraus_contrasts(upper: tuple, lower: tuple, rho) -> list[complex]:
-    """Complex contrasts of a stack of arm pairs from their stacked Kraus sets,
-    ``(delays, ops)`` of ``compose_arms`` (or rows of its ops) for the upper
-    and the lower arms, and input ``rho``, one state (2, 2) or one per pair,
-    as a complex array that is not validated here.
+def kraus_contrasts(table: tuple, upper, lower, rho) -> list[complex]:
+    """Complex contrasts of arm pairs from a Kraus table of ``compose_arms``:
+    pair i joins arm ``upper[i]`` of the table with arm ``lower[i]``, with
+    input ``rho``, an unvalidated complex array, one state (2, 2) or one per pair.
 
     C = sum of Tr[u^dag v rho] over delay-matched Kraus pairs (u from the
     upper arm, v from the lower): each upper delay d is joined with every
-    lower delay in [d - DELAY_MERGE_TOL, d + DELAY_MERGE_TOL]. Each arm's
-    terms are added in pair order starting from 0, which fixes their rounding
-    (np.sum would add them pairwise).
+    lower delay in [d - DELAY_MERGE_TOL, d + DELAY_MERGE_TOL], searched for on
+    exact (arm, delay) keys. Each pair's terms are added in (upper delay,
+    lower delay) order starting from 0, which fixes their rounding (np.sum
+    would add them pairwise).
     """
-    (upper_delays, upper_ops), (lower_delays, lower_ops) = upper, lower
-    lo = lower_delays.searchsorted(upper_delays - DELAY_MERGE_TOL)
-    counts = lower_delays.searchsorted(upper_delays + DELAY_MERGE_TOL, "right") - lo
-    # lower index of every pair: lo[i], ..., lo[i] + counts[i] - 1 per upper i
-    first = (lo - counts.cumsum() + counts).repeat(counts)
-    v = lower_ops.take(first + np.arange(len(first)), axis=1)
-    m = upper_ops.repeat(counts, axis=1).conj().swapaxes(2, 3) @ v @ rho[..., None, :, :]
-    return [sum(terms, 0j) for terms in (m[:, :, 0, 0] + m[:, :, 1, 1]).tolist()]
-
-
-def _groups(keys) -> dict:
-    """Indices of ``keys`` by key, in order of first appearance."""
-    groups: dict = {}
-    for i, key in enumerate(keys):
-        groups.setdefault(key, []).append(i)
-    return groups
+    owner, delays, ops = table
+    upper, lower = np.asarray(upper, dtype=np.intp), np.asarray(lower, dtype=np.intp)
+    # (arm, delay) keys as arm + i delay, which numpy sorts and searches
+    # lexicographically, real part first: exact, and ascending over the table
+    keys = owner + 1j * delays
+    # the rows of each pair's upper arm, pair after pair
+    start = keys.searchsorted(upper)
+    per_pair = keys.searchsorted(upper + 1) - start
+    pair = np.arange(len(upper)).repeat(per_pair)
+    rows = np.arange(len(pair)) + (start - per_pair.cumsum() + per_pair).repeat(per_pair)
+    d, arm = delays[rows], lower[pair]
+    lo = keys.searchsorted(arm + 1j * (d - DELAY_MERGE_TOL))
+    matched = keys.searchsorted(arm + 1j * (d + DELAY_MERGE_TOL), "right") - lo
+    # lower row of every term: lo[i], ..., lo[i] + matched[i] - 1 per upper row i
+    first = (lo - matched.cumsum() + matched).repeat(matched)
+    v, term_pair = ops.take(first + np.arange(len(first)), axis=0), pair.repeat(matched)
+    if rho.ndim > 2:  # one state per pair, else one state broadcast over the terms
+        rho = np.broadcast_to(rho, (len(upper), 2, 2))[term_pair]
+    m = ops.take(rows.repeat(matched), axis=0).conj().swapaxes(1, 2) @ v @ rho
+    terms = (m[:, 0, 0] + m[:, 1, 1]).tolist()
+    ends = np.bincount(term_pair, minlength=len(upper)).cumsum().tolist()
+    return [sum(terms[a:b], 0j) for a, b in zip([0, *ends], ends)]
 
 
 def shared_env_contrasts(uppers: Sequence[ArmSpec], lowers: Sequence[ArmSpec],
@@ -141,30 +145,13 @@ def shared_env_contrasts(uppers: Sequence[ArmSpec], lowers: Sequence[ArmSpec],
     ``shared_env_contrasts([upper], [lower], rho)[0]``.
 
     ``rho`` is validated once, as one stack; a matrix that is not a 2x2
-    density matrix raises ValueError. The arms, upper and lower alike, are
-    composed as one ``compose_arms`` stack per distinct crystal-delay sequence
-    (``arm_structure``), and the pairs that share an (upper, lower) sequence
-    are joined by one ``kraus_contrasts`` call. A pair's contrast has the bits
-    it has alone.
+    density matrix raises ValueError. All arms, upper and lower alike, are
+    composed in one ``compose_arms`` table, and every pair is joined by one
+    ``kraus_contrasts`` call. A pair's contrast has the bits it has alone.
     """
     rho = _input_states(rho)
-    arms = [*uppers, *lowers]
-    keys = [arm_structure(arm) for arm in arms]
-    stacks, rows = {}, [0] * len(arms)
-    for key, members in _groups(keys).items():
-        stacks[key] = compose_arms([arms[i] for i in members])
-        for row, i in enumerate(members):
-            rows[i] = row
-    rho = np.broadcast_to(rho, (len(uppers), 2, 2))
-    n, out = len(uppers), [0j] * len(uppers)
-    for (upper, lower), pairs in _groups(zip(keys[:n], keys[n:])).items():
-        (upper_delays, upper_ops), (lower_delays, lower_ops) = stacks[upper], stacks[lower]
-        contrasts = kraus_contrasts(
-            (upper_delays, upper_ops[[rows[i] for i in pairs]]),
-            (lower_delays, lower_ops[[rows[n + i] for i in pairs]]), rho[pairs])
-        for i, c in zip(pairs, contrasts):
-            out[i] = c
-    return out
+    n = len(uppers)
+    return kraus_contrasts(compose_arms([*uppers, *lowers]), range(n), range(n, 2 * n), rho)
 
 
 def output_probability(c: complex, phi):
@@ -240,6 +227,14 @@ def _stacked_ops(elems: Sequence[ArmElement]) -> np.ndarray:
     else:
         raise ValueError(f"unknown arm element {elems[0]!r}")
     return np.array(ops, dtype=complex).transpose(2, 0, 1)
+
+
+def _groups(keys) -> dict:
+    """Indices of ``keys`` by key, in order of first appearance."""
+    groups: dict = {}
+    for i, key in enumerate(keys):
+        groups.setdefault(key, []).append(i)
+    return groups
 
 
 def _evolution_steps(arms: Sequence[ArmSpec], unit: float) -> list:

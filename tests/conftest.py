@@ -1,7 +1,7 @@
 import numpy as np
 
-from mzfringe import (Crystal, RawUnitary, Waveplate, compose_arms, maximally_mixed,
-                      oracle_contrasts, shared_env_contrasts, standard_arms)
+from mzfringe import (Crystal, RawUnitary, Waveplate, arm_channel_apply, compose_arms,
+                      maximally_mixed, oracle_contrasts, shared_env_contrasts, standard_arms)
 
 
 def random_density(rng: np.random.Generator, d: int = 2) -> np.ndarray:
@@ -24,9 +24,13 @@ ANGLES = np.linspace(-10.0, 10.0, 401)
 
 
 def compose_one(arm) -> tuple[np.ndarray, np.ndarray]:
-    """Kraus set of one arm, delays (k,) and operators (k, 2, 2): the one-arm stack."""
-    delays, ops = compose_arms([arm])
-    return delays, ops[0]
+    """Kraus set of one arm, delays (k,) and operators (k, 2, 2): the one-arm table."""
+    return compose_arms([arm])[1:]
+
+
+def channel_one(arm, rho) -> np.ndarray:
+    """Channel of one arm on ``rho``, one state or a stack of states (..., 2, 2)."""
+    return arm_channel_apply(compose_arms([arm]), rho)[0]
 
 
 def contrast(upper, lower, rho=MIXED) -> complex:

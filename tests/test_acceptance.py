@@ -9,10 +9,10 @@ import pytest
 
 import mzfringe.arms
 import mzfringe.interferometer
-from conftest import compose_one, contrast, oracle, random_arm, random_pair, standard_pair
+from conftest import (channel_one, compose_one, contrast, oracle, random_arm, random_pair,
+                      standard_pair)
 from mzfringe import (
     Crystal,
-    arm_channel_apply,
     blindness_demo,
     compose_arms,
     fit_fringe,
@@ -142,7 +142,7 @@ def test_criterion_5_cptp_and_unitality():
         arm = random_arm(rng, max_elements=4)
         check = validate_cptp(compose_one(arm)[1])
         worst_residual = max(worst_residual, check.residual)
-        out = arm_channel_apply(compose_one(arm)[1], maximally_mixed(2))
+        out = channel_one(arm, maximally_mixed(2))
         worst_unital = max(worst_unital, float(np.max(np.abs(out - np.eye(2) / 2))))
     _report(5, "CPTP and unitality on 200 random arms",
             worst_residual <= 1e-10 and worst_unital <= 1e-12,

@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import compose_one, random_arm, random_unitary
+from conftest import channel_one, compose_one, random_arm, random_unitary
 from mzfringe import (
     Crystal,
     RawUnitary,
@@ -190,7 +190,7 @@ def test_channel_preserves_maximally_mixed():
     rng = np.random.default_rng(43)
     for _ in range(50):
         arm = random_arm(rng, max_elements=4)
-        out = arm_channel_apply(compose_one(arm)[1], maximally_mixed(2))
+        out = channel_one(arm, maximally_mixed(2))
         np.testing.assert_allclose(out, I2 / 2, atol=1e-12)
 
 
@@ -198,13 +198,13 @@ def test_channel_unital_with_compensating_delays():
     # two equal-delay crystals after a third: merged bins mix branches from
     # different elements, and the aggregate still maps I/2 to I/2
     arm = [Crystal(0.0, 150.0), Crystal(0.7, 75.0), Crystal(1.1, 75.0)]
-    out = arm_channel_apply(compose_one(arm)[1], maximally_mixed(2))
+    out = channel_one(arm, maximally_mixed(2))
     np.testing.assert_allclose(out, I2 / 2, atol=1e-12)
 
 
 def test_channel_dephases_diagonal_input():
     d = np.array([1.0, 1.0]) / np.sqrt(2)
-    out = arm_channel_apply(compose_one([Crystal(0.0, 310.0)])[1], projector(d))
+    out = channel_one([Crystal(0.0, 310.0)], projector(d))
     np.testing.assert_allclose(out, I2 / 2, atol=1e-14)
 
 
@@ -213,22 +213,23 @@ def test_channel_identity_on_empty_arm():
     a = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
     rho = a @ a.conj().T
     rho /= np.trace(rho)
-    np.testing.assert_allclose(arm_channel_apply(compose_one([])[1], rho), rho)
+    np.testing.assert_allclose(channel_one([], rho), rho)
 
 
 @pytest.mark.parametrize("kraus, got", [
     ([Crystal(0.3, 150.0)], r"shape \(1,\)"),    # the element list it once took
     ([], r"shape \(0,\)"),                       # an empty element list
     (I2, r"shape \(2, 2\)"),                     # a bare 2x2 matrix
+    (compose_one([]), r"shape \(2,\)"),          # one arm's (delays, ops)
 ])
 def test_channel_names_the_operator_stack_it_takes(kraus, got):
-    with pytest.raises(ValueError, match=r"\(k, 2, 2\) of one arm or "
-                                         r"\(arms, k, 2, 2\) from compose_arms, got " + got):
+    with pytest.raises(ValueError, match=r"Kraus table \(owner, delays, ops\) of compose_arms, "
+                                         r"ops of shape \(k, 2, 2\), got " + got):
         arm_channel_apply(kraus, maximally_mixed(2))
 
 
 def test_channel_of_an_empty_arm_stack_is_an_empty_stack():
-    assert arm_channel_apply(compose_arms([])[1], PROBE_STATES).shape == (0, 4, 2, 2)
+    assert arm_channel_apply(compose_arms([]), PROBE_STATES).shape == (0, 4, 2, 2)
 
 
 def test_compose_refuses_arms_past_the_bin_limit_at_once():
@@ -307,16 +308,28 @@ def test_compose_matches_the_per_branch_rule_bit_for_bit():
         assert [op.tobytes() for op in ops] == [op.tobytes() for _, op in want], arm
 
 
-@pytest.mark.parametrize("lower, message", [
-    ([Crystal(0.2, 150.0)], "crystal count"),
-    ([Waveplate(0.2), Crystal(0.3, 310.0)], "crystal count"),
-    ([Crystal(0.2, 150.0), Crystal(0.3, 150.0)], "the delay of crystal 1"),
+def assert_rows_are_each_arms_own(arms):
+    """``compose_arms`` of ``arms`` in one call: arm after arm, each arm's rows
+    are those it has alone, bit for bit, and no kept operator lies below
+    ZERO_OP_TOL."""
+    owner, delays, ops = compose_arms(arms)
+    assert owner.tolist() == sorted(owner.tolist())
+    assert (np.abs(ops).max(axis=(1, 2)) >= ZERO_OP_TOL).all()
+    for i, arm in enumerate(arms):
+        want_delays, want_ops = compose_one(arm)
+        assert delays[owner == i].tobytes() == want_delays.tobytes(), arm
+        assert ops[owner == i].tobytes() == want_ops.tobytes(), arm
+
+
+@pytest.mark.parametrize("lower", [
+    pytest.param([Crystal(0.2, 150.0)], id="crystal-count"),
+    pytest.param([Waveplate(0.2), Crystal(0.3, 310.0)], id="crystal-count-after-a-waveplate"),
+    pytest.param([Crystal(0.2, 150.0), Crystal(0.3, 150.0)], id="delay-of-crystal-1"),
 ])
-def test_stacked_evolution_rejects_mixed_structures(lower, message):
+def test_arms_of_other_crystal_delays_compose_in_one_call(lower):
+    # the two copies of arm share a stack that lower is not in
     arm = [Crystal(0.1, 150.0), Crystal(0.4, 310.0)]
-    # composition checks the stack rather than using the first arm's delays
-    with pytest.raises(ValueError, match=message):
-        compose_arms([arm, lower])
+    assert_rows_are_each_arms_own([arm, lower, arm])
 
 
 def test_stacked_arms_may_differ_in_their_other_elements():
@@ -331,13 +344,18 @@ def test_stacked_arms_may_differ_in_their_other_elements():
         [Crystal(0.7, 150.0), Waveplate(0.6), Crystal(1.1, 310.0), u, u],
         [Waveplate(0.3), Waveplate(0.8), u, Crystal(0.2, 150.0), Crystal(np.pi / 2, 310.0)],
     ]
-    delays, ops = compose_arms(arms)
-    for arm, arm_ops in zip(arms, ops):
-        want_delays, want_ops = compose_one(arm)
-        kept = np.abs(arm_ops).max(axis=(1, 2)) >= ZERO_OP_TOL
-        assert (delays[kept] == want_delays).all(), arm
-        assert arm_ops[kept].tobytes() == want_ops.tobytes(), arm
-        assert (arm_ops[~kept] == 0).all(), arm
+    assert_rows_are_each_arms_own(arms)
+
+
+def test_each_arm_drops_its_own_vanished_operators():
+    # crossed crystals keep only their 150 um operator, while arms of the
+    # same crystal delays keep all three
+    crossed = [Crystal(0.0, 150.0), Crystal(np.pi / 2, 150.0)]
+    others = [[Crystal(0.3, 150.0), Crystal(1.1, 150.0)],
+              [Waveplate(0.4), Crystal(0.2, 150.0), Crystal(0.9, 150.0)]]
+    assert compose_one(crossed)[0].tolist() == [150.0]
+    assert [compose_one(arm)[0].tolist() for arm in others] == [[0.0, 150.0, 300.0]] * 2
+    assert_rows_are_each_arms_own([others[0], crossed, others[1]])
 
 
 def stacks_under_test():
@@ -354,16 +372,9 @@ def stacks_under_test():
 
 
 def test_stacked_composition_equals_per_arm_composition_bit_for_bit():
-    zeroed = 0
     for arms in stacks_under_test():
-        delays, ops = compose_arms(arms)
-        assert ops.shape == (len(arms), len(delays), 2, 2)
-        for arm, arm_ops in zip(arms, ops):
-            want_delays, want_ops = compose_one(arm)
-            kept = np.abs(arm_ops).max(axis=(1, 2)) >= ZERO_OP_TOL
-            assert (delays[kept] == want_delays).all(), arm
-            assert arm_ops[kept].tobytes() == want_ops.tobytes(), arm
-            # an operator that vanishes in this arm alone is exactly zero
-            assert (arm_ops[~kept] == 0).all(), arm
-            zeroed += int((~kept).sum())
-    assert zeroed > 0
+        assert_rows_are_each_arms_own(arms)
+    # the 300 arms of blindness_demo in one call
+    uppers_a, lowers = standard_arms("a", default_beta_grid(100))
+    assert_rows_are_each_arms_own([*uppers_a, *standard_arms("c", default_beta_grid(100))[0],
+                                   *lowers])

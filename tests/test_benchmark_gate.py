@@ -2,10 +2,11 @@
 
 The command lists and the gate come from ``benchmarks/``, loaded by file path
 so that the benchmark stays a directory of scripts rather than a package.
-The pass's CSVs must also match, byte for byte, the sha256 digests recorded
-in ``seed_1_csv_sha256.json``, and each command's exit code and one-line
-stdout summary those in ``seed_1_stdout.json``; a change that alters them on
-purpose regenerates the file. The tracer's function list is checked against the
+The passes of seeds 1 to 3 must also match, byte for byte, the sha256 digests
+of their CSVs recorded in ``seed_<seed>_csv_sha256.json``, and each command's
+exit code and one-line stdout summary those in ``seed_<seed>_stdout.json``; a
+change that alters them on purpose regenerates these files with
+``tests/pin_outputs.py``. The tracer's function list is checked against the
 package without installing the tracer.
 """
 
@@ -20,8 +21,11 @@ import pytest
 from mzfringe.cli import main
 
 BENCHMARKS = Path(__file__).resolve().parent.parent / "benchmarks"
-DIGESTS = json.loads((Path(__file__).resolve().parent / "seed_1_csv_sha256.json").read_text())
-STDOUT = json.loads((Path(__file__).resolve().parent / "seed_1_stdout.json").read_text())
+TESTS = Path(__file__).resolve().parent
+SEEDS = (1, 2, 3)
+DIGESTS = {seed: json.loads((TESTS / f"seed_{seed}_csv_sha256.json").read_text())
+           for seed in SEEDS}
+STDOUT = {seed: json.loads((TESTS / f"seed_{seed}_stdout.json").read_text()) for seed in SEEDS}
 
 
 def _load(name):
@@ -36,9 +40,9 @@ gate = _load("gate")
 tracing = _load("tracing")
 
 
-@pytest.mark.parametrize("workload", sorted(workloads.WORKLOADS))
-def test_seed_1_pass_clears_the_benchmark_gate(tmp_path, monkeypatch, capsys, workload):
-    commands = workloads.generate(workload, 1)
+def assert_pass_clears_the_gate(tmp_path, monkeypatch, capsys, workload, seed):
+    """One pass of ``workload`` at ``seed`` through the gate and against its pins."""
+    commands = workloads.generate(workload, seed)
     monkeypatch.chdir(tmp_path)
     runs = {}
     for command in commands:
@@ -46,14 +50,26 @@ def test_seed_1_pass_clears_the_benchmark_gate(tmp_path, monkeypatch, capsys, wo
         runs[command["output"]] = [code, capsys.readouterr().out]
     assert [output for output, (code, _) in runs.items() if code != 0] == []
     assert runs == {output: [code, line + "\n"]
-                    for output, (code, line) in STDOUT[workload].items()}
+                    for output, (code, line) in STDOUT[seed][workload].items()}
     assert gate.gate(commands, [str(tmp_path)]) == []
-    want = DIGESTS[workload]
+    want = DIGESTS[seed][workload]
     assert len(commands) == len(want)
     changed = [" ".join(command["argv"]) for command in commands
                if hashlib.sha256((tmp_path / command["output"]).read_bytes()).hexdigest()
                != want.get(command["output"])]
     assert changed == []
+
+
+@pytest.mark.parametrize("workload", sorted(workloads.WORKLOADS))
+def test_seed_1_pass_clears_the_benchmark_gate(tmp_path, monkeypatch, capsys, workload):
+    assert_pass_clears_the_gate(tmp_path, monkeypatch, capsys, workload, 1)
+
+
+@pytest.mark.parametrize("seed", [2, 3])
+@pytest.mark.parametrize("workload", sorted(workloads.WORKLOADS))
+def test_seeds_2_and_3_pass_clear_the_benchmark_gate(tmp_path, monkeypatch, capsys, workload,
+                                                     seed):
+    assert_pass_clears_the_gate(tmp_path, monkeypatch, capsys, workload, seed)
 
 
 def test_traced_names_that_no_longer_resolve():

@@ -14,8 +14,8 @@ import mzfringe.experiments
 import mzfringe.interferometer
 from conftest import contrast, oracle, random_pair
 from mzfringe.cli import main, parse_angle, parse_arm
-from mzfringe.interferometer import shared_env_contrasts
-from mzfringe.arms import Crystal, RawUnitary, Waveplate, arm_structure, compose_arms
+from mzfringe.interferometer import kraus_contrasts, shared_env_contrasts
+from mzfringe.arms import Crystal, RawUnitary, Waveplate, compose_arms
 from mzfringe.core import validate_density_matrix
 
 
@@ -402,6 +402,27 @@ def test_count_below_one_is_usage_error(tmp_path, capsys, args, flag, value, min
     assert not (tmp_path / "x.csv").exists()
 
 
+@pytest.mark.parametrize("args, flag, bound", [
+    pytest.param(FRINGE, "--phases", 20, id="fringe--phases"),
+    pytest.param(["fit", "--variant", "a", "--beta", "0.3", "--mean-total", "100"],
+                 "--phases", 20, id="fit--phases"),
+    pytest.param(["sweep", "--variant", "a"], "--beta-points", 16, id="sweep--beta-points"),
+    pytest.param(["tomography"], "--beta-points", 16, id="tomography--beta-points"),
+    pytest.param(["oracle-check"], "--specs", 16, id="oracle-check--specs"),
+])
+def test_count_past_its_bound_is_a_resource_limit(tmp_path, capsys, monkeypatch, args, flag,
+                                                  bound):
+    # no command runs: one would exit 1 here, and one past the bound exits 2
+    monkeypatch.setattr(mzfringe.cli, "_RUNNERS", {})
+    out = tmp_path / "x.csv"
+    for value in (2 ** bound + 1, 10**13):
+        assert main(args + [flag, str(value), "--output", str(out)]) == 2
+        assert (f"resource limit: key '{flag[2:]}' is {value}, past its limit of {2 ** bound}"
+                in capsys.readouterr().err)
+    assert not out.exists()
+    assert main(args + [flag, str(2 ** bound), "--output", str(out)]) == 1
+
+
 @pytest.mark.parametrize("delay", ["-5", "nan", "inf"])
 def test_bad_crystal_delay_is_usage_error(tmp_path, capsys, delay):
     assert main(["fringe", "--arms", f"crystal:0:{delay}|", "--phases", "8",
@@ -474,14 +495,13 @@ def test_sampled_fringe_computes_one_contrast(tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize("args, sizes", [
-    (["tomography", "--beta-points", "100"], [100, 200]),
-    (["sweep", "--variant", "a", "--beta-points", "200"], [200, 200]),
+    (["tomography", "--beta-points", "100"], [300]),
+    (["sweep", "--variant", "a", "--beta-points", "200"], [400]),
 ])
 def test_paper_tables_compose_each_arm_stack_once(tmp_path, monkeypatch, args, sizes):
-    # tomography composes upper a, and upper c with the shared lower arm,
-    # whose crystal delays it shares; both stacks feed process tomography and
-    # the contrast. A sweep composes its upper and lower arms. Each stack
-    # spans the whole beta grid.
+    # tomography composes upper a, upper c and the shared lower arm in one
+    # table, which feeds process tomography and the contrast; a sweep composes
+    # its upper and lower arms in one table. Each spans the whole beta grid.
     calls = []
 
     def counted(arms):
@@ -542,20 +562,24 @@ def test_oracle_check_validates_each_chunk_of_states_as_one_stack(tmp_path, monk
 
 
 def test_oracle_check_composes_each_arm_structure_once_per_chunk(tmp_path, monkeypatch):
-    stacks = []
+    # each of the four chunks composes all its arms in one table and joins
+    # all its pairs in one call
+    stacks, joins = [], []
 
-    def counted(arms):
+    def composed(arms):
         stacks.append(len(arms))
         return compose_arms(arms)
 
-    monkeypatch.setattr(mzfringe.interferometer, "compose_arms", counted)
+    def joined(table, upper, lower, rho):
+        joins.append(len(upper))
+        return kraus_contrasts(table, upper, lower, rho)
+
+    monkeypatch.setattr(mzfringe.interferometer, "compose_arms", composed)
+    monkeypatch.setattr(mzfringe.interferometer, "kraus_contrasts", joined)
     assert main(["oracle-check", "--specs", "1000", "--seed", "5",
                  "--output", str(tmp_path / "o.csv")]) == 0
-    structures = [len({arm_structure(arm) for upper, lower, _ in chunk for arm in (upper, lower)})
-                  for chunk in oracle_check_specs(1000, 5)]
-    # one stack per crystal-delay sequence in each of the four chunks
-    assert len(stacks) == sum(structures) == 123
-    assert sum(stacks) == 2000
+    assert stacks == [512, 512, 512, 464]
+    assert joins == [256, 256, 256, 232]
 
 
 def test_a_config_run_leaves_no_defaults_behind(tmp_path, capsys):

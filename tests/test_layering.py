@@ -77,15 +77,15 @@ def test_modules_import_no_private_names_from_each_other():
 
 
 # The dilation oracle, by module, and the names of the code it checks. The
-# oracle groups arm pairs by its own time grid, not by the stack key
-# arm_structure of composition and the contrast, and builds its element
-# matrices itself, so none of its functions may name any of these.
+# oracle groups arm pairs by its own time grid, not by the crystal-delay
+# stacks of composition (_compose_stack), and builds its element matrices
+# itself, so none of its functions may name any of these.
 ORACLE = {
     "interferometer": {"_gcd", "_shift", "_delay_grid", "_stacked_ops", "_evolution_steps",
                        "_evolve_arm", "_path_gram", "_port_probabilities", "oracle_contrasts",
                        "oracle_contrast"},
 }
-CHECKED = {"compose_arms", "arm_structure", "_stack_steps", "_element_kraus",
+CHECKED = {"compose_arms", "_compose_stack", "_stack_steps", "_element_kraus",
            "kraus_contrasts", "shared_env_contrasts", "DELAY_MERGE_TOL", "ZERO_OP_TOL",
            "rotated_basis", "half_waveplate"}
 

@@ -1,12 +1,16 @@
-"""Crystal-delay stacks and time-grid oracle groups against the routines they
-replaced, kept here as references.
+"""The one-table composition and join, and the time-grid oracle groups,
+against the routines they replaced, kept here as references.
 
-The references group arms by their full structure, element kinds and crystal
-delays: composition of a stack of one structure, the contrast composed and
-joined per structure, and the oracle evolved per (upper, lower) structure.
-The package's routines key stacks by crystal delays alone and group the
-oracle by time grid; every contrast, oracle Gram matrix and nonzero Kraus
-operator must keep its bits.
+The composition references compose a stack of arms that share their crystal
+delays into delays shared by the stack and operators (arms, k, 2, 2), zero an
+operator that vanishes in one arm of a stack and drop its delay only where it
+vanishes in every arm; the contrast composes one stack per crystal-delay
+sequence and joins the pairs of each (upper, lower) sequence at once. The
+package composes any arms in one Kraus table, drops each arm's own vanished
+operators and joins every pair at once. The oracle references group pairs by
+their full structure, element kinds and crystal delays, where the package
+groups them by time grid. Every kept Kraus row, contrast, oracle Gram matrix
+and blindness column must keep its bits.
 """
 
 import importlib.util
@@ -16,20 +20,25 @@ import numpy as np
 import pytest
 
 import mzfringe.cli
-from conftest import random_unitary
-from mzfringe import (Crystal, RawUnitary, Waveplate, compose_arms, default_beta_grid,
-                      maximally_mixed, oracle_contrasts, shared_env_contrasts, standard_arms,
-                      sweep)
+from conftest import random_density, random_unitary
+from mzfringe import (Crystal, RawUnitary, Waveplate, blindness_demo, compose_arms,
+                      default_beta_grid, maximally_mixed, oracle_contrasts, qpt,
+                      shared_env_contrasts, standard_arms, sweep)
 from mzfringe.arms import (COMPOSE_BIN_LIMIT, DELAY_MERGE_TOL, ZERO_OP_TOL, ArmSpec,
-                           ResourceLimitError, _element_kraus, arm_structure)
+                           ResourceLimitError, _element_kraus)
 from mzfringe.experiments import random_specs
 from mzfringe.interferometer import (_BEAMSPLITTER, _ORACLE_BLOCK_BYTES, _ORACLE_PHASES,
                                      _ORACLE_PHIS, _delay_grid, _input_states, _path_gram,
-                                     _port_probabilities, _shift, _stacked_ops, kraus_contrasts)
+                                     _port_probabilities, _shift, _stacked_ops)
+
+
+def crystal_delays(arm: ArmSpec) -> tuple:
+    """The stack key of the composition references: the arm's crystal delays."""
+    return tuple([e.delay for e in arm if type(e) is Crystal])
 
 
 def structure(arm: ArmSpec) -> tuple:
-    """The old stack key: per element, a crystal's delay or another element's kind."""
+    """The oracle references' key: per element, a crystal's delay or another element's kind."""
     return tuple([e.delay if type(e) is Crystal else type(e) for e in arm])
 
 
@@ -40,15 +49,38 @@ def groups(keys) -> dict:
     return out
 
 
-def structure_compose(arms):
-    """Composition of a stack of one structure, position by position."""
-    assert len({structure(arm) for arm in arms}) <= 1
-    positions = list(zip(*arms))
+def stack_steps(arms):
+    """The crystals of a stack by index, and its other elements by segment as
+    (rows, elements) of one rank and kind in rank order."""
+    crystals, others = [], {}
+    for row, arm in enumerate(arms):
+        passed = rank = 0
+        for e in arm:
+            if type(e) is Crystal:
+                if passed == len(crystals):
+                    crystals.append([])
+                crystals[passed].append(e)
+                passed, rank = passed + 1, 0
+            else:
+                key = (passed, rank, type(e))
+                if key not in others:
+                    others[key] = [], []
+                others[key][0].append(row)
+                others[key][1].append(e)
+                rank += 1
+    segments = [[] for _ in range(len(crystals) + 1)]
+    for key in sorted(others, key=lambda key: key[:2]):
+        segments[key[0]].append(others[key])
+    return crystals, segments
+
+
+def stack_compose(arms):
+    """Delays (k,) and operators (arms, k, 2, 2) of a stack of one
+    crystal-delay sequence, with the stack's zero rule."""
+    assert len({crystal_delays(arm) for arm in arms}) <= 1
+    crystals, segments = stack_steps(arms)
     delays, merges = np.zeros(1), []
-    for elems in positions:
-        if type(elems[0]) is not Crystal:
-            merges.append(None)
-            continue
+    for elems in crystals:
         branches = np.concatenate((delays, delays + float(elems[0].delay)))
         order = branches.argsort(kind="stable")
         branches = branches[order]
@@ -64,41 +96,81 @@ def structure_compose(arms):
         if len(delays) > COMPOSE_BIN_LIMIT:
             raise ResourceLimitError("COMPOSE_BIN_LIMIT")
         merges.append((order, starts))
+    projectors = _element_kraus([e for elems in crystals for e in elems]) if crystals else None
     kraus = np.eye(2, dtype=complex)[None, None].repeat(len(arms), axis=0)
-    for elems, merge in zip(positions, merges):
-        ops = _element_kraus(elems)
-        if merge is None:
-            kraus = ops @ kraus
-            continue
-        kraus = (ops[:, :, None] @ kraus[:, None]).reshape(len(arms), -1, 2, 2)
-        kraus = np.add.reduceat(kraus.take(merge[0], axis=1), merge[1], axis=1)
+    for index, segment in enumerate(segments):
+        if index:
+            ops = projectors[(index - 1) * len(arms):index * len(arms)]
+            order, starts = merges[index - 1]
+            kraus = (ops[:, :, None] @ kraus[:, None]).reshape(len(arms), -1, 2, 2)
+            kraus = np.add.reduceat(kraus.take(order, axis=1), starts, axis=1)
+        for rows, elems in segment:
+            if len(rows) == len(arms):
+                kraus = _element_kraus(elems) @ kraus
+            else:
+                kraus[rows] = _element_kraus(elems) @ kraus[rows]
     vanish = np.maximum.reduce(np.abs(kraus), axis=(2, 3)) < ZERO_OP_TOL
+    if len(arms) == 1:
+        return delays.compress(~vanish[0]), kraus.compress(~vanish[0], axis=1)
     kraus[vanish] = 0.0
     keep = ~np.logical_and.reduce(vanish)
     return delays.compress(keep), kraus.compress(keep, axis=1)
 
 
-def structure_contrasts(uppers, lowers, rho) -> list[complex]:
-    """The contrast with arms composed per structure and joined per
-    (upper, lower) structure."""
+def stack_join(upper, lower, rho) -> list[complex]:
+    """Contrasts of the pairs of two composed stacks, row i against row i."""
+    (upper_delays, upper_ops), (lower_delays, lower_ops) = upper, lower
+    lo = lower_delays.searchsorted(upper_delays - DELAY_MERGE_TOL)
+    counts = lower_delays.searchsorted(upper_delays + DELAY_MERGE_TOL, "right") - lo
+    first = (lo - counts.cumsum() + counts).repeat(counts)
+    v = lower_ops.take(first + np.arange(len(first)), axis=1)
+    m = upper_ops.repeat(counts, axis=1).conj().swapaxes(2, 3) @ v @ rho[..., None, :, :]
+    return [sum(terms, 0j) for terms in (m[:, :, 0, 0] + m[:, :, 1, 1]).tolist()]
+
+
+def stack_contrasts(uppers, lowers, rho) -> list[complex]:
+    """The contrast with arms composed per crystal-delay sequence and joined
+    per (upper, lower) sequence."""
     rho = _input_states(rho)
     arms = [*uppers, *lowers]
-    keys = [structure(arm) for arm in arms]
+    keys = [crystal_delays(arm) for arm in arms]
     stacks, rows = {}, [0] * len(arms)
     for key, members in groups(keys).items():
-        stacks[key] = structure_compose([arms[i] for i in members])
+        stacks[key] = stack_compose([arms[i] for i in members])
         for row, i in enumerate(members):
             rows[i] = row
     rho = np.broadcast_to(rho, (len(uppers), 2, 2))
     n, out = len(uppers), [0j] * len(uppers)
     for (upper, lower), pairs in groups(zip(keys[:n], keys[n:])).items():
         (upper_delays, upper_ops), (lower_delays, lower_ops) = stacks[upper], stacks[lower]
-        contrasts = kraus_contrasts(
+        contrasts = stack_join(
             (upper_delays, upper_ops[[rows[i] for i in pairs]]),
             (lower_delays, lower_ops[[rows[n + i] for i in pairs]]), rho[pairs])
         for i, c in zip(pairs, contrasts):
             out[i] = c
     return out
+
+
+def stack_channel(kraus, rho):
+    """Channels of a composed stack (arms, k, 2, 2), summed over k from 0."""
+    ops = np.moveaxis(kraus, -3, 0)
+    out = np.zeros(ops.shape[1:-2] + rho.shape, dtype=complex)
+    ops = ops.reshape(ops.shape[:-2] + (1,) * (rho.ndim - 2) + (2, 2))
+    return sum((op @ rho @ op.conj().swapaxes(-1, -2) for op in ops), out)
+
+
+def stack_blindness(betas):
+    """The blindness columns from two stacks: upper a, and upper c with the
+    shared lower arm."""
+    (uppers_a, lowers), uppers_c = standard_arms("a", betas), standard_arms("c", betas)[0]
+    upper_a, (delays, ops) = stack_compose(uppers_a), stack_compose([*uppers_c, *lowers])
+    upper_c, lower = (delays, ops[:len(lowers)]), (delays, ops[len(lowers):])
+    chi_a, chi_c = (qpt(lambda rho: stack_channel(arm[1], rho)) for arm in (upper_a, upper_c))
+    vis_a, vis_b = ([abs(c) for c in stack_join(upper, lower, maximally_mixed(2))]
+                    for upper in (upper_a, upper_c))
+    columns = (betas, [np.linalg.norm(d) for d in chi_a - chi_c], np.zeros(len(betas)),
+               vis_a, vis_b, [abs(a - b) for a, b in zip(vis_a, vis_b)])
+    return tuple(np.array(column, dtype=float) for column in columns)
 
 
 def structure_evolve(arms, cols, unit):
@@ -145,24 +217,25 @@ def structure_oracle(uppers, lowers, rho) -> np.ndarray:
 
 
 def assert_compositions_keep_their_bits(arms):
-    """Each crystal-delay stack of ``arms`` against the reference stacks of
-    its structures: the same nonzero operators at the same delays per arm,
-    and exact zeros elsewhere."""
-    for members in groups(map(arm_structure, arms)).values():
-        delays, ops = compose_arms([arms[i] for i in members])
-        for same in groups(structure(arms[i]) for i in members).values():
-            want_delays, want_ops = structure_compose([arms[members[j]] for j in same])
-            for j, want in zip(same, want_ops):
-                kept = np.abs(ops[j]).max(axis=(1, 2)) >= ZERO_OP_TOL
-                want_kept = np.abs(want).max(axis=(1, 2)) >= ZERO_OP_TOL
-                assert delays[kept].tobytes() == want_delays[want_kept].tobytes()
-                assert ops[j][kept].tobytes() == want[want_kept].tobytes()
-                assert (ops[j][~kept] == 0).all()
+    """Each arm's rows of the one-call table against its row of the reference
+    stack of its crystal delays: the same operators at the same delays where
+    the reference's do not vanish."""
+    owner, delays, ops = compose_arms(arms)
+    for members in groups(map(crystal_delays, arms)).values():
+        want_delays, want_ops = stack_compose([arms[i] for i in members])
+        for i, want in zip(members, want_ops):
+            kept = np.abs(want).max(axis=(1, 2)) >= ZERO_OP_TOL
+            assert delays[owner == i].tobytes() == want_delays[kept].tobytes()
+            assert ops[owner == i].tobytes() == want[kept].tobytes()
+
+
+def assert_contrasts_keep_their_bits(uppers, lowers, rho):
+    got = shared_env_contrasts(uppers, lowers, rho)
+    assert [repr(c) for c in got] == [repr(c) for c in stack_contrasts(uppers, lowers, rho)]
 
 
 def assert_routines_keep_their_bits(uppers, lowers, rho):
-    got = shared_env_contrasts(uppers, lowers, rho)
-    assert [repr(c) for c in got] == [repr(c) for c in structure_contrasts(uppers, lowers, rho)]
+    assert_contrasts_keep_their_bits(uppers, lowers, rho)
     states = _input_states(rho)
     assert (_path_gram(uppers, lowers, states).tobytes()
             == structure_gram(uppers, lowers, states).tobytes())
@@ -180,10 +253,28 @@ def test_random_spec_chunks_keep_their_bits(seed):
         assert_routines_keep_their_bits(uppers, lowers, rho)
 
 
+def mixed_arms(rng, count, crystals):
+    """``count`` arms of the crystal delays ``crystals``, with waveplates and
+    raw unitaries of several ranks before, between and after the crystals;
+    every seventh arm's first crystal lies at angle 0."""
+    arms = []
+    for i in range(count):
+        others = [[] for _ in range(len(crystals) + 1)]
+        for _ in range(int(rng.integers(0, 5))):
+            element = (Waveplate(float(rng.uniform(0, np.pi))) if rng.random() < 0.5
+                       else RawUnitary(random_unitary(rng)))
+            others[int(rng.integers(len(others)))].append(element)
+        arm = others[0]
+        for k, (delay, segment) in enumerate(zip(crystals, others[1:])):
+            angle = 0.0 if k == 0 and i % 7 == 0 else float(rng.uniform(0, np.pi))
+            arm = [*arm, Crystal(angle, delay), *segment]
+        arms.append(arm)
+    return arms
+
+
 def test_a_stack_of_mixed_elements_at_equal_crystal_delays_keeps_its_bits():
-    # crystals at 150 and 75 um in every arm; waveplates and raw unitaries of
-    # several ranks before, between and after them; aligned crystals at
-    # beta = 0 make some operators vanish in one arm and not in others
+    # crystals at 150 and 75 um in every arm; aligned crystals at beta = 0
+    # make some operators vanish in one arm and not in others
     rng = np.random.default_rng(29)
     arms = []
     for i in range(60):
@@ -197,10 +288,25 @@ def test_a_stack_of_mixed_elements_at_equal_crystal_delays_keeps_its_bits():
         arms.append([*others[0], Crystal(angle, 150.0), *others[1], Crystal(0.0, 75.0),
                      *others[2]])
     assert len({structure(arm) for arm in arms}) > 30
-    assert len({arm_structure(arm) for arm in arms}) == 1
+    assert len({crystal_delays(arm) for arm in arms}) == 1
     assert_compositions_keep_their_bits(arms)
     rho = np.array([maximally_mixed(2), np.diag([1.0, 0.0])] * 15)
     assert_routines_keep_their_bits(arms[:30], arms[30:], rho)
+
+
+def test_a_list_mixing_crystal_delay_sequences_keeps_its_bits():
+    # five crystal-delay sequences, equal delays and a near-tolerance chain
+    # among them, interleaved in one list with waveplates and raw unitaries;
+    # the chain's time grid is past the oracle's limit
+    rng = np.random.default_rng(37)
+    sequences = [(), (150.0, 310.0), (310.0, 150.0), (75.0, 75.0, 150.0),
+                 (150.0, 150.0 + 1.5e-9, 150.0 + 0.8e-9)]
+    arms = [arm for delays in sequences for arm in mixed_arms(rng, 24, delays)]
+    arms = [arms[i] for i in rng.permutation(len(arms))]
+    assert len({crystal_delays(arm) for arm in arms}) == len(sequences)
+    assert_compositions_keep_their_bits(arms)
+    rho = np.array([maximally_mixed(2), np.diag([0.0, 1.0]), random_density(rng)] * 20)
+    assert_contrasts_keep_their_bits(arms[:60], arms[60:], rho)
 
 
 @pytest.mark.parametrize("variant", "abcd")
@@ -212,8 +318,16 @@ def test_the_sweeps_keep_their_bits(variant):
     assert_routines_keep_their_bits(uppers, lowers, rho)
     columns = sweep(variant, betas)
     assert columns[2].tobytes() == np.array(
-        [abs(c) for c in structure_contrasts(uppers, lowers, rho)]).tobytes()
+        [abs(c) for c in stack_contrasts(uppers, lowers, rho)]).tobytes()
     assert columns[3].tobytes() == np.abs(structure_oracle(uppers, lowers, rho)).tobytes()
+
+
+def test_the_blindness_arms_keep_their_bits():
+    betas = default_beta_grid(100)
+    (uppers_a, lowers), uppers_c = standard_arms("a", betas), standard_arms("c", betas)[0]
+    assert_compositions_keep_their_bits([*uppers_a, *uppers_c, *lowers])
+    got, want = blindness_demo(betas), stack_blindness(betas)
+    assert [column.tobytes() for column in got] == [column.tobytes() for column in want]
 
 
 def test_the_deep_arms_pairs_keep_their_bits():

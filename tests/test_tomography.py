@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import compose_one, random_arm, random_density, random_unitary
+from conftest import channel_one, random_arm, random_density, random_unitary
 from mzfringe import (
     Crystal,
     Waveplate,
@@ -60,7 +60,7 @@ def test_qpt_equals_matrix_unit_reference():
     rng = np.random.default_rng(107)
     for _ in range(20):
         arm = random_arm(rng, max_elements=3)
-        channels.append(lambda rho, arm=arm: arm_channel_apply(compose_one(arm)[1], rho))
+        channels.append(lambda rho, arm=arm: channel_one(arm, rho))
     for channel in channels:
         np.testing.assert_allclose(qpt(channel), reference_qpt(channel), rtol=0, atol=1e-15)
 
@@ -75,12 +75,13 @@ def test_qpt_of_a_channel_stack_equals_per_channel_qpt_bit_for_bit():
     assert chi.shape == (300, 4, 4)
     for stacked, channel in zip(chi, channels):
         assert stacked.tobytes() == qpt(channel).tobytes()
-    # an arm stack's channel, as blindness_demo applies it, against each arm alone
+    # a Kraus table's channels, as blindness_demo applies them, against each
+    # arm alone
     arms = standard_arms("a", default_beta_grid(100))[0]
-    ops = compose_arms(arms)[1]
-    chi = qpt(lambda rho: arm_channel_apply(ops, rho))
+    table = compose_arms(arms)
+    chi = qpt(lambda rho: arm_channel_apply(table, rho))
     for stacked, arm in zip(chi, arms):
-        alone = qpt(lambda rho: arm_channel_apply(compose_one(arm)[1], rho))
+        alone = qpt(lambda rho: channel_one(arm, rho))
         assert stacked.tobytes() == alone.tobytes()
 
 
@@ -89,7 +90,7 @@ def test_qpt_calls_its_channel_once_on_the_probe_stack():
 
     def channel(rho):
         calls.append(np.shape(rho))
-        return arm_channel_apply(compose_one([Crystal(0.3, 150.0)])[1], rho)
+        return channel_one([Crystal(0.3, 150.0)], rho)
 
     qpt(channel)
     assert calls == [(4, 2, 2)]
@@ -115,12 +116,12 @@ def test_qpt_identity_channel():
 
 
 def test_qpt_full_dephasing():
-    chi = qpt(lambda rho: arm_channel_apply(compose_one([Crystal(0.0, 310.0)])[1], rho))
+    chi = qpt(lambda rho: channel_one([Crystal(0.0, 310.0)], rho))
     np.testing.assert_allclose(chi, np.diag([0.5, 0.0, 0.0, 0.5]), atol=1e-12)
 
 
 def test_qpt_axis_aligned_waveplate_is_z():
-    chi = qpt(lambda rho: arm_channel_apply(compose_one([Waveplate(0.0)])[1], rho))
+    chi = qpt(lambda rho: channel_one([Waveplate(0.0)], rho))
     np.testing.assert_allclose(chi, np.diag([0.0, 0.0, 0.0, 1.0]), atol=1e-12)
 
 
@@ -144,7 +145,7 @@ def test_qpt_process_matrix_is_physical():
     rng = np.random.default_rng(107)
     for _ in range(20):
         arm = random_arm(rng, max_elements=3)
-        chi = qpt(lambda rho: arm_channel_apply(compose_one(arm)[1], rho))
+        chi = qpt(lambda rho: channel_one(arm, rho))
         assert np.max(np.abs(chi - chi.conj().T)) <= 1e-10
         assert abs(np.trace(chi) - 1.0) <= 1e-10
         assert np.linalg.eigvalsh(0.5 * (chi + chi.conj().T)).min() >= -1e-10
@@ -154,7 +155,7 @@ def test_qpt_crystal_arms_keep_unitality():
     rng = np.random.default_rng(109)
     for _ in range(10):
         arm = random_arm(rng, max_elements=3)
-        chi = qpt(lambda rho: arm_channel_apply(compose_one(arm)[1], rho))
+        chi = qpt(lambda rho: channel_one(arm, rho))
         np.testing.assert_allclose(apply_chi(chi, maximally_mixed(2)),
                                    maximally_mixed(2), atol=1e-10)
 
