@@ -16,6 +16,7 @@ of states through the operators of each arm of a table.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from typing import Sequence, Union
@@ -84,7 +85,11 @@ class Waveplate:
 @dataclass(frozen=True)
 class RawUnitary:
     """An arbitrary 2x2 unitary element acting on polarization alone, held as a
-    read-only complex copy: 2x2, finite, and unitary within ``UNITARY_ATOL``."""
+    read-only complex copy: 2x2, finite, and unitary within ``UNITARY_ATOL``.
+
+    The checks run in that order, the last two on the four entries as Python
+    complex numbers: the residual is the largest entry of |M^dag M - I|, and
+    one that overflows to inf or NaN fails."""
 
     matrix: np.ndarray
 
@@ -92,10 +97,14 @@ class RawUnitary:
         m = np.array(self.matrix, dtype=complex)
         if m.shape != (2, 2):
             raise ValueError(f"RawUnitary must be 2x2, got shape {m.shape}")
-        if not np.isfinite(m).all():
+        a, b, c, d = m.ravel().tolist()
+        if not all(map(cmath.isfinite, (a, b, c, d))):
             raise ValueError("RawUnitary contains NaN or Inf entries")
-        resid = float(np.max(np.abs(m.conj().T @ m - np.eye(2))))
-        if resid > UNITARY_ATOL:
+        off = a.conjugate() * b + c.conjugate() * d
+        resid = max(abs((a.conjugate() * a + c.conjugate() * c).real - 1.0),
+                    abs((b.conjugate() * b + d.conjugate() * d).real - 1.0),
+                    math.hypot(off.real, off.imag))
+        if not resid <= UNITARY_ATOL:
             raise ValueError(f"RawUnitary is not unitary (residual {resid:.3e})")
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)

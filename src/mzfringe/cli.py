@@ -31,7 +31,7 @@ import sys
 
 import numpy as np
 
-from .arms import ArmElement, Crystal, RawUnitary, ResourceLimitError, Waveplate
+from .arms import ArmElement, Crystal, RawUnitary, ResourceLimitError, Waveplate, compose_arms
 from .core import maximally_mixed
 from .experiments import (
     VARIANTS,
@@ -44,7 +44,8 @@ from .experiments import (
     standard_arms,
     sweep,
 )
-from .interferometer import oracle_contrasts, output_probability, shared_env_contrasts
+from .interferometer import (kraus_contrasts, oracle_contrasts, output_probability,
+                             shared_env_contrasts)
 
 __all__ = ["UsageError", "parse_config", "main", "main_entry"]
 
@@ -238,12 +239,17 @@ def _validate(config: argparse.Namespace) -> None:
 
 
 def _write_csv(path: str, header, columns) -> None:
-    """One format per column: ``{:d}`` for bool and integer columns, else ``{:.12g}``."""
+    """One format per column: ``%d`` for bool and integer columns, else ``%.12g``,
+    the text of ``{:d}`` and ``{:.12g}``. The row template, repeated once per
+    row, formats the row-major values with one ``%``."""
     columns = [np.asarray(c) for c in columns]
-    row = ",".join("{:d}" if c.dtype.kind in "biu" else "{:.12g}" for c in columns).format
-    lines = [",".join(header), *(row(*values) for values in zip(*(c.tolist() for c in columns)))]
+    rows = len(columns[0])
+    values = [None] * (rows * len(columns))
+    for j, column in enumerate(columns):
+        values[j::len(columns)] = column.tolist()
+    row = ",".join("%d" if c.dtype.kind in "biu" else "%.12g" for c in columns) + "\n"
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(",".join(header) + "\n" + row * rows % tuple(values))
 
 
 def _read_counts(path: str) -> tuple[np.ndarray, np.ndarray]:
@@ -295,7 +301,7 @@ def _fringe_contrast(config: argparse.Namespace) -> complex:
         uppers, lowers = [upper], [lower]
     else:
         uppers, lowers = standard_arms(config.variant, [config.beta])
-    return shared_env_contrasts(uppers, lowers, maximally_mixed(2))[0]
+    return kraus_contrasts(compose_arms([*uppers, *lowers]), [0], [1], maximally_mixed(2))[0]
 
 
 def _run_fringe(config: argparse.Namespace) -> int:

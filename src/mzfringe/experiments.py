@@ -13,13 +13,20 @@ visibilities: tomography cannot see which crystal length sits where.
 
 Photon counting is modeled as independent Poisson draws per phase point from a
 deterministic, documented sampler (see ``poisson_fringe``). The uniform draws
-for all points of a fringe are computed in one array pass; point i's draw
-equals ``np.random.default_rng([seed, i]).random()`` bit for bit. Fringes are
-fitted as A + a cos(phi) + b sin(phi), linear in (A, a, b), by reweighted least squares.
+for all points of a fringe are computed in one array pass, which replays
+SeedSequence and PCG64 on one (4, n) pool array; point i's draw equals
+``np.random.default_rng([seed, i]).random()`` bit for bit, and the counts path
+never imports ``numpy.random``. Fringes are fitted as
+A + a cos(phi) + b sin(phi), linear in (A, a, b), by reweighted least squares.
+
+The random arm pairs and states of the oracle cross-check (``random_specs``)
+draw the streams of a loop that draws one element at a time, in fewer rng
+calls, and form their complex Gaussians, states and unitaries as stacks.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from statistics import NormalDist
 from typing import Sequence
@@ -153,20 +160,28 @@ _POOL_SIZE = 4
 _PCG_MULT = (2549297995355413924, 4865540595714422341)
 
 
-def _hasher(const: int, mult: int):
-    """SeedSequence's running hash over uint32 arrays: xor in the constant,
-    step the constant, multiply by it, fold the high half into the low."""
-    def hashmix(value: np.ndarray) -> np.ndarray:
-        nonlocal const
-        value = value ^ const
-        const = const * mult & _MASK32
-        value = value * const
-        return value ^ (value >> 16)
-    return hashmix
+@functools.cache
+def _hash_constants(init: int, mult: int, steps: int) -> tuple[np.ndarray, np.ndarray]:
+    """The xor constants and multipliers of SeedSequence's first ``steps``
+    hash steps, as (steps, 1) uint32 columns: each step xors in the constant,
+    steps it by ``mult`` and multiplies by the new one."""
+    consts = [init]
+    for _ in range(steps):
+        consts.append(consts[-1] * mult & _MASK32)
+    column = np.array(consts, dtype=np.uint32)[:, None]
+    column.setflags(write=False)
+    return column[:-1], column[1:]
+
+
+def _hashmix(value, xor: np.ndarray, mult: np.ndarray) -> np.ndarray:
+    """Hash steps on uint32 words, one row per step: xor, multiply, fold the
+    high half into the low."""
+    value = (value ^ xor) * mult
+    return value ^ (value >> 16)
 
 
 def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """SeedSequence's mixing of hashed word y into pool word x."""
+    """SeedSequence's mixing of hashed words y into pool words x."""
     result = x * _MIX_MULT_L - y * _MIX_MULT_R
     return result ^ (result >> 16)
 
@@ -195,30 +210,33 @@ def _pcg_step(hi, lo, inc_hi, inc_lo):
 def _point_uniforms(seed: int, n: int) -> np.ndarray:
     """``np.random.default_rng([seed, i]).random()`` for every i < n, at once.
 
-    Replays numpy's algorithms on uint32 and uint64 arrays, one element per i:
+    Replays numpy's algorithms on uint32 and uint64 arrays, one column per i:
     SeedSequence pool mixing of the entropy words (the little-endian 32-bit
     words of ``seed``, a single 0 for seed 0, then i) and ``generate_state(4,
     uint64)``; PCG64 seeding with that state; one more LCG step, the XSL-RR
-    output and (x >> 11) * 2^-53. NEP 19 keeps both streams stable.
+    output and (x >> 11) * 2^-53. NEP 19 keeps both streams stable. The pool
+    is one (4, n) array, and each round of SeedSequence's hashing and mixing,
+    a word into all four pool words or a pool word into the other three, is
+    one stacked operation; a seed of any length works.
     """
-    words = [np.full(n, (seed >> shift) & _MASK32, dtype=np.uint32)
-             for shift in range(0, max(seed.bit_length(), 1), 32)]
+    words = [(seed >> shift) & _MASK32 for shift in range(0, max(seed.bit_length(), 1), 32)]
     words.append(np.arange(n, dtype=np.uint32))
-
-    hashmix = _hasher(_INIT_A, _MULT_A)
-    zero = np.zeros(n, dtype=np.uint32)
-    pool = [hashmix(words[k] if k < len(words) else zero) for k in range(_POOL_SIZE)]
+    xor, mult = _hash_constants(_INIT_A, _MULT_A, _POOL_SIZE * max(len(words), _POOL_SIZE))
+    pool = np.zeros((_POOL_SIZE, n), dtype=np.uint32)
+    for k, word in enumerate(words[:_POOL_SIZE]):
+        pool[k] = word
+    pool = _hashmix(pool, xor[:_POOL_SIZE], mult[:_POOL_SIZE])
     for src in range(_POOL_SIZE):
-        for dst in range(_POOL_SIZE):
-            if src != dst:
-                pool[dst] = _mix(pool[dst], hashmix(pool[src]))
-    for word in words[_POOL_SIZE:]:
-        for dst in range(_POOL_SIZE):
-            pool[dst] = _mix(pool[dst], hashmix(word))
+        dst = [k for k in range(_POOL_SIZE) if k != src]
+        steps = slice(_POOL_SIZE + 3 * src, _POOL_SIZE + 3 * src + 3)
+        pool[dst] = _mix(pool[dst], _hashmix(pool[src], xor[steps], mult[steps]))
+    for j, word in enumerate(words[_POOL_SIZE:], 1):
+        steps = slice(_POOL_SIZE * (3 + j), _POOL_SIZE * (4 + j))
+        pool = _mix(pool, _hashmix(word, xor[steps], mult[steps]))
 
-    hashmix = _hasher(_INIT_B, _MULT_B)
-    state = [hashmix(pool[k % _POOL_SIZE]).astype(np.uint64) for k in range(8)]
-    s_hi, s_lo, q_hi, q_lo = (state[2 * j] | (state[2 * j + 1] << 32) for j in range(4))
+    state = _hashmix(np.vstack([pool, pool]), *_hash_constants(_INIT_B, _MULT_B, 8))
+    state = state.astype(np.uint64)
+    s_hi, s_lo, q_hi, q_lo = state[0::2] | (state[1::2] << 32)
 
     inc_hi, inc_lo = (q_hi << 1) | (q_lo >> 63), (q_lo << 1) | 1
     hi, lo = _add128(inc_hi, inc_lo, s_hi, s_lo)  # the step from state 0 gives inc
@@ -354,33 +372,39 @@ def random_specs(rng: np.random.Generator, n: int) -> tuple[list, list, np.ndarr
     arm. An arm has 0 to 3 elements: crystals with angles uniform in [0, pi)
     and delays from 0, 75, 150 and 310 um, half-wave plates, and Haar random
     unitaries (QR of a complex Gaussian with the phases of R's diagonal moved
-    into Q). The rng calls are those of drawing one element at a time; the
-    states are normalised Gram matrices G G^dag / tr and the unitaries one QR,
-    each formed once for all ``n`` pairs as a stack.
+    into Q). The rng streams are those of drawing one element at a time with
+    two (2, 2) normals per complex Gaussian and ``rng.uniform(0, pi)`` per
+    angle, in fewer calls: one (2, 2, 2) normal per Gaussian, which numpy
+    fills from the same stream in C order, and pi times ``rng.random()``, the
+    double that uniform draws. The complex Gaussians, the states (normalised
+    Gram matrices G G^dag / tr) and the unitaries (one QR) are each formed
+    once for all ``n`` pairs as a stack.
     """
-    state_gauss, arms, unitary_gauss, slots = np.empty((n, 2, 2), dtype=complex), [], [], []
+    state_gauss, arms, unitary_gauss, slots = np.empty((n, 2, 2, 2)), [], [], []
     for i in range(n):
-        state_gauss[i] = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+        state_gauss[i] = rng.normal(size=(2, 2, 2))
         for _ in range(2):
             arm: list[ArmElement] = []
             for _ in range(int(rng.integers(0, 4))):
                 kind = rng.random()
                 if kind < 0.5:
-                    arm.append(Crystal(float(rng.uniform(0.0, np.pi)),
+                    arm.append(Crystal(np.pi * rng.random(),
                                        _RANDOM_DELAYS_UM[int(rng.integers(4))]))
                 elif kind < 0.75:
-                    arm.append(Waveplate(float(rng.uniform(0.0, np.pi))))
+                    arm.append(Waveplate(np.pi * rng.random()))
                 else:
-                    unitary_gauss.append(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
+                    unitary_gauss.append(rng.normal(size=(2, 2, 2)))
                     slots.append((arm, len(arm)))
                     arm.append(None)
             arms.append(arm)
     if unitary_gauss:
-        q, r = np.linalg.qr(np.array(unitary_gauss))
+        g = np.array(unitary_gauss)
+        q, r = np.linalg.qr(g[:, 0] + 1j * g[:, 1])
         d = np.diagonal(r, axis1=1, axis2=2)
         for (arm, pos), u in zip(slots, q * (d / np.abs(d))[:, None, :]):
             arm[pos] = RawUnitary(u)
-    rho = state_gauss @ state_gauss.conj().transpose(0, 2, 1)
+    gauss = state_gauss[:, 0] + 1j * state_gauss[:, 1]
+    rho = gauss @ gauss.conj().transpose(0, 2, 1)
     return arms[0::2], arms[1::2], rho / np.trace(rho, axis1=1, axis2=2)[:, None, None]
 
 
@@ -396,5 +420,6 @@ def qkd_visibility(u1: ArmSpec, u2: ArmSpec, u3: ArmSpec,
     the lower. QBER is modeled as (1 - visibility) / 2: at unit visibility the
     wrong port never fires, at zero visibility it fires half the time.
     """
-    vis = abs(shared_env_contrasts([[*u1, *u2]], [[*u3, *u4]], maximally_mixed(2))[0])
+    vis = abs(kraus_contrasts(compose_arms([[*u1, *u2], [*u3, *u4]]), [0], [1],
+                              maximally_mixed(2))[0])
     return vis, (1.0 - vis) / 2.0

@@ -80,6 +80,9 @@ def test_raw_unitary_names_a_bad_shape_or_a_non_finite_entry(matrix, message):
 def test_raw_unitary_rejects_nonunitary():
     with pytest.raises(ValueError):
         RawUnitary(np.array([[1.0, 0.0], [0.0, 0.5]]))
+    # finite entries whose products overflow: M^dag M has an inf - inf entry
+    with pytest.raises(ValueError, match="not unitary"):
+        RawUnitary(np.array([[1e200 + 1e200j, 0.0], [0.0, 1.0]]))
 
 
 def test_raw_unitary_holds_a_read_only_copy():

@@ -14,7 +14,7 @@ import mzfringe.experiments
 import mzfringe.interferometer
 from conftest import contrast, oracle, random_pair
 from mzfringe.cli import main, parse_angle, parse_arm
-from mzfringe.interferometer import kraus_contrasts, shared_env_contrasts
+from mzfringe.interferometer import kraus_contrasts
 from mzfringe.arms import Crystal, RawUnitary, Waveplate, compose_arms
 from mzfringe.core import validate_density_matrix
 
@@ -334,6 +334,8 @@ def test_write_csv_matches_the_per_value_rule(tmp_path):
     expected += [",".join(_format_value(v) for v in row) for row in zip(*columns)]
     assert out.read_bytes() == ("\n".join(expected) + "\n").encode()
     assert "9007199254740993" in out.read_text() and "-0" in out.read_text()
+    mzfringe.cli._write_csv(str(out), header, [column[:0] for column in columns])
+    assert out.read_bytes() == (",".join(header) + "\n").encode()
 
 
 def test_counts_and_fit_csv_golden(tmp_path):
@@ -468,30 +470,46 @@ def test_inline_fit_of_all_zero_sample_fails(tmp_path, capsys):
 
 
 def test_sampled_fringe_loads_no_numpy_random(tmp_path):
+    # the counts path, a sampled fringe and then its fit from the file
     src = Path(__file__).resolve().parents[1] / "src"
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(src)] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
     code = ("import sys, mzfringe.cli; "
             "assert mzfringe.cli.main(['fringe', '--variant', 'a', '--beta', '0.3', "
             "'--mean-total', '20', '--seed', '5', '--output', sys.argv[1]]) == 0; "
+            "assert mzfringe.cli.main(['fit', '--counts', sys.argv[1], "
+            "'--output', sys.argv[2]]) == 0; "
             "print('numpy.random' in sys.modules)")
-    out = subprocess.run([sys.executable, "-c", code, str(tmp_path / "c.csv")], env=env,
+    out = subprocess.run([sys.executable, "-c", code, str(tmp_path / "c.csv"),
+                          str(tmp_path / "f.csv")], env=env,
                          capture_output=True, text=True, check=True, timeout=60).stdout
     assert out.strip().splitlines()[-1] == "False"
 
 
 def test_sampled_fringe_computes_one_contrast(tmp_path, monkeypatch):
-    calls = []
+    # one table of the pair's two arms and one join, with no validation of
+    # the program's own maximally mixed state
+    stacks, joins, validated = [], [], []
 
-    def counted(*args):
-        calls.append(args)
-        return shared_env_contrasts(*args)
+    def composed(arms):
+        stacks.append(len(arms))
+        return compose_arms(arms)
 
-    monkeypatch.setattr(mzfringe.cli, "shared_env_contrasts", counted)
-    monkeypatch.setattr(mzfringe.experiments, "shared_env_contrasts", counted)
+    def joined(table, upper, lower, rho):
+        joins.append((list(upper), list(lower)))
+        return kraus_contrasts(table, upper, lower, rho)
+
+    def checked(rho, *args):
+        validated.append(np.shape(rho))
+        return validate_density_matrix(rho, *args)
+
+    for module in (mzfringe.cli, mzfringe.experiments, mzfringe.interferometer):
+        monkeypatch.setattr(module, "compose_arms", composed)
+        monkeypatch.setattr(module, "kraus_contrasts", joined)
+    monkeypatch.setattr(mzfringe.interferometer, "validate_density_matrix", checked)
     assert main(["fringe", "--variant", "b", "--beta", "0.4", "--mean-total", "20",
                  "--seed", "5", "--output", str(tmp_path / "c.csv")]) == 0
-    assert len(calls) == 1
+    assert stacks == [2] and joins == [([0], [1])] and validated == []
 
 
 @pytest.mark.parametrize("args, sizes", [

@@ -160,9 +160,14 @@ def test_poisson_rejects_a_nan_phase():
         poisson_fringe(f, [0.0, float("nan"), 1.0], 100, 1)
 
 
-@pytest.mark.parametrize("seed", [0, 1, 2**31 - 1, 2**32, 2**64 + 3])
+@pytest.mark.parametrize("seed", [0, 1, 2**31 - 1, 2**32, 2**64 + 3,
+                                  pytest.param(2**96 + 7, id="2**96+7"),
+                                  pytest.param(2**200 + 1, id="2**200+1"),
+                                  pytest.param(2**2000 + 3, id="2**2000+3")])
 def test_point_uniforms_equal_numpy_generators(seed):
-    # 2**32 and 2**64 + 3 have two and three 32-bit entropy words
+    # 2**32 and 2**64 + 3 have two and three 32-bit entropy words; from 2**96
+    # on, the index and the seed's words past the fourth are mixed in after
+    # the four-word pool
     expected = [np.random.default_rng([seed, i]).random() for i in range(1024)]
     assert _point_uniforms(seed, 1024).tolist() == expected
 
