@@ -14,11 +14,9 @@ from .arms import (
     compose_arms,
 )
 from .core import (
-    CptpCheck,
     half_waveplate,
     maximally_mixed,
     rotated_basis,
-    validate_cptp,
     validate_density_matrix,
 )
 from .experiments import (

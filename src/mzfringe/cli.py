@@ -50,17 +50,10 @@ from .interferometer import (kraus_contrasts, oracle_contrasts, output_probabili
 __all__ = ["UsageError", "parse_config", "main", "main_entry"]
 
 COMMANDS = ("fringe", "sweep", "oracle-check", "tomography", "qkd", "fit")
-# Random specs that oracle-check draws and checks at a time. The contrast
-# groups each chunk by crystal-delay sequence and the oracle by time grid, so
-# larger chunks make fewer, larger groups. On 1,000 specs, against checking
-# one spec at a time, holding them all at once raised the command's peak
-# resident set by 1.7 MiB, and chunks of 256 by 0.1-0.4 MiB at 11% more CPU
-# time than one chunk (measured when both grouped by element kinds too).
-_ORACLE_CHECK_CHUNK = 256
 # Upper bounds of the counts, far above the benchmark workloads' 1,024 phases,
 # 200 beta points and 1,000 specs. At the bounds, on a 2-vCPU VM, fringe took
 # 1.8 s and a peak resident set of 217 MiB, sweep 3.7 s and 239 MiB,
-# tomography 4.9 s and 337 MiB, and oracle-check 9.8 s and 73 MiB.
+# tomography 4.9 s and 337 MiB, and oracle-check 4.8 s and 192 MiB.
 _COUNT_LIMITS = {"phases": 2**20, "beta-points": 2**16, "specs": 2**16}
 
 
@@ -267,7 +260,8 @@ def _read_counts(path: str) -> tuple[np.ndarray, np.ndarray]:
         return np.zeros(0), np.zeros(0)
     try:
         phis, counts = np.loadtxt(lines[start:], **layout).T
-        if np.isfinite([phis, counts]).all() and (counts >= 0).all() and (counts % 1 == 0).all():
+        if (np.isfinite(phis).all() and (counts >= 0).all() and (counts <= 2**53).all()
+                and (counts % 1 == 0).all()):
             return phis, counts
     except ValueError:
         pass
@@ -284,6 +278,8 @@ def _read_counts(path: str) -> tuple[np.ndarray, np.ndarray]:
             raise UsageError(f"{where}: phi {phi_text!r} must be finite")
         if not (math.isfinite(count) and count >= 0):
             raise UsageError(f"{where}: count {count_text!r} must be finite and >= 0")
+        if count > 2**53:  # float64 skips whole counts past 2**53
+            raise UsageError(f"{where}: count {count_text!r} must be at most 2**53")
         if count % 1:
             raise UsageError(f"{where}: count {count_text!r} must be a whole number")
     raise AssertionError(f"counts file {path!r} failed a check that no row fails")
@@ -326,12 +322,9 @@ def _run_sweep(config: argparse.Namespace) -> int:
 
 
 def _run_oracle_check(config: argparse.Namespace) -> int:
-    rng = np.random.default_rng(config.seed)
-    contrasts, oracles = [], []
-    for start in range(0, config.specs, _ORACLE_CHECK_CHUNK):
-        uppers, lowers, rho = random_specs(rng, min(_ORACLE_CHECK_CHUNK, config.specs - start))
-        contrasts += shared_env_contrasts(uppers, lowers, rho)
-        oracles += oracle_contrasts(uppers, lowers, rho).tolist()
+    uppers, lowers, rho = random_specs(np.random.default_rng(config.seed), config.specs)
+    contrasts = shared_env_contrasts(uppers, lowers, rho)
+    oracles = oracle_contrasts(uppers, lowers, rho).tolist()
     delta = [abs(c - o) for c, o in zip(contrasts, oracles)]
     c, o = np.array(contrasts), np.array(oracles)
     _write_csv(config.output,

@@ -9,28 +9,22 @@ entries of magnitude <= 1.
 
 from __future__ import annotations
 
-from typing import NamedTuple
-
 import numpy as np
 
 __all__ = [
     "HERMITIAN_ATOL",
     "TRACE_ATOL",
     "EIGENVALUE_FLOOR",
-    "CPTP_ATOL",
     "UNITARY_ATOL",
-    "CptpCheck",
     "rotated_basis",
     "half_waveplate",
     "maximally_mixed",
-    "validate_cptp",
     "validate_density_matrix",
 ]
 
 HERMITIAN_ATOL = 1e-10
 TRACE_ATOL = 1e-10
 EIGENVALUE_FLOOR = -1e-10
-CPTP_ATOL = 1e-10
 UNITARY_ATOL = 1e-10
 
 
@@ -61,28 +55,6 @@ def maximally_mixed(d: int) -> np.ndarray:
     if d < 1:
         raise ValueError("dimension must be >= 1")
     return np.eye(d, dtype=complex) / d
-
-
-class CptpCheck(NamedTuple):
-    passed: bool
-    residual: float
-
-
-def validate_cptp(operators) -> CptpCheck:
-    """Check trace preservation of a Kraus set (k, d, d), such as one arm's
-    operators ``compose_arms([arm])[2]``: sum K^dag K == identity within
-    ``CPTP_ATOL``. Returns the max-entry residual of |sum K^dag K - I|; an
-    empty, ragged, non-square or non-finite set raises ValueError."""
-    try:
-        ops = np.array(operators, dtype=complex)
-        got = f"shape {ops.shape}"
-    except ValueError:  # numpy cannot stack a ragged set
-        ops, got = np.empty(0), "a ragged sequence"
-    if ops.ndim != 3 or not ops.size or ops.shape[1] != ops.shape[2] or not np.isfinite(ops).all():
-        raise ValueError(f"Kraus set must be a finite stack (k, d, d) with k, d >= 1, got {got}")
-    acc = (ops.conj().swapaxes(1, 2) @ ops).sum(axis=0)
-    residual = float(np.max(np.abs(acc - np.eye(ops.shape[1]))))
-    return CptpCheck(residual <= CPTP_ATOL, residual)
 
 
 def validate_density_matrix(rho, name: str = "rho") -> np.ndarray:

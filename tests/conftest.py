@@ -1,3 +1,5 @@
+from typing import NamedTuple
+
 import numpy as np
 
 from mzfringe import (Crystal, RawUnitary, Waveplate, arm_channel_apply, compose_arms,
@@ -21,6 +23,24 @@ def random_unitary(rng: np.random.Generator, d: int = 2) -> np.ndarray:
 MIXED = maximally_mixed(2)
 # angles in radians over [-10, 10], endpoints and zero included
 ANGLES = np.linspace(-10.0, 10.0, 401)
+
+
+CPTP_ATOL = 1e-10
+
+
+class CptpCheck(NamedTuple):
+    passed: bool
+    residual: float
+
+
+def validate_cptp(operators) -> CptpCheck:
+    """Trace preservation of a Kraus set (k, d, d), such as one arm's
+    operators ``compose_one(arm)[1]``: the max-entry residual of
+    |sum K^dag K - I|, passed when it is within ``CPTP_ATOL``."""
+    ops = np.asarray(operators, dtype=complex)
+    acc = (ops.conj().swapaxes(1, 2) @ ops).sum(axis=0)
+    residual = float(np.max(np.abs(acc - np.eye(ops.shape[1]))))
+    return CptpCheck(residual <= CPTP_ATOL, residual)
 
 
 def compose_one(arm) -> tuple[np.ndarray, np.ndarray]:

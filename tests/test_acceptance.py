@@ -10,7 +10,7 @@ import pytest
 import mzfringe.arms
 import mzfringe.interferometer
 from conftest import (channel_one, compose_one, contrast, oracle, random_arm, random_pair,
-                      standard_pair)
+                      standard_pair, validate_cptp)
 from mzfringe import (
     Crystal,
     blindness_demo,
@@ -21,7 +21,6 @@ from mzfringe import (
     poisson_fringe,
     qkd_visibility,
     rotated_basis,
-    validate_cptp,
 )
 from mzfringe.cli import main
 

@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import channel_one, compose_one, random_arm, random_unitary
+from conftest import channel_one, compose_one, random_arm, random_unitary, validate_cptp
 from mzfringe import (
     Crystal,
     RawUnitary,
@@ -14,7 +14,6 @@ from mzfringe import (
     half_waveplate,
     maximally_mixed,
     rotated_basis,
-    validate_cptp,
 )
 from mzfringe.arms import (
     COMPOSE_BIN_LIMIT,

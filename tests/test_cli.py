@@ -262,6 +262,7 @@ def test_unfittable_counts_file_is_usage_error(tmp_path, capsys, rows, reason):
     pytest.param("0,inf", "count 'inf' must be finite and >= 0", id="count-inf"),
     pytest.param("nan,5", "phi 'nan' must be finite", id="phi-nan"),
     pytest.param("0,10.5", "count '10.5' must be a whole number", id="count-10.5"),
+    pytest.param("0,1e308", "count '1e308' must be at most 2**53", id="count-1e308"),
 ])
 def test_bad_counts_file_row_is_usage_error(tmp_path, capfd, row, message):
     counts = tmp_path / "bad.csv"
@@ -532,17 +533,7 @@ def test_paper_tables_compose_each_arm_stack_once(tmp_path, monkeypatch, args, s
     assert calls == sizes
 
 
-def oracle_check_specs(count, seed):
-    """The (upper, lower, rho) specs of ``oracle-check --specs count --seed
-    seed``, in its chunks."""
-    rng = np.random.default_rng(seed)
-    specs = [random_pair(rng) for _ in range(count)]
-    chunk = mzfringe.cli._ORACLE_CHECK_CHUNK
-    return [specs[start:start + chunk] for start in range(0, count, chunk)]
-
-
-def test_oracle_check_in_chunks_equals_the_per_spec_routines(tmp_path, monkeypatch):
-    # 300 specs: one full chunk and one partial
+def test_oracle_check_equals_the_per_spec_routines(tmp_path, monkeypatch):
     got = {"contrast": [], "oracle": []}
 
     def kept(name, routine):
@@ -558,15 +549,14 @@ def test_oracle_check_in_chunks_equals_the_per_spec_routines(tmp_path, monkeypat
                         kept("oracle", mzfringe.cli.oracle_contrasts))
     assert main(["oracle-check", "--specs", "300", "--seed", "17",
                  "--output", str(tmp_path / "o.csv")]) == 0
-    chunks = oracle_check_specs(300, 17)
-    assert [len(chunk) for chunk in chunks] == [256, 44]
-    specs = [spec for chunk in chunks for spec in chunk]
+    rng = np.random.default_rng(17)
+    specs = [random_pair(rng) for _ in range(300)]
     assert [repr(c) for c in got["contrast"]] == [repr(contrast(*s)) for s in specs]
     assert [repr(complex(o)) for o in got["oracle"]] == [repr(oracle(*s)) for s in specs]
 
 
-def test_oracle_check_validates_each_chunk_of_states_as_one_stack(tmp_path, monkeypatch):
-    # 300 specs: each routine checks the 256 and the 44 states of its chunk at once
+def test_oracle_check_validates_its_states_as_one_stack(tmp_path, monkeypatch):
+    # 300 specs: each routine checks all 300 states at once
     shapes = []
 
     def counted(rho, *args):
@@ -576,12 +566,12 @@ def test_oracle_check_validates_each_chunk_of_states_as_one_stack(tmp_path, monk
     monkeypatch.setattr(mzfringe.interferometer, "validate_density_matrix", counted)
     assert main(["oracle-check", "--specs", "300", "--seed", "17",
                  "--output", str(tmp_path / "o.csv")]) == 0
-    assert shapes == [(256, 2, 2)] * 2 + [(44, 2, 2)] * 2
+    assert shapes == [(300, 2, 2)] * 2
 
 
-def test_oracle_check_composes_each_arm_structure_once_per_chunk(tmp_path, monkeypatch):
-    # each of the four chunks composes all its arms in one table and joins
-    # all its pairs in one call
+def test_oracle_check_composes_all_arms_in_one_table(tmp_path, monkeypatch):
+    # the 1,000 specs compose all their arms in one table and join all their
+    # pairs in one call
     stacks, joins = [], []
 
     def composed(arms):
@@ -596,8 +586,8 @@ def test_oracle_check_composes_each_arm_structure_once_per_chunk(tmp_path, monke
     monkeypatch.setattr(mzfringe.interferometer, "kraus_contrasts", joined)
     assert main(["oracle-check", "--specs", "1000", "--seed", "5",
                  "--output", str(tmp_path / "o.csv")]) == 0
-    assert stacks == [512, 512, 512, 464]
-    assert joins == [256, 256, 256, 232]
+    assert stacks == [2000]
+    assert joins == [1000]
 
 
 def test_a_config_run_leaves_no_defaults_behind(tmp_path, capsys):

@@ -6,7 +6,6 @@ from mzfringe import (
     half_waveplate,
     maximally_mixed,
     rotated_basis,
-    validate_cptp,
     validate_density_matrix,
 )
 from mzfringe.interferometer import _BEAMSPLITTER
@@ -75,40 +74,6 @@ def test_maximally_mixed():
 def test_maximally_mixed_rejects_zero():
     with pytest.raises(ValueError):
         maximally_mixed(0)
-
-
-def test_validate_cptp_identity():
-    check = validate_cptp([I2])
-    assert check.passed and check.residual == 0.0
-
-
-def test_validate_cptp_crystal_projectors():
-    ops = [np.diag([1.0, 0.0]).astype(complex), np.diag([0.0, 1.0]).astype(complex)]
-    assert validate_cptp(ops).passed
-
-
-def test_validate_cptp_subnormalized_fails():
-    check = validate_cptp([0.9 * I2])
-    assert not check.passed
-    assert check.residual > 1e-2
-
-
-def test_validate_cptp_mixed_dimensions():
-    with pytest.raises(ValueError, match=r"^Kraus set must be .* got a ragged sequence$"):
-        validate_cptp([I2, np.eye(3)])
-
-
-@pytest.mark.parametrize("operators", [
-    [],                                                   # empty set
-    np.zeros((0, 2, 2)),                                  # empty stack
-    [np.array([[np.nan, 0.0], [0.0, 1.0]])],              # NaN entry
-    [np.array([[1.0, 0.0], [0.0, np.inf]])],              # inf entry
-    [np.ones((2, 3))],                                    # non-square operator
-    I2,                                                   # a single 2-D matrix
-])
-def test_validate_cptp_refuses_what_is_not_a_finite_square_stack(operators):
-    with pytest.raises(ValueError):
-        validate_cptp(operators)
 
 
 def test_validate_density_matrix_accepts_valid():

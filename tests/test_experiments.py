@@ -369,7 +369,7 @@ NO_UNITARY_CHUNKS = [1, 4, 995]
     pytest.param(NO_UNITARY_CHUNKS, id="chunk-without-unitaries"),
 ])
 def test_random_specs_equal_the_per_spec_loop_bit_for_bit(chunks):
-    # 1,001 specs in one call, and 1,000 in chunks of 256 as oracle-check draws them
+    # 1,001 specs in one call, and 1,000 in chunks of 256
     rng, want_rng = np.random.default_rng(19), np.random.default_rng(19)
     kinds, chunk_kinds = set(), []
     for n in chunks:

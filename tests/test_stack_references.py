@@ -19,7 +19,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-import mzfringe.cli
 from conftest import random_density, random_unitary
 from mzfringe import (Crystal, RawUnitary, Waveplate, blindness_demo, compose_arms,
                       default_beta_grid, maximally_mixed, oracle_contrasts, qpt,
@@ -244,13 +243,11 @@ def assert_routines_keep_their_bits(uppers, lowers, rho):
 
 
 @pytest.mark.parametrize("seed", [1, 5, 19])
-def test_random_spec_chunks_keep_their_bits(seed):
-    rng = np.random.default_rng(seed)
-    chunk = mzfringe.cli._ORACLE_CHECK_CHUNK
-    for start in range(0, 1000, chunk):
-        uppers, lowers, rho = random_specs(rng, min(chunk, 1000 - start))
-        assert_compositions_keep_their_bits([*uppers, *lowers])
-        assert_routines_keep_their_bits(uppers, lowers, rho)
+def test_random_spec_stack_keeps_its_bits(seed):
+    # the 1,000 specs of oracle-check, checked as one stack
+    uppers, lowers, rho = random_specs(np.random.default_rng(seed), 1000)
+    assert_compositions_keep_their_bits([*uppers, *lowers])
+    assert_routines_keep_their_bits(uppers, lowers, rho)
 
 
 def mixed_arms(rng, count, crystals):
