@@ -9,9 +9,9 @@ micrometers of o/e wavepacket separation. Only delay differences are
 observable, so the o-ray carries zero delay by convention.
 
 ``compose_arms`` composes any list of arms into one Kraus table, each arm's
-rows in delay order, arm after arm, composing the arms of one crystal-delay
-sequence as one stack (``_compose_stack``). ``arm_channel_apply`` maps a stack
-of states through the operators of each arm of a table.
+rows in delay order, arm after arm, in one pass over every arm, crystal index
+by crystal index. ``arm_channel_apply`` maps a stack of states through the
+operators of each arm of a table.
 """
 
 from __future__ import annotations
@@ -48,12 +48,11 @@ ZERO_OP_TOL = 1e-14
 # Distinct delays beyond which compose_arms refuses to run: 16x the 1,024 bins
 # of ten crystals at 150 * 2^k um. A 2^14-bin arm composes in about a second.
 COMPOSE_BIN_LIMIT = 2**14
-# The Kraus set (arms, k, 2, 2) of one empty arm.
-_IDENTITY = np.eye(2, dtype=complex)[None, None]
 
 
 class ResourceLimitError(ValueError):
-    """Input past a stated resource limit (COMPOSE_BIN_LIMIT, ORACLE_DIM_LIMIT, a 2**53 mean)."""
+    """Input past a stated resource limit (COMPOSE_BIN_LIMIT, ORACLE_DIM_LIMIT, a 2**53 mean,
+    float64's range for an arm's total crystal delay)."""
 
 
 @dataclass(frozen=True)
@@ -115,10 +114,10 @@ ArmSpec = Sequence[ArmElement]
 
 
 def _element_kraus(elems: Sequence[ArmElement]) -> np.ndarray:
-    """Operators (arms, m, 2, 2) of elements of one kind across an arm stack,
-    from one angle array: a crystal's o-ray and e-ray projectors, in that
-    order, or a single unitary. C order keeps each operator contiguous, so
-    matmul rounds its products as for a single arm."""
+    """Operators (arms, m, 2, 2) of elements of one kind, one per element, from
+    one angle array: a crystal's o-ray and e-ray projectors, in that order, or a
+    single unitary. C order keeps each operator contiguous, so matmul rounds its
+    products as for a single arm."""
     kind = type(elems[0])
     if kind is RawUnitary:
         return np.array([[e.matrix] for e in elems])
@@ -133,109 +132,110 @@ def _element_kraus(elems: Sequence[ArmElement]) -> np.ndarray:
     return np.ascontiguousarray(ops.transpose(3, 0, 1, 2))
 
 
-def _stack_steps(arms: Sequence[ArmSpec]) -> tuple[list, list]:
-    """The elements of an arm stack in kind subsets: the crystals by index,
-    one per arm, and the other elements by segment, those before crystal 0
-    and after each crystal, as (rows, elements) of one rank and kind in rank
-    order; the arms share their crystal delays."""
+def _walk_arms(arms: Sequence[ArmSpec]) -> tuple[list, dict]:
+    """Each arm's crystals, and the other elements of all arms keyed by
+    (crystals before them, rank after the last of those, kind) as (arms,
+    elements). An arm whose crystal delays, added in traversal order, pass the
+    largest float raises ResourceLimitError: that sum bounds its delays."""
     crystals, others = [], {}
-    for row, arm in enumerate(arms):
-        passed = rank = 0
+    for i, arm in enumerate(arms):
+        own, rank, total = [], 0, 0.0
         for e in arm:
             if type(e) is Crystal:
-                if passed == len(crystals):
-                    crystals.append([])
-                crystals[passed].append(e)
-                passed, rank = passed + 1, 0
+                own.append(e)
+                rank, total = 0, total + e.delay
             else:
-                key = (passed, rank, type(e))
+                key = (len(own), rank, type(e))
                 if key not in others:
                     others[key] = [], []
-                others[key][0].append(row)
+                others[key][0].append(i)
                 others[key][1].append(e)
                 rank += 1
-    segments = [[] for _ in range(len(crystals) + 1)]
-    for key in sorted(others, key=lambda key: key[:2]):
-        segments[key[0]].append(others[key])
-    return crystals, segments
-
-
-def _compose_stack(arms: Sequence[ArmSpec]) -> tuple[np.ndarray, np.ndarray]:
-    """Kraus sets of a stack of arms that share their crystal delays: delays
-    (k,) of the stack and operators (arms, k, 2, 2), sorted by delay.
-
-    Applies the elements in traversal order (later elements left-multiplied).
-    After each crystal, the o- and e-branches are sorted stably by total delay
-    and a branch joins the group whose first delay lies within
-    ``DELAY_MERGE_TOL``; a group's operators are summed coherently. The delays
-    are composed first, and more than ``COMPOSE_BIN_LIMIT`` of them raise
-    ResourceLimitError before any operator is built. Waveplates and raw
-    unitaries between two crystals may differ across the stack; each rank of
-    them is applied to the arms that have it.
-    """
-    crystals, segments = _stack_steps(arms)
-    delays, merges = np.zeros(1), []
-    for elems in crystals:
-        branches = np.concatenate((delays, delays + float(elems[0].delay)))
-        order = branches.argsort(kind="stable")
-        branches = branches[order]
-        start = np.empty(len(branches), dtype=bool)
-        start[0] = True
-        start[1:] = branches[1:] - branches[:-1] > DELAY_MERGE_TOL
-        # A branch within the tolerance of its predecessor joins the group
-        # only if it also lies within the tolerance of the group's first delay.
-        for i in (~start).nonzero()[0].tolist():
-            if start[i - 1]:
-                leader = branches[i - 1]
-            start[i] = branches[i] - leader > DELAY_MERGE_TOL
-        starts = start.nonzero()[0]
-        delays = branches[starts]
-        if len(delays) > COMPOSE_BIN_LIMIT:
-            raise ResourceLimitError(
-                f"resource limit: arm reaches more than {COMPOSE_BIN_LIMIT} "
-                "distinct delays (COMPOSE_BIN_LIMIT)")
-        merges.append((order, starts))
-    # the projectors of every crystal from one angle array, crystal by crystal
-    projectors = _element_kraus([e for elems in crystals for e in elems]) if crystals else None
-    kraus = _IDENTITY.repeat(len(arms), axis=0)
-    for index, segment in enumerate(segments):
-        if index:
-            # Each half of a crystal's branches is spaced by more than the
-            # tolerance (up to rounding), so a group holds at most an o- and
-            # an e-branch, which reduceat adds in sorted order.
-            ops = projectors[(index - 1) * len(arms):index * len(arms)]
-            order, starts = merges[index - 1]
-            kraus = (ops[:, :, None] @ kraus[:, None]).reshape(len(arms), -1, 2, 2)
-            kraus = np.add.reduceat(kraus.take(order, axis=1), starts, axis=1)
-        for rows, elems in segment:
-            if len(rows) == len(arms):
-                kraus = _element_kraus(elems) @ kraus
-            else:
-                kraus[rows] = _element_kraus(elems) @ kraus[rows]
-    return delays, kraus
+        if not math.isfinite(total):
+            raise ResourceLimitError(f"resource limit: arm {i}'s crystal delays overflow float64")
+        crystals.append(own)
+    return crystals, others
 
 
 def compose_arms(arms: Sequence[ArmSpec]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Kraus table of any list of arms: owner (K,), the index of each row's
     arm, delays (K,) and operators (K, 2, 2), arm after arm, each arm's rows in
-    delay order; one arm's Kraus set is ``compose_arms([arm])[1:]``. The arms
-    of one crystal-delay sequence are composed as one stack
-    (``_compose_stack``). Zero rule: each arm drops its operators below
+    delay order; one arm's Kraus set is ``compose_arms([arm])[1:]``.
+
+    All arms are composed in one pass, crystal index by crystal index, each in
+    traversal order (later elements left-multiplied); ordered by descending
+    crystal count, the arms that have crystal c own a prefix of the table.
+    After each crystal, their o- and e-branches are sorted stably on exact
+    (arm, delay) keys, and a branch joins its arm's group whose first delay
+    lies within ``DELAY_MERGE_TOL``; a group's operators are summed
+    coherently. The delays are composed first: an arm past
+    ``COMPOSE_BIN_LIMIT`` of them raises ResourceLimitError before any
+    operator is built. Zero rule: each arm drops its operators below
     ``ZERO_OP_TOL`` entrywise (README, "Conventions and numerics").
     """
-    groups: dict = {}
-    for i, arm in enumerate(arms):
-        groups.setdefault(tuple([e.delay for e in arm if type(e) is Crystal]), []).append(i)
-    columns = [(np.zeros(0, dtype=np.intp), np.zeros(0), np.zeros((0, 2, 2), dtype=complex))]
-    for members in groups.values():
-        delays, kraus = _compose_stack([arms[i] for i in members])
-        keep = ~(np.maximum.reduce(np.abs(kraus), axis=(2, 3)) < ZERO_OP_TOL)
-        columns.append((np.repeat(members, keep.sum(axis=1)),
-                        np.broadcast_to(delays, keep.shape)[keep],
-                        kraus.reshape(-1, 2, 2).compress(keep.ravel(), axis=0)))
-    owner, delays, ops = (np.concatenate(column) for column in zip(*columns))
-    order = owner.argsort(kind="stable")
-    return owner[order], delays[order], ops[order]
+    crystals, others = _walk_arms(arms)
+    counts = np.array([len(own) for own in crystals], dtype=np.intp)
+    arm = (-counts).argsort(kind="stable")
+    # the arms that have crystal c, and their crystals c: that of arm[i] at first[c] + i
+    having = (len(arms) - np.bincount(counts).cumsum())[:-1]
+    flat = [crystals[i][c] for c, n in enumerate(having.tolist()) for i in arm[:n].tolist()]
+    first, delay = having.cumsum() - having, np.array([e.delay for e in flat], dtype=float)
+    segments = [[] for _ in range(len(having) + 1)]
+    for key in sorted(others, key=lambda key: key[:2]):
+        segments[key[0]].append(others[key])
+    # the rows as exact (arm, delay) keys arm + i delay, before each crystal
+    keys = np.arange(len(arms)) + 0j
+    steps = [(None, None, None, keys)]
+    for n, base in zip(having.tolist(), first.tolist()):
+        prefix = keys[:keys.searchsorted(n)]
+        at = prefix.real.astype(np.intp) + base  # the crystal of each row's arm in flat
+        branches = np.concatenate((prefix, prefix + 1j * delay[at]))
+        order = branches.argsort(kind="stable")
+        branches = branches[order]
+        delays, owners = branches.imag, branches.real
+        start = np.concatenate(([True], (delays[1:] - delays[:-1] > DELAY_MERGE_TOL)
+                                | (owners[1:] != owners[:-1])))
+        # A branch within the tolerance of its predecessor joins the group
+        # only if it also lies within the tolerance of the group's first
+        # delay, a test that only a branch after another joining one can fail.
+        for i in (np.flatnonzero(~(start[1:-1] | start[2:])) + 2).tolist():
+            if start[i - 1]:
+                leader = delays[i - 1]
+            elif start[i - 2]:
+                leader = delays[i - 2]
+            start[i] = delays[i] - leader > DELAY_MERGE_TOL
+        starts = start.nonzero()[0]
+        keys = np.concatenate((branches[starts], keys[len(at):]))
+        if (len(starts) > COMPOSE_BIN_LIMIT
+                and np.bincount(keys.real.astype(np.intp)).max() > COMPOSE_BIN_LIMIT):
+            raise ResourceLimitError(f"resource limit: arm reaches more than {COMPOSE_BIN_LIMIT} "
+                                     "distinct delays (COMPOSE_BIN_LIMIT)")
+        # the rows' keys only where a waveplate or raw unitary follows
+        steps.append((at, order, starts, keys if segments[len(steps)] else None))
+    projectors = _element_kraus(flat) if flat else None  # from one angle array
+    kraus = np.eye(2, dtype=complex)[None].repeat(len(arms), axis=0)
+    for (at, order, starts, row_keys), segment in zip(steps, segments):
+        if at is not None:
+            # One (4, 2) @ (2, 2) product per row, the o-projector over the
+            # e-projector, rounds each entry as the two 2x2 products do. Each
+            # half of a crystal's branches is spaced by more than the tolerance
+            # (up to rounding), so a group holds at most an o- and an
+            # e-branch, which reduceat adds in sorted order.
+            products = (projectors[at].reshape(-1, 4, 2) @ kraus[:len(at)]).reshape(-1, 2, 2, 2)
+            # the o-products of every row, then the e-products, as the branches
+            products = products.swapaxes(0, 1).reshape(-1, 2, 2).take(order, axis=0)
+            kraus = np.concatenate((np.add.reduceat(products, starts), kraus[len(at):]))
+        # each rank of waveplates or raw unitaries to the rows of its arms
+        for members, elems in segment:
+            which = np.full(len(arms), -1)
+            which[members] = np.arange(len(members))
+            which = which[arm][row_keys.real.astype(np.intp)]
+            rows = (which >= 0).nonzero()[0]
+            kraus[rows] = _element_kraus(elems)[which[rows], 0] @ kraus[rows]
+    owner = arm[keys.real.astype(np.intp)]
+    kept = np.flatnonzero(~(np.maximum.reduce(np.abs(kraus), axis=(1, 2)) < ZERO_OP_TOL))
+    kept = kept[owner[kept].argsort(kind="stable")]
+    return owner[kept], keys.imag[kept], kraus[kept]
 
 
 def arm_channel_apply(table: tuple, rho) -> np.ndarray:

@@ -234,22 +234,47 @@ def test_channel_of_an_empty_arm_stack_is_an_empty_stack():
     assert arm_channel_apply(compose_arms([]), PROBE_STATES).shape == (0, 4, 2, 2)
 
 
-def test_compose_refuses_arms_past_the_bin_limit_at_once():
-    # 40 crystals at 150 * 2^k um reach 2^40 distinct delays; the check stops
-    # at the first crystal past 2^14 and builds no operators
-    arm = [Crystal(0.1 * k, 150.0 * 2 ** k) for k in range(40)]
+def assert_refused_at_once(arms):
+    """compose_arms of ``arms`` raises ResourceLimitError within 0.5 s and
+    4 MiB of traced memory."""
     tracemalloc.start()
     start = time.perf_counter()
     try:
         with pytest.raises(ResourceLimitError, match="resource limit"):
-            compose_one(arm)
+            compose_arms(arms)
         elapsed = time.perf_counter() - start
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert elapsed < 0.5
     assert peak < 4 << 20
+
+
+def test_compose_refuses_arms_past_the_bin_limit_at_once():
+    # 40 crystals at 150 * 2^k um reach 2^40 distinct delays; the check stops
+    # at the first crystal past 2^14 and builds no operators
+    assert_refused_at_once([[Crystal(0.1 * k, 150.0 * 2 ** k) for k in range(40)]])
     assert COMPOSE_BIN_LIMIT == 2 ** 14
+
+
+def test_compose_refuses_an_arm_past_the_bin_limit_among_small_arms_at_once():
+    # the same arm after 1,000 arms of up to 4 elements, in one call: every
+    # crystal's delays are checked before any operator is built
+    rng = np.random.default_rng(43)
+    arms = [random_arm(rng, max_elements=4) for _ in range(1000)]
+    assert_refused_at_once([*arms, [Crystal(0.1 * k, 150.0 * 2 ** k) for k in range(40)]])
+
+
+@pytest.mark.filterwarnings("error")
+def test_compose_refuses_crystal_delays_past_the_largest_float():
+    # 1e308 + 1e308 overflows to inf, whose (arm, delay) keys would match
+    # nothing; the walk refuses the arm before any delay is composed
+    with pytest.raises(ResourceLimitError, match="arm 1's crystal delays overflow float64"):
+        compose_arms([[Crystal(0.1, 150.0)], [Crystal(0.3, 1e308), Crystal(0.2, 1e308)]])
+    # a sum just below the largest float composes, every delay finite
+    delays, ops = compose_one([Crystal(0.3, 1e308), Crystal(0.2, 7e307)])
+    assert delays.tolist() == [0.0, 7e307, 1e308, 1e308 + 7e307]
+    assert validate_cptp(ops).passed
 
 
 def test_bin_limit_counts_merged_delays():

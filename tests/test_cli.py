@@ -631,3 +631,14 @@ def test_arms_past_the_bin_limit_are_usage_errors(tmp_path, capsys, key, groups)
     assert main([command, key, text, "--output", str(tmp_path / "x.csv")]) == 2
     assert "resource limit" in capsys.readouterr().err
     assert not (tmp_path / "x.csv").exists()
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("key, groups", [("--arms", 2), ("--segments", 4)])
+def test_crystal_delays_past_the_largest_float_are_usage_errors(tmp_path, capsys, key, groups):
+    # 1e308 + 1e308 overflows to inf, whose delay keys would match nothing
+    command = "fringe" if key == "--arms" else "qkd"
+    text = "|".join(["crystal:0.3:1e308;crystal:0.2:1e308"] + [""] * (groups - 1))
+    assert main([command, key, text, "--output", str(tmp_path / "x.csv")]) == 2
+    assert "resource limit: arm 0's crystal delays overflow float64" in capsys.readouterr().err
+    assert not (tmp_path / "x.csv").exists()

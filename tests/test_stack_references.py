@@ -1,4 +1,4 @@
-"""The one-table composition and join, and the time-grid oracle groups,
+"""The one-pass composition and join, and the time-grid oracle groups,
 against the routines they replaced, kept here as references.
 
 The composition references compose a stack of arms that share their crystal
@@ -6,11 +6,12 @@ delays into delays shared by the stack and operators (arms, k, 2, 2), zero an
 operator that vanishes in one arm of a stack and drop its delay only where it
 vanishes in every arm; the contrast composes one stack per crystal-delay
 sequence and joins the pairs of each (upper, lower) sequence at once. The
-package composes any arms in one Kraus table, drops each arm's own vanished
-operators and joins every pair at once. The oracle references group pairs by
-their full structure, element kinds and crystal delays, where the package
-groups them by time grid. Every kept Kraus row, contrast, oracle Gram matrix
-and blindness column must keep its bits.
+package composes any arms in one pass over every arm, crystal index by crystal
+index, into one Kraus table, drops each arm's own vanished operators and joins
+every pair at once. The oracle references group pairs by their full
+structure, element kinds and crystal delays, where the package groups them by
+time grid. Every kept Kraus row, contrast, oracle Gram matrix and blindness
+column must keep its bits.
 """
 
 import importlib.util
@@ -327,17 +328,44 @@ def test_the_blindness_arms_keep_their_bits():
     assert [column.tobytes() for column in got] == [column.tobytes() for column in want]
 
 
-def test_the_deep_arms_pairs_keep_their_bits():
+def deep_arms_pairs() -> list:
+    """The 48 arm pairs of the deep-arms benchmark workload, seeds 1 to 3."""
     path = Path(__file__).resolve().parent.parent / "benchmarks" / "workloads.py"
     spec = importlib.util.spec_from_file_location("benchmark_workloads", path)
     workloads = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(workloads)
-    pairs = [[[Crystal(angle, delay) for angle, delay in command["check"][side]]
-              for side in ("upper", "lower")]
-             for seed in (1, 2, 3) for command in workloads.generate("deep-arms", seed)]
+    return [[[Crystal(angle, delay) for angle, delay in command["check"][side]]
+             for side in ("upper", "lower")]
+            for seed in (1, 2, 3) for command in workloads.generate("deep-arms", seed)]
+
+
+def test_the_deep_arms_pairs_keep_their_bits():
+    pairs = deep_arms_pairs()
     assert len(pairs) == 48
     uppers, lowers = zip(*pairs)
     assert_compositions_keep_their_bits([*uppers, *lowers])
     assert_routines_keep_their_bits(uppers, lowers, maximally_mixed(2))
     for upper, lower in pairs:
         assert_routines_keep_their_bits([upper], [lower], maximally_mixed(2))
+
+
+def test_a_list_mixing_shapes_keeps_its_bits():
+    # the deep-arms arms (8 to 15 crystals) interleaved with an oracle-check
+    # draw (0 to 3 elements), and two adjacent arms of the only 4-crystal
+    # sequence, whose equal delays sit side by side in the table's sort but
+    # belong to different arms and never merge
+    rng = np.random.default_rng(5)
+    uppers, lowers, _ = random_specs(rng, 500)
+    deep = [arm for pair in deep_arms_pairs() for arm in pair]
+    arms = [*uppers, *lowers]
+    for i, arm in enumerate(deep):
+        arms.insert(11 * i, arm)
+    twins = [[Crystal(float(a), delay) for a, delay in zip(rng.uniform(0, np.pi, 4),
+                                                           (150.0, 310.0, 150.0, 75.0))]
+             for _ in range(2)]
+    arms[500:500] = twins
+    assert_compositions_keep_their_bits(arms)
+    owner, delays, _ = compose_arms(arms)
+    for i in (500, 501):
+        assert delays[owner == i].tolist() == [0.0, 75.0, 150.0, 225.0, 300.0, 310.0, 375.0,
+                                               385.0, 460.0, 535.0, 610.0, 685.0]
