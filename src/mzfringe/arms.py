@@ -6,7 +6,8 @@ polarization qubit with photon arrival time. An arm is an ordered list of
 optical elements in traversal order; composing it yields delays (k,) and 2x2
 Kraus operators (k, 2, 2), one per distinct accumulated delay. Delays are
 micrometers of o/e wavepacket separation. Only delay differences are
-observable, so the o-ray carries zero delay by convention.
+observable, so the o-ray carries zero delay by convention. Crystal delays
+are whole picometres, which composition adds exactly.
 
 ``compose_arms`` composes any list of arms into one Kraus table, each arm's
 rows in delay order, arm after arm, in one pass over every arm, crystal index
@@ -26,7 +27,7 @@ import numpy as np
 from .core import UNITARY_ATOL, half_waveplate, rotated_basis, validate_density_matrix
 
 __all__ = [
-    "DELAY_MERGE_TOL",
+    "PM_PER_UM",
     "ZERO_OP_TOL",
     "Crystal",
     "Waveplate",
@@ -39,9 +40,8 @@ __all__ = [
     "arm_channel_apply",
 ]
 
-# Delays in scope are exact sums of configuration constants, so this tolerance
-# only merges genuinely equal sums.
-DELAY_MERGE_TOL = 1e-9
+# Picometres per micrometre: crystal delays, in micrometres, are whole picometres.
+PM_PER_UM = 1e6
 # Entrywise threshold below which a composed branch operator is dropped as an
 # exact-orthogonality artifact.
 ZERO_OP_TOL = 1e-14
@@ -52,13 +52,16 @@ COMPOSE_BIN_LIMIT = 2**14
 
 class ResourceLimitError(ValueError):
     """Input past a stated resource limit (COMPOSE_BIN_LIMIT, ORACLE_DIM_LIMIT, a 2**53 mean,
-    float64's range for an arm's total crystal delay)."""
+    2**52 pm of total crystal delay in one arm)."""
 
 
 @dataclass(frozen=True)
 class Crystal:
     """Birefringent crystal: fast axis at ``axis_angle`` (finite radians from
-    horizontal), o/e separation ``delay`` (finite micrometers, >= 0)."""
+    horizontal), o/e separation ``delay`` (micrometers, >= 0), a whole number
+    of picometres below 2**52: ``round(delay * PM_PER_UM) / PM_PER_UM ==
+    delay``, so 0.1 is accepted and 0.1 * 3 (0.30000000000000004) is refused.
+    ``compose_arms`` refuses an arm whose delays add up to 2**52 pm."""
 
     axis_angle: float
     delay: float
@@ -66,8 +69,11 @@ class Crystal:
     def __post_init__(self):
         if not math.isfinite(self.axis_angle):
             raise ValueError(f"crystal axis_angle must be finite, got {self.axis_angle}")
-        if not math.isfinite(self.delay) or self.delay < 0:
-            raise ValueError(f"crystal delay must be finite and >= 0, got {self.delay}")
+        pm = self.delay * PM_PER_UM
+        if not math.isfinite(pm) or pm < 0:
+            raise ValueError(f"crystal delay must be >= 0 and finite in pm, got {self.delay}")
+        if pm < 2**52 and round(pm) / PM_PER_UM != self.delay:
+            raise ValueError(f"crystal delay {self.delay!r} um is not in whole picometres")
 
 
 @dataclass(frozen=True)
@@ -135,15 +141,15 @@ def _element_kraus(elems: Sequence[ArmElement]) -> np.ndarray:
 def _walk_arms(arms: Sequence[ArmSpec]) -> tuple[list, dict]:
     """Each arm's crystals, and the other elements of all arms keyed by
     (crystals before them, rank after the last of those, kind) as (arms,
-    elements). An arm whose crystal delays, added in traversal order, pass the
-    largest float raises ResourceLimitError: that sum bounds its delays."""
+    elements). An arm whose crystal delays reach 2**52 pm raises
+    ResourceLimitError: below it, micrometres tell every picometre apart."""
     crystals, others = [], {}
     for i, arm in enumerate(arms):
-        own, rank, total = [], 0, 0.0
+        own, rank, total = [], 0, 0
         for e in arm:
             if type(e) is Crystal:
                 own.append(e)
-                rank, total = 0, total + e.delay
+                rank, total = 0, total + round(e.delay * PM_PER_UM)  # whole pm, exact
             else:
                 key = (len(own), rank, type(e))
                 if key not in others:
@@ -151,8 +157,8 @@ def _walk_arms(arms: Sequence[ArmSpec]) -> tuple[list, dict]:
                 others[key][0].append(i)
                 others[key][1].append(e)
                 rank += 1
-        if not math.isfinite(total):
-            raise ResourceLimitError(f"resource limit: arm {i}'s crystal delays overflow float64")
+        if total >= 2**52:
+            raise ResourceLimitError(f"resource limit: arm {i}'s crystal delays reach 2**52 pm")
         crystals.append(own)
     return crystals, others
 
@@ -166,9 +172,8 @@ def compose_arms(arms: Sequence[ArmSpec]) -> tuple[np.ndarray, np.ndarray, np.nd
     traversal order (later elements left-multiplied); ordered by descending
     crystal count, the arms that have crystal c own a prefix of the table.
     After each crystal, their o- and e-branches are sorted stably on exact
-    (arm, delay) keys, and a branch joins its arm's group whose first delay
-    lies within ``DELAY_MERGE_TOL``; a group's operators are summed
-    coherently. The delays are composed first: an arm past
+    (arm, delay) keys, delays in whole picometres, and the operators of equal
+    keys are summed coherently. The delays are composed first: an arm past
     ``COMPOSE_BIN_LIMIT`` of them raises ResourceLimitError before any
     operator is built. Zero rule: each arm drops its operators below
     ``ZERO_OP_TOL`` entrywise (README, "Conventions and numerics").
@@ -180,10 +185,11 @@ def compose_arms(arms: Sequence[ArmSpec]) -> tuple[np.ndarray, np.ndarray, np.nd
     having = (len(arms) - np.bincount(counts).cumsum())[:-1]
     flat = [crystals[i][c] for c, n in enumerate(having.tolist()) for i in arm[:n].tolist()]
     first, delay = having.cumsum() - having, np.array([e.delay for e in flat], dtype=float)
+    delay = np.rint(delay * PM_PER_UM)  # whole picometres
     segments = [[] for _ in range(len(having) + 1)]
     for key in sorted(others, key=lambda key: key[:2]):
         segments[key[0]].append(others[key])
-    # the rows as exact (arm, delay) keys arm + i delay, before each crystal
+    # the rows as (arm, delay) keys arm + i delay, exact in pm, before each crystal
     keys = np.arange(len(arms)) + 0j
     steps = [(None, None, None, keys)]
     for n, base in zip(having.tolist(), first.tolist()):
@@ -192,19 +198,7 @@ def compose_arms(arms: Sequence[ArmSpec]) -> tuple[np.ndarray, np.ndarray, np.nd
         branches = np.concatenate((prefix, prefix + 1j * delay[at]))
         order = branches.argsort(kind="stable")
         branches = branches[order]
-        delays, owners = branches.imag, branches.real
-        start = np.concatenate(([True], (delays[1:] - delays[:-1] > DELAY_MERGE_TOL)
-                                | (owners[1:] != owners[:-1])))
-        # A branch within the tolerance of its predecessor joins the group
-        # only if it also lies within the tolerance of the group's first
-        # delay, a test that only a branch after another joining one can fail.
-        for i in (np.flatnonzero(~(start[1:-1] | start[2:])) + 2).tolist():
-            if start[i - 1]:
-                leader = delays[i - 1]
-            elif start[i - 2]:
-                leader = delays[i - 2]
-            start[i] = delays[i] - leader > DELAY_MERGE_TOL
-        starts = start.nonzero()[0]
+        starts = np.concatenate(([True], branches[1:] != branches[:-1])).nonzero()[0]
         keys = np.concatenate((branches[starts], keys[len(at):]))
         if (len(starts) > COMPOSE_BIN_LIMIT
                 and np.bincount(keys.real.astype(np.intp)).max() > COMPOSE_BIN_LIMIT):
@@ -217,10 +211,9 @@ def compose_arms(arms: Sequence[ArmSpec]) -> tuple[np.ndarray, np.ndarray, np.nd
     for (at, order, starts, row_keys), segment in zip(steps, segments):
         if at is not None:
             # One (4, 2) @ (2, 2) product per row, the o-projector over the
-            # e-projector, rounds each entry as the two 2x2 products do. Each
-            # half of a crystal's branches is spaced by more than the tolerance
-            # (up to rounding), so a group holds at most an o- and an
-            # e-branch, which reduceat adds in sorted order.
+            # e-projector, rounds each entry as the two 2x2 products do. A
+            # group holds at most an o- and an e-branch of one row, as an
+            # arm's keys are distinct, which reduceat adds in sorted order.
             products = (projectors[at].reshape(-1, 4, 2) @ kraus[:len(at)]).reshape(-1, 2, 2, 2)
             # the o-products of every row, then the e-products, as the branches
             products = products.swapaxes(0, 1).reshape(-1, 2, 2).take(order, axis=0)
@@ -235,7 +228,7 @@ def compose_arms(arms: Sequence[ArmSpec]) -> tuple[np.ndarray, np.ndarray, np.nd
     owner = arm[keys.real.astype(np.intp)]
     kept = np.flatnonzero(~(np.maximum.reduce(np.abs(kraus), axis=(1, 2)) < ZERO_OP_TOL))
     kept = kept[owner[kept].argsort(kind="stable")]
-    return owner[kept], keys.imag[kept], kraus[kept]
+    return owner[kept], keys.imag[kept] / PM_PER_UM, kraus[kept]
 
 
 def arm_channel_apply(table: tuple, rho) -> np.ndarray:

@@ -10,9 +10,9 @@ values, and unknown file keys are rejected.
 
 Angles accept an explicit unit suffix, e.g. ``22.5deg`` or ``0.3927rad``;
 bare numbers are radians. Arms are serialized as semicolon-separated elements
-``crystal:<angle>:<delay-um>``, ``hwp:<angle>``, ``unitary:<4 complex row-major
-entries, comma-separated>``, or ``identity``; an arm pair joins two arm strings
-with ``|`` (upper first), and the qkd segments join four.
+``crystal:<angle>:<delay-um>`` (delay in whole picometres), ``hwp:<angle>``,
+``unitary:<4 complex row-major entries, comma-separated>`` or ``identity``; an
+arm pair joins two arm strings with ``|`` (upper first), qkd segments four.
 
 Counts are bounded: ``phases`` at most 2**20, ``beta-points`` and ``specs`` at
 most 2**16 each, every count at least 1. A count past its bound raises
@@ -52,8 +52,8 @@ __all__ = ["UsageError", "parse_config", "main", "main_entry"]
 COMMANDS = ("fringe", "sweep", "oracle-check", "tomography", "qkd", "fit")
 # Upper bounds of the counts, far above the benchmark workloads' 1,024 phases,
 # 200 beta points and 1,000 specs. At the bounds, on a 2-vCPU VM, fringe took
-# 1.8 s and a peak resident set of 217 MiB, sweep 3.7 s and 239 MiB,
-# tomography 4.9 s and 337 MiB, and oracle-check 4.8 s and 192 MiB.
+# 1.2 s and a peak resident set of 217 MiB (1.7 s and 270 MiB with mean-total),
+# sweep 3.5 s and 317 MiB, tomography 5.0 s and 457 MiB, oracle-check 4.1 s and 190 MiB.
 _COUNT_LIMITS = {"phases": 2**20, "beta-points": 2**16, "specs": 2**16}
 
 

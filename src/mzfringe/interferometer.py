@@ -4,15 +4,14 @@ The interference contrast is the complex number C whose magnitude is the
 fringe visibility and whose argument sets the fringe phase;
 ``shared_env_contrasts`` returns it as a plain ``complex`` per arm pair, and
 ``oracle_contrasts`` as a complex array. With a shared environment, C sums
-Tr[u^dag v rho] over pairs of upper-arm and lower-arm Kraus operators whose
-time-bin delays coincide; delays differing by more than the coherence
-criterion contribute nothing (orthogonal bins). The dilation oracle
-reproduces the same fringe by brute force: it evolves the full path (x)
-polarization (x) time-bin state through the first beamsplitter and each arm
-element by element on its own path. The phase plate and the closing
-beamsplitter act on the path alone, so the lower-port probability at each
-phase is c^dag G c, with G the 2x2 Gram matrix of the two evolved path states
-and c the closing row at that phase.
+Tr[u^dag v rho] over pairs of upper-arm and lower-arm Kraus operators at
+equal time-bin delays; other pairs contribute nothing (orthogonal bins). The
+dilation oracle reproduces the same fringe by brute force: it evolves the
+full path (x) polarization (x) time-bin state through the first beamsplitter
+and each arm element by element on its own path. The phase plate and the
+closing beamsplitter act on the path alone, so the lower-port probability at
+each phase is c^dag G c, with G the 2x2 Gram matrix of the two evolved path
+states and c the closing row at that phase.
 
 Both routines take a stack of arm pairs, ``uppers[i]`` against ``lowers[i]``,
 and one input state or one per pair; one pair is a stack of one. The contrast
@@ -22,31 +21,32 @@ evolves the pairs of each time grid as one stack in memory-bounded blocks. A
 pair's result has the same bits in any stack.
 
 The whole oracle lives here: its time grid at the gcd of the crystal delays
-(``_delay_grid``, up to ``ORACLE_DIM_LIMIT``), which also groups its pairs,
-its arm evolution in kind subsets (``_evolution_steps``, ``_evolve_arm``)
-through element matrices and a beamsplitter of its own, and the path Gram.
+in picometres (``_delay_grid``, up to ``ORACLE_DIM_LIMIT``), which also groups
+its pairs, its arm evolution in kind subsets (``_evolution_steps``,
+``_evolve_arm``) through element matrices and a beamsplitter of its own, and
+the path Gram.
 Composing no Kraus set and calling no element constructor, it checks
 ``compose_arms`` rather than repeating it; with the contrast it shares
 ``_input_states``. ``InterferometerSpec``, a plain record of two arms and a
 state, and ``oracle_contrast`` are the one-spec interface of the benchmark's
 correctness gate; no command uses them.
 
-Time-bin orthogonality is binary here: delays matching within
-``DELAY_MERGE_TOL`` interfere fully, all others not at all. Partial wavepacket
-overlap is out of scope.
+Time-bin orthogonality is binary here: crystal delays are whole picometres
+(``Crystal``), equal delays interfere fully, all others not at all. Partial
+wavepacket overlap is out of scope.
 """
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_left
-from functools import reduce
 from itertools import zip_longest
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .arms import (DELAY_MERGE_TOL, ArmElement, ArmSpec, Crystal, RawUnitary,
-                   ResourceLimitError, Waveplate, compose_arms)
+from .arms import (PM_PER_UM, ArmElement, ArmSpec, Crystal, RawUnitary, ResourceLimitError,
+                   Waveplate, compose_arms)
 from .core import validate_density_matrix
 
 __all__ = [
@@ -57,10 +57,6 @@ __all__ = [
     "oracle_contrasts",
 ]
 
-# Remainder at which the oracle's Euclid ends the gcd of its time grid. It has
-# DELAY_MERGE_TOL's value but is its own constant, so that a change to the
-# merge rule leaves the oracle that checks it unchanged.
-ORACLE_GRID_TOL = 1e-9
 # Joint path x polarization x time-bin dimension beyond which the oracle
 # refuses to run.
 ORACLE_DIM_LIMIT = 4096
@@ -106,12 +102,11 @@ def kraus_contrasts(table: tuple, upper, lower, rho) -> list[complex]:
     pair i joins arm ``upper[i]`` of the table with arm ``lower[i]``, with
     input ``rho``, an unvalidated complex array, one state (2, 2) or one per pair.
 
-    C = sum of Tr[u^dag v rho] over delay-matched Kraus pairs (u from the
-    upper arm, v from the lower): each upper delay d is joined with every
-    lower delay in [d - DELAY_MERGE_TOL, d + DELAY_MERGE_TOL], searched for on
-    exact (arm, delay) keys. Each pair's terms are added in (upper delay,
-    lower delay) order starting from 0, which fixes their rounding (np.sum
-    would add them pairwise).
+    C = sum of Tr[u^dag v rho] over Kraus pairs at equal delays (u from the
+    upper arm, v from the lower): an arm's delays are distinct, so each upper
+    row is joined with at most one lower row, searched for on exact (arm,
+    delay) keys. Each pair's terms are added in upper delay order starting
+    from 0, which fixes their rounding (np.sum would add them pairwise).
     """
     owner, delays, ops = table
     upper, lower = np.asarray(upper, dtype=np.intp), np.asarray(lower, dtype=np.intp)
@@ -123,17 +118,15 @@ def kraus_contrasts(table: tuple, upper, lower, rho) -> list[complex]:
     per_pair = keys.searchsorted(upper + 1) - start
     pair = np.arange(len(upper)).repeat(per_pair)
     rows = np.arange(len(pair)) + (start - per_pair.cumsum() + per_pair).repeat(per_pair)
-    d, arm = delays[rows], lower[pair]
-    lo = keys.searchsorted(arm + 1j * (d - DELAY_MERGE_TOL))
-    matched = keys.searchsorted(arm + 1j * (d + DELAY_MERGE_TOL), "right") - lo
-    # lower row of every term: lo[i], ..., lo[i] + matched[i] - 1 per upper row i
-    first = (lo - matched.cumsum() + matched).repeat(matched)
-    v, term_pair = ops.take(first + np.arange(len(first)), axis=0), pair.repeat(matched)
+    wanted = lower[pair] + 1j * delays[rows]
+    at = keys.searchsorted(wanted)
+    hit = keys.take(at, mode="clip") == wanted  # a lower row at the upper row's delay
+    rows, pair, at = rows[hit], pair[hit], at[hit]
     if rho.ndim > 2:  # one state per pair, else one state broadcast over the terms
-        rho = np.broadcast_to(rho, (len(upper), 2, 2))[term_pair]
-    m = ops.take(rows.repeat(matched), axis=0).conj().swapaxes(1, 2) @ v @ rho
+        rho = np.broadcast_to(rho, (len(upper), 2, 2))[pair]
+    m = ops.take(rows, axis=0).conj().swapaxes(1, 2) @ ops.take(at, axis=0) @ rho
     terms = (m[:, 0, 0] + m[:, 1, 1]).tolist()
-    ends = np.bincount(term_pair, minlength=len(upper)).cumsum().tolist()
+    ends = np.bincount(pair, minlength=len(upper)).cumsum().tolist()
     return [sum(terms[a:b], 0j) for a, b in zip([0, *ends], ends)]
 
 
@@ -177,35 +170,29 @@ def output_probability(c: complex, phi):
     return float(p) if p.ndim == 0 else p
 
 
-def _gcd(a: float, b: float) -> float:
-    """Euclid's algorithm on delays; a remainder within ORACLE_GRID_TOL ends it."""
-    while b > ORACLE_GRID_TOL:
-        a, b = b, a % b
-    return a
+def _shift(delay: float, unit: int) -> int:
+    """Bins of ``unit`` picometres in a crystal delay of ``delay`` micrometres."""
+    return round(delay * PM_PER_UM) // (unit or 1)
 
 
-def _shift(delay: float, unit: float) -> int:
-    return round(delay / unit) if unit else 0
+def _delay_grid(arms: Sequence[ArmSpec]) -> tuple[int, int]:
+    """Unit in picometres and bin count of a time grid that holds every delay
+    of ``arms``.
 
-
-def _delay_grid(arms: Sequence[ArmSpec]) -> tuple[float, int]:
-    """Unit and bin count of a time grid that holds every delay of ``arms``.
-
-    The unit is the gcd of the crystal delays (0 when every delay is within
-    ORACLE_GRID_TOL of zero). Bin 0 is the input bin, and the grid reaches the
-    largest total crystal delay of any one arm, so cyclic shifts of a vector
-    that starts in bin 0 never wrap. Raises ResourceLimitError, before
-    anything is allocated, when the joint dimension 4 * bins exceeds
-    ORACLE_DIM_LIMIT; incommensurate delays drive the unit towards
-    ORACLE_GRID_TOL and end there.
+    The unit is the gcd of the crystal delays in whole picometres (0 when
+    every delay is zero), so every delay is a whole number of bins. Bin 0 is
+    the input bin, and the grid reaches the largest total crystal delay of any
+    one arm, so cyclic shifts of a vector that starts in bin 0 never wrap.
+    Raises ResourceLimitError, before anything is allocated, when the joint
+    dimension 4 * bins exceeds ORACLE_DIM_LIMIT.
     """
-    crystals = [[e.delay for e in arm if isinstance(e, Crystal)] for arm in arms]
-    unit = reduce(_gcd, (d for delays in crystals for d in delays), 0.0)
-    n = 1 + max((sum(_shift(d, unit) for d in delays) for delays in crystals), default=0)
+    crystals = [[round(e.delay * PM_PER_UM) for e in arm if type(e) is Crystal] for arm in arms]
+    unit = math.gcd(*(d for delays in crystals for d in delays))
+    n = 1 + max(map(sum, crystals), default=0) // (unit or 1)
     if 4 * n > ORACLE_DIM_LIMIT:
         raise ResourceLimitError(
             f"resource limit: joint dimension {4 * n} exceeds "
-            f"{ORACLE_DIM_LIMIT} (time grid of {n} bins at {unit:.6g} um)")
+            f"{ORACLE_DIM_LIMIT} (time grid of {n} bins at {unit} pm)")
     return unit, n
 
 

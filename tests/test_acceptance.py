@@ -23,6 +23,7 @@ from mzfringe import (
     rotated_basis,
 )
 from mzfringe.cli import main
+from mzfringe.interferometer import kraus_contrasts
 
 
 def _report(num: int, name: str, ok: bool, detail: str = ""):
@@ -90,19 +91,24 @@ def test_oracle_catches_reversed_composition(monkeypatch):
 
 
 def test_oracle_catches_widened_delay_merging(monkeypatch):
-    # merge delays within 100 um, but only inside composition, as a merge bug would
+    # merge each arm's rows within 100 um of their predecessor, as a merge bug would
     def compose_widened(arms):
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(mzfringe.arms, "DELAY_MERGE_TOL", 100.0)
-            return compose_arms(arms)
+        owner, delays, ops = compose_arms(arms)
+        starts = np.flatnonzero(np.concatenate(
+            ([True], (owner[1:] != owner[:-1]) | (delays[1:] - delays[:-1] > 100.0))))
+        return owner[starts], delays[starts], np.add.reduceat(ops, starts)
 
     monkeypatch.setattr(mzfringe.interferometer, "compose_arms", compose_widened)
     assert _criterion_3_max_delta() > 1e-3
 
 
 def test_oracle_catches_widened_delay_join(monkeypatch):
-    # join delays within 100 um while composition keeps arms.DELAY_MERGE_TOL
-    monkeypatch.setattr(mzfringe.interferometer, "DELAY_MERGE_TOL", 100.0)
+    # join on delays snapped to a 100 um grid while composition keeps its own
+    def join_widened(table, upper, lower, rho):
+        owner, delays, ops = table
+        return kraus_contrasts((owner, np.round(delays / 100.0) * 100.0, ops), upper, lower, rho)
+
+    monkeypatch.setattr(mzfringe.interferometer, "kraus_contrasts", join_widened)
     assert _criterion_3_max_delta() > 1e-3
 
 

@@ -1,3 +1,4 @@
+import math
 import time
 import tracemalloc
 
@@ -17,7 +18,7 @@ from mzfringe import (
 )
 from mzfringe.arms import (
     COMPOSE_BIN_LIMIT,
-    DELAY_MERGE_TOL,
+    PM_PER_UM,
     ZERO_OP_TOL,
     ResourceLimitError,
 )
@@ -54,6 +55,18 @@ def test_crystal_kraus_complete():
 def test_crystal_rejects_negative_delay():
     with pytest.raises(ValueError):
         Crystal(0.1, -5.0)
+
+
+@pytest.mark.parametrize("delay", [0.1, 1e-6])
+def test_crystal_accepts_a_whole_number_of_picometres(delay):
+    assert Crystal(0.0, delay).delay == delay
+
+
+@pytest.mark.parametrize("delay", [0.1 * 3, 2.75e-9, math.sqrt(2)])
+def test_crystal_refuses_a_delay_off_the_picometre_grid(delay):
+    # 0.1 * 3 is 0.30000000000000004 um, which no whole picometre rounds to
+    with pytest.raises(ValueError, match="not in whole picometres"):
+        Crystal(0.0, delay)
 
 
 @pytest.mark.parametrize("angle", [np.nan, np.inf, -np.inf])
@@ -251,9 +264,10 @@ def assert_refused_at_once(arms):
 
 
 def test_compose_refuses_arms_past_the_bin_limit_at_once():
-    # 40 crystals at 150 * 2^k um reach 2^40 distinct delays; the check stops
-    # at the first crystal past 2^14 and builds no operators
-    assert_refused_at_once([[Crystal(0.1 * k, 150.0 * 2 ** k) for k in range(40)]])
+    # 40 crystals at 150 * 2^k pm reach 2^40 distinct delays, their sum well
+    # below the 2^52 pm limit; the check stops at the first crystal past 2^14
+    # and builds no operators
+    assert_refused_at_once([[Crystal(0.1 * k, 150e-6 * 2 ** k) for k in range(40)]])
     assert COMPOSE_BIN_LIMIT == 2 ** 14
 
 
@@ -262,18 +276,24 @@ def test_compose_refuses_an_arm_past_the_bin_limit_among_small_arms_at_once():
     # crystal's delays are checked before any operator is built
     rng = np.random.default_rng(43)
     arms = [random_arm(rng, max_elements=4) for _ in range(1000)]
-    assert_refused_at_once([*arms, [Crystal(0.1 * k, 150.0 * 2 ** k) for k in range(40)]])
+    assert_refused_at_once([*arms, [Crystal(0.1 * k, 150e-6 * 2 ** k) for k in range(40)]])
 
 
 @pytest.mark.filterwarnings("error")
 def test_compose_refuses_crystal_delays_past_the_largest_float():
-    # 1e308 + 1e308 overflows to inf, whose (arm, delay) keys would match
-    # nothing; the walk refuses the arm before any delay is composed
-    with pytest.raises(ResourceLimitError, match="arm 1's crystal delays overflow float64"):
-        compose_arms([[Crystal(0.1, 150.0)], [Crystal(0.3, 1e308), Crystal(0.2, 1e308)]])
-    # a sum just below the largest float composes, every delay finite
-    delays, ops = compose_one([Crystal(0.3, 1e308), Crystal(0.2, 7e307)])
-    assert delays.tolist() == [0.0, 7e307, 1e308, 1e308 + 7e307]
+    # past 2**52 pm, micrometre delays no longer tell whole picometres apart;
+    # the walk refuses an arm whose crystal delays reach it, in one crystal
+    # or in a sum, before any delay is composed; 1e308 um is inf pm
+    half = 2**51 / PM_PER_UM
+    for arm in ([Crystal(0.3, half), Crystal(0.2, half)], [Crystal(0.3, 2**52 / PM_PER_UM)]):
+        with pytest.raises(ResourceLimitError, match=r"arm 1's crystal delays reach 2\*\*52 pm"):
+            compose_arms([[Crystal(0.1, 150.0)], arm])
+    with pytest.raises(ValueError, match="finite in pm"):
+        Crystal(0.3, 1e308)
+    # a sum 1 pm below the limit composes, every delay exact
+    below = (2**51 - 1) / PM_PER_UM
+    delays, ops = compose_one([Crystal(0.3, half), Crystal(0.2, below)])
+    assert delays.tolist() == [0.0, below, half, (2**52 - 1) / PM_PER_UM]
     assert validate_cptp(ops).passed
 
 
@@ -284,36 +304,36 @@ def test_bin_limit_counts_merged_delays():
     assert len(compose_one([Crystal(0.0, 150.0 * 2 ** k) for k in range(14)])[1]) == 2
     with pytest.raises(ResourceLimitError, match="resource limit"):
         compose_one([Crystal(0.1 * k, 150.0 * 2 ** k) for k in range(15)])
-    # sums within DELAY_MERGE_TOL merge: 40 near-equal delays reach 41 bins,
-    # not 2^40
-    arm = [Crystal(0.1 * k, 150.0 + 1e-12 * k) for k in range(40)]
+    # equal sums merge: 40 equal delays reach 41 bins, not 2^40
+    arm = [Crystal(0.1 * k, 150.0) for k in range(40)]
     assert len(compose_one(arm)[1]) == 41
 
 
 def reference_compose(arm):
-    """Per-branch composition: one (delay, op) tuple per branch, merged after
-    each element into the group whose first delay lies within
-    DELAY_MERGE_TOL, summed in sorted order, zero operators dropped last."""
-    kraus = [(0.0, np.eye(2, dtype=complex))]
+    """Per-branch composition: one (delay, op) tuple per branch, delays in
+    whole picometres, merged after each element into the group of its equal
+    delay, summed in sorted order, zero operators dropped last; delays are
+    returned in micrometres."""
+    kraus = [(0, np.eye(2, dtype=complex))]
     for elem in arm:
         if isinstance(elem, Crystal):
             ket_o, ket_e = rotated_basis(elem.axis_angle)
-            elem_ops = [(0.0, np.outer(ket_o, ket_o.conj())),
-                        (float(elem.delay), np.outer(ket_e, ket_e.conj()))]
+            elem_ops = [(0, np.outer(ket_o, ket_o.conj())),
+                        (round(elem.delay * PM_PER_UM), np.outer(ket_e, ket_e.conj()))]
         elif isinstance(elem, Waveplate):
-            elem_ops = [(0.0, half_waveplate(elem.axis_angle))]
+            elem_ops = [(0, half_waveplate(elem.axis_angle))]
         else:
-            elem_ops = [(0.0, elem.matrix)]
+            elem_ops = [(0, elem.matrix)]
         branches = sorted(((d_k + d_e, op_e @ op_k)
                            for d_e, op_e in elem_ops
                            for d_k, op_k in kraus), key=lambda t: t[0])
         kraus = []
         for d, op in branches:
-            if kraus and d - kraus[-1][0] <= DELAY_MERGE_TOL:
-                kraus[-1] = (kraus[-1][0], kraus[-1][1] + op)
+            if kraus and d == kraus[-1][0]:
+                kraus[-1] = (d, kraus[-1][1] + op)
             else:
                 kraus.append((d, op))
-    return [(d, op) for d, op in kraus if float(np.max(np.abs(op))) >= ZERO_OP_TOL]
+    return [(d / PM_PER_UM, op) for d, op in kraus if float(np.max(np.abs(op))) >= ZERO_OP_TOL]
 
 
 def test_compose_matches_the_per_branch_rule_bit_for_bit():
@@ -323,12 +343,14 @@ def test_compose_matches_the_per_branch_rule_bit_for_bit():
     arms.append([Crystal(a, 150.0 * 2 ** k)
                  for a, k in zip(rng.uniform(0, np.pi, 10), rng.permutation(10))])
     arms += [[], [Waveplate(0.4)], [Crystal(0.0, 150.0), Crystal(0.0, 310.0)]]
-    # 150.0000000015 lies within the tolerance of 150.0000000008 but not of
-    # its group's first delay 150, so it starts a group of its own
-    chain = [Crystal(0.3, 150.0), Crystal(0.7, 150.0 + 1.5e-9), Crystal(1.1, 150.0 + 0.8e-9)]
+    # delays 1 pm apart keep their bins apart, and 0.1 + 0.2 merges with 0.3,
+    # exact in picometres where float64 sums of micrometres differ
+    chain = [Crystal(0.3, 150.0), Crystal(0.7, 150.000002), Crystal(1.1, 150.000001)]
     assert compose_one(chain)[0].tolist() == [
-        0.0, 150.0, 150.0000000015, 300.0000000008, 300.0000000023, 450.0000000023]
-    arms.append(chain)
+        0.0, 150.0, 150.000001, 150.000002, 300.000001, 300.000002, 300.000003, 450.000003]
+    decimals = [Crystal(0.3, 0.1), Crystal(0.7, 0.2), Crystal(1.1, 0.3)]
+    assert compose_one(decimals)[0].tolist() == [0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6]
+    arms += [chain, decimals]
     for arm in arms:
         (delays, ops), want = compose_one(arm), reference_compose(arm)
         assert delays.tolist() == [d for d, _ in want], arm

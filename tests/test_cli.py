@@ -636,9 +636,26 @@ def test_arms_past_the_bin_limit_are_usage_errors(tmp_path, capsys, key, groups)
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("key, groups", [("--arms", 2), ("--segments", 4)])
 def test_crystal_delays_past_the_largest_float_are_usage_errors(tmp_path, capsys, key, groups):
-    # 1e308 + 1e308 overflows to inf, whose delay keys would match nothing
+    # 1e308 um overflows to inf pm; 2**51 + 2**51 pm reaches 2**52 pm, past
+    # which micrometre delays no longer tell whole picometres apart
     command = "fringe" if key == "--arms" else "qkd"
-    text = "|".join(["crystal:0.3:1e308;crystal:0.2:1e308"] + [""] * (groups - 1))
-    assert main([command, key, text, "--output", str(tmp_path / "x.csv")]) == 2
-    assert "resource limit: arm 0's crystal delays overflow float64" in capsys.readouterr().err
+    half = f"{2**51 / 1e6!r}"
+    for arm, message in [("crystal:0.3:1e308", "must be >= 0 and finite in pm"),
+                         (f"crystal:0.3:{half};crystal:0.2:{half}",
+                          "resource limit: arm 0's crystal delays reach 2**52 pm")]:
+        text = "|".join([arm] + [""] * (groups - 1))
+        assert main([command, key, text, "--output", str(tmp_path / "x.csv")]) == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "x.csv").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    pytest.param(["fringe", "--arms", "crystal:0.3:2.75e-9|"], id="fringe"),
+    pytest.param(["fit", "--arms", "crystal:0.3:2.75e-9|", "--mean-total", "100"], id="fit"),
+    pytest.param(["qkd", "--segments", "crystal:0.3:2.75e-9|||"], id="qkd"),
+])
+def test_crystal_delays_off_the_picometre_grid_are_usage_errors(tmp_path, capsys, argv):
+    assert main([*argv, "--output", str(tmp_path / "x.csv")]) == 2
+    assert ("error: bad crystal delay in 'crystal:0.3:2.75e-9': crystal delay 2.75e-09 um "
+            "is not in whole picometres") in capsys.readouterr().err
     assert not (tmp_path / "x.csv").exists()

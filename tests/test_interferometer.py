@@ -1,13 +1,12 @@
 import tracemalloc
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 
 import numpy as np
 import pytest
 
-import mzfringe.interferometer
 from conftest import (ANGLES, MIXED, compose_one, contrast, oracle, random_arm, random_density,
                       random_pair, random_unitary, standard_pair)
-from mzfringe.arms import DELAY_MERGE_TOL, ResourceLimitError
+from mzfringe.arms import PM_PER_UM, ResourceLimitError
 from mzfringe.interferometer import (ORACLE_DIM_LIMIT, InterferometerSpec, _delay_grid,
                                      _evolution_steps, _evolve_arm, _path_gram,
                                      _port_probabilities, _stacked_ops, oracle_contrast,
@@ -39,7 +38,8 @@ def arm_dilation(arm):
     unit, n = _delay_grid([arm])
     cols = np.eye(2 * n, dtype=complex).reshape(1, 2, n, 2 * n)
     steps = _evolution_steps([arm], unit)
-    return _evolve_arm(steps, cols)[0].reshape(2 * n, 2 * n), [k * unit for k in range(n)]
+    bins = [k * unit / PM_PER_UM for k in range(n)]  # in um, as composed delays
+    return _evolve_arm(steps, cols)[0].reshape(2 * n, 2 * n), bins
 
 
 def test_empty_arms_full_contrast():
@@ -60,34 +60,59 @@ def test_single_matched_bin():
 
 
 def test_upper_bin_joins_every_lower_bin_within_tolerance():
-    # the upper e-ray bin at 2.75e-9 um lies within 1e-9 um of the lower bins at
-    # 2e-9 and 3.5e-9 um, which lie 1.5e-9 um apart and stay separate
-    upper = [Crystal(0.3, 2.75e-9)]
-    lower = [Crystal(0.7, 2e-9), Crystal(1.1, 3.5e-9)]
+    # the tolerance is zero: the upper e-ray bin at 3 pm joins the lower bin
+    # at 1 + 2 pm alone, not the lower bins at 2 and 1 pm, 1 and 2 pm away
+    upper = [Crystal(0.3, 3e-6)]
+    lower = [Crystal(0.7, 1e-6), Crystal(1.1, 2e-6)]
     u_o, u_e = (np.outer(k, k.conj()) for k in rotated_basis(0.3))
     a_o, a_e = (np.outer(k, k.conj()) for k in rotated_basis(0.7))
     b_o, b_e = (np.outer(k, k.conj()) for k in rotated_basis(1.1))
     rho = maximally_mixed(2)
-    pairs = [(u_o, b_o @ a_o), (u_e, b_o @ a_e), (u_e, b_e @ a_o)]
+    pairs = [(u_o, b_o @ a_o), (u_e, b_e @ a_e)]
     brute = sum(np.trace(u.conj().T @ v @ rho) for u, v in pairs)
     c = contrast(upper, lower)
     assert c == pytest.approx(brute, abs=1e-15)
-    assert c == pytest.approx(0.371350059712339, abs=1e-14)
+    assert abs(c - oracle(upper, lower)) < 1e-9
+
+
+def test_decimal_delays_that_float_sums_miss_still_interfere():
+    # 0.1 + 0.2 != 0.3 in float64, but 100,000 + 200,000 = 300,000 pm: the
+    # upper e-e bin joins the lower e-ray bin
+    upper = [Crystal(0.3, 0.1), Crystal(0.9, 0.2)]
+    lower = [Crystal(1.4, 0.3)]
+    u_o, u_e = (np.outer(k, k.conj()) for k in rotated_basis(0.3))
+    w_o, w_e = (np.outer(k, k.conj()) for k in rotated_basis(0.9))
+    l_o, l_e = (np.outer(k, k.conj()) for k in rotated_basis(1.4))
+    rho = maximally_mixed(2)
+    pairs = [(w_o @ u_o, l_o), (w_e @ u_e, l_e)]
+    brute = sum(np.trace(u.conj().T @ v @ rho) for u, v in pairs)
+    c = contrast(upper, lower)
+    assert c == pytest.approx(brute, abs=1e-15)
+    assert abs(c - oracle(upper, lower)) < 1e-9
+
+
+def test_delays_one_picometre_apart_stay_in_separate_bins():
+    upper = [Crystal(0.3, 1e-6), Crystal(0.8, 2e-6)]
+    lower = [Crystal(1.2, 2e-6), Crystal(0.5, 1e-6)]
+    assert compose_one(upper)[0].tolist() == [0.0, 1e-6, 2e-6, 3e-6]
+    _, n = _delay_grid([upper, lower])
+    assert n == 4
+    c = contrast(upper, lower)
+    assert abs(c - oracle(upper, lower)) < 1e-9
 
 
 def reference_contrast(upper, lower, rho):
-    """Per-pair join: each upper operator is joined by bisection with every
-    lower operator whose delay lies within DELAY_MERGE_TOL, and each trace is
-    added to a running sum that starts from 0."""
+    """Per-pair join: each upper operator is joined by bisection with the
+    lower operator at its delay, if there is one, and each trace is added to a
+    running sum that starts from 0."""
     upper_delays, upper_ops = compose_one(upper)
     lower_delays, lower_ops = compose_one(lower)
     lower_delays = lower_delays.tolist()
     c = 0.0 + 0.0j
     for d, u in zip(upper_delays.tolist(), upper_ops):
-        lo = bisect_left(lower_delays, d - DELAY_MERGE_TOL)
-        hi = bisect_right(lower_delays, d + DELAY_MERGE_TOL)
-        for v in lower_ops[lo:hi]:
-            c += np.trace(u.conj().T @ v @ rho)
+        at = bisect_left(lower_delays, d)
+        if lower_delays[at:at + 1] == [d]:
+            c += np.trace(u.conj().T @ lower_ops[at] @ rho)
     return complex(c)
 
 
@@ -110,8 +135,9 @@ def test_contrast_matches_the_per_pair_join_bit_for_bit():
     # aligned crystals on a horizontal input: the delay-460 pair adds an exact zero
     aligned = [Crystal(0.0, 150.0), Crystal(0.0, 310.0)]
     specs.append((aligned, aligned, np.diag([1.0, 0.0]).astype(complex)))
-    # one upper delay with two lower delays inside its window
-    specs.append(([Crystal(0.3, 2.75e-9)], [Crystal(0.7, 2e-9), Crystal(1.1, 3.5e-9)], MIXED))
+    # one upper delay at 3 pm against lower delays 1 pm either side of it and at it
+    specs.append(([Crystal(0.3, 3e-6)], [Crystal(0.7, 2e-6), Crystal(1.1, 2e-6)], MIXED))
+    specs.append(([Crystal(0.3, 3e-6)], [Crystal(0.7, 1e-6), Crystal(1.1, 2e-6)], MIXED))
     for spec in specs:
         assert repr(contrast(*spec)) == repr(reference_contrast(*spec)), spec
 
@@ -318,11 +344,11 @@ def test_oracle_resource_limit():
 
 
 def test_oracle_incommensurate_delays_hit_resource_limit():
-    # Euclid stops at a unit of 2.45e-9 um: a grid of 577,222,393 bins
+    # 1 um against 1.000001 um: a unit of 1 pm and a grid of 1,000,002 bins
     tracemalloc.start()
     try:
-        with pytest.raises(ResourceLimitError, match="resource limit"):
-            oracle([Crystal(0.3, 1.0)], [Crystal(0.7, np.sqrt(2.0))])
+        with pytest.raises(ResourceLimitError, match="1000002 bins at 1 pm"):
+            oracle([Crystal(0.3, 1.0)], [Crystal(0.7, 1.000001)])
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -337,19 +363,13 @@ def test_oracle_at_dimension_limit():
     upper = [Crystal(a, d) for a, d in zip(angles, delays)]
     lower = [Crystal(a + 0.8, d) for a, d in zip(angles, delays)]
     unit, n = _delay_grid([upper, lower])
-    assert (unit, 4 * n) == (150.0, ORACLE_DIM_LIMIT)
+    assert (unit, 4 * n) == (150_000_000, ORACLE_DIM_LIMIT)  # 150 um in pm
+    # the gcd of 150, 75 and 310 um is 5 um, and 385 um needs 78 bins
+    arms = [[Crystal(0.3, 150.0)], [Crystal(0.1, 75.0), Crystal(0.2, 310.0)]]
+    assert _delay_grid(arms) == (5_000_000, 78)
     c = contrast(upper, lower)
     assert abs(c) > 0.1
     assert abs(c - oracle(upper, lower)) < 1e-9
-
-
-def test_oracle_grid_does_not_read_the_merge_tolerance(monkeypatch):
-    # a merge tolerance of 100 um would end Euclid on 150 and 75 at 150
-    arms = [[Crystal(0.3, 150.0)], [Crystal(0.1, 75.0), Crystal(0.2, 310.0)]]
-    grid = _delay_grid(arms)
-    assert grid == (5.0, 78)
-    monkeypatch.setattr(mzfringe.interferometer, "DELAY_MERGE_TOL", 100.0)
-    assert _delay_grid(arms) == grid
 
 
 def test_dilation_empty_arm():

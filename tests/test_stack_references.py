@@ -24,7 +24,7 @@ from conftest import random_density, random_unitary
 from mzfringe import (Crystal, RawUnitary, Waveplate, blindness_demo, compose_arms,
                       default_beta_grid, maximally_mixed, oracle_contrasts, qpt,
                       shared_env_contrasts, standard_arms, sweep)
-from mzfringe.arms import (COMPOSE_BIN_LIMIT, DELAY_MERGE_TOL, ZERO_OP_TOL, ArmSpec,
+from mzfringe.arms import (COMPOSE_BIN_LIMIT, PM_PER_UM, ZERO_OP_TOL, ArmSpec,
                            ResourceLimitError, _element_kraus)
 from mzfringe.experiments import random_specs
 from mzfringe.interferometer import (_BEAMSPLITTER, _ORACLE_BLOCK_BYTES, _ORACLE_PHASES,
@@ -76,22 +76,16 @@ def stack_steps(arms):
 
 def stack_compose(arms):
     """Delays (k,) and operators (arms, k, 2, 2) of a stack of one
-    crystal-delay sequence, with the stack's zero rule."""
+    crystal-delay sequence, with the stack's zero rule. Delays are composed
+    in whole picometres, merged where equal, and returned in micrometres."""
     assert len({crystal_delays(arm) for arm in arms}) <= 1
     crystals, segments = stack_steps(arms)
     delays, merges = np.zeros(1), []
     for elems in crystals:
-        branches = np.concatenate((delays, delays + float(elems[0].delay)))
+        branches = np.concatenate((delays, delays + round(elems[0].delay * PM_PER_UM)))
         order = branches.argsort(kind="stable")
         branches = branches[order]
-        start = np.empty(len(branches), dtype=bool)
-        start[0] = True
-        start[1:] = branches[1:] - branches[:-1] > DELAY_MERGE_TOL
-        for i in (~start).nonzero()[0].tolist():
-            if start[i - 1]:
-                leader = branches[i - 1]
-            start[i] = branches[i] - leader > DELAY_MERGE_TOL
-        starts = start.nonzero()[0]
+        starts = np.concatenate(([True], branches[1:] != branches[:-1])).nonzero()[0]
         delays = branches[starts]
         if len(delays) > COMPOSE_BIN_LIMIT:
             raise ResourceLimitError("COMPOSE_BIN_LIMIT")
@@ -109,6 +103,7 @@ def stack_compose(arms):
                 kraus = _element_kraus(elems) @ kraus
             else:
                 kraus[rows] = _element_kraus(elems) @ kraus[rows]
+    delays = delays / PM_PER_UM
     vanish = np.maximum.reduce(np.abs(kraus), axis=(2, 3)) < ZERO_OP_TOL
     if len(arms) == 1:
         return delays.compress(~vanish[0]), kraus.compress(~vanish[0], axis=1)
@@ -120,8 +115,8 @@ def stack_compose(arms):
 def stack_join(upper, lower, rho) -> list[complex]:
     """Contrasts of the pairs of two composed stacks, row i against row i."""
     (upper_delays, upper_ops), (lower_delays, lower_ops) = upper, lower
-    lo = lower_delays.searchsorted(upper_delays - DELAY_MERGE_TOL)
-    counts = lower_delays.searchsorted(upper_delays + DELAY_MERGE_TOL, "right") - lo
+    lo = lower_delays.searchsorted(upper_delays)
+    counts = lower_delays.searchsorted(upper_delays, "right") - lo
     first = (lo - counts.cumsum() + counts).repeat(counts)
     v = lower_ops.take(first + np.arange(len(first)), axis=1)
     m = upper_ops.repeat(counts, axis=1).conj().swapaxes(2, 3) @ v @ rho[..., None, :, :]
@@ -293,12 +288,12 @@ def test_a_stack_of_mixed_elements_at_equal_crystal_delays_keeps_its_bits():
 
 
 def test_a_list_mixing_crystal_delay_sequences_keeps_its_bits():
-    # five crystal-delay sequences, equal delays and a near-tolerance chain
-    # among them, interleaved in one list with waveplates and raw unitaries;
-    # the chain's time grid is past the oracle's limit
+    # five crystal-delay sequences, equal delays and a chain of delays 1 pm
+    # apart among them, interleaved in one list with waveplates and raw
+    # unitaries; the chain's time grid is past the oracle's limit
     rng = np.random.default_rng(37)
     sequences = [(), (150.0, 310.0), (310.0, 150.0), (75.0, 75.0, 150.0),
-                 (150.0, 150.0 + 1.5e-9, 150.0 + 0.8e-9)]
+                 (150.0, 150.000001, 150.000002)]
     arms = [arm for delays in sequences for arm in mixed_arms(rng, 24, delays)]
     arms = [arms[i] for i in rng.permutation(len(arms))]
     assert len({crystal_delays(arm) for arm in arms}) == len(sequences)
