@@ -53,7 +53,9 @@ COMMANDS = ("fringe", "sweep", "oracle-check", "tomography", "qkd", "fit")
 # Upper bounds of the counts, far above the benchmark workloads' 1,024 phases,
 # 200 beta points and 1,000 specs. At the bounds, on a 2-vCPU VM, fringe took
 # 1.2 s and a peak resident set of 217 MiB (1.7 s and 270 MiB with mean-total),
-# sweep 3.5 s and 317 MiB, tomography 5.0 s and 457 MiB, oracle-check 4.1 s and 190 MiB.
+# sweep 3.5 s and 317 MiB, tomography 5.8 s and 340 MiB, oracle-check 4.1 s and
+# 190 MiB. The tomography table stays under 5.25 KiB of traced memory per beta
+# point (blindness_demo holds one configuration at a time).
 _COUNT_LIMITS = {"phases": 2**20, "beta-points": 2**16, "specs": 2**16}
 
 
@@ -350,7 +352,7 @@ def _run_tomography(config: argparse.Namespace) -> int:
                 "visibility_a", "visibility_b", "visibility_gap"],
                columns)
     _, du, dl, va, vb, gap = columns
-    if len(betas) == 1:
+    if config.beta is not None:
         print(f"chi_upper={du[0]:.3e} chi_lower={dl[0]:.3e} visibility_a={va[0]:.6f} "
               f"visibility_b={vb[0]:.6f} gap={gap[0]:.6f}")
     else:

@@ -124,28 +124,33 @@ def sweep(variant: str, betas: Sequence[float]) -> tuple[np.ndarray, ...]:
             np.abs(oracle_contrasts(uppers, lowers, rho)))
 
 
+def _blindness_configuration(variant: str, betas: Sequence[float]) -> tuple:
+    """Upper-arm process matrices and visibilities of a standard configuration
+    over a beta grid, from one Kraus table of its upper and lower arms, which
+    is freed when this returns."""
+    uppers, lowers = standard_arms(variant, betas)
+    n = len(uppers)
+    table = compose_arms([*uppers, *lowers])
+    upper = tuple(column[:table[0].searchsorted(n)] for column in table)
+    chi = qpt(lambda rho: arm_channel_apply(upper, rho))
+    return chi, [abs(c) for c in kraus_contrasts(table, range(n), range(n, 2 * n),
+                                                 maximally_mixed(2))]
+
+
 def blindness_demo(betas: Sequence[float]) -> tuple[np.ndarray, ...]:
     """Identical per-arm tomography, different fringes, over a beta grid.
 
     Builds the first and third standard configurations over the grid (they
     share per-arm angle sequences and differ only in which crystal length sits
-    in which position) and composes upper a, upper c and the shared lower arm
-    in one Kraus table. Its upper arms feed one process tomography and,
-    joined with the lower arm by one ``kraus_contrasts`` call, give the
-    visibilities of both configurations. Returns the columns beta,
-    chi_distance_upper (the Frobenius norm of the chi difference),
-    chi_distance_lower (0 by construction: the arm is shared), visibility_a,
-    visibility_b and visibility_gap.
+    in which position). One configuration at a time, its upper arms feed one
+    process tomography and, joined with the lower arm by one
+    ``kraus_contrasts`` call, give its visibilities; only one Kraus table is
+    held at once. Returns the columns beta, chi_distance_upper (the Frobenius
+    norm of the chi difference), chi_distance_lower (0 by construction: the
+    arm is shared), visibility_a, visibility_b and visibility_gap.
     """
-    (uppers_a, lowers), uppers_c = standard_arms("a", betas), standard_arms("c", betas)[0]
-    n = len(lowers)
-    table = compose_arms([*uppers_a, *uppers_c, *lowers])
-    uppers = tuple(column[:table[0].searchsorted(2 * n)] for column in table)
-    chi = qpt(lambda rho: arm_channel_apply(uppers, rho))
-    vis = [abs(c) for c in kraus_contrasts(table, range(2 * n), [*range(2 * n, 3 * n)] * 2,
-                                           maximally_mixed(2))]
-    vis_a, vis_b = vis[:n], vis[n:]
-    columns = (betas, [np.linalg.norm(d) for d in chi[:n] - chi[n:]], np.zeros(n),
+    (chi_a, vis_a), (chi_c, vis_b) = (_blindness_configuration(v, betas) for v in "ac")
+    columns = (betas, [np.linalg.norm(d) for d in chi_a - chi_c], np.zeros(len(vis_a)),
                vis_a, vis_b, [abs(a - b) for a, b in zip(vis_a, vis_b)])
     return tuple(np.array(column, dtype=float) for column in columns)
 

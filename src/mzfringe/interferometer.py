@@ -22,9 +22,9 @@ pair's result has the same bits in any stack.
 
 The whole oracle lives here: its time grid at the gcd of the crystal delays
 in picometres (``_delay_grid``, up to ``ORACLE_DIM_LIMIT``), which also groups
-its pairs, its arm evolution in kind subsets (``_evolution_steps``,
-``_evolve_arm``) through element matrices and a beamsplitter of its own, and
-the path Gram.
+its pairs, its arm evolution in kind subsets found by one walk over each arm
+stack (``_evolution_steps``, ``_evolve_arm``) through element matrices and a
+beamsplitter of its own, and the path Gram.
 Composing no Kraus set and calling no element constructor, it checks
 ``compose_arms`` rather than repeating it; with the contrast it shares
 ``_input_states``. ``InterferometerSpec``, a plain record of two arms and a
@@ -40,7 +40,6 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from itertools import zip_longest
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -170,11 +169,6 @@ def output_probability(c: complex, phi):
     return float(p) if p.ndim == 0 else p
 
 
-def _shift(delay: float, unit: int) -> int:
-    """Bins of ``unit`` picometres in a crystal delay of ``delay`` micrometres."""
-    return round(delay * PM_PER_UM) // (unit or 1)
-
-
 def _delay_grid(arms: Sequence[ArmSpec]) -> tuple[int, int]:
     """Unit in picometres and bin count of a time grid that holds every delay
     of ``arms``.
@@ -216,32 +210,27 @@ def _stacked_ops(elems: Sequence[ArmElement]) -> np.ndarray:
     return np.array(ops, dtype=complex).transpose(2, 0, 1)
 
 
-def _groups(keys) -> dict:
-    """Indices of ``keys`` by key, in order of first appearance."""
-    groups: dict = {}
-    for i, key in enumerate(keys):
-        groups.setdefault(key, []).append(i)
-    return groups
-
-
-def _evolution_steps(arms: Sequence[ArmSpec], unit: float) -> list:
-    """A stack of arms on the time grid of ``unit`` as kind subsets, per
-    position a list of (rows, ops, shift): the ascending stack indices of the
-    arms whose element there is of one kind, crystals of one delay apart,
-    their matrices (``_stacked_ops``) and the crystals' shift in bins, or
-    None for waveplates and raw unitaries. Arms shorter than a position are
+def _evolution_steps(arms: Sequence[ArmSpec], unit: int) -> list:
+    """A stack of arms on the time grid of ``unit`` picometres as kind
+    subsets, from one walk over its elements by (position, crystal delay or
+    element type): per position a list of (rows, ops, shift), the ascending
+    stack indices of the arms whose element there is of one kind, crystals of
+    one delay apart, their matrices (``_stacked_ops``) and the crystals' shift
+    in bins, or None for waveplates and raw unitaries. A position's subsets
+    come in the order of their first arms; arms shorter than a position are
     in none of its subsets."""
-    steps = []
-    for column in zip_longest(*arms):  # None past the end of a shorter arm
-        keys = [e.delay if type(e) is Crystal else type(e) for e in column]
-        if keys.count(keys[0]) == len(keys):
-            subsets = [(range(len(keys)), column)]
-        else:
-            subsets = [(rows, [column[row] for row in rows])
-                       for key, rows in _groups(keys).items() if key is not type(None)]
-        steps.append([(rows, _stacked_ops(elems),
-                       _shift(elems[0].delay, unit) if type(elems[0]) is Crystal else None)
-                      for rows, elems in subsets])
+    subsets: dict = {}
+    for row, arm in enumerate(arms):
+        for at, e in enumerate(arm):
+            rows, elems = subsets.setdefault((at, e.delay if type(e) is Crystal else type(e)),
+                                             ([], []))
+            rows.append(row)
+            elems.append(e)
+    steps = [[] for _ in range(max(map(len, arms), default=0))]
+    for (at, _), (rows, elems) in subsets.items():
+        shift = (round(elems[0].delay * PM_PER_UM) // (unit or 1)
+                 if type(elems[0]) is Crystal else None)
+        steps[at].append((rows, _stacked_ops(elems), shift))
     return steps
 
 

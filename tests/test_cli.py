@@ -172,6 +172,15 @@ def test_tomography_single_angle(tmp_path, capsys):
     assert "gap=0.500000" in capsys.readouterr().out
 
 
+def test_tomography_summary_follows_its_mode(tmp_path, capsys):
+    # a one-point grid is summarised as a grid, as sweep summarises it
+    assert main(["tomography", "--beta-points", "1", "--output", str(tmp_path / "t.csv")]) == 0
+    line = capsys.readouterr().out
+    assert line.startswith("points=1 max_chi_distance=") and "max_gap=" in line
+    assert main(["tomography", "--beta", "0", "--output", str(tmp_path / "b.csv")]) == 0
+    assert capsys.readouterr().out.startswith("chi_upper=")
+
+
 def test_qkd_summary_format(tmp_path, capsys):
     out = tmp_path / "qkd.csv"
     assert main(["qkd", "--output", str(out)]) == 0
@@ -514,13 +523,14 @@ def test_sampled_fringe_computes_one_contrast(tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize("args, sizes", [
-    (["tomography", "--beta-points", "100"], [300]),
+    (["tomography", "--beta-points", "100"], [200, 200]),
     (["sweep", "--variant", "a", "--beta-points", "200"], [400]),
 ])
 def test_paper_tables_compose_each_arm_stack_once(tmp_path, monkeypatch, args, sizes):
-    # tomography composes upper a, upper c and the shared lower arm in one
-    # table, which feeds process tomography and the contrast; a sweep composes
-    # its upper and lower arms in one table. Each spans the whole beta grid.
+    # tomography composes each configuration's upper arms and the shared lower
+    # arm in one table, which feeds process tomography and the contrast, one
+    # configuration after the other; a sweep composes its upper and lower arms
+    # in one table. Each spans the whole beta grid.
     calls = []
 
     def counted(arms):

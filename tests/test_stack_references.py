@@ -29,7 +29,7 @@ from mzfringe.arms import (COMPOSE_BIN_LIMIT, PM_PER_UM, ZERO_OP_TOL, ArmSpec,
 from mzfringe.experiments import random_specs
 from mzfringe.interferometer import (_BEAMSPLITTER, _ORACLE_BLOCK_BYTES, _ORACLE_PHASES,
                                      _ORACLE_PHIS, _delay_grid, _input_states, _path_gram,
-                                     _port_probabilities, _shift, _stacked_ops)
+                                     _port_probabilities, _stacked_ops)
 
 
 def crystal_delays(arm: ArmSpec) -> tuple:
@@ -173,7 +173,7 @@ def structure_evolve(arms, cols, unit):
     for elems in zip(*arms):
         ops = _stacked_ops(elems)
         if type(elems[0]) is Crystal:
-            k, n = _shift(elems[0].delay, unit), cols.shape[2]
+            k, n = round(elems[0].delay * PM_PER_UM) // (unit or 1), cols.shape[2]
             delayed = np.concatenate((cols[:, :, n - k:], cols[:, :, :n - k]), axis=2) - cols
             cols = cols + np.einsum("apq,aq...->ap...", ops, delayed)
         else:

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -199,3 +201,18 @@ def test_blindness_of_an_empty_grid_is_six_empty_columns():
     columns = blindness_demo([])
     assert len(columns) == 6
     assert all(column.shape == (0,) for column in columns)
+
+
+def test_blindness_memory_grows_by_a_fixed_budget_per_point():
+    # The per-point budget that the tomography bound in cli._COUNT_LIMITS
+    # rests on: one configuration's table at a time peaks near 4.0 KiB per
+    # point, both tables at once near 5.5 KiB. 1,024 points is 1/64 of the
+    # bound; the peak is linear in the points from 256 to 4,096.
+    blindness_demo([0.3])
+    tracemalloc.start()
+    try:
+        blindness_demo(default_beta_grid(1024))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1024 * 5.25 * 1024
