@@ -10,9 +10,9 @@ observable, so the o-ray carries zero delay by convention. Crystal delays
 are whole picometres, which composition adds exactly.
 
 ``compose_arms`` composes any list of arms into one Kraus table, each arm's
-rows in delay order, arm after arm, in one pass over every arm, crystal index
-by crystal index. ``arm_channel_apply`` maps a stack of states through the
-operators of each arm of a table.
+rows in delay order, arm after arm, in one loop over crystal indices: each step
+merges one crystal's delays and sums its operators. ``arm_channel_apply`` maps
+a stack of states through the operators of each arm of a table.
 """
 
 from __future__ import annotations
@@ -52,7 +52,7 @@ COMPOSE_BIN_LIMIT = 2**14
 
 class ResourceLimitError(ValueError):
     """Input past a stated resource limit (COMPOSE_BIN_LIMIT, ORACLE_DIM_LIMIT, a 2**53 mean,
-    2**52 pm of total crystal delay in one arm)."""
+    2**52 pm of total crystal delay in one arm, the CLI counts phases, beta-points, specs)."""
 
 
 @dataclass(frozen=True)
@@ -168,14 +168,15 @@ def compose_arms(arms: Sequence[ArmSpec]) -> tuple[np.ndarray, np.ndarray, np.nd
     arm, delays (K,) and operators (K, 2, 2), arm after arm, each arm's rows in
     delay order; one arm's Kraus set is ``compose_arms([arm])[1:]``.
 
-    All arms are composed in one pass, crystal index by crystal index, each in
+    All arms are composed in one loop, crystal index by crystal index, each in
     traversal order (later elements left-multiplied); ordered by descending
     crystal count, the arms that have crystal c own a prefix of the table.
-    After each crystal, their o- and e-branches are sorted stably on exact
-    (arm, delay) keys, delays in whole picometres, and the operators of equal
-    keys are summed coherently. The delays are composed first: an arm past
-    ``COMPOSE_BIN_LIMIT`` of them raises ResourceLimitError before any
-    operator is built. Zero rule: each arm drops its operators below
+    At each crystal, their o- and e-branches are sorted stably on exact (arm,
+    delay) keys, delays in whole picometres, the operators of equal keys are
+    summed coherently, and the waveplates and raw unitaries that follow the
+    crystal are applied. An arm past ``COMPOSE_BIN_LIMIT`` delays raises
+    ResourceLimitError at the crystal that passes it, before that crystal's
+    operators are built. Zero rule: each arm drops its operators below
     ``ZERO_OP_TOL`` entrywise (README, "Conventions and numerics").
     """
     crystals, others = _walk_arms(arms)
@@ -189,40 +190,37 @@ def compose_arms(arms: Sequence[ArmSpec]) -> tuple[np.ndarray, np.ndarray, np.nd
     segments = [[] for _ in range(len(having) + 1)]
     for key in sorted(others, key=lambda key: key[:2]):
         segments[key[0]].append(others[key])
-    # the rows as (arm, delay) keys arm + i delay, exact in pm, before each crystal
-    keys = np.arange(len(arms)) + 0j
-    steps = [(None, None, None, keys)]
-    for n, base in zip(having.tolist(), first.tolist()):
-        prefix = keys[:keys.searchsorted(n)]
-        at = prefix.real.astype(np.intp) + base  # the crystal of each row's arm in flat
-        branches = np.concatenate((prefix, prefix + 1j * delay[at]))
-        order = branches.argsort(kind="stable")
-        branches = branches[order]
-        starts = np.concatenate(([True], branches[1:] != branches[:-1])).nonzero()[0]
-        keys = np.concatenate((branches[starts], keys[len(at):]))
-        if (len(starts) > COMPOSE_BIN_LIMIT
-                and np.bincount(keys.real.astype(np.intp)).max() > COMPOSE_BIN_LIMIT):
-            raise ResourceLimitError(f"resource limit: arm reaches more than {COMPOSE_BIN_LIMIT} "
-                                     "distinct delays (COMPOSE_BIN_LIMIT)")
-        # the rows' keys only where a waveplate or raw unitary follows
-        steps.append((at, order, starts, keys if segments[len(steps)] else None))
     projectors = _element_kraus(flat) if flat else None  # from one angle array
+    # the rows as (arm, delay) keys arm + i delay, exact in pm, and their operators
+    keys = np.arange(len(arms)) + 0j
     kraus = np.eye(2, dtype=complex)[None].repeat(len(arms), axis=0)
-    for (at, order, starts, row_keys), segment in zip(steps, segments):
-        if at is not None:
-            # One (4, 2) @ (2, 2) product per row, the o-projector over the
-            # e-projector, rounds each entry as the two 2x2 products do. A
-            # group holds at most an o- and an e-branch of one row, as an
-            # arm's keys are distinct, which reduceat adds in sorted order.
-            products = (projectors[at].reshape(-1, 4, 2) @ kraus[:len(at)]).reshape(-1, 2, 2, 2)
-            # the o-products of every row, then the e-products, as the branches
-            products = products.swapaxes(0, 1).reshape(-1, 2, 2).take(order, axis=0)
-            kraus = np.concatenate((np.add.reduceat(products, starts), kraus[len(at):]))
+    for c, segment in enumerate(segments):
+        if c:  # crystal c - 1, then the elements that follow it
+            prefix = keys[:keys.searchsorted(having[c - 1])]
+            at = prefix.real.astype(np.intp) + first[c - 1]  # each row's crystal in flat
+            branches = prefix.repeat(2)  # each row's o-branch, then its e-branch
+            branches[1::2] += 1j * delay[at]
+            order = branches.argsort(kind="stable")
+            branches = branches[order]
+            starts = np.concatenate(([True], branches[1:] != branches[:-1])).nonzero()[0]
+            keys = np.concatenate((branches[starts], keys[len(at):]))
+            del prefix, branches
+            if (len(starts) > COMPOSE_BIN_LIMIT
+                    and np.bincount(keys.real.astype(np.intp)).max() > COMPOSE_BIN_LIMIT):
+                raise ResourceLimitError(
+                    f"resource limit: arm reaches more than {COMPOSE_BIN_LIMIT} distinct delays "
+                    "(COMPOSE_BIN_LIMIT)")
+            # One (4, 2) @ (2, 2) product per row, o- over e-projector, rounds each
+            # entry as two 2x2 products do. A group holds at most two branches, as
+            # an arm's keys are distinct, and reduceat adds them in sorted order.
+            kraus = np.concatenate((np.add.reduceat(
+                (projectors[at].reshape(-1, 4, 2) @ kraus[:len(at)]).reshape(-1, 2, 2)[order],
+                starts), kraus[len(at):]))
         # each rank of waveplates or raw unitaries to the rows of its arms
         for members, elems in segment:
             which = np.full(len(arms), -1)
             which[members] = np.arange(len(members))
-            which = which[arm][row_keys.real.astype(np.intp)]
+            which = which[arm][keys.real.astype(np.intp)]
             rows = (which >= 0).nonzero()[0]
             kraus[rows] = _element_kraus(elems)[which[rows], 0] @ kraus[rows]
     owner = arm[keys.real.astype(np.intp)]

@@ -52,10 +52,10 @@ __all__ = ["UsageError", "parse_config", "main", "main_entry"]
 COMMANDS = ("fringe", "sweep", "oracle-check", "tomography", "qkd", "fit")
 # Upper bounds of the counts, far above the benchmark workloads' 1,024 phases,
 # 200 beta points and 1,000 specs. At the bounds, on a 2-vCPU VM, fringe took
-# 1.2 s and a peak resident set of 217 MiB (1.7 s and 270 MiB with mean-total),
-# sweep 3.5 s and 317 MiB, tomography 5.8 s and 340 MiB, oracle-check 4.1 s and
-# 190 MiB. The tomography table stays under 5.25 KiB of traced memory per beta
-# point (blindness_demo holds one configuration at a time).
+# 0.9 s and a peak resident set of 221 MiB (1.4 s and 274 MiB with mean-total),
+# sweep 3.0 s and 254 MiB, tomography 4.7 s and 272 MiB, oracle-check 4.1 s and
+# 175 MiB (188 in some runs). Tests hold traced memory per unit under 3.25 KiB
+# (sweep point), 5.25 KiB (tomography point) and 2.25 KiB (oracle-check spec).
 _COUNT_LIMITS = {"phases": 2**20, "beta-points": 2**16, "specs": 2**16}
 
 
@@ -159,8 +159,8 @@ def _parser() -> argparse.ArgumentParser:
                         help="built-in configuration tag")
     parser.add_argument("--beta", type=parse_angle,
                         help="crystal angle, e.g. 22.5deg or 0.3927rad")
-    parser.add_argument("--beta-points", type=int, default=25,
-                        help="number of beta grid points (default %(default)s)")
+    parser.add_argument("--beta-points", type=int,
+                        help="number of beta grid points (default 25)")
     parser.add_argument("--phases", type=int, default=64,
                         help="number of phase samples (default %(default)s)")
     parser.add_argument("--mean-total", type=int,
@@ -198,6 +198,7 @@ def parse_config(argv) -> argparse.Namespace:
         config = parser.parse_args(
             [*head, *(f"--{key}={value}" for key, value in values.items()), *argv])
     _validate(config)
+    config.beta_points = config.beta_points or 25  # not given: _validate refuses 0
     return config
 
 
@@ -212,11 +213,15 @@ def _validate(config: argparse.Namespace) -> None:
         value = getattr(config, key.replace("-", "_"))
         if value is not None and value < 1:
             raise UsageError(f"key {key!r} must be >= 1, got {value}")
-        if key in _COUNT_LIMITS and value > _COUNT_LIMITS[key]:
+        if value is not None and key in _COUNT_LIMITS and value > _COUNT_LIMITS[key]:
             raise ResourceLimitError(f"resource limit: key {key!r} is {value}, past its "
                                      f"limit of {_COUNT_LIMITS[key]}")
     if config.command == "sweep" and config.variant is None:
         raise UsageError("command 'sweep' requires key 'variant'")
+    if config.command == "sweep" and config.beta is not None:
+        raise UsageError("command 'sweep' takes key 'beta-points', not key 'beta'")
+    if config.command == "tomography" and None not in (config.beta, config.beta_points):
+        raise UsageError("command 'tomography' takes key 'beta' or key 'beta-points', not both")
     if config.command == "fringe":
         if config.arms is None and config.variant is None:
             raise UsageError("command 'fringe' requires key 'arms' or keys "
@@ -342,10 +347,7 @@ def _run_oracle_check(config: argparse.Namespace) -> int:
 
 
 def _run_tomography(config: argparse.Namespace) -> int:
-    if config.beta is not None:
-        betas = [config.beta]
-    else:
-        betas = default_beta_grid(config.beta_points)
+    betas = [config.beta] if config.beta is not None else default_beta_grid(config.beta_points)
     columns = blindness_demo(betas)
     _write_csv(config.output,
                ["beta", "chi_distance_upper", "chi_distance_lower",

@@ -266,14 +266,14 @@ def assert_refused_at_once(arms):
 def test_compose_refuses_arms_past_the_bin_limit_at_once():
     # 40 crystals at 150 * 2^k pm reach 2^40 distinct delays, their sum well
     # below the 2^52 pm limit; the check stops at the first crystal past 2^14
-    # and builds no operators
+    # and builds none of that crystal's operators
     assert_refused_at_once([[Crystal(0.1 * k, 150e-6 * 2 ** k) for k in range(40)]])
     assert COMPOSE_BIN_LIMIT == 2 ** 14
 
 
 def test_compose_refuses_an_arm_past_the_bin_limit_among_small_arms_at_once():
-    # the same arm after 1,000 arms of up to 4 elements, in one call: every
-    # crystal's delays are checked before any operator is built
+    # the same arm after 1,000 arms of up to 4 elements, in one call: each
+    # crystal's delays are checked before that crystal's operators are built
     rng = np.random.default_rng(43)
     arms = [random_arm(rng, max_elements=4) for _ in range(1000)]
     assert_refused_at_once([*arms, [Crystal(0.1 * k, 150e-6 * 2 ** k) for k in range(40)]])

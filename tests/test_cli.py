@@ -435,6 +435,26 @@ def test_count_past_its_bound_is_a_resource_limit(tmp_path, capsys, monkeypatch,
     assert main(args + [flag, str(2 ** bound), "--output", str(out)]) == 1
 
 
+@pytest.mark.parametrize("args, config", [
+    pytest.param(["tomography", "--beta", "0.3", "--beta-points", "50"], "", id="tomography"),
+    pytest.param(["tomography", "--beta", "0.3"], "beta-points = 50\n", id="tomography-file"),
+    pytest.param(["sweep", "--variant", "a", "--beta", "0.3"], "", id="sweep"),
+    pytest.param(["sweep", "--variant", "a", "--beta", "0.3", "--beta-points", "50"], "",
+                 id="sweep--beta-points"),
+    pytest.param(["sweep", "--variant", "a"], "beta = 0.3\n", id="sweep-file"),
+])
+def test_beta_beside_a_beta_grid_is_usage_error(tmp_path, capsys, args, config):
+    # one angle and a grid conflict, from flags or file values alike; neither
+    # is dropped
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(config)
+    out = tmp_path / "x.csv"
+    assert main(args + ["--config", str(cfg), "--output", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "key 'beta'" in err and "key 'beta-points'" in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("delay", ["-5", "nan", "inf"])
 def test_bad_crystal_delay_is_usage_error(tmp_path, capsys, delay):
     assert main(["fringe", "--arms", f"crystal:0:{delay}|", "--phases", "8",

@@ -11,9 +11,11 @@ from mzfringe import (
     closed_form_contrast,
     default_beta_grid,
     fit_fringe,
+    oracle_contrasts,
     output_probability,
     poisson_fringe,
     qkd_visibility,
+    shared_env_contrasts,
     standard_arms,
     sweep,
 )
@@ -100,6 +102,38 @@ def test_sweep_oracle_memory_is_bounded():
     finally:
         tracemalloc.stop()
     assert peak < 1.5 * (1 << 20)
+
+
+def traced_peak(run, units):
+    """The tracemalloc peak of ``run(units)``, after a warm-up ``run(1)``."""
+    run(1)
+    tracemalloc.start()
+    try:
+        run(units)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_sweep_memory_grows_by_a_fixed_budget_per_point():
+    # The per-point budget that the sweep bound in cli._COUNT_LIMITS rests
+    # on: variant c peaks near 2.9 KiB per point. 1,024 points is 1/64 of the
+    # bound; the peak is linear in the points from 256 to 4,096.
+    peak = traced_peak(lambda n: sweep("c", default_beta_grid(n)), 1024)
+    assert peak < 1024 * 3.25 * 1024
+
+
+def test_oracle_check_memory_grows_by_a_fixed_budget_per_spec():
+    # The per-spec budget that the oracle-check bound in cli._COUNT_LIMITS
+    # rests on: drawing, composing and checking the specs as one stack, as
+    # the command does, peaks near 1.85 KiB per spec. 1,024 specs is 1/64 of
+    # the bound.
+    def check(n):
+        uppers, lowers, states = random_specs(np.random.default_rng(0), n)
+        shared_env_contrasts(uppers, lowers, states)
+        oracle_contrasts(uppers, lowers, states)
+
+    assert traced_peak(check, 1024) < 1024 * 2.25 * 1024
 
 
 def test_sweep_even_in_beta_for_second_config():

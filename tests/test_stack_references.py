@@ -1,4 +1,4 @@
-"""The one-pass composition and join, and the time-grid oracle groups,
+"""The one-loop composition and join, and the time-grid oracle groups,
 against the routines they replaced, kept here as references.
 
 The composition references compose a stack of arms that share their crystal
@@ -6,12 +6,12 @@ delays into delays shared by the stack and operators (arms, k, 2, 2), zero an
 operator that vanishes in one arm of a stack and drop its delay only where it
 vanishes in every arm; the contrast composes one stack per crystal-delay
 sequence and joins the pairs of each (upper, lower) sequence at once. The
-package composes any arms in one pass over every arm, crystal index by crystal
-index, into one Kraus table, drops each arm's own vanished operators and joins
-every pair at once. The oracle references group pairs by their full
-structure, element kinds and crystal delays, where the package groups them by
-time grid. Every kept Kraus row, contrast, oracle Gram matrix and blindness
-column must keep its bits.
+package composes any arms in one loop over crystal indices, each step merging
+one crystal's delays and summing its operators, into one Kraus table, drops
+each arm's own vanished operators and joins every pair at once. The oracle
+references group pairs by their full structure, element kinds and crystal
+delays, where the package groups them by time grid. Every kept Kraus row,
+contrast, oracle Gram matrix and blindness column must keep its bits.
 """
 
 import importlib.util
