@@ -53,10 +53,18 @@ COMMANDS = ("fringe", "sweep", "oracle-check", "tomography", "qkd", "fit")
 # Upper bounds of the counts, far above the benchmark workloads' 1,024 phases,
 # 200 beta points and 1,000 specs. At the bounds, on a 2-vCPU VM, fringe took
 # 0.9 s and a peak resident set of 221 MiB (1.4 s and 274 MiB with mean-total),
-# sweep 3.0 s and 254 MiB, tomography 4.7 s and 272 MiB, oracle-check 4.1 s and
+# sweep 1.8 s and 250 MiB, tomography 4.7 s and 272 MiB, oracle-check 3.1 s and
 # 175 MiB (188 in some runs). Tests hold traced memory per unit under 3.25 KiB
 # (sweep point), 5.25 KiB (tomography point) and 2.25 KiB (oracle-check spec).
 _COUNT_LIMITS = {"phases": 2**20, "beta-points": 2**16, "specs": 2**16}
+# The keys each command reads besides 'output'; any other key given, as a flag
+# or in a config file, is refused rather than ignored.
+_COMMAND_KEYS = {
+    "fringe": ("arms", "variant", "beta", "phases", "mean-total", "seed"),
+    "fit": ("counts", "arms", "variant", "beta", "phases", "mean-total", "seed"),
+    "sweep": ("variant", "beta-points"), "oracle-check": ("specs", "seed"),
+    "tomography": ("beta", "beta-points"), "qkd": ("segments",),
+}
 
 
 class UsageError(Exception):
@@ -161,17 +169,15 @@ def _parser() -> argparse.ArgumentParser:
                         help="crystal angle, e.g. 22.5deg or 0.3927rad")
     parser.add_argument("--beta-points", type=int,
                         help="number of beta grid points (default 25)")
-    parser.add_argument("--phases", type=int, default=64,
-                        help="number of phase samples (default %(default)s)")
+    parser.add_argument("--phases", type=int, help="number of phase samples (default 64)")
     parser.add_argument("--mean-total", type=int,
                         help="mean counts per phase point at unit probability")
-    parser.add_argument("--seed", type=int, default=0,
-                        help="non-negative RNG seed (default %(default)s)")
+    parser.add_argument("--seed", type=int, help="non-negative RNG seed (default 0)")
     parser.add_argument("--arms", help="serialized 'upper|lower' arm pair")
     parser.add_argument("--segments", help="serialized 'u1|u2|u3|u4' qkd segments")
     parser.add_argument("--counts", help="input counts CSV (phi,counts) for fit")
-    parser.add_argument("--specs", type=int, default=200,
-                        help="number of random specs for oracle-check (default %(default)s)")
+    parser.add_argument("--specs", type=int,
+                        help="number of random specs for oracle-check (default 200)")
     parser.add_argument("--output", help="output CSV path")
     return parser
 
@@ -198,7 +204,8 @@ def parse_config(argv) -> argparse.Namespace:
         config = parser.parse_args(
             [*head, *(f"--{key}={value}" for key, value in values.items()), *argv])
     _validate(config)
-    config.beta_points = config.beta_points or 25  # not given: _validate refuses 0
+    for dest, default in (("beta_points", 25), ("phases", 64), ("seed", 0), ("specs", 200)):
+        setattr(config, dest, getattr(config, dest) or default)  # a given count of 0 is refused
     return config
 
 
@@ -207,7 +214,7 @@ def _validate(config: argparse.Namespace) -> None:
         raise UsageError(f"missing command; choose one of {', '.join(COMMANDS)}")
     if not config.output:
         raise UsageError("missing required key 'output'")
-    if config.seed < 0:
+    if config.seed is not None and config.seed < 0:
         raise UsageError("key 'seed' must be non-negative")
     for key in ("beta-points", "phases", "mean-total", "specs"):
         value = getattr(config, key.replace("-", "_"))
@@ -218,10 +225,14 @@ def _validate(config: argparse.Namespace) -> None:
                                      f"limit of {_COUNT_LIMITS[key]}")
     if config.command == "sweep" and config.variant is None:
         raise UsageError("command 'sweep' requires key 'variant'")
-    if config.command == "sweep" and config.beta is not None:
-        raise UsageError("command 'sweep' takes key 'beta-points', not key 'beta'")
     if config.command == "tomography" and None not in (config.beta, config.beta_points):
         raise UsageError("command 'tomography' takes key 'beta' or key 'beta-points', not both")
+    reads = _COMMAND_KEYS[config.command]
+    given = [dest.replace("_", "-") for dest, value in vars(config).items() if value is not None]
+    for key in given:
+        if key not in ("command", "config", "output", *reads):
+            raise UsageError(f"command {config.command!r} does not read key {key!r}; it reads "
+                             + ", ".join(f"key {k!r}" for k in reads))
     if config.command == "fringe":
         if config.arms is None and config.variant is None:
             raise UsageError("command 'fringe' requires key 'arms' or keys "
@@ -234,7 +245,7 @@ def _validate(config: argparse.Namespace) -> None:
         if config.counts is None and not (has_spec and config.mean_total is not None):
             raise UsageError("command 'fit' requires key 'counts' or inline sampling "
                              "keys ('variant' and 'beta', or 'arms') plus 'mean-total'")
-        if config.counts is None and config.phases < 4:
+        if config.counts is None and config.phases is not None and config.phases < 4:
             raise UsageError(f"key 'phases' must be >= 4 for command 'fit', got {config.phases}")
 
 

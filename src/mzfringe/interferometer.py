@@ -17,14 +17,15 @@ Both routines take a stack of arm pairs, ``uppers[i]`` against ``lowers[i]``,
 and one input state or one per pair; one pair is a stack of one. The contrast
 composes all arms in one Kraus table (``compose_arms``) and joins every pair
 at once on exact (arm, delay) keys (``kraus_contrasts``), and the oracle
-evolves the pairs of each time grid as one stack in memory-bounded blocks. A
-pair's result has the same bits in any stack.
+evolves the pairs of each time grid and set of reachable bins as one stack in
+memory-bounded blocks. A pair's result has the same bits in any stack.
 
 The whole oracle lives here: its time grid at the gcd of the crystal delays
-in picometres (``_delay_grid``, up to ``ORACLE_DIM_LIMIT``), which also groups
-its pairs, its arm evolution in kind subsets found by one walk over each arm
-stack (``_evolution_steps``, ``_evolve_arm``) through element matrices and a
-beamsplitter of its own, and the path Gram.
+in picometres (``_delay_grid``, up to ``ORACLE_DIM_LIMIT`` on the full grid)
+and the bins each pair reaches on it (``_reachable_bins``), which group its
+pairs; its evolution of both arms of a pair in one stack on those bins, by
+one walk (``_evolution_steps``, ``_evolve_arm``) through element matrices and
+a beamsplitter of its own; the path Gram on the full grid; the lower port.
 Composing no Kraus set and calling no element constructor, it checks
 ``compose_arms`` rather than repeating it; with the contrast it shares
 ``_input_states``. ``InterferometerSpec``, a plain record of two arms and a
@@ -63,12 +64,11 @@ ORACLE_DIM_LIMIT = 4096
 _BEAMSPLITTER = np.array([[1.0, 1.0], [-1.0, 1.0]], dtype=complex) / np.sqrt(2.0)
 _BEAMSPLITTER.setflags(write=False)
 
-# Bytes of evolved oracle state (2 paths x 2 polarizations x bins x 2 columns,
-# complex) per block of stacked specs: 10 specs on the 47-bin grid of the
-# crystal configurations. A 200-beta sweep evolved as one stack peaks at
-# 3.1 MiB under tracemalloc. Blocks of 150 KiB still raised the peak resident
-# set of a paper-tables pass by 0.3 MiB against evolving one spec at a time;
-# blocks of 64 KiB did not, at the same speed.
+# Bytes of oracle state (2 paths x 2 polarizations x bins x 2 columns, complex)
+# per block of specs, evolved on their reachable bins and the zero bin, or
+# scattered onto their full grid for the Gram product: 102 and 10 specs of the
+# crystal configurations, which reach 4 of 47 bins. Blocks of 150 KiB raised
+# the peak resident set of a paper-tables pass by 0.3 MiB; 64 KiB did not.
 _ORACLE_BLOCK_BYTES = 64 * 1024
 # Phases of the oracle fringe. Any 3 or more alias the conjugate Fourier
 # component of P(phi) to zero, leaving C alone at unit frequency.
@@ -176,7 +176,7 @@ def _delay_grid(arms: Sequence[ArmSpec]) -> tuple[int, int]:
     The unit is the gcd of the crystal delays in whole picometres (0 when
     every delay is zero), so every delay is a whole number of bins. Bin 0 is
     the input bin, and the grid reaches the largest total crystal delay of any
-    one arm, so cyclic shifts of a vector that starts in bin 0 never wrap.
+    one arm, so no shift of a vector that starts in bin 0 leaves the grid.
     Raises ResourceLimitError, before anything is allocated, when the joint
     dimension 4 * bins exceeds ORACLE_DIM_LIMIT.
     """
@@ -234,17 +234,32 @@ def _evolution_steps(arms: Sequence[ArmSpec], unit: int) -> list:
     return steps
 
 
-def _evolve_arm(steps: list, cols: np.ndarray, start: int = 0) -> np.ndarray:
+def _reachable_bins(arms: Sequence[ArmSpec], unit: int) -> tuple:
+    """Bins of the grid of ``unit`` picometres, ascending, that ``arms`` reach
+    from bin 0: the subset sums of each arm's crystal shifts, from a walk over
+    its crystals."""
+    reach = set()
+    for arm in arms:
+        sums = {0}
+        for e in arm:
+            if type(e) is Crystal:
+                shift = round(e.delay * PM_PER_UM) // (unit or 1)
+                sums |= {k + shift for k in sums}
+        reach |= sums
+    return tuple(sorted(reach))
+
+
+def _evolve_arm(steps: list, cols: np.ndarray, sources: dict, start: int = 0) -> np.ndarray:
     """Apply a stack of arms, as ``_evolution_steps``, position by position
     to columns on polarization (x) time bins.
 
     ``cols`` has shape (block, 2, bins, k), one slice per arm of the stack
     from arm ``start`` on, and is overwritten where a kind subset holds part
     of the block. Each subset acts on its arms in the block, gathered unless
-    they are the whole block. A crystal acts as P_o (x) I + P_e (x)
-    S_d, with S_d the cyclic shift by its delay in grid units, computed as
-    x + P_e (S_d x - x) because P_o + P_e = I; waveplates and raw unitaries
-    act as U (x) I.
+    they are the whole block. A crystal acts as P_o (x) I + P_e (x) S_d,
+    computed as x + P_e (S_d x - x) because P_o + P_e = I, with S_d the
+    gather ``x[:, :, sources[d]]`` of each bin's source d grid units below
+    it; waveplates and raw unitaries act as U (x) I.
     """
     stop = start + len(cols)
     for subsets in steps:
@@ -257,10 +272,7 @@ def _evolve_arm(steps: list, cols: np.ndarray, start: int = 0) -> np.ndarray:
             if shift is None:
                 x = np.einsum("apq,aq...->ap...", ops, x)
             else:
-                n = x.shape[2]
-                # S_d x - x, with S_d the cyclic shift by k bins (np.roll, less overhead)
-                delayed = np.concatenate((x[:, :, n - shift:], x[:, :, :n - shift]), axis=2) - x
-                x = x + np.einsum("apq,aq...->ap...", ops, delayed)
+                x = x + np.einsum("apq,aq...->ap...", ops, x[:, :, sources[shift]] - x)
             if at is None:
                 cols = x
             else:
@@ -278,9 +290,12 @@ def _path_gram(uppers: Sequence[ArmSpec], lowers: Sequence[ArmSpec], rho) -> np.
     two paths, and each arm then acts element by element on its own path: the
     upper arm on path 0, the lower arm on path 1. With x_p the evolved state
     of path p, G[p, q] = <x_p, x_q>. Each pair's time grid (``_delay_grid``)
-    is found once per distinct pair of crystal-delay sequences; the pairs of
-    one grid are evolved as stacks (``_evolve_arm``), in blocks whose state
-    fits ``_ORACLE_BLOCK_BYTES``.
+    and the bins it reaches on it (``_reachable_bins``) are found once per
+    distinct pair of crystal-delay sequences. The pairs of one grid and one
+    set of bins evolve as one stack (``_evolve_arm``), pair i's upper arm in
+    row 2i and its lower in 2i + 1, on those bins and a bin that stays zero,
+    in blocks that fit ``_ORACLE_BLOCK_BYTES``, scattered onto the full grid
+    so that the Gram product rounds as the dense one does.
     """
     split = _BEAMSPLITTER[:, 0]
     evals, evecs = np.linalg.eigh(rho)
@@ -292,37 +307,29 @@ def _path_gram(uppers: Sequence[ArmSpec], lowers: Sequence[ArmSpec], rho) -> np.
     grids, groups = {}, {}
     for i, key in enumerate(zip(delays[:len(uppers)], delays[len(uppers):])):
         if key not in grids:
-            grids[key] = _delay_grid([uppers[i], lowers[i]])
+            unit, n = _delay_grid([uppers[i], lowers[i]])
+            grids[key] = unit, n, _reachable_bins([uppers[i], lowers[i]], unit)
         groups.setdefault(grids[key], []).append(i)
-    for (unit, n), pairs in groups.items():
-        block = max(1, _ORACLE_BLOCK_BYTES // (2 * 2 * n * 2 * 16))
-        upper_steps = _evolution_steps([uppers[i] for i in pairs], unit)
-        lower_steps = _evolution_steps([lowers[i] for i in pairs], unit)
+    for (unit, n, bins), pairs in groups.items():
+        m = len(bins)
+        steps = _evolution_steps([arm for i in pairs for arm in (uppers[i], lowers[i])], unit)
+        # per shift, each row's source: the bin shift below, or the zero bin m if off the set
+        where = dict(zip(bins, range(m)))
+        sources = {shift: np.array([where.get(b - shift, m) for b in (*bins, -n)])
+                   for subsets in steps for _, _, shift in subsets if shift is not None}
+        block = max(1, _ORACLE_BLOCK_BYTES // (2 * 2 * (m + 1) * 2 * 16))
+        dense = max(1, _ORACLE_BLOCK_BYTES // (2 * 2 * n * 2 * 16))
         for start in range(0, len(pairs), block):
             at = pairs[start:start + block]
-            cols = np.zeros((len(at), 2, n, 2), dtype=complex)
+            cols = np.zeros((len(at), 2, m + 1, 2), dtype=complex)
             cols[:, :, 0, :] = states[at]
-            paths = np.concatenate((
-                _evolve_arm(upper_steps, split[0] * cols, start),
-                _evolve_arm(lower_steps, split[1] * cols, start),
-            ), axis=1).reshape(len(at), 2, -1)
-            grams[at] = paths.conj() @ paths.transpose(0, 2, 1)
+            cols = np.stack((split[0] * cols, split[1] * cols), axis=1).reshape(-1, 2, m + 1, 2)
+            cols = _evolve_arm(steps, cols, sources, 2 * start).reshape(len(at), 2, 2, m + 1, 2)
+            for lo in range(0, len(at), dense):
+                paths = np.zeros((len(at[lo:lo + dense]), 2, 4 * n), dtype=complex)
+                paths.reshape(-1, 2, 2, n, 2)[:, :, :, bins] = cols[lo:lo + dense, :, :, :m]
+                grams[at[lo:lo + dense]] = paths.conj() @ paths.transpose(0, 2, 1)
     return grams
-
-
-def _port_probabilities(gram: np.ndarray, phis: np.ndarray) -> np.ndarray:
-    """Port probabilities (..., port, phase) from path Gram matrices; port 0
-    is the lower port.
-
-    The phase plate diag(1, e^{i phi}) on path 1 and the closing beamsplitter,
-    the inverse of the first, map the paths to port k through the row
-    c_k(phi) of their product, and port k fires with probability
-    c_k^dag G c_k. The phase plate may act after the arms because both act
-    diagonally on the path.
-    """
-    plate = np.exp(1j * np.multiply.outer(phis, (0.0, 1.0)))  # diag(1, e^{i phi})
-    rows = _BEAMSPLITTER.conj().T[:, None, :] * plate
-    return np.einsum("kip,...pq,kiq->...ki", rows.conj(), gram, rows).real
 
 
 def oracle_contrasts(uppers: Sequence[ArmSpec], lowers: Sequence[ArmSpec], rho) -> np.ndarray:
@@ -331,12 +338,14 @@ def oracle_contrasts(uppers: Sequence[ArmSpec], lowers: Sequence[ArmSpec], rho) 
     the oracle fringe (``_path_gram``). ``rho`` is validated as in
     ``shared_env_contrasts``.
 
-    Samples the lower-port probability P(phi) on a uniform grid of
-    ``_ORACLE_PHASES`` phases and returns its unit-frequency Fourier
-    component, C = 4 <P(phi_k) e^{-i phi_k}>, per arm pair.
+    Samples the lower-port probability P(phi) = c^dag G c on a uniform grid of
+    ``_ORACLE_PHASES`` phases, c(phi) the lower port's row of the phase plate
+    diag(1, e^{i phi}) on path 1 and the closing beamsplitter, the first's
+    inverse; returns its unit-frequency component C = 4 <P(phi_k) e^{-i phi_k}>.
     """
     gram = _path_gram(uppers, lowers, _input_states(rho))
-    p0 = _port_probabilities(gram, _ORACLE_PHIS)[:, 0]
+    row = _BEAMSPLITTER.conj().T[0] * np.exp(1j * np.multiply.outer(_ORACLE_PHIS, (0.0, 1.0)))
+    p0 = np.einsum("ip,...pq,iq->...i", row.conj(), gram, row).real
     return 4.0 * ((p0 * np.exp(-1j * _ORACLE_PHIS)).sum(axis=-1) / _ORACLE_PHASES)
 
 

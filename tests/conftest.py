@@ -4,6 +4,7 @@ import numpy as np
 
 from mzfringe import (Crystal, RawUnitary, Waveplate, arm_channel_apply, compose_arms,
                       maximally_mixed, oracle_contrasts, shared_env_contrasts, standard_arms)
+from mzfringe.interferometer import _BEAMSPLITTER
 
 
 def random_density(rng: np.random.Generator, d: int = 2) -> np.ndarray:
@@ -61,6 +62,17 @@ def contrast(upper, lower, rho=MIXED) -> complex:
 def oracle(upper, lower, rho=MIXED) -> complex:
     """Oracle contrast of one arm pair."""
     return complex(oracle_contrasts([upper], [lower], rho)[0])
+
+
+def port_probabilities(gram: np.ndarray, phis) -> np.ndarray:
+    """Oracle port probabilities (..., port, phase) from path Gram matrices
+    (..., 2, 2); port 0 is the lower port. The phase plate diag(1, e^{i phi})
+    on path 1 and the closing beamsplitter, the inverse of the first, map the
+    paths to port k through the row c_k(phi) of their product, and port k
+    fires with probability c_k^dag G c_k."""
+    plate = np.exp(1j * np.multiply.outer(np.asarray(phis, dtype=float), (0.0, 1.0)))
+    rows = _BEAMSPLITTER.conj().T[:, None, :] * plate
+    return np.einsum("kip,...pq,kiq->...ki", rows.conj(), gram, rows).real
 
 
 def standard_pair(variant: str, beta: float) -> tuple[list, list]:

@@ -455,6 +455,32 @@ def test_beta_beside_a_beta_grid_is_usage_error(tmp_path, capsys, args, config):
     assert not out.exists()
 
 
+IGNORED_KEYS = [
+    (["fringe", "--variant", "a", "--beta", "0.3"], "beta-points", "50"),
+    (["oracle-check", "--specs", "3"], "beta", "0.3"),
+    (["qkd"], "beta-points", "7"),
+    (["sweep", "--variant", "a", "--beta-points", "5"], "seed", "3"),
+    (["tomography", "--beta-points", "5"], "phases", "9"),
+]
+
+
+@pytest.mark.parametrize("from_file", [False, True], ids=["flag", "file"])
+@pytest.mark.parametrize("args, key, value", IGNORED_KEYS, ids=[a[0] for a, _, _ in IGNORED_KEYS])
+def test_a_key_the_command_does_not_read_is_usage_error(tmp_path, capsys, args, key, value,
+                                                        from_file):
+    # each key that is given counts, from a flag or a file; the defaults of
+    # the keys not given do not
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"{key} = {value}\n" if from_file else "")
+    extra = [] if from_file else [f"--{key}", value]
+    out = tmp_path / "x.csv"
+    assert main(args + extra + ["--config", str(cfg), "--output", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"command '{args[0]}' does not read key '{key}'" in err
+    assert not out.exists()
+    assert main(args + ["--output", str(out)]) == 0
+
+
 @pytest.mark.parametrize("delay", ["-5", "nan", "inf"])
 def test_bad_crystal_delay_is_usage_error(tmp_path, capsys, delay):
     assert main(["fringe", "--arms", f"crystal:0:{delay}|", "--phases", "8",

@@ -4,13 +4,12 @@ from bisect import bisect_left
 import numpy as np
 import pytest
 
-from conftest import (ANGLES, MIXED, compose_one, contrast, oracle, random_arm, random_density,
-                      random_pair, random_unitary, standard_pair)
+from conftest import (ANGLES, MIXED, compose_one, contrast, oracle, port_probabilities,
+                      random_arm, random_density, random_pair, random_unitary, standard_pair)
 from mzfringe.arms import PM_PER_UM, ResourceLimitError
 from mzfringe.interferometer import (ORACLE_DIM_LIMIT, InterferometerSpec, _delay_grid,
-                                     _evolution_steps, _evolve_arm, _path_gram,
-                                     _port_probabilities, _stacked_ops, oracle_contrast,
-                                     oracle_contrasts, shared_env_contrasts)
+                                     _evolution_steps, _evolve_arm, _path_gram, _stacked_ops,
+                                     oracle_contrast, oracle_contrasts, shared_env_contrasts)
 from mzfringe import (
     Crystal,
     RawUnitary,
@@ -27,19 +26,25 @@ I2 = np.eye(2, dtype=complex)
 def oracle_ports(upper, lower, rho, phis):
     """Oracle port probabilities (port, phase) of one arm pair from the path
     Gram matrix; port 0 is the lower port."""
-    return _port_probabilities(_path_gram([upper], [lower], rho),
-                               np.asarray(phis, dtype=float))[0]
+    return port_probabilities(_path_gram([upper], [lower], rho), phis)[0]
+
+
+def cyclic_sources(n: int) -> dict:
+    """Per shift in bins, the source of each bin of the full grid of ``n``
+    bins under the cyclic shift: the gather that equals np.roll."""
+    return {shift: (np.arange(n) - shift) % n for shift in range(n)}
 
 
 def arm_dilation(arm):
     """Exact unitary of an arm on polarization (x) time bins, from identity
-    columns evolved through the oracle's stacked evolution. Rows and columns
-    are indexed pol-major, p * len(bins) + bin."""
+    columns evolved through the oracle's stacked evolution on the full grid
+    with cyclic shifts. Rows and columns are indexed pol-major,
+    p * len(bins) + bin."""
     unit, n = _delay_grid([arm])
     cols = np.eye(2 * n, dtype=complex).reshape(1, 2, n, 2 * n)
     steps = _evolution_steps([arm], unit)
     bins = [k * unit / PM_PER_UM for k in range(n)]  # in um, as composed delays
-    return _evolve_arm(steps, cols)[0].reshape(2 * n, 2 * n), bins
+    return _evolve_arm(steps, cols, cyclic_sources(n))[0].reshape(2 * n, 2 * n), bins
 
 
 def test_empty_arms_full_contrast():
@@ -420,14 +425,15 @@ def test_stacked_evolution_equals_single_arm_evolutions():
              [RawUnitary(random_unitary(rng)), Crystal(0.4, 310.0), Waveplate(1.1)],
              [Crystal(1.3, 150.0), Crystal(0.1, 150.0), Crystal(0.6, 150.0), Waveplate(0.5)]]
     unit, n = _delay_grid(arms)
+    sources = cyclic_sources(n)
     cols = rng.normal(size=(10, 2, n, 3)) + 1j * rng.normal(size=(10, 2, n, 3))
-    stacked = _evolve_arm(_evolution_steps(arms, unit), cols.copy())
+    stacked = _evolve_arm(_evolution_steps(arms, unit), cols.copy(), sources)
     # in blocks of three from arm 2 on, as the oracle evolves large groups
     steps = _evolution_steps(arms[2:], unit)
-    blocks = np.concatenate([_evolve_arm(steps, cols[2 + start:5 + start].copy(), start)
+    blocks = np.concatenate([_evolve_arm(steps, cols[2 + start:5 + start].copy(), sources, start)
                              for start in range(0, 8, 3)])
     for i, arm in enumerate(arms):
-        single = _evolve_arm(_evolution_steps([arm], unit), cols[i:i + 1].copy())[0]
+        single = _evolve_arm(_evolution_steps([arm], unit), cols[i:i + 1].copy(), sources)[0]
         assert stacked[i].tobytes() == single.tobytes(), arm
         if i >= 2:
             assert blocks[i - 2].tobytes() == single.tobytes(), arm

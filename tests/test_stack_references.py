@@ -10,8 +10,11 @@ package composes any arms in one loop over crystal indices, each step merging
 one crystal's delays and summing its operators, into one Kraus table, drops
 each arm's own vanished operators and joins every pair at once. The oracle
 references group pairs by their full structure, element kinds and crystal
-delays, where the package groups them by time grid. Every kept Kraus row,
-contrast, oracle Gram matrix and blindness column must keep its bits.
+delays, evolve each arm stack on the full time grid with cyclic shifts and
+read both ports of the fringe. The package groups pairs by time grid and
+the bins they can reach, evolves both arms of a pair in one stack on those
+bins alone and reads only the lower port. Every kept Kraus row, contrast,
+oracle Gram matrix and blindness column must keep its bits.
 """
 
 import importlib.util
@@ -20,7 +23,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import random_density, random_unitary
+import mzfringe.interferometer
+from conftest import port_probabilities, random_density, random_unitary
 from mzfringe import (Crystal, RawUnitary, Waveplate, blindness_demo, compose_arms,
                       default_beta_grid, maximally_mixed, oracle_contrasts, qpt,
                       shared_env_contrasts, standard_arms, sweep)
@@ -29,7 +33,7 @@ from mzfringe.arms import (COMPOSE_BIN_LIMIT, PM_PER_UM, ZERO_OP_TOL, ArmSpec,
 from mzfringe.experiments import random_specs
 from mzfringe.interferometer import (_BEAMSPLITTER, _ORACLE_BLOCK_BYTES, _ORACLE_PHASES,
                                      _ORACLE_PHIS, _delay_grid, _input_states, _path_gram,
-                                     _port_probabilities, _stacked_ops)
+                                     _reachable_bins, _stacked_ops)
 
 
 def crystal_delays(arm: ArmSpec) -> tuple:
@@ -206,8 +210,8 @@ def structure_gram(uppers, lowers, rho):
 
 
 def structure_oracle(uppers, lowers, rho) -> np.ndarray:
-    p0 = _port_probabilities(structure_gram(uppers, lowers, _input_states(rho)),
-                             _ORACLE_PHIS)[:, 0]
+    p0 = port_probabilities(structure_gram(uppers, lowers, _input_states(rho)),
+                            _ORACLE_PHIS)[:, 0]
     return 4.0 * ((p0 * np.exp(-1j * _ORACLE_PHIS)).sum(axis=-1) / _ORACLE_PHASES)
 
 
@@ -307,6 +311,10 @@ def test_the_sweeps_keep_their_bits(variant):
     betas = default_beta_grid(200)
     uppers, lowers = standard_arms(variant, betas)
     rho = maximally_mixed(2)
+    # 4 of the 47 bins of 10 um are reachable; variant d has no crystals
+    unit, n = _delay_grid([uppers[0], lowers[0]])
+    assert (n, _reachable_bins([uppers[0], lowers[0]], unit)) == (
+        (1, (0,)) if variant == "d" else (47, (0, 15, 31, 46)))
     assert_compositions_keep_their_bits([*uppers, *lowers])
     assert_routines_keep_their_bits(uppers, lowers, rho)
     columns = sweep(variant, betas)
@@ -364,3 +372,52 @@ def test_a_list_mixing_shapes_keeps_its_bits():
     for i in (500, 501):
         assert delays[owner == i].tolist() == [0.0, 75.0, 150.0, 225.0, 300.0, 310.0, 375.0,
                                                385.0, 460.0, 535.0, 610.0, 685.0]
+
+
+def test_an_oracle_on_the_full_grid_keeps_its_bits():
+    # ten crystals at 150 * 2^k um per arm reach every bin of the 1,024-bin
+    # grid, in permuted orders and with waveplates between them
+    rng = np.random.default_rng(131)
+    uppers, lowers = [], []
+    for arms in (uppers, lowers):
+        for _ in range(3):
+            arm = []
+            for delay in rng.permutation([150.0 * 2 ** k for k in range(10)]):
+                arm.append(Crystal(float(rng.uniform(0, np.pi)), delay))
+                if rng.random() < 0.3:
+                    arm.append(Waveplate(float(rng.uniform(0, np.pi))))
+            arms.append(arm)
+    unit, n = _delay_grid([uppers[0], lowers[0]])
+    assert _reachable_bins([uppers[0], lowers[0]], unit) == tuple(range(n)) and n == 1024
+    assert_routines_keep_their_bits(uppers, lowers, random_density(rng))
+
+
+def test_shifts_from_unreachable_bins_keep_their_bits():
+    # on the 10 um grid of 150 and 310 um, bin 31 minus a shift of 15 is bin
+    # 16, which no arm reaches; the pairs differ in which arm holds which
+    # crystals, and one lower arm reaches bins its upper arm does not
+    rng = np.random.default_rng(137)
+    shapes = [((150.0, 310.0), (310.0,)), ((310.0,), (150.0, 310.0)), ((150.0,), (310.0,)),
+              ((150.0, 310.0), (150.0, 310.0)), ((), (310.0, 150.0))]
+    uppers, lowers = [], []
+    for upper, lower in shapes * 4:
+        uppers.append(mixed_arms(rng, 1, upper)[0])
+        lowers.append(mixed_arms(rng, 1, lower)[0])
+    assert _reachable_bins([uppers[0], lowers[0]], 10_000_000) == (0, 15, 31, 46)
+    assert _reachable_bins([uppers[2], lowers[2]], 10_000_000) == (0, 15, 31)
+    rho = np.array([random_density(rng) for _ in uppers])
+    assert_routines_keep_their_bits(uppers, lowers, rho)
+
+
+@pytest.mark.parametrize("block_bytes", [1, 3000, 20_000])
+def test_random_specs_in_small_blocks_keep_their_bits(monkeypatch, block_bytes):
+    # blocks of one pair, and blocks that split groups across evolution
+    # blocks and dense Gram sub-blocks unevenly; the references keep their
+    # 64 KiB blocks
+    monkeypatch.setattr(mzfringe.interferometer, "_ORACLE_BLOCK_BYTES", block_bytes)
+    uppers, lowers, rho = random_specs(np.random.default_rng(23), 2000)
+    states = _input_states(rho)
+    assert (_path_gram(uppers, lowers, states).tobytes()
+            == structure_gram(uppers, lowers, states).tobytes())
+    assert (oracle_contrasts(uppers, lowers, rho).tobytes()
+            == structure_oracle(uppers, lowers, rho).tobytes())
