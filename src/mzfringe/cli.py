@@ -58,7 +58,8 @@ COMMANDS = ("fringe", "sweep", "oracle-check", "tomography", "qkd", "fit")
 # (sweep point), 5.25 KiB (tomography point) and 2.25 KiB (oracle-check spec).
 _COUNT_LIMITS = {"phases": 2**20, "beta-points": 2**16, "specs": 2**16}
 # The keys each command reads besides 'output'; any other key given, as a flag
-# or in a config file, is refused rather than ignored.
+# or in a config file, is refused rather than ignored, and so is a key that the
+# mode of the given keys leaves unread (``_unread_keys``).
 _COMMAND_KEYS = {
     "fringe": ("arms", "variant", "beta", "phases", "mean-total", "seed"),
     "fit": ("counts", "arms", "variant", "beta", "phases", "mean-total", "seed"),
@@ -209,6 +210,23 @@ def parse_config(argv) -> argparse.Namespace:
     return config
 
 
+def _unread_keys(config: argparse.Namespace) -> dict:
+    """Keys of the command's table that the mode of its given keys leaves
+    unread, each with the mode as a phrase: a counts file leaves 'fit' no
+    sample to draw, an arm pair leaves no variant, and 'fringe' draws no
+    counts to seed without 'mean-total'."""
+    unread: dict = {}
+    if config.command == "fit" and config.counts is not None:
+        unread = dict.fromkeys(("arms", "variant", "beta", "phases", "mean-total", "seed"),
+                               " with key 'counts'")
+    if config.command in ("fringe", "fit") and config.arms is not None:
+        for key in ("variant", "beta"):
+            unread.setdefault(key, " with key 'arms'")
+    if config.command == "fringe" and config.mean_total is None:
+        unread["seed"] = " without key 'mean-total'"
+    return unread
+
+
 def _validate(config: argparse.Namespace) -> None:
     if config.command is None:
         raise UsageError(f"missing command; choose one of {', '.join(COMMANDS)}")
@@ -227,11 +245,13 @@ def _validate(config: argparse.Namespace) -> None:
         raise UsageError("command 'sweep' requires key 'variant'")
     if config.command == "tomography" and None not in (config.beta, config.beta_points):
         raise UsageError("command 'tomography' takes key 'beta' or key 'beta-points', not both")
-    reads = _COMMAND_KEYS[config.command]
+    unread = _unread_keys(config)
+    reads = [key for key in _COMMAND_KEYS[config.command] if key not in unread]
     given = [dest.replace("_", "-") for dest, value in vars(config).items() if value is not None]
     for key in given:
         if key not in ("command", "config", "output", *reads):
-            raise UsageError(f"command {config.command!r} does not read key {key!r}; it reads "
+            raise UsageError(f"command {config.command!r} does not read key {key!r}"
+                             f"{unread.get(key, '')}; it reads "
                              + ", ".join(f"key {k!r}" for k in reads))
     if config.command == "fringe":
         if config.arms is None and config.variant is None:

@@ -21,11 +21,12 @@ evolves the pairs of each time grid and set of reachable bins as one stack in
 memory-bounded blocks. A pair's result has the same bits in any stack.
 
 The whole oracle lives here: its time grid at the gcd of the crystal delays
-in picometres (``_delay_grid``, up to ``ORACLE_DIM_LIMIT`` on the full grid)
-and the bins each pair reaches on it (``_reachable_bins``), which group its
-pairs; its evolution of both arms of a pair in one stack on those bins, by
-one walk (``_evolution_steps``, ``_evolve_arm``) through element matrices and
-a beamsplitter of its own; the path Gram on the full grid; the lower port.
+in picometres, up to ``ORACLE_DIM_LIMIT`` on the full grid, with the bins
+each pair reaches on it (``_time_grid``), which group its pairs; its
+evolution of both arms of a pair in one stack on those bins (``_evolve``),
+each block grouped by element position and kind and acted on with element
+matrices (``_stacked_ops``) and a beamsplitter of its own; the path Gram on
+the full grid; the lower port.
 Composing no Kraus set and calling no element constructor, it checks
 ``compose_arms`` rather than repeating it; with the contrast it shares
 ``_input_states``. ``InterferometerSpec``, a plain record of two arms and a
@@ -40,7 +41,6 @@ wavepacket overlap is out of scope.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -65,10 +65,11 @@ _BEAMSPLITTER = np.array([[1.0, 1.0], [-1.0, 1.0]], dtype=complex) / np.sqrt(2.0
 _BEAMSPLITTER.setflags(write=False)
 
 # Bytes of oracle state (2 paths x 2 polarizations x bins x 2 columns, complex)
-# per block of specs, evolved on their reachable bins and the zero bin, or
-# scattered onto their full grid for the Gram product: 102 and 10 specs of the
-# crystal configurations, which reach 4 of 47 bins. Blocks of 150 KiB raised
-# the peak resident set of a paper-tables pass by 0.3 MiB; 64 KiB did not.
+# per block of specs, evolved by ``_evolve`` on their reachable bins and the
+# zero bin, or scattered onto their full grid for the Gram product: 102 and 10
+# specs of the crystal configurations, which reach 4 of 47 bins. Blocks of
+# 150 KiB raised the peak resident set of a paper-tables pass by 0.3 MiB;
+# 64 KiB did not.
 _ORACLE_BLOCK_BYTES = 64 * 1024
 # Phases of the oracle fringe. Any 3 or more alias the conjugate Fourier
 # component of P(phi) to zero, leaving C alone at unit frequency.
@@ -169,25 +170,32 @@ def output_probability(c: complex, phi):
     return float(p) if p.ndim == 0 else p
 
 
-def _delay_grid(arms: Sequence[ArmSpec]) -> tuple[int, int]:
-    """Unit in picometres and bin count of a time grid that holds every delay
-    of ``arms``.
+def _time_grid(arms: Sequence[ArmSpec]) -> tuple[int, int, tuple]:
+    """Unit in picometres, bin count and reachable bins of a time grid that
+    holds every delay of ``arms``, from one walk over their crystals.
 
-    The unit is the gcd of the crystal delays in whole picometres (0 when
+    The unit is the gcd of the crystal delays in whole picometres (1 when
     every delay is zero), so every delay is a whole number of bins. Bin 0 is
     the input bin, and the grid reaches the largest total crystal delay of any
     one arm, so no shift of a vector that starts in bin 0 leaves the grid.
     Raises ResourceLimitError, before anything is allocated, when the joint
-    dimension 4 * bins exceeds ORACLE_DIM_LIMIT.
+    dimension 4 * bins exceeds ORACLE_DIM_LIMIT. The reachable bins, ascending,
+    are the subset sums of each arm's crystal shifts.
     """
     crystals = [[round(e.delay * PM_PER_UM) for e in arm if type(e) is Crystal] for arm in arms]
-    unit = math.gcd(*(d for delays in crystals for d in delays))
-    n = 1 + max(map(sum, crystals), default=0) // (unit or 1)
+    unit = math.gcd(*(d for delays in crystals for d in delays)) or 1
+    n = 1 + max(map(sum, crystals), default=0) // unit
     if 4 * n > ORACLE_DIM_LIMIT:
         raise ResourceLimitError(
             f"resource limit: joint dimension {4 * n} exceeds "
             f"{ORACLE_DIM_LIMIT} (time grid of {n} bins at {unit} pm)")
-    return unit, n
+    reach = set()
+    for delays in crystals:
+        sums = {0}
+        for d in delays:
+            sums |= {k + d // unit for k in sums}
+        reach |= sums
+    return unit, n, tuple(sorted(reach))
 
 
 def _stacked_ops(elems: Sequence[ArmElement]) -> np.ndarray:
@@ -210,73 +218,34 @@ def _stacked_ops(elems: Sequence[ArmElement]) -> np.ndarray:
     return np.array(ops, dtype=complex).transpose(2, 0, 1)
 
 
-def _evolution_steps(arms: Sequence[ArmSpec], unit: int) -> list:
-    """A stack of arms on the time grid of ``unit`` picometres as kind
-    subsets, from one walk over its elements by (position, crystal delay or
-    element type): per position a list of (rows, ops, shift), the ascending
-    stack indices of the arms whose element there is of one kind, crystals of
-    one delay apart, their matrices (``_stacked_ops``) and the crystals' shift
-    in bins, or None for waveplates and raw unitaries. A position's subsets
-    come in the order of their first arms; arms shorter than a position are
-    in none of its subsets."""
-    subsets: dict = {}
+def _evolve(arms: Sequence[ArmSpec], cols: np.ndarray, unit: int, sources) -> np.ndarray:
+    """Apply a stack of arms position by position to columns on polarization
+    (x) time bins, in place.
+
+    ``cols`` has shape (arms, 2, bins, k), one slice per arm. The elements are
+    grouped by (position, crystal delay or element type), in one walk over
+    the stack; arms shorter than a position are in none of its groups. Each
+    group gathers its arms' slices, acts with its matrices (``_stacked_ops``)
+    and scatters them back. A crystal acts as P_o (x) I + P_e (x) S_d,
+    computed as x + P_e (S_d x - x) because P_o + P_e = I, with S_d the
+    gather ``x[:, :, sources(d)]`` of each bin's source d grid units below it
+    (d the delay in units of ``unit`` picometres); waveplates and raw
+    unitaries act as U (x) I.
+    """
+    groups: dict = {}
     for row, arm in enumerate(arms):
         for at, e in enumerate(arm):
-            rows, elems = subsets.setdefault((at, e.delay if type(e) is Crystal else type(e)),
-                                             ([], []))
+            rows, elems = groups.setdefault((at, e.delay if type(e) is Crystal else type(e)),
+                                            ([], []))
             rows.append(row)
             elems.append(e)
-    steps = [[] for _ in range(max(map(len, arms), default=0))]
-    for (at, _), (rows, elems) in subsets.items():
-        shift = (round(elems[0].delay * PM_PER_UM) // (unit or 1)
-                 if type(elems[0]) is Crystal else None)
-        steps[at].append((rows, _stacked_ops(elems), shift))
-    return steps
-
-
-def _reachable_bins(arms: Sequence[ArmSpec], unit: int) -> tuple:
-    """Bins of the grid of ``unit`` picometres, ascending, that ``arms`` reach
-    from bin 0: the subset sums of each arm's crystal shifts, from a walk over
-    its crystals."""
-    reach = set()
-    for arm in arms:
-        sums = {0}
-        for e in arm:
-            if type(e) is Crystal:
-                shift = round(e.delay * PM_PER_UM) // (unit or 1)
-                sums |= {k + shift for k in sums}
-        reach |= sums
-    return tuple(sorted(reach))
-
-
-def _evolve_arm(steps: list, cols: np.ndarray, sources: dict, start: int = 0) -> np.ndarray:
-    """Apply a stack of arms, as ``_evolution_steps``, position by position
-    to columns on polarization (x) time bins.
-
-    ``cols`` has shape (block, 2, bins, k), one slice per arm of the stack
-    from arm ``start`` on, and is overwritten where a kind subset holds part
-    of the block. Each subset acts on its arms in the block, gathered unless
-    they are the whole block. A crystal acts as P_o (x) I + P_e (x) S_d,
-    computed as x + P_e (S_d x - x) because P_o + P_e = I, with S_d the
-    gather ``x[:, :, sources[d]]`` of each bin's source d grid units below
-    it; waveplates and raw unitaries act as U (x) I.
-    """
-    stop = start + len(cols)
-    for subsets in steps:
-        for rows, ops, shift in subsets:
-            lo, hi = bisect_left(rows, start), bisect_left(rows, stop)
-            if lo == hi:
-                continue
-            at = None if hi - lo == len(cols) else [row - start for row in rows[lo:hi]]
-            x, ops = cols if at is None else cols[at], ops[lo:hi]
-            if shift is None:
-                x = np.einsum("apq,aq...->ap...", ops, x)
-            else:
-                x = x + np.einsum("apq,aq...->ap...", ops, x[:, :, sources[shift]] - x)
-            if at is None:
-                cols = x
-            else:
-                cols[at] = x
+    for _, (rows, elems) in sorted(groups.items(), key=lambda group: group[0][0]):
+        x, ops = cols[rows], _stacked_ops(elems)
+        if type(elems[0]) is Crystal:
+            shift = round(elems[0].delay * PM_PER_UM) // unit
+            cols[rows] = x + np.einsum("apq,aq...->ap...", ops, x[:, :, sources(shift)] - x)
+        else:
+            cols[rows] = np.einsum("apq,aq...->ap...", ops, x)
     return cols
 
 
@@ -289,34 +258,32 @@ def _path_gram(uppers: Sequence[ArmSpec], lowers: Sequence[ArmSpec], rho) -> np.
     into scaled eigenvector columns. The first beamsplitter splits it onto the
     two paths, and each arm then acts element by element on its own path: the
     upper arm on path 0, the lower arm on path 1. With x_p the evolved state
-    of path p, G[p, q] = <x_p, x_q>. Each pair's time grid (``_delay_grid``)
-    and the bins it reaches on it (``_reachable_bins``) are found once per
-    distinct pair of crystal-delay sequences. The pairs of one grid and one
-    set of bins evolve as one stack (``_evolve_arm``), pair i's upper arm in
-    row 2i and its lower in 2i + 1, on those bins and a bin that stays zero,
-    in blocks that fit ``_ORACLE_BLOCK_BYTES``, scattered onto the full grid
-    so that the Gram product rounds as the dense one does.
+    of path p, G[p, q] = <x_p, x_q>. Each pair's time grid and the bins it
+    reaches on it (``_time_grid``) are found once per distinct pair of
+    crystal-delay sequences. The pairs of one grid and one set of bins evolve
+    in blocks that fit ``_ORACLE_BLOCK_BYTES``, each block one stack
+    (``_evolve``), pair i's upper arm in row 2i and its lower in 2i + 1, on
+    those bins and a bin that stays zero, scattered onto the full grid so that
+    the Gram product rounds as the dense one does.
     """
     split = _BEAMSPLITTER[:, 0]
     evals, evecs = np.linalg.eigh(rho)
     states = np.broadcast_to(evecs * np.sqrt(np.maximum(evals, 0.0))[..., None, :],
                              (len(uppers), 2, 2))
     grams = np.empty((len(uppers), 2, 2), dtype=complex)
-    # each arm's crystal delays, read here rather than by the contrast's stack key
     delays = [tuple([e.delay for e in arm if type(e) is Crystal]) for arm in (*uppers, *lowers)]
     grids, groups = {}, {}
     for i, key in enumerate(zip(delays[:len(uppers)], delays[len(uppers):])):
         if key not in grids:
-            unit, n = _delay_grid([uppers[i], lowers[i]])
-            grids[key] = unit, n, _reachable_bins([uppers[i], lowers[i]], unit)
+            grids[key] = _time_grid([uppers[i], lowers[i]])
         groups.setdefault(grids[key], []).append(i)
     for (unit, n, bins), pairs in groups.items():
         m = len(bins)
-        steps = _evolution_steps([arm for i in pairs for arm in (uppers[i], lowers[i])], unit)
-        # per shift, each row's source: the bin shift below, or the zero bin m if off the set
         where = dict(zip(bins, range(m)))
-        sources = {shift: np.array([where.get(b - shift, m) for b in (*bins, -n)])
-                   for subsets in steps for _, _, shift in subsets if shift is not None}
+
+        def sources(shift):  # each row's source: the bin shift below, or the zero bin m
+            return np.array([where.get(b - shift, m) for b in (*bins, -n)])
+
         block = max(1, _ORACLE_BLOCK_BYTES // (2 * 2 * (m + 1) * 2 * 16))
         dense = max(1, _ORACLE_BLOCK_BYTES // (2 * 2 * n * 2 * 16))
         for start in range(0, len(pairs), block):
@@ -324,7 +291,8 @@ def _path_gram(uppers: Sequence[ArmSpec], lowers: Sequence[ArmSpec], rho) -> np.
             cols = np.zeros((len(at), 2, m + 1, 2), dtype=complex)
             cols[:, :, 0, :] = states[at]
             cols = np.stack((split[0] * cols, split[1] * cols), axis=1).reshape(-1, 2, m + 1, 2)
-            cols = _evolve_arm(steps, cols, sources, 2 * start).reshape(len(at), 2, 2, m + 1, 2)
+            arms = [arm for i in at for arm in (uppers[i], lowers[i])]
+            cols = _evolve(arms, cols, unit, sources).reshape(len(at), 2, 2, m + 1, 2)
             for lo in range(0, len(at), dense):
                 paths = np.zeros((len(at[lo:lo + dense]), 2, 4 * n), dtype=complex)
                 paths.reshape(-1, 2, 2, n, 2)[:, :, :, bins] = cols[lo:lo + dense, :, :, :m]

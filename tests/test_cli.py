@@ -481,6 +481,40 @@ def test_a_key_the_command_does_not_read_is_usage_error(tmp_path, capsys, args, 
     assert main(args + ["--output", str(out)]) == 0
 
 
+# keys that the command reads in another mode: 'fringe' and 'fit' with an arm
+# pair read no variant, 'fringe' seeds only a sample of counts, and 'fit'
+# reads a counts file alone
+MODE_KEYS = [
+    (["fringe", "--arms", "crystal:0.1:150|"], "variant", "b"),
+    (["fringe", "--arms", "crystal:0.1:150|"], "beta", "0.3"),
+    (["fringe", "--variant", "a", "--beta", "0.3"], "seed", "5"),
+    (["fit", "--arms", "crystal:0.1:150|", "--mean-total", "50"], "variant", "a"),
+    (["fit", "--counts", "counts.csv"], "seed", "3"),
+    (["fit", "--counts", "counts.csv"], "phases", "9"),
+    (["fit", "--counts", "counts.csv"], "variant", "a"),
+    (["fit", "--counts", "counts.csv"], "beta", "0.3"),
+    (["fit", "--counts", "counts.csv"], "mean-total", "5"),
+]
+
+
+@pytest.mark.parametrize("from_file", [False, True], ids=["flag", "file"])
+@pytest.mark.parametrize("args, key, value", MODE_KEYS,
+                         ids=[f"{a[0]}-{a[1][2:]}-{k}" for a, k, _ in MODE_KEYS])
+def test_a_key_the_mode_does_not_read_is_usage_error(tmp_path, capsys, monkeypatch, args, key,
+                                                     value, from_file):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "counts.csv").write_text("phi,counts\n0,10\n1.5,7\n3,2\n4.5,6\n")
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"{key} = {value}\n" if from_file else "")
+    extra = [] if from_file else [f"--{key}", value]
+    out = tmp_path / "x.csv"
+    assert main(args + extra + ["--config", str(cfg), "--output", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"command '{args[0]}' does not read key '{key}'" in err
+    assert not out.exists()
+    assert main(args + ["--output", str(out)]) == 0
+
+
 @pytest.mark.parametrize("delay", ["-5", "nan", "inf"])
 def test_bad_crystal_delay_is_usage_error(tmp_path, capsys, delay):
     assert main(["fringe", "--arms", f"crystal:0:{delay}|", "--phases", "8",

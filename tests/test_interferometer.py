@@ -7,9 +7,9 @@ import pytest
 from conftest import (ANGLES, MIXED, compose_one, contrast, oracle, port_probabilities,
                       random_arm, random_density, random_pair, random_unitary, standard_pair)
 from mzfringe.arms import PM_PER_UM, ResourceLimitError
-from mzfringe.interferometer import (ORACLE_DIM_LIMIT, InterferometerSpec, _delay_grid,
-                                     _evolution_steps, _evolve_arm, _path_gram, _stacked_ops,
-                                     oracle_contrast, oracle_contrasts, shared_env_contrasts)
+from mzfringe.interferometer import (ORACLE_DIM_LIMIT, InterferometerSpec, _evolve, _path_gram,
+                                     _stacked_ops, _time_grid, oracle_contrast, oracle_contrasts,
+                                     shared_env_contrasts)
 from mzfringe import (
     Crystal,
     RawUnitary,
@@ -29,10 +29,10 @@ def oracle_ports(upper, lower, rho, phis):
     return port_probabilities(_path_gram([upper], [lower], rho), phis)[0]
 
 
-def cyclic_sources(n: int) -> dict:
+def cyclic_sources(n: int):
     """Per shift in bins, the source of each bin of the full grid of ``n``
     bins under the cyclic shift: the gather that equals np.roll."""
-    return {shift: (np.arange(n) - shift) % n for shift in range(n)}
+    return lambda shift: (np.arange(n) - shift) % n
 
 
 def arm_dilation(arm):
@@ -40,11 +40,10 @@ def arm_dilation(arm):
     columns evolved through the oracle's stacked evolution on the full grid
     with cyclic shifts. Rows and columns are indexed pol-major,
     p * len(bins) + bin."""
-    unit, n = _delay_grid([arm])
+    unit, n, _ = _time_grid([arm])
     cols = np.eye(2 * n, dtype=complex).reshape(1, 2, n, 2 * n)
-    steps = _evolution_steps([arm], unit)
     bins = [k * unit / PM_PER_UM for k in range(n)]  # in um, as composed delays
-    return _evolve_arm(steps, cols, cyclic_sources(n))[0].reshape(2 * n, 2 * n), bins
+    return _evolve([arm], cols, unit, cyclic_sources(n))[0].reshape(2 * n, 2 * n), bins
 
 
 def test_empty_arms_full_contrast():
@@ -100,7 +99,7 @@ def test_delays_one_picometre_apart_stay_in_separate_bins():
     upper = [Crystal(0.3, 1e-6), Crystal(0.8, 2e-6)]
     lower = [Crystal(1.2, 2e-6), Crystal(0.5, 1e-6)]
     assert compose_one(upper)[0].tolist() == [0.0, 1e-6, 2e-6, 3e-6]
-    _, n = _delay_grid([upper, lower])
+    _, n, _ = _time_grid([upper, lower])
     assert n == 4
     c = contrast(upper, lower)
     assert abs(c - oracle(upper, lower)) < 1e-9
@@ -160,7 +159,7 @@ def test_grouped_routines_equal_the_per_spec_routines_bit_for_bit():
         return tuple([e.delay for e in arm if type(e) is Crystal])
 
     assert len({(delays(u), delays(l)) for u, l in zip(uppers, lowers)}) == 211
-    assert len({_delay_grid([u, l]) for u, l in zip(uppers, lowers)}) == 20
+    assert len({_time_grid([u, l])[:2] for u, l in zip(uppers, lowers)}) == 20
     rho = np.array(states)
     contrasts = shared_env_contrasts(uppers, lowers, rho)
     oracles = oracle_contrasts(uppers, lowers, rho).tolist()
@@ -367,11 +366,11 @@ def test_oracle_at_dimension_limit():
     angles = rng.uniform(0, np.pi, 10)
     upper = [Crystal(a, d) for a, d in zip(angles, delays)]
     lower = [Crystal(a + 0.8, d) for a, d in zip(angles, delays)]
-    unit, n = _delay_grid([upper, lower])
+    unit, n, _ = _time_grid([upper, lower])
     assert (unit, 4 * n) == (150_000_000, ORACLE_DIM_LIMIT)  # 150 um in pm
     # the gcd of 150, 75 and 310 um is 5 um, and 385 um needs 78 bins
     arms = [[Crystal(0.3, 150.0)], [Crystal(0.1, 75.0), Crystal(0.2, 310.0)]]
-    assert _delay_grid(arms) == (5_000_000, 78)
+    assert _time_grid(arms)[:2] == (5_000_000, 78)
     c = contrast(upper, lower)
     assert abs(c) > 0.1
     assert abs(c - oracle(upper, lower)) < 1e-9
@@ -424,16 +423,15 @@ def test_stacked_evolution_equals_single_arm_evolutions():
     arms += [[], [Waveplate(0.3)], [Crystal(0.2, 310.0), Crystal(0.9, 150.0)],
              [RawUnitary(random_unitary(rng)), Crystal(0.4, 310.0), Waveplate(1.1)],
              [Crystal(1.3, 150.0), Crystal(0.1, 150.0), Crystal(0.6, 150.0), Waveplate(0.5)]]
-    unit, n = _delay_grid(arms)
+    unit, n, _ = _time_grid(arms)
     sources = cyclic_sources(n)
     cols = rng.normal(size=(10, 2, n, 3)) + 1j * rng.normal(size=(10, 2, n, 3))
-    stacked = _evolve_arm(_evolution_steps(arms, unit), cols.copy(), sources)
+    stacked = _evolve(arms, cols.copy(), unit, sources)
     # in blocks of three from arm 2 on, as the oracle evolves large groups
-    steps = _evolution_steps(arms[2:], unit)
-    blocks = np.concatenate([_evolve_arm(steps, cols[2 + start:5 + start].copy(), sources, start)
-                             for start in range(0, 8, 3)])
+    blocks = np.concatenate([_evolve(arms[2 + start:5 + start], cols[2 + start:5 + start].copy(),
+                                     unit, sources) for start in range(0, 8, 3)])
     for i, arm in enumerate(arms):
-        single = _evolve_arm(_evolution_steps([arm], unit), cols[i:i + 1].copy(), sources)[0]
+        single = _evolve([arm], cols[i:i + 1].copy(), unit, sources)[0]
         assert stacked[i].tobytes() == single.tobytes(), arm
         if i >= 2:
             assert blocks[i - 2].tobytes() == single.tobytes(), arm

@@ -32,8 +32,8 @@ from mzfringe.arms import (COMPOSE_BIN_LIMIT, PM_PER_UM, ZERO_OP_TOL, ArmSpec,
                            ResourceLimitError, _element_kraus)
 from mzfringe.experiments import random_specs
 from mzfringe.interferometer import (_BEAMSPLITTER, _ORACLE_BLOCK_BYTES, _ORACLE_PHASES,
-                                     _ORACLE_PHIS, _delay_grid, _input_states, _path_gram,
-                                     _reachable_bins, _stacked_ops)
+                                     _ORACLE_PHIS, _input_states, _path_gram, _stacked_ops,
+                                     _time_grid)
 
 
 def crystal_delays(arm: ArmSpec) -> tuple:
@@ -195,7 +195,7 @@ def structure_gram(uppers, lowers, rho):
     grams = np.empty((len(uppers), 2, 2), dtype=complex)
     keys = zip(map(structure, uppers), map(structure, lowers))
     for pairs in groups(keys).values():
-        unit, n = _delay_grid([uppers[pairs[0]], lowers[pairs[0]]])
+        unit, n, _ = _time_grid([uppers[pairs[0]], lowers[pairs[0]]])
         block = max(1, _ORACLE_BLOCK_BYTES // (2 * 2 * n * 2 * 16))
         for start in range(0, len(pairs), block):
             at = pairs[start:start + block]
@@ -312,8 +312,7 @@ def test_the_sweeps_keep_their_bits(variant):
     uppers, lowers = standard_arms(variant, betas)
     rho = maximally_mixed(2)
     # 4 of the 47 bins of 10 um are reachable; variant d has no crystals
-    unit, n = _delay_grid([uppers[0], lowers[0]])
-    assert (n, _reachable_bins([uppers[0], lowers[0]], unit)) == (
+    assert _time_grid([uppers[0], lowers[0]])[1:] == (
         (1, (0,)) if variant == "d" else (47, (0, 15, 31, 46)))
     assert_compositions_keep_their_bits([*uppers, *lowers])
     assert_routines_keep_their_bits(uppers, lowers, rho)
@@ -387,8 +386,8 @@ def test_an_oracle_on_the_full_grid_keeps_its_bits():
                 if rng.random() < 0.3:
                     arm.append(Waveplate(float(rng.uniform(0, np.pi))))
             arms.append(arm)
-    unit, n = _delay_grid([uppers[0], lowers[0]])
-    assert _reachable_bins([uppers[0], lowers[0]], unit) == tuple(range(n)) and n == 1024
+    _, n, bins = _time_grid([uppers[0], lowers[0]])
+    assert bins == tuple(range(n)) and n == 1024
     assert_routines_keep_their_bits(uppers, lowers, random_density(rng))
 
 
@@ -403,8 +402,8 @@ def test_shifts_from_unreachable_bins_keep_their_bits():
     for upper, lower in shapes * 4:
         uppers.append(mixed_arms(rng, 1, upper)[0])
         lowers.append(mixed_arms(rng, 1, lower)[0])
-    assert _reachable_bins([uppers[0], lowers[0]], 10_000_000) == (0, 15, 31, 46)
-    assert _reachable_bins([uppers[2], lowers[2]], 10_000_000) == (0, 15, 31)
+    assert _time_grid([uppers[0], lowers[0]]) == (10_000_000, 47, (0, 15, 31, 46))
+    assert _time_grid([uppers[2], lowers[2]]) == (10_000_000, 32, (0, 15, 31))
     rho = np.array([random_density(rng) for _ in uppers])
     assert_routines_keep_their_bits(uppers, lowers, rho)
 
