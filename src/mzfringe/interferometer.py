@@ -5,33 +5,21 @@ fringe visibility and whose argument sets the fringe phase;
 ``shared_env_contrasts`` returns it as a plain ``complex`` per arm pair, and
 ``oracle_contrasts`` as a complex array. With a shared environment, C sums
 Tr[u^dag v rho] over pairs of upper-arm and lower-arm Kraus operators at
-equal time-bin delays; other pairs contribute nothing (orthogonal bins). The
-dilation oracle reproduces the same fringe by brute force: it evolves the
-full path (x) polarization (x) time-bin state through the first beamsplitter
-and each arm element by element on its own path. The phase plate and the
-closing beamsplitter act on the path alone, so the lower-port probability at
-each phase is c^dag G c, with G the 2x2 Gram matrix of the two evolved path
-states and c the closing row at that phase.
+equal time-bin delays; other pairs contribute nothing (orthogonal bins).
 
 Both routines take a stack of arm pairs, ``uppers[i]`` against ``lowers[i]``,
 and one input state or one per pair; one pair is a stack of one. The contrast
 composes all arms in one Kraus table (``compose_arms``) and joins every pair
-at once on exact (arm, delay) keys (``kraus_contrasts``), and the oracle
-evolves the pairs of each time grid and set of reachable bins as one stack in
-memory-bounded blocks. A pair's result has the same bits in any stack.
+at once on exact (arm, delay) keys (``kraus_contrasts``). A pair's result has
+the same bits in any stack.
 
-The whole oracle lives here: its time grid at the gcd of the crystal delays
-in picometres, up to ``ORACLE_DIM_LIMIT`` on the full grid, with the bins
-each pair reaches on it (``_time_grid``), which group its pairs; its
-evolution of both arms of a pair in one stack on those bins (``_evolve``),
-each block grouped by element position and kind and acted on with element
-matrices (``_stacked_ops``) and a beamsplitter of its own; the path Gram on
-the full grid; the lower port.
-Composing no Kraus set and calling no element constructor, it checks
-``compose_arms`` rather than repeating it; with the contrast it shares
-``_input_states``. ``InterferometerSpec``, a plain record of two arms and a
-state, and ``oracle_contrast`` are the one-spec interface of the benchmark's
-correctness gate; no command uses them.
+The dilation oracle reproduces the fringe by brute force in the frequency
+basis of the time register, where a crystal's delay is a phase on its e-ray:
+each arm becomes 2x2 transfer matrices at N roots of unity, the path Gram
+follows by Parseval, and the lower port by the closing row. It composes no
+Kraus set and calls no element constructor, BLAS or LAPACK routine, so it
+checks ``compose_arms`` without repeating it and its bits follow no BLAS
+kernel. ``InterferometerSpec`` and ``oracle_contrast`` serve the benchmark gate.
 
 Time-bin orthogonality is binary here: crystal delays are whole picometres
 (``Crystal``), equal delays interfere fully, all others not at all. Partial
@@ -57,19 +45,15 @@ __all__ = [
     "oracle_contrasts",
 ]
 
-# Joint path x polarization x time-bin dimension beyond which the oracle
-# refuses to run.
+# Joint path x polarization x time-bin dimension past which the oracle refuses.
 ORACLE_DIM_LIMIT = 4096
 # The oracle's 50/50 beamsplitter on the path qubit; the closing one is its inverse.
 _BEAMSPLITTER = np.array([[1.0, 1.0], [-1.0, 1.0]], dtype=complex) / np.sqrt(2.0)
 _BEAMSPLITTER.setflags(write=False)
 
-# Bytes of oracle state (2 paths x 2 polarizations x bins x 2 columns, complex)
-# per block of specs, evolved by ``_evolve`` on their reachable bins and the
-# zero bin, or scattered onto their full grid for the Gram product: 102 and 10
-# specs of the crystal configurations, which reach 4 of 47 bins. Blocks of
-# 150 KiB raised the peak resident set of a paper-tables pass by 0.3 MiB;
-# 64 KiB did not.
+# Bytes of oracle state (2 arms x 2 x 2 x N frequencies, complex) per block of
+# pairs: 85 at the N = 6 of the crystal configurations, 512 at N = 1, 1 at N =
+# 1,024. Blocks of 150 KiB raised paper-tables' peak RSS 0.3 MiB; 64 KiB did not.
 _ORACLE_BLOCK_BYTES = 64 * 1024
 # Phases of the oracle fringe. Any 3 or more alias the conjugate Fourier
 # component of P(phi) to zero, leaving C alone at unit frequency.
@@ -170,32 +154,30 @@ def output_probability(c: complex, phi):
     return float(p) if p.ndim == 0 else p
 
 
-def _time_grid(arms: Sequence[ArmSpec]) -> tuple[int, int, tuple]:
-    """Unit in picometres, bin count and reachable bins of a time grid that
-    holds every delay of ``arms``, from one walk over their crystals.
+def _frequencies(upper: ArmSpec, lower: ArmSpec) -> tuple[int, int]:
+    """Unit in picometres and frequency count N of the oracle for one arm pair.
 
-    The unit is the gcd of the crystal delays in whole picometres (1 when
-    every delay is zero), so every delay is a whole number of bins. Bin 0 is
-    the input bin, and the grid reaches the largest total crystal delay of any
-    one arm, so no shift of a vector that starts in bin 0 leaves the grid.
-    Raises ResourceLimitError, before anything is allocated, when the joint
-    dimension 4 * bins exceeds ORACLE_DIM_LIMIT. The reachable bins, ascending,
-    are the subset sums of each arm's crystal shifts.
+    The unit is the gcd of the crystal delays in whole picometres (1 without
+    crystals). The full time grid has n = 1 + (largest arm total) / unit bins,
+    and a joint dimension 4n over ORACLE_DIM_LIMIT raises ResourceLimitError
+    before anything is allocated. N <= n is the smallest count that divides no
+    nonzero member of the signed sumset (upper subset sums of shifts minus
+    lower ones), so no upper bin aliases a different lower bin.
     """
-    crystals = [[round(e.delay * PM_PER_UM) for e in arm if type(e) is Crystal] for arm in arms]
-    unit = math.gcd(*(d for delays in crystals for d in delays)) or 1
-    n = 1 + max(map(sum, crystals), default=0) // unit
+    shifts = [[round(e.delay * PM_PER_UM) for e in arm if type(e) is Crystal]
+              for arm in (upper, lower)]
+    unit = math.gcd(*shifts[0], *shifts[1]) or 1
+    n = 1 + max(map(sum, shifts)) // unit
     if 4 * n > ORACLE_DIM_LIMIT:
         raise ResourceLimitError(
             f"resource limit: joint dimension {4 * n} exceeds "
             f"{ORACLE_DIM_LIMIT} (time grid of {n} bins at {unit} pm)")
-    reach = set()
-    for delays in crystals:
-        sums = {0}
+    sums = {0}
+    for sign, delays in zip((1, -1), shifts):
         for d in delays:
-            sums |= {k + d // unit for k in sums}
-        reach |= sums
-    return unit, n, tuple(sorted(reach))
+            sums |= {s + sign * (d // unit) for s in sums}
+    gaps = {abs(s) for s in sums}
+    return unit, next(m for m in range(1, n + 1) if gaps.isdisjoint(range(m, n, m)))
 
 
 def _stacked_ops(elems: Sequence[ArmElement]) -> np.ndarray:
@@ -218,35 +200,32 @@ def _stacked_ops(elems: Sequence[ArmElement]) -> np.ndarray:
     return np.array(ops, dtype=complex).transpose(2, 0, 1)
 
 
-def _evolve(arms: Sequence[ArmSpec], cols: np.ndarray, unit: int, sources) -> np.ndarray:
-    """Apply a stack of arms position by position to columns on polarization
-    (x) time bins, in place.
+def _transfer(arms: Sequence[ArmSpec], unit: int, count: int) -> np.ndarray:
+    """Transfer matrices (arms, 2, 2, N) of a stack of arms at the N = ``count``
+    roots of unity w^k = e^{2 pi i k / N}, the frequency axis last.
 
-    ``cols`` has shape (arms, 2, bins, k), one slice per arm. The elements are
-    grouped by (position, crystal delay or element type), in one walk over
-    the stack; arms shorter than a position are in none of its groups. Each
-    group gathers its arms' slices, acts with its matrices (``_stacked_ops``)
-    and scatters them back. A crystal acts as P_o (x) I + P_e (x) S_d,
-    computed as x + P_e (S_d x - x) because P_o + P_e = I, with S_d the
-    gather ``x[:, :, sources(d)]`` of each bin's source d grid units below it
-    (d the delay in units of ``unit`` picometres); waveplates and raw
-    unitaries act as U (x) I.
+    The identity is evolved through the elements grouped by (position, crystal
+    delay or element type), found in one walk over the stack, each group with
+    its matrices (``_stacked_ops``): a crystal of d units as x + (w^{kd} - 1)
+    P_e x, the phase read at the exact residue kd mod N, other elements as U x.
     """
+    roots = np.exp(2j * np.pi * np.arange(count) / count)
+    t = np.zeros((len(arms), 2, 2, count), dtype=complex)
+    t[:, 0, 0] = t[:, 1, 1] = 1.0
     groups: dict = {}
     for row, arm in enumerate(arms):
         for at, e in enumerate(arm):
-            rows, elems = groups.setdefault((at, e.delay if type(e) is Crystal else type(e)),
-                                            ([], []))
-            rows.append(row)
-            elems.append(e)
+            members = groups.setdefault((at, e.delay if type(e) is Crystal else type(e)), ([], []))
+            members[0].append(row)
+            members[1].append(e)
     for _, (rows, elems) in sorted(groups.items(), key=lambda group: group[0][0]):
-        x, ops = cols[rows], _stacked_ops(elems)
+        x = t[rows]
+        y = np.einsum("apq,aq...->ap...", _stacked_ops(elems), x)
         if type(elems[0]) is Crystal:
             shift = round(elems[0].delay * PM_PER_UM) // unit
-            cols[rows] = x + np.einsum("apq,aq...->ap...", ops, x[:, :, sources(shift)] - x)
-        else:
-            cols[rows] = np.einsum("apq,aq...->ap...", ops, x)
-    return cols
+            y = x + (roots[np.arange(count) * shift % count] - 1.0) * y
+        t[rows] = y
+    return t
 
 
 def _path_gram(uppers: Sequence[ArmSpec], lowers: Sequence[ArmSpec], rho) -> np.ndarray:
@@ -254,49 +233,30 @@ def _path_gram(uppers: Sequence[ArmSpec], lowers: Sequence[ArmSpec], rho) -> np.
     states, one per arm pair (``uppers[i]``, ``lowers[i]``) with input
     ``rho``, one state (2, 2) or one per pair.
 
-    The joint state starts as |0>_path (x) rho (x) |bin_0> with rho factored
-    into scaled eigenvector columns. The first beamsplitter splits it onto the
-    two paths, and each arm then acts element by element on its own path: the
-    upper arm on path 0, the lower arm on path 1. With x_p the evolved state
-    of path p, G[p, q] = <x_p, x_q>. Each pair's time grid and the bins it
-    reaches on it (``_time_grid``) are found once per distinct pair of
-    crystal-delay sequences. The pairs of one grid and one set of bins evolve
-    in blocks that fit ``_ORACLE_BLOCK_BYTES``, each block one stack
-    (``_evolve``), pair i's upper arm in row 2i and its lower in 2i + 1, on
-    those bins and a bin that stays zero, scattered onto the full grid so that
-    the Gram product rounds as the dense one does.
+    The first beamsplitter puts amplitude s_p = ``_BEAMSPLITTER[p, 0]`` on
+    path p, where the upper arm acts on path 0 and the lower on path 1; with
+    T_p their transfer matrices, Parseval gives G[p, q] = s_p* s_q (1/N) sum_k
+    Tr[T_p(w^k)^dag T_q(w^k) rho]. ``_frequencies`` runs once per distinct
+    pair of crystal-delay sequences, and the pairs of one (unit, N) go through
+    ``_transfer`` in blocks of ``_ORACLE_BLOCK_BYTES``, pair i's upper arm in
+    row 2i and its lower in 2i + 1.
     """
-    split = _BEAMSPLITTER[:, 0]
-    evals, evecs = np.linalg.eigh(rho)
-    states = np.broadcast_to(evecs * np.sqrt(np.maximum(evals, 0.0))[..., None, :],
-                             (len(uppers), 2, 2))
+    weights = np.multiply.outer(_BEAMSPLITTER[:, 0].conj(), _BEAMSPLITTER[:, 0])
+    rho = np.broadcast_to(rho, (len(uppers), 2, 2))
     grams = np.empty((len(uppers), 2, 2), dtype=complex)
     delays = [tuple([e.delay for e in arm if type(e) is Crystal]) for arm in (*uppers, *lowers)]
-    grids, groups = {}, {}
+    found, groups = {}, {}
     for i, key in enumerate(zip(delays[:len(uppers)], delays[len(uppers):])):
-        if key not in grids:
-            grids[key] = _time_grid([uppers[i], lowers[i]])
-        groups.setdefault(grids[key], []).append(i)
-    for (unit, n, bins), pairs in groups.items():
-        m = len(bins)
-        where = dict(zip(bins, range(m)))
-
-        def sources(shift):  # each row's source: the bin shift below, or the zero bin m
-            return np.array([where.get(b - shift, m) for b in (*bins, -n)])
-
-        block = max(1, _ORACLE_BLOCK_BYTES // (2 * 2 * (m + 1) * 2 * 16))
-        dense = max(1, _ORACLE_BLOCK_BYTES // (2 * 2 * n * 2 * 16))
+        if key not in found:
+            found[key] = _frequencies(uppers[i], lowers[i])
+        groups.setdefault(found[key], []).append(i)
+    for (unit, count), pairs in groups.items():
+        block = max(1, _ORACLE_BLOCK_BYTES // (2 * 2 * 2 * count * 16))
         for start in range(0, len(pairs), block):
             at = pairs[start:start + block]
-            cols = np.zeros((len(at), 2, m + 1, 2), dtype=complex)
-            cols[:, :, 0, :] = states[at]
-            cols = np.stack((split[0] * cols, split[1] * cols), axis=1).reshape(-1, 2, m + 1, 2)
-            arms = [arm for i in at for arm in (uppers[i], lowers[i])]
-            cols = _evolve(arms, cols, unit, sources).reshape(len(at), 2, 2, m + 1, 2)
-            for lo in range(0, len(at), dense):
-                paths = np.zeros((len(at[lo:lo + dense]), 2, 4 * n), dtype=complex)
-                paths.reshape(-1, 2, 2, n, 2)[:, :, :, bins] = cols[lo:lo + dense, :, :, :m]
-                grams[at[lo:lo + dense]] = paths.conj() @ paths.transpose(0, 2, 1)
+            t = _transfer([arm for i in at for arm in (uppers[i], lowers[i])], unit, count)
+            t = t.reshape(len(at), 2, 2, 2, count)
+            grams[at] = np.einsum("ipabk,iqack,icb->ipq", t.conj(), t, rho[at]) * weights / count
     return grams
 
 

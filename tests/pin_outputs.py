@@ -8,8 +8,10 @@ For each seed (default 1, 2 and 3) it runs every workload's seeded command
 list through ``mzfringe.cli.main`` in a temporary directory and rewrites
 ``tests/seed_<seed>_csv_sha256.json`` (the sha256 of each command's CSV) and
 ``tests/seed_<seed>_stdout.json`` (each command's exit code and one-line
-stdout summary), which ``test_benchmark_gate.py`` checks. Run it only for a
-change that alters these outputs on purpose, and say which ones moved and why.
+stdout summary), which ``test_benchmark_gate.py`` checks. Before it rewrites
+a seed's pins it prints one line per output whose CSV digest or stdout entry
+differs from the committed pins, with the old and new values. Run it only for
+a change that alters these outputs on purpose, and say which ones moved and why.
 """
 
 from __future__ import annotations
@@ -70,10 +72,29 @@ def _write(path: Path, data: dict) -> None:
     path.write_text("{\n" + ",\n".join(workloads) + "\n}\n")
 
 
+def moved(seed: int, pins: dict) -> list[str]:
+    """One line per (workload, output) of ``seed`` whose value in ``pins``, by
+    file name (``csv_sha256`` or ``stdout``), differs from the committed pins."""
+    lines = []
+    for name, new in pins.items():
+        path = TESTS / f"seed_{seed}_{name}.json"
+        old = json.loads(path.read_text()) if path.exists() else {}
+        for workload in sorted({*old, *new}):
+            before, after = old.get(workload, {}), new.get(workload, {})
+            for output in sorted({*before, *after}):
+                if before.get(output) != after.get(output):
+                    lines.append(f"seed {seed} {workload} {output} {name}: "
+                                 f"{json.dumps(before.get(output))} -> "
+                                 f"{json.dumps(after.get(output))}")
+    return lines
+
+
 def run(seeds) -> None:
     workloads = _workloads()
     for seed in seeds:
         digests, stdout = pin(seed, workloads)
+        for line in moved(seed, {"csv_sha256": digests, "stdout": stdout}):
+            print(line)
         _write(TESTS / f"seed_{seed}_csv_sha256.json", digests)
         _write(TESTS / f"seed_{seed}_stdout.json", stdout)
         print(f"seed {seed}: pinned {sum(map(len, digests.values()))} commands")

@@ -363,11 +363,11 @@ def test_counts_and_fit_csv_golden(tmp_path):
 
 @pytest.mark.parametrize("args, digest", [
     (["sweep", "--variant", "c", "--beta-points", "25"],
-     "ee8e8014689af826e6751d38c4bee7fc01b1fe99227c9b749825345901a25b66"),
+     "05cf9493c0b7ea418643882f80b630d7db0ed8ae3be0690a2f11707bae8fd091"),
     (["tomography", "--beta-points", "25"],
      "d4dae4e9ae722124227698a4e7be32e3b0c4373ddd3763bb1c74db58b24c90a1"),
     (["oracle-check", "--specs", "20", "--seed", "5"],
-     "2db2347f566fc58ee7b3bd1ad7a445db2fc58b161008e6f4a5d0badf78931161"),
+     "cad3224260b4110567e11862e8d0470771b3f6d6757c0d03e6a33a0f17d8b357"),
     (["qkd", "--segments", "crystal:60deg:310|crystal:0:150|crystal:60deg:150|crystal:0:310"],
      "f1dae9ceff9785945b1df77fb16b79ef567cf3f1b81a052a573aa3587f2f570e"),
     (["fringe", "--variant", "d", "--beta", "22.5deg", "--phases", "64"],

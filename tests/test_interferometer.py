@@ -1,5 +1,10 @@
+import os
+import pickle
+import subprocess
+import sys
 import tracemalloc
 from bisect import bisect_left
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,9 +12,10 @@ import pytest
 from conftest import (ANGLES, MIXED, compose_one, contrast, oracle, port_probabilities,
                       random_arm, random_density, random_pair, random_unitary, standard_pair)
 from mzfringe.arms import PM_PER_UM, ResourceLimitError
-from mzfringe.interferometer import (ORACLE_DIM_LIMIT, InterferometerSpec, _evolve, _path_gram,
-                                     _stacked_ops, _time_grid, oracle_contrast, oracle_contrasts,
-                                     shared_env_contrasts)
+from mzfringe.experiments import random_specs
+from mzfringe.interferometer import (ORACLE_DIM_LIMIT, InterferometerSpec, _frequencies,
+                                     _path_gram, _stacked_ops, _transfer, oracle_contrast,
+                                     oracle_contrasts, shared_env_contrasts)
 from mzfringe import (
     Crystal,
     RawUnitary,
@@ -29,21 +35,16 @@ def oracle_ports(upper, lower, rho, phis):
     return port_probabilities(_path_gram([upper], [lower], rho), phis)[0]
 
 
-def cyclic_sources(n: int):
-    """Per shift in bins, the source of each bin of the full grid of ``n``
-    bins under the cyclic shift: the gather that equals np.roll."""
-    return lambda shift: (np.arange(n) - shift) % n
-
-
-def arm_dilation(arm):
-    """Exact unitary of an arm on polarization (x) time bins, from identity
-    columns evolved through the oracle's stacked evolution on the full grid
-    with cyclic shifts. Rows and columns are indexed pol-major,
-    p * len(bins) + bin."""
-    unit, n, _ = _time_grid([arm])
-    cols = np.eye(2 * n, dtype=complex).reshape(1, 2, n, 2 * n)
-    bins = [k * unit / PM_PER_UM for k in range(n)]  # in um, as composed delays
-    return _evolve([arm], cols, unit, cyclic_sources(n))[0].reshape(2 * n, 2 * n), bins
+def arm_transfer(arm):
+    """An arm's transfer matrices (k, 2, 2) from ``_transfer`` at N = n, the
+    bin count of its full time grid, and the operators (d, 2, 2) at each of
+    its bins by the inverse DFT over k, with the bins' delays in um."""
+    unit, _ = _frequencies(arm, [])
+    n = 1 + sum(round(e.delay * PM_PER_UM) for e in arm if type(e) is Crystal) // unit
+    t = _transfer([arm], unit, n)[0].transpose(2, 0, 1)
+    inverse = np.exp(-2j * np.pi * np.multiply.outer(np.arange(n), np.arange(n)) / n) / n
+    bins = [d * unit / PM_PER_UM for d in range(n)]  # in um, as composed delays
+    return t, np.einsum("dk,kpq->dpq", inverse, t), bins
 
 
 def test_empty_arms_full_contrast():
@@ -99,8 +100,8 @@ def test_delays_one_picometre_apart_stay_in_separate_bins():
     upper = [Crystal(0.3, 1e-6), Crystal(0.8, 2e-6)]
     lower = [Crystal(1.2, 2e-6), Crystal(0.5, 1e-6)]
     assert compose_one(upper)[0].tolist() == [0.0, 1e-6, 2e-6, 3e-6]
-    _, n, _ = _time_grid([upper, lower])
-    assert n == 4
+    # bins 0 to 3 pm in each arm: the differences 1 to 3 need N = 4
+    assert _frequencies(upper, lower) == (1, 4)
     c = contrast(upper, lower)
     assert abs(c - oracle(upper, lower)) < 1e-9
 
@@ -153,13 +154,13 @@ def test_grouped_routines_equal_the_per_spec_routines_bit_for_bit():
     specs += [(upper, lower, rho) for (upper, lower, _), rho in
               zip(specs[:20], [np.diag([1.0, 0.0]), np.diag([0.0, 1.0]), maximally_mixed(2)] * 7)]
     uppers, lowers, states = zip(*specs)
-    # 211 distinct (upper, lower) crystal-delay sequences and 20 oracle time
-    # grids over the 1,020 pairs
+    # 211 distinct (upper, lower) crystal-delay sequences and 19 oracle
+    # (unit, N) over the 1,020 pairs
     def delays(arm):
         return tuple([e.delay for e in arm if type(e) is Crystal])
 
     assert len({(delays(u), delays(l)) for u, l in zip(uppers, lowers)}) == 211
-    assert len({_time_grid([u, l])[:2] for u, l in zip(uppers, lowers)}) == 20
+    assert len({_frequencies(u, l) for u, l in zip(uppers, lowers)}) == 19
     rho = np.array(states)
     contrasts = shared_env_contrasts(uppers, lowers, rho)
     oracles = oracle_contrasts(uppers, lowers, rho).tolist()
@@ -366,50 +367,44 @@ def test_oracle_at_dimension_limit():
     angles = rng.uniform(0, np.pi, 10)
     upper = [Crystal(a, d) for a, d in zip(angles, delays)]
     lower = [Crystal(a + 0.8, d) for a, d in zip(angles, delays)]
-    unit, n, _ = _time_grid([upper, lower])
-    assert (unit, 4 * n) == (150_000_000, ORACLE_DIM_LIMIT)  # 150 um in pm
-    # the gcd of 150, 75 and 310 um is 5 um, and 385 um needs 78 bins
-    arms = [[Crystal(0.3, 150.0)], [Crystal(0.1, 75.0), Crystal(0.2, 310.0)]]
-    assert _time_grid(arms)[:2] == (5_000_000, 78)
+    # every difference from -1023 to 1023 bins occurs, so N is the full n
+    assert _frequencies(upper, lower) == (150_000_000, 1024)  # 150 um in pm
+    assert 4 * 1024 == ORACLE_DIM_LIMIT
+    # the gcd of 150, 75 and 310 um is 5 um; the differences 15, 30, 32, 47,
+    # 62 and 77 units rule out N = 1 to 8
+    assert _frequencies([Crystal(0.3, 150.0)], [Crystal(0.1, 75.0), Crystal(0.2, 310.0)]) == (
+        5_000_000, 9)
     c = contrast(upper, lower)
     assert abs(c) > 0.1
     assert abs(c - oracle(upper, lower)) < 1e-9
 
 
 def test_dilation_empty_arm():
-    u, bins = arm_dilation([])
+    t, kraus, bins = arm_transfer([])
     assert bins == [0.0]
-    np.testing.assert_allclose(u, I2)
+    np.testing.assert_allclose(t, [I2])
+    np.testing.assert_allclose(kraus, [I2])
 
 
 def test_dilation_single_crystal_blocks():
-    u, bins = arm_dilation([Crystal(0.0, 310.0)])
+    t, kraus, bins = arm_transfer([Crystal(0.0, 310.0)])
     assert bins == [0.0, 310.0]
-    n = len(bins)
-
-    def extract(k):
-        return np.array([[u[p * n + k, q * n + 0] for q in range(2)]
-                         for p in range(2)])
-
-    np.testing.assert_allclose(extract(0), np.diag([1.0, 0.0]), atol=1e-14)
-    np.testing.assert_allclose(extract(1), np.diag([0.0, 1.0]), atol=1e-14)
+    np.testing.assert_allclose(t, [I2, np.diag([1.0, -1.0])], atol=1e-15)
+    np.testing.assert_allclose(kraus[0], np.diag([1.0, 0.0]), atol=1e-14)
+    np.testing.assert_allclose(kraus[1], np.diag([0.0, 1.0]), atol=1e-14)
 
 
 def test_dilation_reproduces_composed_kraus():
-    # the grid can hold bins the arm cannot reach; their blocks are zero
+    # the grid can hold bins the arm cannot reach; their operators are zero
     rng = np.random.default_rng(53)
     for _ in range(30):
         arm = random_arm(rng, max_elements=3)
         delays, ops = compose_one(arm)
         kraus = dict(zip(delays.tolist(), ops))
-        u, bins = arm_dilation(arm)
-        n = len(bins)
-        np.testing.assert_allclose(u.conj().T @ u, np.eye(2 * n), atol=1e-12)
-        for k, delay in enumerate(bins):
-            block = np.array([[u[p * n + k, q * n + 0] for q in range(2)]
-                              for p in range(2)])
-            np.testing.assert_allclose(block, kraus.pop(delay, np.zeros((2, 2))),
-                                       atol=1e-12)
+        t, at_bins, bins = arm_transfer(arm)
+        np.testing.assert_allclose(t.conj().swapaxes(1, 2) @ t, [I2] * len(t), atol=1e-12)
+        for delay, op in zip(bins, at_bins):
+            np.testing.assert_allclose(op, kraus.pop(delay, np.zeros((2, 2))), atol=1e-12)
         assert not kraus, f"composed delays {list(kraus)} missing from the grid"
 
 
@@ -423,15 +418,14 @@ def test_stacked_evolution_equals_single_arm_evolutions():
     arms += [[], [Waveplate(0.3)], [Crystal(0.2, 310.0), Crystal(0.9, 150.0)],
              [RawUnitary(random_unitary(rng)), Crystal(0.4, 310.0), Waveplate(1.1)],
              [Crystal(1.3, 150.0), Crystal(0.1, 150.0), Crystal(0.6, 150.0), Waveplate(0.5)]]
-    unit, n, _ = _time_grid(arms)
-    sources = cyclic_sources(n)
-    cols = rng.normal(size=(10, 2, n, 3)) + 1j * rng.normal(size=(10, 2, n, 3))
-    stacked = _evolve(arms, cols.copy(), unit, sources)
+    # a unit of 10 um, and N = 47, the full grid of the 460 um arms
+    unit, count = 10_000_000, 47
+    stacked = _transfer(arms, unit, count)
     # in blocks of three from arm 2 on, as the oracle evolves large groups
-    blocks = np.concatenate([_evolve(arms[2 + start:5 + start], cols[2 + start:5 + start].copy(),
-                                     unit, sources) for start in range(0, 8, 3)])
+    blocks = np.concatenate([_transfer(arms[2 + start:5 + start], unit, count)
+                             for start in range(0, 8, 3)])
     for i, arm in enumerate(arms):
-        single = _evolve([arm], cols[i:i + 1].copy(), unit, sources)[0]
+        single = _transfer([arm], unit, count)[0]
         assert stacked[i].tobytes() == single.tobytes(), arm
         if i >= 2:
             assert blocks[i - 2].tobytes() == single.tobytes(), arm
@@ -465,3 +459,32 @@ def test_batch_routines_validate_the_input_states(routine, rho, message):
     pairs = len(rho) if rho.ndim == 3 else 1
     with pytest.raises(ValueError, match=message):
         routine([[Crystal(0.3, 150.0)]] * pairs, [[]] * pairs, rho)
+
+
+# Oracle contrasts of pickled specs read from stdin, and the oracle column of a
+# 200-beta sweep, written to stdout as raw bytes.
+KERNEL_CHILD = """
+import pickle, sys
+from mzfringe import default_beta_grid, oracle_contrasts, sweep
+uppers, lowers, rho = pickle.loads(sys.stdin.buffer.read())
+sys.stdout.buffer.write(oracle_contrasts(uppers, lowers, rho).tobytes())
+sys.stdout.buffer.write(sweep("a", default_beta_grid(200))[3].tobytes())
+"""
+
+
+def test_oracle_bits_follow_no_blas_kernel():
+    config = getattr(np.__config__, "CONFIG", None) or vars(np.__config__)
+    if "openblas" not in repr(config).lower():
+        pytest.skip("numpy is not built on OpenBLAS, whose kernel OPENBLAS_CORETYPE picks")
+    # random_specs draws its unitaries by LAPACK's QR, whose bits follow the
+    # kernel, so the specs are drawn here and passed to each child
+    specs = pickle.dumps(random_specs(np.random.default_rng(1), 1000))
+    src = Path(__file__).resolve().parents[1] / "src"
+    outputs = []
+    for kernel in ("Haswell", "Prescott"):
+        env = dict(os.environ, OPENBLAS_CORETYPE=kernel, PYTHONPATH=os.pathsep.join(
+            [str(src)] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+        outputs.append(subprocess.run([sys.executable, "-c", KERNEL_CHILD], input=specs, env=env,
+                                      capture_output=True, check=True, timeout=120).stdout)
+    assert len(outputs[0]) == 16 * 1000 + 8 * 200
+    assert outputs[0] == outputs[1]

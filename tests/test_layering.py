@@ -77,15 +77,27 @@ def test_modules_import_no_private_names_from_each_other():
 
 
 # The dilation oracle, by module, and the names of the code it checks. The
-# oracle groups arm pairs by its own time grid, composes no Kraus table
+# oracle groups arm pairs by its own (unit, N), composes no Kraus table
 # (compose_arms and its walk, _walk_arms), and builds its element matrices
 # itself, so none of its functions may name any of these.
 ORACLE = {
-    "interferometer": {"_time_grid", "_stacked_ops", "_evolve", "_path_gram", "oracle_contrasts",
-                       "oracle_contrast"},
+    "interferometer": {"_frequencies", "_stacked_ops", "_transfer", "_path_gram",
+                       "oracle_contrasts", "oracle_contrast"},
 }
 CHECKED = {"compose_arms", "_walk_arms", "_element_kraus", "kraus_contrasts",
            "shared_env_contrasts", "ZERO_OP_TOL", "rotated_basis", "half_waveplate"}
+
+
+def oracle_functions() -> list:
+    """The definitions of the oracle's functions; every name in ORACLE must have one."""
+    found = []
+    for module, functions in ORACLE.items():
+        path = pathlib.Path(mzfringe.__file__).parent / f"{module}.py"
+        defs = [node for node in ast.parse(path.read_text(encoding="utf-8")).body
+                if isinstance(node, ast.FunctionDef) and node.name in functions]
+        assert {node.name for node in defs} == functions, module
+        found += defs
+    return found
 
 
 def test_the_oracle_names_none_of_the_code_it_checks():
@@ -99,15 +111,25 @@ def test_the_oracle_names_none_of_the_code_it_checks():
                 defined |= {target.id for target in node.targets if isinstance(target, ast.Name)}
     assert CHECKED <= defined
     found = {}
-    for module, functions in ORACLE.items():
-        path = pathlib.Path(mzfringe.__file__).parent / f"{module}.py"
-        tree = ast.parse(path.read_text(encoding="utf-8"))
-        defs = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
-        assert functions <= set(defs), module
-        for name in functions:
-            nodes = list(ast.walk(defs[name]))
-            named = {node.id for node in nodes if isinstance(node, ast.Name)}
-            named |= {node.attr for node in nodes if isinstance(node, ast.Attribute)}
-            if named & CHECKED:
-                found[name] = named & CHECKED
+    for func in oracle_functions():
+        nodes = list(ast.walk(func))
+        named = {node.id for node in nodes if isinstance(node, ast.Name)}
+        named |= {node.attr for node in nodes if isinstance(node, ast.Attribute)}
+        if named & CHECKED:
+            found[func.name] = named & CHECKED
+    assert found == {}
+
+
+def test_the_oracle_calls_no_blas_or_lapack_routine():
+    # numpy's matrix products, np.linalg and einsum's optimize= path (which
+    # calls tensordot) round as the BLAS kernel does; elementwise arithmetic
+    # and plain einsum do not, so the oracle's bits follow no kernel
+    found = {}
+    for func in oracle_functions():
+        for node in ast.walk(func):
+            if (isinstance(node, ast.BinOp) and isinstance(node.op, ast.MatMult)
+                    or isinstance(node, ast.Attribute)
+                    and node.attr in {"linalg", "dot", "matmul", "tensordot", "inner", "vdot"}
+                    or isinstance(node, ast.keyword) and node.arg == "optimize"):
+                found.setdefault(func.name, []).append(ast.unparse(node))
     assert found == {}

@@ -10,11 +10,12 @@ package composes any arms in one loop over crystal indices, each step merging
 one crystal's delays and summing its operators, into one Kraus table, drops
 each arm's own vanished operators and joins every pair at once. The oracle
 references group pairs by their full structure, element kinds and crystal
-delays, evolve each arm stack on the full time grid with cyclic shifts and
-read both ports of the fringe. The package groups pairs by time grid and
-the bins they can reach, evolves both arms of a pair in one stack on those
-bins alone and reads only the lower port. Every kept Kraus row, contrast,
-oracle Gram matrix and blindness column must keep its bits.
+delays, evolve each arm stack element by element at the N frequencies of the
+pair's (unit, N), the upper and lower stacks apart and each group whole, and
+read both ports of the fringe. The package groups pairs by (unit, N) alone,
+evolves both arms of a pair in one stack, in blocks, and reads only the lower
+port. Every kept Kraus row, contrast, oracle Gram matrix and blindness column
+must keep its bits.
 """
 
 import importlib.util
@@ -31,9 +32,8 @@ from mzfringe import (Crystal, RawUnitary, Waveplate, blindness_demo, compose_ar
 from mzfringe.arms import (COMPOSE_BIN_LIMIT, PM_PER_UM, ZERO_OP_TOL, ArmSpec,
                            ResourceLimitError, _element_kraus)
 from mzfringe.experiments import random_specs
-from mzfringe.interferometer import (_BEAMSPLITTER, _ORACLE_BLOCK_BYTES, _ORACLE_PHASES,
-                                     _ORACLE_PHIS, _input_states, _path_gram, _stacked_ops,
-                                     _time_grid)
+from mzfringe.interferometer import (_BEAMSPLITTER, _ORACLE_PHASES, _ORACLE_PHIS, _frequencies,
+                                     _input_states, _path_gram, _stacked_ops)
 
 
 def crystal_delays(arm: ArmSpec) -> tuple:
@@ -172,40 +172,37 @@ def stack_blindness(betas):
     return tuple(np.array(column, dtype=float) for column in columns)
 
 
-def structure_evolve(arms, cols, unit):
-    """Oracle evolution of a stack of one structure, element by element."""
+def structure_evolve(arms, unit, n):
+    """Transfer matrices (arms, 2, 2, n) of a stack of one structure at the n
+    roots of unity, element by element."""
+    t = np.zeros((len(arms), 2, 2, n), dtype=complex)
+    t[:, 0, 0] = t[:, 1, 1] = 1.0
     for elems in zip(*arms):
         ops = _stacked_ops(elems)
         if type(elems[0]) is Crystal:
-            k, n = round(elems[0].delay * PM_PER_UM) // (unit or 1), cols.shape[2]
-            delayed = np.concatenate((cols[:, :, n - k:], cols[:, :, :n - k]), axis=2) - cols
-            cols = cols + np.einsum("apq,aq...->ap...", ops, delayed)
+            d = round(elems[0].delay * PM_PER_UM) // unit
+            t = t + (np.exp(2j * np.pi * (np.arange(n) * d % n) / n) - 1.0) * np.einsum(
+                "apq,aq...->ap...", ops, t)
         else:
-            cols = np.einsum("apq,aq...->ap...", ops, cols)
-    return cols
+            t = np.einsum("apq,aq...->ap...", ops, t)
+    return t
 
 
 def structure_gram(uppers, lowers, rho):
     """Oracle path Gram matrices with the pairs evolved per (upper, lower)
-    structure."""
+    structure, by Parseval over the frequencies."""
     split = _BEAMSPLITTER[:, 0]
-    evals, evecs = np.linalg.eigh(rho)
-    states = np.broadcast_to(evecs * np.sqrt(np.maximum(evals, 0.0))[..., None, :],
-                             (len(uppers), 2, 2))
+    rho = np.broadcast_to(rho, (len(uppers), 2, 2))
     grams = np.empty((len(uppers), 2, 2), dtype=complex)
     keys = zip(map(structure, uppers), map(structure, lowers))
     for pairs in groups(keys).values():
-        unit, n, _ = _time_grid([uppers[pairs[0]], lowers[pairs[0]]])
-        block = max(1, _ORACLE_BLOCK_BYTES // (2 * 2 * n * 2 * 16))
-        for start in range(0, len(pairs), block):
-            at = pairs[start:start + block]
-            cols = np.zeros((len(at), 2, n, 2), dtype=complex)
-            cols[:, :, 0, :] = states[at]
-            paths = np.concatenate((
-                structure_evolve([uppers[i] for i in at], split[0] * cols, unit),
-                structure_evolve([lowers[i] for i in at], split[1] * cols, unit),
-            ), axis=1).reshape(len(at), 2, -1)
-            grams[at] = paths.conj() @ paths.transpose(0, 2, 1)
+        unit, n = _frequencies(uppers[pairs[0]], lowers[pairs[0]])
+        # in C order, as the package's: einsum's rounding follows the layout
+        t = np.empty((len(pairs), 2, 2, 2, n), dtype=complex)
+        t[:, 0] = structure_evolve([uppers[i] for i in pairs], unit, n)
+        t[:, 1] = structure_evolve([lowers[i] for i in pairs], unit, n)
+        grams[pairs] = (np.einsum("ipabk,iqack,icb->ipq", t.conj(), t, rho[pairs])
+                        * np.multiply.outer(split.conj(), split) / n)
     return grams
 
 
@@ -311,9 +308,11 @@ def test_the_sweeps_keep_their_bits(variant):
     betas = default_beta_grid(200)
     uppers, lowers = standard_arms(variant, betas)
     rho = maximally_mixed(2)
-    # 4 of the 47 bins of 10 um are reachable; variant d has no crystals
-    assert _time_grid([uppers[0], lowers[0]])[1:] == (
-        (1, (0,)) if variant == "d" else (47, (0, 15, 31, 46)))
+    # a unit of 10 um and N = 6, where the time grid has 47 bins; no
+    # difference between the arms' bins 0, 15, 31 and 46 is a multiple of 6.
+    # Variant d has no crystals.
+    assert {_frequencies(upper, lower) for upper, lower in zip(uppers, lowers)} == {
+        (1, 1) if variant == "d" else (10_000_000, 6)}
     assert_compositions_keep_their_bits([*uppers, *lowers])
     assert_routines_keep_their_bits(uppers, lowers, rho)
     columns = sweep(variant, betas)
@@ -386,15 +385,15 @@ def test_an_oracle_on_the_full_grid_keeps_its_bits():
                 if rng.random() < 0.3:
                     arm.append(Waveplate(float(rng.uniform(0, np.pi))))
             arms.append(arm)
-    _, n, bins = _time_grid([uppers[0], lowers[0]])
-    assert bins == tuple(range(n)) and n == 1024
+    assert _frequencies(uppers[0], lowers[0]) == (150_000_000, 1024)
     assert_routines_keep_their_bits(uppers, lowers, random_density(rng))
 
 
 def test_shifts_from_unreachable_bins_keep_their_bits():
     # on the 10 um grid of 150 and 310 um, bin 31 minus a shift of 15 is bin
     # 16, which no arm reaches; the pairs differ in which arm holds which
-    # crystals, and one lower arm reaches bins its upper arm does not
+    # crystals, and one lower arm reaches bins its upper arm does not. Both
+    # sets of differences, {15, 16, 31, 46} and {15, 16, 31}, need N = 6
     rng = np.random.default_rng(137)
     shapes = [((150.0, 310.0), (310.0,)), ((310.0,), (150.0, 310.0)), ((150.0,), (310.0,)),
               ((150.0, 310.0), (150.0, 310.0)), ((), (310.0, 150.0))]
@@ -402,17 +401,16 @@ def test_shifts_from_unreachable_bins_keep_their_bits():
     for upper, lower in shapes * 4:
         uppers.append(mixed_arms(rng, 1, upper)[0])
         lowers.append(mixed_arms(rng, 1, lower)[0])
-    assert _time_grid([uppers[0], lowers[0]]) == (10_000_000, 47, (0, 15, 31, 46))
-    assert _time_grid([uppers[2], lowers[2]]) == (10_000_000, 32, (0, 15, 31))
+    assert _frequencies(uppers[0], lowers[0]) == _frequencies(uppers[2], lowers[2]) == (
+        10_000_000, 6)
     rho = np.array([random_density(rng) for _ in uppers])
     assert_routines_keep_their_bits(uppers, lowers, rho)
 
 
 @pytest.mark.parametrize("block_bytes", [1, 3000, 20_000])
 def test_random_specs_in_small_blocks_keep_their_bits(monkeypatch, block_bytes):
-    # blocks of one pair, and blocks that split groups across evolution
-    # blocks and dense Gram sub-blocks unevenly; the references keep their
-    # 64 KiB blocks
+    # blocks of one pair, and blocks that split the (unit, N) groups
+    # unevenly; the references evolve each structure group whole
     monkeypatch.setattr(mzfringe.interferometer, "_ORACLE_BLOCK_BYTES", block_bytes)
     uppers, lowers, rho = random_specs(np.random.default_rng(23), 2000)
     states = _input_states(rho)
