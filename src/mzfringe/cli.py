@@ -6,7 +6,12 @@ one-line summary to stdout. Options may come from flags or from a flat
 ``key = value`` config file (``--config``) whose keys are the flag names without
 ``--``. File values become ``--key=value`` flags placed before the command
 line's, so they get the flags' types, checks and messages; flags override file
-values, and unknown file keys are rejected.
+values, and unknown or repeated file keys are rejected.
+
+Each command has modes (``_MODES``): required keys and optional keys besides
+``output``. The keys given, as flags or file values but not defaults, must
+hold every required key of some mode and no key outside it; any other set
+exits with code 2, naming the keys missing or unread in the closest mode.
 
 Angles accept an explicit unit suffix, e.g. ``22.5deg`` or ``0.3927rad``;
 bare numbers are radians. Arms are serialized as semicolon-separated elements
@@ -57,14 +62,17 @@ COMMANDS = ("fringe", "sweep", "oracle-check", "tomography", "qkd", "fit")
 # 175 MiB (188 in some runs). Tests hold traced memory per unit under 3.25 KiB
 # (sweep point), 5.25 KiB (tomography point) and 2.25 KiB (oracle-check spec).
 _COUNT_LIMITS = {"phases": 2**20, "beta-points": 2**16, "specs": 2**16}
-# The keys each command reads besides 'output'; any other key given, as a flag
-# or in a config file, is refused rather than ignored, and so is a key that the
-# mode of the given keys leaves unread (``_unread_keys``).
-_COMMAND_KEYS = {
-    "fringe": ("arms", "variant", "beta", "phases", "mean-total", "seed"),
-    "fit": ("counts", "arms", "variant", "beta", "phases", "mean-total", "seed"),
-    "sweep": ("variant", "beta-points"), "oracle-check": ("specs", "seed"),
-    "tomography": ("beta", "beta-points"), "qkd": ("segments",),
+# Each command's modes, as (required keys, optional keys) besides 'output'; a
+# shorter mode comes first, so that it wins a tie for the closest mode.
+_MODES = {
+    "fringe": (("arms", "phases"), ("arms mean-total", "phases seed"),
+               ("variant beta", "phases"), ("variant beta mean-total", "phases seed")),
+    "fit": (("counts", ""), ("arms mean-total", "phases seed"),
+            ("variant beta mean-total", "phases seed")),
+    "sweep": (("variant", "beta-points"),),
+    "oracle-check": (("", "specs seed"),),
+    "tomography": (("", "beta-points"), ("beta", "")),
+    "qkd": (("", "segments"),),
 }
 
 
@@ -96,7 +104,7 @@ def parse_arm(text: str) -> list[ArmElement]:
         token = token.strip()
         if not token:
             continue
-        kind, _, rest = token.partition(":")
+        kind, colon, rest = token.partition(":")
         kind = kind.strip().lower()
         if kind == "crystal":
             angle_text, _, delay_text = rest.partition(":")
@@ -121,6 +129,8 @@ def parse_arm(text: str) -> list[ArmElement]:
             except ValueError as exc:
                 raise UsageError(f"{token!r}: {exc}")
         elif kind == "identity":
+            if colon:
+                raise UsageError(f"identity element takes no value: {token!r}")
             elements.append(RawUnitary(np.eye(2)))
         else:
             raise UsageError(f"unknown arm element kind {kind!r} in {token!r}")
@@ -137,9 +147,10 @@ def _parse_arm_groups(text: str, n: int, what: str) -> list[list[ArmElement]]:
 
 def _parse_config_text(text: str, dests) -> dict[str, str]:
     """Values by key from a flat 'key = value' document; a key is the flag
-    name without '--' and must name one of ``dests``."""
+    name without '--', must name one of ``dests`` and may appear once."""
     keys = {dest.replace("_", "-") for dest in dests}
     values: dict[str, str] = {}
+    lines: dict[str, int] = {}
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -150,6 +161,8 @@ def _parse_config_text(text: str, dests) -> dict[str, str]:
         key = key.strip()
         if key not in keys:
             raise UsageError(f"unknown config key {key!r}")
+        if lines.setdefault(key, lineno) != lineno:
+            raise UsageError(f"config line {lineno}: key {key!r} repeats line {lines[key]}")
         values[key] = value.strip()
     return values
 
@@ -210,23 +223,6 @@ def parse_config(argv) -> argparse.Namespace:
     return config
 
 
-def _unread_keys(config: argparse.Namespace) -> dict:
-    """Keys of the command's table that the mode of its given keys leaves
-    unread, each with the mode as a phrase: a counts file leaves 'fit' no
-    sample to draw, an arm pair leaves no variant, and 'fringe' draws no
-    counts to seed without 'mean-total'."""
-    unread: dict = {}
-    if config.command == "fit" and config.counts is not None:
-        unread = dict.fromkeys(("arms", "variant", "beta", "phases", "mean-total", "seed"),
-                               " with key 'counts'")
-    if config.command in ("fringe", "fit") and config.arms is not None:
-        for key in ("variant", "beta"):
-            unread.setdefault(key, " with key 'arms'")
-    if config.command == "fringe" and config.mean_total is None:
-        unread["seed"] = " without key 'mean-total'"
-    return unread
-
-
 def _validate(config: argparse.Namespace) -> None:
     if config.command is None:
         raise UsageError(f"missing command; choose one of {', '.join(COMMANDS)}")
@@ -241,32 +237,25 @@ def _validate(config: argparse.Namespace) -> None:
         if value is not None and key in _COUNT_LIMITS and value > _COUNT_LIMITS[key]:
             raise ResourceLimitError(f"resource limit: key {key!r} is {value}, past its "
                                      f"limit of {_COUNT_LIMITS[key]}")
-    if config.command == "sweep" and config.variant is None:
-        raise UsageError("command 'sweep' requires key 'variant'")
-    if config.command == "tomography" and None not in (config.beta, config.beta_points):
-        raise UsageError("command 'tomography' takes key 'beta' or key 'beta-points', not both")
-    unread = _unread_keys(config)
-    reads = [key for key in _COMMAND_KEYS[config.command] if key not in unread]
-    given = [dest.replace("_", "-") for dest, value in vars(config).items() if value is not None]
-    for key in given:
-        if key not in ("command", "config", "output", *reads):
-            raise UsageError(f"command {config.command!r} does not read key {key!r}"
-                             f"{unread.get(key, '')}; it reads "
-                             + ", ".join(f"key {k!r}" for k in reads))
-    if config.command == "fringe":
-        if config.arms is None and config.variant is None:
-            raise UsageError("command 'fringe' requires key 'arms' or keys "
-                             "'variant' and 'beta'")
-        if config.arms is None and config.beta is None:
-            raise UsageError("command 'fringe' with 'variant' requires key 'beta'")
-    if config.command == "fit":
-        has_spec = config.arms is not None or (config.variant is not None
-                                               and config.beta is not None)
-        if config.counts is None and not (has_spec and config.mean_total is not None):
-            raise UsageError("command 'fit' requires key 'counts' or inline sampling "
-                             "keys ('variant' and 'beta', or 'arms') plus 'mean-total'")
-        if config.counts is None and config.phases is not None and config.phases < 4:
-            raise UsageError(f"key 'phases' must be >= 4 for command 'fit', got {config.phases}")
+    given = [dest.replace("_", "-") for dest, value in vars(config).items()
+             if value is not None and dest not in ("command", "config", "output")]
+
+    def unread_and_missing(mode) -> tuple[list, list]:
+        required, optional = mode[0].split(), mode[1].split()
+        return ([key for key in given if key not in required and key not in optional],
+                [key for key in required if key not in given])
+
+    mode = min(_MODES[config.command], key=lambda mode: sum(map(len, unread_and_missing(mode))))
+    unread, missing = unread_and_missing(mode)
+    if unread or missing:
+        parts = [f"{verb} " + ", ".join(f"key {key!r}" for key in keys)
+                 for verb, keys in (("does not read", unread), ("requires", missing)) if keys]
+        reads = ([f"key {key!r}" for key in mode[0].split()]
+                 + [f"optional key {key!r}" for key in mode[1].split()])
+        raise UsageError(f"command {config.command!r} " + " and ".join(parts)
+                         + "; the closest mode reads " + ", ".join(reads))
+    if config.command == "fit" and config.phases is not None and config.phases < 4:
+        raise UsageError(f"key 'phases' must be >= 4 for command 'fit', got {config.phases}")
 
 
 def _write_csv(path: str, header, columns) -> None:

@@ -1,5 +1,7 @@
+import argparse
 import csv
 import hashlib
+import itertools
 import os
 import subprocess
 import sys
@@ -31,13 +33,18 @@ def test_parse_angle_units():
     assert parse_angle("0.25") == 0.25
 
 
-def test_parse_arm_grammar():
+def test_parse_arm_grammar(tmp_path, capsys):
     arm = parse_arm("crystal:0deg:310;hwp:22.5deg;unitary:1,0,0,1j;identity")
     assert arm[0] == Crystal(0.0, 310.0)
     assert isinstance(arm[1], Waveplate) and arm[1].axis_angle == pytest.approx(np.pi / 8)
     assert isinstance(arm[2], RawUnitary) and arm[2].matrix[1, 1] == 1j
     assert isinstance(arm[3], RawUnitary)
     assert parse_arm("") == []
+    for text in ("identity:garbage", "crystal:0:310; identity:0.3", "identity:"):
+        with pytest.raises(mzfringe.cli.UsageError, match="identity element takes no value"):
+            parse_arm(text)
+    assert main(["fringe", "--arms", "identity:0.3|", "--output", str(tmp_path / "x.csv")]) == 2
+    assert "identity element takes no value: 'identity:0.3'" in capsys.readouterr().err
 
 
 def test_sweep_writes_table(tmp_path, capsys):
@@ -98,10 +105,14 @@ output = {out}
     pytest.param("var = a", "unknown config key 'var'", id="key-prefix"),
     pytest.param("variant = \xff", "error: cannot read config file: 'utf-8' codec",
                  id="not-utf-8"),
+    # a repeated key is refused rather than left to its last value
+    pytest.param("command = tomography\ncommand = qkd",
+                 "config line 2: key 'command' repeats line 1", id="command-repeated"),
 ])
 def test_config_file_values_are_parsed_like_flags(tmp_path, capsys, line, message):
     cfg = tmp_path / "run.cfg"
-    cfg.write_bytes(f"command = tomography\n{line}\n".encode("latin-1"))
+    head = "" if line.startswith("command =") else "command = tomography\n"
+    cfg.write_bytes(f"{head}{line}\n".encode("latin-1"))
     assert main(["--config", str(cfg), "--output", str(tmp_path / "x.csv")]) == 2
     assert message in capsys.readouterr().err
     assert not (tmp_path / "x.csv").exists()
@@ -513,6 +524,60 @@ def test_a_key_the_mode_does_not_read_is_usage_error(tmp_path, capsys, monkeypat
     assert f"command '{args[0]}' does not read key '{key}'" in err
     assert not out.exists()
     assert main(args + ["--output", str(out)]) == 0
+
+
+# one small value per key; 'counts' names the file that the test writes
+KEY_VALUES = {"arms": "crystal:0.1:150|", "variant": "a", "beta": "0.3", "beta-points": "3",
+              "phases": "8", "mean-total": "1000", "seed": "1", "segments": "|||",
+              "counts": "counts.csv", "specs": "3"}
+
+
+def test_every_key_set_is_read_whole_or_refused(tmp_path, capsys, monkeypatch):
+    # every subset of the keys, for every command: a run that is accepted reads
+    # each key given, and any other set exits 2 with a message
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "counts.csv").write_text("phi,counts\n0,10\n1.5,7\n3,2\n4.5,6\n")
+    reads = set()
+
+    class Recording(argparse.Namespace):
+        def __getattribute__(self, name):
+            reads.add(name)
+            return super().__getattribute__(name)
+
+    parse = mzfringe.cli.parse_config
+    monkeypatch.setattr(mzfringe.cli, "parse_config",
+                        lambda argv: Recording(**vars(parse(argv))))
+    accepted = dict.fromkeys(mzfringe.cli.COMMANDS, 0)
+    for command in accepted:
+        for size in range(len(KEY_VALUES) + 1):
+            for keys in itertools.combinations(KEY_VALUES, size):
+                argv = [command, *itertools.chain.from_iterable(
+                    (f"--{key}", KEY_VALUES[key]) for key in keys), "--output", "x.csv"]
+                reads.clear()
+                code = main(argv)
+                err = capsys.readouterr().err
+                if code == 0:
+                    accepted[command] += 1
+                    assert {key.replace("-", "_") for key in keys} <= reads, argv
+                else:
+                    assert code == 2 and err.startswith("error: "), (argv, code, err)
+    assert accepted == {"fringe": 12, "fit": 9, "sweep": 2, "oracle-check": 4,
+                        "tomography": 3, "qkd": 2}
+
+
+def test_the_module_entry_point_runs_and_refuses(tmp_path):
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(src)] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    run = [sys.executable, "-m", "mzfringe.cli", "qkd", "--output"]
+    ok = subprocess.run(run + ["ok.csv"], cwd=tmp_path, env=env, capture_output=True,
+                        text=True, timeout=60)
+    assert (ok.returncode, ok.stdout, ok.stderr) == (0, "visibility=1.000000 qber=0.000000\n", "")
+    refused = subprocess.run(run + ["bad.csv", "--beta", "0.3"], cwd=tmp_path, env=env,
+                             capture_output=True, text=True, timeout=60)
+    assert (refused.returncode, refused.stdout) == (2, "")
+    assert refused.stderr.startswith("error: command 'qkd' does not read key 'beta'")
+    assert (tmp_path / "ok.csv").exists() and not (tmp_path / "bad.csv").exists()
 
 
 @pytest.mark.parametrize("delay", ["-5", "nan", "inf"])
