@@ -57,9 +57,9 @@ __all__ = ["UsageError", "parse_config", "main", "main_entry"]
 COMMANDS = ("fringe", "sweep", "oracle-check", "tomography", "qkd", "fit")
 # Upper bounds of the counts, far above the benchmark workloads' 1,024 phases,
 # 200 beta points and 1,000 specs. At the bounds, on a 2-vCPU VM, fringe took
-# 0.9 s and a peak resident set of 221 MiB (1.4 s and 274 MiB with mean-total),
-# sweep 1.8 s and 250 MiB, tomography 4.7 s and 272 MiB, oracle-check 3.1 s and
-# 175 MiB (188 in some runs). Tests hold traced memory per unit under 3.25 KiB
+# 0.8 s and a peak resident set of 217 MiB (1.5 s and 269 MiB with mean-total),
+# sweep 1.7 s and 237 MiB, tomography 3.3 s and 254 MiB, oracle-check 3.0 s and
+# 169 MiB (188 in some runs). Tests hold traced memory per unit under 3.25 KiB
 # (sweep point), 5.25 KiB (tomography point) and 2.25 KiB (oracle-check spec).
 _COUNT_LIMITS = {"phases": 2**20, "beta-points": 2**16, "specs": 2**16}
 # Each command's modes, as (required keys, optional keys) besides 'output'; a
@@ -201,8 +201,8 @@ def parse_config(argv) -> argparse.Namespace:
 
     File values become ``--key=value`` tokens placed before argv, and the
     whole is parsed again, so argparse converts and checks them as flags, and
-    argv's flags, parsed later, win. The file's command goes first, and only
-    when argv names none.
+    argv's flags, parsed later, win. The file's command is parsed alone, as
+    argv's is, and used when argv names none.
     """
     parser = _parser()
     config = parser.parse_args(argv)
@@ -213,10 +213,10 @@ def parse_config(argv) -> argparse.Namespace:
         except (OSError, UnicodeDecodeError) as exc:
             raise UsageError(f"cannot read config file: {exc}")
         values = _parse_config_text(text, set(vars(config)) - {"config"})
-        command = values.pop("command", None)
-        head = [command] if command is not None and config.command is None else []
-        config = parser.parse_args(
-            [*head, *(f"--{key}={value}" for key, value in values.items()), *argv])
+        head = [values.pop("command")] if "command" in values else []
+        command = parser.parse_args(head).command  # checked as argv's command is
+        config = parser.parse_args([*(f"--{key}={value}" for key, value in values.items()), *argv])
+        config.command = config.command or command
     _validate(config)
     for dest, default in (("beta_points", 25), ("phases", 64), ("seed", 0), ("specs", 200)):
         setattr(config, dest, getattr(config, dest) or default)  # a given count of 0 is refused

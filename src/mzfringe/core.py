@@ -16,6 +16,7 @@ __all__ = [
     "TRACE_ATOL",
     "EIGENVALUE_FLOOR",
     "UNITARY_ATOL",
+    "matmul2",
     "rotated_basis",
     "half_waveplate",
     "maximally_mixed",
@@ -26,6 +27,15 @@ HERMITIAN_ATOL = 1e-10
 TRACE_ATOL = 1e-10
 EIGENVALUE_FLOOR = -1e-10
 UNITARY_ATOL = 1e-10
+
+
+def matmul2(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The products a @ b of 2x2 matrices, broadcast over stacks (..., 2, 2),
+    written out as column times row, a[:, 0] b[0, :] + a[:, 1] b[1, :]: no BLAS
+    routine, so each product rounds alike in any stack and on any kernel."""
+    out = a[..., :, :1] * b[..., :1, :]
+    out += a[..., :, 1:] * b[..., 1:, :]
+    return out
 
 
 def rotated_basis(theta: float) -> np.ndarray:

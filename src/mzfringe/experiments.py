@@ -27,6 +27,7 @@ calls, and form their complex Gaussians, states and unitaries as stacks.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from statistics import NormalDist
 from typing import Sequence
@@ -35,7 +36,7 @@ import numpy as np
 
 from .arms import (ArmElement, ArmSpec, Crystal, RawUnitary, ResourceLimitError, Waveplate,
                    arm_channel_apply, compose_arms)
-from .core import maximally_mixed
+from .core import matmul2, maximally_mixed
 from .interferometer import (kraus_contrasts, oracle_contrasts, output_probability,
                              shared_env_contrasts)
 from .tomography import qpt
@@ -150,7 +151,8 @@ def blindness_demo(betas: Sequence[float]) -> tuple[np.ndarray, ...]:
     arm is shared), visibility_a, visibility_b and visibility_gap.
     """
     (chi_a, vis_a), (chi_c, vis_b) = (_blindness_configuration(v, betas) for v in "ac")
-    columns = (betas, [np.linalg.norm(d) for d in chi_a - chi_c], np.zeros(len(vis_a)),
+    d = chi_a - chi_c
+    columns = (betas, np.sqrt((d.real ** 2 + d.imag ** 2).sum(axis=(1, 2))), np.zeros(len(vis_a)),
                vis_a, vis_b, [abs(a - b) for a, b in zip(vis_a, vis_b)])
     return tuple(np.array(column, dtype=float) for column in columns)
 
@@ -349,7 +351,7 @@ def fit_fringe(phis: Sequence[float], counts: Sequence[float]) -> FitResult:
         weighted = design.T / np.maximum(model, 1.0)
         step = np.linalg.solve(weighted @ design, weighted @ (counts - model))
         coef += step
-        if np.linalg.norm(step) < 1e-10:
+        if math.sqrt(step.dot(step)) < 1e-10:  # the bits of np.linalg.norm(step)
             converged = True
             break
 
@@ -381,9 +383,9 @@ def random_specs(rng: np.random.Generator, n: int) -> tuple[list, list, np.ndarr
     two (2, 2) normals per complex Gaussian and ``rng.uniform(0, pi)`` per
     angle, in fewer calls: one (2, 2, 2) normal per Gaussian, which numpy
     fills from the same stream in C order, and pi times ``rng.random()``, the
-    double that uniform draws. The complex Gaussians, the states (normalised
-    Gram matrices G G^dag / tr) and the unitaries (one QR) are each formed
-    once for all ``n`` pairs as a stack.
+    double that uniform draws. The complex Gaussians, the states (G G^dag / tr)
+    and the unitaries (the 2x2 QR in closed form) are each written out once for
+    all ``n`` pairs as a stack, with no BLAS or LAPACK routine.
     """
     state_gauss, arms, unitary_gauss, slots = np.empty((n, 2, 2, 2)), [], [], []
     for i in range(n):
@@ -404,12 +406,16 @@ def random_specs(rng: np.random.Generator, n: int) -> tuple[list, list, np.ndarr
             arms.append(arm)
     if unitary_gauss:
         g = np.array(unitary_gauss)
-        q, r = np.linalg.qr(g[:, 0] + 1j * g[:, 1])
-        d = np.diagonal(r, axis1=1, axis2=2)
-        for (arm, pos), u in zip(slots, q * (d / np.abs(d))[:, None, :]):
+        g = g[:, 0] + 1j * g[:, 1]
+        # Q of g = QR with R's diagonal positive: q0 = g0 / |g0| and q1 = w <w, g1>
+        # / |<w, g1>|, w = (-q0_1*, q0_0*) the unit vector orthogonal to q0
+        q0 = g[..., 0] / np.sqrt((g[..., 0].real ** 2 + g[..., 0].imag ** 2).sum(axis=1))[:, None]
+        w = np.stack((-q0[:, 1].conj(), q0[:, 0].conj()), axis=1)
+        p = q0[:, 0] * g[:, 1, 1] - q0[:, 1] * g[:, 0, 1]  # <w, g1>
+        for (arm, pos), u in zip(slots, np.stack((q0, w * (p / np.abs(p))[:, None]), axis=2)):
             arm[pos] = RawUnitary(u)
     gauss = state_gauss[:, 0] + 1j * state_gauss[:, 1]
-    rho = gauss @ gauss.conj().transpose(0, 2, 1)
+    rho = matmul2(gauss, gauss.conj().transpose(0, 2, 1))
     return arms[0::2], arms[1::2], rho / np.trace(rho, axis1=1, axis2=2)[:, None, None]
 
 

@@ -35,7 +35,7 @@ import numpy as np
 
 from .arms import (PM_PER_UM, ArmElement, ArmSpec, Crystal, RawUnitary, ResourceLimitError,
                    Waveplate, compose_arms)
-from .core import validate_density_matrix
+from .core import matmul2, validate_density_matrix
 
 __all__ = [
     "ORACLE_DIM_LIMIT",
@@ -89,8 +89,9 @@ def kraus_contrasts(table: tuple, upper, lower, rho) -> list[complex]:
     C = sum of Tr[u^dag v rho] over Kraus pairs at equal delays (u from the
     upper arm, v from the lower): an arm's delays are distinct, so each upper
     row is joined with at most one lower row, searched for on exact (arm,
-    delay) keys. Each pair's terms are added in upper delay order starting
-    from 0, which fixes their rounding (np.sum would add them pairwise).
+    delay) keys. A term sums the entries of conj(u) * (v rho) as (row 0) +
+    (row 1), v rho written out (``matmul2``); each pair's terms are added in
+    upper delay order from 0, which fixes their rounding.
     """
     owner, delays, ops = table
     upper, lower = np.asarray(upper, dtype=np.intp), np.asarray(lower, dtype=np.intp)
@@ -108,8 +109,8 @@ def kraus_contrasts(table: tuple, upper, lower, rho) -> list[complex]:
     rows, pair, at = rows[hit], pair[hit], at[hit]
     if rho.ndim > 2:  # one state per pair, else one state broadcast over the terms
         rho = np.broadcast_to(rho, (len(upper), 2, 2))[pair]
-    m = ops.take(rows, axis=0).conj().swapaxes(1, 2) @ ops.take(at, axis=0) @ rho
-    terms = (m[:, 0, 0] + m[:, 1, 1]).tolist()
+    m = ops.take(rows, axis=0).conj() * matmul2(ops.take(at, axis=0), rho)
+    terms = ((m[:, 0, 0] + m[:, 0, 1]) + (m[:, 1, 0] + m[:, 1, 1])).tolist()
     ends = np.bincount(pair, minlength=len(upper)).cumsum().tolist()
     return [sum(terms[a:b], 0j) for a, b in zip([0, *ends], ends)]
 

@@ -76,7 +76,7 @@ def qpt(channel: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
     Calls the channel once, on the (4, 2, 2) stack of the probes {H, V, D, R},
     validates all outputs in one check, and maps each probe set to chi with
     one constant linear map (the linear inversion of Chuang and Nielsen,
-    J. Mod. Opt. 44 (1997) 2455) in a batched matrix-vector product.
+    J. Mod. Opt. 44 (1997) 2455) in a plain einsum, which calls no BLAS.
     """
     outs = channel(PROBE_STATES)
     try:
@@ -86,5 +86,5 @@ def qpt(channel: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
     if outs.shape[-3:] != PROBE_STATES.shape:
         raise ValueError(f"invalid channel: outputs have shape {outs.shape}, "
                          "expected (..., 4, 2, 2)")
-    lead = outs.shape[:-3]
-    return (_CHI_MAP @ outs.reshape(lead + (16, 1))).reshape(lead + (4, 4))
+    chi = np.einsum("ij,...j->...i", _CHI_MAP, outs.reshape(outs.shape[:-3] + (16,)))
+    return chi.reshape(chi.shape[:-1] + (4, 4))

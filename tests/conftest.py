@@ -84,9 +84,30 @@ def standard_pair(variant: str, beta: float) -> tuple[list, list]:
 RANDOM_DELAYS_UM = (0.0, 75.0, 150.0, 310.0)
 
 
+def matmul2(a, b) -> np.ndarray:
+    """a @ b for (stacks of) 2x2 matrices as the package writes it out, column
+    times row: references that call it round as the package does, on any BLAS
+    kernel."""
+    out = a[..., :, :1] * b[..., :1, :]
+    out += a[..., :, 1:] * b[..., 1:, :]
+    return out
+
+
+def haar_unitaries(gauss: np.ndarray) -> np.ndarray:
+    """The Q factors (n, 2, 2) of complex Gaussians (n, 2, 2), R's diagonal made
+    positive, in the closed form of ``random_specs``: q0 = g0 / |g0| and q1 = w
+    <w, g1> / |<w, g1>| with w = (-q0_1*, q0_0*). Pass a stack, even of one:
+    numpy's scalar complex products round differently from its array loops."""
+    g0 = gauss[:, :, 0]
+    q0 = g0 / np.sqrt((g0.real ** 2 + g0.imag ** 2).sum(axis=1))[:, None]
+    w = np.stack((-q0[:, 1].conj(), q0[:, 0].conj()), axis=1)
+    p = q0[:, 0] * gauss[:, 1, 1] - q0[:, 1] * gauss[:, 0, 1]
+    return np.stack((q0, w * (p / np.abs(p))[:, None]), axis=2)
+
+
 def random_arm(rng: np.random.Generator, max_elements: int = 3) -> list:
-    """A random arm drawn one element at a time, each unitary by its own QR:
-    the reference that ``random_specs`` must reproduce bit for bit.
+    """A random arm drawn one element at a time, each unitary from its own
+    Gaussian: the reference that ``random_specs`` must reproduce bit for bit.
 
     Draws up to ``max_elements`` elements: crystals with angles uniform in
     [0, pi) and delays from 0, 75, 150 and 310 um, half-wave plates, and
@@ -102,9 +123,7 @@ def random_arm(rng: np.random.Generator, max_elements: int = 3) -> list:
             elements.append(Waveplate(float(rng.uniform(0.0, np.pi))))
         else:
             gauss = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-            q, r = np.linalg.qr(gauss)
-            q = q * (np.diag(r) / np.abs(np.diag(r)))
-            elements.append(RawUnitary(q))
+            elements.append(RawUnitary(haar_unitaries(gauss[None])[0]))
     return elements
 
 
@@ -113,6 +132,6 @@ def random_pair(rng: np.random.Generator, max_elements: int = 3) -> tuple[list, 
     ``random_specs`` keeps: the state first, then the upper arm, then the
     lower arm."""
     gauss = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-    rho = gauss @ gauss.conj().T
+    rho = matmul2(gauss, gauss.conj().T)
     rho = rho / np.trace(rho)
     return random_arm(rng, max_elements), random_arm(rng, max_elements), rho

@@ -5,7 +5,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import channel_one, compose_one, random_arm, random_unitary, validate_cptp
+from conftest import (channel_one, compose_one, matmul2, random_arm, random_unitary,
+                      validate_cptp)
 from mzfringe import (
     Crystal,
     RawUnitary,
@@ -309,6 +310,13 @@ def test_bin_limit_counts_merged_delays():
     assert len(compose_one(arm)[1]) == 41
 
 
+def projected(ket, op):
+    """|k><k| op for a real ket, as the package writes it out on the real and
+    imaginary parts: the bra <k| op, then its outer product with the ket."""
+    bra = matmul2(ket[None], op.view(float))[0]
+    return (ket[:, None] * bra[None, :]).view(complex)
+
+
 def reference_compose(arm):
     """Per-branch composition: one (delay, op) tuple per branch, delays in
     whole picometres, merged after each element into the group of its equal
@@ -317,15 +325,14 @@ def reference_compose(arm):
     kraus = [(0, np.eye(2, dtype=complex))]
     for elem in arm:
         if isinstance(elem, Crystal):
-            ket_o, ket_e = rotated_basis(elem.axis_angle)
-            elem_ops = [(0, np.outer(ket_o, ket_o.conj())),
-                        (round(elem.delay * PM_PER_UM), np.outer(ket_e, ket_e.conj()))]
-        elif isinstance(elem, Waveplate):
-            elem_ops = [(0, half_waveplate(elem.axis_angle))]
+            ket_o, ket_e = rotated_basis(elem.axis_angle).real
+            elem_ops = [(0, lambda op, ket=ket_o: projected(ket, op)),
+                        (round(elem.delay * PM_PER_UM), lambda op, ket=ket_e: projected(ket, op))]
         else:
-            elem_ops = [(0, elem.matrix)]
-        branches = sorted(((d_k + d_e, op_e @ op_k)
-                           for d_e, op_e in elem_ops
+            u = half_waveplate(elem.axis_angle) if isinstance(elem, Waveplate) else elem.matrix
+            elem_ops = [(0, lambda op, u=u: matmul2(u, op))]
+        branches = sorted(((d_k + d_e, apply(op_k))
+                           for d_e, apply in elem_ops
                            for d_k, op_k in kraus), key=lambda t: t[0])
         kraus = []
         for d, op in branches:

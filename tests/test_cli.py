@@ -113,9 +113,12 @@ def test_config_file_values_are_parsed_like_flags(tmp_path, capsys, line, messag
     cfg = tmp_path / "run.cfg"
     head = "" if line.startswith("command =") else "command = tomography\n"
     cfg.write_bytes(f"{head}{line}\n".encode("latin-1"))
-    assert main(["--config", str(cfg), "--output", str(tmp_path / "x.csv")]) == 2
-    assert message in capsys.readouterr().err
-    assert not (tmp_path / "x.csv").exists()
+    # a command on the command line leaves every file value, the file's
+    # command among them, parsed as before
+    for argv in ([], ["qkd"]):
+        assert main([*argv, "--config", str(cfg), "--output", str(tmp_path / "x.csv")]) == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "x.csv").exists()
 
 
 def test_argv_command_beats_the_file_command_and_dashed_values_stay_values(
@@ -129,6 +132,10 @@ def test_argv_command_beats_the_file_command_and_dashed_values_stay_values(
     assert capsys.readouterr().out == from_file
     assert (tmp_path / "-x.csv").read_bytes() == (tmp_path / "flags.csv").read_bytes()
     assert read_csv(tmp_path / "-x.csv")[1][0][0] == "-0.3"
+    # a valid file command that argv overrides, with no other key
+    (tmp_path / "qkd.cfg").write_text("command = sweep\n")
+    assert main(["qkd", "--config", "qkd.cfg", "--output", "q.csv"]) == 0
+    assert capsys.readouterr().out.startswith("visibility=")
 
 
 def test_fringe_defaults_to_64_phases(tmp_path):
@@ -376,9 +383,9 @@ def test_counts_and_fit_csv_golden(tmp_path):
     (["sweep", "--variant", "c", "--beta-points", "25"],
      "05cf9493c0b7ea418643882f80b630d7db0ed8ae3be0690a2f11707bae8fd091"),
     (["tomography", "--beta-points", "25"],
-     "d4dae4e9ae722124227698a4e7be32e3b0c4373ddd3763bb1c74db58b24c90a1"),
+     "83970de07a1a0d98fee2ad0eaf50939c92ec36bf90664222235dbb58b49e4d16"),
     (["oracle-check", "--specs", "20", "--seed", "5"],
-     "cad3224260b4110567e11862e8d0470771b3f6d6757c0d03e6a33a0f17d8b357"),
+     "cea50358da047f7abbf5f37ba047b593718380aba90307b18a7e68ed980ff515"),
     (["qkd", "--segments", "crystal:60deg:310|crystal:0:150|crystal:60deg:150|crystal:0:310"],
      "f1dae9ceff9785945b1df77fb16b79ef567cf3f1b81a052a573aa3587f2f570e"),
     (["fringe", "--variant", "d", "--beta", "22.5deg", "--phases", "64"],

@@ -8,6 +8,7 @@ from mzfringe import (
     rotated_basis,
     validate_density_matrix,
 )
+from mzfringe.core import matmul2
 from mzfringe.interferometer import _BEAMSPLITTER
 
 I2 = np.eye(2, dtype=complex)
@@ -24,6 +25,16 @@ def test_beamsplitter_entries():
     assert u[0, 0] == pytest.approx(1 / np.sqrt(2))
     assert u[1, 0] == pytest.approx(-1 / np.sqrt(2))
     np.testing.assert_allclose(u.conj().T @ u, I2, atol=1e-15)
+
+
+def test_matmul2_is_the_matrix_product_over_broadcast_stacks():
+    # a stack against one matrix, stacks of different depths, real by complex,
+    # and a 2x4 right factor (a complex row as four floats)
+    rng = np.random.default_rng(3)
+    a = rng.normal(size=(5, 3, 2, 2)) + 1j * rng.normal(size=(5, 3, 2, 2))
+    b = rng.normal(size=(3, 2, 2)) + 1j * rng.normal(size=(3, 2, 2))
+    for x, y in ((a, b), (a, b[0]), (b[0], a), (a.real, b), (a.real, b.view(float))):
+        np.testing.assert_allclose(matmul2(x, y), x @ y, rtol=0, atol=1e-14)
 
 
 def test_rotated_basis_axis_cases():

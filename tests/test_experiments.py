@@ -5,7 +5,7 @@ from statistics import NormalDist
 import numpy as np
 import pytest
 
-from conftest import contrast, oracle, random_pair, standard_pair
+from conftest import contrast, haar_unitaries, oracle, random_pair, standard_pair
 from mzfringe import (
     Waveplate,
     closed_form_contrast,
@@ -420,3 +420,16 @@ def test_random_specs_equal_the_per_spec_loop_bit_for_bit(chunks):
     if chunks == NO_UNITARY_CHUNKS:
         assert RawUnitary not in chunk_kinds[1]
     assert rng.random() == want_rng.random()
+
+
+def test_random_unitaries_are_the_phase_fixed_q_of_lapack():
+    # random_specs forms its unitaries as haar_unitaries does, bit for bit
+    # (above): LAPACK's Q with R's diagonal made positive, so the draw stays
+    # Haar, to rounding, and unitary to rounding
+    rng = np.random.default_rng(7)
+    g = rng.normal(size=(20000, 2, 2)) + 1j * rng.normal(size=(20000, 2, 2))
+    q, r = np.linalg.qr(g)
+    d = np.diagonal(r, axis1=1, axis2=2)
+    u = haar_unitaries(g)
+    np.testing.assert_allclose(u, q * (d / np.abs(d))[:, None, :], rtol=0, atol=1e-12)
+    assert np.abs(u.conj().swapaxes(1, 2) @ u - np.eye(2)).max() < 4e-15

@@ -1,5 +1,4 @@
 import os
-import pickle
 import subprocess
 import sys
 import tracemalloc
@@ -9,10 +8,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import (ANGLES, MIXED, compose_one, contrast, oracle, port_probabilities,
+from conftest import (ANGLES, MIXED, compose_one, contrast, matmul2, oracle, port_probabilities,
                       random_arm, random_density, random_pair, random_unitary, standard_pair)
 from mzfringe.arms import PM_PER_UM, ResourceLimitError
-from mzfringe.experiments import random_specs
 from mzfringe.interferometer import (ORACLE_DIM_LIMIT, InterferometerSpec, _frequencies,
                                      _path_gram, _stacked_ops, _transfer, oracle_contrast,
                                      oracle_contrasts, shared_env_contrasts)
@@ -108,7 +106,8 @@ def test_delays_one_picometre_apart_stay_in_separate_bins():
 
 def reference_contrast(upper, lower, rho):
     """Per-pair join: each upper operator is joined by bisection with the
-    lower operator at its delay, if there is one, and each trace is added to a
+    lower operator at its delay, if there is one, and each trace Tr[u^dag v
+    rho], the entries of conj(u) * (v rho) summed row by row, is added to a
     running sum that starts from 0."""
     upper_delays, upper_ops = compose_one(upper)
     lower_delays, lower_ops = compose_one(lower)
@@ -117,7 +116,8 @@ def reference_contrast(upper, lower, rho):
     for d, u in zip(upper_delays.tolist(), upper_ops):
         at = bisect_left(lower_delays, d)
         if lower_delays[at:at + 1] == [d]:
-            c += np.trace(u.conj().T @ lower_ops[at] @ rho)
+            m = u.conj() * matmul2(lower_ops[at], rho)
+            c += (m[0, 0] + m[0, 1]) + (m[1, 0] + m[1, 1])
     return complex(c)
 
 
@@ -461,30 +461,34 @@ def test_batch_routines_validate_the_input_states(routine, rho, message):
         routine([[Crystal(0.3, 150.0)]] * pairs, [[]] * pairs, rho)
 
 
-# Oracle contrasts of pickled specs read from stdin, and the oracle column of a
-# 200-beta sweep, written to stdout as raw bytes.
+# The bytes of oracle-check's contrasts and oracle values for 1,000 seeded
+# specs, of the columns of sweeps a and d at 200 betas, and of the blindness
+# columns at 100, written to stdout.
 KERNEL_CHILD = """
-import pickle, sys
-from mzfringe import default_beta_grid, oracle_contrasts, sweep
-uppers, lowers, rho = pickle.loads(sys.stdin.buffer.read())
-sys.stdout.buffer.write(oracle_contrasts(uppers, lowers, rho).tobytes())
-sys.stdout.buffer.write(sweep("a", default_beta_grid(200))[3].tobytes())
+import sys
+import numpy as np
+from mzfringe import (blindness_demo, default_beta_grid, oracle_contrasts,
+                      shared_env_contrasts, sweep)
+from mzfringe.experiments import random_specs
+uppers, lowers, rho = random_specs(np.random.default_rng(1), 1000)
+out = [np.array(shared_env_contrasts(uppers, lowers, rho)), oracle_contrasts(uppers, lowers, rho)]
+out += [*sweep("a", default_beta_grid(200)), *sweep("d", default_beta_grid(200))]
+out += blindness_demo(default_beta_grid(100))
+sys.stdout.buffer.write(b"".join(column.tobytes() for column in out))
 """
 
 
 def test_oracle_bits_follow_no_blas_kernel():
+    # nor do the contrasts, the random specs, the sweeps or the blindness table
     config = getattr(np.__config__, "CONFIG", None) or vars(np.__config__)
     if "openblas" not in repr(config).lower():
         pytest.skip("numpy is not built on OpenBLAS, whose kernel OPENBLAS_CORETYPE picks")
-    # random_specs draws its unitaries by LAPACK's QR, whose bits follow the
-    # kernel, so the specs are drawn here and passed to each child
-    specs = pickle.dumps(random_specs(np.random.default_rng(1), 1000))
     src = Path(__file__).resolve().parents[1] / "src"
     outputs = []
     for kernel in ("Haswell", "Prescott"):
         env = dict(os.environ, OPENBLAS_CORETYPE=kernel, PYTHONPATH=os.pathsep.join(
             [str(src)] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
-        outputs.append(subprocess.run([sys.executable, "-c", KERNEL_CHILD], input=specs, env=env,
+        outputs.append(subprocess.run([sys.executable, "-c", KERNEL_CHILD], env=env,
                                       capture_output=True, check=True, timeout=120).stdout)
-    assert len(outputs[0]) == 16 * 1000 + 8 * 200
+    assert len(outputs[0]) == 2 * 16 * 1000 + 2 * 4 * 8 * 200 + 6 * 8 * 100
     assert outputs[0] == outputs[1]

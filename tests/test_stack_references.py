@@ -15,7 +15,9 @@ pair's (unit, N), the upper and lower stacks apart and each group whole, and
 read both ports of the fringe. The package groups pairs by (unit, N) alone,
 evolves both arms of a pair in one stack, in blocks, and reads only the lower
 port. Every kept Kraus row, contrast, oracle Gram matrix and blindness column
-must keep its bits.
+must keep its bits. The references form each 2x2 product with the package's
+written-out arithmetic (``conftest.matmul2``, a crystal's projector as |k><k|
+applied to the rows), so they check the stacking on any BLAS kernel.
 """
 
 import importlib.util
@@ -25,9 +27,9 @@ import numpy as np
 import pytest
 
 import mzfringe.interferometer
-from conftest import port_probabilities, random_density, random_unitary
+from conftest import matmul2, port_probabilities, random_density, random_unitary
 from mzfringe import (Crystal, RawUnitary, Waveplate, blindness_demo, compose_arms,
-                      default_beta_grid, maximally_mixed, oracle_contrasts, qpt,
+                      default_beta_grid, maximally_mixed, oracle_contrasts, qpt, rotated_basis,
                       shared_env_contrasts, standard_arms, sweep)
 from mzfringe.arms import (COMPOSE_BIN_LIMIT, PM_PER_UM, ZERO_OP_TOL, ArmSpec,
                            ResourceLimitError, _element_kraus)
@@ -94,19 +96,23 @@ def stack_compose(arms):
         if len(delays) > COMPOSE_BIN_LIMIT:
             raise ResourceLimitError("COMPOSE_BIN_LIMIT")
         merges.append((order, starts))
-    projectors = _element_kraus([e for elems in crystals for e in elems]) if crystals else None
+    angles = np.array([e.axis_angle for elems in crystals for e in elems])
+    kets = rotated_basis(angles).real.transpose(2, 0, 1)
     kraus = np.eye(2, dtype=complex)[None, None].repeat(len(arms), axis=0)
     for index, segment in enumerate(segments):
         if index:
-            ops = projectors[(index - 1) * len(arms):index * len(arms)]
+            ket = kets[(index - 1) * len(arms):index * len(arms)]
             order, starts = merges[index - 1]
-            kraus = (ops[:, :, None] @ kraus[:, None]).reshape(len(arms), -1, 2, 2)
+            # P K = |k><k|K on the real and imaginary parts, o-branches first
+            bra = matmul2(ket[:, None], kraus.view(float)).transpose(0, 2, 1, 3)
+            kraus = (ket[:, :, None, :, None] * bra[:, :, :, None, :]).view(complex)
+            kraus = kraus.reshape(len(arms), -1, 2, 2)
             kraus = np.add.reduceat(kraus.take(order, axis=1), starts, axis=1)
         for rows, elems in segment:
             if len(rows) == len(arms):
-                kraus = _element_kraus(elems) @ kraus
+                kraus = matmul2(_element_kraus(elems)[:, None], kraus)
             else:
-                kraus[rows] = _element_kraus(elems) @ kraus[rows]
+                kraus[rows] = matmul2(_element_kraus(elems)[:, None], kraus[rows])
     delays = delays / PM_PER_UM
     vanish = np.maximum.reduce(np.abs(kraus), axis=(2, 3)) < ZERO_OP_TOL
     if len(arms) == 1:
@@ -123,8 +129,9 @@ def stack_join(upper, lower, rho) -> list[complex]:
     counts = lower_delays.searchsorted(upper_delays, "right") - lo
     first = (lo - counts.cumsum() + counts).repeat(counts)
     v = lower_ops.take(first + np.arange(len(first)), axis=1)
-    m = upper_ops.repeat(counts, axis=1).conj().swapaxes(2, 3) @ v @ rho[..., None, :, :]
-    return [sum(terms, 0j) for terms in (m[:, :, 0, 0] + m[:, :, 1, 1]).tolist()]
+    m = upper_ops.repeat(counts, axis=1).conj() * matmul2(v, rho[..., None, :, :])
+    terms = (m[:, :, 0, 0] + m[:, :, 0, 1]) + (m[:, :, 1, 0] + m[:, :, 1, 1])
+    return [sum(row, 0j) for row in terms.tolist()]
 
 
 def stack_contrasts(uppers, lowers, rho) -> list[complex]:
@@ -155,7 +162,7 @@ def stack_channel(kraus, rho):
     ops = np.moveaxis(kraus, -3, 0)
     out = np.zeros(ops.shape[1:-2] + rho.shape, dtype=complex)
     ops = ops.reshape(ops.shape[:-2] + (1,) * (rho.ndim - 2) + (2, 2))
-    return sum((op @ rho @ op.conj().swapaxes(-1, -2) for op in ops), out)
+    return sum((matmul2(matmul2(op, rho), op.conj().swapaxes(-1, -2)) for op in ops), out)
 
 
 def stack_blindness(betas):
@@ -167,7 +174,8 @@ def stack_blindness(betas):
     chi_a, chi_c = (qpt(lambda rho: stack_channel(arm[1], rho)) for arm in (upper_a, upper_c))
     vis_a, vis_b = ([abs(c) for c in stack_join(upper, lower, maximally_mixed(2))]
                     for upper in (upper_a, upper_c))
-    columns = (betas, [np.linalg.norm(d) for d in chi_a - chi_c], np.zeros(len(betas)),
+    d = chi_a - chi_c
+    columns = (betas, np.sqrt((d.real ** 2 + d.imag ** 2).sum(axis=(1, 2))), np.zeros(len(betas)),
                vis_a, vis_b, [abs(a - b) for a, b in zip(vis_a, vis_b)])
     return tuple(np.array(column, dtype=float) for column in columns)
 

@@ -68,9 +68,9 @@ def test_qpt_equals_matrix_unit_reference():
 
 
 def test_qpt_of_a_channel_stack_equals_per_channel_qpt_bit_for_bit():
-    # a flattened (n, 16) @ (16, 16) product or an einsum would change most
-    # entries of 300 random output sets; the batched matrix-vector product
-    # makes the same products as one channel at a time
+    # a flattened (n, 16) @ (16, 16) product would change most entries of
+    # 300 random output sets; the plain einsum makes the same products as one
+    # channel at a time
     rng = np.random.default_rng(127)
     channels = [random_kraus_channel(rng, n) for n in rng.integers(1, 4, 300)]
     chi = qpt(lambda rho: np.array([channel(rho) for channel in channels]))
