@@ -219,7 +219,8 @@ def compose_arms(arms: Sequence[ArmSpec]) -> tuple[np.ndarray, np.ndarray, np.nd
             which[members] = np.arange(len(members))
             which = which[arm][keys.real.astype(np.intp)]
             rows = (which >= 0).nonzero()[0]
-            kraus[rows] = matmul2(_element_kraus(elems)[which[rows]], kraus[rows])
+            kraus[rows] = matmul2(_element_kraus(elems).take(which[rows], axis=0),
+                                  kraus.take(rows, axis=0))
     owner = arm[keys.real.astype(np.intp)]
     kept = np.flatnonzero(~(np.maximum.reduce(np.abs(kraus), axis=(1, 2)) < ZERO_OP_TOL))
     kept = kept[owner[kept].argsort(kind="stable")]
@@ -246,6 +247,6 @@ def arm_channel_apply(table: tuple, rho) -> np.ndarray:
     ops = ops.reshape((len(ops),) + (1,) * (rho.ndim - 2) + (2, 2))
     out = np.zeros((len(counts),) + rho.shape, dtype=complex)
     for j in range(counts.max(initial=0)):  # the j-th operator of every arm that has one
-        op = ops[starts[counts > j] + j]
+        op = ops.take(starts[counts > j] + j, axis=0)
         out[counts > j] += matmul2(matmul2(op, rho), op.conj().swapaxes(-1, -2))
     return out

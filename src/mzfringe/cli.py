@@ -58,9 +58,9 @@ COMMANDS = ("fringe", "sweep", "oracle-check", "tomography", "qkd", "fit")
 # Upper bounds of the counts, far above the benchmark workloads' 1,024 phases,
 # 200 beta points and 1,000 specs. At the bounds, on a 2-vCPU VM, fringe took
 # 0.8 s and a peak resident set of 217 MiB (1.5 s and 269 MiB with mean-total),
-# sweep 1.7 s and 237 MiB, tomography 3.3 s and 254 MiB, oracle-check 3.0 s and
-# 169 MiB (188 in some runs). Tests hold traced memory per unit under 3.25 KiB
-# (sweep point), 5.25 KiB (tomography point) and 2.25 KiB (oracle-check spec).
+# sweep 1.7 s and 237 MiB, tomography 3.3 s and 254 MiB, oracle-check 2.7 s and
+# 167 MiB. Tests hold traced memory per unit under 3.25 KiB (sweep point),
+# 5.25 KiB (tomography point) and 2.25 KiB (oracle-check spec).
 _COUNT_LIMITS = {"phases": 2**20, "beta-points": 2**16, "specs": 2**16}
 # Each command's modes, as (required keys, optional keys) besides 'output'; a
 # shorter mode comes first, so that it wins a tie for the closest mode.
@@ -349,7 +349,7 @@ def _run_sweep(config: argparse.Namespace) -> int:
 
 
 def _run_oracle_check(config: argparse.Namespace) -> int:
-    uppers, lowers, rho = random_specs(np.random.default_rng(config.seed), config.specs)
+    uppers, lowers, rho = random_specs(config.seed, config.specs)
     contrasts = shared_env_contrasts(uppers, lowers, rho)
     oracles = oracle_contrasts(uppers, lowers, rho).tolist()
     delta = [abs(c - o) for c, o in zip(contrasts, oracles)]

@@ -15,13 +15,17 @@ Photon counting is modeled as independent Poisson draws per phase point from a
 deterministic, documented sampler (see ``poisson_fringe``). The uniform draws
 for all points of a fringe are computed in one array pass, which replays
 SeedSequence and PCG64 on one (4, n) pool array; point i's draw equals
-``np.random.default_rng([seed, i]).random()`` bit for bit, and the counts path
-never imports ``numpy.random``. Fringes are fitted as
-A + a cos(phi) + b sin(phi), linear in (A, a, b), by reweighted least squares.
+``np.random.default_rng([seed, i]).random()`` bit for bit. Fringes are fitted
+as A + a cos(phi) + b sin(phi), linear in (A, a, b), by reweighted least squares.
 
 The random arm pairs and states of the oracle cross-check (``random_specs``)
-draw the streams of a loop that draws one element at a time, in fewer rng
-calls, and form their complex Gaussians, states and unitaries as stacks.
+read counter-based uniforms (``_uniforms``): u_j = (mix64(key + (j + 1)
+gamma) >> 11) 2^-53, with mix64 SplitMix64's finalizer, gamma =
+0x9E3779B97F4A7C15 and a key folded from every 64-bit word of the seed. Spec
+i reads only its own 76 counters, i * 76 + offset: its two arm lengths, three
+for each element that exists (kind, angle, delay) and eight for each complex
+Gaussian, its state's and each unitary's. So spec i depends only on (seed, i),
+each kind of draw is one array pass, and no module imports ``numpy.random``.
 """
 
 from __future__ import annotations
@@ -365,57 +369,106 @@ def fit_fringe(phis: Sequence[float], counts: Sequence[float]) -> FitResult:
     return FitResult(float(amp), float(vis), float(psi), float(stderr), iterations, converged)
 
 
-# Crystal delays of random arms. Indexing them by rng.integers(4) draws what
-# rng.choice would, from the same stream, at a third of its cost.
+# SplitMix64: its Weyl increment (the golden ratio in 64 bits) and the
+# multipliers of its finalizer, as uint64 so that no operand promotes.
+_GAMMA = 0x9E3779B97F4A7C15
+_MIX_MULTS = (np.uint64(0xBF58476D1CE4E5B9), np.uint64(0x94D049BB133111EB))
+_MASK64 = 2**64 - 1
+
+
+def _mix64(z: np.ndarray) -> np.ndarray:
+    """SplitMix64's finalizer, a bijection of 64-bit words, on a uint64 array in place."""
+    for shift, mult in zip((30, 27), _MIX_MULTS):
+        z ^= z >> shift
+        z *= mult
+    z ^= z >> 31
+    return z
+
+
+def _uniforms(seed: int, index) -> np.ndarray:
+    """Counter-based uniforms in [0, 1): u_j = (mix64(key + (j + 1) gamma) >> 11)
+    * 2^-53 for each counter j of ``index``, the j-th output of SplitMix64
+    started at ``key``.
+
+    The key folds in the little-endian 64-bit words w of ``seed`` (a single 0
+    for seed 0), key = mix64((key + w) gamma) from key 0, in Python integers,
+    so a seed of any size works and seeds that differ by 2^64 differ. u_j
+    depends only on (seed, j): any set of counters, in any order, in one array
+    pass. A negative seed raises ValueError.
+    """
+    if seed < 0:
+        raise ValueError("seed must be a non-negative integer")
+    key = 0
+    for shift in range(0, max(seed.bit_length(), 1), 64):
+        word = (key + (seed >> shift & _MASK64)) * _GAMMA & _MASK64
+        key = int(_mix64(np.array([word], dtype=np.uint64))[0])
+    z = np.asarray(index, dtype=np.uint64) + np.uint64(1)
+    z *= np.uint64(_GAMMA)
+    z += np.uint64(key)
+    return (_mix64(z) >> 11).astype(np.float64) * 2.0**-53
+
+
+# Crystal delays of random arms, indexed by floor(4 u); every crystal shares these floats.
 _RANDOM_DELAYS_UM = (0.0, 75.0, 150.0, 310.0)
+# Counter slots of spec i are i * _SPEC_SLOTS + offset: offsets 0 and 1 hold the
+# upper and lower arm lengths; _ELEMENT_SLOT + 3 e + (0, 1, 2) element e's kind,
+# angle and delay, e = 3 side + position; _GAUSS_SLOT + 8 g + (0, ..., 7)
+# Gaussian g's four radii and four phases, g = 0 the state's, 1 + e element e's.
+_ELEMENT_SLOT, _GAUSS_SLOT, _SPEC_SLOTS = 2, 20, 76
 
 
-def random_specs(rng: np.random.Generator, n: int) -> tuple[list, list, np.ndarray]:
+def _gaussians(seed: int, slots: np.ndarray) -> np.ndarray:
+    """Standard complex Gaussians (g, 2, 2) by Box-Muller, one from the eight
+    counters from each slot on, four radii u1 and then four phases u2:
+    r e^{i theta} with r = sqrt(-2 log1p(-u1)) and theta = 2 pi u2, so real
+    and imaginary parts are independent N(0, 1)."""
+    u = _uniforms(seed, slots[:, None] + np.arange(8)).reshape(-1, 2, 2, 2)
+    r, theta = np.sqrt(-2.0 * np.log1p(-u[:, 0])), 2.0 * np.pi * u[:, 1]
+    gauss = np.empty(r.shape, dtype=complex)
+    gauss.real, gauss.imag = r * np.cos(theta), r * np.sin(theta)
+    return gauss
+
+
+def random_specs(seed: int, n: int) -> tuple[list, list, np.ndarray]:
     """``n`` random arm pairs with random mixed input states, for
     cross-checking the simulator against the oracle: upper arms, lower arms
     and states (n, 2, 2).
 
-    Per pair it draws the state's Gaussian, then the upper arm, then the lower
-    arm. An arm has 0 to 3 elements: crystals with angles uniform in [0, pi)
-    and delays from 0, 75, 150 and 310 um, half-wave plates, and Haar random
-    unitaries (QR of a complex Gaussian with the phases of R's diagonal moved
-    into Q). The rng streams are those of drawing one element at a time with
-    two (2, 2) normals per complex Gaussian and ``rng.uniform(0, pi)`` per
-    angle, in fewer calls: one (2, 2, 2) normal per Gaussian, which numpy
-    fills from the same stream in C order, and pi times ``rng.random()``, the
-    double that uniform draws. The complex Gaussians, the states (G G^dag / tr)
-    and the unitaries (the 2x2 QR in closed form) are each written out once for
-    all ``n`` pairs as a stack, with no BLAS or LAPACK routine.
+    Spec i reads the counter-based uniforms (``_uniforms``) of its own fixed
+    slots, i * 76 + offset, so it depends only on (seed, i), and the first n
+    specs of any longer draw are the same. An arm has floor(4 u) elements, 0
+    to 3: by its kind u, crystals (u < 1/2) with angles pi u in [0, pi) and
+    delays from 0, 75, 150 and 310 um by floor(4 u), half-wave plates (u <
+    3/4) and Haar random unitaries. The state is G G^dag / tr from a complex
+    Gaussian G; a unitary is the Q of its Gaussian's QR with R's diagonal made
+    positive, in closed form. One array pass draws the arm lengths, one the
+    kinds, angles and delays of the elements that exist, one the Gaussians of
+    the states and unitaries; the states and unitaries are then written out
+    as stacks, with no BLAS or LAPACK routine, and one loop builds the arms.
     """
-    state_gauss, arms, unitary_gauss, slots = np.empty((n, 2, 2, 2)), [], [], []
-    for i in range(n):
-        state_gauss[i] = rng.normal(size=(2, 2, 2))
-        for _ in range(2):
-            arm: list[ArmElement] = []
-            for _ in range(int(rng.integers(0, 4))):
-                kind = rng.random()
-                if kind < 0.5:
-                    arm.append(Crystal(np.pi * rng.random(),
-                                       _RANDOM_DELAYS_UM[int(rng.integers(4))]))
-                elif kind < 0.75:
-                    arm.append(Waveplate(np.pi * rng.random()))
-                else:
-                    unitary_gauss.append(rng.normal(size=(2, 2, 2)))
-                    slots.append((arm, len(arm)))
-                    arm.append(None)
-            arms.append(arm)
-    if unitary_gauss:
-        g = np.array(unitary_gauss)
-        g = g[:, 0] + 1j * g[:, 1]
-        # Q of g = QR with R's diagonal positive: q0 = g0 / |g0| and q1 = w <w, g1>
-        # / |<w, g1>|, w = (-q0_1*, q0_0*) the unit vector orthogonal to q0
-        q0 = g[..., 0] / np.sqrt((g[..., 0].real ** 2 + g[..., 0].imag ** 2).sum(axis=1))[:, None]
-        w = np.stack((-q0[:, 1].conj(), q0[:, 0].conj()), axis=1)
-        p = q0[:, 0] * g[:, 1, 1] - q0[:, 1] * g[:, 0, 1]  # <w, g1>
-        for (arm, pos), u in zip(slots, np.stack((q0, w * (p / np.abs(p))[:, None]), axis=2)):
-            arm[pos] = RawUnitary(u)
-    gauss = state_gauss[:, 0] + 1j * state_gauss[:, 1]
-    rho = matmul2(gauss, gauss.conj().transpose(0, 2, 1))
+    base = np.arange(n) * _SPEC_SLOTS
+    lengths = (4.0 * _uniforms(seed, base[:, None] + np.arange(2))).astype(np.intp).ravel()
+    arm = np.arange(2 * n).repeat(lengths)  # each element's arm, upper and lower alternating
+    position = np.arange(len(arm)) - (lengths.cumsum() - lengths).repeat(lengths)
+    element = 3 * (arm % 2) + position  # e, its index within its spec
+    at = base[arm // 2]  # the first slot of its spec
+    kinds, angles, delays = _uniforms(seed, (at + _ELEMENT_SLOT + 3 * element)[:, None]
+                                      + np.arange(3)).T
+    unitary = kinds >= 0.75
+    g = _gaussians(seed, np.concatenate((base, (at + 8 * (1 + element))[unitary])) + _GAUSS_SLOT)
+    rho = matmul2(g[:n], g[:n].conj().transpose(0, 2, 1))
+    g = g[n:]
+    # Q of g = QR with R's diagonal positive: q0 = g0 / |g0| and q1 = w <w, g1>
+    # / |<w, g1>|, w = (-q0_1*, q0_0*) the unit vector orthogonal to q0
+    q0 = g[..., 0] / np.sqrt((g[..., 0].real ** 2 + g[..., 0].imag ** 2).sum(axis=1))[:, None]
+    w = np.stack((-q0[:, 1].conj(), q0[:, 0].conj()), axis=1)
+    p = q0[:, 0] * g[:, 1, 1] - q0[:, 1] * g[:, 0, 1]  # <w, g1>
+    unitaries = iter(np.stack((q0, w * (p / np.abs(p))[:, None]), axis=2).tolist())
+    arms: list[list[ArmElement]] = [[] for _ in range(2 * n)]
+    for a, kind, angle, delay in zip(arm.tolist(), kinds.tolist(), (np.pi * angles).tolist(),
+                                     (4.0 * delays).astype(np.intp).tolist()):
+        arms[a].append(Crystal(angle, _RANDOM_DELAYS_UM[delay]) if kind < 0.5
+                       else Waveplate(angle) if kind < 0.75 else RawUnitary(next(unitaries)))
     return arms[0::2], arms[1::2], rho / np.trace(rho, axis1=1, axis2=2)[:, None, None]
 
 

@@ -108,7 +108,7 @@ def kraus_contrasts(table: tuple, upper, lower, rho) -> list[complex]:
     hit = keys.take(at, mode="clip") == wanted  # a lower row at the upper row's delay
     rows, pair, at = rows[hit], pair[hit], at[hit]
     if rho.ndim > 2:  # one state per pair, else one state broadcast over the terms
-        rho = np.broadcast_to(rho, (len(upper), 2, 2))[pair]
+        rho = np.broadcast_to(rho, (len(upper), 2, 2)).take(pair, axis=0)
     m = ops.take(rows, axis=0).conj() * matmul2(ops.take(at, axis=0), rho)
     terms = ((m[:, 0, 0] + m[:, 0, 1]) + (m[:, 1, 0] + m[:, 1, 1])).tolist()
     ends = np.bincount(pair, minlength=len(upper)).cumsum().tolist()

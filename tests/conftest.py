@@ -4,6 +4,7 @@ import numpy as np
 
 from mzfringe import (Crystal, RawUnitary, Waveplate, arm_channel_apply, compose_arms,
                       maximally_mixed, oracle_contrasts, shared_env_contrasts, standard_arms)
+from mzfringe.experiments import _uniforms
 from mzfringe.interferometer import _BEAMSPLITTER
 
 
@@ -106,12 +107,12 @@ def haar_unitaries(gauss: np.ndarray) -> np.ndarray:
 
 
 def random_arm(rng: np.random.Generator, max_elements: int = 3) -> list:
-    """A random arm drawn one element at a time, each unitary from its own
-    Gaussian: the reference that ``random_specs`` must reproduce bit for bit.
+    """A random arm drawn one element at a time from a numpy generator, each
+    unitary from its own Gaussian.
 
     Draws up to ``max_elements`` elements: crystals with angles uniform in
     [0, pi) and delays from 0, 75, 150 and 310 um, half-wave plates, and
-    Haar-ish random unitaries.
+    Haar random unitaries.
     """
     elements = []
     for _ in range(int(rng.integers(0, max_elements + 1))):
@@ -128,10 +129,48 @@ def random_arm(rng: np.random.Generator, max_elements: int = 3) -> list:
 
 
 def random_pair(rng: np.random.Generator, max_elements: int = 3) -> tuple[list, list, np.ndarray]:
-    """A random (upper, lower, rho) by the per-pair loop whose rng calls
-    ``random_specs`` keeps: the state first, then the upper arm, then the
-    lower arm."""
+    """A random (upper, lower, rho) from a numpy generator: the state first,
+    then the upper arm, then the lower arm."""
     gauss = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
     rho = matmul2(gauss, gauss.conj().T)
     rho = rho / np.trace(rho)
     return random_arm(rng, max_elements), random_arm(rng, max_elements), rho
+
+
+def reference_spec(seed: int, i: int) -> tuple[list, list, np.ndarray]:
+    """Spec i of ``random_specs(seed, n)``, (upper, lower, rho), read one
+    counter slot at a time from ``_uniforms``: the reference that
+    ``random_specs`` must reproduce bit for bit.
+
+    Spec i's slots are i * 76 + offset. Offsets 0 and 1 give the upper and
+    lower arm lengths, floor(4 u). Element e (3 for each side, then its
+    position) reads its kind, angle and delay at 2 + 3 e, 3 + 3 e and 4 + 3 e:
+    a crystal below 1/2, at pi u and delay floor(4 u), a waveplate below 3/4,
+    else a unitary from the Gaussian at 28 + 8 e. The state's Gaussian is at
+    20. A Gaussian reads four radii and then four phases, entry by entry,
+    r = sqrt(-2 log1p(-u)) and theta = 2 pi u, as one-spec arrays.
+    """
+    def u(offset):
+        return float(_uniforms(seed, [76 * i + offset])[0])
+
+    def gaussian(offset):
+        radius, phase = np.array([u(offset + k) for k in range(8)]).reshape(2, 1, 2, 2)
+        r, theta = np.sqrt(-2.0 * np.log1p(-radius)), 2.0 * np.pi * phase
+        gauss = np.empty((1, 2, 2), dtype=complex)
+        gauss.real, gauss.imag = r * np.cos(theta), r * np.sin(theta)
+        return gauss
+
+    arms = ([], [])
+    for side, arm in enumerate(arms):
+        for position in range(int(4.0 * u(side))):
+            e = 3 * side + position
+            kind, angle, delay = u(2 + 3 * e), np.pi * u(3 + 3 * e), u(4 + 3 * e)
+            if kind < 0.5:
+                arm.append(Crystal(angle, RANDOM_DELAYS_UM[int(4.0 * delay)]))
+            elif kind < 0.75:
+                arm.append(Waveplate(angle))
+            else:
+                arm.append(RawUnitary(haar_unitaries(gaussian(28 + 8 * e))[0]))
+    gauss = gaussian(20)
+    rho = matmul2(gauss, gauss.conj().transpose(0, 2, 1))
+    return arms[0], arms[1], (rho / np.trace(rho, axis1=1, axis2=2)[:, None, None])[0]

@@ -14,7 +14,7 @@ import mzfringe.arms
 import mzfringe.cli
 import mzfringe.experiments
 import mzfringe.interferometer
-from conftest import contrast, oracle, random_pair
+from conftest import contrast, oracle, reference_spec
 from mzfringe.cli import main, parse_angle, parse_arm
 from mzfringe.interferometer import kraus_contrasts
 from mzfringe.arms import Crystal, RawUnitary, Waveplate, compose_arms
@@ -385,7 +385,7 @@ def test_counts_and_fit_csv_golden(tmp_path):
     (["tomography", "--beta-points", "25"],
      "83970de07a1a0d98fee2ad0eaf50939c92ec36bf90664222235dbb58b49e4d16"),
     (["oracle-check", "--specs", "20", "--seed", "5"],
-     "cea50358da047f7abbf5f37ba047b593718380aba90307b18a7e68ed980ff515"),
+     "0b98d8e4b45a346fe84f983f7d8f269b0b83e42f6de44f3b288ca36e755aade1"),
     (["qkd", "--segments", "crystal:60deg:310|crystal:0:150|crystal:60deg:150|crystal:0:310"],
      "f1dae9ceff9785945b1df77fb16b79ef567cf3f1b81a052a573aa3587f2f570e"),
     (["fringe", "--variant", "d", "--beta", "22.5deg", "--phases", "64"],
@@ -394,6 +394,7 @@ def test_counts_and_fit_csv_golden(tmp_path):
 def test_paper_table_csv_golden(tmp_path, args, digest):
     # Pinned from the record types (FringeResult, SweepRow, BlindnessReport,
     # QkdSpec) and per-row tuples: the column-built tables give the same bytes.
+    # oracle-check's is re-pinned on the counter-based draw of its specs.
     out = tmp_path / "t.csv"
     assert main(args + ["--output", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
@@ -631,21 +632,36 @@ def test_inline_fit_of_all_zero_sample_fails(tmp_path, capsys):
     assert not out.exists()
 
 
-def test_sampled_fringe_loads_no_numpy_random(tmp_path):
-    # the counts path, a sampled fringe and then its fit from the file
+def loads_numpy_random(code: str, *args) -> bool:
+    """Whether a fresh interpreter that imports mzfringe.cli and runs ``code``
+    (with ``args`` in sys.argv) ends with numpy.random loaded."""
     src = Path(__file__).resolve().parents[1] / "src"
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(src)] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
-    code = ("import sys, mzfringe.cli; "
-            "assert mzfringe.cli.main(['fringe', '--variant', 'a', '--beta', '0.3', "
+    code = f"import sys, mzfringe.cli\n{code}\nprint('numpy.random' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code, *args], env=env,
+                         capture_output=True, text=True, check=True, timeout=60).stdout
+    return out.strip().splitlines()[-1] == "True"
+
+
+def test_sampled_fringe_loads_no_numpy_random(tmp_path):
+    # the counts path, a sampled fringe and then its fit from the file
+    code = ("assert mzfringe.cli.main(['fringe', '--variant', 'a', '--beta', '0.3', "
             "'--mean-total', '20', '--seed', '5', '--output', sys.argv[1]]) == 0; "
             "assert mzfringe.cli.main(['fit', '--counts', sys.argv[1], "
-            "'--output', sys.argv[2]]) == 0; "
-            "print('numpy.random' in sys.modules)")
-    out = subprocess.run([sys.executable, "-c", code, str(tmp_path / "c.csv"),
-                          str(tmp_path / "f.csv")], env=env,
-                         capture_output=True, text=True, check=True, timeout=60).stdout
-    assert out.strip().splitlines()[-1] == "False"
+            "'--output', sys.argv[2]]) == 0")
+    assert not loads_numpy_random(code, str(tmp_path / "c.csv"), str(tmp_path / "f.csv"))
+
+
+def test_no_command_loads_numpy_random(tmp_path):
+    # oracle-check draws its specs from counter-based uniforms, and no other
+    # command draws at all
+    code = ("for args in (['oracle-check', '--specs', '20', '--seed', '3'],\n"
+            "             ['sweep', '--variant', 'c', '--beta-points', '5'],\n"
+            "             ['tomography', '--beta-points', '5'], ['qkd'],\n"
+            "             ['fringe', '--variant', 'b', '--beta', '0.3', '--phases', '8']):\n"
+            "    assert mzfringe.cli.main(args + ['--output', sys.argv[1]]) == 0")
+    assert not loads_numpy_random(code, str(tmp_path / "o.csv"))
 
 
 def test_sampled_fringe_computes_one_contrast(tmp_path, monkeypatch):
@@ -711,8 +727,7 @@ def test_oracle_check_equals_the_per_spec_routines(tmp_path, monkeypatch):
                         kept("oracle", mzfringe.cli.oracle_contrasts))
     assert main(["oracle-check", "--specs", "300", "--seed", "17",
                  "--output", str(tmp_path / "o.csv")]) == 0
-    rng = np.random.default_rng(17)
-    specs = [random_pair(rng) for _ in range(300)]
+    specs = [reference_spec(17, i) for i in range(300)]
     assert [repr(c) for c in got["contrast"]] == [repr(contrast(*s)) for s in specs]
     assert [repr(complex(o)) for o in got["oracle"]] == [repr(oracle(*s)) for s in specs]
 

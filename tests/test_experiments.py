@@ -5,7 +5,7 @@ from statistics import NormalDist
 import numpy as np
 import pytest
 
-from conftest import contrast, haar_unitaries, oracle, random_pair, standard_pair
+from conftest import contrast, haar_unitaries, oracle, reference_spec, standard_pair
 from mzfringe import (
     Waveplate,
     closed_form_contrast,
@@ -20,7 +20,7 @@ from mzfringe import (
     sweep,
 )
 from mzfringe.arms import Crystal, RawUnitary, ResourceLimitError
-from mzfringe.experiments import _point_uniforms, random_specs
+from mzfringe.experiments import _gaussians, _point_uniforms, _uniforms, random_specs
 
 
 def test_standard_config_crystal_layout():
@@ -126,10 +126,10 @@ def test_sweep_memory_grows_by_a_fixed_budget_per_point():
 def test_oracle_check_memory_grows_by_a_fixed_budget_per_spec():
     # The per-spec budget that the oracle-check bound in cli._COUNT_LIMITS
     # rests on: drawing, composing and checking the specs as one stack, as
-    # the command does, peaks near 1.85 KiB per spec. 1,024 specs is 1/64 of
+    # the command does, peaks near 1.75 KiB per spec. 1,024 specs is 1/64 of
     # the bound.
     def check(n):
-        uppers, lowers, states = random_specs(np.random.default_rng(0), n)
+        uppers, lowers, states = random_specs(0, n)
         shared_env_contrasts(uppers, lowers, states)
         oracle_contrasts(uppers, lowers, states)
 
@@ -394,32 +394,110 @@ def arm_bytes(arm):
              e.matrix.tobytes() if type(e) is RawUnitary else None) for e in arm]
 
 
-# Specs 1-4 of seed 19 draw no unitary, so the second chunk skips the QR.
-NO_UNITARY_CHUNKS = [1, 4, 995]
+def assert_specs_equal(got, want):
+    """Two lists of (upper, lower, rho) specs are equal bit for bit."""
+    assert len(got) == len(want)
+    for (upper, lower, rho), (want_upper, want_lower, want_rho) in zip(got, want):
+        assert arm_bytes(upper) == arm_bytes(want_upper)
+        assert arm_bytes(lower) == arm_bytes(want_lower)
+        assert rho.tobytes() == want_rho.tobytes()
 
 
-@pytest.mark.parametrize("chunks", [
-    [1001], [256, 256, 256, 232],
-    pytest.param(NO_UNITARY_CHUNKS, id="chunk-without-unitaries"),
+# The first 4 specs of seed 24 draw crystals and waveplates but no unitary, so
+# that draw runs the closed-form QR on an empty stack.
+@pytest.mark.parametrize("seed, n", [
+    pytest.param(19, 1001, id="1001-specs"),
+    pytest.param(24, 4, id="no-unitary"),
 ])
-def test_random_specs_equal_the_per_spec_loop_bit_for_bit(chunks):
-    # 1,001 specs in one call, and 1,000 in chunks of 256
-    rng, want_rng = np.random.default_rng(19), np.random.default_rng(19)
-    kinds, chunk_kinds = set(), []
-    for n in chunks:
-        uppers, lowers, states = random_specs(rng, n)
-        assert len(uppers) == len(lowers) == n and states.shape == (n, 2, 2)
-        chunk_kinds.append({type(e) for arm in uppers + lowers for e in arm})
-        for upper, lower, state in zip(uppers, lowers, states):
-            want_upper, want_lower, want_state = random_pair(want_rng)
-            assert arm_bytes(upper) == arm_bytes(want_upper)
-            assert arm_bytes(lower) == arm_bytes(want_lower)
-            assert state.tobytes() == want_state.tobytes()
-            kinds |= {type(e) for e in upper + lower}
-    assert kinds == {Crystal, Waveplate, RawUnitary}
-    if chunks == NO_UNITARY_CHUNKS:
-        assert RawUnitary not in chunk_kinds[1]
-    assert rng.random() == want_rng.random()
+def test_random_specs_equal_the_per_spec_reference_bit_for_bit(seed, n):
+    uppers, lowers, states = random_specs(seed, n)
+    assert len(uppers) == len(lowers) == n and states.shape == (n, 2, 2)
+    assert_specs_equal(list(zip(uppers, lowers, states)),
+                       [reference_spec(seed, i) for i in range(n)])
+    kinds = {type(e) for arm in uppers + lowers for e in arm}
+    assert kinds == ({Crystal, Waveplate} if n == 4 else {Crystal, Waveplate, RawUnitary})
+
+
+def test_random_specs_are_prefixes_of_longer_draws():
+    # spec i depends only on (seed, i)
+    short, long = random_specs(7, 300), random_specs(7, 600)
+    assert_specs_equal(list(zip(*short)), list(zip(*long))[:300])
+
+
+def test_random_specs_read_every_word_of_the_seed():
+    # seeds that differ by 2^64 draw different specs, and a seed of any size works
+    for seed in (3, 2**64 + 3, 2**2000 + 3):
+        assert random_specs(seed, 20)[2].tobytes() != random_specs(seed + 2**64, 20)[2].tobytes()
+    assert random_specs(2**2000 + 3, 20)[2].tobytes() != random_specs(3, 20)[2].tobytes()
+    with pytest.raises(ValueError, match="non-negative"):
+        random_specs(-1, 20)
+
+
+def splitmix64(seed: int, j: int) -> int:
+    """The top 53 bits of counter j's SplitMix64 word under ``seed``'s key, in
+    Python integers: the rule that ``_uniforms`` writes on uint64 arrays."""
+    mask, gamma = 2**64 - 1, 0x9E3779B97F4A7C15
+
+    def mix(z):
+        z = (z ^ z >> 30) * 0xBF58476D1CE4E5B9 & mask
+        z = (z ^ z >> 27) * 0x94D049BB133111EB & mask
+        return z ^ z >> 31
+
+    key = 0
+    for shift in range(0, max(seed.bit_length(), 1), 64):
+        key = mix((key + (seed >> shift & mask)) * gamma & mask)
+    return mix((key + (j + 1) * gamma) & mask) >> 11
+
+
+# 2^53 u of counters 0, 1 and 2^40 for each seed. Seed 0's first word is
+# SplitMix64's published first output from state 0, 0xE220A8397B1DCDAF >> 11.
+PINNED_UNIFORMS = {
+    0: [7956156453446585, 3886858653415212, 887180520247730],
+    1: [5876733520225071, 6315957190297641, 1287888711197452],
+    2**64 + 5: [4115220097733615, 670061720311145, 7142984104778029],
+    2**2000 + 3: [4171949791887084, 6030200198492148, 4166288506095195],
+}
+
+
+@pytest.mark.parametrize("seed", PINNED_UNIFORMS, ids=["0", "1", "2**64+5", "2**2000+3"])
+def test_uniforms_are_pinned_splitmix64_words(seed):
+    counters = [0, 1, 2**40]
+    u = _uniforms(seed, np.array(counters))
+    assert u.dtype == np.float64
+    assert (u * 2**53).astype(np.uint64).tolist() == PINNED_UNIFORMS[seed]
+    assert PINNED_UNIFORMS[seed] == [splitmix64(seed, j) for j in counters]
+
+
+def within_3_sigma(count, total, p):
+    return abs(count - total * p) <= 3.0 * np.sqrt(total * p * (1.0 - p))
+
+
+def test_random_specs_follow_their_distribution():
+    # 3 sigma bounds over 20,000 specs
+    uppers, lowers, _ = random_specs(11, 20000)
+    arms = uppers + lowers
+    lengths = np.bincount([len(arm) for arm in arms], minlength=4)
+    assert all(within_3_sigma(c, len(arms), 0.25) for c in lengths), lengths
+    elements = [e for arm in arms for e in arm]
+    kinds = [sum(type(e) is kind for e in elements) for kind in (Crystal, Waveplate, RawUnitary)]
+    assert all(within_3_sigma(c, len(elements), p) for c, p in zip(kinds, (0.5, 0.25, 0.25)))
+    delays = [e.delay for e in elements if type(e) is Crystal]
+    counts = [delays.count(d) for d in (0.0, 75.0, 150.0, 310.0)]
+    assert all(within_3_sigma(c, len(delays), 0.25) for c in counts), counts
+    # Haar: |U_00|^2 is uniform on [0, 1], mean 1/2, variance 1/12 (its
+    # sample variance has standard error sqrt(1 / (180 n)))
+    x = np.array([abs(e.matrix[0, 0]) ** 2 for e in elements if type(e) is RawUnitary])
+    assert abs(x.mean() - 0.5) <= 3.0 * np.sqrt(1.0 / 12.0 / len(x))
+    assert abs(x.var() - 1.0 / 12.0) <= 3.0 * np.sqrt(1.0 / 180.0 / len(x))
+
+
+def test_gaussians_are_standard_normal():
+    # real and imaginary parts of 20,000 Gaussians (80,000 entries each): mean
+    # 0 within 3 / sqrt(n), variance 1 within 3 sqrt(2 / n)
+    g = _gaussians(13, np.arange(20000) * 8).ravel()
+    for part in (g.real, g.imag):
+        assert abs(part.mean()) <= 3.0 / np.sqrt(len(part))
+        assert abs(part.var() - 1.0) <= 3.0 * np.sqrt(2.0 / len(part))
 
 
 def test_random_unitaries_are_the_phase_fixed_q_of_lapack():

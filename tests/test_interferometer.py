@@ -470,7 +470,7 @@ import numpy as np
 from mzfringe import (blindness_demo, default_beta_grid, oracle_contrasts,
                       shared_env_contrasts, sweep)
 from mzfringe.experiments import random_specs
-uppers, lowers, rho = random_specs(np.random.default_rng(1), 1000)
+uppers, lowers, rho = random_specs(1, 1000)
 out = [np.array(shared_env_contrasts(uppers, lowers, rho)), oracle_contrasts(uppers, lowers, rho)]
 out += [*sweep("a", default_beta_grid(200)), *sweep("d", default_beta_grid(200))]
 out += blindness_demo(default_beta_grid(100))

@@ -35,6 +35,22 @@ def test_no_function_imports_at_call_time():
                 assert imported_modules(ast.walk(func)) == [], f"{path.name} {func.name}"
 
 
+def test_no_module_reaches_numpy_random():
+    # importing numpy.random costs every command about 10 ms; the counts and
+    # the random specs draw from counter-based uniforms instead
+    for path in MODULES:
+        nodes = list(ast.walk(ast.parse(path.read_text(encoding="utf-8"))))
+        names = imported_modules(nodes)
+        names += [f"numpy.{alias.name}" for node in nodes
+                  if isinstance(node, ast.ImportFrom) and node.module == "numpy"
+                  for alias in node.names]
+        assert "numpy.random" not in names, path.name
+        reached = [ast.unparse(node) for node in nodes
+                   if isinstance(node, ast.Attribute) and node.attr == "random"
+                   and isinstance(node.value, ast.Name) and node.value.id in ("np", "numpy")]
+        assert reached == [], f"{path.name} reaches {reached}"
+
+
 def test_tomography_imports_only_core():
     path = pathlib.Path(mzfringe.__file__).parent / "tomography.py"
     names = imported_modules(ast.walk(ast.parse(path.read_text(encoding="utf-8"))))
