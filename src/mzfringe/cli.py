@@ -57,10 +57,11 @@ __all__ = ["UsageError", "parse_config", "main", "main_entry"]
 COMMANDS = ("fringe", "sweep", "oracle-check", "tomography", "qkd", "fit")
 # Upper bounds of the counts, far above the benchmark workloads' 1,024 phases,
 # 200 beta points and 1,000 specs. At the bounds, on a 2-vCPU VM, fringe took
-# 0.8 s and a peak resident set of 217 MiB (1.5 s and 269 MiB with mean-total),
+# 0.8 s and a peak resident set of 217 MiB (0.9 s and 190 MiB with mean-total),
 # sweep 1.7 s and 237 MiB, tomography 3.3 s and 254 MiB, oracle-check 2.7 s and
-# 167 MiB. Tests hold traced memory per unit under 3.25 KiB (sweep point),
-# 5.25 KiB (tomography point) and 2.25 KiB (oracle-check spec).
+# 167 MiB. Tests hold traced memory per unit under 160 B (fringe phase, with or
+# without mean-total), 3.25 KiB (sweep point), 5.25 KiB (tomography point) and
+# 2.25 KiB (oracle-check spec).
 _COUNT_LIMITS = {"phases": 2**20, "beta-points": 2**16, "specs": 2**16}
 # Each command's modes, as (required keys, optional keys) besides 'output'; a
 # shorter mode comes first, so that it wins a tie for the closest mode.

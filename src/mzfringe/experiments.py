@@ -11,26 +11,25 @@ dilation oracle side by side, as columns over a beta grid. The blindness table
 puts the chi distances between the arms of "a" and "c" next to their fringe
 visibilities: tomography cannot see which crystal length sits where.
 
+Every random draw reads counter-based uniforms (``_uniforms``): u_j =
+(mix64(key + (j + 1) gamma) >> 11) 2^-53, with mix64 SplitMix64's finalizer,
+gamma = 0x9E3779B97F4A7C15 and a key folded from every 64-bit word of the seed.
+So each draw depends only on (seed, its counter), each kind of draw is one
+array pass, and no module imports ``numpy.random``.
+
 Photon counting is modeled as independent Poisson draws per phase point from a
-deterministic, documented sampler (see ``poisson_fringe``). The uniform draws
-for all points of a fringe are computed in one array pass, which replays
-SeedSequence and PCG64 on one (4, n) pool array; point i's draw equals
-``np.random.default_rng([seed, i]).random()`` bit for bit. Fringes are fitted
-as A + a cos(phi) + b sin(phi), linear in (A, a, b), by reweighted least squares.
+deterministic, documented sampler (see ``poisson_fringe``); point i of a fringe
+reads counter i. Fringes are fitted as A + a cos(phi) + b sin(phi), linear in
+(A, a, b), by reweighted least squares.
 
 The random arm pairs and states of the oracle cross-check (``random_specs``)
-read counter-based uniforms (``_uniforms``): u_j = (mix64(key + (j + 1)
-gamma) >> 11) 2^-53, with mix64 SplitMix64's finalizer, gamma =
-0x9E3779B97F4A7C15 and a key folded from every 64-bit word of the seed. Spec
-i reads only its own 76 counters, i * 76 + offset: its two arm lengths, three
+read spec i's own 76 counters, i * 76 + offset: its two arm lengths, three
 for each element that exists (kind, angle, delay) and eight for each complex
-Gaussian, its state's and each unitary's. So spec i depends only on (seed, i),
-each kind of draw is one array pass, and no module imports ``numpy.random``.
+Gaussian, its state's and each unitary's.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from statistics import NormalDist
@@ -161,101 +160,43 @@ def blindness_demo(betas: Sequence[float]) -> tuple[np.ndarray, ...]:
     return tuple(np.array(column, dtype=float) for column in columns)
 
 
-# numpy.random.SeedSequence: hash and mix constants of its four-word pool.
-_MASK32 = 0xFFFFFFFF
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
-_POOL_SIZE = 4
-# PCG64's 128-bit LCG multiplier as (high, low) 64-bit halves.
-_PCG_MULT = (2549297995355413924, 4865540595714422341)
+# SplitMix64: its Weyl increment (the golden ratio in 64 bits) and the
+# multipliers of its finalizer, as uint64 so that no operand promotes.
+_GAMMA = 0x9E3779B97F4A7C15
+_MIX_MULTS = (np.uint64(0xBF58476D1CE4E5B9), np.uint64(0x94D049BB133111EB))
+_MASK64 = 2**64 - 1
 
 
-@functools.cache
-def _hash_constants(init: int, mult: int, steps: int) -> tuple[np.ndarray, np.ndarray]:
-    """The xor constants and multipliers of SeedSequence's first ``steps``
-    hash steps, as (steps, 1) uint32 columns: each step xors in the constant,
-    steps it by ``mult`` and multiplies by the new one."""
-    consts = [init]
-    for _ in range(steps):
-        consts.append(consts[-1] * mult & _MASK32)
-    column = np.array(consts, dtype=np.uint32)[:, None]
-    column.setflags(write=False)
-    return column[:-1], column[1:]
+def _mix64(z: np.ndarray) -> np.ndarray:
+    """SplitMix64's finalizer, a bijection of 64-bit words, on a uint64 array in place."""
+    for shift, mult in zip((30, 27), _MIX_MULTS):
+        z ^= z >> shift
+        z *= mult
+    z ^= z >> 31
+    return z
 
 
-def _hashmix(value, xor: np.ndarray, mult: np.ndarray) -> np.ndarray:
-    """Hash steps on uint32 words, one row per step: xor, multiply, fold the
-    high half into the low."""
-    value = (value ^ xor) * mult
-    return value ^ (value >> 16)
+def _uniforms(seed: int, index) -> np.ndarray:
+    """Counter-based uniforms in [0, 1): u_j = (mix64(key + (j + 1) gamma) >> 11)
+    * 2^-53 for each counter j of ``index``, the j-th output of SplitMix64
+    started at ``key``.
 
-
-def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """SeedSequence's mixing of hashed words y into pool words x."""
-    result = x * _MIX_MULT_L - y * _MIX_MULT_R
-    return result ^ (result >> 16)
-
-
-def _mulhi64(a: np.ndarray, b: int) -> np.ndarray:
-    """High 64 bits of the 128-bit products a * b, from 32-bit halves."""
-    a_lo, a_hi = a & _MASK32, a >> 32
-    b_lo, b_hi = b & _MASK32, b >> 32
-    lo_lo, lo_hi, hi_lo = a_lo * b_lo, a_lo * b_hi, a_hi * b_lo
-    mid = (lo_lo >> 32) + (lo_hi & _MASK32) + (hi_lo & _MASK32)
-    return a_hi * b_hi + (lo_hi >> 32) + (hi_lo >> 32) + (mid >> 32)
-
-
-def _add128(hi, lo, b_hi, b_lo):
-    """(hi, lo) + (b_hi, b_lo) modulo 2^128."""
-    total = lo + b_lo
-    return hi + b_hi + (total < lo).astype(np.uint64), total
-
-
-def _pcg_step(hi, lo, inc_hi, inc_lo):
-    """One PCG64 LCG step, state * multiplier + increment modulo 2^128."""
-    m_hi, m_lo = _PCG_MULT
-    return _add128(_mulhi64(lo, m_lo) + hi * m_lo + lo * m_hi, lo * m_lo, inc_hi, inc_lo)
-
-
-def _point_uniforms(seed: int, n: int) -> np.ndarray:
-    """``np.random.default_rng([seed, i]).random()`` for every i < n, at once.
-
-    Replays numpy's algorithms on uint32 and uint64 arrays, one column per i:
-    SeedSequence pool mixing of the entropy words (the little-endian 32-bit
-    words of ``seed``, a single 0 for seed 0, then i) and ``generate_state(4,
-    uint64)``; PCG64 seeding with that state; one more LCG step, the XSL-RR
-    output and (x >> 11) * 2^-53. NEP 19 keeps both streams stable. The pool
-    is one (4, n) array, and each round of SeedSequence's hashing and mixing,
-    a word into all four pool words or a pool word into the other three, is
-    one stacked operation; a seed of any length works.
+    The key folds in the little-endian 64-bit words w of ``seed`` (a single 0
+    for seed 0), key = mix64((key + w) gamma) from key 0, in Python integers,
+    so a seed of any size works and seeds that differ by 2^64 differ. u_j
+    depends only on (seed, j): any set of counters, in any order, in one array
+    pass. A negative seed raises ValueError.
     """
-    words = [(seed >> shift) & _MASK32 for shift in range(0, max(seed.bit_length(), 1), 32)]
-    words.append(np.arange(n, dtype=np.uint32))
-    xor, mult = _hash_constants(_INIT_A, _MULT_A, _POOL_SIZE * max(len(words), _POOL_SIZE))
-    pool = np.zeros((_POOL_SIZE, n), dtype=np.uint32)
-    for k, word in enumerate(words[:_POOL_SIZE]):
-        pool[k] = word
-    pool = _hashmix(pool, xor[:_POOL_SIZE], mult[:_POOL_SIZE])
-    for src in range(_POOL_SIZE):
-        dst = [k for k in range(_POOL_SIZE) if k != src]
-        steps = slice(_POOL_SIZE + 3 * src, _POOL_SIZE + 3 * src + 3)
-        pool[dst] = _mix(pool[dst], _hashmix(pool[src], xor[steps], mult[steps]))
-    for j, word in enumerate(words[_POOL_SIZE:], 1):
-        steps = slice(_POOL_SIZE * (3 + j), _POOL_SIZE * (4 + j))
-        pool = _mix(pool, _hashmix(word, xor[steps], mult[steps]))
-
-    state = _hashmix(np.vstack([pool, pool]), *_hash_constants(_INIT_B, _MULT_B, 8))
-    state = state.astype(np.uint64)
-    s_hi, s_lo, q_hi, q_lo = state[0::2] | (state[1::2] << 32)
-
-    inc_hi, inc_lo = (q_hi << 1) | (q_lo >> 63), (q_lo << 1) | 1
-    hi, lo = _add128(inc_hi, inc_lo, s_hi, s_lo)  # the step from state 0 gives inc
-    hi, lo = _pcg_step(hi, lo, inc_hi, inc_lo)
-    hi, lo = _pcg_step(hi, lo, inc_hi, inc_lo)  # the draw
-    x, rot = hi ^ lo, hi >> 58
-    x = (x >> rot) | (x << ((64 - rot) & 63))
-    return (x >> 11).astype(np.float64) * 2.0**-53
+    if seed < 0:
+        raise ValueError("seed must be a non-negative integer")
+    key = 0
+    for shift in range(0, max(seed.bit_length(), 1), 64):
+        word = (key + (seed >> shift & _MASK64)) * _GAMMA & _MASK64
+        key = int(_mix64(np.array([word], dtype=np.uint64))[0])
+    z = np.asarray(index, dtype=np.uint64) + np.uint64(1)
+    z *= np.uint64(_GAMMA)
+    z += np.uint64(key)
+    return (_mix64(z) >> 11).astype(np.float64) * 2.0**-53
 
 
 def poisson_fringe(contrast: complex, phis: Sequence[float],
@@ -264,18 +205,16 @@ def poisson_fringe(contrast: complex, phis: Sequence[float],
 
     Returns one int64 count per phase in ``phis``. Per phase point, the
     expectation is lam = mean_total * P(phi), with P from
-    ``output_probability(contrast, phi)``, and the count is one Poisson draw from
-    one uniform u. Point i's u is
-    ``np.random.default_rng([seed, i]).random()`` bit for bit, but the draws
-    for all points are computed in one array pass (``_point_uniforms``), so
-    results do not depend on evaluation order, and identical (contrast, phis,
-    mean_total, seed) reproduce identical counts. With u clamped to
-    [1e-300, 1 - 1e-16]: below mean 30 the count is the CDF inversion
-    min{k : u <= F(k)}, stopped at k = int(lam + 20 sqrt(lam) + 20); from
-    mean 30 on, a normal approximation with continuity correction,
-    max(0, floor(lam + sqrt(lam) z + 1/2)) with z the standard normal
-    quantile of u. lam <= 0 gives 0. A mean_total past 2**53, where float64
-    starts to skip whole counts, raises ResourceLimitError.
+    ``output_probability(contrast, phi)``, and the count is one Poisson draw
+    from one uniform u. Point i's u is counter i of ``_uniforms(seed, ...)``,
+    so it depends only on (seed, i), the draws for all points are one array
+    pass, and identical (contrast, phis, mean_total, seed) reproduce identical
+    counts. With u clamped to [1e-300, 1 - 1e-16]: below mean 30 the count is
+    the CDF inversion min{k : u <= F(k)}, stopped at k = int(lam + 20 sqrt(lam)
+    + 20); from mean 30 on, a normal approximation with continuity correction,
+    max(0, floor(lam + sqrt(lam) z + 1/2)) with z the standard normal quantile
+    of u. lam <= 0 gives 0. A mean_total past 2**53, where float64 starts to
+    skip whole counts, raises ResourceLimitError.
     """
     if mean_total < 1:
         raise ValueError("mean_total must be >= 1")
@@ -285,7 +224,7 @@ def poisson_fringe(contrast: complex, phis: Sequence[float],
         raise ValueError("seed must be a non-negative integer")
     phis = np.asarray(phis, dtype=float)
     expected = mean_total * output_probability(contrast, phis)
-    u = np.clip(_point_uniforms(int(seed), len(phis)), 1e-300, 1.0 - 1e-16)
+    u = np.clip(_uniforms(int(seed), np.arange(len(phis))), 1e-300, 1.0 - 1e-16)
     counts = np.zeros(len(phis), dtype=np.int64)
 
     small = (expected > 0.0) & (expected < 30.0)
@@ -369,45 +308,6 @@ def fit_fringe(phis: Sequence[float], counts: Sequence[float]) -> FitResult:
     return FitResult(float(amp), float(vis), float(psi), float(stderr), iterations, converged)
 
 
-# SplitMix64: its Weyl increment (the golden ratio in 64 bits) and the
-# multipliers of its finalizer, as uint64 so that no operand promotes.
-_GAMMA = 0x9E3779B97F4A7C15
-_MIX_MULTS = (np.uint64(0xBF58476D1CE4E5B9), np.uint64(0x94D049BB133111EB))
-_MASK64 = 2**64 - 1
-
-
-def _mix64(z: np.ndarray) -> np.ndarray:
-    """SplitMix64's finalizer, a bijection of 64-bit words, on a uint64 array in place."""
-    for shift, mult in zip((30, 27), _MIX_MULTS):
-        z ^= z >> shift
-        z *= mult
-    z ^= z >> 31
-    return z
-
-
-def _uniforms(seed: int, index) -> np.ndarray:
-    """Counter-based uniforms in [0, 1): u_j = (mix64(key + (j + 1) gamma) >> 11)
-    * 2^-53 for each counter j of ``index``, the j-th output of SplitMix64
-    started at ``key``.
-
-    The key folds in the little-endian 64-bit words w of ``seed`` (a single 0
-    for seed 0), key = mix64((key + w) gamma) from key 0, in Python integers,
-    so a seed of any size works and seeds that differ by 2^64 differ. u_j
-    depends only on (seed, j): any set of counters, in any order, in one array
-    pass. A negative seed raises ValueError.
-    """
-    if seed < 0:
-        raise ValueError("seed must be a non-negative integer")
-    key = 0
-    for shift in range(0, max(seed.bit_length(), 1), 64):
-        word = (key + (seed >> shift & _MASK64)) * _GAMMA & _MASK64
-        key = int(_mix64(np.array([word], dtype=np.uint64))[0])
-    z = np.asarray(index, dtype=np.uint64) + np.uint64(1)
-    z *= np.uint64(_GAMMA)
-    z += np.uint64(key)
-    return (_mix64(z) >> 11).astype(np.float64) * 2.0**-53
-
-
 # Crystal delays of random arms, indexed by floor(4 u); every crystal shares these floats.
 _RANDOM_DELAYS_UM = (0.0, 75.0, 150.0, 310.0)
 # Counter slots of spec i are i * _SPEC_SLOTS + offset: offsets 0 and 1 hold the
@@ -440,11 +340,12 @@ def random_specs(seed: int, n: int) -> tuple[list, list, np.ndarray]:
     to 3: by its kind u, crystals (u < 1/2) with angles pi u in [0, pi) and
     delays from 0, 75, 150 and 310 um by floor(4 u), half-wave plates (u <
     3/4) and Haar random unitaries. The state is G G^dag / tr from a complex
-    Gaussian G; a unitary is the Q of its Gaussian's QR with R's diagonal made
-    positive, in closed form. One array pass draws the arm lengths, one the
-    kinds, angles and delays of the elements that exist, one the Gaussians of
-    the states and unitaries; the states and unitaries are then written out
-    as stacks, with no BLAS or LAPACK routine, and one loop builds the arms.
+    Gaussian G, made exactly Hermitian by averaging with its adjoint; a
+    unitary is the Q of its Gaussian's QR with R's diagonal made positive, in
+    closed form. One array pass draws the arm lengths, one the kinds, angles
+    and delays of the elements that exist, one the Gaussians of the states
+    and unitaries; the states and unitaries are then written out as stacks,
+    with no BLAS or LAPACK routine, and one loop builds the arms.
     """
     base = np.arange(n) * _SPEC_SLOTS
     lengths = (4.0 * _uniforms(seed, base[:, None] + np.arange(2))).astype(np.intp).ravel()
@@ -457,6 +358,7 @@ def random_specs(seed: int, n: int) -> tuple[list, list, np.ndarray]:
     unitary = kinds >= 0.75
     g = _gaussians(seed, np.concatenate((base, (at + 8 * (1 + element))[unitary])) + _GAUSS_SLOT)
     rho = matmul2(g[:n], g[:n].conj().transpose(0, 2, 1))
+    rho = (rho + rho.conj().transpose(0, 2, 1)) / 2
     g = g[n:]
     # Q of g = QR with R's diagonal positive: q0 = g0 / |g0| and q1 = w <w, g1>
     # / |<w, g1>|, w = (-q0_1*, q0_0*) the unit vector orthogonal to q0

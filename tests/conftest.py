@@ -173,4 +173,5 @@ def reference_spec(seed: int, i: int) -> tuple[list, list, np.ndarray]:
                 arm.append(RawUnitary(haar_unitaries(gaussian(28 + 8 * e))[0]))
     gauss = gaussian(20)
     rho = matmul2(gauss, gauss.conj().transpose(0, 2, 1))
+    rho = (rho + rho.conj().transpose(0, 2, 1)) / 2
     return arms[0], arms[1], (rho / np.trace(rho, axis1=1, axis2=2)[:, None, None])[0]

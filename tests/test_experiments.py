@@ -1,4 +1,6 @@
+import contextlib
 import hashlib
+import io
 import tracemalloc
 from statistics import NormalDist
 
@@ -20,7 +22,8 @@ from mzfringe import (
     sweep,
 )
 from mzfringe.arms import Crystal, RawUnitary, ResourceLimitError
-from mzfringe.experiments import _gaussians, _point_uniforms, _uniforms, random_specs
+from mzfringe.cli import main
+from mzfringe.experiments import _gaussians, _uniforms, random_specs
 
 
 def test_standard_config_crystal_layout():
@@ -136,6 +139,21 @@ def test_oracle_check_memory_grows_by_a_fixed_budget_per_spec():
     assert traced_peak(check, 1024) < 1024 * 2.25 * 1024
 
 
+@pytest.mark.parametrize("mean_total", [[], ["--mean-total", "10000"]],
+                         ids=["noiseless", "sampled"])
+def test_fringe_memory_grows_by_a_fixed_budget_per_phase(tmp_path, mean_total):
+    # The per-phase budget that the fringe bound in cli._COUNT_LIMITS rests
+    # on: the command, CSV included, peaks near 138 B per phase noiseless and
+    # 135 B sampled at mean 10^4 (99 B at mean 20). 2^14 phases is 1/64 of the
+    # bound; the peak is linear in the phases from 2^12 to 2^16.
+    def fringe(n):
+        args = ["fringe", "--variant", "a", "--beta", "0.3", "--phases", str(n)]
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(args + mean_total + ["--output", str(tmp_path / "f.csv")]) == 0
+
+    assert traced_peak(fringe, 2**14) < 2**14 * 160
+
+
 def test_sweep_even_in_beta_for_second_config():
     for beta in np.linspace(0, np.pi / 2, 7):
         assert abs(closed_form_contrast("b", beta)) == pytest.approx(
@@ -194,27 +212,15 @@ def test_poisson_rejects_a_nan_phase():
         poisson_fringe(f, [0.0, float("nan"), 1.0], 100, 1)
 
 
-@pytest.mark.parametrize("seed", [0, 1, 2**31 - 1, 2**32, 2**64 + 3,
-                                  pytest.param(2**96 + 7, id="2**96+7"),
-                                  pytest.param(2**200 + 1, id="2**200+1"),
-                                  pytest.param(2**2000 + 3, id="2**2000+3")])
-def test_point_uniforms_equal_numpy_generators(seed):
-    # 2**32 and 2**64 + 3 have two and three 32-bit entropy words; from 2**96
-    # on, the index and the seed's words past the fourth are mixed in after
-    # the four-word pool
-    expected = [np.random.default_rng([seed, i]).random() for i in range(1024)]
-    assert _point_uniforms(seed, 1024).tolist() == expected
-
-
 @pytest.mark.parametrize("mean_total, total, digest", [
-    (2, 50, "f0c81455698aa411a478a5a0fa70dc93424bc56fafc9e25c04c78877597ed956"),
-    (29, 873, "585458eec56ace2eca4c440e67bae6dc9854eefb83644f6260eafeb9d963284d"),
-    (31, 937, "aa39d52aeeb80bfb5f4863bcf2e669ba873307bbc83b64f04b2263a18a0598ca"),
-    (10_000, 319046, "93bfe60e41e73e42e60daa0e739fa67c591e2ef83fa5ae2687cba1d3ef131b2e"),
+    (2, 61, "957017c7d5bdfccf35ec02ee96aafbbbff0c25b240b23b0c558109f0f75fc88f"),
+    (29, 911, "ab25023b21a8f2017623adc1e7048444f68b34b47dcb1aa264e27c4acbfd6a35"),
+    (31, 967, "4cde526ac599ee0cdc6aac130a781298490c5de72eeb10f4b1b26e08eee5100b"),
+    (10_000, 319615, "f001deaa762066853d105285bd019e93d7ee9a674ff445a17fd1245b383af0cc"),
 ])
 def test_poisson_golden_counts(mean_total, total, digest):
-    # Pinned from the per-point generator loop; any change to the sampled
-    # bytes must update these on purpose.
+    # Pinned from the per-point reference (reference_count); any change to the
+    # sampled bytes must update these on purpose.
     counts = poisson_fringe(contrast(*standard_pair("a", np.pi / 8)),
                             uniform_phases(64), mean_total, 42)
     assert counts.dtype == np.int64
@@ -225,10 +231,11 @@ def test_poisson_golden_counts(mean_total, total, digest):
 
 
 def reference_count(lam, seed, i):
-    """The per-point sampler, one generator per (seed, i), kept as the reference."""
+    """The per-point sampler, one uniform per (seed, i) read from its own
+    counter, kept as the reference."""
     if lam <= 0.0:
         return 0
-    u = float(np.random.default_rng([seed, i]).random())
+    u = float(_uniforms(seed, [i])[0])
     u = min(max(u, 1e-300), 1.0 - 1e-16)
     if lam < 30.0:
         p = np.exp(-lam)
@@ -254,6 +261,34 @@ def test_poisson_fringe_equals_per_point_reference(mean_total, seed):
     for i, (count, phi) in enumerate(zip(counts, phis)):
         lam = mean_total * output_probability(f, phi)
         assert count == reference_count(lam, seed, i)
+
+
+@pytest.mark.parametrize("mean_total", [20, 10_000])
+def test_poisson_fringes_are_prefixes_of_longer_fringes(mean_total):
+    # point i depends only on (seed, i): at one lam (a flat fringe), the first
+    # n counts of a 2n-point fringe are the n-point fringe, in either branch
+    f = contrast(*standard_pair("c", np.pi / 4))
+    short = poisson_fringe(f, np.zeros(512), mean_total, 9)
+    assert poisson_fringe(f, np.zeros(1024), mean_total, 9)[:512].tolist() == short.tolist()
+
+
+def test_poisson_fringe_reads_every_word_of_the_seed():
+    # seeds that differ by 2^64 sample different counts, and a seed of any size works
+    f = contrast(*standard_pair("c", np.pi / 4))
+    for seed in (3, 2**64 + 3, 2**2000 + 3):
+        assert (poisson_fringe(f, np.zeros(64), 1000, seed).tolist()
+                != poisson_fringe(f, np.zeros(64), 1000, seed + 2**64).tolist())
+    assert (poisson_fringe(f, np.zeros(64), 1000, 2**2000 + 3).tolist()
+            != poisson_fringe(f, np.zeros(64), 1000, 3).tolist())
+
+
+@pytest.mark.parametrize("seed", [0, 42, 2**64 + 5])
+def test_uniforms_fill_equal_bins(seed):
+    # counters 0 to 2^20 - 1, the phases bound, in 16 equal bins within 3 sigma
+    u = _uniforms(seed, np.arange(2**20))
+    assert u.min() >= 0.0 and u.max() < 1.0
+    bins = np.bincount((16 * u).astype(np.intp), minlength=16)
+    assert all(within_3_sigma(c, len(u), 1 / 16) for c in bins), bins
 
 
 def noiseless_records(amp, vis, psi, n=64):
@@ -422,6 +457,14 @@ def test_random_specs_are_prefixes_of_longer_draws():
     # spec i depends only on (seed, i)
     short, long = random_specs(7, 300), random_specs(7, 600)
     assert_specs_equal(list(zip(*short)), list(zip(*long))[:300])
+
+
+def test_random_specs_states_are_exactly_hermitian():
+    # rho = G G^dag / tr is Hermitian; its stack is made so bit for bit, so
+    # every diagonal entry is real
+    states = random_specs(1, 1000)[2]
+    assert np.array_equal(states, states.conj().swapaxes(1, 2))
+    assert not np.diagonal(states, axis1=1, axis2=2).imag.any()
 
 
 def test_random_specs_read_every_word_of_the_seed():
