@@ -12,6 +12,7 @@ from mzfringe import (
     Waveplate,
     closed_form_contrast,
     default_beta_grid,
+    experiments,
     fit_fringe,
     oracle_contrasts,
     output_probability,
@@ -213,12 +214,34 @@ def test_poisson_rejects_a_nan_phase():
 
 
 @pytest.mark.parametrize("mean_total, total, digest", [
+    (2, 50, "f0c81455698aa411a478a5a0fa70dc93424bc56fafc9e25c04c78877597ed956"),
+    (29, 873, "585458eec56ace2eca4c440e67bae6dc9854eefb83644f6260eafeb9d963284d"),
+    (31, 937, "aa39d52aeeb80bfb5f4863bcf2e669ba873307bbc83b64f04b2263a18a0598ca"),
+    (10_000, 319046, "93bfe60e41e73e42e60daa0e739fa67c591e2ef83fa5ae2687cba1d3ef131b2e"),
+])
+def test_poisson_golden_counts(mean_total, total, digest, monkeypatch):
+    # The counts pinned when point i's uniform was default_rng([seed, i]).random().
+    # Fed those uniforms again, the sampler must give the same bytes: each count
+    # is the same function of its uniform whatever generator draws it.
+    def numpy_uniforms(seed, index):
+        return np.array([np.random.default_rng([seed, int(i)]).random() for i in index])
+
+    monkeypatch.setattr(experiments, "_uniforms", numpy_uniforms)
+    counts = poisson_fringe(contrast(*standard_pair("a", np.pi / 8)),
+                            uniform_phases(64), mean_total, 42)
+    assert counts.dtype == np.int64
+    counts = counts.tolist()
+    assert sum(counts) == total
+    assert hashlib.sha256(",".join(map(str, counts)).encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("mean_total, total, digest", [
     (2, 61, "957017c7d5bdfccf35ec02ee96aafbbbff0c25b240b23b0c558109f0f75fc88f"),
     (29, 911, "ab25023b21a8f2017623adc1e7048444f68b34b47dcb1aa264e27c4acbfd6a35"),
     (31, 967, "4cde526ac599ee0cdc6aac130a781298490c5de72eeb10f4b1b26e08eee5100b"),
     (10_000, 319615, "f001deaa762066853d105285bd019e93d7ee9a674ff445a17fd1245b383af0cc"),
 ])
-def test_poisson_golden_counts(mean_total, total, digest):
+def test_poisson_fringe_golden_counts(mean_total, total, digest):
     # Pinned from the per-point reference (reference_count); any change to the
     # sampled bytes must update these on purpose.
     counts = poisson_fringe(contrast(*standard_pair("a", np.pi / 8)),
