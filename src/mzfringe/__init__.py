@@ -7,11 +7,14 @@ fringe statistics. Tables are returned as columns."""
 from .arms import (
     ArmElement,
     ArmSpec,
+    ArmTable,
     Crystal,
     RawUnitary,
     Waveplate,
     arm_channel_apply,
+    arm_table,
     compose_arms,
+    element_table,
 )
 from .core import (
     half_waveplate,

@@ -9,18 +9,20 @@ micrometers of o/e wavepacket separation. Only delay differences are
 observable, so the o-ray carries zero delay by convention. Crystal delays
 are whole picometres, which composition adds exactly.
 
-``compose_arms`` composes any list of arms into one Kraus table, each arm's
-rows in delay order, arm after arm, in one loop over crystal indices: each step
-merges one crystal's delays and sums its operators. ``arm_channel_apply`` maps
-a stack of states through the operators of each arm of a table.
+A stack of arms is one element table (``ArmTable``) of flat arrays, built
+by ``element_table`` from arrays or by ``arm_table`` from element lists
+(``Crystal``, ``Waveplate``, ``RawUnitary``). ``compose_arms`` composes a
+table's arms into one Kraus table, each arm's rows in delay order, arm after
+arm, in one loop over crystal indices: each step merges one crystal's delays
+and sums its operators. ``arm_channel_apply`` maps a stack of states through
+the operators of each arm of a Kraus table.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
-from typing import Sequence, Union
+from typing import NamedTuple, Sequence, Union
 
 import numpy as np
 
@@ -34,6 +36,12 @@ __all__ = [
     "RawUnitary",
     "ArmElement",
     "ArmSpec",
+    "CRYSTAL",
+    "WAVEPLATE",
+    "UNITARY",
+    "ArmTable",
+    "element_table",
+    "arm_table",
     "COMPOSE_BIN_LIMIT",
     "ResourceLimitError",
     "compose_arms",
@@ -61,7 +69,7 @@ class Crystal:
     horizontal), o/e separation ``delay`` (micrometers, >= 0), a whole number
     of picometres below 2**52: ``round(delay * PM_PER_UM) / PM_PER_UM ==
     delay``, so 0.1 is accepted and 0.1 * 3 (0.30000000000000004) is refused.
-    ``compose_arms`` refuses an arm whose delays add up to 2**52 pm."""
+    An arm table refuses an arm whose delays add up to 2**52 pm."""
 
     axis_angle: float
     delay: float
@@ -90,74 +98,144 @@ class Waveplate:
 @dataclass(frozen=True)
 class RawUnitary:
     """An arbitrary 2x2 unitary element acting on polarization alone, held as a
-    read-only complex copy: 2x2, finite, and unitary within ``UNITARY_ATOL``.
-
-    The checks run in that order, the last two on the four entries as Python
-    complex numbers: the residual is the largest entry of |M^dag M - I|, and
-    one that overflows to inf or NaN fails."""
+    read-only complex copy, checked as ``element_table`` checks a unitary: 2x2,
+    finite, and unitary within ``UNITARY_ATOL``."""
 
     matrix: np.ndarray
 
     def __post_init__(self):
         m = np.array(self.matrix, dtype=complex)
-        if m.shape != (2, 2):
-            raise ValueError(f"RawUnitary must be 2x2, got shape {m.shape}")
-        a, b, c, d = m.ravel().tolist()
-        if not all(map(cmath.isfinite, (a, b, c, d))):
-            raise ValueError("RawUnitary contains NaN or Inf entries")
-        off = a.conjugate() * b + c.conjugate() * d
-        resid = max(abs((a.conjugate() * a + c.conjugate() * c).real - 1.0),
-                    abs((b.conjugate() * b + d.conjugate() * d).real - 1.0),
-                    math.hypot(off.real, off.imag))
-        if not resid <= UNITARY_ATOL:
-            raise ValueError(f"RawUnitary is not unitary (residual {resid:.3e})")
+        element_table([1], [UNITARY], [0.0], [0.0], m[None])
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
 
 
 ArmElement = Union[Crystal, Waveplate, RawUnitary]
 ArmSpec = Sequence[ArmElement]
+CRYSTAL, WAVEPLATE, UNITARY = 0, 1, 2  # element kinds in an ArmTable
+_KINDS = {Crystal: CRYSTAL, Waveplate: WAVEPLATE, RawUnitary: UNITARY}
 
 
-def _element_kraus(elems: Sequence[ArmElement]) -> np.ndarray:
-    """Unitaries (elements, 2, 2) of waveplates or of raw unitaries, one kind,
-    the waveplates' from one angle array."""
-    if type(elems[0]) is RawUnitary:
-        return np.array([e.matrix for e in elems])
-    if type(elems[0]) is not Waveplate:
-        raise ValueError(f"unknown arm element {elems[0]!r}")
-    return half_waveplate(np.array([e.axis_angle for e in elems])).transpose(2, 0, 1)
+class ArmTable(NamedTuple):
+    """A stack of ``arms`` arms as flat arrays over their elements in traversal
+    order, arm after arm: ``arm`` each element's arm (ascending; an arm may
+    have none), ``kind`` (CRYSTAL, WAVEPLATE or UNITARY), ``angle`` in radians
+    (0 for a unitary), ``delay`` a crystal's delay in whole picometres (int64,
+    0 for the others), and ``unitary`` (u, 2, 2) the matrices of the u
+    unitaries in order. ``element_table`` and ``arm_table`` build it, checked."""
+
+    arms: int
+    arm: np.ndarray
+    kind: np.ndarray
+    angle: np.ndarray
+    delay: np.ndarray
+    unitary: np.ndarray
 
 
-def _walk_arms(arms: Sequence[ArmSpec]) -> tuple[list, dict]:
-    """Each arm's crystals, and the other elements of all arms keyed by
-    (crystals before them, rank after the last of those, kind) as (arms,
-    elements). An arm whose crystal delays reach 2**52 pm raises
-    ResourceLimitError: below it, micrometres tell every picometre apart."""
-    crystals, others = [], {}
-    for i, arm in enumerate(arms):
-        own, rank, total = [], 0, 0
-        for e in arm:
-            if type(e) is Crystal:
-                own.append(e)
-                rank, total = 0, total + round(e.delay * PM_PER_UM)  # whole pm, exact
-            else:
-                key = (len(own), rank, type(e))
-                if key not in others:
-                    others[key] = [], []
-                others[key][0].append(i)
-                others[key][1].append(e)
-                rank += 1
-        if total >= 2**52:
-            raise ResourceLimitError(f"resource limit: arm {i}'s crystal delays reach 2**52 pm")
-        crystals.append(own)
-    return crystals, others
+def element_table(lengths, kind, angle, delay, unitary) -> ArmTable:
+    """The table of arms of ``lengths`` elements each, from element arrays in
+    traversal order: kind, angle, delay in micrometres, and the matrices of
+    the unitaries (u, 2, 2). A unitary's angle and a delay of any element but
+    a crystal are stored as 0.
+
+    The one check of every table runs over its arrays, with the element
+    constructors' messages, naming the first element that fails: finite
+    angles; crystal delays >= 0 and finite in pm, then in whole picometres;
+    unitaries 2x2, finite, then unitary within ``UNITARY_ATOL`` (the largest
+    entry of |M^dag M - I|; one that overflows fails). Last, an arm whose
+    crystal delays reach 2**52 pm in all raises ResourceLimitError."""
+    arm, kind = np.arange(len(lengths)).repeat(lengths), np.asarray(kind, dtype=np.int8)
+    if (not len(arm) == len(kind) == len(angle) == len(delay)
+            or (kind.view(np.uint8) > UNITARY).any()):
+        raise ValueError("an arm table needs a kind (CRYSTAL, WAVEPLATE or UNITARY), an angle "
+                         "and a delay for each of its elements")
+    angle, delay = np.where(kind == UNITARY, 0.0, angle), np.where(kind == CRYSTAL, delay, 0.0)
+    unitary = np.asarray(unitary, dtype=complex)
+
+    def fail(bad, message, error=ValueError) -> None:
+        """Raise message(i) for the first i where ``bad`` holds, if any."""
+        if np.count_nonzero(bad):
+            raise error(message(int(np.argmax(bad))))
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        fail(~np.isfinite(angle), lambda i: f"{('crystal', 'waveplate')[kind[i]]} axis_angle "
+                                            f"must be finite, got {angle[i]}")
+        pm = delay * PM_PER_UM
+        fail(~(pm >= 0) | (pm == np.inf),
+             lambda i: f"crystal delay must be >= 0 and finite in pm, got {delay[i]}")
+        whole = np.rint(pm)
+        fail((whole / PM_PER_UM != delay) & (pm < 2**52),
+             lambda i: f"crystal delay {float(delay[i])!r} um is not in whole picometres")
+        if unitary.shape != (np.count_nonzero(kind == UNITARY), 2, 2):
+            raise ValueError(f"RawUnitary must be 2x2, got shape {unitary.shape[1:]}"
+                             if unitary.shape[1:] != (2, 2) else "one matrix per unitary")
+        if len(unitary):
+            fail(~np.isfinite(unitary).all(axis=(1, 2)),
+                 lambda i: "RawUnitary contains NaN or Inf entries")
+            gram = matmul2(unitary.conj().swapaxes(1, 2), unitary)
+            resid = np.abs(gram - np.eye(2)).max(axis=(1, 2))
+            fail(~(resid <= UNITARY_ATOL),
+                 lambda i: f"RawUnitary is not unitary (residual {resid[i]:.3e})")
+        fail(np.bincount(arm, weights=pm, minlength=len(lengths)) >= 2**52,
+             lambda i: f"resource limit: arm {i}'s crystal delays reach 2**52 pm",
+             ResourceLimitError)
+    return ArmTable(len(lengths), arm, kind, angle, whole.astype(np.int64), unitary)
 
 
-def compose_arms(arms: Sequence[ArmSpec]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Kraus table of any list of arms: owner (K,), the index of each row's
-    arm, delays (K,) and operators (K, 2, 2), arm after arm, each arm's rows in
-    delay order; one arm's Kraus set is ``compose_arms([arm])[1:]``.
+def arm_table(arms: Sequence[ArmSpec]) -> ArmTable:
+    """The table of a list of arms, each a list of elements in traversal
+    order, checked by ``element_table``; any other element raises ValueError."""
+    elements = [e for arm in arms for e in arm]
+    kinds = [_KINDS.get(type(e)) for e in elements]
+    if None in kinds:
+        raise ValueError(f"unknown arm element {elements[kinds.index(None)]!r}")
+    return element_table([len(arm) for arm in arms], kinds,
+                         [getattr(e, "axis_angle", 0.0) for e in elements],
+                         [getattr(e, "delay", 0.0) for e in elements],
+                         np.array([e.matrix for e in elements if type(e) is RawUnitary],
+                                  dtype=complex).reshape(-1, 2, 2))
+
+
+def _element_kraus(table: ArmTable) -> np.ndarray:
+    """Unitaries (elements, 2, 2) of a table's waveplates and raw unitaries,
+    in table order, the waveplates' from one angle array."""
+    other = table.kind != CRYSTAL
+    ops = half_waveplate(table.angle[other]).transpose(2, 0, 1).copy()  # contiguous, for take
+    ops[table.kind[other] == UNITARY] = table.unitary
+    return ops
+
+
+def _walk_arms(table: ArmTable) -> tuple:
+    """The arms by descending crystal count (stable), how many of them have
+    crystal c, each crystal's element in (c, that order), the other elements,
+    and their places among them grouped by (crystals before them, position in
+    the arm), each group in arm order, with its crystals before."""
+    arm = table.arm
+    crystals, others = np.flatnonzero(table.kind == CRYSTAL), np.flatnonzero(table.kind != CRYSTAL)
+    counts = np.bincount(arm[crystals], minlength=table.arms)
+    order = (-counts).argsort(kind="stable")
+    having = (table.arms - np.bincount(counts).cumsum())[:-1]
+    # by (c, place of the arm in order), crystal c of the arm at place p is
+    # crystal first[c] + p of flat; earlier: the crystals of the arms before
+    earlier = counts.cumsum() - counts
+    flat = crystals[np.lexsort((order.argsort()[arm[crystals]],
+                                np.arange(len(crystals)) - earlier[arm[crystals]]))]
+    if not len(others):
+        return order, having, flat, others, []
+    key = ((crystals.searchsorted(others) - earlier[arm[others]]) * len(arm) + others
+           - arm.searchsorted(arm[others]))
+    sort = key.argsort(kind="stable")
+    key = key[sort]
+    bounds = [0, *(np.flatnonzero(key[1:] != key[:-1]) + 1).tolist(), len(key)]
+    return order, having, flat, others, [(int(key[a]) // len(arm), sort[a:b])
+                                         for a, b in zip(bounds, bounds[1:])]
+
+
+def compose_arms(table: ArmTable) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Kraus table of the arms of an element table (``ArmTable``): owner (K,),
+    the index of each row's arm, delays (K,) and operators (K, 2, 2), arm
+    after arm, each arm's rows in delay order; one arm's Kraus set is
+    ``compose_arms(arm_table([arm]))[1:]``.
 
     All arms are composed in one loop, crystal index by crystal index, each in
     traversal order (later elements left-multiplied); ordered by descending
@@ -170,23 +248,15 @@ def compose_arms(arms: Sequence[ArmSpec]) -> tuple[np.ndarray, np.ndarray, np.nd
     operators are built. Zero rule: each arm drops its operators below
     ``ZERO_OP_TOL`` entrywise (README, "Conventions and numerics").
     """
-    crystals, others = _walk_arms(arms)
-    counts = np.array([len(own) for own in crystals], dtype=np.intp)
-    arm = (-counts).argsort(kind="stable")
-    # the arms that have crystal c, and their crystals c: that of arm[i] at first[c] + i
-    having = (len(arms) - np.bincount(counts).cumsum())[:-1]
-    flat = [crystals[i][c] for c, n in enumerate(having.tolist()) for i in arm[:n].tolist()]
-    first, delay = having.cumsum() - having, np.array([e.delay for e in flat], dtype=float)
-    delay = np.rint(delay * PM_PER_UM)  # whole picometres
-    segments = [[] for _ in range(len(having) + 1)]
-    for key in sorted(others, key=lambda key: key[:2]):
-        segments[key[0]].append(others[key])
+    arm, having, flat, others, groups = _walk_arms(table)
+    first, delay = having.cumsum() - having, table.delay.take(flat).astype(float)
+    element_ops = _element_kraus(table) if groups else None
     # each crystal's o- and e-ket, real, from one angle array: (crystals, branch, 2)
-    kets = rotated_basis(np.array([e.axis_angle for e in flat])).real.transpose(2, 0, 1)
+    kets = rotated_basis(table.angle.take(flat)).real.transpose(2, 0, 1).copy()
     # the rows as (arm, delay) keys arm + i delay, exact in pm, and their operators
-    keys = np.arange(len(arms)) + 0j
-    kraus = np.eye(2, dtype=complex)[None].repeat(len(arms), axis=0)
-    for c, segment in enumerate(segments):
+    keys = np.arange(table.arms) + 0j
+    kraus = np.eye(2, dtype=complex)[None].repeat(table.arms, axis=0)
+    for c in range(len(having) + 1):
         if c:  # crystal c - 1, then the elements that follow it
             prefix = keys[:keys.searchsorted(having[c - 1])]
             at = prefix.real.astype(np.intp) + first[c - 1]  # each row's crystal in flat
@@ -213,14 +283,14 @@ def compose_arms(arms: Sequence[ArmSpec]) -> tuple[np.ndarray, np.ndarray, np.nd
             terms = np.add.reduceat(terms, starts)
             kraus = np.concatenate((terms, kraus[len(at):]))
             del terms
-        # each rank of waveplates or raw unitaries to the rows of its arms
-        for members, elems in segment:
-            which = np.full(len(arms), -1)
-            which[members] = np.arange(len(members))
+        # each position of waveplates and raw unitaries to the rows of its arms
+        while groups and groups[0][0] == c:
+            group = groups.pop(0)[1]
+            which = np.full(table.arms, -1)
+            which[table.arm.take(others.take(group))] = group
             which = which[arm][keys.real.astype(np.intp)]
             rows = (which >= 0).nonzero()[0]
-            kraus[rows] = matmul2(_element_kraus(elems).take(which[rows], axis=0),
-                                  kraus.take(rows, axis=0))
+            kraus[rows] = matmul2(element_ops.take(which[rows], axis=0), kraus.take(rows, axis=0))
     owner = arm[keys.real.astype(np.intp)]
     kept = np.flatnonzero(~(np.maximum.reduce(np.abs(kraus), axis=(1, 2)) < ZERO_OP_TOL))
     kept = kept[owner[kept].argsort(kind="stable")]
@@ -239,8 +309,6 @@ def arm_channel_apply(table: tuple, rho) -> np.ndarray:
         raise ValueError("arm_channel_apply takes the Kraus table (owner, delays, ops) of "
                          f"compose_arms, ops of shape (k, 2, 2), got shape {shape}")
     rho = validate_density_matrix(rho)
-    if rho.shape[-2:] != (2, 2):
-        raise ValueError(f"arm channels act on 2x2 states, got shape {rho.shape}")
     counts = np.bincount(owner)
     starts = counts.cumsum() - counts
     # each operator broadcast over the stack of states

@@ -36,7 +36,8 @@ import sys
 
 import numpy as np
 
-from .arms import ArmElement, Crystal, RawUnitary, ResourceLimitError, Waveplate, compose_arms
+from .arms import (ArmElement, Crystal, RawUnitary, ResourceLimitError, Waveplate, arm_table,
+                   compose_arms)
 from .core import maximally_mixed
 from .experiments import (
     VARIANTS,
@@ -57,9 +58,9 @@ __all__ = ["UsageError", "parse_config", "main", "main_entry"]
 COMMANDS = ("fringe", "sweep", "oracle-check", "tomography", "qkd", "fit")
 # Upper bounds of the counts, far above the benchmark workloads' 1,024 phases,
 # 200 beta points and 1,000 specs. At the bounds, on a 2-vCPU VM, fringe took
-# 0.8 s and a peak resident set of 217 MiB (0.9 s and 190 MiB with mean-total),
-# sweep 1.7 s and 237 MiB, tomography 3.3 s and 254 MiB, oracle-check 2.7 s and
-# 167 MiB. Tests hold traced memory per unit under 160 B (fringe phase, with or
+# 0.8 s and a peak resident set of 217 MiB (0.8 s and 190 MiB with mean-total),
+# sweep 1.2 s and 197 MiB, tomography 1.9 s and 207 MiB, oracle-check 0.9 s and
+# 120 MiB. Tests hold traced memory per unit under 160 B (fringe phase, with or
 # without mean-total), 3.25 KiB (sweep point), 5.25 KiB (tomography point) and
 # 2.25 KiB (oracle-check spec).
 _COUNT_LIMITS = {"phases": 2**20, "beta-points": 2**16, "specs": 2**16}
@@ -321,11 +322,10 @@ def _fringe_contrast(config: argparse.Namespace) -> complex:
     """Contrast of the 'arms' pair, or of 'variant' at 'beta', with the
     maximally mixed input."""
     if config.arms is not None:
-        upper, lower = _parse_arm_groups(config.arms, 2, "key 'arms'")
-        uppers, lowers = [upper], [lower]
+        table = arm_table(_parse_arm_groups(config.arms, 2, "key 'arms'"))
     else:
-        uppers, lowers = standard_arms(config.variant, [config.beta])
-    return kraus_contrasts(compose_arms([*uppers, *lowers]), [0], [1], maximally_mixed(2))[0]
+        table = standard_arms(config.variant, [config.beta])
+    return kraus_contrasts(compose_arms(table), [0], [1], maximally_mixed(2))[0]
 
 
 def _run_fringe(config: argparse.Namespace) -> int:
@@ -350,9 +350,10 @@ def _run_sweep(config: argparse.Namespace) -> int:
 
 
 def _run_oracle_check(config: argparse.Namespace) -> int:
-    uppers, lowers, rho = random_specs(config.seed, config.specs)
-    contrasts = shared_env_contrasts(uppers, lowers, rho)
-    oracles = oracle_contrasts(uppers, lowers, rho).tolist()
+    table, rho = random_specs(config.seed, config.specs)
+    upper, lower = range(0, table.arms, 2), range(1, table.arms, 2)
+    contrasts = shared_env_contrasts(table, upper, lower, rho)
+    oracles = oracle_contrasts(table, upper, lower, rho).tolist()
     delta = [abs(c - o) for c, o in zip(contrasts, oracles)]
     c, o = np.array(contrasts), np.array(oracles)
     _write_csv(config.output,

@@ -68,18 +68,19 @@ def maximally_mixed(d: int) -> np.ndarray:
 
 
 def validate_density_matrix(rho, name: str = "rho") -> np.ndarray:
-    """Validate a density matrix, or a stack of them (..., d, d): finite,
-    Hermitian, unit trace, positive semidefinite.
+    """Validate a 2x2 density matrix, or a stack of them (..., 2, 2): the
+    shape, then finite, Hermitian, unit trace and positive semidefinite, the
+    last by the smaller eigenvalue of the Hermitian part [[a, b], [b*, d]] in
+    closed form, (a + d)/2 - sqrt(((a - d)/2)^2 + |b|^2).
 
     The properties are checked in that order over the whole stack. Raises
     ValueError naming the first violated property and, for a stack, the index
     of the first matrix that violates it (``rho[2]``); returns the validated
-    complex array on success; an empty stack (0, d, d) passes vacuously.
+    complex array on success; an empty stack (0, 2, 2) passes vacuously.
     """
     arr = np.array(rho, dtype=complex)
-    if arr.ndim < 2 or arr.shape[-2] < 1 or arr.shape[-1] < 1:
-        raise ValueError(f"{name} must be a 2-d matrix with at least one row and column, "
-                         f"got shape {arr.shape}")
+    if arr.shape[-2:] != (2, 2):
+        raise ValueError(f"{name}: input states must be 2x2, got shape {arr.shape}")
 
     def fail(bad: np.ndarray, message) -> None:
         """Raise message(label, index) for the first matrix where ``bad`` holds."""
@@ -90,10 +91,7 @@ def validate_density_matrix(rho, name: str = "rho") -> np.ndarray:
     finite = np.isfinite(arr)
     if not finite.all():
         fail(~finite.all(axis=(-2, -1)), lambda at, i: f"{at} contains NaN or Inf entries")
-    if arr.shape[-2] != arr.shape[-1]:
-        raise ValueError(f"{name} must be square, got shape {arr.shape}")
-    adjoint = arr.swapaxes(-2, -1).conj()
-    herm = np.abs(arr - adjoint)
+    herm = np.abs(arr - arr.swapaxes(-2, -1).conj())
     if herm.max(initial=0.0) > HERMITIAN_ATOL:
         herm = herm.max(axis=(-2, -1))
         fail(herm > HERMITIAN_ATOL,
@@ -102,7 +100,9 @@ def validate_density_matrix(rho, name: str = "rho") -> np.ndarray:
     if np.max(np.abs(tr - 1.0), initial=0.0) > TRACE_ATOL:
         fail(np.abs(tr - 1.0) > TRACE_ATOL,
              lambda at, i: f"{at} trace is {complex(tr[i])}, expected 1")
-    eig_min = np.linalg.eigvalsh(0.5 * (arr + adjoint)).min(axis=-1)
+    a, d = arr[..., 0, 0].real, arr[..., 1, 1].real
+    b = (arr[..., 0, 1] + arr[..., 1, 0].conj()) / 2
+    eig_min = (a + d) / 2 - np.sqrt(((a - d) / 2) ** 2 + b.real ** 2 + b.imag ** 2)
     if np.min(eig_min, initial=0.0) < EIGENVALUE_FLOOR:
         fail(eig_min < EIGENVALUE_FLOOR,
              lambda at, i: f"{at} has a negative eigenvalue ({eig_min[i]:.3e})")

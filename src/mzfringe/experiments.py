@@ -4,7 +4,8 @@ the unbalanced-interferometer key-distribution reduction.
 
 Four built-in configurations (tags "a" through "d") pair two-crystal arms, or
 half-wave-plate arms for "d", against each other with the maximally mixed
-input. The crystal o/e separations are 150 um (short) and 310 um (long). Each
+input; ``standard_arms`` writes them as one element table (``ArmTable``). The
+crystal o/e separations are 150 um (short) and 310 um (long). Each
 configuration has a closed-form contrast in the crystal angle beta; the sweep
 table puts the closed form, the shared-environment simulation, and the
 dilation oracle side by side, as columns over a beta grid. The blindness table
@@ -25,7 +26,7 @@ reads counter i. Fringes are fitted as A + a cos(phi) + b sin(phi), linear in
 The random arm pairs and states of the oracle cross-check (``random_specs``)
 read spec i's own 76 counters, i * 76 + offset: its two arm lengths, three
 for each element that exists (kind, angle, delay) and eight for each complex
-Gaussian, its state's and each unitary's.
+Gaussian, its state's and each unitary's; the arms form one element table.
 """
 
 from __future__ import annotations
@@ -37,8 +38,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .arms import (ArmElement, ArmSpec, Crystal, RawUnitary, ResourceLimitError, Waveplate,
-                   arm_channel_apply, compose_arms)
+from .arms import (WAVEPLATE, ArmSpec, ArmTable, ResourceLimitError, arm_channel_apply,
+                   arm_table, compose_arms, element_table)
 from .core import matmul2, maximally_mixed
 from .interferometer import (kraus_contrasts, oracle_contrasts, output_probability,
                              shared_env_contrasts)
@@ -66,27 +67,31 @@ LONG_CRYSTAL_UM = 310.0
 VARIANTS = ("a", "b", "c", "d")
 
 
-def standard_arms(variant: str, betas: Sequence[float]) -> tuple[list, list]:
-    """Upper and lower arm stacks of a standard configuration over a beta grid;
-    its input state is the maximally mixed one.
+def standard_arms(variant: str, betas: Sequence[float]) -> ArmTable:
+    """The element table of a standard configuration over a beta grid: for n
+    betas, arm i < n is beta i's upper arm and arm n + i its lower arm; the
+    input state is the maximally mixed one.
 
     Arms list crystals in traversal order, second-position crystal first.
     Variants "a" to "c" share their lower arm. The "d" variant replaces the
     crystals with one half-wave plate per arm, fixed at pi/8 in the upper arm
     and at beta in the lower.
     """
-    l1, l2 = SHORT_CRYSTAL_UM, LONG_CRYSTAL_UM
-    if variant == "a":
-        uppers = [[Crystal(0.0, l2), Crystal(beta, l1)] for beta in betas]
-    elif variant == "b":
-        uppers = [[Crystal(beta, l2), Crystal(0.0, l1)] for beta in betas]
-    elif variant == "c":
-        uppers = [[Crystal(0.0, l1), Crystal(beta, l2)] for beta in betas]
-    elif variant == "d":
-        return [[Waveplate(np.pi / 8.0)] for _ in betas], [[Waveplate(beta)] for beta in betas]
-    else:
+    betas = np.asarray(betas, dtype=float).reshape(-1)
+    n, zeros, l1, l2 = len(betas), np.zeros(len(betas)), SHORT_CRYSTAL_UM, LONG_CRYSTAL_UM
+    if variant == "d":
+        return element_table([1] * 2 * n, np.full(2 * n, WAVEPLATE),
+                             np.concatenate((np.full(n, np.pi / 8.0), betas)), zeros.repeat(2),
+                             np.zeros((0, 2, 2)))
+    uppers = {"a": ((zeros, l2), (betas, l1)), "b": ((betas, l2), (zeros, l1)),
+              "c": ((zeros, l1), (betas, l2))}
+    if variant not in uppers:
         raise ValueError(f"unknown variant {variant!r}, expected one of {VARIANTS}")
-    return uppers, [[Crystal(beta, l1), Crystal(0.0, l2)] for beta in betas]
+    # two crystals per arm, (angle, delay) each: uppers, then the lowers
+    (a1, d1), (a2, d2) = uppers[variant]
+    angle = np.stack((np.concatenate((a1, betas)), np.concatenate((a2, zeros))), axis=1)
+    return element_table([2] * 2 * n, np.zeros(4 * n), angle.ravel(),
+                         [d1, d2] * n + [l1, l2] * n, np.zeros((0, 2, 2)))
 
 
 def closed_form_contrast(variant: str, beta: float) -> float:
@@ -116,25 +121,25 @@ def sweep(variant: str, betas: Sequence[float]) -> tuple[np.ndarray, ...]:
     """The columns beta, v_closed_form, v_simulated and v_oracle over a beta grid.
 
     The closed-form column keeps its sign; the simulated and oracle columns
-    are contrast magnitudes. The contrast composes all arms in one Kraus table
-    and joins all betas at once, and the oracle evolves them as one stack in
-    memory-bounded blocks.
+    are contrast magnitudes. The contrast composes all arms of the
+    configuration's table in one Kraus table and joins all betas at once,
+    and the oracle evolves them as one stack in memory-bounded blocks.
     """
-    uppers, lowers = standard_arms(variant, betas)
-    rho = maximally_mixed(2)
+    table, n = standard_arms(variant, betas), len(betas)
+    rho, upper, lower = maximally_mixed(2), range(n), range(n, 2 * n)
     return (np.asarray(betas, dtype=float),
             np.array([closed_form_contrast(variant, beta) for beta in betas], dtype=float),
-            np.array([abs(c) for c in shared_env_contrasts(uppers, lowers, rho)], dtype=float),
-            np.abs(oracle_contrasts(uppers, lowers, rho)))
+            np.array([abs(c) for c in shared_env_contrasts(table, upper, lower, rho)],
+                     dtype=float),
+            np.abs(oracle_contrasts(table, upper, lower, rho)))
 
 
 def _blindness_configuration(variant: str, betas: Sequence[float]) -> tuple:
     """Upper-arm process matrices and visibilities of a standard configuration
     over a beta grid, from one Kraus table of its upper and lower arms, which
     is freed when this returns."""
-    uppers, lowers = standard_arms(variant, betas)
-    n = len(uppers)
-    table = compose_arms([*uppers, *lowers])
+    n = len(betas)
+    table = compose_arms(standard_arms(variant, betas))
     upper = tuple(column[:table[0].searchsorted(n)] for column in table)
     chi = qpt(lambda rho: arm_channel_apply(upper, rho))
     return chi, [abs(c) for c in kraus_contrasts(table, range(n), range(n, 2 * n),
@@ -308,7 +313,7 @@ def fit_fringe(phis: Sequence[float], counts: Sequence[float]) -> FitResult:
     return FitResult(float(amp), float(vis), float(psi), float(stderr), iterations, converged)
 
 
-# Crystal delays of random arms, indexed by floor(4 u); every crystal shares these floats.
+# Crystal delays of random arms in micrometres, indexed by floor(4 u).
 _RANDOM_DELAYS_UM = (0.0, 75.0, 150.0, 310.0)
 # Counter slots of spec i are i * _SPEC_SLOTS + offset: offsets 0 and 1 hold the
 # upper and lower arm lengths; _ELEMENT_SLOT + 3 e + (0, 1, 2) element e's kind,
@@ -329,10 +334,11 @@ def _gaussians(seed: int, slots: np.ndarray) -> np.ndarray:
     return gauss
 
 
-def random_specs(seed: int, n: int) -> tuple[list, list, np.ndarray]:
+def random_specs(seed: int, n: int) -> tuple[ArmTable, np.ndarray]:
     """``n`` random arm pairs with random mixed input states, for
-    cross-checking the simulator against the oracle: upper arms, lower arms
-    and states (n, 2, 2).
+    cross-checking the simulator against the oracle: the element table of
+    the arms, spec i's upper arm 2i and its lower arm 2i + 1, and the states
+    (n, 2, 2).
 
     Spec i reads the counter-based uniforms (``_uniforms``) of its own fixed
     slots, i * 76 + offset, so it depends only on (seed, i), and the first n
@@ -344,8 +350,8 @@ def random_specs(seed: int, n: int) -> tuple[list, list, np.ndarray]:
     unitary is the Q of its Gaussian's QR with R's diagonal made positive, in
     closed form. One array pass draws the arm lengths, one the kinds, angles
     and delays of the elements that exist, one the Gaussians of the states
-    and unitaries; the states and unitaries are then written out as stacks,
-    with no BLAS or LAPACK routine, and one loop builds the arms.
+    and unitaries; the states, the unitaries and the table are then written
+    out as arrays, with no BLAS or LAPACK routine and no element object.
     """
     base = np.arange(n) * _SPEC_SLOTS
     lengths = (4.0 * _uniforms(seed, base[:, None] + np.arange(2))).astype(np.intp).ravel()
@@ -365,13 +371,10 @@ def random_specs(seed: int, n: int) -> tuple[list, list, np.ndarray]:
     q0 = g[..., 0] / np.sqrt((g[..., 0].real ** 2 + g[..., 0].imag ** 2).sum(axis=1))[:, None]
     w = np.stack((-q0[:, 1].conj(), q0[:, 0].conj()), axis=1)
     p = q0[:, 0] * g[:, 1, 1] - q0[:, 1] * g[:, 0, 1]  # <w, g1>
-    unitaries = iter(np.stack((q0, w * (p / np.abs(p))[:, None]), axis=2).tolist())
-    arms: list[list[ArmElement]] = [[] for _ in range(2 * n)]
-    for a, kind, angle, delay in zip(arm.tolist(), kinds.tolist(), (np.pi * angles).tolist(),
-                                     (4.0 * delays).astype(np.intp).tolist()):
-        arms[a].append(Crystal(angle, _RANDOM_DELAYS_UM[delay]) if kind < 0.5
-                       else Waveplate(angle) if kind < 0.75 else RawUnitary(next(unitaries)))
-    return arms[0::2], arms[1::2], rho / np.trace(rho, axis1=1, axis2=2)[:, None, None]
+    table = element_table(lengths, np.digitize(kinds, (0.5, 0.75)), np.pi * angles,
+                          np.take(_RANDOM_DELAYS_UM, (4.0 * delays).astype(np.intp)),
+                          np.stack((q0, w * (p / np.abs(p))[:, None]), axis=2))
+    return table, rho / np.trace(rho, axis1=1, axis2=2)[:, None, None]
 
 
 def qkd_visibility(u1: ArmSpec, u2: ArmSpec, u3: ArmSpec,
@@ -386,6 +389,6 @@ def qkd_visibility(u1: ArmSpec, u2: ArmSpec, u3: ArmSpec,
     the lower. QBER is modeled as (1 - visibility) / 2: at unit visibility the
     wrong port never fires, at zero visibility it fires half the time.
     """
-    vis = abs(kraus_contrasts(compose_arms([[*u1, *u2], [*u3, *u4]]), [0], [1],
+    vis = abs(kraus_contrasts(compose_arms(arm_table([[*u1, *u2], [*u3, *u4]])), [0], [1],
                               maximally_mixed(2))[0])
     return vis, (1.0 - vis) / 2.0

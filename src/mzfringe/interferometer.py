@@ -7,11 +7,11 @@ fringe visibility and whose argument sets the fringe phase;
 Tr[u^dag v rho] over pairs of upper-arm and lower-arm Kraus operators at
 equal time-bin delays; other pairs contribute nothing (orthogonal bins).
 
-Both routines take a stack of arm pairs, ``uppers[i]`` against ``lowers[i]``,
-and one input state or one per pair; one pair is a stack of one. The contrast
-composes all arms in one Kraus table (``compose_arms``) and joins every pair
-at once on exact (arm, delay) keys (``kraus_contrasts``). A pair's result has
-the same bits in any stack.
+Both routines take an element table of arms (``arms.ArmTable``) and pairs of
+its arm indices, arm ``upper[i]`` against arm ``lower[i]``, and one input
+state or one per pair. The contrast composes the table's arms in one Kraus
+table (``compose_arms``) and joins every pair at once on exact (arm, delay)
+keys (``kraus_contrasts``). A pair's result has the same bits in any stack.
 
 The dilation oracle reproduces the fringe by brute force in the frequency
 basis of the time register, where a crystal's delay is a phase on its e-ray:
@@ -29,12 +29,12 @@ wavepacket overlap is out of scope.
 from __future__ import annotations
 
 import math
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 import numpy as np
 
-from .arms import (PM_PER_UM, ArmElement, ArmSpec, Crystal, RawUnitary, ResourceLimitError,
-                   Waveplate, compose_arms)
+from .arms import (CRYSTAL, UNITARY, ArmSpec, ArmTable, ResourceLimitError, arm_table,
+                   compose_arms)
 from .core import matmul2, validate_density_matrix
 
 __all__ = [
@@ -64,21 +64,12 @@ _ORACLE_PHIS = 2.0 * np.pi * np.arange(_ORACLE_PHASES) / _ORACLE_PHASES
 class InterferometerSpec(NamedTuple):
     """Two arms and an input polarization state: the input of
     ``oracle_contrast``, kept for the benchmark's correctness gate. It checks
-    nothing itself; ``oracle_contrast`` validates the state."""
+    nothing itself; ``oracle_contrast`` converts the arms and validates the
+    state."""
 
     upper: ArmSpec
     lower: ArmSpec
     input_state: np.ndarray
-
-
-def _input_states(rho) -> np.ndarray:
-    """``rho``, one input state (2, 2) or a stack of them, as a validated
-    complex array; a matrix that is not a 2x2 density matrix raises
-    ValueError."""
-    states = validate_density_matrix(rho)
-    if states.shape[-2:] != (2, 2):
-        raise ValueError(f"input states must be 2x2, got shape {states.shape}")
-    return states
 
 
 def kraus_contrasts(table: tuple, upper, lower, rho) -> list[complex]:
@@ -115,21 +106,19 @@ def kraus_contrasts(table: tuple, upper, lower, rho) -> list[complex]:
     return [sum(terms[a:b], 0j) for a, b in zip([0, *ends], ends)]
 
 
-def shared_env_contrasts(uppers: Sequence[ArmSpec], lowers: Sequence[ArmSpec],
-                         rho) -> list[complex]:
-    """Complex contrasts of the arm pairs (``uppers[i]``, ``lowers[i]``) with
-    input ``rho``, one state (2, 2) or one per pair, when both arms disturb the
-    same environment. One pair's contrast is
-    ``shared_env_contrasts([upper], [lower], rho)[0]``.
+def shared_env_contrasts(table: ArmTable, upper, lower, rho) -> list[complex]:
+    """Complex contrasts of the arm pairs (``upper[i]``, ``lower[i]``), arm
+    indices of an element table, with input ``rho``, one state (2, 2) or one
+    per pair, when both arms disturb the same environment. One pair's
+    contrast is ``shared_env_contrasts(arm_table([u, l]), [0], [1], rho)[0]``.
 
     ``rho`` is validated once, as one stack; a matrix that is not a 2x2
-    density matrix raises ValueError. All arms, upper and lower alike, are
-    composed in one ``compose_arms`` table, and every pair is joined by one
+    density matrix raises ValueError. All arms of the table are composed in
+    one ``compose_arms`` table, and every pair is joined by one
     ``kraus_contrasts`` call. A pair's contrast has the bits it has alone.
     """
-    rho = _input_states(rho)
-    n = len(uppers)
-    return kraus_contrasts(compose_arms([*uppers, *lowers]), range(n), range(n, 2 * n), rho)
+    rho = validate_density_matrix(rho)
+    return kraus_contrasts(compose_arms(table), upper, lower, rho)
 
 
 def output_probability(c: complex, phi):
@@ -155,124 +144,132 @@ def output_probability(c: complex, phi):
     return float(p) if p.ndim == 0 else p
 
 
-def _frequencies(upper: ArmSpec, lower: ArmSpec) -> tuple[int, int]:
-    """Unit in picometres and frequency count N of the oracle for one arm pair.
+def _frequencies(upper, lower) -> tuple[int, int]:
+    """Unit in picometres and frequency count N of the oracle for one arm
+    pair, given as the crystal delays of each arm in whole picometres.
 
-    The unit is the gcd of the crystal delays in whole picometres (1 without
-    crystals). The full time grid has n = 1 + (largest arm total) / unit bins,
-    and a joint dimension 4n over ORACLE_DIM_LIMIT raises ResourceLimitError
-    before anything is allocated. N <= n is the smallest count that divides no
+    The unit is the gcd of the crystal delays (1 without crystals). The full
+    time grid has n = 1 + (largest arm total) / unit bins, and a joint
+    dimension 4n over ORACLE_DIM_LIMIT raises ResourceLimitError before
+    anything is allocated. N <= n is the smallest count that divides no
     nonzero member of the signed sumset (upper subset sums of shifts minus
     lower ones), so no upper bin aliases a different lower bin.
     """
-    shifts = [[round(e.delay * PM_PER_UM) for e in arm if type(e) is Crystal]
-              for arm in (upper, lower)]
-    unit = math.gcd(*shifts[0], *shifts[1]) or 1
-    n = 1 + max(map(sum, shifts)) // unit
+    unit = math.gcd(*upper, *lower) or 1
+    n = 1 + max(sum(upper), sum(lower)) // unit
     if 4 * n > ORACLE_DIM_LIMIT:
         raise ResourceLimitError(
             f"resource limit: joint dimension {4 * n} exceeds "
             f"{ORACLE_DIM_LIMIT} (time grid of {n} bins at {unit} pm)")
     sums = {0}
-    for sign, delays in zip((1, -1), shifts):
+    for sign, delays in zip((1, -1), (upper, lower)):
         for d in delays:
             sums |= {s + sign * (d // unit) for s in sums}
     gaps = {abs(s) for s in sums}
     return unit, next(m for m in range(1, n + 1) if gaps.isdisjoint(range(m, n, m)))
 
 
-def _stacked_ops(elems: Sequence[ArmElement]) -> np.ndarray:
-    """Operators (arms, 2, 2) of elements of one kind across an arm stack, from
-    angles t with c, s = cos t, sin t, written out rather than built by the
-    constructors composition uses: a crystal's e-ray projector ket_e ket_e^T
-    with ket_e = (-s, c), a waveplate's reflection R(t) diag(1, -1) R(t)^T, or
-    a raw unitary as given."""
-    kind = type(elems[0])
-    if kind is RawUnitary:
-        return np.array([e.matrix for e in elems])
-    angles = np.array([e.axis_angle for e in elems])
-    c, s = np.cos(angles), np.sin(angles)
-    if kind is Crystal:
-        ops = [[s * s, -s * c], [-c * s, c * c]]
-    elif kind is Waveplate:
-        ops = [[c * c - s * s, c * s + s * c], [s * c + c * s, s * s - c * c]]
-    else:
-        raise ValueError(f"unknown arm element {elems[0]!r}")
-    return np.array(ops, dtype=complex).transpose(2, 0, 1)
+def _stacked_ops(table: ArmTable) -> np.ndarray:
+    """Operators (elements, 2, 2) of a table's elements, from angles t with
+    c, s = cos t, sin t, written out rather than built by the constructors
+    composition uses: a crystal's e-ray projector ket_e ket_e^T with ket_e =
+    (-s, c), a waveplate's reflection R(t) diag(1, -1) R(t)^T, or a raw
+    unitary as given."""
+    c, s = np.cos(table.angle), np.sin(table.angle)
+    ops = np.where(table.kind == CRYSTAL, [[s * s, -s * c], [-c * s, c * c]],
+                   [[c * c - s * s, c * s + s * c], [s * c + c * s, s * s - c * c]])
+    ops = np.moveaxis(ops, -1, 0).astype(complex, order="C")  # contiguous, for take
+    ops[table.kind == UNITARY] = table.unitary
+    return ops
 
 
-def _transfer(arms: Sequence[ArmSpec], unit: int, count: int) -> np.ndarray:
-    """Transfer matrices (arms, 2, 2, N) of a stack of arms at the N = ``count``
-    roots of unity w^k = e^{2 pi i k / N}, the frequency axis last.
+def _transfer(table: ArmTable, ops: np.ndarray, rows, unit: int, count: int) -> np.ndarray:
+    """Transfer matrices (rows, 2, 2, N) of the arms ``rows`` of a table,
+    whose element operators are ``ops`` (``_stacked_ops``), at the N =
+    ``count`` roots of unity w^k = e^{2 pi i k / N}, the frequency axis last.
 
-    The identity is evolved through the elements grouped by (position, crystal
-    delay or element type), found in one walk over the stack, each group with
-    its matrices (``_stacked_ops``): a crystal of d units as x + (w^{kd} - 1)
-    P_e x, the phase read at the exact residue kd mod N, other elements as U x.
+    The identity is evolved through the elements grouped by (position,
+    crystal delay or kind), found by one lexsort, each group's operators
+    gathered with ``take``: a crystal of d units as x + (w^{kd} - 1) P_e x,
+    the phase read at the exact residue kd mod N, other elements as U x.
     """
     roots = np.exp(2j * np.pi * np.arange(count) / count)
-    t = np.zeros((len(arms), 2, 2, count), dtype=complex)
+    t = np.zeros((len(rows), 2, 2, count), dtype=complex)
     t[:, 0, 0] = t[:, 1, 1] = 1.0
-    groups: dict = {}
-    for row, arm in enumerate(arms):
-        for at, e in enumerate(arm):
-            members = groups.setdefault((at, e.delay if type(e) is Crystal else type(e)), ([], []))
-            members[0].append(row)
-            members[1].append(e)
-    for _, (rows, elems) in sorted(groups.items(), key=lambda group: group[0][0]):
-        x = t[rows]
-        y = np.einsum("apq,aq...->ap...", _stacked_ops(elems), x)
-        if type(elems[0]) is Crystal:
-            shift = round(elems[0].delay * PM_PER_UM) // unit
-            y = x + (roots[np.arange(count) * shift % count] - 1.0) * y
-        t[rows] = y
+    # the elements of the arms in rows, row after row: their row and position
+    first = table.arm.searchsorted(rows)
+    sizes = table.arm.searchsorted(np.add(rows, 1)) - first
+    row = np.arange(len(rows)).repeat(sizes)
+    position = np.arange(len(row)) - (sizes.cumsum() - sizes).repeat(sizes)
+    at = first.repeat(sizes) + position
+    key = np.where(table.kind.take(at) == CRYSTAL, table.delay.take(at), -1 - table.kind.take(at))
+    order = np.lexsort((key, position))
+    key, position = key[order], position[order]
+    cuts = (np.flatnonzero((key[1:] != key[:-1]) | (position[1:] != position[:-1])) + 1).tolist()
+    bounds = [0, *cuts, len(order)] if len(order) else []
+    for a, b in zip(bounds, bounds[1:]):
+        members, group = row.take(order[a:b]), at.take(order[a:b])
+        x = t.take(members, axis=0)
+        y = np.einsum("apq,aq...->ap...", ops.take(group, axis=0), x)
+        if key[a] >= 0:  # a crystal
+            y = x + (roots[np.arange(count) * (key[a] // unit) % count] - 1.0) * y
+        t[members] = y
     return t
 
 
-def _path_gram(uppers: Sequence[ArmSpec], lowers: Sequence[ArmSpec], rho) -> np.ndarray:
+def _path_gram(table: ArmTable, upper, lower, rho) -> np.ndarray:
     """Gram matrices (pair, path, path) of the oracle's arm-evolved path
-    states, one per arm pair (``uppers[i]``, ``lowers[i]``) with input
-    ``rho``, one state (2, 2) or one per pair.
+    states, one per arm pair (``upper[i]``, ``lower[i]``) of an element table
+    with input ``rho``, one state (2, 2) or one per pair.
 
     The first beamsplitter puts amplitude s_p = ``_BEAMSPLITTER[p, 0]`` on
     path p, where the upper arm acts on path 0 and the lower on path 1; with
     T_p their transfer matrices, Parseval gives G[p, q] = s_p* s_q (1/N) sum_k
     Tr[T_p(w^k)^dag T_q(w^k) rho]. ``_frequencies`` runs once per distinct
-    pair of crystal-delay sequences, and the pairs of one (unit, N) go through
-    ``_transfer`` in blocks of ``_ORACLE_BLOCK_BYTES``, pair i's upper arm in
-    row 2i and its lower in 2i + 1.
+    pair of arms' sorted nonzero crystal delays, and the pairs of one (unit,
+    N) go through ``_transfer`` in blocks of ``_ORACLE_BLOCK_BYTES``, pair i's
+    upper arm in row 2i and its lower in 2i + 1.
     """
+    upper, lower = np.asarray(upper, dtype=np.intp), np.asarray(lower, dtype=np.intp)
     weights = np.multiply.outer(_BEAMSPLITTER[:, 0].conj(), _BEAMSPLITTER[:, 0])
-    rho = np.broadcast_to(rho, (len(uppers), 2, 2))
-    grams = np.empty((len(uppers), 2, 2), dtype=complex)
-    delays = [tuple([e.delay for e in arm if type(e) is Crystal]) for arm in (*uppers, *lowers)]
+    rho = np.broadcast_to(rho, (len(upper), 2, 2))
+    grams = np.empty((len(upper), 2, 2), dtype=complex)
+    # (unit, N) follows from each arm's nonzero crystal delays in any order:
+    # sorted, they are the bytes of the arm's slice of one int64 array
+    shifted = np.flatnonzero(table.delay)
+    shifted = shifted[np.lexsort((table.delay[shifted], table.arm[shifted]))]
+    ends = (8 * np.bincount(table.arm[shifted], minlength=table.arms).cumsum()).tolist()
+    text = table.delay[shifted].tobytes()
+    delays = [text[a:b] for a, b in zip([0, *ends], ends)]
     found, groups = {}, {}
-    for i, key in enumerate(zip(delays[:len(uppers)], delays[len(uppers):])):
+    for i, key in enumerate(zip([delays[a] for a in upper.tolist()],
+                                [delays[a] for a in lower.tolist()])):
         if key not in found:
-            found[key] = _frequencies(uppers[i], lowers[i])
+            found[key] = _frequencies(*(np.frombuffer(k, dtype=np.int64).tolist() for k in key))
         groups.setdefault(found[key], []).append(i)
+    ops = _stacked_ops(table)
     for (unit, count), pairs in groups.items():
         block = max(1, _ORACLE_BLOCK_BYTES // (2 * 2 * 2 * count * 16))
         for start in range(0, len(pairs), block):
             at = pairs[start:start + block]
-            t = _transfer([arm for i in at for arm in (uppers[i], lowers[i])], unit, count)
-            t = t.reshape(len(at), 2, 2, 2, count)
+            rows = np.stack((upper[at], lower[at]), axis=1).ravel()
+            t = _transfer(table, ops, rows, unit, count).reshape(len(at), 2, 2, 2, count)
             grams[at] = np.einsum("ipabk,iqack,icb->ipq", t.conj(), t, rho[at]) * weights / count
     return grams
 
 
-def oracle_contrasts(uppers: Sequence[ArmSpec], lowers: Sequence[ArmSpec], rho) -> np.ndarray:
-    """Complex contrasts (pairs,) of the arm pairs (``uppers[i]``,
-    ``lowers[i]``) with input ``rho``, one state (2, 2) or one per pair, from
-    the oracle fringe (``_path_gram``). ``rho`` is validated as in
-    ``shared_env_contrasts``.
+def oracle_contrasts(table: ArmTable, upper, lower, rho) -> np.ndarray:
+    """Complex contrasts (pairs,) of the arm pairs (``upper[i]``,
+    ``lower[i]``) of an element table with input ``rho``, one state (2, 2)
+    or one per pair, from the oracle fringe (``_path_gram``). ``rho`` is
+    validated as in ``shared_env_contrasts``.
 
     Samples the lower-port probability P(phi) = c^dag G c on a uniform grid of
     ``_ORACLE_PHASES`` phases, c(phi) the lower port's row of the phase plate
     diag(1, e^{i phi}) on path 1 and the closing beamsplitter, the first's
     inverse; returns its unit-frequency component C = 4 <P(phi_k) e^{-i phi_k}>.
     """
-    gram = _path_gram(uppers, lowers, _input_states(rho))
+    gram = _path_gram(table, upper, lower, validate_density_matrix(rho))
     row = _BEAMSPLITTER.conj().T[0] * np.exp(1j * np.multiply.outer(_ORACLE_PHIS, (0.0, 1.0)))
     p0 = np.einsum("ip,...pq,iq->...i", row.conj(), gram, row).real
     return 4.0 * ((p0 * np.exp(-1j * _ORACLE_PHIS)).sum(axis=-1) / _ORACLE_PHASES)
@@ -280,6 +277,7 @@ def oracle_contrasts(uppers: Sequence[ArmSpec], lowers: Sequence[ArmSpec], rho) 
 
 def oracle_contrast(spec: InterferometerSpec) -> complex:
     """Complex contrast of one spec from the dilation-oracle fringe
-    (``oracle_contrasts`` of a one-pair stack, which validates the state), for
-    the benchmark's correctness gate."""
-    return complex(oracle_contrasts([spec.upper], [spec.lower], spec.input_state)[0])
+    (``oracle_contrasts`` of the table of its two arms, which validates the
+    state), for the benchmark's correctness gate."""
+    return complex(oracle_contrasts(arm_table([spec.upper, spec.lower]), [0], [1],
+                                    spec.input_state)[0])

@@ -83,7 +83,7 @@ def qpt(channel: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
         outs = validate_density_matrix(outs, "channel output")
     except ValueError as exc:
         raise ValueError(f"invalid channel: {exc}") from exc
-    if outs.shape[-3:] != PROBE_STATES.shape:
+    if outs.shape[-3:-2] != (4,):
         raise ValueError(f"invalid channel: outputs have shape {outs.shape}, "
                          "expected (..., 4, 2, 2)")
     chi = np.einsum("ij,...j->...i", _CHI_MAP, outs.reshape(outs.shape[:-3] + (16,)))

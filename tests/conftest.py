@@ -2,8 +2,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from mzfringe import (Crystal, RawUnitary, Waveplate, arm_channel_apply, compose_arms,
+from mzfringe import (Crystal, RawUnitary, Waveplate, arm_channel_apply, arm_table, compose_arms,
                       maximally_mixed, oracle_contrasts, shared_env_contrasts, standard_arms)
+from mzfringe.arms import CRYSTAL, PM_PER_UM, WAVEPLATE
 from mzfringe.experiments import _uniforms
 from mzfringe.interferometer import _BEAMSPLITTER
 
@@ -45,24 +46,49 @@ def validate_cptp(operators) -> CptpCheck:
     return CptpCheck(residual <= CPTP_ATOL, residual)
 
 
+def table_arms(table) -> list:
+    """The element lists of the arms of an element table, the inverse of
+    ``arm_table``: one element object per row, built here."""
+    arms = [[] for _ in range(table.arms)]
+    unitaries = iter(table.unitary)
+    for a, kind, angle, delay in zip(table.arm.tolist(), table.kind.tolist(),
+                                     table.angle.tolist(), table.delay.tolist()):
+        arms[a].append(Crystal(angle, delay / PM_PER_UM) if kind == CRYSTAL
+                       else Waveplate(angle) if kind == WAVEPLATE else RawUnitary(next(unitaries)))
+    return arms
+
+
+def pair_table(uppers, lowers):
+    """The element table of the arm pairs (uppers[i], lowers[i]), uppers
+    first, and the upper and lower arm indices: the first three arguments of
+    the batch routines."""
+    n = len(uppers)
+    return arm_table([*uppers, *lowers]), range(n), range(n, 2 * n)
+
+
+def pm_delays(arm) -> list:
+    """An arm's crystal delays in whole picometres, as ``_frequencies`` takes them."""
+    return [round(e.delay * PM_PER_UM) for e in arm if type(e) is Crystal]
+
+
 def compose_one(arm) -> tuple[np.ndarray, np.ndarray]:
     """Kraus set of one arm, delays (k,) and operators (k, 2, 2): the one-arm table."""
-    return compose_arms([arm])[1:]
+    return compose_arms(arm_table([arm]))[1:]
 
 
 def channel_one(arm, rho) -> np.ndarray:
     """Channel of one arm on ``rho``, one state or a stack of states (..., 2, 2)."""
-    return arm_channel_apply(compose_arms([arm]), rho)[0]
+    return arm_channel_apply(compose_arms(arm_table([arm])), rho)[0]
 
 
 def contrast(upper, lower, rho=MIXED) -> complex:
     """Shared-environment contrast of one arm pair."""
-    return shared_env_contrasts([upper], [lower], rho)[0]
+    return shared_env_contrasts(*pair_table([upper], [lower]), rho)[0]
 
 
 def oracle(upper, lower, rho=MIXED) -> complex:
     """Oracle contrast of one arm pair."""
-    return complex(oracle_contrasts([upper], [lower], rho)[0])
+    return complex(oracle_contrasts(*pair_table([upper], [lower]), rho)[0])
 
 
 def port_probabilities(gram: np.ndarray, phis) -> np.ndarray:
@@ -78,8 +104,14 @@ def port_probabilities(gram: np.ndarray, phis) -> np.ndarray:
 
 def standard_pair(variant: str, beta: float) -> tuple[list, list]:
     """Upper and lower arm of a standard configuration at one beta."""
-    (upper,), (lower,) = standard_arms(variant, [beta])
+    upper, lower = table_arms(standard_arms(variant, [beta]))
     return upper, lower
+
+
+def standard_stacks(variant: str, betas) -> tuple[list, list]:
+    """Upper and lower arm lists of a standard configuration over a beta grid."""
+    arms = table_arms(standard_arms(variant, betas))
+    return arms[:len(betas)], arms[len(betas):]
 
 
 RANDOM_DELAYS_UM = (0.0, 75.0, 150.0, 310.0)

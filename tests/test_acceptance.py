@@ -10,9 +10,10 @@ import pytest
 import mzfringe.arms
 import mzfringe.interferometer
 from conftest import (channel_one, compose_one, contrast, oracle, random_arm, random_pair,
-                      standard_pair, validate_cptp)
+                      standard_pair, table_arms, validate_cptp)
 from mzfringe import (
     Crystal,
+    arm_table,
     blindness_demo,
     compose_arms,
     fit_fringe,
@@ -86,14 +87,15 @@ def test_criterion_3_oracle_equivalence():
 # binds; the mutations below replace that binding, so they reach every contrast.
 def test_oracle_catches_reversed_composition(monkeypatch):
     monkeypatch.setattr(mzfringe.interferometer, "compose_arms",
-                        lambda arms: compose_arms([list(arm)[::-1] for arm in arms]))
+                        lambda table: compose_arms(arm_table([arm[::-1]
+                                                              for arm in table_arms(table)])))
     assert _criterion_3_max_delta() > 1e-3
 
 
 def test_oracle_catches_widened_delay_merging(monkeypatch):
     # merge each arm's rows within 100 um of their predecessor, as a merge bug would
-    def compose_widened(arms):
-        owner, delays, ops = compose_arms(arms)
+    def compose_widened(table):
+        owner, delays, ops = compose_arms(table)
         starts = np.flatnonzero(np.concatenate(
             ([True], (owner[1:] != owner[:-1]) | (delays[1:] - delays[:-1] > 100.0))))
         return owner[starts], delays[starts], np.add.reduceat(ops, starts)

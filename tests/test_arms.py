@@ -6,12 +6,13 @@ import numpy as np
 import pytest
 
 from conftest import (channel_one, compose_one, matmul2, random_arm, random_unitary,
-                      validate_cptp)
+                      standard_stacks, table_arms, validate_cptp)
 from mzfringe import (
     Crystal,
     RawUnitary,
     Waveplate,
     arm_channel_apply,
+    arm_table,
     compose_arms,
     half_waveplate,
     maximally_mixed,
@@ -19,11 +20,15 @@ from mzfringe import (
 )
 from mzfringe.arms import (
     COMPOSE_BIN_LIMIT,
+    CRYSTAL,
     PM_PER_UM,
+    UNITARY,
+    WAVEPLATE,
     ZERO_OP_TOL,
     ResourceLimitError,
+    element_table,
 )
-from mzfringe.experiments import default_beta_grid, standard_arms
+from mzfringe.experiments import default_beta_grid
 from mzfringe.tomography import PROBE_STATES
 
 I2 = np.eye(2, dtype=complex)
@@ -96,6 +101,92 @@ def test_raw_unitary_rejects_nonunitary():
     # finite entries whose products overflow: M^dag M has an inf - inf entry
     with pytest.raises(ValueError, match="not unitary"):
         RawUnitary(np.array([[1e200 + 1e200j, 0.0], [0.0, 1.0]]))
+
+
+NO_UNITARY = np.zeros((0, 2, 2))
+
+
+@pytest.mark.parametrize("element, columns", [
+    pytest.param(lambda: Crystal(np.nan, 150.0), (CRYSTAL, np.nan, 150.0, NO_UNITARY),
+                 id="crystal-angle-nan"),
+    pytest.param(lambda: Crystal(-np.inf, 150.0), (CRYSTAL, -np.inf, 150.0, NO_UNITARY),
+                 id="crystal-angle-inf"),
+    pytest.param(lambda: Waveplate(np.inf), (WAVEPLATE, np.inf, 0.0, NO_UNITARY),
+                 id="waveplate-angle-inf"),
+    pytest.param(lambda: Crystal(0.1, -5.0), (CRYSTAL, 0.1, -5.0, NO_UNITARY),
+                 id="negative-delay"),
+    pytest.param(lambda: Crystal(0.1, np.nan), (CRYSTAL, 0.1, np.nan, NO_UNITARY),
+                 id="nan-delay"),
+    pytest.param(lambda: Crystal(0.3, 1e308), (CRYSTAL, 0.3, 1e308, NO_UNITARY),
+                 id="delay-past-the-largest-float-in-pm"),
+    pytest.param(lambda: Crystal(0.0, 0.1 * 3), (CRYSTAL, 0.0, 0.1 * 3, NO_UNITARY),
+                 id="delay-off-the-picometre-grid"),
+    pytest.param(lambda: RawUnitary(np.eye(3)), (UNITARY, 0.0, 0.0, np.eye(3)[None]),
+                 id="unitary-3x3"),
+    pytest.param(lambda: RawUnitary(np.array([[np.nan, 0.0], [0.0, 1.0]])),
+                 (UNITARY, 0.0, 0.0, np.array([[[np.nan, 0.0], [0.0, 1.0]]])), id="unitary-nan"),
+    pytest.param(lambda: RawUnitary(np.diag([1.0, 0.5])),
+                 (UNITARY, 0.0, 0.0, np.diag([1.0, 0.5])[None]), id="not-unitary"),
+    pytest.param(lambda: RawUnitary(np.array([[1e200 + 1e200j, 0.0], [0.0, 1.0]])),
+                 (UNITARY, 0.0, 0.0, np.array([[[1e200 + 1e200j, 0.0], [0.0, 1.0]]])),
+                 id="unitary-overflow"),
+])
+@pytest.mark.filterwarnings("error")
+def test_a_table_refuses_each_element_the_constructors_refuse_alike(element, columns):
+    # the same element as one row of a table, between two valid arms
+    kind, angle, delay, unitary = columns
+    with pytest.raises(ValueError) as refused:
+        element()
+    with pytest.raises(ValueError) as table_refused:
+        element_table([1, 1, 0], [CRYSTAL, kind], [0.3, angle], [150.0, delay], unitary)
+    assert str(table_refused.value) == str(refused.value)
+
+
+def test_a_table_names_its_first_bad_element_and_its_first_arm_past_2_52_pm():
+    with pytest.raises(ValueError, match="waveplate axis_angle must be finite, got nan"):
+        element_table([2, 1], [CRYSTAL, CRYSTAL, WAVEPLATE], [0.1, 0.2, np.nan],
+                      [150.0, 0.1 * 3, 0.0], NO_UNITARY)
+    with pytest.raises(ValueError, match=r"crystal delay 0\.30000000000000004 um"):
+        element_table([2, 1], [CRYSTAL, CRYSTAL, WAVEPLATE], [0.1, 0.2, 0.3],
+                      [150.0, 0.1 * 3, 0.0], NO_UNITARY)
+    half = 2**51 / PM_PER_UM
+    with pytest.raises(ResourceLimitError, match="arm 2's crystal delays reach 2\\*\\*52 pm"):
+        element_table([1, 0, 2], [CRYSTAL] * 3, [0.1] * 3, [half, half, half], NO_UNITARY)
+    # a unitary's angle and a non-crystal's delay are not read, and stored as 0
+    table = element_table([2], [WAVEPLATE, UNITARY], [0.4, np.nan], [np.nan, 5.0], [np.eye(2)])
+    assert table.angle.tolist() == [0.4, 0.0] and table.delay.tolist() == [0, 0]
+
+
+@pytest.mark.parametrize("columns", [
+    ([2], [CRYSTAL], [0.1], [150.0], NO_UNITARY),         # fewer elements than the lengths
+    ([1], [3], [0.1], [150.0], NO_UNITARY),               # no such kind
+    ([1], [-1], [0.1], [150.0], NO_UNITARY),
+    ([1], [CRYSTAL], [0.1, 0.2], [150.0], NO_UNITARY),   # a column too long
+])
+def test_a_table_refuses_columns_that_do_not_fit_together(columns):
+    with pytest.raises(ValueError, match="an arm table needs a kind"):
+        element_table(*columns)
+
+
+def test_a_table_holds_one_matrix_per_unitary():
+    with pytest.raises(ValueError, match="one matrix per unitary"):
+        element_table([1], [UNITARY], [0.0], [0.0], np.zeros((2, 2, 2)))
+
+
+def test_arm_table_round_trips_the_element_lists():
+    rng = np.random.default_rng(19)
+    arms = [random_arm(rng, max_elements=5) for _ in range(300)] + [[], []]
+    table = arm_table(arms)
+    assert table.arms == len(arms) and table.arm.tolist() == sorted(table.arm.tolist())
+    assert table.delay.dtype == np.int64 and table.kind.dtype == np.int8
+    def spelled(arms):
+        return [[(type(e), getattr(e, "axis_angle", None), getattr(e, "delay", None),
+                  e.matrix.tobytes() if type(e) is RawUnitary else None) for e in arm]
+                for arm in arms]
+
+    assert spelled(table_arms(table)) == spelled(arms)
+    with pytest.raises(ValueError, match="unknown arm element 'hwp'"):
+        arm_table([[Waveplate(0.1)], ["hwp"]])
 
 
 def test_raw_unitary_holds_a_read_only_copy():
@@ -245,17 +336,17 @@ def test_channel_names_the_operator_stack_it_takes(kraus, got):
 
 
 def test_channel_of_an_empty_arm_stack_is_an_empty_stack():
-    assert arm_channel_apply(compose_arms([]), PROBE_STATES).shape == (0, 4, 2, 2)
+    assert arm_channel_apply(compose_arms(arm_table([])), PROBE_STATES).shape == (0, 4, 2, 2)
 
 
 def assert_refused_at_once(arms):
-    """compose_arms of ``arms`` raises ResourceLimitError within 0.5 s and
-    4 MiB of traced memory."""
+    """compose_arms of the table of ``arms`` raises ResourceLimitError within
+    0.5 s and 4 MiB of traced memory."""
     tracemalloc.start()
     start = time.perf_counter()
     try:
         with pytest.raises(ResourceLimitError, match="resource limit"):
-            compose_arms(arms)
+            compose_arms(arm_table(arms))
         elapsed = time.perf_counter() - start
         peak = tracemalloc.get_traced_memory()[1]
     finally:
@@ -288,7 +379,7 @@ def test_compose_refuses_crystal_delays_past_the_largest_float():
     half = 2**51 / PM_PER_UM
     for arm in ([Crystal(0.3, half), Crystal(0.2, half)], [Crystal(0.3, 2**52 / PM_PER_UM)]):
         with pytest.raises(ResourceLimitError, match=r"arm 1's crystal delays reach 2\*\*52 pm"):
-            compose_arms([[Crystal(0.1, 150.0)], arm])
+            compose_arms(arm_table([[Crystal(0.1, 150.0)], arm]))
     with pytest.raises(ValueError, match="finite in pm"):
         Crystal(0.3, 1e308)
     # a sum 1 pm below the limit composes, every delay exact
@@ -365,10 +456,10 @@ def test_compose_matches_the_per_branch_rule_bit_for_bit():
 
 
 def assert_rows_are_each_arms_own(arms):
-    """``compose_arms`` of ``arms`` in one call: arm after arm, each arm's rows
-    are those it has alone, bit for bit, and no kept operator lies below
-    ZERO_OP_TOL."""
-    owner, delays, ops = compose_arms(arms)
+    """``compose_arms`` of the table of ``arms`` in one call: arm after arm,
+    each arm's rows are those it has alone, bit for bit, and no kept operator
+    lies below ZERO_OP_TOL."""
+    owner, delays, ops = compose_arms(arm_table(arms))
     assert owner.tolist() == sorted(owner.tolist())
     assert (np.abs(ops).max(axis=(1, 2)) >= ZERO_OP_TOL).all()
     for i, arm in enumerate(arms):
@@ -421,9 +512,9 @@ def stacks_under_test():
     beta = 0, where aligned crystals make some operators vanish in one arm of
     a stack and not in the others."""
     for variant in "abcd":
-        yield from standard_arms(variant, default_beta_grid(200))
-    uppers_a, lowers = standard_arms("a", default_beta_grid(100))
-    uppers_c = standard_arms("c", default_beta_grid(100))[0]
+        yield from standard_stacks(variant, default_beta_grid(200))
+    uppers_a, lowers = standard_stacks("a", default_beta_grid(100))
+    uppers_c = standard_stacks("c", default_beta_grid(100))[0]
     yield from (uppers_a, uppers_c, lowers, [*uppers_c, *lowers])
 
 
@@ -431,6 +522,6 @@ def test_stacked_composition_equals_per_arm_composition_bit_for_bit():
     for arms in stacks_under_test():
         assert_rows_are_each_arms_own(arms)
     # the 300 arms of blindness_demo in one call
-    uppers_a, lowers = standard_arms("a", default_beta_grid(100))
-    assert_rows_are_each_arms_own([*uppers_a, *standard_arms("c", default_beta_grid(100))[0],
+    uppers_a, lowers = standard_stacks("a", default_beta_grid(100))
+    assert_rows_are_each_arms_own([*uppers_a, *standard_stacks("c", default_beta_grid(100))[0],
                                    *lowers])

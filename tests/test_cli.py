@@ -669,13 +669,39 @@ def test_no_command_loads_numpy_random(tmp_path):
     assert not loads_numpy_random(code, str(tmp_path / "o.csv"))
 
 
+@pytest.mark.parametrize("argv, parsed", [
+    (["oracle-check", "--specs", "300"], 0),
+    (["sweep", "--variant", "a", "--beta-points", "20"], 0),
+    (["sweep", "--variant", "d", "--beta-points", "20"], 0),
+    (["tomography", "--beta-points", "20"], 0),
+    (["tomography", "--beta", "0.3"], 0),
+    (["fringe", "--variant", "c", "--beta", "0.3"], 0),
+    (["fit", "--variant", "b", "--beta", "0.3", "--mean-total", "100"], 0),
+    (["qkd"], 0),
+    (["fringe", "--arms", "crystal:0.3:150;hwp:0.2|unitary:1,0,0,1j;identity;crystal:0:75"], 5),
+    (["fit", "--arms", "hwp:0.2|crystal:0.3:150", "--mean-total", "100"], 2),
+    (["qkd", "--segments", "crystal:60deg:310|crystal:0:150|crystal:60deg:150|crystal:0:310"], 4),
+])
+def test_only_the_parser_builds_element_objects(tmp_path, monkeypatch, argv, parsed):
+    # the draws and the standard configurations build tables directly; an
+    # element object is made only by parse_arm, one per element of the text
+    made = []
+    for element in (Crystal, Waveplate, RawUnitary):
+        def counted(self, check=element.__post_init__):
+            made.append(sys._getframe(2).f_code.co_name)  # past the dataclass __init__
+            check(self)
+        monkeypatch.setattr(element, "__post_init__", counted)
+    assert main(argv + ["--output", str(tmp_path / "x.csv")]) == 0
+    assert made == ["parse_arm"] * parsed
+
+
 def test_sampled_fringe_computes_one_contrast(tmp_path, monkeypatch):
     # one table of the pair's two arms and one join, with no validation of
     # the program's own maximally mixed state
     stacks, joins, validated = [], [], []
 
     def composed(arms):
-        stacks.append(len(arms))
+        stacks.append(arms.arms)
         return compose_arms(arms)
 
     def joined(table, upper, lower, rho):
@@ -707,7 +733,7 @@ def test_paper_tables_compose_each_arm_stack_once(tmp_path, monkeypatch, args, s
     calls = []
 
     def counted(arms):
-        calls.append(len(arms))
+        calls.append(arms.arms)
         return compose_arms(arms)
 
     for module in (mzfringe.arms, mzfringe.interferometer, mzfringe.experiments):
@@ -757,7 +783,7 @@ def test_oracle_check_composes_all_arms_in_one_table(tmp_path, monkeypatch):
     stacks, joins = [], []
 
     def composed(arms):
-        stacks.append(len(arms))
+        stacks.append(arms.arms)
         return compose_arms(arms)
 
     def joined(table, upper, lower, rho):

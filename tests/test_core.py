@@ -1,14 +1,14 @@
 import numpy as np
 import pytest
 
-from conftest import ANGLES, random_density
+from conftest import ANGLES, random_density, random_unitary
 from mzfringe import (
     half_waveplate,
     maximally_mixed,
     rotated_basis,
     validate_density_matrix,
 )
-from mzfringe.core import matmul2
+from mzfringe.core import EIGENVALUE_FLOOR, HERMITIAN_ATOL, TRACE_ATOL, matmul2
 from mzfringe.interferometer import _BEAMSPLITTER
 
 I2 = np.eye(2, dtype=complex)
@@ -106,7 +106,7 @@ def test_validate_density_matrix_rejections():
 
 def test_validate_density_matrix_takes_an_empty_stack():
     assert validate_density_matrix(np.zeros((0, 2, 2))).shape == (0, 2, 2)
-    with pytest.raises(ValueError, match="at least one row"):
+    with pytest.raises(ValueError, match=r"must be 2x2, got shape \(0, 2\)"):
         validate_density_matrix(np.zeros((0, 2)))
 
 
@@ -122,3 +122,41 @@ def test_validate_density_matrix_stack_names_the_failing_index(bad, message):
         validate_density_matrix(stack)
     np.testing.assert_allclose(validate_density_matrix(np.array([I2 / 2] * 4)),
                                np.array([I2 / 2] * 4))
+
+
+def eigvalsh_accepts(rho) -> bool:
+    """The reference decision: Hermitian and unit trace within their
+    tolerances, and eigvalsh's smallest eigenvalue of the Hermitian part at
+    or above EIGENVALUE_FLOOR."""
+    hermitian = np.abs(rho - rho.conj().T).max() <= HERMITIAN_ATOL
+    unit_trace = abs(np.trace(rho) - 1.0) <= TRACE_ATOL
+    return bool(hermitian and unit_trace
+                and np.linalg.eigvalsh((rho + rho.conj().T) / 2).min() >= EIGENVALUE_FLOOR)
+
+
+def test_closed_form_state_check_decides_as_eigvalsh_on_either_side_of_the_floors():
+    # rotated states whose smaller eigenvalue lies 1e-12 or 1e-11 either side
+    # of EIGENVALUE_FLOOR, and states whose anti-Hermitian part lies as far
+    # either side of HERMITIAN_ATOL
+    rng = np.random.default_rng(29)
+    states = []
+    for offset in (-1e-11, -1e-12, 1e-12, 1e-11):
+        for _ in range(50):
+            u = random_unitary(rng)
+            lam = EIGENVALUE_FLOOR + offset
+            states.append(u @ np.diag([1.0 - lam, lam]) @ u.conj().T)
+            skew = np.array([[0.0, 1.0], [-1.0, 0.0]]) * (HERMITIAN_ATOL + offset) * np.exp(
+                1j * rng.uniform(0.0, 2.0 * np.pi))
+            states.append(random_density(rng) + skew)
+    decisions = {True: 0, False: 0}
+    for rho in states:
+        want = eigvalsh_accepts(rho)
+        decisions[want] += 1
+        try:
+            validate_density_matrix(rho)
+            got = True
+        except ValueError as exc:
+            assert "eigenvalue" in str(exc) or "Hermitian" in str(exc)
+            got = False
+        assert got == want, rho
+    assert decisions[True] > 100 and decisions[False] > 100

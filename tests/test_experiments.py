@@ -7,9 +7,11 @@ from statistics import NormalDist
 import numpy as np
 import pytest
 
-from conftest import contrast, haar_unitaries, oracle, reference_spec, standard_pair
+from conftest import (contrast, haar_unitaries, oracle, reference_spec, standard_pair,
+                      standard_stacks, table_arms)
 from mzfringe import (
     Waveplate,
+    arm_table,
     closed_form_contrast,
     default_beta_grid,
     experiments,
@@ -22,19 +24,34 @@ from mzfringe import (
     standard_arms,
     sweep,
 )
-from mzfringe.arms import Crystal, RawUnitary, ResourceLimitError
+from mzfringe.arms import CRYSTAL, UNITARY, WAVEPLATE, Crystal, RawUnitary, ResourceLimitError
 from mzfringe.cli import main
 from mzfringe.experiments import _gaussians, _uniforms, random_specs
 
 
 def test_standard_config_crystal_layout():
-    uppers, lowers = standard_arms("a", [0.31, 0.7])
+    uppers, lowers = standard_stacks("a", [0.31, 0.7])
     assert uppers == [[Crystal(0.0, 310.0), Crystal(beta, 150.0)] for beta in (0.31, 0.7)]
     assert lowers == [[Crystal(beta, 150.0), Crystal(0.0, 310.0)] for beta in (0.31, 0.7)]
 
 
 def test_standard_config_waveplate_variant():
-    assert standard_arms("d", [0.9]) == ([[Waveplate(np.pi / 8)]], [[Waveplate(0.9)]])
+    assert standard_stacks("d", [0.9]) == ([[Waveplate(np.pi / 8)]], [[Waveplate(0.9)]])
+
+
+@pytest.mark.parametrize("betas", [[0.31, 0.7], [], default_beta_grid(7)])
+def test_standard_tables_equal_the_tables_of_their_element_lists(betas):
+    # written out: the upper arms, then the lower arms, crystals in traversal order
+    l1, l2 = 150.0, 310.0
+    upper = {"a": lambda b: [Crystal(0.0, l2), Crystal(b, l1)],
+             "b": lambda b: [Crystal(b, l2), Crystal(0.0, l1)],
+             "c": lambda b: [Crystal(0.0, l1), Crystal(b, l2)],
+             "d": lambda b: [Waveplate(np.pi / 8)]}
+    for variant, arm in upper.items():
+        lower = ((lambda b: [Waveplate(b)]) if variant == "d"
+                 else (lambda b: [Crystal(b, l1), Crystal(0.0, l2)]))
+        want = arm_table([*map(arm, betas), *map(lower, betas)])
+        assert_tables_equal(standard_arms(variant, betas), want)
 
 
 def test_standard_config_rejects_unknown_variant():
@@ -133,9 +150,9 @@ def test_oracle_check_memory_grows_by_a_fixed_budget_per_spec():
     # the command does, peaks near 1.75 KiB per spec. 1,024 specs is 1/64 of
     # the bound.
     def check(n):
-        uppers, lowers, states = random_specs(0, n)
-        shared_env_contrasts(uppers, lowers, states)
-        oracle_contrasts(uppers, lowers, states)
+        table, states = random_specs(0, n)
+        shared_env_contrasts(table, range(0, 2 * n, 2), range(1, 2 * n, 2), states)
+        oracle_contrasts(table, range(0, 2 * n, 2), range(1, 2 * n, 2), states)
 
     assert traced_peak(check, 1024) < 1024 * 2.25 * 1024
 
@@ -452,6 +469,21 @@ def arm_bytes(arm):
              e.matrix.tobytes() if type(e) is RawUnitary else None) for e in arm]
 
 
+def assert_tables_equal(got, want):
+    """Two element tables are equal field by field: arm count, and each
+    array's dtype, shape and bytes."""
+    assert got.arms == want.arms
+    for name, a, b in zip(got._fields[1:], got[1:], want[1:]):
+        assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), name
+
+
+def spec_list(draw) -> list:
+    """The (upper, lower, rho) specs of a ``random_specs`` draw as element lists."""
+    table, states = draw
+    arms = table_arms(table)
+    return list(zip(arms[0::2], arms[1::2], states))
+
+
 def assert_specs_equal(got, want):
     """Two lists of (upper, lower, rho) specs are equal bit for bit."""
     assert len(got) == len(want)
@@ -468,24 +500,26 @@ def assert_specs_equal(got, want):
     pytest.param(24, 4, id="no-unitary"),
 ])
 def test_random_specs_equal_the_per_spec_reference_bit_for_bit(seed, n):
-    uppers, lowers, states = random_specs(seed, n)
-    assert len(uppers) == len(lowers) == n and states.shape == (n, 2, 2)
-    assert_specs_equal(list(zip(uppers, lowers, states)),
-                       [reference_spec(seed, i) for i in range(n)])
-    kinds = {type(e) for arm in uppers + lowers for e in arm}
-    assert kinds == ({Crystal, Waveplate} if n == 4 else {Crystal, Waveplate, RawUnitary})
+    table, states = random_specs(seed, n)
+    assert table.arms == 2 * n and states.shape == (n, 2, 2)
+    specs = [reference_spec(seed, i) for i in range(n)]
+    want = arm_table([arm for upper, lower, _ in specs for arm in (upper, lower)])
+    assert_tables_equal(table, want)
+    assert states.tobytes() == np.array([rho for *_, rho in specs]).tobytes()
+    kinds = set(table.kind.tolist())
+    assert kinds == ({CRYSTAL, WAVEPLATE} if n == 4 else {CRYSTAL, WAVEPLATE, UNITARY})
 
 
 def test_random_specs_are_prefixes_of_longer_draws():
     # spec i depends only on (seed, i)
     short, long = random_specs(7, 300), random_specs(7, 600)
-    assert_specs_equal(list(zip(*short)), list(zip(*long))[:300])
+    assert_specs_equal(spec_list(short), spec_list(long)[:300])
 
 
 def test_random_specs_states_are_exactly_hermitian():
     # rho = G G^dag / tr is Hermitian; its stack is made so bit for bit, so
     # every diagonal entry is real
-    states = random_specs(1, 1000)[2]
+    states = random_specs(1, 1000)[1]
     assert np.array_equal(states, states.conj().swapaxes(1, 2))
     assert not np.diagonal(states, axis1=1, axis2=2).imag.any()
 
@@ -493,8 +527,8 @@ def test_random_specs_states_are_exactly_hermitian():
 def test_random_specs_read_every_word_of_the_seed():
     # seeds that differ by 2^64 draw different specs, and a seed of any size works
     for seed in (3, 2**64 + 3, 2**2000 + 3):
-        assert random_specs(seed, 20)[2].tobytes() != random_specs(seed + 2**64, 20)[2].tobytes()
-    assert random_specs(2**2000 + 3, 20)[2].tobytes() != random_specs(3, 20)[2].tobytes()
+        assert random_specs(seed, 20)[1].tobytes() != random_specs(seed + 2**64, 20)[1].tobytes()
+    assert random_specs(2**2000 + 3, 20)[1].tobytes() != random_specs(3, 20)[1].tobytes()
     with pytest.raises(ValueError, match="non-negative"):
         random_specs(-1, 20)
 
@@ -540,8 +574,7 @@ def within_3_sigma(count, total, p):
 
 def test_random_specs_follow_their_distribution():
     # 3 sigma bounds over 20,000 specs
-    uppers, lowers, _ = random_specs(11, 20000)
-    arms = uppers + lowers
+    arms = table_arms(random_specs(11, 20000)[0])
     lengths = np.bincount([len(arm) for arm in arms], minlength=4)
     assert all(within_3_sigma(c, len(arms), 0.25) for c in lengths), lengths
     elements = [e for arm in arms for e in arm]

@@ -8,8 +8,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import (ANGLES, MIXED, compose_one, contrast, matmul2, oracle, port_probabilities,
-                      random_arm, random_density, random_pair, random_unitary, standard_pair)
+from conftest import (ANGLES, MIXED, compose_one, contrast, matmul2, oracle, pair_table,
+                      pm_delays, port_probabilities, random_arm, random_density, random_pair,
+                      random_unitary, standard_pair)
 from mzfringe.arms import PM_PER_UM, ResourceLimitError
 from mzfringe.interferometer import (ORACLE_DIM_LIMIT, InterferometerSpec, _frequencies,
                                      _path_gram, _stacked_ops, _transfer, oracle_contrast,
@@ -18,6 +19,7 @@ from mzfringe import (
     Crystal,
     RawUnitary,
     Waveplate,
+    arm_table,
     half_waveplate,
     maximally_mixed,
     output_probability,
@@ -30,16 +32,22 @@ I2 = np.eye(2, dtype=complex)
 def oracle_ports(upper, lower, rho, phis):
     """Oracle port probabilities (port, phase) of one arm pair from the path
     Gram matrix; port 0 is the lower port."""
-    return port_probabilities(_path_gram([upper], [lower], rho), phis)[0]
+    return port_probabilities(_path_gram(*pair_table([upper], [lower]), rho), phis)[0]
+
+
+def transfer(arms, unit, count):
+    """``_transfer`` of every arm of the table of ``arms``."""
+    table = arm_table(arms)
+    return _transfer(table, _stacked_ops(table), range(len(arms)), unit, count)
 
 
 def arm_transfer(arm):
     """An arm's transfer matrices (k, 2, 2) from ``_transfer`` at N = n, the
     bin count of its full time grid, and the operators (d, 2, 2) at each of
     its bins by the inverse DFT over k, with the bins' delays in um."""
-    unit, _ = _frequencies(arm, [])
-    n = 1 + sum(round(e.delay * PM_PER_UM) for e in arm if type(e) is Crystal) // unit
-    t = _transfer([arm], unit, n)[0].transpose(2, 0, 1)
+    unit, _ = _frequencies(pm_delays(arm), [])
+    n = 1 + sum(pm_delays(arm)) // unit
+    t = transfer([arm], unit, n)[0].transpose(2, 0, 1)
     inverse = np.exp(-2j * np.pi * np.multiply.outer(np.arange(n), np.arange(n)) / n) / n
     bins = [d * unit / PM_PER_UM for d in range(n)]  # in um, as composed delays
     return t, np.einsum("dk,kpq->dpq", inverse, t), bins
@@ -99,7 +107,7 @@ def test_delays_one_picometre_apart_stay_in_separate_bins():
     lower = [Crystal(1.2, 2e-6), Crystal(0.5, 1e-6)]
     assert compose_one(upper)[0].tolist() == [0.0, 1e-6, 2e-6, 3e-6]
     # bins 0 to 3 pm in each arm: the differences 1 to 3 need N = 4
-    assert _frequencies(upper, lower) == (1, 4)
+    assert _frequencies(pm_delays(upper), pm_delays(lower)) == (1, 4)
     c = contrast(upper, lower)
     assert abs(c - oracle(upper, lower)) < 1e-9
 
@@ -160,10 +168,10 @@ def test_grouped_routines_equal_the_per_spec_routines_bit_for_bit():
         return tuple([e.delay for e in arm if type(e) is Crystal])
 
     assert len({(delays(u), delays(l)) for u, l in zip(uppers, lowers)}) == 211
-    assert len({_frequencies(u, l) for u, l in zip(uppers, lowers)}) == 19
+    assert len({_frequencies(pm_delays(u), pm_delays(l)) for u, l in zip(uppers, lowers)}) == 19
     rho = np.array(states)
-    contrasts = shared_env_contrasts(uppers, lowers, rho)
-    oracles = oracle_contrasts(uppers, lowers, rho).tolist()
+    contrasts = shared_env_contrasts(*pair_table(uppers, lowers), rho)
+    oracles = oracle_contrasts(*pair_table(uppers, lowers), rho).tolist()
     for spec, c, o in zip(specs, contrasts, oracles, strict=True):
         assert repr(c) == repr(contrast(*spec)), spec
         assert repr(o) == repr(oracle(*spec)), spec
@@ -244,7 +252,7 @@ def test_output_probability_rejects_nan_and_names_the_cause(c, phi, cause):
 
 
 def test_oracle_of_an_empty_stack_is_empty():
-    assert oracle_contrasts([], [], maximally_mixed(2)).shape == (0,)
+    assert oracle_contrasts(*pair_table([], []), maximally_mixed(2)).shape == (0,)
 
 
 def test_oracle_empty_arms():
@@ -368,12 +376,11 @@ def test_oracle_at_dimension_limit():
     upper = [Crystal(a, d) for a, d in zip(angles, delays)]
     lower = [Crystal(a + 0.8, d) for a, d in zip(angles, delays)]
     # every difference from -1023 to 1023 bins occurs, so N is the full n
-    assert _frequencies(upper, lower) == (150_000_000, 1024)  # 150 um in pm
+    assert _frequencies(pm_delays(upper), pm_delays(lower)) == (150_000_000, 1024)  # 150 um
     assert 4 * 1024 == ORACLE_DIM_LIMIT
     # the gcd of 150, 75 and 310 um is 5 um; the differences 15, 30, 32, 47,
     # 62 and 77 units rule out N = 1 to 8
-    assert _frequencies([Crystal(0.3, 150.0)], [Crystal(0.1, 75.0), Crystal(0.2, 310.0)]) == (
-        5_000_000, 9)
+    assert _frequencies([150_000_000], [75_000_000, 310_000_000]) == (5_000_000, 9)
     c = contrast(upper, lower)
     assert abs(c) > 0.1
     assert abs(c - oracle(upper, lower)) < 1e-9
@@ -420,12 +427,12 @@ def test_stacked_evolution_equals_single_arm_evolutions():
              [Crystal(1.3, 150.0), Crystal(0.1, 150.0), Crystal(0.6, 150.0), Waveplate(0.5)]]
     # a unit of 10 um, and N = 47, the full grid of the 460 um arms
     unit, count = 10_000_000, 47
-    stacked = _transfer(arms, unit, count)
+    stacked = transfer(arms, unit, count)
     # in blocks of three from arm 2 on, as the oracle evolves large groups
-    blocks = np.concatenate([_transfer(arms[2 + start:5 + start], unit, count)
+    blocks = np.concatenate([transfer(arms[2 + start:5 + start], unit, count)
                              for start in range(0, 8, 3)])
     for i, arm in enumerate(arms):
-        single = _transfer([arm], unit, count)[0]
+        single = transfer([arm], unit, count)[0]
         assert stacked[i].tobytes() == single.tobytes(), arm
         if i >= 2:
             assert blocks[i - 2].tobytes() == single.tobytes(), arm
@@ -433,8 +440,8 @@ def test_stacked_evolution_equals_single_arm_evolutions():
 
 def test_oracle_element_matrices_equal_the_constructors():
     # the oracle writes its matrices out; composition calls the constructors
-    crystals = _stacked_ops([Crystal(t, 150.0) for t in ANGLES])
-    plates = _stacked_ops([Waveplate(t) for t in ANGLES])
+    crystals = _stacked_ops(arm_table([[Crystal(t, 150.0) for t in ANGLES]]))
+    plates = _stacked_ops(arm_table([[Waveplate(t) for t in ANGLES]]))
     projectors = [np.outer(ket, ket.conj()) for ket in rotated_basis(ANGLES)[1].T]
     np.testing.assert_allclose(crystals, projectors, rtol=0, atol=1e-15)
     np.testing.assert_allclose(plates, half_waveplate(ANGLES).transpose(2, 0, 1),
@@ -458,7 +465,7 @@ BAD_STATES = [
 def test_batch_routines_validate_the_input_states(routine, rho, message):
     pairs = len(rho) if rho.ndim == 3 else 1
     with pytest.raises(ValueError, match=message):
-        routine([[Crystal(0.3, 150.0)]] * pairs, [[]] * pairs, rho)
+        routine(*pair_table([[Crystal(0.3, 150.0)]] * pairs, [[]] * pairs), rho)
 
 
 # The bytes of oracle-check's contrasts and oracle values for 1,000 seeded
@@ -470,8 +477,9 @@ import numpy as np
 from mzfringe import (blindness_demo, default_beta_grid, oracle_contrasts,
                       shared_env_contrasts, sweep)
 from mzfringe.experiments import random_specs
-uppers, lowers, rho = random_specs(1, 1000)
-out = [np.array(shared_env_contrasts(uppers, lowers, rho)), oracle_contrasts(uppers, lowers, rho)]
+table, rho = random_specs(1, 1000)
+pairs = table, range(0, 2000, 2), range(1, 2000, 2)
+out = [np.array(shared_env_contrasts(*pairs, rho)), oracle_contrasts(*pairs, rho)]
 out += [*sweep("a", default_beta_grid(200)), *sweep("d", default_beta_grid(200))]
 out += blindness_demo(default_beta_grid(100))
 sys.stdout.buffer.write(b"".join(column.tobytes() for column in out))

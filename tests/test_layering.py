@@ -140,7 +140,6 @@ def test_the_oracle_names_none_of_the_code_it_checks():
 # still call BLAS or LAPACK routines, with the reason for each.
 BLAS_NAMES = {"linalg", "dot", "matmul", "tensordot", "inner", "vdot"}
 BLAS_ALLOWED = {
-    "validate_density_matrix": "its eigvalsh only gates the input; no output carries its bits",
     "fit_fringe": "the fit's normal equations, left for its rewrite with a conditioning check",
 }
 

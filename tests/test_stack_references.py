@@ -27,15 +27,16 @@ import numpy as np
 import pytest
 
 import mzfringe.interferometer
-from conftest import matmul2, port_probabilities, random_density, random_unitary
-from mzfringe import (Crystal, RawUnitary, Waveplate, blindness_demo, compose_arms,
+from conftest import (matmul2, pair_table, pm_delays, port_probabilities, random_density,
+                      random_unitary, standard_stacks, table_arms)
+from mzfringe import (Crystal, RawUnitary, Waveplate, arm_table, blindness_demo, compose_arms,
                       default_beta_grid, maximally_mixed, oracle_contrasts, qpt, rotated_basis,
-                      shared_env_contrasts, standard_arms, sweep)
+                      shared_env_contrasts, sweep, validate_density_matrix)
 from mzfringe.arms import (COMPOSE_BIN_LIMIT, PM_PER_UM, ZERO_OP_TOL, ArmSpec,
                            ResourceLimitError, _element_kraus)
 from mzfringe.experiments import random_specs
 from mzfringe.interferometer import (_BEAMSPLITTER, _ORACLE_PHASES, _ORACLE_PHIS, _frequencies,
-                                     _input_states, _path_gram, _stacked_ops)
+                                     _path_gram, _stacked_ops)
 
 
 def crystal_delays(arm: ArmSpec) -> tuple:
@@ -46,6 +47,13 @@ def crystal_delays(arm: ArmSpec) -> tuple:
 def structure(arm: ArmSpec) -> tuple:
     """The oracle references' key: per element, a crystal's delay or another element's kind."""
     return tuple([e.delay if type(e) is Crystal else type(e) for e in arm])
+
+
+def spec_stacks(seed: int, n: int) -> tuple[list, list, np.ndarray]:
+    """The upper arms, lower arms and states of ``random_specs(seed, n)``."""
+    table, rho = random_specs(seed, n)
+    arms = table_arms(table)
+    return arms[0::2], arms[1::2], rho
 
 
 def groups(keys) -> dict:
@@ -110,9 +118,9 @@ def stack_compose(arms):
             kraus = np.add.reduceat(kraus.take(order, axis=1), starts, axis=1)
         for rows, elems in segment:
             if len(rows) == len(arms):
-                kraus = matmul2(_element_kraus(elems)[:, None], kraus)
+                kraus = matmul2(_element_kraus(arm_table([elems]))[:, None], kraus)
             else:
-                kraus[rows] = matmul2(_element_kraus(elems)[:, None], kraus[rows])
+                kraus[rows] = matmul2(_element_kraus(arm_table([elems]))[:, None], kraus[rows])
     delays = delays / PM_PER_UM
     vanish = np.maximum.reduce(np.abs(kraus), axis=(2, 3)) < ZERO_OP_TOL
     if len(arms) == 1:
@@ -137,7 +145,7 @@ def stack_join(upper, lower, rho) -> list[complex]:
 def stack_contrasts(uppers, lowers, rho) -> list[complex]:
     """The contrast with arms composed per crystal-delay sequence and joined
     per (upper, lower) sequence."""
-    rho = _input_states(rho)
+    rho = validate_density_matrix(rho)
     arms = [*uppers, *lowers]
     keys = [crystal_delays(arm) for arm in arms]
     stacks, rows = {}, [0] * len(arms)
@@ -168,7 +176,7 @@ def stack_channel(kraus, rho):
 def stack_blindness(betas):
     """The blindness columns from two stacks: upper a, and upper c with the
     shared lower arm."""
-    (uppers_a, lowers), uppers_c = standard_arms("a", betas), standard_arms("c", betas)[0]
+    (uppers_a, lowers), uppers_c = standard_stacks("a", betas), standard_stacks("c", betas)[0]
     upper_a, (delays, ops) = stack_compose(uppers_a), stack_compose([*uppers_c, *lowers])
     upper_c, lower = (delays, ops[:len(lowers)]), (delays, ops[len(lowers):])
     chi_a, chi_c = (qpt(lambda rho: stack_channel(arm[1], rho)) for arm in (upper_a, upper_c))
@@ -186,7 +194,7 @@ def structure_evolve(arms, unit, n):
     t = np.zeros((len(arms), 2, 2, n), dtype=complex)
     t[:, 0, 0] = t[:, 1, 1] = 1.0
     for elems in zip(*arms):
-        ops = _stacked_ops(elems)
+        ops = _stacked_ops(arm_table([list(elems)]))
         if type(elems[0]) is Crystal:
             d = round(elems[0].delay * PM_PER_UM) // unit
             t = t + (np.exp(2j * np.pi * (np.arange(n) * d % n) / n) - 1.0) * np.einsum(
@@ -204,7 +212,7 @@ def structure_gram(uppers, lowers, rho):
     grams = np.empty((len(uppers), 2, 2), dtype=complex)
     keys = zip(map(structure, uppers), map(structure, lowers))
     for pairs in groups(keys).values():
-        unit, n = _frequencies(uppers[pairs[0]], lowers[pairs[0]])
+        unit, n = _frequencies(pm_delays(uppers[pairs[0]]), pm_delays(lowers[pairs[0]]))
         # in C order, as the package's: einsum's rounding follows the layout
         t = np.empty((len(pairs), 2, 2, 2, n), dtype=complex)
         t[:, 0] = structure_evolve([uppers[i] for i in pairs], unit, n)
@@ -215,7 +223,7 @@ def structure_gram(uppers, lowers, rho):
 
 
 def structure_oracle(uppers, lowers, rho) -> np.ndarray:
-    p0 = port_probabilities(structure_gram(uppers, lowers, _input_states(rho)),
+    p0 = port_probabilities(structure_gram(uppers, lowers, validate_density_matrix(rho)),
                             _ORACLE_PHIS)[:, 0]
     return 4.0 * ((p0 * np.exp(-1j * _ORACLE_PHIS)).sum(axis=-1) / _ORACLE_PHASES)
 
@@ -224,7 +232,7 @@ def assert_compositions_keep_their_bits(arms):
     """Each arm's rows of the one-call table against its row of the reference
     stack of its crystal delays: the same operators at the same delays where
     the reference's do not vanish."""
-    owner, delays, ops = compose_arms(arms)
+    owner, delays, ops = compose_arms(arm_table(arms))
     for members in groups(map(crystal_delays, arms)).values():
         want_delays, want_ops = stack_compose([arms[i] for i in members])
         for i, want in zip(members, want_ops):
@@ -234,23 +242,23 @@ def assert_compositions_keep_their_bits(arms):
 
 
 def assert_contrasts_keep_their_bits(uppers, lowers, rho):
-    got = shared_env_contrasts(uppers, lowers, rho)
+    got = shared_env_contrasts(*pair_table(uppers, lowers), rho)
     assert [repr(c) for c in got] == [repr(c) for c in stack_contrasts(uppers, lowers, rho)]
 
 
 def assert_routines_keep_their_bits(uppers, lowers, rho):
     assert_contrasts_keep_their_bits(uppers, lowers, rho)
-    states = _input_states(rho)
-    assert (_path_gram(uppers, lowers, states).tobytes()
+    states = validate_density_matrix(rho)
+    assert (_path_gram(*pair_table(uppers, lowers), states).tobytes()
             == structure_gram(uppers, lowers, states).tobytes())
-    assert (oracle_contrasts(uppers, lowers, rho).tobytes()
+    assert (oracle_contrasts(*pair_table(uppers, lowers), rho).tobytes()
             == structure_oracle(uppers, lowers, rho).tobytes())
 
 
 @pytest.mark.parametrize("seed", [1, 5, 19])
 def test_random_spec_stack_keeps_its_bits(seed):
     # the 1,000 specs of oracle-check, checked as one stack
-    uppers, lowers, rho = random_specs(seed, 1000)
+    uppers, lowers, rho = spec_stacks(seed, 1000)
     assert_compositions_keep_their_bits([*uppers, *lowers])
     assert_routines_keep_their_bits(uppers, lowers, rho)
 
@@ -314,12 +322,12 @@ def test_a_list_mixing_crystal_delay_sequences_keeps_its_bits():
 @pytest.mark.parametrize("variant", "abcd")
 def test_the_sweeps_keep_their_bits(variant):
     betas = default_beta_grid(200)
-    uppers, lowers = standard_arms(variant, betas)
+    uppers, lowers = standard_stacks(variant, betas)
     rho = maximally_mixed(2)
     # a unit of 10 um and N = 6, where the time grid has 47 bins; no
     # difference between the arms' bins 0, 15, 31 and 46 is a multiple of 6.
     # Variant d has no crystals.
-    assert {_frequencies(upper, lower) for upper, lower in zip(uppers, lowers)} == {
+    assert {_frequencies(pm_delays(u), pm_delays(l)) for u, l in zip(uppers, lowers)} == {
         (1, 1) if variant == "d" else (10_000_000, 6)}
     assert_compositions_keep_their_bits([*uppers, *lowers])
     assert_routines_keep_their_bits(uppers, lowers, rho)
@@ -331,7 +339,7 @@ def test_the_sweeps_keep_their_bits(variant):
 
 def test_the_blindness_arms_keep_their_bits():
     betas = default_beta_grid(100)
-    (uppers_a, lowers), uppers_c = standard_arms("a", betas), standard_arms("c", betas)[0]
+    (uppers_a, lowers), uppers_c = standard_stacks("a", betas), standard_stacks("c", betas)[0]
     assert_compositions_keep_their_bits([*uppers_a, *uppers_c, *lowers])
     got, want = blindness_demo(betas), stack_blindness(betas)
     assert [column.tobytes() for column in got] == [column.tobytes() for column in want]
@@ -363,7 +371,7 @@ def test_a_list_mixing_shapes_keeps_its_bits():
     # draw (0 to 3 elements), and two adjacent arms of the only 4-crystal
     # sequence, whose equal delays sit side by side in the table's sort but
     # belong to different arms and never merge
-    uppers, lowers, _ = random_specs(5, 500)
+    uppers, lowers, _ = spec_stacks(5, 500)
     rng = np.random.default_rng(5)
     deep = [arm for pair in deep_arms_pairs() for arm in pair]
     arms = [*uppers, *lowers]
@@ -374,7 +382,7 @@ def test_a_list_mixing_shapes_keeps_its_bits():
              for _ in range(2)]
     arms[500:500] = twins
     assert_compositions_keep_their_bits(arms)
-    owner, delays, _ = compose_arms(arms)
+    owner, delays, _ = compose_arms(arm_table(arms))
     for i in (500, 501):
         assert delays[owner == i].tolist() == [0.0, 75.0, 150.0, 225.0, 300.0, 310.0, 375.0,
                                                385.0, 460.0, 535.0, 610.0, 685.0]
@@ -393,7 +401,7 @@ def test_an_oracle_on_the_full_grid_keeps_its_bits():
                 if rng.random() < 0.3:
                     arm.append(Waveplate(float(rng.uniform(0, np.pi))))
             arms.append(arm)
-    assert _frequencies(uppers[0], lowers[0]) == (150_000_000, 1024)
+    assert _frequencies(pm_delays(uppers[0]), pm_delays(lowers[0])) == (150_000_000, 1024)
     assert_routines_keep_their_bits(uppers, lowers, random_density(rng))
 
 
@@ -409,8 +417,8 @@ def test_shifts_from_unreachable_bins_keep_their_bits():
     for upper, lower in shapes * 4:
         uppers.append(mixed_arms(rng, 1, upper)[0])
         lowers.append(mixed_arms(rng, 1, lower)[0])
-    assert _frequencies(uppers[0], lowers[0]) == _frequencies(uppers[2], lowers[2]) == (
-        10_000_000, 6)
+    assert {_frequencies(pm_delays(uppers[i]), pm_delays(lowers[i])) for i in (0, 2)} == {
+        (10_000_000, 6)}
     rho = np.array([random_density(rng) for _ in uppers])
     assert_routines_keep_their_bits(uppers, lowers, rho)
 
@@ -420,9 +428,9 @@ def test_random_specs_in_small_blocks_keep_their_bits(monkeypatch, block_bytes):
     # blocks of one pair, and blocks that split the (unit, N) groups
     # unevenly; the references evolve each structure group whole
     monkeypatch.setattr(mzfringe.interferometer, "_ORACLE_BLOCK_BYTES", block_bytes)
-    uppers, lowers, rho = random_specs(23, 2000)
-    states = _input_states(rho)
-    assert (_path_gram(uppers, lowers, states).tobytes()
+    uppers, lowers, rho = spec_stacks(23, 2000)
+    states = validate_density_matrix(rho)
+    assert (_path_gram(*pair_table(uppers, lowers), states).tobytes()
             == structure_gram(uppers, lowers, states).tobytes())
-    assert (oracle_contrasts(uppers, lowers, rho).tobytes()
+    assert (oracle_contrasts(*pair_table(uppers, lowers), rho).tobytes()
             == structure_oracle(uppers, lowers, rho).tobytes())

@@ -3,17 +3,18 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import channel_one, random_arm, random_density, random_unitary
+from conftest import channel_one, random_arm, random_density, random_unitary, standard_stacks
 from mzfringe import (
     Crystal,
     Waveplate,
     arm_channel_apply,
+    arm_table,
     blindness_demo,
     compose_arms,
     maximally_mixed,
     qpt,
 )
-from mzfringe.experiments import default_beta_grid, standard_arms
+from mzfringe.experiments import default_beta_grid
 from mzfringe.tomography import PAULIS, PROBE_STATES
 
 
@@ -79,8 +80,8 @@ def test_qpt_of_a_channel_stack_equals_per_channel_qpt_bit_for_bit():
         assert stacked.tobytes() == qpt(channel).tobytes()
     # a Kraus table's channels, as blindness_demo applies them, against each
     # arm alone
-    arms = standard_arms("a", default_beta_grid(100))[0]
-    table = compose_arms(arms)
+    arms = standard_stacks("a", default_beta_grid(100))[0]
+    table = compose_arms(arm_table(arms))
     chi = qpt(lambda rho: arm_channel_apply(table, rho))
     for stacked, arm in zip(chi, arms):
         alone = qpt(lambda rho: channel_one(arm, rho))
