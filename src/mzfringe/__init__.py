@@ -14,7 +14,6 @@ from .arms import (
     arm_channel_apply,
     arm_table,
     compose_arms,
-    element_table,
 )
 from .core import (
     half_waveplate,

@@ -10,12 +10,13 @@ observable, so the o-ray carries zero delay by convention. Crystal delays
 are whole picometres, which composition adds exactly.
 
 A stack of arms is one element table (``ArmTable``) of flat arrays, built
-by ``element_table`` from arrays or by ``arm_table`` from element lists
-(``Crystal``, ``Waveplate``, ``RawUnitary``). ``compose_arms`` composes a
-table's arms into one Kraus table, each arm's rows in delay order, arm after
-arm, in one loop over crystal indices: each step merges one crystal's delays
-and sums its operators. ``arm_channel_apply`` maps a stack of states through
-the operators of each arm of a Kraus table.
+by ``arm_table`` from element lists (``Crystal``, ``Waveplate``,
+``RawUnitary``, whose constructors are the one check of each element) or by
+``element_table`` from arrays the program made itself. ``compose_arms``
+composes a table's arms into one Kraus table, each arm's rows in delay order,
+arm after arm, in one loop over crystal indices: each step merges one
+crystal's delays and sums its operators. ``arm_channel_apply`` maps a stack
+of states through the operators of each arm of a Kraus table.
 """
 
 from __future__ import annotations
@@ -98,14 +99,21 @@ class Waveplate:
 @dataclass(frozen=True)
 class RawUnitary:
     """An arbitrary 2x2 unitary element acting on polarization alone, held as a
-    read-only complex copy, checked as ``element_table`` checks a unitary: 2x2,
-    finite, and unitary within ``UNITARY_ATOL``."""
+    read-only complex copy: 2x2, finite, and unitary within ``UNITARY_ATOL``
+    (the largest entry of |M^dag M - I|; one that overflows fails)."""
 
     matrix: np.ndarray
 
     def __post_init__(self):
         m = np.array(self.matrix, dtype=complex)
-        element_table([1], [UNITARY], [0.0], [0.0], m[None])
+        if m.shape != (2, 2):
+            raise ValueError(f"RawUnitary must be 2x2, got shape {m.shape}")
+        if not np.isfinite(m).all():
+            raise ValueError("RawUnitary contains NaN or Inf entries")
+        with np.errstate(over="ignore", invalid="ignore"):
+            resid = np.abs(matmul2(m.conj().T, m) - np.eye(2)).max()
+        if not resid <= UNITARY_ATOL:
+            raise ValueError(f"RawUnitary is not unitary (residual {resid:.3e})")
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
 
@@ -122,7 +130,7 @@ class ArmTable(NamedTuple):
     have none), ``kind`` (CRYSTAL, WAVEPLATE or UNITARY), ``angle`` in radians
     (0 for a unitary), ``delay`` a crystal's delay in whole picometres (int64,
     0 for the others), and ``unitary`` (u, 2, 2) the matrices of the u
-    unitaries in order. ``element_table`` and ``arm_table`` build it, checked."""
+    unitaries in order. ``arm_table`` and ``element_table`` build it."""
 
     arms: int
     arm: np.ndarray
@@ -136,55 +144,24 @@ def element_table(lengths, kind, angle, delay, unitary) -> ArmTable:
     """The table of arms of ``lengths`` elements each, from element arrays in
     traversal order: kind, angle, delay in micrometres, and the matrices of
     the unitaries (u, 2, 2). A unitary's angle and a delay of any element but
-    a crystal are stored as 0.
-
-    The one check of every table runs over its arrays, with the element
-    constructors' messages, naming the first element that fails: finite
-    angles; crystal delays >= 0 and finite in pm, then in whole picometres;
-    unitaries 2x2, finite, then unitary within ``UNITARY_ATOL`` (the largest
-    entry of |M^dag M - I|; one that overflows fails). Last, an arm whose
-    crystal delays reach 2**52 pm in all raises ResourceLimitError."""
+    a crystal are stored as 0. It checks no element: its callers pass one kind
+    per element, finite angles, crystal delays in whole picometres >= 0 and one
+    unitary matrix per UNITARY, checked by the element constructors or made by
+    the program itself. An arm whose crystal delays reach 2**52 pm in all
+    raises ResourceLimitError."""
     arm, kind = np.arange(len(lengths)).repeat(lengths), np.asarray(kind, dtype=np.int8)
-    if (not len(arm) == len(kind) == len(angle) == len(delay)
-            or (kind.view(np.uint8) > UNITARY).any()):
-        raise ValueError("an arm table needs a kind (CRYSTAL, WAVEPLATE or UNITARY), an angle "
-                         "and a delay for each of its elements")
-    angle, delay = np.where(kind == UNITARY, 0.0, angle), np.where(kind == CRYSTAL, delay, 0.0)
-    unitary = np.asarray(unitary, dtype=complex)
-
-    def fail(bad, message, error=ValueError) -> None:
-        """Raise message(i) for the first i where ``bad`` holds, if any."""
-        if np.count_nonzero(bad):
-            raise error(message(int(np.argmax(bad))))
-
-    with np.errstate(over="ignore", invalid="ignore"):
-        fail(~np.isfinite(angle), lambda i: f"{('crystal', 'waveplate')[kind[i]]} axis_angle "
-                                            f"must be finite, got {angle[i]}")
-        pm = delay * PM_PER_UM
-        fail(~(pm >= 0) | (pm == np.inf),
-             lambda i: f"crystal delay must be >= 0 and finite in pm, got {delay[i]}")
-        whole = np.rint(pm)
-        fail((whole / PM_PER_UM != delay) & (pm < 2**52),
-             lambda i: f"crystal delay {float(delay[i])!r} um is not in whole picometres")
-        if unitary.shape != (np.count_nonzero(kind == UNITARY), 2, 2):
-            raise ValueError(f"RawUnitary must be 2x2, got shape {unitary.shape[1:]}"
-                             if unitary.shape[1:] != (2, 2) else "one matrix per unitary")
-        if len(unitary):
-            fail(~np.isfinite(unitary).all(axis=(1, 2)),
-                 lambda i: "RawUnitary contains NaN or Inf entries")
-            gram = matmul2(unitary.conj().swapaxes(1, 2), unitary)
-            resid = np.abs(gram - np.eye(2)).max(axis=(1, 2))
-            fail(~(resid <= UNITARY_ATOL),
-                 lambda i: f"RawUnitary is not unitary (residual {resid[i]:.3e})")
-        fail(np.bincount(arm, weights=pm, minlength=len(lengths)) >= 2**52,
-             lambda i: f"resource limit: arm {i}'s crystal delays reach 2**52 pm",
-             ResourceLimitError)
-    return ArmTable(len(lengths), arm, kind, angle, whole.astype(np.int64), unitary)
+    pm = np.where(kind == CRYSTAL, delay, 0.0) * PM_PER_UM
+    over = np.bincount(arm, weights=pm, minlength=len(lengths)) >= 2**52
+    if over.any():
+        raise ResourceLimitError(f"resource limit: arm {int(over.argmax())}'s crystal delays "
+                                 "reach 2**52 pm")
+    return ArmTable(len(lengths), arm, kind, np.where(kind == UNITARY, 0.0, angle),
+                    np.rint(pm).astype(np.int64), np.asarray(unitary, dtype=complex))
 
 
 def arm_table(arms: Sequence[ArmSpec]) -> ArmTable:
     """The table of a list of arms, each a list of elements in traversal
-    order, checked by ``element_table``; any other element raises ValueError."""
+    order, checked by their constructors; any other element raises ValueError."""
     elements = [e for arm in arms for e in arm]
     kinds = [_KINDS.get(type(e)) for e in elements]
     if None in kinds:

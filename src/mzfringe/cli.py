@@ -398,17 +398,18 @@ def _run_qkd(config: argparse.Namespace) -> int:
 
 def _run_fit(config: argparse.Namespace) -> int:
     if config.counts is not None:
-        try:
-            result = fit_fringe(*_read_counts(config.counts))
-        except ValueError as exc:  # too few records, phases spanning at most pi, all zero
-            raise UsageError(f"counts file {config.counts!r}: {exc}")
-        if not result.converged:
-            raise UsageError(f"counts file {config.counts!r}: the fit did not converge "
-                             f"in {result.iterations} steps")
+        phis, counts = _read_counts(config.counts)
+        source = f"counts file {config.counts!r}"
     else:
         phis = _phase_grid(config.phases)
-        result = fit_fringe(phis, poisson_fringe(_fringe_contrast(config), phis,
-                                                 config.mean_total, config.seed))
+        counts = poisson_fringe(_fringe_contrast(config), phis, config.mean_total, config.seed)
+        source = "sampled counts"
+    try:
+        result = fit_fringe(phis, counts)
+    except ValueError as exc:  # too few records, phases spanning at most pi, all zero
+        raise UsageError(f"{source}: {exc}")
+    if config.counts is not None and not result.converged:
+        raise UsageError(f"{source}: the fit did not converge in {result.iterations} steps")
     _write_csv(config.output,
                ["amplitude", "visibility_hat", "phase_hat", "stderr_visibility",
                 "iterations", "converged"],

@@ -75,12 +75,14 @@ def standard_arms(variant: str, betas: Sequence[float]) -> ArmTable:
     Arms list crystals in traversal order, second-position crystal first.
     Variants "a" to "c" share their lower arm. The "d" variant replaces the
     crystals with one half-wave plate per arm, fixed at pi/8 in the upper arm
-    and at beta in the lower.
+    and at beta in the lower. A beta that is not finite raises ValueError.
     """
     betas = np.asarray(betas, dtype=float).reshape(-1)
+    if not np.isfinite(betas).all():
+        raise ValueError(f"beta must be finite, got {betas[~np.isfinite(betas)][0]}")
     n, zeros, l1, l2 = len(betas), np.zeros(len(betas)), SHORT_CRYSTAL_UM, LONG_CRYSTAL_UM
     if variant == "d":
-        return element_table([1] * 2 * n, np.full(2 * n, WAVEPLATE),
+        return element_table(np.full(2 * n, 1), np.full(2 * n, WAVEPLATE),
                              np.concatenate((np.full(n, np.pi / 8.0), betas)), zeros.repeat(2),
                              np.zeros((0, 2, 2)))
     uppers = {"a": ((zeros, l2), (betas, l1)), "b": ((betas, l2), (zeros, l1)),
@@ -90,8 +92,8 @@ def standard_arms(variant: str, betas: Sequence[float]) -> ArmTable:
     # two crystals per arm, (angle, delay) each: uppers, then the lowers
     (a1, d1), (a2, d2) = uppers[variant]
     angle = np.stack((np.concatenate((a1, betas)), np.concatenate((a2, zeros))), axis=1)
-    return element_table([2] * 2 * n, np.zeros(4 * n), angle.ravel(),
-                         [d1, d2] * n + [l1, l2] * n, np.zeros((0, 2, 2)))
+    return element_table(np.full(2 * n, 2), np.zeros(4 * n), angle.ravel(),
+                         np.repeat([[d1, d2], [l1, l2]], n, axis=0).ravel(), np.zeros((0, 2, 2)))
 
 
 def closed_form_contrast(variant: str, beta: float) -> float:
@@ -225,8 +227,6 @@ def poisson_fringe(contrast: complex, phis: Sequence[float],
         raise ValueError("mean_total must be >= 1")
     if mean_total > 2**53:
         raise ResourceLimitError(f"resource limit: mean_total {mean_total} is past 2**53")
-    if seed < 0:
-        raise ValueError("seed must be a non-negative integer")
     phis = np.asarray(phis, dtype=float)
     expected = mean_total * output_probability(contrast, phis)
     u = np.clip(_uniforms(int(seed), np.arange(len(phis))), 1e-300, 1.0 - 1e-16)

@@ -72,10 +72,27 @@ class InterferometerSpec(NamedTuple):
     input_state: np.ndarray
 
 
+def _arm_pairs(arms: int, upper, lower) -> tuple[np.ndarray, np.ndarray]:
+    """The arm indices ``upper`` and ``lower`` of a table of ``arms`` arms as
+    intp arrays. An index that is not an integer in [0, arms), or lists of
+    unequal length, raise ValueError."""
+    pairs = np.asarray(upper), np.asarray(lower)
+    for side, index in zip(("upper", "lower"), pairs):
+        if (index.ndim != 1 or (index.dtype.kind not in "iu" and len(index))
+                or ((index < 0) | (index >= arms)).any()):
+            raise ValueError(f"{side} arm indices must be a list of integers in [0, {arms}), "
+                             f"the table's arms, got {np.array2string(index, threshold=8)}")
+    if len(pairs[0]) != len(pairs[1]):
+        raise ValueError(f"{len(pairs[0])} upper arm indices against {len(pairs[1])} lower")
+    return pairs[0].astype(np.intp, copy=False), pairs[1].astype(np.intp, copy=False)
+
+
 def kraus_contrasts(table: tuple, upper, lower, rho) -> list[complex]:
     """Complex contrasts of arm pairs from a Kraus table of ``compose_arms``:
     pair i joins arm ``upper[i]`` of the table with arm ``lower[i]``, with
-    input ``rho``, an unvalidated complex array, one state (2, 2) or one per pair.
+    input ``rho``, an unvalidated complex array, one state (2, 2) or one per
+    pair. The table's arms are 0 to its last row's; an index outside them
+    raises ValueError, as in ``shared_env_contrasts``.
 
     C = sum of Tr[u^dag v rho] over Kraus pairs at equal delays (u from the
     upper arm, v from the lower): an arm's delays are distinct, so each upper
@@ -85,7 +102,7 @@ def kraus_contrasts(table: tuple, upper, lower, rho) -> list[complex]:
     upper delay order from 0, which fixes their rounding.
     """
     owner, delays, ops = table
-    upper, lower = np.asarray(upper, dtype=np.intp), np.asarray(lower, dtype=np.intp)
+    upper, lower = _arm_pairs(int(owner[-1]) + 1 if len(owner) else 0, upper, lower)
     # (arm, delay) keys as arm + i delay, which numpy sorts and searches
     # lexicographically, real part first: exact, and ascending over the table
     keys = owner + 1j * delays
@@ -112,11 +129,14 @@ def shared_env_contrasts(table: ArmTable, upper, lower, rho) -> list[complex]:
     per pair, when both arms disturb the same environment. One pair's
     contrast is ``shared_env_contrasts(arm_table([u, l]), [0], [1], rho)[0]``.
 
+    Arm indices that are not integers within the table, or upper and lower
+    lists of unequal length, raise ValueError before anything is composed.
     ``rho`` is validated once, as one stack; a matrix that is not a 2x2
     density matrix raises ValueError. All arms of the table are composed in
     one ``compose_arms`` table, and every pair is joined by one
     ``kraus_contrasts`` call. A pair's contrast has the bits it has alone.
     """
+    _arm_pairs(table.arms, upper, lower)  # checked here, converted after composing
     rho = validate_density_matrix(rho)
     return kraus_contrasts(compose_arms(table), upper, lower, rho)
 
@@ -261,14 +281,15 @@ def _path_gram(table: ArmTable, upper, lower, rho) -> np.ndarray:
 def oracle_contrasts(table: ArmTable, upper, lower, rho) -> np.ndarray:
     """Complex contrasts (pairs,) of the arm pairs (``upper[i]``,
     ``lower[i]``) of an element table with input ``rho``, one state (2, 2)
-    or one per pair, from the oracle fringe (``_path_gram``). ``rho`` is
-    validated as in ``shared_env_contrasts``.
+    or one per pair, from the oracle fringe (``_path_gram``). The indices and
+    ``rho`` are checked as in ``shared_env_contrasts``.
 
     Samples the lower-port probability P(phi) = c^dag G c on a uniform grid of
     ``_ORACLE_PHASES`` phases, c(phi) the lower port's row of the phase plate
     diag(1, e^{i phi}) on path 1 and the closing beamsplitter, the first's
     inverse; returns its unit-frequency component C = 4 <P(phi_k) e^{-i phi_k}>.
     """
+    upper, lower = _arm_pairs(table.arms, upper, lower)
     gram = _path_gram(table, upper, lower, validate_density_matrix(rho))
     row = _BEAMSPLITTER.conj().T[0] * np.exp(1j * np.multiply.outer(_ORACLE_PHIS, (0.0, 1.0)))
     p0 = np.einsum("ip,...pq,iq->...i", row.conj(), gram, row).real

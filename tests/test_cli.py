@@ -632,7 +632,7 @@ def test_inline_fit_of_all_zero_sample_fails(tmp_path, capsys):
     assert seed is not None
     out = tmp_path / "f.csv"
     assert main(["fit", "--variant", "d", "--beta", "0.3927rad", "--mean-total", "1",
-                 "--phases", "4", "--seed", str(seed), "--output", str(out)]) != 0
+                 "--phases", "4", "--seed", str(seed), "--output", str(out)]) == 2
     assert "sum to more than 0" in capsys.readouterr().err
     assert not out.exists()
 

@@ -24,7 +24,8 @@ from mzfringe import (
     standard_arms,
     sweep,
 )
-from mzfringe.arms import CRYSTAL, UNITARY, WAVEPLATE, Crystal, RawUnitary, ResourceLimitError
+from mzfringe.arms import (CRYSTAL, PM_PER_UM, UNITARY, WAVEPLATE, Crystal, RawUnitary,
+                           ResourceLimitError)
 from mzfringe.cli import main
 from mzfringe.experiments import _gaussians, _uniforms, random_specs
 
@@ -57,6 +58,14 @@ def test_standard_tables_equal_the_tables_of_their_element_lists(betas):
 def test_standard_config_rejects_unknown_variant():
     with pytest.raises(ValueError):
         standard_arms("e", [0.1])
+
+
+@pytest.mark.parametrize("variant", experiments.VARIANTS)
+@pytest.mark.parametrize("beta", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+def test_standard_config_refuses_a_beta_that_is_not_finite(variant, beta):
+    # its table is not checked: standard_arms checks the betas itself
+    with pytest.raises(ValueError, match=f"^beta must be finite, got {beta}$"):
+        standard_arms(variant, [0.1, beta])
 
 
 def test_closed_forms_at_named_points():
@@ -514,6 +523,18 @@ def test_random_specs_are_prefixes_of_longer_draws():
     # spec i depends only on (seed, i)
     short, long = random_specs(7, 300), random_specs(7, 600)
     assert_specs_equal(spec_list(short), spec_list(long)[:300])
+
+
+def test_random_specs_draw_only_elements_their_constructors_accept():
+    # their table is not checked: finite angles, delays from the four, and
+    # unitaries that RawUnitary accepts
+    table = random_specs(5, 4000)[0]
+    assert np.isfinite(table.angle).all()
+    delays = table.delay[table.kind == CRYSTAL] / PM_PER_UM
+    assert set(delays.tolist()) == {0.0, 75.0, 150.0, 310.0}
+    assert len(table.unitary) > 1000
+    for matrix in table.unitary:
+        RawUnitary(matrix)
 
 
 def test_random_specs_states_are_exactly_hermitian():

@@ -11,7 +11,8 @@ import pytest
 from conftest import (ANGLES, MIXED, compose_one, contrast, matmul2, oracle, pair_table,
                       pm_delays, port_probabilities, random_arm, random_density, random_pair,
                       random_unitary, standard_pair)
-from mzfringe.arms import PM_PER_UM, ResourceLimitError
+from mzfringe import interferometer
+from mzfringe.arms import PM_PER_UM, ResourceLimitError, compose_arms
 from mzfringe.interferometer import (ORACLE_DIM_LIMIT, InterferometerSpec, _frequencies,
                                      _path_gram, _stacked_ops, _transfer, oracle_contrast,
                                      oracle_contrasts, shared_env_contrasts)
@@ -466,6 +467,31 @@ def test_batch_routines_validate_the_input_states(routine, rho, message):
     pairs = len(rho) if rho.ndim == 3 else 1
     with pytest.raises(ValueError, match=message):
         routine(*pair_table([[Crystal(0.3, 150.0)]] * pairs, [[]] * pairs), rho)
+
+
+OUTSIDE = r"arm indices must be a list of integers in \[0, 2\), the table's arms, got"
+BAD_PAIRS = [
+    ([5], [1], rf"^upper {OUTSIDE} \[5\]$"),
+    ([0], [-1], rf"^lower {OUTSIDE} \[-1\]$"),
+    ([0.7], [1], rf"^upper {OUTSIDE} \[0\.7\]$"),
+    ([0, 1], [1], "^2 upper arm indices against 1 lower$"),
+]
+
+
+@pytest.mark.parametrize("routine", ["shared_env_contrasts", "oracle_contrasts",
+                                     "kraus_contrasts"])
+@pytest.mark.parametrize("upper, lower, message", BAD_PAIRS,
+                         ids=["past-the-last-arm", "negative", "not-an-integer", "unequal-lengths"])
+def test_batch_routines_refuse_arm_indices_outside_the_table(monkeypatch, routine, upper, lower,
+                                                             message):
+    # a 2-arm table; kraus_contrasts takes its Kraus table
+    table = arm_table([[Crystal(0.3, 150.0)], []])
+    given = compose_arms(table) if routine == "kraus_contrasts" else table
+    # refused before anything is composed or evolved
+    for name in ("compose_arms", "_path_gram"):
+        monkeypatch.setattr(interferometer, name, lambda *_, name=name: pytest.fail(f"{name} ran"))
+    with pytest.raises(ValueError, match=message):
+        getattr(interferometer, routine)(given, upper, lower, MIXED)
 
 
 # The bytes of oracle-check's contrasts and oracle values for 1,000 seeded
